@@ -1,7 +1,7 @@
 """Query CLI (``ray job submit`` target for batch query jobs).
 
     python scripts/query_index.py --index /data/index --q "spark join" \
-        [--k 10] [--method exact|maxscore] [--corpus '/data/pages/*.parquet']
+        [--k 10] [--method exact|maxscore|auto] [--corpus '/data/pages/*.parquet']
     python scripts/query_index.py --index /data/index \
         --expr 'text.search("spark") && n_chars >= 100' \
         --corpus '/data/pages/*.parquet'
@@ -20,13 +20,14 @@ sys.path.insert(0, _REPO)
 
 
 def main(argv=None) -> int:
+    from vfs_index_ray.search import BM25_METHODS
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--index", required=True)
     ap.add_argument("--q", help="BM25 top-k query")
     ap.add_argument("--expr", help="planner expression (AND query)")
     ap.add_argument("--k", type=int, default=10)
     ap.add_argument("--method", default="exact",
-                    choices=["exact", "maxscore", "blockmax", "auto"])
+                    choices=BM25_METHODS)
     ap.add_argument("--corpus", default=None,
                     help="corpus glob for --expr / row fetch")
     ap.add_argument("--out", default=None,

@@ -214,12 +214,18 @@ def test_distributed_on_bucketed_index(ray_session, pages_file, tmp_path,
 
 def test_bm25_auto_method_identical(engine, oracle_index):
     """method='auto' picks a pruned path for big multi-term queries and
-    stays bit-identical to exact (the engine-wide invariant)."""
+    stays bit-identical to exact (the engine-wide invariant); a method
+    outside the accepted set is an error, never a silent exact run."""
     for q in QUERIES:
         de, se = engine.bm25(q, 10, "exact")
         da, sa = engine.bm25(q, 10, "auto")
         assert de.tolist() == da.tolist()
         assert se.tolist() == sa.tolist()
+    for bad in ("typo", "blockmax"):
+        with pytest.raises(ValueError, match="exact, maxscore, auto"):
+            engine.bm25(QUERIES[0], 10, bad)
+        with pytest.raises(ValueError, match="exact, maxscore, auto"):
+            engine.explain(QUERIES[0], 10, bad)
 
 
 def test_bm25_search_after_pages_tile_deep_topk(engine):

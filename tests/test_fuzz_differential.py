@@ -60,10 +60,3 @@ def test_fuzz_maxscore_equals_exact(fuzz_engine):
         assert de.tolist() == dm.tolist(), q
         assert se.tolist() == sm.tolist(), q
 
-
-def test_fuzz_blockmax_equals_exact(fuzz_engine):
-    for q in _random_queries(60, seed=13):
-        de, se = fuzz_engine.bm25(q, 10, method="exact")
-        db, sb = fuzz_engine.bm25(q, 10, method="blockmax")
-        assert de.tolist() == db.tolist(), q
-        assert se.tolist() == sb.tolist(), q

@@ -42,6 +42,8 @@ def test_parse_errors():
         parse("id == 1 ||")
     with pytest.raises(ValueError):
         parse("id == 1 || && id == 2")
+    with pytest.raises(ValueError, match="AND groups"):
+        parse(" && ".join(["(a == 1 || b == 2)"] * 40))  # 2^40 groups
 
 
 def test_parse_negation():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 SF = "/root/testdata/sf0.01"
 
@@ -23,6 +24,17 @@ def _lookup(ids_all, mat):
         pos = {int(i): j for j, i in enumerate(ids_all)}
         return mat[[pos[int(w)] for w in want]]
     return f
+
+
+@pytest.mark.parametrize("kw", [dict(k=257, subs=8, dim=64),
+                                dict(k=64, subs=8, dim=60)])
+def test_pq_rejects_bad_shape(kw):
+    """k > 256 would wrap the uint8 codes; subs not dividing dim has no
+    subspace split. Both are rejected before any data is read."""
+    from vfs_index_ray.functions.similarity import PQSearcher
+
+    with pytest.raises(ValueError, match="PQSearcher needs"):
+        PQSearcher(None, **kw)
 
 
 def test_pq_search_recall_and_exact_rerank(ray_session):

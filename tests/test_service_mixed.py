@@ -131,3 +131,21 @@ def test_service_pq_batch_matches_direct(ray_session, mixed_setup):
             assert d2.tolist() == wd.tolist()
     finally:
         svc.shutdown()
+
+
+@pytest.mark.parametrize("call", ["ann_batch", "pq_batch"])
+def test_service_rejects_misaligned_exclude_ids(ray_session, mixed_setup,
+                                                call):
+    """exclude_ids pairs one id with each query vector: a list of another
+    length is rejected before any replica is called."""
+    from vfs_index_ray.service import QueryService
+
+    src, idx, ivf_dir, mats, emb_file = mixed_setup
+    svc = QueryService(idx, replicas=1, corpus_files=[src])
+    try:
+        with pytest.raises(ValueError, match="exclude_ids has 1 entries"):
+            getattr(svc, call)([mats[7], mats[21]], k=5,
+                               exclude_ids=[7])
+        assert svc.calls_per_worker() == [0]
+    finally:
+        svc.shutdown()

@@ -11,13 +11,15 @@ SURVEY §3.1):
         reference's per-record write-files with atomic SafeRename publish
         (record.go:194-248, filelist.go:224-231), at a sane granularity.
 
-  phase 2 (segments): read postings → part = term_id % P
-      → groupby(part).map_groups(SegmentWriter) — THE build shuffle, the
-        analog of the in-RAM merge groupby (column.go:449-545) except Ray's
-        sort-based shuffle spills instead of holding it all in memory.
-        Each group writes its own segment file atomically + sidecar
-        manifest row, so a rerun skips committed partitions (resume — the
-        reference's IsExist anti-join, record.go:46-82).
+  phase 2 (segments, ``build_segments``): phase 1 already wrote the
+      postings hive-partitioned by part = term_id % P (THE build shuffle,
+      on disk — the analog of the in-RAM merge groupby,
+      column.go:449-545). One Ray task per uncommitted part, largest
+      part first, gathers that part's files from every wave, lexsorts
+      and encodes them (SegmentWriter.encode_part) and publishes the
+      segment file atomically + sidecar manifest row, so a rerun skips
+      committed partitions (resume — the reference's IsExist anti-join,
+      record.go:46-82).
 
   finalize: stats.json (N, total tokens, avgdl) + manifest.parquet
         (per-partition lineage + metrics) assembled from sidecars.
@@ -214,8 +216,9 @@ class IndexBuilder:
         self.tokenize_batch_size = tokenize_batch_size
         self.tokenize_actors = tokenize_actors
         from .codec import BLOCK
-        # skip-block granularity: smaller blocks → tighter block-max
-        # bounds (better blockmax pruning) at more skip entries/bytes
+        # skip-block granularity: smaller blocks → tighter per-block
+        # (tf_max, dl_min) bounds and cheaper point probes, at more
+        # skip entries/bytes
         self.block_size = int(block_size or BLOCK)
         # positions=True (word mode): token ordinals ride through the
         # shuffle as a delta+varint binary column and land in parallel

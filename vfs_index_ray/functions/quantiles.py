@@ -251,31 +251,17 @@ def grouped_mad(ds, *, key_col: str = "event_type",
                         ("mad_x1e4", pa.int64())])
     if merged is None:
         return schema.empty_table()
-    import pyarrow.compute as pc
-    kd = pc.dictionary_encode(merged["k"].combine_chunks())
-    kcode = kd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uniq = np.asarray(kd.dictionary.to_pylist())
-    order_u = np.argsort(uniq)
-    rank = np.empty(len(uniq), np.int64)
-    rank[order_u] = np.arange(len(uniq))
-    kcode, uniq = rank[kcode], uniq[order_u]
-    v = merged["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-    n = merged["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((v, kcode))
-    v, n, kc = v[order], n[order], kcode[order]
-    bnd = np.flatnonzero(np.concatenate([[True], kc[1:] != kc[:-1]]))
-    ends = np.append(bnd[1:], len(kc))
     rows = []
-    for s, e in zip(bnd, ends):
-        cum = np.cumsum(n[s:e])
+    for key, v, n in _key_groups(merged):
+        cum = np.cumsum(n)
         total = int(cum[-1])
         r = (total * 50 + 99) // 100                # ceil(n/2)
-        med = int(v[s + int(np.searchsorted(cum, r, side="left"))])
-        dv = np.abs(v[s:e] - med)
+        med = int(v[int(np.searchsorted(cum, r, side="left"))])
+        dv = np.abs(v - med)
         dord = np.argsort(dv, kind="stable")
-        dcum = np.cumsum(n[s:e][dord])
+        dcum = np.cumsum(n[dord])
         mad = int(dv[dord][int(np.searchsorted(dcum, r, side="left"))])
-        rows.append({key_col: str(uniq[kc[s]]), "n": total,
+        rows.append({key_col: key, "n": total,
                      "median_x1e4": med, "mad_x1e4": mad})
     rows.sort(key=lambda x: x[key_col])
     return pa.Table.from_pylist(rows, schema=schema)

@@ -1192,6 +1192,12 @@ class PQSearcher:
                  vec_col: str = "embedding", subs: int = 8,
                  k: int = 64, dim: int = 64, scale: int = 10_000,
                  train_sample: int = 4096, train_iters: int = 4):
+        if k > 256:  # codes are stored as uint8
+            raise ValueError(f"PQSearcher needs k <= 256, got k={k}")
+        if dim % subs:
+            raise ValueError(
+                f"PQSearcher needs subs to divide dim, got dim={dim}, "
+                f"subs={subs}")
         self.id_col, self.vec_col = id_col, vec_col
         self.subs, self.k, self.dim, self.scale = subs, k, dim, scale
         self.sd = dim // subs

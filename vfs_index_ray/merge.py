@@ -373,10 +373,7 @@ def _fed_score_source(src_dir: str, tids: list[int], gdf: dict[int, int],
     the ascending-term fp64 accumulation here performs exactly the same
     additions as the merged index's exact path — the global top-k over
     the union of local top-ks is fp64-identical to the merged engine."""
-    import math
-
-    from . import BM25_B, BM25_K1
-    from .search import SearchEngine
+    from .search import SearchEngine, accumulate_scores, bm25_term_weight
     e = engine if engine is not None else SearchEngine(src_dir,
                                                        io_threads=False)
     loaded = e.load_terms(list(tids))
@@ -384,23 +381,10 @@ def _fed_score_source(src_dir: str, tids: list[int], gdf: dict[int, int],
         ps = [(t, e._live_postings(loaded[t])) for t in tids]
     else:
         ps = [(t, loaded[t].decode()) for t in tids]
-    ps = [(t, p) for t, p in ps if len(p.docs)]
-    empty = (np.empty(0, np.uint64), np.empty(0, np.float64))
-    if not ps:
-        return empty
-    if len(ps) == 1:
-        docs_all = ps[0][1].docs
-    else:
-        docs_all = np.unique(np.concatenate([p.docs for _, p in ps]))
-    scores = np.zeros(len(docs_all), np.float64)
-    for t, p in ps:  # ascending term_id — same order as _bm25_exact
-        df = int(gdf[t])
-        idf = math.log(1.0 + (ndocs - df + 0.5) / (df + 0.5))
-        tf = p.tfs.astype(np.float64)
-        dl = p.dls.astype(np.float64)
-        tfn = tf * (BM25_K1 + 1.0) / (
-            tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl))
-        scores[np.searchsorted(docs_all, p.docs)] += idf * tfn
+    # ascending term_id — same order as _bm25_exact
+    docs_all, scores = accumulate_scores([
+        (p.docs, bm25_term_weight(p.tfs, p.dls, int(gdf[t]), ndocs, avgdl))
+        for t, p in ps])
     return SearchEngine._topk(docs_all, scores, k)
 
 

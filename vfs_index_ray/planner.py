@@ -29,6 +29,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 OPS = ("==", "<=", ">=", "<", ">")
+# cap on AND groups after DNF distribution: (a||b)&&(c||d)&&... doubles
+# the group count per clause, and each group runs its own index lookups
+MAX_DNF_GROUPS = 512
 
 
 @dataclass
@@ -185,6 +188,12 @@ def parse(q: str) -> Plan:
             kind = "or" if kind == "and" else "and"
         return (kind, kids)
 
+    def bounded(n: int) -> None:
+        if n > MAX_DNF_GROUPS:
+            raise ValueError(
+                f"expression expands to more than {MAX_DNF_GROUPS} AND "
+                "groups in disjunctive normal form")
+
     def dnf(node) -> list[list[Predicate]]:
         kind = node[0]
         if kind == "pred":
@@ -193,10 +202,13 @@ def parse(q: str) -> Plan:
             out: list[list[Predicate]] = []
             for c in node[1]:
                 out.extend(dnf(c))
+                bounded(len(out))
             return out
         groups: list[list[Predicate]] = [[]]
         for c in node[1]:                     # and: distribute
-            groups = [g + h for g in groups for h in dnf(c)]
+            sub = dnf(c)
+            bounded(len(groups) * len(sub))   # before building them
+            groups = [g + h for g in groups for h in sub]
         return groups
 
     plan = Plan()

@@ -15,8 +15,11 @@ Maps the reference's query machinery onto the segment layout:
   single-process oracle;
 - posting-result cache (cache/cache.go) → per-engine decoded-postings cache.
 
-Three scoring paths, all exact (bit-identical results; fuzz + scale
-tests assert it):
+Two scoring paths, both exact (bit-identical results; fuzz + scale
+tests assert it). Both weigh a posting with ``bm25_term_weight`` and add
+per-doc contributions in ascending term_id order — ``accumulate_scores``
+over whole posting lists, ``SearchEngine._score_targets`` for a chosen
+doc set:
 - ``exact``: decode every query term's postings, one vectorized pass;
   per-term contribution arrays are cached (query-independent), so warm
   queries only pay the accumulate + top-k.
@@ -24,15 +27,9 @@ tests assert it):
   from the per-block (tf_max, dl_min) metadata, then exact rescore of
   candidates probing only the skip blocks that contain them — frequent
   terms' posting lists are mostly never decoded. Best p99.
-- ``blockmax``: Block-Max-WAND-style pruning — an event sweep over every
-  term's block doc-ranges finds the doc regions whose summed block upper
-  bounds can beat a bootstrap threshold; only those regions are decoded
-  and rescored. Measured (BASELINE.md round-2 sweep, both block-size and
-  doc-order axes): the sweep itself costs more than vectorized exact
-  scoring on cached lists, so ``maxscore`` is the head-term winner here.
 - ``auto`` (default for the actor/service paths): ``maxscore`` for
   multi-term queries over big lists, ``exact`` otherwise — informed by
-  those measurements; results are bit-identical either way.
+  the BASELINE.md measurements; results are bit-identical either way.
 
 Distributed path: ``bm25_topk_ray`` scores doc-range buckets independently
 (a doc's postings for every term share its bucket), then a tiny global
@@ -107,6 +104,41 @@ def sorted_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pos = np.minimum(pos, len(b) - 1)
     ok &= b[pos] == a
     return a[ok]
+
+
+# accepted ``method`` values of SearchEngine.bm25 / explain
+BM25_METHODS = ("exact", "maxscore", "auto")
+
+
+def bm25_term_weight(tf: np.ndarray, dl: np.ndarray, df: int, ndocs: int,
+                     avgdl: float) -> np.ndarray:
+    """BM25 contribution of one term to each of its postings,
+    ``idf · tf(k1+1) / (tf + k1(1 − b + b·dl/avgdl))`` with
+    ``idf = ln(1 + (N − df + 0.5) / (df + 0.5))``. Every scorer calls
+    this one copy; the grouping of operations matches ``oracle.py``
+    exactly, so the fp64 results are identical to the oracle's."""
+    idf = math.log(1.0 + (ndocs - df + 0.5) / (df + 0.5))
+    tf = tf.astype(np.float64)
+    dl = dl.astype(np.float64)
+    tfn = tf * (BM25_K1 + 1.0) / (
+        tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl))
+    return idf * tfn
+
+
+def accumulate_scores(terms: list[tuple[np.ndarray, np.ndarray]]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-doc BM25 sums. ``terms`` holds one (sorted-unique doc ids,
+    contributions) pair per term — or per doc-disjoint chunk of a term —
+    in ascending term_id order. Returns (sorted union of the doc ids,
+    scores). Each doc's score is built by the same sequential fp64
+    additions as the oracle (np.add.reduceat would sum pairwise — NOT
+    order-exact)."""
+    docs_all = terms[0][0] if len(terms) == 1 else \
+        sorted_union([d for d, _ in terms])
+    scores = np.zeros(len(docs_all), np.float64)
+    for d, s in terms:
+        scores[np.searchsorted(docs_all, d)] += s
+    return docs_all, scores
 
 
 def _range_scan_part(path: str, lo: int | None, hi: int | None
@@ -348,8 +380,8 @@ class SearchEngine:
     # count deleted docs, and BM25 scores survivors with the stored
     # (df, avgdl, N) — identical scores to pre-delete, minus the dead
     # docs. With tombstones present bm25 forces the exact path: the
-    # pruned paths bootstrap thresholds from champion docs that may be
-    # deleted, which could over-prune live results.
+    # MaxScore path bootstraps its threshold from champion docs that may
+    # be deleted, which could over-prune live results.
     def delete_docs(self, doc_ids) -> int:
         """Tombstone the given doc ids. Commit is tmp + rename of a
         content-addressed parquet under ``tombstones/`` — idempotent
@@ -418,9 +450,6 @@ class SearchEngine:
         loaded = self.load_terms([tid for _, tid in pairs])
         return {tok: loaded[tid].df for tok, tid in pairs}
 
-    def idf(self, df: int) -> float:
-        return math.log(1.0 + (self.ndocs - df + 0.5) / (df + 0.5))
-
     # ------------------------------------------------------------------
     def match(self, q: str) -> np.ndarray:
         """AND over query terms → ascending doc_ids (J3/J4 analog)."""
@@ -487,12 +516,7 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     def _term_score(self, tf: np.ndarray, dl: np.ndarray, df: int) -> np.ndarray:
-        # grouping matches the oracle exactly: idf * (tf*(k1+1) / denom)
-        tf = tf.astype(np.float64)
-        dl = dl.astype(np.float64)
-        tfn = tf * (BM25_K1 + 1.0) / (
-            tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avgdl))
-        return self.idf(df) * tfn
+        return bm25_term_weight(tf, dl, df, self.ndocs, self.avgdl)
 
     @staticmethod
     def _topk(docs: np.ndarray, scores: np.ndarray, k: int):
@@ -515,14 +539,17 @@ class SearchEngine:
         order qualify, so page N+1 never re-ships or re-ranks pages
         1..N and the cost of page depth is O(1) — unlike
         offset-pagination, which re-materializes every prior page.
-        Cursor requests pin the exact scoring path: both pruned paths
-        (MaxScore/blockmax) keep only k candidates above their bound
-        θ, which is the wrong bound under a cursor (the θ-seeded
-        cursor variant — bootstrap θ from the cursor score — is the
-        disk-resident-list optimization; exact keeps pagination fp64
-        rank-identical to a single deep top-k)."""
+        Cursor requests pin the exact scoring path: the pruned
+        MaxScore path keeps only k candidates above its bound θ, which
+        is the wrong bound under a cursor (the θ-seeded cursor variant
+        — bootstrap θ from the cursor score — is the disk-resident-list
+        optimization; exact keeps pagination fp64 rank-identical to a
+        single deep top-k). ``method`` must be one of ``BM25_METHODS``."""
         import time
         t0 = time.perf_counter()
+        if method not in BM25_METHODS:
+            raise ValueError(f"unknown BM25 method {method!r}; expected "
+                             f"one of {', '.join(BM25_METHODS)}")
         tids = sorted(set(self.query_term_ids(q)))  # ascending accumulation
         if not tids or not self.ndocs:
             return np.empty(0, np.uint64), np.empty(0, np.float64)
@@ -539,15 +566,13 @@ class SearchEngine:
             method = "exact"  # see docstring: cursor pins exact
         if method == "auto":
             # measured (BASELINE.md block-size sweep): MaxScore wins on
-            # multi-term queries with big lists (term-level pruning, no
-            # sweep); exact wins when everything is small/cached
+            # multi-term queries with big lists (term-level pruning);
+            # exact wins when everything is small/cached
             total_df = sum(loaded[t].df for t in tids)
             method = "maxscore" if (len(tids) > 1 and
                                     total_df > 65536) else "exact"
         if method == "maxscore" and len(tids) > 1:
             out = self._bm25_maxscore(tids, loaded, k)
-        elif method == "blockmax":
-            out = self._bm25_blockmax(tids, loaded, k)
         else:
             out = self._bm25_exact(tids, loaded, k,
                                    search_after=search_after)
@@ -580,28 +605,18 @@ class SearchEngine:
                                                         np.ndarray]:
         """Exact BM25 scores of SPECIFIC documents — the random-access
         scoring primitive rank fusion needs (fielded_bm25's threshold
-        algorithm).  Decodes only the skip blocks that can contain the
-        targets (the J2/J4 point-probe path, never the full lists) and
+        algorithm).  Reads targets from already-decoded lists and
+        otherwise decodes only the skip blocks that can contain them
+        (the J2/J4 point-probe path, never the full lists), and
         accumulates per term in ascending term_id order with the same
         sequential fp64 additions as the full scorer, so a doc's score
         here is bit-identical to its score in ``bm25``.  Tombstoned
         docs score 0.  Returns (sorted-unique doc_ids, scores)."""
         targets = np.unique(np.asarray(doc_ids, np.uint64))
-        scores = np.zeros(len(targets), np.float64)
         if len(targets) == 0 or not self.ndocs:
-            return targets, scores
+            return targets, np.zeros(len(targets), np.float64)
         tids = sorted(set(self.query_term_ids(q)))
-        if not tids:
-            return targets, scores
-        loaded = self.load_terms(tids)
-        for t in tids:  # ascending term_id: oracle-parity accumulation
-            p = loaded[t]
-            if p.df == 0:
-                continue
-            tf, dl, hit = self._probe_blocks(p, targets)
-            if hit.any():
-                scores[hit] += self._term_score(
-                    tf[hit], np.maximum(dl[hit], 1), p.df)
+        scores = self._score_targets(tids, self.load_terms(tids), targets)
         if len(self.tombstones):
             pos = np.minimum(np.searchsorted(self.tombstones, targets),
                              len(self.tombstones) - 1)
@@ -682,21 +697,12 @@ class SearchEngine:
                 "total_tokens": int(self.stats["total_tokens"])}
 
     def _bm25_exact(self, tids, loaded, k, search_after=None):
-        # accumulate term-by-term in ascending term_id order: each doc's
-        # score is built by the same sequential fp64 additions as the
-        # oracle (np.add.reduceat would sum pairwise — NOT order-exact)
         ps = [loaded[t].decode() for t in tids]
         for p in ps:  # per-term contribution arrays are query-independent
             if p.scores is None:
                 p.scores = self._term_score(p.tfs, p.dls, p.df)
-        if len(ps) == 1:
-            docs_all = ps[0].docs
-        else:
-            docs_all = sorted_union([p.docs for p in ps])
-        scores = np.zeros(len(docs_all), np.float64)
-        for p in ps:  # ascending term_id
-            pos = np.searchsorted(docs_all, p.docs)
-            scores[pos] += p.scores
+        docs_all, scores = accumulate_scores([(p.docs, p.scores)
+                                              for p in ps])
         if search_after is not None:
             cs = float(search_after[0])
             cd = np.uint64(search_after[1])
@@ -871,36 +877,15 @@ class SearchEngine:
             # the θ witnesses must stay candidates (they may BE the top-k)
             cand_docs = np.union1d(cand_docs, boot_docs)
         targets = np.sort(cand_docs)
-        per_term = []
-        for tid in tids:  # ascending
+        for tid in tids:
             p = loaded[tid]
             # probe-vs-decode cost rule: block probes pay off only when
             # the candidate set is much smaller than the posting list
             # (flat score distributions leave pruning ineffective — then
             # a full vectorized decode beats per-block probing)
-            if tid not in decoded and p.docs is None and \
-                    len(targets) * 4 >= p.df:
+            if p.docs is None and len(targets) * 4 >= p.df:
                 p.decode()
-            if tid in decoded or p.docs is not None:
-                p.decode()
-                pos = np.searchsorted(p.docs, targets)
-                ok = pos < len(p.docs)
-                pos2 = np.minimum(pos, max(len(p.docs) - 1, 0))
-                if len(p.docs):
-                    ok &= p.docs[pos2] == targets
-                tf = np.where(ok, p.tfs[pos2] if len(p.docs) else 0, 0)
-                dl = np.where(ok, p.dls[pos2] if len(p.docs) else 1, 1)
-            else:
-                tf, dl, ok = self._probe_blocks(p, targets)
-            per_term.append((tf.astype(np.uint64), dl.astype(np.uint64),
-                             ok, p.df))
-        scores = np.zeros(len(targets), np.float64)
-        for tf, dl, ok, df in per_term:  # ascending term order, like exact
-            contrib = np.zeros(len(targets), np.float64)
-            nz = ok & (tf > 0)
-            if nz.any():
-                contrib[nz] = self._term_score(tf[nz], dl[nz], df)
-            scores = np.where(nz, scores + contrib, scores)
+        scores = self._score_targets(tids, loaded, targets)
         return self._topk(targets, scores, k)
 
     # ------------------------------------------------------------------
@@ -1385,128 +1370,11 @@ class SearchEngine:
             order = order[:k]
         return docs_all[order], dist[order]
 
-    # --- Block-Max WAND-style pruning (event sweep over block ranges) ---
-    def _block_meta(self, p: Postings):
-        """(block_lo, block_hi, block_ub) arrays for one term: each skip
-        block's inclusive doc range and its BM25 upper bound from the
-        stored (tf_max, dl_min)."""
-        los, his, ubs = [], [], []
-        for c in p.chunks:
-            lasts = np.asarray(c["skip_doc_last"], np.uint64)
-            if len(lasts) == 0:
-                continue
-            tf_max = np.asarray(c["block_tf_max"], np.uint64)
-            dl_min = np.maximum(np.asarray(c["block_dl_min"], np.uint64), 1)
-            ub = self._term_score(tf_max, dl_min, p.df)
-            lo = np.empty_like(lasts)
-            lo[0] = np.uint64(0)
-            lo[1:] = lasts[:-1]  # exclusive-prev → treat as inclusive-lo:
-            # conservative (range slightly wider than actual) = still a
-            # valid upper bound region
-            los.append(lo)
-            his.append(lasts)
-            ubs.append(ub)
-        if not los:
-            e = np.empty(0, np.uint64)
-            return e, e.copy(), np.empty(0, np.float64)
-        return (np.concatenate(los), np.concatenate(his),
-                np.concatenate(ubs))
-
-    def _bm25_blockmax(self, tids, loaded, k):
-        """Exact top-k with block-max pruning: sweep all terms' block
-        doc-ranges; only doc regions whose summed block upper bounds can
-        beat a bootstrap threshold are decoded and exactly rescored.
-        Bit-identical to the exact path (validated in tests)."""
-        # bootstrap θ: exact-score the docs of the rarest terms
-        by_df = sorted(tids, key=lambda t: (loaded[t].df, t))
-        boot: np.ndarray | None = None
-        for t in by_df:
-            p = loaded[t].decode()
-            boot = p.docs if boot is None else \
-                np.union1d(boot, p.docs)
-            if len(boot) >= k:
-                break
-        if boot is None or len(boot) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        boot_scores = self._score_targets(tids, loaded, np.sort(boot))
-        if len(boot) < k:
-            # fewer candidates than k anywhere near: fall back to exact
-            return self._bm25_exact(tids, loaded, k)
-        theta = np.partition(boot_scores, len(boot_scores) - k)[-k]
-
-        # event sweep: +ub at block lo, -ub after block hi (conservative
-        # boundary handling keeps the bound valid)
-        blk = [(t, *self._block_meta(loaded[t])) for t in tids]
-        starts = np.concatenate([b[1] for b in blk])
-        ends = np.concatenate([b[2] for b in blk])
-        ubs = np.concatenate([b[3] for b in blk])
-        pos = np.concatenate([starts, ends])
-        kind = np.concatenate([np.zeros(len(starts), np.int8),
-                               np.ones(len(ends), np.int8)])
-        delta = np.concatenate([ubs, -ubs])
-        order = np.lexsort((kind, pos))
-        pos, delta = pos[order], delta[order]
-        cum = np.cumsum(delta)
-        # qualifying positions: cum ≥ θ (within fp slack)
-        ok = cum >= theta - 1e-9
-        if not ok.any():
-            dd, ss = self._topk(np.sort(boot), boot_scores, k)
-            return dd, ss
-        # merge qualifying sweep segments into doc intervals
-        seg_lo = pos[ok]
-        nxt = np.empty(len(pos), np.uint64)
-        nxt[:-1] = pos[1:]
-        nxt[-1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        seg_hi = nxt[ok]
-        # candidates: decode blocks overlapping any qualifying segment,
-        # keep docs inside the segments
-        targets = [np.sort(boot)]
-        for t in tids:
-            p = loaded[t]
-            if p.docs is not None:
-                d = p.docs
-                inside = self._in_intervals(d, seg_lo, seg_hi)
-                targets.append(d[inside])
-                continue
-            for c in p.chunks:
-                lasts = np.asarray(c["skip_doc_last"], np.uint64)
-                if len(lasts) == 0:
-                    continue
-                lo = np.empty_like(lasts)
-                lo[0] = np.uint64(0)
-                lo[1:] = lasts[:-1]
-                hit = np.flatnonzero(self._ranges_overlap(
-                    lo, lasts, seg_lo, seg_hi))
-                for bi in hit:
-                    d, _, _ = decode_block(c, int(bi))
-                    inside = self._in_intervals(d, seg_lo, seg_hi)
-                    targets.append(d[inside])
-        cand = sorted_union(targets)
-        scores = self._score_targets(tids, loaded, cand)
-        return self._topk(cand, scores, k)
-
-    @staticmethod
-    def _in_intervals(docs: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray) -> np.ndarray:
-        """Membership of each doc in any [lo_i, hi_i] interval (lo sorted)."""
-        if len(lo) == 0:
-            return np.zeros(len(docs), bool)
-        i = np.searchsorted(lo, docs, side="right") - 1
-        i = np.maximum(i, 0)
-        return (docs >= lo[i]) & (docs <= hi[i])
-
-    @staticmethod
-    def _ranges_overlap(blo, bhi, seg_lo, seg_hi) -> np.ndarray:
-        """For each block range, does it overlap any qualifying segment?"""
-        if len(seg_lo) == 0:
-            return np.zeros(len(blo), bool)
-        j = np.searchsorted(seg_hi, blo, side="left")
-        j = np.minimum(j, len(seg_lo) - 1)
-        return (seg_lo[j] <= bhi) & (seg_hi[j] >= blo)
-
     def _score_targets(self, tids, loaded, targets: np.ndarray) -> np.ndarray:
         """Exact scores for sorted target docs — ascending-term sequential
-        accumulation, probing undecoded terms' blocks only."""
+        accumulation (the same fp64 additions as ``accumulate_scores``),
+        looking targets up in decoded lists and probing only the skip
+        blocks of undecoded ones."""
         scores = np.zeros(len(targets), np.float64)
         for t in tids:  # ascending term_id
             p = loaded[t]
@@ -1522,11 +1390,7 @@ class SearchEngine:
                 tf, dl, ok = self._probe_blocks(p, targets)
             nz = ok & (tf > 0)
             if nz.any():
-                contrib = np.zeros(len(targets), np.float64)
-                contrib[nz] = self._term_score(
-                    tf[nz].astype(np.uint64), dl[nz].astype(np.uint64),
-                    p.df)
-                scores = np.where(nz, scores + contrib, scores)
+                scores[nz] += self._term_score(tf[nz], dl[nz], p.df)
         return scores
 
     # ------------------------------------------------------------------
@@ -1793,20 +1657,9 @@ def bm25_topk_ray(index_dir: str, q: str, k: int = 10):
         decoded = []
         for row in rows:  # ascending term_id (+ bucket)
             d, tf, dl = decode_chunk(row)
-            df = int(row["df"])
-            idf = math.log(1.0 + (ndocs - df + 0.5) / (df + 0.5))
-            tff = tf.astype(np.float64)
-            dlf = dl.astype(np.float64)
-            tfn = tff * (BM25_K1 + 1.0) / (
-                tff + BM25_K1 * (1.0 - BM25_B + BM25_B * dlf / avgdl))
-            decoded.append((d, idf * tfn))
-        if len(decoded) == 1:
-            docs_all = decoded[0][0]
-        else:
-            docs_all = sorted_union([d for d, _ in decoded])
-        scores = np.zeros(len(docs_all), np.float64)
-        for d, s in decoded:  # sequential per doc, ascending term order
-            scores[np.searchsorted(docs_all, d)] += s
+            decoded.append((d, bm25_term_weight(tf, dl, int(row["df"]),
+                                                ndocs, avgdl)))
+        docs_all, scores = accumulate_scores(decoded)
         dd, ss = SearchEngine._topk(docs_all, scores, k)
         return pa.table({"doc_id": pa.array(dd, pa.uint64()),
                          "score": pa.array(ss, pa.float64())})

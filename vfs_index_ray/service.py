@@ -165,6 +165,17 @@ class QueryWorker:
         return ray.get_runtime_context().get_node_id()
 
 
+def _per_vector_excludes(exclude_ids, n_vecs: int) -> list:
+    """One exclude id (or None) per query vector; a list of any other
+    length would pair ids with the wrong vectors."""
+    if exclude_ids is None:
+        return [None] * n_vecs
+    if len(exclude_ids) != n_vecs:
+        raise ValueError(f"exclude_ids has {len(exclude_ids)} entries for "
+                         f"{n_vecs} query vectors")
+    return exclude_ids
+
+
 class QueryService:
     """Client facade over a pool of resident QueryWorker actors."""
 
@@ -243,11 +254,11 @@ class QueryService:
         replicas (no query-string affinity to exploit — bucket reads
         are pruned parquet either way), one RPC per replica, results
         reassembled in input order.  Returns [(ids, sims), ...]."""
+        ex = _per_vector_excludes(exclude_ids, len(vecs))
         n = len(self.workers)
         by_worker: dict[int, list[int]] = {}
         for i in range(len(vecs)):
             by_worker.setdefault(i % n, []).append(i)
-        ex = exclude_ids or [None] * len(vecs)
         futs = {w: self.workers[w].ann_batch.remote(
             [vecs[i] for i in idxs], k, nprobe, filters,
             [ex[i] for i in idxs])
@@ -264,11 +275,11 @@ class QueryService:
         """PQ/ADC search over the replica pool (round-robin like
         ann_batch; the code matrix is resident in every replica).
         Returns [(ids, exact_d2), ...] in input order."""
+        ex = _per_vector_excludes(exclude_ids, len(vecs))
         n = len(self.workers)
         by_worker: dict[int, list[int]] = {}
         for i in range(len(vecs)):
             by_worker.setdefault(i % n, []).append(i)
-        ex = exclude_ids or [None] * len(vecs)
         futs = {w: self.workers[w].pq_batch.remote(
             [vecs[i] for i in idxs], k, rerank,
             [ex[i] for i in idxs])

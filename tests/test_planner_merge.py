@@ -337,7 +337,7 @@ def test_merge_overlap_invariant(ray_session, split_corpora, tmp_path,
 
 
 def test_repartition_same_results(ray_session, built_index, tmp_path,
-                                  oracle_index):
+                                  oracle_index, pages_file):
     from vfs_index_ray.merge import repartition_index
     from vfs_index_ray.search import SearchEngine
 
@@ -351,6 +351,26 @@ def test_repartition_same_results(ray_session, built_index, tmp_path,
         expected = oracle_index.bm25(q, 10)
         assert [int(x) for x in docs] == [d for d, _ in expected]
         assert [float(x) for x in scores] == [s for _, s in expected]
+    # the repartitioned index IS a fresh 4-part build: same segment
+    # and bloom bytes, same stats
+    from vfs_index_ray.build import IndexBuilder, read_stats
+
+    fresh = str(tmp_path / "fresh4")
+    IndexBuilder(fresh, mode="word", num_parts=4,
+                 id_col=None).build([pages_file])
+
+    def seg_files(d):
+        return sorted(n for n in os.listdir(os.path.join(d, "segments"))
+                      if n.startswith("part=")
+                      and n.endswith((".parquet", ".bloom")))
+
+    names = seg_files(out)
+    assert names == seg_files(fresh) and len(names) == 8
+    for n in names:
+        with open(os.path.join(out, "segments", n), "rb") as a, \
+                open(os.path.join(fresh, "segments", n), "rb") as b:
+            assert a.read() == b.read(), n
+    assert read_stats(out) == read_stats(fresh)
 
 
 def test_merge_bucketed_indexes(ray_session, split_corpora, tmp_path,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 
@@ -92,3 +94,40 @@ def test_dup_spans_exact_duplicate_docs(ray_session):
     assert rows[0]["dup_windows"] == 13 == rows[1]["dup_windows"]
     assert rows[0]["dup_frac_x1e4"] == 10000
     assert rows[2]["dup_windows"] == 0
+
+
+def test_span_dedup_spills_under_caller_root(ray_session, tmp_path,
+                                            monkeypatch):
+    """Every spill of duplicate_windows and remove_dup_spans (the hash
+    prefilter included) opens under the caller's ``spill_dir``, never
+    the driver's local /tmp."""
+    import ray.data
+
+    from vfs_index_ray import spillfs
+    from vfs_index_ray.functions.spans import (duplicate_windows,
+                                               remove_dup_spans)
+
+    specs = []
+    real = spillfs.open_spill
+
+    def recording(spill_dir=None, **kw):
+        specs.append(spill_dir)
+        return real(spill_dir, **kw)
+
+    monkeypatch.setattr(spillfs, "open_spill", recording)
+    root = str(tmp_path / "spill")
+    os.makedirs(root)
+    span = "q w e r"
+    t = pa.table({"doc_id": pa.array([0, 1, 2], pa.int64()),
+                  "text": pa.array([f"{span} a b", f"x {span} y",
+                                    "u1 u2 u3 u4 u5"])})
+
+    dup = duplicate_windows(ray.data.from_arrow(t), L=4, num_parts=4,
+                            spill_dir=root)
+    assert dup["window"].to_pylist() == [span]
+    out = remove_dup_spans(ray.data.from_arrow(t), L=4, num_parts=4,
+                           spill_dir=root).take_all()
+    assert {r["doc_id"]: r["n_removed"] for r in out} == {0: 0, 1: 4,
+                                                           2: 0}
+    assert specs and all(s == root for s in specs)
+    assert os.listdir(root) == []

@@ -157,6 +157,54 @@ def test_substrate_over_fsspec_filesystem(ray_session, tmp_path):
     assert ar.equals(br.cast(ar.schema))
 
 
+def test_partition_apply(ray_session, tmp_path):
+    """spillfs.partition_apply under a caller spill root: empty input
+    gives [], results equal an in-process group-by, a raising
+    ``per_part`` surfaces from ``ray.get``, and no spill directory is
+    left behind in any case."""
+    import ray
+    import ray.data
+
+    from vfs_index_ray.spillfs import partition_apply
+
+    root = str(tmp_path / "spill")
+    os.makedirs(root)
+    g = np.random.Generator(np.random.Philox(key=[11, 0]))
+    t = pa.table({"k": pa.array(g.integers(0, 50, 1000), pa.int64()),
+                  "v": pa.array(g.integers(0, 9, 1000), pa.int64())})
+
+    def add_part(b: pa.Table) -> pa.Table:
+        k = b["k"].to_numpy(zero_copy_only=False)
+        return b.append_column("part", pa.array(k % 4, pa.int32()))
+
+    def sums(p: pa.Table) -> pa.Table:
+        assert p.column_names == ["k", "v"]  # part column consumed
+        return p.group_by("k").aggregate([("v", "sum")])
+
+    def spilled(tbl):
+        return ray.data.from_arrow(tbl).repartition(3).map_batches(
+            add_part, batch_format="pyarrow")
+
+    assert partition_apply(spilled(t.slice(0, 0)), "part", sums,
+                           spill_dir=root) == []
+    assert os.listdir(root) == []
+
+    refs = partition_apply(spilled(t), "part", sums, columns=["k", "v"],
+                           spill_dir=root, prefix="t_")
+    assert len(refs) == 4 and os.listdir(root) == []
+    got = pa.concat_tables(ray.get(refs)).sort_by("k")
+    assert got.equals(t.group_by("k").aggregate([("v", "sum")])
+                      .sort_by("k"))
+
+    def boom(p: pa.Table) -> pa.Table:
+        raise ValueError("per-part failure")
+
+    refs = partition_apply(spilled(t), "part", boom, spill_dir=root)
+    assert refs and os.listdir(root) == []
+    with pytest.raises(Exception, match="per-part failure"):
+        ray.get(refs)
+
+
 def test_resolve_location():
     from vfs_index_ray.spillfs import resolve_location
 

@@ -331,13 +331,21 @@ class IndexBuilder:
                                   zero_copy_batch=True)
         post = post.map_batches(AddPartColumn(self.num_parts),
                                 batch_format="pyarrow", zero_copy_batch=True)
+        # n_tokens is NOT computed here: sum(tf) falls out of the segment
+        # phase for free (tf_sum per chunk → part sidecars → finalize)
+        return self._commit_wave(wave, post, {
+            "wave": wave, "files": list(files), "n_docs": int(n_docs)})
 
-        # THE shuffle, as a hive-partitioned write: each write task splits
-        # its blocks by part (hash of term), so phase 2 reads each part's
-        # postings directly — no sort-based all-to-all exchange. (Measured:
-        # Ray's groupby sort+map_groups on the same data ran the per-group
-        # encode with almost no parallelism; this layout also makes the
-        # shuffle itself restartable — it lives on disk, per wave.)
+    def _commit_wave(self, wave: int, post, meta: dict) -> dict:
+        """Write ``post`` (postings with a ``part`` column) as wave
+        ``wave``'s postings and commit it with the ``meta`` sidecar.
+
+        THE shuffle, as a hive-partitioned write: each write task splits
+        its blocks by part (hash of term), so phase 2 reads each part's
+        postings directly — no sort-based all-to-all exchange. (Measured:
+        Ray's groupby sort+map_groups on the same data ran the per-group
+        encode with almost no parallelism; this layout also makes the
+        shuffle itself restartable — it lives on disk, per wave.)"""
         final = f"{self.postings_dir}/wave={wave:04d}"
         if self.scratch_local:
             # local fs: tmp + atomic rename
@@ -360,9 +368,6 @@ class IndexBuilder:
             self.scratch_fs.create_dir(final, recursive=True)
             post.write_parquet(final, filesystem=self.scratch_fs,
                                partition_cols=["part"])
-        # n_tokens is NOT computed here: sum(tf) falls out of the segment
-        # phase for free (tf_sum per chunk → part sidecars → finalize)
-        meta = {"wave": wave, "files": list(files), "n_docs": int(n_docs)}
         _atomic_write_json(os.path.join(self.waves_dir, f"wave={wave:04d}.json"),
                            meta)
         return meta

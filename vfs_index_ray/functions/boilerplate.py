@@ -47,6 +47,30 @@ def _group_counts(t: pa.Table, keys: list[str], agg: list[tuple]) -> pa.Table:
 _MERGE_FN = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
 
 
+def _key_part_codes(t: pa.Table, cols: list[str],
+                    num_parts: int) -> np.ndarray:
+    """int32 partition codes ``hash(cols) % num_parts``: integer
+    columns mix through splitmix64, others through FNV-1a, folded
+    FNV-style across ``cols`` (order-sensitive)."""
+    from ..hashing import fnv1a64_tokens
+
+    h = np.zeros(t.num_rows, np.uint64)
+    for k in cols:
+        col = t[k]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        if pa.types.is_integer(col.type):
+            v = col.cast(pa.int64()).to_numpy(
+                zero_copy_only=False).astype(np.uint64)
+            v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            v ^= v >> np.uint64(31)
+        else:
+            v = fnv1a64_tokens(col)
+        h = h * np.uint64(0x100000001B3) ^ v
+    return (h % np.uint64(num_parts)).astype(np.int32)
+
+
 def partial_aggregate(ds, keys: list[str], aggs: list[tuple[str, str]],
                       prepare=None) -> pa.Table | None:
     """Distributed aggregation for SMALL output spaces (keys × groups
@@ -106,10 +130,9 @@ def hash_aggregate(ds, keys: list[str], aggs: list[tuple[str, str]],
     ``spill_dir`` accepts any ``spillfs.open_spill`` spec (local path,
     URI, ``(pyarrow_fs, path)``); a unique run-scoped subdir is always
     created inside it."""
-    import ray
     import ray.data
 
-    from ..hashing import fnv1a64_tokens
+    from ..spillfs import partition_apply
 
     for _, f in aggs:
         if f not in _MERGE_FN:
@@ -118,62 +141,28 @@ def hash_aggregate(ds, keys: list[str], aggs: list[tuple[str, str]],
         from .joins import _size_based_parts
         num_parts = _size_based_parts((ds,))
     pnames = [f"{c}_{f}" for c, f in aggs]
-
-    def _key_codes(t: pa.Table) -> np.ndarray:
-        h = np.zeros(t.num_rows, np.uint64)
-        for k in keys:
-            col = t[k]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            if pa.types.is_integer(col.type):
-                v = col.cast(pa.int64()).to_numpy(
-                    zero_copy_only=False).astype(np.uint64)
-                v = (v ^ (v >> np.uint64(30))) * np.uint64(
-                    0xBF58476D1CE4E5B9)
-                v = (v ^ (v >> np.uint64(27))) * np.uint64(
-                    0x94D049BB133111EB)
-                v ^= v >> np.uint64(31)
-            else:
-                v = fnv1a64_tokens(col)
-            h = h * np.uint64(0x100000001B3) ^ v
-        return (h % np.uint64(num_parts)).astype(np.int32)
+    merge_aggs = [(p, _MERGE_FN[f]) for p, (_, f) in zip(pnames, aggs)]
 
     def partial(t: pa.Table) -> pa.Table:
         if prepare is not None:
             t = prepare(t)
         g = _group_counts(t, list(keys), list(aggs))
-        return g.append_column("_ap", pa.array(_key_codes(g), pa.int32()))
+        return g.append_column(
+            "_ap", pa.array(_key_part_codes(g, keys, num_parts),
+                            pa.int32()))
 
-    from ..spillfs import open_spill
+    def merge(t: pa.Table) -> pa.Table:
+        m = _group_counts(t, list(keys), merge_aggs)
+        cols = {k: m[k] for k in keys}
+        for p, (_, f) in zip(pnames, aggs):
+            cols[p] = m[f"{p}_{_MERGE_FN[f]}"]
+        return pa.table(cols)
 
-    sp = open_spill(spill_dir, prefix="hashagg_")
-    try:
-        sp.write_parquet(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            partition_cols=["_ap"])
-        part_dirs = list(sp.list_parts("_ap").values())
-        if not part_dirs:
-            return None
-
-        merge_aggs = [(p, _MERGE_FN[f]) for p, (_, f) in zip(pnames, aggs)]
-        fs = sp.fs
-
-        @ray.remote(num_cpus=1)
-        def one_part(pdir: str) -> pa.Table:
-            import pyarrow.parquet as pq
-            t = pq.read_table(pdir, filesystem=fs, use_threads=False)
-            m = _group_counts(t, list(keys), merge_aggs)
-            cols = {k: m[k] for k in keys}
-            for p, (_, f) in zip(pnames, aggs):
-                cols[p] = m[f"{p}_{_MERGE_FN[f]}"]
-            return pa.table(cols)
-
-        refs = [one_part.remote(d) for d in part_dirs]
-        ray.wait(refs, num_returns=len(refs))  # done before cleanup
-        return ray.data.from_arrow_refs(refs)
-    finally:
-        sp.cleanup()
+    refs = partition_apply(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "_ap", merge, spill_dir=spill_dir, prefix="hashagg_")
+    return ray.data.from_arrow_refs(refs) if refs else None
 
 
 def distinct_aggregate(ds, keys: list[str], distinct_col: str,
@@ -191,72 +180,35 @@ def distinct_aggregate(ds, keys: list[str], distinct_col: str,
     values themselves never reach the driver)."""
     import ray
 
-    from ..hashing import fnv1a64_tokens
+    from ..spillfs import partition_apply
 
     if num_parts is None:
         from .joins import _size_based_parts
         num_parts = _size_based_parts((ds,))
     cols = list(keys) + [distinct_col]
 
-    def _pair_codes(t: pa.Table) -> np.ndarray:
-        h = np.zeros(t.num_rows, np.uint64)
-        for k in cols:
-            col = t[k]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            if pa.types.is_integer(col.type):
-                v = col.cast(pa.int64()).to_numpy(
-                    zero_copy_only=False).astype(np.uint64)
-                v = (v ^ (v >> np.uint64(30))) * np.uint64(
-                    0xBF58476D1CE4E5B9)
-                v = (v ^ (v >> np.uint64(27))) * np.uint64(
-                    0x94D049BB133111EB)
-                v ^= v >> np.uint64(31)
-            else:
-                v = fnv1a64_tokens(col)
-            h = h * np.uint64(0x100000001B3) ^ v
-        return (h % np.uint64(num_parts)).astype(np.int32)
-
     def partial(t: pa.Table) -> pa.Table:
         g = _group_counts(t.select(cols), cols, [])
-        return g.append_column("_dp", pa.array(_pair_codes(g),
-                                               pa.int32()))
+        return g.append_column(
+            "_dp", pa.array(_key_part_codes(g, cols, num_parts),
+                            pa.int32()))
 
-    from ..spillfs import open_spill
+    def count_part(t: pa.Table) -> pa.Table:
+        dd = _group_counts(t, cols, [])          # global-exact dedup
+        return _group_counts(dd, list(keys), [(distinct_col, "count")])
 
-    sp = open_spill(spill_dir, prefix="distagg_")
-    try:
-        sp.write_parquet(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            partition_cols=["_dp"])
-        part_dirs = list(sp.list_parts("_dp").values())
-        if not part_dirs:
-            return None
-
-        fs = sp.fs
-
-        @ray.remote(num_cpus=1)
-        def one_part(pdir: str) -> pa.Table:
-            import pyarrow.parquet as pq
-            t = pq.read_table(pdir, filesystem=fs, use_threads=False)
-            dd = _group_counts(t, cols, [])          # global-exact dedup
-            return _group_counts(dd, list(keys),
-                                 [(distinct_col, "count")])
-
-        parts = [p for p in ray.get([one_part.remote(d)
-                                     for d in part_dirs]) if p.num_rows]
-        if not parts:
-            return None
-        m = _group_counts(pa.concat_tables(parts).combine_chunks(),
-                          list(keys),
-                          [(f"{distinct_col}_count", "sum")])
-        out = {k: m[k] for k in keys}
-        out["n_distinct"] = m[f"{distinct_col}_count_sum"].cast(
-            pa.int64())
-        return pa.table(out)
-    finally:
-        sp.cleanup()
+    refs = partition_apply(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "_dp", count_part, spill_dir=spill_dir, prefix="distagg_")
+    parts = [p for p in ray.get(refs) if p.num_rows]
+    if not parts:
+        return None
+    m = _group_counts(pa.concat_tables(parts).combine_chunks(),
+                      list(keys), [(f"{distinct_col}_count", "sum")])
+    out = {k: m[k] for k in keys}
+    out["n_distinct"] = m[f"{distinct_col}_count_sum"].cast(pa.int64())
+    return pa.table(out)
 
 
 def rollup_aggregate(ds, keys: list[str], aggs: list[tuple[str, str]],
@@ -356,38 +308,23 @@ def _unit_frequencies(ds, *, distinct_docs: bool, min_count: int,
             "part": pa.array(part, pa.int32()),
         })
 
-    from ..spillfs import open_spill
+    from ..spillfs import partition_apply
 
-    sp = open_spill(spill_dir, prefix="boiler_")
-    try:
-        sp.write_parquet(
-            ds.map_batches(partial_counts, batch_format="pyarrow"),
-            partition_cols=["part"])
-        empty = pa.table({"unit": pa.array([], pa.string()),
-                          out_col: pa.array([], pa.int64())})
-        part_dirs = list(sp.list_parts("part").values())
-        if not part_dirs:
-            return empty
+    def sum_part(t: pa.Table) -> pa.Table:
+        g = _group_counts(t, ["unit"], [("n", "sum")])
+        g = g.filter(pc.greater_equal(g["n_sum"], pa.scalar(min_count)))
+        return pa.table({"unit": g["unit"],
+                         out_col: g["n_sum"].cast(pa.int64())})
 
-        fs = sp.fs
-
-        @ray.remote(num_cpus=1)
-        def one_part(pdir: str) -> pa.Table:
-            import pyarrow.parquet as pq
-            t = pq.read_table(pdir, columns=["unit", "n"],
-                              filesystem=fs, use_threads=False)
-            g = _group_counts(t, ["unit"], [("n", "sum")])
-            keep = pc.greater_equal(g["n_sum"], pa.scalar(min_count))
-            g = g.filter(keep)
-            return pa.table({"unit": g["unit"],
-                             out_col: g["n_sum"].cast(pa.int64())})
-        parts = ray.get([one_part.remote(d) for d in part_dirs])
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            return empty
-        return pa.concat_tables(parts).combine_chunks()
-    finally:
-        sp.cleanup()
+    refs = partition_apply(
+        ds.map_batches(partial_counts, batch_format="pyarrow"), "part",
+        sum_part, columns=["unit", "n"], spill_dir=spill_dir,
+        prefix="boiler_")
+    parts = [p for p in ray.get(refs) if p.num_rows]
+    if not parts:
+        return pa.table({"unit": pa.array([], pa.string()),
+                         out_col: pa.array([], pa.int64())})
+    return pa.concat_tables(parts).combine_chunks()
 
 
 def unit_doc_frequencies(ds, *, min_docs: int = 1, unit: str = "line",

@@ -246,9 +246,8 @@ def banded_bucket_apply(bands, key_cols, bucket_fn, *,
     import ray
     import ray.data
 
-    from ..spillfs import open_spill
+    from ..spillfs import partition_apply
 
-    sp = open_spill(spill_dir, prefix="lsh_bands_")
     if num_parts is None:
         num_parts = max(16, 2 * int(ray.cluster_resources().get("CPU", 8)))
     kc = list(key_cols)
@@ -262,48 +261,31 @@ def banded_bucket_apply(bands, key_cols, bucket_fn, *,
         part = (h % np.uint64(num_parts)).astype(np.int32)
         return t.append_column("part", pa.array(part, pa.int32()))
 
-    try:
-        sp.write_parquet(
-            bands.map_batches(add_part, batch_format="pyarrow"),
-            partition_cols=["part"])
-        part_dirs = list(sp.list_parts("part").values())
-        if not part_dirs:
-            return None
+    def per_part(t: pa.Table) -> pa.Table:
+        arrs = [t[c].to_numpy(zero_copy_only=False) for c in kc]
+        n = t.num_rows
+        if n == 0:
+            return bucket_fn(t.slice(0, 0))
+        order = np.lexsort(arrs[::-1])
+        t = t.take(pa.array(order))
+        arrs = [a[order] for a in arrs]
+        change = np.zeros(n, bool)
+        change[0] = True
+        for a in arrs:
+            change[1:] |= a[1:] != a[:-1]
+        starts = np.flatnonzero(change)
+        ends = np.append(starts[1:], n)
+        outs = [bucket_fn(t.slice(int(s), int(e - s)))
+                for s, e in zip(starts, ends)]
+        outs = [o for o in outs if o is not None and o.num_rows]
+        if not outs:
+            return bucket_fn(t.slice(0, 0))
+        return pa.concat_tables(outs).combine_chunks()
 
-        fs = sp.fs
-
-        @ray.remote
-        def one_part(pdir: str) -> pa.Table:
-            import pyarrow.parquet as pq
-
-            # use_threads=False: concurrent part tasks must not each spawn
-            # an Arrow thread pool (threads × tasks oversubscription)
-            t = pq.read_table(pdir, filesystem=fs, use_threads=False)
-            arrs = [t[c].to_numpy(zero_copy_only=False) for c in kc]
-            n = t.num_rows
-            if n == 0:
-                return bucket_fn(t.slice(0, 0))
-            order = np.lexsort(arrs[::-1])
-            t = t.take(pa.array(order))
-            arrs = [a[order] for a in arrs]
-            change = np.zeros(n, bool)
-            change[0] = True
-            for a in arrs:
-                change[1:] |= a[1:] != a[:-1]
-            starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], n)
-            outs = [bucket_fn(t.slice(int(s), int(e - s)))
-                    for s, e in zip(starts, ends)]
-            outs = [o for o in outs if o is not None and o.num_rows]
-            if not outs:
-                return bucket_fn(t.slice(0, 0))
-            return pa.concat_tables(outs).combine_chunks()
-
-        refs = [one_part.remote(d) for d in part_dirs]
-        ray.wait(refs, num_returns=len(refs))  # done before spill cleanup
-        return ray.data.from_arrow_refs(refs)
-    finally:
-        sp.cleanup()
+    refs = partition_apply(
+        bands.map_batches(add_part, batch_format="pyarrow"), "part",
+        per_part, spill_dir=spill_dir, prefix="lsh_bands_")
+    return ray.data.from_arrow_refs(refs) if refs else None
 
 
 def minhash_candidates(ds, *, num_perm: int = 64, num_bands: int = 16,

@@ -41,18 +41,18 @@ def _removal_rows(ds, *, text_col: str, id_col: str, sep: str,
     occurrence that is NOT the corpus-first for its line value.
     Returns None when the corpus has no duplicate lines.
 
-    A hash-prefilter pass runs first (the spans-family pattern,
-    functions/spans.py): per-line FNV counts as 16-byte rows through
-    the disk spill yield the small sorted candidate-hash set, and only
-    candidate lines' occurrence rows — duplicates plus rare collisions
-    — enter the string shuffle.  Equality stays on the raw line bytes
-    (a collision only adds a singleton group, which emits nothing)."""
+    A hash-prefilter pass runs first (``spans._candidate_hashes``,
+    shared with the span family): per-line FNV counts as 16-byte rows
+    through the disk spill yield the small sorted candidate-hash set,
+    and only candidate lines' occurrence rows — duplicates plus rare
+    collisions — enter the string shuffle, whose per-part keep-first
+    pass is ``spans._keep_first_removals``.  Equality stays on the raw
+    line bytes (a collision only adds a singleton group, which emits
+    nothing)."""
     import ray
-    import ray.data
 
     from ..hashing import fnv1a64_tokens
-    from ..spillfs import open_spill
-    from .spans import _in_sorted
+    from .spans import _candidate_hashes, _in_sorted, _keep_first_removals
 
     def split_lines(batch: pa.Table):
         texts = batch[text_col]
@@ -65,50 +65,9 @@ def _removal_rows(ds, *, text_col: str, id_col: str, sep: str,
             zero_copy_only=False)
         return lines, flat, parent
 
-    from .boilerplate import _group_counts
-
-    def hash_partial(batch: pa.Table) -> pa.Table:
-        _, flat, _ = split_lines(batch)
-        h = fnv1a64_tokens(flat)
-        t = pa.table({"h": pa.array(h.view(np.int64), pa.int64())})
-        cnt = _group_counts(t, ["h"], [("h", "count")])
-        hh = cnt["h"]
-        if isinstance(hh, pa.ChunkedArray):
-            hh = hh.combine_chunks()
-        part = (hh.to_numpy(zero_copy_only=False).view(np.uint64)
-                % np.uint64(num_parts)).astype(np.int32)
-        return pa.table({"h": hh,
-                         "n": cnt["h_count"].cast(pa.int64()),
-                         "part": pa.array(part, pa.int32())})
-
-    hsp = open_spill(spill_dir, prefix="linededup_h_")
-    try:
-        hsp.write_parquet(
-            ds.map_batches(hash_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            partition_cols=["part"])
-        hdirs = list(hsp.list_parts("part").values())
-        hfs = hsp.fs
-
-        @ray.remote(num_cpus=1)
-        def hash_part(pdir: str) -> np.ndarray:
-            import pyarrow.parquet as pq
-            t = pq.read_table(pdir, columns=["h", "n"],
-                              filesystem=hfs, use_threads=False)
-            g = _group_counts(t, ["h"], [("n", "sum")])
-            g = g.filter(pc.greater_equal(g["n_sum"], pa.scalar(2)))
-            hh = g["h"]
-            if isinstance(hh, pa.ChunkedArray):
-                hh = hh.combine_chunks()
-            return hh.to_numpy(zero_copy_only=False).view(np.uint64)
-
-        parts = ray.get([hash_part.remote(d) for d in hdirs]) \
-            if hdirs else []
-        cand = np.concatenate([p for p in parts if len(p)] or
-                              [np.empty(0, np.uint64)])
-        cand.sort()
-    finally:
-        hsp.cleanup()
+    cand = _candidate_hashes(
+        ds, lambda b: fnv1a64_tokens(split_lines(b)[1]), min_count=2,
+        num_parts=num_parts, spill_dir=spill_dir, batch_size=None)
     if not len(cand):
         return None
     cand_ref = ray.put(cand)
@@ -126,64 +85,16 @@ def _removal_rows(ds, *, text_col: str, id_col: str, sep: str,
         part = (fnv1a64_tokens(flat) % np.uint64(num_parts)
                 ).astype(np.int32)
         return pa.table({
-            "line": flat,
+            "unit": flat,
             "doc": docs,
             "ord": pa.array(ords[m], pa.int64()),
             "part": pa.array(part, pa.int32()),
         })
 
-    sp = open_spill(spill_dir, prefix="linededup_")
-    try:
-        sp.write_parquet(
-            ds.map_batches(explode, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            partition_cols=["part"])
-        part_dirs = list(sp.list_parts("part").values())
-        if not part_dirs:
-            return None
-
-        fs = sp.fs
-
-        @ray.remote(num_cpus=1)
-        def one_part(pdir: str) -> pa.Table:
-            import pyarrow.parquet as pq
-            t = pq.read_table(pdir, columns=["line", "doc", "ord"],
-                              filesystem=fs, use_threads=False)
-            idx = pc.sort_indices(t, sort_keys=[
-                ("line", "ascending"), ("doc", "ascending"),
-                ("ord", "ascending")])
-            t = t.take(idx)
-            line = t["line"]
-            if isinstance(line, pa.ChunkedArray):
-                line = line.combine_chunks()
-            n = len(line)
-            if n == 0:
-                return t.select(["doc", "ord"])  # keeps the id type
-            # boundary diff on the sorted line column: True where a new
-            # group starts; everything else is a duplicate occurrence
-            neq = pc.not_equal(line.slice(1), line.slice(0, n - 1))
-            dup = np.empty(n, bool)
-            dup[0] = False
-            np.logical_not(neq.to_numpy(zero_copy_only=False),
-                           out=dup[1:])
-            keep = pa.array(dup)
-            return pa.table({"doc": t["doc"].filter(keep),
-                             "ord": t["ord"].filter(keep)})
-
-        refs = [one_part.remote(d) for d in part_dirs]
-        ray.wait(refs, num_returns=len(refs))
-
-        # only the row COUNT comes to the driver; the removal tables
-        # stay in the object store
-        @ray.remote(num_cpus=0)
-        def nrows(t: pa.Table) -> int:
-            return t.num_rows
-
-        if sum(ray.get([nrows.remote(r) for r in refs])) == 0:
-            return None
-        return ray.data.from_arrow_refs(refs)
-    finally:
-        sp.cleanup()
+    return _keep_first_removals(
+        ds.map_batches(explode, batch_format="pyarrow",
+                       zero_copy_batch=True), "ord",
+        spill_dir=spill_dir)
 
 
 def _rebuild_kernel(docs: pa.Table, rem: pa.Table, *, text_col: str,
@@ -267,4 +178,4 @@ def line_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     return co_partition_apply(ds, removals, left_on=id_col,
                               right_on="doc", kernel=kernel,
-                              num_parts=num_parts)
+                              num_parts=num_parts, spill_dir=spill_dir)

@@ -15,9 +15,9 @@ windows occur at least twice corpus-wide — exactly and Ray-Data-first:
   tokenizer round-trip;
 - corpus-wide window counts ride the hive-partitioned DISK shuffle
   (``part = fnv(window) % P`` parquet spill, then P independent
-  per-part sum+filter tasks) — the postings-shuffle pattern of
-  ``build.py`` / ``boilerplate.py``, never Ray Data's pull-based sort
-  shuffle (measured in-repo to anti-scale at high core counts).
+  per-part sum+filter tasks — ``spillfs.partition_apply``), never Ray
+  Data's pull-based sort shuffle (measured in-repo to anti-scale at
+  high core counts).
   Equality is on the WINDOW STRING end-to-end — hashing is only the
   partition key, so collisions cannot merge counts;
 - the surviving duplicate-window set (count >= 2 — content that
@@ -170,20 +170,22 @@ def _in_sorted(h: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     return sorted_set[idx] == h
 
 
-def _candidate_hashes(ds, *, L: int, text_col: str, min_count: int,
-                      num_parts: int, spill_dir: str | None,
-                      batch_size) -> np.ndarray:
-    """SORTED uint64 hashes occurring >= ``min_count`` times
-    corpus-wide — a superset of the duplicated-window hash set (every
-    occurrence of a duplicated string shares its hash; collisions only
-    add false candidates).  16-byte rows through the disk shuffle
-    instead of window strings."""
+def _candidate_hashes(ds, hash_fn, *, min_count: int, num_parts: int,
+                      spill_dir, batch_size) -> np.ndarray:
+    """SORTED uint64 unit hashes occurring >= ``min_count`` times
+    corpus-wide, where ``hash_fn(batch)`` gives the uint64 hash of
+    every unit occurrence in a batch — a superset of the duplicated-unit
+    hash set (every occurrence of a duplicated string shares its hash;
+    collisions only add false candidates).  Per-batch partial counts
+    travel as 16-byte rows through the disk shuffle instead of unit
+    strings.  The hash-prefilter pass of the span and line dedup
+    families."""
     import ray
 
-    from ..spillfs import open_spill
+    from ..spillfs import partition_apply
 
     def partial(batch: pa.Table) -> pa.Table:
-        _, _, h = _window_hashes(batch[text_col], L)
+        h = hash_fn(batch)
         t = pa.table({"h": pa.array(h.view(np.int64), pa.int64())})
         cnt = _group_counts(t, ["h"], [("h", "count")])
         hh = cnt["h"]
@@ -195,37 +197,70 @@ def _candidate_hashes(ds, *, L: int, text_col: str, min_count: int,
                          "n": cnt["h_count"].cast(pa.int64()),
                          "part": pa.array(part, pa.int32())})
 
-    sp = open_spill(spill_dir, prefix="spanh_")
-    try:
-        sp.write_parquet(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=batch_size),
-            partition_cols=["part"])
-        part_dirs = list(sp.list_parts("part").values())
-        if not part_dirs:
-            return np.empty(0, np.uint64)
+    def frequent(t: pa.Table) -> np.ndarray:
+        g = _group_counts(t, ["h"], [("n", "sum")])
+        g = g.filter(pc.greater_equal(g["n_sum"], pa.scalar(min_count)))
+        hh = g["h"]
+        if isinstance(hh, pa.ChunkedArray):
+            hh = hh.combine_chunks()
+        return hh.to_numpy(zero_copy_only=False).view(np.uint64)
 
-        fs = sp.fs
+    refs = partition_apply(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       batch_size=batch_size, zero_copy_batch=True),
+        "part", frequent, columns=["h", "n"], spill_dir=spill_dir,
+        prefix="candh_")
+    out = np.concatenate([p for p in ray.get(refs) if len(p)] or
+                         [np.empty(0, np.uint64)])
+    out.sort()
+    return out
 
-        @ray.remote(num_cpus=1)
-        def one_part(pdir: str) -> np.ndarray:
-            import pyarrow.parquet as pq
-            t = pq.read_table(pdir, columns=["h", "n"],
-                              filesystem=fs, use_threads=False)
-            g = _group_counts(t, ["h"], [("n", "sum")])
-            g = g.filter(pc.greater_equal(g["n_sum"],
-                                          pa.scalar(min_count)))
-            hh = g["h"]
-            if isinstance(hh, pa.ChunkedArray):
-                hh = hh.combine_chunks()
-            return hh.to_numpy(zero_copy_only=False).view(np.uint64)
-        parts = ray.get([one_part.remote(d) for d in part_dirs])
-        out = np.concatenate([p for p in parts if len(p)] or
-                             [np.empty(0, np.uint64)])
-        out.sort()
-        return out
-    finally:
-        sp.cleanup()
+
+def _keep_first_removals(ds, ordinal: str, *, spill_dir):
+    """Keep-first over unit occurrences: ``ds`` rows are (``unit``,
+    ``doc``, ``ordinal``, ``part``) with ``part`` a hash of the unit.
+    Each part sorts by (unit, doc, ordinal) and emits the (doc,
+    ordinal) rows of every occurrence but each unit's first — one
+    boundary diff over the sorted unit column (never np.unique on
+    sorted data).  Grouping is on the unit STRING, so a hash collision
+    only adds a singleton group, which emits nothing.  Returns a
+    Dataset of the removal rows, or None when there are none; only
+    the row COUNT comes to the driver."""
+    import ray
+    import ray.data
+
+    from ..spillfs import partition_apply
+
+    def non_first(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("unit", "ascending"), ("doc", "ascending"),
+            (ordinal, "ascending")]))
+        u = t["unit"]
+        if isinstance(u, pa.ChunkedArray):
+            u = u.combine_chunks()
+        n = len(u)
+        if n == 0:
+            return t.select(["doc", ordinal])  # keeps the id type
+        # True where a unit repeats its predecessor (not a group start)
+        neq = pc.not_equal(u.slice(1), u.slice(0, n - 1))
+        dup = np.empty(n, bool)
+        dup[0] = False
+        np.logical_not(neq.to_numpy(zero_copy_only=False), out=dup[1:])
+        keep = pa.array(dup)
+        return pa.table({"doc": t["doc"].filter(keep),
+                         ordinal: t[ordinal].filter(keep)})
+
+    refs = partition_apply(ds, "part", non_first,
+                           columns=["unit", "doc", ordinal],
+                           spill_dir=spill_dir, prefix="keepfirst_")
+
+    @ray.remote(num_cpus=0)
+    def nrows(t: pa.Table) -> int:
+        return t.num_rows
+
+    if sum(ray.get([nrows.remote(r) for r in refs])) == 0:
+        return None
+    return ray.data.from_arrow_refs(refs)
 
 
 def duplicate_windows(ds, *, L: int = 8, text_col: str = "text",
@@ -238,7 +273,7 @@ def duplicate_windows(ds, *, L: int = 8, text_col: str = "text",
     semantics over the hive disk shuffle (see module docstring)."""
     import ray
 
-    from ..spillfs import open_spill
+    from ..spillfs import partition_apply
 
     if L < 2:
         raise ValueError("L must be >= 2")
@@ -247,9 +282,10 @@ def duplicate_windows(ds, *, L: int = 8, text_col: str = "text",
 
     empty = pa.table({"window": pa.array([], pa.large_string()),
                       "n": pa.array([], pa.int64())})
-    cand = _candidate_hashes(ds, L=L, text_col=text_col,
-                             min_count=min_count, num_parts=num_parts,
-                             spill_dir=None, batch_size=batch_size)
+    cand = _candidate_hashes(
+        ds, lambda b: _window_hashes(b[text_col], L)[2],
+        min_count=min_count, num_parts=num_parts, spill_dir=spill_dir,
+        batch_size=batch_size)
     if not len(cand):
         return empty
     cand_ref = ray.put(cand)
@@ -274,36 +310,20 @@ def duplicate_windows(ds, *, L: int = 8, text_col: str = "text",
                          "n": cnt["p_count"].cast(pa.int64()),
                          "part": pa.array(part, pa.int32())})
 
-    sp = open_spill(spill_dir, prefix="spans_")
-    try:
-        sp.write_parquet(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=batch_size),
-            partition_cols=["part"])
-        part_dirs = list(sp.list_parts("part").values())
-        if not part_dirs:
-            return empty
+    def sum_part(t: pa.Table) -> pa.Table:
+        g = _group_counts(t, ["unit"], [("n", "sum")])
+        g = g.filter(pc.greater_equal(g["n_sum"], pa.scalar(min_count)))
+        return pa.table({"window": g["unit"].cast(pa.large_string()),
+                         "n": g["n_sum"].cast(pa.int64())})
 
-        fs = sp.fs
-
-        @ray.remote(num_cpus=1)
-        def one_part(pdir: str) -> pa.Table:
-            import pyarrow.parquet as pq
-            t = pq.read_table(pdir, columns=["unit", "n"],
-                              filesystem=fs, use_threads=False)
-            g = _group_counts(t, ["unit"], [("n", "sum")])
-            g = g.filter(pc.greater_equal(g["n_sum"],
-                                          pa.scalar(min_count)))
-            return pa.table({
-                "window": g["unit"].cast(pa.large_string()),
-                "n": g["n_sum"].cast(pa.int64())})
-        parts = [p for p in ray.get([one_part.remote(d)
-                                     for d in part_dirs]) if p.num_rows]
-        if not parts:
-            return empty
-        return pa.concat_tables(parts).combine_chunks()
-    finally:
-        sp.cleanup()
+    refs = partition_apply(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       batch_size=batch_size), "part", sum_part,
+        columns=["unit", "n"], spill_dir=spill_dir, prefix="spans_")
+    parts = [p for p in ray.get(refs) if p.num_rows]
+    if not parts:
+        return empty
+    return pa.concat_tables(parts).combine_chunks()
 
 
 def dup_spans(ds, *, L: int = 8, text_col: str = "text",
@@ -378,13 +398,10 @@ def _dup_occurrence_starts(ds, *, L: int, text_col: str,
     collision only adds a singleton group, which emits nothing), so
     the canonical pick is exact."""
     import ray
-    import ray.data
 
-    from ..spillfs import open_spill
-
-    cand = _candidate_hashes(ds, L=L, text_col=text_col, min_count=2,
-                             num_parts=num_parts, spill_dir=None,
-                             batch_size=batch_size)
+    cand = _candidate_hashes(
+        ds, lambda b: _window_hashes(b[text_col], L)[2], min_count=2,
+        num_parts=num_parts, spill_dir=spill_dir, batch_size=batch_size)
     if not len(cand):
         return None
     cand_ref = ray.put(cand)
@@ -413,54 +430,10 @@ def _dup_occurrence_starts(ds, *, L: int, text_col: str,
             "j": pa.array(win_j, pa.int64()),
             "part": pa.array(part, pa.int32())})
 
-    sp = open_spill(spill_dir, prefix="spanrw_")
-    try:
-        sp.write_parquet(
-            ds.map_batches(emit, batch_format="pyarrow",
-                           batch_size=batch_size),
-            partition_cols=["part"])
-        part_dirs = list(sp.list_parts("part").values())
-        if not part_dirs:
-            return None
-
-        fs = sp.fs
-
-        @ray.remote(num_cpus=1)
-        def one_part(pdir: str) -> pa.Table:
-            import pyarrow.parquet as pq
-            t = pq.read_table(pdir, columns=["unit", "doc", "j"],
-                              filesystem=fs, use_threads=False)
-            idx = pc.sort_indices(t, sort_keys=[
-                ("unit", "ascending"), ("doc", "ascending"),
-                ("j", "ascending")])
-            t = t.take(idx)
-            u = t["unit"]
-            if isinstance(u, pa.ChunkedArray):
-                u = u.combine_chunks()
-            n = len(u)
-            if n == 0:
-                return t.select(["doc", "j"])  # keeps the id type
-            neq = pc.not_equal(u.slice(1), u.slice(0, n - 1))
-            dup = np.empty(n, bool)
-            dup[0] = False
-            np.logical_not(neq.to_numpy(zero_copy_only=False),
-                           out=dup[1:])
-            keep = pa.array(dup)
-            return pa.table({"doc": t["doc"].filter(keep),
-                             "j": t["j"].filter(keep)})
-
-        refs = [one_part.remote(d) for d in part_dirs]
-        ray.wait(refs, num_returns=len(refs))
-
-        @ray.remote(num_cpus=0)
-        def nrows(t: pa.Table) -> int:
-            return t.num_rows
-
-        if sum(ray.get([nrows.remote(r) for r in refs])) == 0:
-            return None
-        return ray.data.from_arrow_refs(refs)
-    finally:
-        sp.cleanup()
+    return _keep_first_removals(
+        ds.map_batches(emit, batch_format="pyarrow",
+                       batch_size=batch_size), "j",
+        spill_dir=spill_dir)
 
 
 def remove_dup_spans(ds, *, L: int = 8, text_col: str = "text",
@@ -555,4 +528,4 @@ def remove_dup_spans(ds, *, L: int = 8, text_col: str = "text",
 
     return co_partition_apply(ds, removals, left_on=id_col,
                               right_on="doc", kernel=kernel,
-                              num_parts=num_parts)
+                              num_parts=num_parts, spill_dir=spill_dir)

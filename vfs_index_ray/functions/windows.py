@@ -25,55 +25,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _disk_partition_apply(ds, add_part, part_col: str, per_part,
-spill_dir: str | None = None):
-    """Hash-partition ``ds`` by ``part_col`` (added per batch by
-    ``add_part``) via a hive-partitioned parquet spill, then run
-    ``per_part`` once per partition as independent Ray tasks — the
-    build.py postings-shuffle pattern, replacing
-    ``groupby().map_groups()`` whose pull-based sort shuffle
-    anti-scales on high-core hosts (measured in-repo) and whose
-    per-group fns get little cross-group parallelism. The partition
-    column is consumed by the hive layout, so ``per_part`` receives
-    the partition's rows WITHOUT it. Results return as object-store
-    Arrow refs, never through the driver.
-
-    ``spill_dir`` accepts any ``spillfs.open_spill`` spec (None, local
-    path, URI, or ``(pyarrow_fs, path)``); a unique run-scoped subdir
-    is always created, so reused cluster spill roots never leak stale
-    partitions into this run."""
-    import ray
-    import ray.data
-
-    from ..spillfs import open_spill
-
-    sp = open_spill(spill_dir, prefix="winpart_")
-    try:
-        sp.write_parquet(
-            ds.map_batches(add_part, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            partition_cols=[part_col])
-        part_dirs = list(sp.list_parts(part_col).values())
-        if not part_dirs:
-            return None
-
-        fs = sp.fs  # picklable; tasks read from any spill backend
-
-        @ray.remote(num_cpus=1)
-        def one_part(pdir: str) -> pa.Table:
-            import pyarrow.parquet as pq
-            # use_threads=False: concurrent part tasks must not each
-            # spawn an Arrow thread pool
-            return per_part(pq.read_table(pdir, filesystem=fs,
-                                          use_threads=False))
-
-        refs = [one_part.remote(d) for d in part_dirs]
-        ray.wait(refs, num_returns=len(refs))  # done before cleanup
-        return ray.data.from_arrow_refs(refs)
-    finally:
-        sp.cleanup()
-
-
 # auto shuffle dispatch: below this estimated in-memory size the disk
 # spill's fixed cost (parquet write + P part tasks, ~1-2 s) exceeds the
 # sort exchange it avoids; above it the sort exchange anti-scales
@@ -112,14 +63,20 @@ def _keyed_partition_op(events_ds, add_part, part_col: str, per_part,
                 .groupby(part_col)
                 .map_groups(lambda g: per_part(g.drop([part_col])),
                             batch_format="pyarrow"))
-    out = _disk_partition_apply(events_ds, add_part, part_col, per_part,
-                                spill_dir=spill_dir)
-    if out is None:
+    import ray.data
+
+    from ..spillfs import partition_apply
+
+    refs = partition_apply(
+        events_ds.map_batches(add_part, batch_format="pyarrow",
+                              zero_copy_batch=True),
+        part_col, per_part, spill_dir=spill_dir, prefix="winpart_")
+    if not refs:
         # empty input: no partitions spilled; the sort path runs
         # trivially and yields the correct (empty) output schema
         return _keyed_partition_op(events_ds, add_part, part_col,
                                    per_part, shuffle="sort")
-    return out
+    return ray.data.from_arrow_refs(refs)
 
 
 def _sessions_kernel(t: pa.Table, gap_us: int, user_col: str,
@@ -179,7 +136,7 @@ def sessionize(events_ds, *, gap_minutes: int = 30,
     ``user % num_partitions`` (size it to the cluster); the per-part fn
     is a single vectorized kernel over the whole partition. Default
     substrate is the hive-partitioned disk spill
-    (``_disk_partition_apply``); ``shuffle="sort"`` keeps the Ray Data
+    (``spillfs.partition_apply``); ``shuffle="sort"`` keeps the Ray Data
     groupby for A/B."""
     gap_us = gap_minutes * 60_000_000
 

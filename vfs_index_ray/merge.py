@@ -61,7 +61,8 @@ def _merge_part(part: int, src_files: list[str], writer: SegmentWriter):
         if not os.path.exists(f):
             counts.append(0)
             continue
-        t, d, tf, dl = decode_segment_table(pq.read_table(f))
+        t, d, tf, dl = decode_segment_table(
+            pq.read_table(f, use_threads=False))
         counts.append(len(t))
         terms_l.append(t)
         docs_l.append(d)
@@ -591,63 +592,46 @@ class FederatedEngine:
 
 def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
     """Split/Merge analog: rewrite an index with a different partition
-    count (term_id % new_P). Decode per old part, tag new part, shuffle by
-    the new key via the same disk-partition layout the build uses."""
+    count (term_id % new_P) through the build's own shuffle.  Each old
+    part is decoded once, keyed by its new part and written as the
+    output builder's committed wave 0; the output's ``build_segments``
+    and ``finalize`` then encode every new part exactly as a fresh
+    build with the source's settings would (same segment bytes).
+    Resumable like a build: a committed wave and committed parts are
+    reused."""
+    from .stages.tokenize import AddPartColumn
+
     st = read_stats(src_dir)
     out = IndexBuilder(out_dir, mode=st["mode"], num_parts=new_num_parts,
                        bucket_shift=st["bucket_shift"],
+                       block_size=st.get("block_size"),
                        compression=st.get("compression", "lz4"))
-    writer = SegmentWriter(out.segments_dir, out.bucket_shift,
-                           compression=out.compression)
-    old_parts = st["num_parts"]
+    if len(out._done_parts()) == new_num_parts:
+        return out.finalize()  # fully committed; scratch may be gone
+    if not out._wave_done(0):
+        seg_files = [f for f in (
+            os.path.join(src_dir, "segments", f"part={p:05d}.parquet")
+            for p in range(st["num_parts"])) if os.path.exists(f)]
 
-    def rewrite_batch(batch: pa.Table) -> pa.Table:
-        # one task per NEW part: gather matching terms from every old part
-        outs = []
-        for np_ in batch["p"].to_pylist():
-            terms_l, docs_l, tfs_l, dls_l = [], [], [], []
-            for op in range(old_parts):
-                f = os.path.join(src_dir, "segments",
-                                 f"part={op:05d}.parquet")
-                if not os.path.exists(f):
-                    continue
-                tbl = pq.read_table(f)
-                t, d, tf, dl = decode_segment_table(tbl)
-                m = (t % np.uint64(new_num_parts)) == np.uint64(np_)
-                if m.any():
-                    terms_l.append(t[m])
-                    docs_l.append(d[m])
-                    tfs_l.append(tf[m])
-                    dls_l.append(dl[m])
-            if terms_l:
-                postings = pa.table({
-                    "term_id": pa.array(np.concatenate(terms_l), pa.uint64()),
-                    "doc_id": pa.array(np.concatenate(docs_l), pa.uint64()),
-                    "tf": pa.array(np.concatenate(tfs_l).astype(np.uint32),
-                                   pa.uint32()),
-                    "dl": pa.array(np.concatenate(dls_l).astype(np.uint32),
-                                   pa.uint32()),
-                })
-            else:
-                postings = pa.table({
-                    "term_id": pa.array([], pa.uint64()),
-                    "doc_id": pa.array([], pa.uint64()),
-                    "tf": pa.array([], pa.uint32()),
-                    "dl": pa.array([], pa.uint32())})
-            outs.append(writer.encode_part(int(np_), postings))
-        return pa.concat_tables(outs)
+        def decode_part(batch: pa.Table) -> pa.Table:
+            t, d, tf, dl = decode_segment_table(
+                pq.read_table(batch["f"][0].as_py(), use_threads=False))
+            return pa.table({
+                "term_id": pa.array(t, pa.uint64()),
+                "doc_id": pa.array(d, pa.uint64()),
+                "tf": pa.array(tf.astype(np.uint32), pa.uint32()),
+                "dl": pa.array(dl.astype(np.uint32), pa.uint32())})
 
-    todo = [p for p in range(new_num_parts) if p not in out._done_parts()]
-    if todo:
-        ray.data.from_items([{"p": p} for p in todo],
-                            override_num_blocks=len(todo)
-                            ).map_batches(rewrite_batch,
-                                          batch_format="pyarrow",
-                                          batch_size=1).take_all()
-    from .build import _atomic_write_json
-    _atomic_write_json(os.path.join(out.waves_dir, "wave=0000.json"),
-                       {"wave": 0, "files": [f"repartition:{src_dir}"],
-                        "n_docs": int(st["n_docs"])})
+        post = (ray.data.from_items([{"f": f} for f in seg_files],
+                                    override_num_blocks=len(seg_files))
+                .map_batches(decode_part, batch_format="pyarrow",
+                             batch_size=1)
+                .map_batches(AddPartColumn(new_num_parts),
+                             batch_format="pyarrow", zero_copy_batch=True))
+        out._commit_wave(0, post, {
+            "wave": 0, "files": [f"repartition:{src_dir}"],
+            "n_docs": int(st["n_docs"])})
+    out.build_segments()
     return out.finalize()
 
 

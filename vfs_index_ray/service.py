@@ -125,7 +125,8 @@ class QueryWorker:
                 self._emb_file,
                 columns=[self.pq.id_col, self.pq.vec_col],
                 filters=[(self.pq.id_col, "in",
-                          [int(x) for x in ids])])
+                          [int(x) for x in ids])],
+                use_threads=False)
             got = t[self.pq.id_col].to_numpy(zero_copy_only=False)
             mat = np.asarray(t[self.pq.vec_col].to_pylist(),
                              np.float64)

@@ -24,7 +24,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NCPU = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NCPU = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count())
 BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "1200000"))
 SCALE_ROUNDS = int(os.environ.get("GRAFT_SCALE_ROUNDS", "3"))
 def _pick_scratch() -> str:

@@ -72,6 +72,44 @@ def test_missing_part_file_raises(ray_session, id_corpus, tmp_path):
         eng.match("bababa")
 
 
+def _trunc_calls():
+    from vfs_index_ray.merge import (merge_indexes, purge_tombstones,
+                                     repartition_index)
+    from vfs_index_ray.search import SearchEngine, bm25_topk_ray
+    return {
+        "index_stats": lambda idx, out: SearchEngine(idx).index_stats(),
+        "term_range_docs": lambda idx, out:
+            SearchEngine(idx).term_range_docs(None, None),
+        "nearest_term": lambda idx, out:
+            SearchEngine(idx).nearest_term(1 << 63),
+        "select_keys": lambda idx, out: SearchEngine(idx).select_keys(),
+        "bm25_topk_ray": lambda idx, out: bm25_topk_ray(idx, "bababa"),
+        "merge_indexes": lambda idx, out: merge_indexes([idx], out),
+        "repartition_index": lambda idx, out:
+            repartition_index(idx, out, 2),
+        "purge_tombstones": lambda idx, out: purge_tombstones(idx, out),
+    }
+
+
+@pytest.mark.parametrize("call", ["index_stats", "term_range_docs",
+                                  "nearest_term", "select_keys",
+                                  "bm25_topk_ray", "merge_indexes",
+                                  "repartition_index", "purge_tombstones"])
+def test_missing_part_file_raises_everywhere(id_engine, tmp_path, call):
+    """Every build and merge writes every part, so a missing segment
+    file is a truncated index for EVERY reader — none may treat it as
+    an empty part (a smaller index with wrong statistics)."""
+    import shutil
+
+    idx = str(tmp_path / "trunc")
+    shutil.copytree(id_engine.index_dir, idx)
+    tid = id_engine.query_term_ids("bababa")[0]
+    os.remove(os.path.join(idx, "segments",
+                           f"part={tid % 4:05d}.parquet"))
+    with pytest.raises(RuntimeError, match="partition file missing"):
+        _trunc_calls()[call](idx, str(tmp_path / "out"))
+
+
 def test_absorb_recovers_lost_scratch(ray_session, tmp_path):
     """absorb() after scratch loss re-tokenizes lost waves instead of
     silently dropping their docs (ADVICE item 1)."""

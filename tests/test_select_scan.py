@@ -84,12 +84,36 @@ def test_select_keys_range_cond_limit_desc(scan_engine, keydf):
     assert out["df"].to_pylist() == wd[::-1][:7].tolist()
 
 
-def test_select_keys_distributed_matches_local(scan_engine, keydf):
-    keys, _ = keydf
-    lo, hi = int(keys[3]), int(keys[-3])
-    a = scan_engine.select_keys(lo=lo, hi=hi, distributed=True)
-    b = scan_engine.select_keys(lo=lo, hi=hi, distributed=False)
-    assert a.equals(b)
+_FANOUT_CALLS = {
+    "select_keys": lambda e, keys, dist: e.select_keys(
+        lo=int(keys[3]), hi=int(keys[-3]), distributed=dist),
+    "term_range_docs": lambda e, keys, dist: e.term_range_docs(
+        int(keys[3]), int(keys[-3]), distributed=dist),
+    "nearest_below": lambda e, keys, dist: e.nearest_term(
+        int(keys[5]) + 1, less=True, distributed=dist),
+    "nearest_above": lambda e, keys, dist: e.nearest_term(
+        int(keys[5]) + 1, less=False, distributed=dist),
+    "nearest_none": lambda e, keys, dist: e.nearest_term(
+        int(keys[0]) - 1, less=True, distributed=dist),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_FANOUT_CALLS))
+def test_select_keys_distributed_matches_local(scan_engine, keydf, call):
+    """Both branches of the per-part fan-out (one Ray task per part vs
+    the local loop) give the same answer for every caller."""
+    keys, dfs = keydf
+    a = _FANOUT_CALLS[call](scan_engine, keys, True)
+    b = _FANOUT_CALLS[call](scan_engine, keys, False)
+    if isinstance(a, pa.Table):
+        assert a.num_rows > 0 and a.equals(b)
+    elif isinstance(a, np.ndarray):
+        assert len(a) > 0 and np.array_equal(a, b)
+    else:
+        want = {"nearest_below": (int(keys[5]), int(dfs[5])),
+                "nearest_above": (int(keys[6]), int(dfs[6])),
+                "nearest_none": None}[call]
+        assert a == b == want
 
 
 def test_select_visitor_order_and_early_stop(scan_engine, keydf):

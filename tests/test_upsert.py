@@ -4,8 +4,6 @@ posting-identical to a fresh build over the latest-snapshot corpus."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -82,14 +80,12 @@ def test_upsert_stats_match_fresh_build(upsert_env):
 
 
 def test_upsert_postings_identical_to_fresh(upsert_env):
-    from vfs_index_ray.merge import decode_segment_table
+    from vfs_index_ray.segment import SegmentReader
+    out = SegmentReader(upsert_env["out"], 8)
+    fresh = SegmentReader(upsert_env["fresh"], 8)
     for p in range(8):
-        a = pq.read_table(os.path.join(
-            upsert_env["out"], "segments", f"part={p:05d}.parquet"))
-        b = pq.read_table(os.path.join(
-            upsert_env["fresh"], "segments", f"part={p:05d}.parquet"))
-        ta, da, fa, la = decode_segment_table(a)
-        tb, db, fb, lb = decode_segment_table(b)
+        ta, da, fa, la = out.decode_part(p)
+        tb, db, fb, lb = fresh.decode_part(p)
         assert (ta == tb).all() and (da == db).all()
         assert (fa == fb).all() and (la == lb).all()
 

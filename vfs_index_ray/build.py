@@ -16,10 +16,10 @@ SURVEY §3.1):
       on disk — the analog of the in-RAM merge groupby,
       column.go:449-545). One Ray task per uncommitted part, largest
       part first, gathers that part's files from every wave, lexsorts
-      and encodes them (SegmentWriter.encode_part) and publishes the
-      segment file atomically + sidecar manifest row, so a rerun skips
-      committed partitions (resume — the reference's IsExist anti-join,
-      record.go:46-82).
+      and encodes them (segment.SegmentWriter.encode_part) and publishes
+      the segment file atomically + sidecar manifest row, so a rerun
+      skips committed partitions (resume — the reference's IsExist
+      anti-join, record.go:46-82).
 
   finalize: stats.json (N, total tokens, avgdl) + manifest.parquet
         (per-partition lineage + metrics) assembled from sidecars.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -44,147 +43,9 @@ import pyarrow.parquet as pq
 import ray.data
 
 from . import BM25_B, BM25_K1, __version__
-from .codec import encode_partition
+from .segment import (SegmentWriter, _atomic_write_json, _manifest_table,
+                      part_path, segments_dir)
 from .stages.tokenize import AddPartColumn, TokenizeStage, tokenize_postings
-
-
-def _atomic_write_json(path: str, obj: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump(obj, f)
-    os.replace(tmp, path)
-
-
-_MANIFEST_SCHEMA = pa.schema([
-    ("part", pa.int32()), ("n_chunks", pa.int64()), ("n_terms", pa.int64()),
-    ("n_postings", pa.int64()), ("n_tokens", pa.int64()),
-    ("term_min", pa.uint64()), ("term_max", pa.uint64()),
-    ("file", pa.string()), ("status", pa.string()),
-    ("inputs", pa.list_(pa.string())), ("encode_seconds", pa.float64()),
-    ("output_bytes", pa.int64()),
-])
-
-
-def _manifest_table(rows: list[dict]) -> pa.Table:
-    return pa.Table.from_pylist(rows, schema=_MANIFEST_SCHEMA)
-
-
-def _dedup_sorted_postings(terms, docs, tfs, dls):
-    """Collapse duplicate (term, doc) rows (tf summed, dl maxed).
-
-    Inputs sorted by (term, doc). Duplicates only occur if the same doc_id
-    appears in multiple input batches/waves (e.g. re-crawled url) — the
-    build is tolerant; true dedup is a separate operator (functions.dedup).
-    """
-    n = len(terms)
-    if n == 0:
-        return terms, docs, tfs, dls
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = (terms[1:] != terms[:-1]) | (docs[1:] != docs[:-1])
-    if new.all():
-        return terms, docs, tfs, dls
-    starts = np.flatnonzero(new)
-    tfs2 = np.add.reduceat(tfs, starts)
-    dls2 = np.maximum.reduceat(dls, starts)
-    return terms[starts], docs[starts], tfs2, dls2
-
-
-class SegmentWriter:
-    """Encodes one hash partition of postings → one segment file.
-
-    Idempotent: deterministic content (lexsort + dedup), atomic publish
-    (tmp + rename), sidecar JSON row marks the partition committed.
-    Used as a per-part task over the disk-partitioned postings (phase 2);
-    ``__call__`` also accepts an in-memory group table (merge path, tests).
-    """
-
-    # ~1 MB of chunk-row payload per parquet row group: a term point
-    # lookup decompresses one group, so the group byte size — not a
-    # fixed row count — bounds read amplification. Fat rows (unbucketed
-    # head terms, ~150 KB/chunk) get few rows per group; skinny bucketed
-    # chunks keep the 4096 cap. Measured on a 1.6M-doc index: head-term
-    # pushdown read 88→31 ms together with lz4 (below).
-    ROW_GROUP_TARGET_BYTES = 1 << 20
-
-    def __init__(self, segments_dir: str, bucket_shift: int,
-                 lineage: list[str] | None = None,
-                 block_size: int | None = None,
-                 compression: str = "lz4"):
-        from .codec import BLOCK
-        self.segments_dir = segments_dir
-        self.bucket_shift = bucket_shift
-        self.lineage = lineage or []
-        self.block_size = int(block_size or BLOCK)
-        # lz4 over zstd: the varint payload is already entropy-dense, so
-        # zstd buys only ~12% size but costs ~2x on every query-path
-        # read (measured, BASELINE.md round-3 late)
-        self.compression = compression
-
-    def encode_part(self, part: int, postings: pa.Table) -> pa.Table:
-        import time
-        t_start = time.perf_counter()
-        terms = postings["term_id"].to_numpy(zero_copy_only=False
-                                             ).astype(np.uint64)
-        docs = postings["doc_id"].to_numpy(zero_copy_only=False
-                                           ).astype(np.uint64)
-        tfs = postings["tf"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        dls = postings["dl"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.lexsort((docs, terms))
-        terms, docs, tfs, dls = (terms[order], docs[order],
-                                 tfs[order], dls[order])
-        terms, docs, tfs, dls = _dedup_sorted_postings(terms, docs, tfs, dls)
-        seg = encode_partition(terms, docs, tfs, dls, self.bucket_shift,
-                               block_size=self.block_size)
-
-        final = os.path.join(self.segments_dir, f"part={part:05d}.parquet")
-        tmp = os.path.join(self.segments_dir, f".tmp.part={part:05d}.parquet")
-        # byte-targeted row groups (see ROW_GROUP_TARGET_BYTES)
-        avg_row = max(seg.nbytes / max(seg.num_rows, 1), 1.0)
-        rg = int(min(4096, max(16, self.ROW_GROUP_TARGET_BYTES // avg_row)))
-        pq.write_table(seg, tmp, compression=self.compression,
-                       row_group_size=rg)
-        # term bloom filter beside the segment: absent-term lookups skip
-        # the parquet read entirely (segment-level negative cache).
-        # Published BEFORE the segment: a concurrent reader pairing the
-        # new bloom with the old segment only over-approximates (extra
-        # parquet read); the reverse order could pair a stale bloom with
-        # the new segment and silently answer df=0 for a present term.
-        from .codec import bloom_build
-        bloom_tmp = os.path.join(self.segments_dir,
-                                 f".tmp.part={part:05d}.bloom")
-        with open(bloom_tmp, "wb") as f:
-            f.write(bloom_build(terms, assume_sorted=True))
-        os.replace(bloom_tmp, os.path.join(self.segments_dir,
-                                           f"part={part:05d}.bloom"))
-        os.replace(tmp, final)
-        row = {
-            "part": part,
-            "n_chunks": seg.num_rows,
-            # terms are sorted here: distinct count = boundary count
-            # (np.unique would re-sort 10^6 values per part, which the
-            # 32-way-concurrent encode amplifies via memory bandwidth)
-            "n_terms": int(1 + np.count_nonzero(terms[1:] != terms[:-1])
-                           if len(terms) else 0),
-            "n_postings": int(len(terms)),
-            "n_tokens": int(tfs.sum()),
-            "term_min": int(terms.min()) if len(terms) else 0,
-            "term_max": int(terms.max()) if len(terms) else 0,
-            "file": final,
-            "status": "committed",
-            # per-partition lineage + metrics (north_rule)
-            "inputs": list(self.lineage),
-            "encode_seconds": round(time.perf_counter() - t_start, 4),
-            "output_bytes": os.path.getsize(final),
-        }
-        _atomic_write_json(os.path.join(self.segments_dir,
-                                        f"part={part:05d}.json"), row)
-        return _manifest_table([row])
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        """Group-table form (merge path / tests): part from the column."""
-        part = int(group["part"][0].as_py())
-        return self.encode_part(part, group)
 
 
 class IndexBuilder:
@@ -242,7 +103,7 @@ class IndexBuilder:
         self.scratch_local = isinstance(self.scratch_fs,
                                         pafs.LocalFileSystem)
         self.postings_dir = scratch_root.rstrip("/") + "/postings"
-        self.segments_dir = os.path.join(index_dir, "segments")
+        self.segments_dir = segments_dir(index_dir)
         self.waves_dir = os.path.join(index_dir, "waves")
         self.scratch_fs.create_dir(self.postings_dir, recursive=True)
         for d in (self.segments_dir, self.waves_dir):
@@ -374,11 +235,8 @@ class IndexBuilder:
 
     # ----- phase 2: shuffle → segments (per part, resumable) -------------
     def _done_parts(self) -> set[int]:
-        out = set()
-        for name in os.listdir(self.segments_dir):
-            if name.startswith("part=") and name.endswith(".json"):
-                out.add(int(name[len("part="):-len(".json")]))
-        return out
+        return {p for p in range(self.num_parts)
+                if os.path.exists(part_path(self.segments_dir, p, "json"))}
 
     def build_segments(self) -> list[dict]:
         # every committed wave sidecar must still have its postings on
@@ -492,7 +350,7 @@ class IndexBuilder:
         return rows
 
     def _read_part_manifest(self, part: int) -> dict:
-        with open(os.path.join(self.segments_dir, f"part={part:05d}.json")) as f:
+        with open(part_path(self.segments_dir, part, "json")) as f:
             return json.load(f)
 
     # ----- finalize: stats + manifest ------------------------------------
@@ -600,15 +458,17 @@ def verify_index(index_dir: str) -> dict:
     {"ok": bool, "errors": [...], "parts": N, "n_docs": N}."""
     errors: list[str] = []
     stats = read_stats(index_dir)
-    seg_dir = os.path.join(index_dir, "segments")
+    seg_dir = segments_dir(index_dir)
+    tok = 0
     for part in range(stats["num_parts"]):
-        side = os.path.join(seg_dir, f"part={part:05d}.json")
+        side = part_path(seg_dir, part, "json")
         if not os.path.exists(side):
             errors.append(f"missing sidecar part={part}")
             continue
         with open(side) as f:
             row = json.load(f)
-        f_path = os.path.join(seg_dir, f"part={part:05d}.parquet")
+        tok += row.get("n_tokens", 0)
+        f_path = part_path(seg_dir, part)
         if not os.path.exists(f_path):
             errors.append(f"missing segment file part={part}")
         elif os.path.getsize(f_path) != row.get("output_bytes"):
@@ -616,17 +476,14 @@ def verify_index(index_dir: str) -> dict:
                 f"size mismatch part={part}: "
                 f"{os.path.getsize(f_path)} != {row.get('output_bytes')}")
     waves_dir = os.path.join(index_dir, "waves")
-    n_docs = sum(json.load(open(os.path.join(waves_dir, n)))["n_docs"]
-                 for n in sorted(os.listdir(waves_dir))
-                 if n.endswith(".json")) if os.path.isdir(waves_dir) else 0
+    n_docs = 0
+    if os.path.isdir(waves_dir):
+        for n in sorted(os.listdir(waves_dir)):
+            if n.endswith(".json"):
+                with open(os.path.join(waves_dir, n)) as f:
+                    n_docs += json.load(f)["n_docs"]
     if n_docs != stats["n_docs"]:
         errors.append(f"wave n_docs {n_docs} != stats {stats['n_docs']}")
-    tok = 0
-    for part in range(stats["num_parts"]):
-        side = os.path.join(seg_dir, f"part={part:05d}.json")
-        if os.path.exists(side):
-            with open(side) as f:
-                tok += json.load(f).get("n_tokens", 0)
     if tok != stats["total_tokens"]:
         errors.append(
             f"token sum {tok} != stats {stats['total_tokens']}")

@@ -149,11 +149,6 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
     return out
 
 
-def varint_count(buf: bytes) -> int:
-    b = np.frombuffer(buf, dtype=np.uint8)
-    return int(((b & 0x80) == 0).sum())
-
-
 # ---------------------------------------------------------------------------
 # posting-list chunk encode/decode
 # ---------------------------------------------------------------------------
@@ -168,9 +163,10 @@ def encode_chunk(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
 
     ``doc_ids`` must be strictly ascending uint64; ``tfs``/``dls`` aligned.
     Returns a dict of binary buffers + skip/bound lists, matching the
-    segment-row schema in build.py. ``block_size`` tunes skip-block
-    granularity (smaller → tighter block-max bounds, more skip entries);
-    it is stored per chunk (``bsz``) so decode never guesses.
+    segment-row schema (``encode_partition``). ``block_size`` tunes
+    skip-block granularity (smaller → tighter per-block (tf_max, dl_min)
+    bounds, more skip entries); it is stored per chunk (``bsz``) so
+    decode never guesses.
     """
     B = int(block_size)
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)

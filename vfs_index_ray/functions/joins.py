@@ -70,12 +70,6 @@ def _key_hash64(arr) -> np.ndarray:
     return fnv1a64_tokens(arr)
 
 
-def _part_codes(arr, num_parts: int) -> np.ndarray:
-    """int32 partition codes from ``_key_hash64`` (null-key rows
-    co-locate on the sentinel partition)."""
-    return (_key_hash64(arr) % np.uint64(num_parts)).astype(np.int32)
-
-
 def _norm_keys(on) -> list[str]:
     """Normalize a join-key spec (str or list of str) to a list."""
     return [on] if isinstance(on, str) else list(on)

@@ -31,75 +31,36 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
-from .build import IndexBuilder, SegmentWriter, read_stats
-from .codec import decode_chunk
+from .build import IndexBuilder, read_stats
+from .segment import SegmentReader, SegmentWriter, _atomic_write_json
 
 
-def decode_segment_table(tbl: pa.Table):
-    """Expand segment rows back into flat posting arrays
-    (terms, docs, tfs, dls), ordered (term asc, bucket asc → doc asc)."""
-    from .codec import chunk_rows_columnar
-    terms_l, docs_l, tfs_l, dls_l = [], [], [], []
-    for row in chunk_rows_columnar(tbl):
-        d, tf, dl = decode_chunk(row)
-        terms_l.append(np.full(len(d), np.uint64(row["term_id"])))
-        docs_l.append(d)
-        tfs_l.append(tf)
-        dls_l.append(dl)
-    if not terms_l:
-        e = np.empty(0, np.uint64)
-        return e, e.copy(), e.copy(), e.copy()
-    return (np.concatenate(terms_l), np.concatenate(docs_l),
-            np.concatenate(tfs_l), np.concatenate(dls_l))
+def _postings_table(terms, docs, tfs, dls) -> pa.Table:
+    return pa.table({
+        "term_id": pa.array(terms, pa.uint64()),
+        "doc_id": pa.array(docs, pa.uint64()),
+        "tf": pa.array(tfs.astype(np.uint32), pa.uint32()),
+        "dl": pa.array(dls.astype(np.uint32), pa.uint32())})
 
 
-def _merge_part(part: int, src_files: list[str], writer: SegmentWriter):
+def _merge_part(part: int, sources: list[SegmentReader],
+                writer: SegmentWriter):
     """Merge one partition across sources. Later sources win duplicates."""
-    terms_l, docs_l, tfs_l, dls_l, prio_l = [], [], [], [], []
-    counts = []
-    for pri, f in enumerate(src_files):
-        if not os.path.exists(f):
-            counts.append(0)
-            continue
-        t, d, tf, dl = decode_segment_table(
-            pq.read_table(f, use_threads=False))
-        counts.append(len(t))
-        terms_l.append(t)
-        docs_l.append(d)
-        tfs_l.append(tf)
-        dls_l.append(dl)
-        prio_l.append(np.full(len(t), pri, np.int64))
-    if not terms_l:
-        empty = pa.table({"term_id": pa.array([], pa.uint64()),
-                          "doc_id": pa.array([], pa.uint64()),
-                          "tf": pa.array([], pa.uint32()),
-                          "dl": pa.array([], pa.uint32())})
-        writer.encode_part(part, empty)
-        return {"part": part, "n_sources": counts, "n_merged": 0,
-                "overlap": 0}
-    terms = np.concatenate(terms_l)
-    docs = np.concatenate(docs_l)
-    tfs = np.concatenate(tfs_l)
-    dls = np.concatenate(dls_l)
-    prio = np.concatenate(prio_l)
+    srcs = [r.decode_part(part) for r in sources]
+    counts = [len(s[0]) for s in srcs]
+    terms, docs, tfs, dls = (np.concatenate([s[i] for s in srcs])
+                             for i in range(4))
+    prio = np.repeat(np.arange(len(srcs)), counts)
     # sort by (term, doc, prio); keep the LAST (highest prio) of each dup
     order = np.lexsort((prio, docs, terms))
     t, d, tf, dl = terms[order], docs[order], tfs[order], dls[order]
-    n = len(t)
-    keep = np.empty(n, bool)
+    keep = np.ones(len(t), bool)
     keep[:-1] = (t[:-1] != t[1:]) | (d[:-1] != d[1:])
-    keep[-1] = True
-    overlap = int(n - keep.sum())
     sel = np.flatnonzero(keep)
-    postings = pa.table({
-        "term_id": pa.array(t[sel], pa.uint64()),
-        "doc_id": pa.array(d[sel], pa.uint64()),
-        "tf": pa.array(tf[sel].astype(np.uint32), pa.uint32()),
-        "dl": pa.array(dl[sel].astype(np.uint32), pa.uint32()),
-    })
-    writer.encode_part(part, postings)
-    return {"part": part, "n_sources": counts, "n_merged": int(keep.sum()),
-            "overlap": overlap}
+    writer.encode_part(part, _postings_table(t[sel], d[sel], tf[sel],
+                                             dl[sel]))
+    return {"part": part, "n_sources": counts, "n_merged": len(sel),
+            "overlap": len(t) - len(sel)}
 
 
 def merged_sources(out_dir: str) -> list[str]:
@@ -191,13 +152,12 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
                        compression=stats[0].get("compression", "lz4"))
     writer = SegmentWriter(out.segments_dir, out.bucket_shift,
                            compression=out.compression)
+    sources = [SegmentReader(s, num_parts) for s in src_dirs]
 
     def merge_batch(batch: pa.Table) -> pa.Table:
         reports = []
         for p in batch["p"].to_pylist():
-            files = [os.path.join(s, "segments", f"part={p:05d}.parquet")
-                     for s in src_dirs]
-            reports.append(_merge_part(int(p), files, writer))
+            reports.append(_merge_part(int(p), sources, writer))
         return pa.table({
             "part": pa.array([r["part"] for r in reports], pa.int32()),
             "n_merged": pa.array([r["n_merged"] for r in reports],
@@ -214,6 +174,8 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
         todo, deferred = todo[:max_parts], todo[max_parts:]
     reports = []
     if todo:
+        for r in sources:
+            r.check()
         parts_ds = ray.data.from_items([{"p": p} for p in todo],
                                        override_num_blocks=len(todo))
         reports = parts_ds.map_batches(merge_batch, batch_format="pyarrow",
@@ -229,7 +191,6 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
     else:
         raise ValueError("need n_docs_override when inputs share docs")
     # synthesize a wave sidecar so finalize() has the doc count + lineage
-    from .build import _atomic_write_json
     _atomic_write_json(os.path.join(out.waves_dir, "wave=0000.json"),
                        {"wave": 0, "files": [f"merge:{s}" for s in src_dirs],
                         "n_docs": int(n_docs)})
@@ -263,7 +224,6 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     their sidecars, and every write is tmp+rename idempotent."""
     import json
 
-    from .build import _atomic_write_json
     from .search import load_tombstones
 
     st = read_stats(src_dir)
@@ -276,6 +236,7 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     writer = SegmentWriter(out.segments_dir, out.bucket_shift,
                            block_size=st.get("block_size"),
                            compression=out.compression)
+    src = SegmentReader(src_dir, num_parts)
     purge_dir = os.path.join(out_dir, "purge")
     os.makedirs(purge_dir, exist_ok=True)
     has_pos = os.path.isdir(os.path.join(src_dir, "positions"))
@@ -288,21 +249,15 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
         tomb_pa = pa.array(tomb, pa.uint64())
         for p in batch["p"].to_pylist():
             p = int(p)
-            f = os.path.join(src_dir, "segments", f"part={p:05d}.parquet")
-            t, d, tf, dl = decode_segment_table(
-                pq.read_table(f, use_threads=False))
+            t, d, tf, dl = src.decode_part(p)
             if len(tomb) and len(d):
                 pos = np.minimum(np.searchsorted(tomb, d), len(tomb) - 1)
                 dead = tomb[pos] == d
             else:
                 dead = np.zeros(len(d), bool)
             live = ~dead
-            writer.encode_part(p, pa.table({
-                "term_id": pa.array(t[live], pa.uint64()),
-                "doc_id": pa.array(d[live], pa.uint64()),
-                "tf": pa.array(tf[live].astype(np.uint32), pa.uint32()),
-                "dl": pa.array(dl[live].astype(np.uint32), pa.uint32()),
-            }))
+            writer.encode_part(p, _postings_table(t[live], d[live],
+                                                  tf[live], dl[live]))
             if has_pos:
                 pf = os.path.join(src_dir, "positions",
                                   f"part={p:05d}.parquet")
@@ -334,6 +289,7 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
 
     todo = [p for p in range(num_parts) if p not in _done()]
     if todo:
+        src.check()
         parts_ds = ray.data.from_items([{"p": p} for p in todo],
                                        override_num_blocks=len(todo))
         parts_ds.map_batches(purge_batch, batch_format="pyarrow",
@@ -609,21 +565,15 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
     if len(out._done_parts()) == new_num_parts:
         return out.finalize()  # fully committed; scratch may be gone
     if not out._wave_done(0):
-        seg_files = [f for f in (
-            os.path.join(src_dir, "segments", f"part={p:05d}.parquet")
-            for p in range(st["num_parts"])) if os.path.exists(f)]
+        src = SegmentReader(src_dir, st["num_parts"])
+        src.check()
 
         def decode_part(batch: pa.Table) -> pa.Table:
-            t, d, tf, dl = decode_segment_table(
-                pq.read_table(batch["f"][0].as_py(), use_threads=False))
-            return pa.table({
-                "term_id": pa.array(t, pa.uint64()),
-                "doc_id": pa.array(d, pa.uint64()),
-                "tf": pa.array(tf.astype(np.uint32), pa.uint32()),
-                "dl": pa.array(dl.astype(np.uint32), pa.uint32())})
+            p = int(batch["p"][0].as_py())
+            return _postings_table(*src.decode_part(p))
 
-        post = (ray.data.from_items([{"f": f} for f in seg_files],
-                                    override_num_blocks=len(seg_files))
+        post = (ray.data.from_items([{"p": p} for p in range(src.num_parts)],
+                                    override_num_blocks=src.num_parts)
                 .map_batches(decode_part, batch_format="pyarrow",
                              batch_size=1)
                 .map_batches(AddPartColumn(new_num_parts),

@@ -22,39 +22,32 @@ Ray-Data-native restatement over the flat columnar key space:
   ``visit(term_id, df) -> False to stop`` over the merged, ordered,
   already-filtered matches.
 
-Scale shape: one Ray task per part; each task reads ONLY the
-``(term_id, df)`` columns of the row groups overlapping [lo, hi],
-reduces chunk rows to one row per term with boundary diffs (no
-np.unique), applies ``cond`` vectorized, and — when ``limit`` is set —
-returns at most ``limit`` matches (the global ordered head is contained
-in the union of per-part heads). Only (term_id, df) pairs cross the
-wire; the visitor itself never runs inside tasks, so it may close over
-arbitrary driver state, exactly like the reference's traverse fn.
+Scale shape: one Ray task per part (``SegmentReader.map_parts``); each
+task key-range-reads ONLY the ``(term_id, df)`` columns of the row
+groups overlapping [lo, hi], reduces chunk rows to one row per term
+with boundary diffs (no np.unique), applies ``cond`` vectorized, and —
+when ``limit`` is set — returns at most ``limit`` matches (the global
+ordered head is contained in the union of per-part heads). Only
+(term_id, df) pairs cross the wire; the visitor itself never runs inside
+tasks, so it may close over arbitrary driver state, exactly like the
+reference's traverse fn.
 """
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 CondFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _scan_part(path: str, lo: int | None, hi: int | None,
-               cond: CondFn | None, asc: bool, limit: int | None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """One partition: pushdown-read (term_id, df), one row per term,
+def _select_part(reader, part: int, lo: int | None, hi: int | None,
+                 cond: CondFn | None, asc: bool, limit: int | None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One partition: key-range read of (term_id, df), one row per term,
     vectorized cond, per-part head/tail cap. Runs as a Ray task."""
-    filters = []
-    if lo is not None:
-        filters.append(("term_id", ">=", np.uint64(lo)))
-    if hi is not None:
-        filters.append(("term_id", "<=", np.uint64(hi)))
-    tbl = pq.read_table(path, columns=["term_id", "df"],
-                        filters=filters or None, use_threads=False)
+    tbl = reader.read_range(part, lo, hi, columns=["term_id", "df"])
     tids = tbl["term_id"].to_numpy(zero_copy_only=False)
     dfs = tbl["df"].to_numpy(zero_copy_only=False)
     if len(tids) == 0:
@@ -84,11 +77,6 @@ def _scan_part(path: str, lo: int | None, hi: int | None,
     return np.ascontiguousarray(tids), np.ascontiguousarray(dfs)
 
 
-def _scan_remote():
-    from .remote import remote_1cpu
-    return remote_1cpu(_scan_part)
-
-
 def select_keys(engine, lo: int | None = None, hi: int | None = None,
                 cond: CondFn | None = None, asc: bool = True,
                 limit: int | None = None,
@@ -103,24 +91,8 @@ def select_keys(engine, lo: int | None = None, hi: int | None = None,
     Ray is up and the index has multiple parts (same policy as
     SearchEngine.term_range_docs).
     """
-    paths = []
-    for part in range(engine.num_parts):
-        path = engine._segment_file(part)
-        if not os.path.exists(path):
-            raise RuntimeError(
-                f"index partition file missing: {path}; the index is "
-                "truncated or mid-rebuild")
-        paths.append(path)
-    if distributed is None:
-        import ray
-        distributed = ray.is_initialized() and engine.num_parts > 1
-    if distributed:
-        import ray
-        task = _scan_remote()
-        parts = ray.get([task.remote(p, lo, hi, cond, asc, limit)
-                         for p in paths])
-    else:
-        parts = [_scan_part(p, lo, hi, cond, asc, limit) for p in paths]
+    parts = engine.segments.map_parts(_select_part, lo, hi, cond, asc,
+                                      limit, distributed=distributed)
     parts = [p for p in parts if len(p[0])]
     if not parts:
         return pa.table({"term_id": pa.array([], pa.uint64()),

@@ -49,7 +49,8 @@ import pyarrow.parquet as pq
 
 from . import BM25_B, BM25_K1
 from .build import read_stats
-from .codec import decode_block, decode_chunk
+from .codec import chunk_rows_columnar, decode_block, decode_chunk
+from .segment import SegmentReader, decode_rows
 from .tokenizer import tokenize_query
 
 
@@ -141,72 +142,11 @@ def accumulate_scores(terms: list[tuple[np.ndarray, np.ndarray]]
     return docs_all, scores
 
 
-def _range_scan_part(path: str, lo: int | None, hi: int | None
-                     ) -> np.ndarray:
-    """One partition of a key-range scan: pushdown read of the chunks in
-    [lo, hi], decode, return this part's deduped ascending doc_ids."""
-    filters = []
-    if lo is not None:
-        filters.append(("term_id", ">=", np.uint64(lo)))
-    if hi is not None:
-        filters.append(("term_id", "<=", np.uint64(hi)))
-    from .codec import chunk_rows_columnar
-    tbl = pq.read_table(path, filters=filters or None, use_threads=False)
-    out = [decode_chunk(row)[0] for row in chunk_rows_columnar(tbl)]
-    out = [d for d in out if len(d)]
-    if not out:
-        return np.empty(0, np.uint64)
-    return sorted_union(out)
-
-
-def _range_scan_remote():
-    from .remote import remote_1cpu
-    return remote_1cpu(_range_scan_part)
-
-
-def _nearest_part(path: str, key: int, less: bool
-                  ) -> tuple[int, int] | None:
-    """Per-part nearest-key probe (SearchEngine.nearest_term body): one
-    row group picked from term_id min/max statistics, two columns."""
-    key_u = np.uint64(key)
-    pf = pq.ParquetFile(path)
-    md = pf.metadata
-    ki = pf.schema_arrow.names.index("term_id")
-    cand_gi = None
-    ok_stats = True
-    for gi in range(md.num_row_groups):
-        st = md.row_group(gi).column(ki).statistics
-        if st is None or not st.has_min_max:
-            ok_stats = False
-            break
-        if less:
-            if np.uint64(st.min) <= key_u:
-                cand_gi = gi  # last group containing keys <= key
-        else:
-            if np.uint64(st.max) >= key_u:
-                cand_gi = gi  # first group containing keys >= key
-                break
-    if ok_stats and cand_gi is None:
-        return None
-    if ok_stats:
-        tbl = pf.read_row_groups([cand_gi], columns=["term_id", "df"],
-                                 use_threads=False)
-    else:  # stats unavailable: filtered full read of 2 columns
-        tbl = pq.read_table(path, columns=["term_id", "df"],
-                            use_threads=False)
-    terms = tbl["term_id"].to_numpy(zero_copy_only=False)
-    dfs = tbl["df"].to_numpy(zero_copy_only=False)
-    mask = terms <= key_u if less else terms >= key_u
-    if not mask.any():
-        return None
-    idx = np.flatnonzero(mask)
-    i = idx[-1] if less else idx[0]
-    return (int(terms[i]), int(dfs[i]))
-
-
-def _nearest_remote():
-    from .remote import remote_1cpu
-    return remote_1cpu(_nearest_part)
+def _range_docs(reader: SegmentReader, part: int, lo: int | None,
+                hi: int | None) -> np.ndarray:
+    """One part of ``term_range_docs`` (a Ray task body): the deduped
+    ascending doc_ids of the part's terms in [lo, hi]."""
+    return sorted_union([reader.decode_part(part, lo, hi)[1]])
 
 
 def _phrase_chunk(index_dir: str, seq: list[int], by_df: list[int],
@@ -254,15 +194,7 @@ class Postings:
 
     def decode(self) -> "Postings":
         if self.docs is None:
-            if self.chunks:
-                parts = [decode_chunk(c) for c in self.chunks]
-                self.docs = np.concatenate([p[0] for p in parts])
-                self.tfs = np.concatenate([p[1] for p in parts])
-                self.dls = np.concatenate([p[2] for p in parts])
-            else:
-                self.docs = np.empty(0, np.uint64)
-                self.tfs = np.empty(0, np.uint64)
-                self.dls = np.empty(0, np.uint64)
+            self.docs, self.tfs, self.dls = decode_rows(self.chunks)
         return self
 
 
@@ -288,7 +220,8 @@ class SearchEngine:
         # search_cond.go:57-80): last_query_stats after each bm25/match
         self.last_query_stats: dict = {}
         self.last_fetch_stats: dict = {}
-        self._blooms: dict[int, bytes | None] = {}  # per-part term bloom
+        self.segments = SegmentReader(index_dir, self.num_parts,
+                                      io_threads=self.io_threads)
         self.last_load_stats: dict = {}
         # doc-level tombstones (delete_docs): result-set APIs filter
         # against this sorted set; merge.purge_tombstones rewrites the
@@ -297,23 +230,6 @@ class SearchEngine:
         self._tomb_filtered: dict[int, Postings] = {}
 
     # ------------------------------------------------------------------
-    def _segment_file(self, part: int) -> str:
-        return os.path.join(self.index_dir, "segments",
-                            f"part={part:05d}.parquet")
-
-    def _bloom(self, part: int) -> bytes | None:
-        """Lazy-load the part's term bloom filter (None if absent —
-        older indexes have no bloom files)."""
-        if part not in self._blooms:
-            path = os.path.join(self.index_dir, "segments",
-                                f"part={part:05d}.bloom")
-            try:
-                with open(path, "rb") as f:
-                    self._blooms[part] = f.read()
-            except OSError:
-                self._blooms[part] = None
-        return self._blooms[part]
-
     def load_terms(self, term_ids: list[int]) -> dict[int, Postings]:
         """Fetch raw segment rows for the given terms (part-pruned +
         row-group-pushdown read), with per-engine caching. Terms the
@@ -326,7 +242,7 @@ class SearchEngine:
             if tid not in self._cache:
                 missing.setdefault(tid % self.num_parts, []).append(tid)
         for part in list(missing):
-            bloom = self._bloom(part)
+            bloom = self.segments.bloom(part)
             if bloom is None:
                 continue
             tids = missing[part]
@@ -343,24 +259,7 @@ class SearchEngine:
         self.last_load_stats = {"parts_read": len(missing),
                                 "bloom_skips": bloom_skips}
         for part, tids in missing.items():
-            path = self._segment_file(part)
-            if not os.path.exists(path):
-                # 'term absent' is an empty pushdown read on an existing
-                # part file; a MISSING part file means the index is
-                # truncated (e.g. mid-absorb segment invalidation, partial
-                # copy) — silently answering df=0 would return wrong
-                # results from an index whose stats.json claims coverage
-                raise RuntimeError(
-                    f"index partition file missing: {path} (stats.json "
-                    f"claims num_parts={self.num_parts}); the index is "
-                    "truncated or mid-rebuild")
-            tbl = pq.read_table(
-                path, filters=[("term_id", "in", [np.uint64(t) for t in tids])],
-                use_threads=self.io_threads)
-            from .codec import chunk_rows_columnar
-            rows_by_term: dict[int, list[dict]] = {t: [] for t in tids}
-            for row in chunk_rows_columnar(tbl):  # numpy views, no boxing
-                rows_by_term[int(row["term_id"])].append(row)
+            rows_by_term = self.segments.load_terms(part, tids)
             for tid in tids:
                 rows = rows_by_term[tid]
                 df = int(rows[0]["df"]) if rows else 0
@@ -679,12 +578,7 @@ class SearchEngine:
         n_terms = 0
         n_postings = 0
         for part in range(self.num_parts):
-            path = os.path.join(self.index_dir, "segments",
-                                f"part={part:05d}.parquet")
-            if not os.path.exists(path):
-                continue
-            t = pq.read_table(path, columns=["term_id", "df"],
-                              use_threads=False)
+            t = self.segments.read_range(part, columns=["term_id", "df"])
             tid = t["term_id"].to_numpy(zero_copy_only=False)
             if len(tid):
                 # segment rows are lexsorted by term_id (commit
@@ -1263,23 +1157,8 @@ class SearchEngine:
         lexicographic order of the 3-rune windows, so this is a
         string-range scan. ``distributed=None`` auto-selects Ray tasks
         when Ray is up and the index is multi-part."""
-        paths = []
-        for part in range(self.num_parts):
-            path = self._segment_file(part)
-            if not os.path.exists(path):
-                raise RuntimeError(
-                    f"index partition file missing: {path}; the index "
-                    "is truncated or mid-rebuild")
-            paths.append(path)
-        if distributed is None:
-            import ray
-            distributed = ray.is_initialized() and self.num_parts > 1
-        if distributed:
-            import ray
-            task = _range_scan_remote()
-            parts = ray.get([task.remote(p, lo, hi) for p in paths])
-        else:
-            parts = [_range_scan_part(p, lo, hi) for p in paths]
+        parts = self.segments.map_parts(_range_docs, lo, hi,
+                                        distributed=distributed)
         parts = [p for p in parts if len(p)]
         if not parts:
             return np.empty(0, np.uint64)
@@ -1316,24 +1195,8 @@ class SearchEngine:
         ``term_range_docs``/``select_keys`` — serial at 8 parts is fine,
         serial at 512 is not) and the driver merges one candidate per
         part."""
-        paths = []
-        for part in range(self.num_parts):
-            path = self._segment_file(part)
-            if not os.path.exists(path):
-                raise RuntimeError(
-                    f"index partition file missing: {path}; the index "
-                    "is truncated or mid-rebuild")
-            paths.append(path)
-        if distributed is None:
-            import ray
-            distributed = ray.is_initialized() and self.num_parts > 1
-        if distributed:
-            import ray
-            task = _nearest_remote()
-            cands = ray.get([task.remote(p, int(key), less)
-                             for p in paths])
-        else:
-            cands = [_nearest_part(p, int(key), less) for p in paths]
+        cands = self.segments.map_parts(SegmentReader.nearest, int(key),
+                                        less, distributed=distributed)
         cands = [c for c in cands if c is not None]
         if not cands:
             return None
@@ -1632,26 +1495,14 @@ def bm25_topk_ray(index_dir: str, q: str, k: int = 10):
     per-bucket task sees all of its docs' query-term postings: exact
     scores, no cross-task exchange; global merge is a tiny sort+limit.
     """
-    import ray.data
-
-    stats = read_stats(index_dir)
     engine = SearchEngine(index_dir)
     tids = sorted(set(engine.query_term_ids(q)))
     if not tids:
         return np.empty(0, np.uint64), np.empty(0, np.float64)
-    parts = sorted({t % stats["num_parts"] for t in tids})
-    files = [engine._segment_file(p) for p in parts]
-    for f in files:
-        if not os.path.exists(f):
-            raise RuntimeError(f"index partition file missing: {f}; the "
-                               "index is truncated or mid-rebuild")
-    tid_set = [np.uint64(t) for t in tids]
-    ds = ray.data.read_parquet(
-        files, filter=pc.field("term_id").isin(tid_set))
-    ndocs, avgdl = stats["n_docs"], stats["avgdl"]
+    ds = engine.segments.terms_dataset(tids)
+    ndocs, avgdl = engine.stats["n_docs"], engine.stats["avgdl"]
 
     def score_bucket(group: pa.Table) -> pa.Table:
-        from .codec import chunk_rows_columnar
         rows = sorted(chunk_rows_columnar(group),
                       key=lambda r: (int(r["term_id"]), int(r["bucket"])))
         decoded = []

@@ -110,17 +110,13 @@ def test_build_deterministic_across_parallelism(ray_session, pages_file,
         assert d1.tolist() == d2.tolist()
         assert s1.tolist() == s2.tolist()
     # segment files logically identical; bloom filters byte-identical
-    import os
-    import pyarrow.parquet as pq2
-    for name in sorted(os.listdir(os.path.join(idx1, "segments"))):
-        if name.endswith(".parquet"):
-            t1 = pq2.read_table(os.path.join(idx1, "segments", name))
-            t2 = pq2.read_table(os.path.join(idx2, "segments", name))
-            assert t1.equals(t2), name
-        elif name.endswith(".bloom"):
-            b1 = open(os.path.join(idx1, "segments", name), "rb").read()
-            b2 = open(os.path.join(idx2, "segments", name), "rb").read()
-            assert b1 == b2, name
+    from vfs_index_ray.segment import SegmentReader, part_path
+    r1, r2 = SegmentReader(idx1, 8), SegmentReader(idx2, 8)
+    for p in range(8):
+        assert r1.read_range(p).equals(r2.read_range(p)), p
+        b1 = open(part_path(r1.segments_dir, p, "bloom"), "rb").read()
+        b2 = open(part_path(r2.segments_dir, p, "bloom"), "rb").read()
+        assert b1 == b2, p
 
 
 def test_bucketed_index_same_results(ray_session, pages_file, tmp_path,
@@ -138,14 +134,17 @@ def test_bucketed_index_same_results(ray_session, pages_file, tmp_path,
     import json
     import os
     segdir = os.path.join(idx, "segments")
-    nchunks = nterms = 0
+    nchunks = nterms = npostings = 0
     for f in os.listdir(segdir):
         if f.endswith(".json"):
             with open(os.path.join(segdir, f)) as fh:
                 row = json.load(fh)
             nchunks += row["n_chunks"]
             nterms += row["n_terms"]
+            npostings += row["n_postings"]
     assert nchunks > nterms
+    # a term's df repeats on each of its chunks; postings count once
+    assert eb.index_stats()["n_postings"] == npostings
     for q in QUERIES:
         d1, s1 = eb.bm25(q, 10)
         expected = oracle_index.bm25(q, 10)

@@ -45,12 +45,12 @@ def _fingerprint(idx):
 
 
 def _segment_hashes(idx):
-    seg = os.path.join(idx, "segments")
+    from vfs_index_ray.build import read_stats
+    from vfs_index_ray.segment import part_path, segments_dir
     out = {}
-    for f in sorted(os.listdir(seg)):
-        if f.endswith(".parquet"):
-            with open(os.path.join(seg, f), "rb") as fh:
-                out[f] = hashlib.sha256(fh.read()).hexdigest()
+    for p in range(read_stats(idx)["num_parts"]):
+        with open(part_path(segments_dir(idx), p), "rb") as fh:
+            out[p] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 

@@ -232,11 +232,10 @@ def test_merge_disjoint_equals_full_build(ray_session, split_corpora,
         assert d1.tolist() == d2.tolist()
         assert s1.tolist() == s2.tolist()
     # segment files logically identical to the full build's
-    for name in sorted(os.listdir(os.path.join(full_idx, "segments"))):
-        if name.endswith(".parquet"):
-            t1 = pq.read_table(os.path.join(full_idx, "segments", name))
-            t2 = pq.read_table(os.path.join(im, "segments", name))
-            assert t1.equals(t2), name
+    from vfs_index_ray.segment import SegmentReader
+    r1, r2 = SegmentReader(full_idx, 8), SegmentReader(im, 8)
+    for p in range(8):
+        assert r1.read_range(p).equals(r2.read_range(p)), p
 
 
 def test_clean_after_merge_crash_protocol(ray_session, split_corpora,
@@ -359,17 +358,13 @@ def test_repartition_same_results(ray_session, built_index, tmp_path,
     IndexBuilder(fresh, mode="word", num_parts=4,
                  id_col=None).build([pages_file])
 
-    def seg_files(d):
-        return sorted(n for n in os.listdir(os.path.join(d, "segments"))
-                      if n.startswith("part=")
-                      and n.endswith((".parquet", ".bloom")))
+    from vfs_index_ray.segment import part_path, segments_dir
 
-    names = seg_files(out)
-    assert names == seg_files(fresh) and len(names) == 8
-    for n in names:
-        with open(os.path.join(out, "segments", n), "rb") as a, \
-                open(os.path.join(fresh, "segments", n), "rb") as b:
-            assert a.read() == b.read(), n
+    for p in range(4):
+        for ext in ("arrow", "bloom"):
+            with open(part_path(segments_dir(out), p, ext), "rb") as a, \
+                    open(part_path(segments_dir(fresh), p, ext), "rb") as b:
+                assert a.read() == b.read(), (p, ext)
     assert read_stats(out) == read_stats(fresh)
 
 

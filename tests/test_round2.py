@@ -9,6 +9,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from vfs_index_ray import corpus
+from vfs_index_ray.segment import part_path, segments_dir
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +66,7 @@ def test_missing_part_file_raises(ray_session, id_corpus, tmp_path):
                  id_col="doc_id").build([id_corpus])
     eng = SearchEngine(idx)
     tid = eng.query_term_ids("bababa")[0]
-    os.remove(os.path.join(idx, "segments",
-                           f"part={tid % 4:05d}.parquet"))
+    os.remove(part_path(segments_dir(idx), tid % 4))
     eng._cache.clear()
     with pytest.raises(RuntimeError, match="partition file missing"):
         eng.match("bababa")
@@ -104,9 +104,30 @@ def test_missing_part_file_raises_everywhere(id_engine, tmp_path, call):
     idx = str(tmp_path / "trunc")
     shutil.copytree(id_engine.index_dir, idx)
     tid = id_engine.query_term_ids("bababa")[0]
-    os.remove(os.path.join(idx, "segments",
-                           f"part={tid % 4:05d}.parquet"))
+    os.remove(part_path(segments_dir(idx), tid % 4))
     with pytest.raises(RuntimeError, match="partition file missing"):
+        _trunc_calls()[call](idx, str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("call", ["index_stats", "nearest_term",
+                                  "bm25_topk_ray", "merge_indexes"])
+def test_old_parquet_segments_raise_rebuild(id_engine, tmp_path, call):
+    """An index whose segments are still ``part=N.parquet`` (the old
+    format) is refused with a rebuild hint, not reported as truncated."""
+    import shutil
+
+    from vfs_index_ray.segment import SegmentReader
+
+    idx = str(tmp_path / "old")
+    shutil.copytree(id_engine.index_dir, idx)
+    reader = SegmentReader(idx, 4)
+    for p in range(4):
+        pq.write_table(reader.read_range(p),
+                       part_path(reader.segments_dir, p, "parquet"))
+        os.remove(part_path(reader.segments_dir, p))
+    with pytest.raises(RuntimeError,
+                       match="old Parquet segment format and must be "
+                             "rebuilt"):
         _trunc_calls()[call](idx, str(tmp_path / "out"))
 
 
@@ -280,7 +301,7 @@ def test_verify_index(ray_session, id_corpus, tmp_path):
     rep = verify_index(idx)
     assert rep["ok"], rep["errors"]
     # truncate one segment file → size mismatch flagged
-    f = os.path.join(idx, "segments", "part=00001.parquet")
+    f = part_path(segments_dir(idx), 1)
     data = open(f, "rb").read()
     open(f, "wb").write(data[:100])
     rep = verify_index(idx)

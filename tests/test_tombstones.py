@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from vfs_index_ray import corpus
+from vfs_index_ray.segment import part_path, segments_dir
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +124,8 @@ def test_purge_matches_fresh_build(tomb_setup, pages_file,
     assert stats["total_tokens"] == ref_stats["total_tokens"]
     assert stats["avgdl"] == ref_stats["avgdl"]
     for p in range(4):
-        a = os.path.join(purged, "segments", f"part={p:05d}.parquet")
-        b = os.path.join(ref, "segments", f"part={p:05d}.parquet")
+        a = part_path(segments_dir(purged), p)
+        b = part_path(segments_dir(ref), p)
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read(), f"segment part {p} differs"
         pa_t = pq.read_table(os.path.join(purged, "positions",

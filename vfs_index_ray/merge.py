@@ -312,11 +312,10 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
 
 def _fed_source_dfs(src_dir: str, q: str, engine=None) -> dict[int, int]:
     """Per-source round 1: df of every query term in this source. As a
-    Ray task ``engine`` is None (fresh single-threaded-IO engine); the
+    Ray task ``engine`` is None (a fresh engine); the
     in-process path passes the RESIDENT engine so its caches survive."""
     from .search import SearchEngine
-    e = engine if engine is not None else SearchEngine(src_dir,
-                                                       io_threads=False)
+    e = engine if engine is not None else SearchEngine(src_dir)
     tids = sorted(set(e.query_term_ids(q)))
     loaded = e.load_terms(tids)
     return {t: loaded[t].df for t in tids}
@@ -331,8 +330,7 @@ def _fed_score_source(src_dir: str, tids: list[int], gdf: dict[int, int],
     additions as the merged index's exact path — the global top-k over
     the union of local top-ks is fp64-identical to the merged engine."""
     from .search import SearchEngine, accumulate_scores, bm25_term_weight
-    e = engine if engine is not None else SearchEngine(src_dir,
-                                                       io_threads=False)
+    e = engine if engine is not None else SearchEngine(src_dir)
     loaded = e.load_terms(list(tids))
     if len(e.tombstones):  # per-source deletes filter here too
         ps = [(t, e._live_postings(loaded[t])) for t in tids]
@@ -347,8 +345,7 @@ def _fed_score_source(src_dir: str, tids: list[int], gdf: dict[int, int],
 
 def _fed_match_source(src_dir: str, q: str, engine=None) -> np.ndarray:
     from .search import SearchEngine
-    e = engine if engine is not None else SearchEngine(src_dir,
-                                                       io_threads=False)
+    e = engine if engine is not None else SearchEngine(src_dir)
     return e.match(q)
 
 

@@ -3,8 +3,9 @@
 Maps the reference's query machinery onto the segment layout:
 
 - key point-lookup (index_file.go:1424-1459 FindByKey + bsearch) →
-  ``part = term_id % P`` pruning + Parquet row-group predicate pushdown on
-  the sorted ``term_id`` column;
+  ``part = term_id % P`` pruning + a binary search of the segment's
+  per-batch first-term directory and of the sorted ``term_id`` column
+  (segment.py);
 - posting-list AND intersection on record identity
   (search_finder.go:108-193) → sorted-uint64 ``np.intersect1d`` in
   df-ascending order (the reference's intended selectivity ordering,
@@ -154,7 +155,7 @@ def _phrase_chunk(index_dir: str, seq: list[int], by_df: list[int],
     """One candidate-doc chunk of a distributed positional phrase match
     (SearchEngine._phrase_positional_distributed): staged rare-pivot
     chain scoped to the chunk, df order precomputed by the driver."""
-    eng = SearchEngine(index_dir, io_threads=False)
+    eng = SearchEngine(index_dir)
     return eng._phrase_positional_staged(
         seq, sorted(set(seq)), np.asarray(chunk_docs, np.uint64),
         by_df=by_df, doc_filter="range")
@@ -168,7 +169,7 @@ def _phrase_chunk_remote():
 def _proximity_chunk(index_dir: str, tids: list[int], window: int,
                      chunk_docs: np.ndarray) -> np.ndarray:
     """One candidate-doc chunk of a distributed proximity match."""
-    eng = SearchEngine(index_dir, io_threads=False)
+    eng = SearchEngine(index_dir)
     return eng._proximity_verify(tids, window,
                                  np.asarray(chunk_docs, np.uint64),
                                  doc_filter="range")
@@ -200,12 +201,7 @@ class Postings:
 
 class SearchEngine:
     def __init__(self, index_dir: str, corpus_files=None,
-                 id_col: str = "doc_id", url_col: str = "url",
-                 io_threads: bool = True):
-        # io_threads=False for engines constructed INSIDE Ray tasks or
-        # 1-cpu actors: Arrow's default thread pool x concurrent tasks
-        # oversubscribes the node (CLAUDE.md)
-        self.io_threads = bool(io_threads)
+                 id_col: str = "doc_id", url_col: str = "url"):
         self.index_dir = index_dir
         self.stats = read_stats(index_dir)
         self.mode = self.stats["mode"]
@@ -220,8 +216,7 @@ class SearchEngine:
         # search_cond.go:57-80): last_query_stats after each bm25/match
         self.last_query_stats: dict = {}
         self.last_fetch_stats: dict = {}
-        self.segments = SegmentReader(index_dir, self.num_parts,
-                                      io_threads=self.io_threads)
+        self.segments = SegmentReader(index_dir, self.num_parts)
         self.last_load_stats: dict = {}
         # doc-level tombstones (delete_docs): result-set APIs filter
         # against this sorted set; merge.purge_tombstones rewrites the
@@ -232,7 +227,7 @@ class SearchEngine:
     # ------------------------------------------------------------------
     def load_terms(self, term_ids: list[int]) -> dict[int, Postings]:
         """Fetch raw segment rows for the given terms (part-pruned +
-        row-group-pushdown read), with per-engine caching. Terms the
+        binary-searched segment read), with per-engine caching. Terms the
         part's bloom filter rules out short-circuit to df=0 without
         touching the segment file (negative-lookup fast path)."""
         from .codec import bloom_test
@@ -567,9 +562,11 @@ class SearchEngine:
         (no postings decode): distinct indexed terms (term-hash
         partitioning keeps every term's chunk rows in exactly one
         part, so per-part distinct counts sum), total postings (sum of
-        per-chunk dfs = distinct (term, doc) pairs), plus the build's
-        audited n_docs / total_tokens from stats.json.  Reads only the
-        (term_id, df) columns — cost scales with vocabulary size, not
+        per-chunk posting counts ``n`` = distinct (term, doc) pairs;
+        ``df`` repeats the term's whole df on each of its bucket
+        chunks), plus the build's audited n_docs / total_tokens from
+        stats.json.  Reads only the (term_id, n) columns — cost scales
+        with vocabulary size, not
         corpus size.  Reports STORED statistics: deletes are
         stale-stats by design (see delete_docs) until a physical
         purge rewrites the segments.  Reference analog: the countBy
@@ -578,13 +575,13 @@ class SearchEngine:
         n_terms = 0
         n_postings = 0
         for part in range(self.num_parts):
-            t = self.segments.read_range(part, columns=["term_id", "df"])
+            t = self.segments.read_range(part, columns=["term_id", "n"])
             tid = t["term_id"].to_numpy(zero_copy_only=False)
             if len(tid):
                 # segment rows are lexsorted by term_id (commit
                 # invariant): boundary diff, never np.unique
                 n_terms += int(1 + np.count_nonzero(tid[1:] != tid[:-1]))
-            n_postings += int(t["df"].to_numpy(
+            n_postings += int(t["n"].to_numpy(
                 zero_copy_only=False).astype(np.int64).sum())
         return {"n_docs": self.ndocs, "n_terms": n_terms,
                 "n_postings": n_postings,
@@ -1152,8 +1149,8 @@ class SearchEngine:
         array; the driver unions ≤ P small arrays) — a wide string range
         at scale is parallel per-part work, never a driver-sequential
         key-space walk. The sorted ``term_id`` layout makes each read a
-        parquet row-group pushdown — only groups overlapping the key
-        range are decoded. In trigram mode the packed key order IS the
+        binary search — only record batches overlapping the key range
+        are decoded. In trigram mode the packed key order IS the
         lexicographic order of the 3-rune windows, so this is a
         string-range scan. ``distributed=None`` auto-selects Ray tasks
         when Ray is up and the index is multi-part."""
@@ -1188,8 +1185,8 @@ class SearchEngine:
         else climb to the closest indexed key below/above).
 
         Returns (term_id, df) of the largest indexed term <= key
-        (``less=True``) or the smallest >= key. Per part this reads ONE
-        row group picked from the term_id min/max statistics (terms are
+        (``less=True``) or the smallest >= key. Per part this reads the
+        record batch the segment's first-term directory picks (terms are
         sorted within a segment file); parts probe as parallel Ray tasks
         (``distributed=None`` auto-selects, same policy as
         ``term_range_docs``/``select_keys`` — serial at 8 parts is fine,
@@ -1422,8 +1419,7 @@ class QueryActor:
     """
 
     def __init__(self, index_dir: str, k: int = 10, method: str = "auto"):
-        # 1-cpu pool actor: no Arrow thread fan-out (CLAUDE.md)
-        self.engine = SearchEngine(index_dir, io_threads=False)
+        self.engine = SearchEngine(index_dir)
         self.k = k
         self.method = method
 

@@ -3,9 +3,13 @@
 An index keeps one segment per hash partition (``part = term_id % P``)
 under ``segments/``:
 
-- ``part=NNNNN.parquet`` — one row per (term_id, doc bucket) chunk in
-  ``codec.encode_partition``'s schema, lexsorted by term_id, lz4, row
-  groups sized by bytes;
+- ``part=NNNNN.arrow`` — an Arrow IPC file, lz4-compressed, of one row
+  per (term_id, doc bucket) chunk in ``codec.encode_partition``'s
+  schema, lexsorted by term_id. Record batches are cut at term
+  boundaries by byte size, and the schema metadata (which the file
+  footer repeats) holds each batch's first term_id: a read
+  binary-searches that directory, decompresses only the batches it
+  picks and binary-searches term_id inside them;
 - ``part=NNNNN.bloom`` — a bloom filter over the part's term ids;
 - ``part=NNNNN.json`` — the part's manifest row; it marks the part
   committed.
@@ -16,28 +20,35 @@ included, so a missing segment file always means a truncated index.
 read (term point reads, key-range scans, nearest-key probes, whole-part
 decodes, the Ray Data read of ``bm25_topk_ray``) and the per-part
 fan-out over them. The reference reads its index files through one
-abstraction the same way (index_file.go:664-749, 974-1003).
+abstraction the same way: it pages them in and binary-searches a sorted
+key list (index_file.go:664-749, 974-1003).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-from .codec import chunk_rows_columnar, decode_chunk, encode_partition
+from .codec import (_empty_segment_table, chunk_rows_columnar, decode_chunk,
+                    encode_partition)
+
+# schema metadata key of the per-batch first-term directory: the
+# batches' first term_ids as little-endian uint64, hex-encoded
+_DIRECTORY_KEY = b"batch_first_term_ids"
+_FIELDS = _empty_segment_table().column_names
 
 
 def segments_dir(index_dir: str) -> str:
     return os.path.join(index_dir, "segments")
 
 
-def part_path(seg_dir: str, part: int, ext: str = "parquet") -> str:
-    """The part's segment (``parquet``), bloom or manifest (``json``)
+def part_path(seg_dir: str, part: int, ext: str = "arrow") -> str:
+    """The part's segment (``arrow``), bloom or manifest (``json``)
     file."""
     return os.path.join(seg_dir, f"part={part:05d}.{ext}")
 
@@ -103,13 +114,13 @@ class SegmentWriter:
     ``__call__`` also accepts an in-memory group table (merge path, tests).
     """
 
-    # ~1 MB of chunk-row payload per parquet row group: a term point
-    # lookup decompresses one group, so the group byte size — not a
-    # fixed row count — bounds read amplification. Fat rows (unbucketed
-    # head terms, ~150 KB/chunk) get few rows per group; skinny bucketed
-    # chunks keep the 4096 cap. Measured on a 1.6M-doc index: head-term
-    # pushdown read 88→31 ms together with lz4 (below).
-    ROW_GROUP_TARGET_BYTES = 1 << 20
+    # ~1 MB of chunk-row payload per record batch: a term point read
+    # decompresses the batches holding the term, so the batch byte size
+    # — not a fixed row count — bounds read amplification. Fat rows
+    # (unbucketed head terms, ~150 KB/chunk) get few rows per batch;
+    # skinny bucketed chunks keep the 4096 cap. A term's chunks never
+    # straddle a cut, so one term lives in one batch.
+    BATCH_TARGET_BYTES = 1 << 20
 
     def __init__(self, segments_dir: str, bucket_shift: int,
                  lineage: list[str] | None = None,
@@ -122,8 +133,41 @@ class SegmentWriter:
         self.block_size = int(block_size or BLOCK)
         # lz4 over zstd: the varint payload is already entropy-dense, so
         # zstd buys only ~12% size but costs ~2x on every query-path
-        # read (measured, BASELINE.md round-3 late)
+        # read (measured, BASELINE.md round-3 late); lz4 over no
+        # compression: +63% bytes for ~1 ms per cold query
         self.compression = compression
+
+    def _batch_starts(self, seg: pa.Table) -> np.ndarray:
+        """Row offsets of the record batches: the first term boundary at
+        or after every ~BATCH_TARGET_BYTES of rows."""
+        n = seg.num_rows
+        if n == 0:
+            return np.empty(0, np.int64)
+        avg_row = max(seg.nbytes / n, 1.0)
+        rows = int(min(4096, max(16, self.BATCH_TARGET_BYTES // avg_row)))
+        tids = seg["term_id"].to_numpy()
+        term_starts = np.flatnonzero(np.r_[True, tids[1:] != tids[:-1]])
+        starts = [0]
+        while True:
+            k = np.searchsorted(term_starts, starts[-1] + rows)
+            if k == len(term_starts):
+                return np.array(starts, np.int64)
+            starts.append(int(term_starts[k]))
+
+    def _write_segment(self, seg: pa.Table, path: str) -> None:
+        """``seg`` as an IPC file of term-aligned record batches, the
+        batches' first term_ids in the schema metadata."""
+        seg = seg.combine_chunks()
+        starts = self._batch_starts(seg)
+        firsts = seg["term_id"].to_numpy()[starts].astype("<u8")
+        schema = seg.schema.with_metadata(
+            {_DIRECTORY_KEY: firsts.tobytes().hex()})
+        ends = np.r_[starts[1:], seg.num_rows]
+        options = pa.ipc.IpcWriteOptions(compression=self.compression)
+        with pa.OSFile(path, "wb") as sink, \
+                pa.ipc.new_file(sink, schema, options=options) as writer:
+            for a, b in zip(starts, ends):
+                writer.write_table(seg.slice(a, b - a))  # one chunk each
 
     def encode_part(self, part: int, postings: pa.Table) -> pa.Table:
         import time
@@ -144,16 +188,12 @@ class SegmentWriter:
         final = part_path(self.segments_dir, part)
         tmp = os.path.join(self.segments_dir,
                            ".tmp." + os.path.basename(final))
-        # byte-targeted row groups (see ROW_GROUP_TARGET_BYTES)
-        avg_row = max(seg.nbytes / max(seg.num_rows, 1), 1.0)
-        rg = int(min(4096, max(16, self.ROW_GROUP_TARGET_BYTES // avg_row)))
-        pq.write_table(seg, tmp, compression=self.compression,
-                       row_group_size=rg)
+        self._write_segment(seg, tmp)
         # term bloom filter beside the segment: absent-term lookups skip
-        # the parquet read entirely (segment-level negative cache).
+        # the segment read entirely (segment-level negative cache).
         # Published BEFORE the segment: a concurrent reader pairing the
         # new bloom with the old segment only over-approximates (extra
-        # parquet read); the reverse order could pair a stale bloom with
+        # segment read); the reverse order could pair a stale bloom with
         # the new segment and silently answer df=0 for a present term.
         from .codec import bloom_build
         bloom = part_path(self.segments_dir, part, "bloom")
@@ -196,18 +236,15 @@ class SegmentReader:
 
     Picklable (the bloom cache stays behind), so Ray tasks receive it;
     ``map_parts`` runs ``fn(reader, part, ...)`` over all parts, as one
-    Ray task per part or as a local loop. ``io_threads=False`` for
-    readers inside Ray tasks or 1-cpu actors: Arrow's default thread
-    pool × concurrent tasks oversubscribes the node; the scan, probe and
-    decode reads below run inside tasks and always read
-    single-threaded.
+    Ray task per part or as a local loop. Reads decompress on the
+    calling thread: a batch is at most ~1 MB, and Arrow's thread pool
+    made a cold term read slower, besides oversubscribing a node that
+    runs concurrent tasks.
     """
 
-    def __init__(self, index_dir: str, num_parts: int,
-                 io_threads: bool = True):
+    def __init__(self, index_dir: str, num_parts: int):
         self.segments_dir = segments_dir(index_dir)
         self.num_parts = int(num_parts)
-        self.io_threads = bool(io_threads)
         self._blooms: dict[int, bytes | None] = {}
 
     def __getstate__(self) -> dict:
@@ -221,6 +258,12 @@ class SegmentReader:
         stats.json claims coverage."""
         path = part_path(self.segments_dir, part)
         if not os.path.exists(path):
+            if os.path.exists(part_path(self.segments_dir, part,
+                                        "parquet")):
+                raise RuntimeError(
+                    f"{path} not found, but a Parquet segment is: the "
+                    "index uses the old Parquet segment format and must "
+                    "be rebuilt")
             raise RuntimeError(
                 f"index partition file missing: {path} (stats.json "
                 f"claims num_parts={self.num_parts}); the index is "
@@ -244,16 +287,64 @@ class SegmentReader:
                 self._blooms[part] = None
         return self._blooms[part]
 
+    # ----- the one read path ----------------------------------------------
+    @contextlib.contextmanager
+    def _open(self, part: int, columns: list[str] | None):
+        """(IPC file reader, first-term directory) of the part's memory
+        mapped segment; only ``columns`` (plus term_id) are decoded."""
+        fields = None if columns is None else [
+            i for i, name in enumerate(_FIELDS)
+            if name == "term_id" or name in columns]
+        options = pa.ipc.IpcReadOptions(use_threads=False,
+                                        included_fields=fields)
+        with pa.memory_map(self.path(part)) as source:
+            reader = pa.ipc.open_file(source, options=options)
+            firsts = np.frombuffer(bytes.fromhex(
+                reader.schema.metadata[_DIRECTORY_KEY].decode()), "<u8")
+            yield reader, firsts
+
+    @staticmethod
+    def _slices(reader, firsts: np.ndarray, bounds):
+        """Yield, in term order, the rows with ``lo <= term_id <= hi``
+        for each ``(lo, hi)`` of ascending, disjoint ``bounds`` (None =
+        open) as record batch slices. The directory picks the batches
+        overlapping a range, each is decompressed at most once, and
+        term_id is binary-searched inside it."""
+        cached = (-1, None)
+        for lo, hi in bounds:
+            lo = None if lo is None else np.uint64(lo)
+            hi = None if hi is None else np.uint64(hi)
+            first = 0 if lo is None else max(
+                int(np.searchsorted(firsts, lo, "right")) - 1, 0)
+            stop = (len(firsts) if hi is None
+                    else int(np.searchsorted(firsts, hi, "right")))
+            for b in range(first, stop):
+                if cached[0] != b:
+                    cached = (b, reader.get_batch(b))
+                batch = cached[1]
+                tids = batch.column("term_id").to_numpy()
+                i = 0 if lo is None else int(np.searchsorted(tids, lo))
+                j = (len(tids) if hi is None
+                     else int(np.searchsorted(tids, hi, "right")))
+                if i < j:
+                    yield batch.slice(i, j - i)
+
+    def _read(self, part: int, bounds, columns: list[str] | None = None
+              ) -> pa.Table:
+        """The part's rows in ``bounds`` (see ``_slices``) as a table of
+        ``columns`` (None = all)."""
+        with self._open(part, columns) as (reader, firsts):
+            tbl = pa.Table.from_batches(
+                list(self._slices(reader, firsts, bounds)),
+                schema=reader.schema.remove_metadata())
+        return tbl if columns is None else tbl.select(columns)
+
     # ----- the four read shapes -----------------------------------------
     def load_terms(self, part: int, tids: list[int]
                    ) -> dict[int, list[dict]]:
         """Term point read: the chunk rows of each of ``tids`` (all in
-        ``part``), via row-group pushdown on the sorted term_id column;
-        rows hold numpy views, bucket ascending."""
-        tbl = pq.read_table(
-            self.path(part),
-            filters=[("term_id", "in", [np.uint64(t) for t in tids])],
-            use_threads=self.io_threads)
+        ``part``); rows hold numpy views, bucket ascending."""
+        tbl = self._read(part, [(t, t) for t in sorted(set(tids))])
         rows: dict[int, list[dict]] = {t: [] for t in tids}
         for row in chunk_rows_columnar(tbl):
             rows[int(row["term_id"])].append(row)
@@ -263,54 +354,32 @@ class SegmentReader:
                    hi: int | None = None, columns: list[str] | None = None
                    ) -> pa.Table:
         """Key-range read: the part's chunk rows with
-        ``lo <= term_id <= hi`` (None = open bound), only row groups
+        ``lo <= term_id <= hi`` (None = open bound), only record batches
         overlapping the range decompressed."""
-        filters = []
-        if lo is not None:
-            filters.append(("term_id", ">=", np.uint64(lo)))
-        if hi is not None:
-            filters.append(("term_id", "<=", np.uint64(hi)))
-        return pq.read_table(self.path(part), columns=columns,
-                             filters=filters or None, use_threads=False)
+        return self._read(part, [(lo, hi)], columns)
 
     def nearest(self, part: int, key: int, less: bool
                 ) -> tuple[int, int] | None:
         """Nearest-key probe: (term_id, df) of the part's largest term
-        <= key (``less``) or smallest >= key. Reads one row group picked
-        from the term_id min/max statistics, two columns."""
-        key_u = np.uint64(key)
-        pf = pq.ParquetFile(self.path(part))
-        md = pf.metadata
-        ki = pf.schema_arrow.names.index("term_id")
-        cand_gi = None
-        ok_stats = True
-        for gi in range(md.num_row_groups):
-            st = md.row_group(gi).column(ki).statistics
-            if st is None or not st.has_min_max:
-                ok_stats = False
-                break
+        <= key (``less``) or smallest >= key. The directory picks the
+        batch; the smallest term >= key reads the next batch too when
+        the key is past the last term of its own."""
+        with self._open(part, ["term_id", "df"]) as (reader, firsts):
             if less:
-                if np.uint64(st.min) <= key_u:
-                    cand_gi = gi  # last group containing keys <= key
+                b = int(np.searchsorted(firsts, np.uint64(key), "right"))
+                if b == 0:
+                    return None
+                hits = list(self._slices(reader, firsts,
+                                         [(firsts[b - 1], key)]))
+                batch, i = hits[-1], -1
             else:
-                if np.uint64(st.max) >= key_u:
-                    cand_gi = gi  # first group containing keys >= key
-                    break
-        if ok_stats and cand_gi is None:
-            return None
-        if ok_stats:
-            tbl = pf.read_row_groups([cand_gi], columns=["term_id", "df"],
-                                     use_threads=False)
-        else:  # stats unavailable: full read of 2 columns
-            tbl = self.read_range(part, columns=["term_id", "df"])
-        terms = tbl["term_id"].to_numpy(zero_copy_only=False)
-        dfs = tbl["df"].to_numpy(zero_copy_only=False)
-        mask = terms <= key_u if less else terms >= key_u
-        if not mask.any():
-            return None
-        idx = np.flatnonzero(mask)
-        i = idx[-1] if less else idx[0]
-        return (int(terms[i]), int(dfs[i]))
+                batch = next(self._slices(reader, firsts, [(key, None)]),
+                             None)
+                if batch is None:
+                    return None
+                i = 0
+            return (int(batch.column("term_id")[i].as_py()),
+                    int(batch.column("df")[i].as_py()))
 
     def decode_part(self, part: int, lo: int | None = None,
                     hi: int | None = None):
@@ -325,15 +394,19 @@ class SegmentReader:
                 *decode_rows(chunk_rows_columnar(tbl)))
 
     def terms_dataset(self, tids: list[int]):
-        """Ray Dataset of the chunk rows of ``tids``, read from the parts
-        that hold them with the term filter pushed down."""
-        import pyarrow.compute as pc
+        """Ray Dataset of the chunk rows of ``tids``: one 1-cpu task per
+        part that holds them."""
         import ray.data
-        files = [self.path(p)
-                 for p in sorted({t % self.num_parts for t in tids})]
-        return ray.data.read_parquet(
-            files, filter=pc.field("term_id").isin(
-                [np.uint64(t) for t in tids]))
+
+        from .remote import remote_1cpu
+        by_part: dict[int, list[tuple[int, int]]] = {}
+        for t in sorted(set(tids)):
+            by_part.setdefault(t % self.num_parts, []).append((t, t))
+        for p in by_part:
+            self.path(p)
+        task = remote_1cpu(SegmentReader._read)
+        return ray.data.from_arrow_refs(
+            [task.remote(self, p, bounds) for p, bounds in by_part.items()])
 
     # ----- fan-out --------------------------------------------------------
     def map_parts(self, fn, *args, distributed: bool | None = None

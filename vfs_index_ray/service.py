@@ -45,7 +45,7 @@ class QueryWorker:
                  pq_state=None, emb_file: str | None = None):
         from .search import SearchEngine
         self.engine = SearchEngine(index_dir, corpus_files=corpus_files,
-                                   id_col=id_col, io_threads=False)
+                                   id_col=id_col)
         self.ivf = None
         if ann_dir is not None:
             from .functions.similarity import IVFIndex

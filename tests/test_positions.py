@@ -242,6 +242,44 @@ def test_absorb_rewrites_positions(ray_session, tmp_path, pages_file):
     assert len(got_f) == 3
 
 
+def test_merge_carries_positions(ray_session, tmp_path, pages_file):
+    """Merging two positional halves answers positional phrases like the
+    full positional build and writes the same positions files; sources
+    that disagree on positions, and repartitioning a positional index,
+    raise."""
+    from vfs_index_ray.build import IndexBuilder
+    from vfs_index_ray.merge import merge_indexes, repartition_index
+    from vfs_index_ray.search import SearchEngine
+    from vfs_index_ray.segment import positions_path, segments_dir
+
+    pages = pq.read_table(pages_file)
+    a = str(tmp_path / "a.parquet")
+    b = str(tmp_path / "b.parquet")
+    pq.write_table(pages.slice(0, 250), a)
+    pq.write_table(pages.slice(250, 250), b)
+    kw = dict(mode="word", num_parts=4, id_col=None)
+    full, ia, ib, plain, merged = (
+        str(tmp_path / n) for n in ("full", "ia", "ib", "plain", "merged"))
+    IndexBuilder(full, positions=True, **kw).build([a, b], waves=2)
+    IndexBuilder(ia, positions=True, **kw).build([a])
+    IndexBuilder(ib, positions=True, **kw).build([b])
+    merge_indexes([ia, ib], merged)
+    got = SearchEngine(merged).phrase_match_positional(corpus.PHRASE)
+    want = SearchEngine(full).phrase_match_positional(corpus.PHRASE)
+    assert got.tolist() == want.tolist()
+    assert len(got) == 3
+    for p in range(4):
+        with open(positions_path(segments_dir(merged), p), "rb") as fm, \
+                open(positions_path(segments_dir(full), p), "rb") as ff:
+            assert fm.read() == ff.read(), f"positions part {p} differs"
+
+    IndexBuilder(plain, **kw).build([b])
+    with pytest.raises(ValueError, match="positions"):
+        merge_indexes([ia, plain], str(tmp_path / "mixed"))
+    with pytest.raises(ValueError, match="positions"):
+        repartition_index(full, str(tmp_path / "rep"), 2)
+
+
 def test_staged_phrase_identical_to_batched(pos_index, pages_file):
     """Rare-pivot staged chaining (the pure-head-phrase path) returns
     exactly the batched path's docs on every fuzzed phrase, including

@@ -209,6 +209,10 @@ def test_merge_budgeted_rounds(ray_session, tmp_path):
     assert r1["status"] == "partial" and r1["parts_remaining"] == 5
     r2 = merge_indexes([ia, ib], out, max_parts=8)
     assert r2["n_docs"] == 300
+    # the report covers every part, not just the last round's
+    assert [r["part"] for r in r2["merge_report"]] == list(range(8))
+    for r in r2["merge_report"]:
+        assert r["n_merged"] == sum(r["n_sources"]) - r["overlap"]
     full = str(tmp_path / "full")
     IndexBuilder(full, mode="word", num_parts=8, id_col=None).build([a, b],
                                                                     waves=2)

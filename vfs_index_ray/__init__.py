@@ -4,12 +4,13 @@ A brand-new engine with the query/data-processing capabilities of the
 reference (kazu/vfs-index, a Go file-backed secondary index — see SURVEY.md),
 re-expressed Ray-Data-first:
 
-- build:  read_parquet → map_batches(tokenize, actor pool, zero-copy Arrow)
-          → (term_id, doc_id, tf, dl) postings → groupby(part).map_groups
-          → delta+varint posting-list segments + manifest  (build.py)
+- build:  read_parquet → map_batches(tokenize) → (term_id, doc_id, tf, dl)
+          postings, hive-partitioned by part on disk → one encode task
+          per part → posting-list segments + manifest (build.py)
 - query:  term lookup via hash-partition pruning → vectorized decode →
           df-ordered intersection / BM25 top-k with MaxScore pruning (search.py)
-- merge:  segment compaction via unioned groupby re-encode (merge.py)
+- merge:  merge, purge and repartition decode source parts and re-encode
+          them through the build's per-part segment driver (merge.py)
 - extras: dedup (exact/MinHash-LSH/SimHash/ngram-Jaccard/embedding),
           ANN similarity search, text analysis, multimodal plumbing
           (functions/)

@@ -14,12 +14,14 @@ SURVEY §3.1):
   phase 2 (segments, ``build_segments``): phase 1 already wrote the
       postings hive-partitioned by part = term_id % P (THE build shuffle,
       on disk — the analog of the in-RAM merge groupby,
-      column.go:449-545). One Ray task per uncommitted part, largest
-      part first, gathers that part's files from every wave, lexsorts
-      and encodes them (segment.SegmentWriter.encode_part) and publishes
-      the segment file atomically + sidecar manifest row, so a rerun
-      skips committed partitions (resume — the reference's IsExist
-      anti-join, record.go:46-82).
+      column.go:449-545). ``build_segments`` hands a per-part gather of
+      that part's files from every wave to ``_encode_parts``, the
+      segment rewrite driver merge and purge share (as the reference
+      shares baseMergeIndex): one Ray task per uncommitted part, largest
+      part first, encodes it (segment.SegmentWriter.encode_part),
+      publishes its files atomically and commits a sidecar manifest
+      row, so a rerun skips committed partitions (resume — the
+      reference's IsExist anti-join, record.go:46-82).
 
   finalize: stats.json (N, total tokens, avgdl) + manifest.parquet
         (per-partition lineage + metrics) assembled from sidecars.
@@ -44,7 +46,7 @@ import ray.data
 
 from . import BM25_B, BM25_K1, __version__
 from .segment import (SegmentWriter, _atomic_write_json, _manifest_table,
-                      part_path, segments_dir)
+                      part_path, read_part_row, segments_dir)
 from .stages.tokenize import AddPartColumn, TokenizeStage, tokenize_postings
 
 
@@ -83,7 +85,7 @@ class IndexBuilder:
         self.block_size = int(block_size or BLOCK)
         # positions=True (word mode): token ordinals ride through the
         # shuffle as a delta+varint binary column and land in parallel
-        # positions/part=N.parquet files — token-adjacency phrase queries
+        # per-part positions files — token-adjacency phrase queries
         # then need no corpus access. Segment codec is untouched.
         self.positions = positions
         # Shuffle spill (postings) is the build's scratch — the
@@ -108,6 +110,20 @@ class IndexBuilder:
         self.scratch_fs.create_dir(self.postings_dir, recursive=True)
         for d in (self.segments_dir, self.waves_dir):
             os.makedirs(d, exist_ok=True)
+
+    @classmethod
+    def like(cls, src_dir: str, out_dir: str, **overrides) -> IndexBuilder:
+        """A builder for ``out_dir`` with every index setting of the
+        index at ``src_dir`` (its stats.json), except ``overrides`` —
+        the one place a derived index (merge, purge, repartition,
+        upsert) inherits its source's settings."""
+        st = read_stats(src_dir)
+        settings = dict(mode=st["mode"], num_parts=int(st["num_parts"]),
+                        bucket_shift=st["bucket_shift"],
+                        block_size=st.get("block_size"),
+                        compression=st.get("compression", "lz4"),
+                        positions=bool(st.get("positions", False)))
+        return cls(out_dir, **{**settings, **overrides})
 
     # ----- scratch-fs helpers (postings may live on any pyarrow fs) ----
     def _scratch_isdir(self, path: str) -> bool:
@@ -238,6 +254,40 @@ class IndexBuilder:
         return {p for p in range(self.num_parts)
                 if os.path.exists(part_path(self.segments_dir, p, "json"))}
 
+    def _encode_parts(self, postings_of, sizes,
+                      max_parts: int | None = None) -> list[int]:
+        """THE segment rewrite of build, absorb, merge and purge (the
+        reference's one baseMergeIndex, column.go:418-604): one Ray task
+        per uncommitted part runs ``postings_of(part) -> (postings,
+        positions | None)`` (it must not capture ``self``) and commits
+        the part through the one ``SegmentWriter``, so a rerun skips
+        committed parts. Largest ``sizes(part)`` first, so the Zipf-head
+        part does not become the phase's tail straggler. ``max_parts``
+        bounds one round; returns the deferred parts."""
+        done = self._done_parts()
+        todo = sorted((p for p in range(self.num_parts) if p not in done),
+                      key=sizes, reverse=True)
+        cut = len(todo) if max_parts is None else max_parts
+        todo, deferred = todo[:cut], todo[cut:]
+        if not todo:
+            return deferred
+        # manifest lineage: the postings waves (none for merge and purge)
+        lineage = [os.path.basename(w) for w in
+                   self._scratch_subdirs(self.postings_dir, "wave=")]
+        writer = SegmentWriter(self.segments_dir, self.bucket_shift,
+                               lineage=lineage, block_size=self.block_size,
+                               compression=self.compression)
+
+        def encode(batch: pa.Table) -> pa.Table:
+            return pa.concat_tables([writer.encode_part(p, *postings_of(p))
+                                     for p in batch["p"].to_pylist()])
+
+        parts_ds = ray.data.from_items([{"p": p} for p in todo],
+                                       override_num_blocks=len(todo))
+        parts_ds.map_batches(encode, batch_format="pyarrow",
+                             batch_size=1).take_all()
+        return deferred
+
     def build_segments(self) -> list[dict]:
         # every committed wave sidecar must still have its postings on
         # scratch — otherwise the segments would silently drop those
@@ -254,82 +304,35 @@ class IndexBuilder:
         wave_dirs = self._scratch_subdirs(self.postings_dir, "wave=")
         if not wave_dirs:
             raise RuntimeError("no committed postings waves")
-        done = self._done_parts()
-        todo = [p for p in range(self.num_parts) if p not in done]
-        if not todo:
-            return [self._read_part_manifest(p) for p in sorted(done)]
-
-        writer = SegmentWriter(self.segments_dir, self.bucket_shift,
-                               lineage=[os.path.basename(w)
-                                        for w in wave_dirs],
-                               block_size=self.block_size,
-                               compression=self.compression)
-
-        want_pos = self.positions
-        pos_dir = os.path.join(self.index_dir, "positions")
-        pos_codec = self.compression  # plain local: keep the Ray
-        if want_pos:                  # closure free of `self`
-            os.makedirs(pos_dir, exist_ok=True)
-
         sfs = self.scratch_fs  # picklable: captured by the encode tasks
+        cols = ["term_id", "doc_id", "tf", "dl"] + \
+            (["pos"] if self.positions else [])
 
-        def encode_one(batch: pa.Table) -> pa.Table:
-            # one task per part: gather this part's postings from every
-            # wave (hive layout wave=*/part=p/), encode, publish.
-            # use_threads=False: each task owns ONE cpu — 64 concurrent
-            # tasks each spinning up Arrow's full thread pool thrash the
-            # node (threads = tasks × cores without it)
+        def gather(p: int):
+            # this part's postings from every wave (hive layout
+            # wave=*/part=p/). use_threads=False: each task owns ONE
+            # cpu — 64 concurrent tasks each spinning up Arrow's full
+            # thread pool thrash the node (threads = tasks × cores)
             import pyarrow.fs as pafs
-            cols = ["term_id", "doc_id", "tf", "dl"] + \
-                (["pos"] if want_pos else [])
-            outs = []
-            for p in batch["p"].to_pylist():
-                tables = []
-                for wd in wave_dirs:
-                    pdir = f"{wd}/part={p}"
-                    if sfs.get_file_info(pdir).type == \
-                            pafs.FileType.Directory:
-                        tables.append(pq.read_table(
-                            pdir, columns=cols, filesystem=sfs,
-                            use_threads=False))
-                merged = (pa.concat_tables(tables) if tables
-                          else pa.table({
-                              "term_id": pa.array([], pa.uint64()),
-                              "doc_id": pa.array([], pa.uint64()),
-                              "tf": pa.array([], pa.uint32()),
-                              "dl": pa.array([], pa.uint32())}))
-                if want_pos and "pos" in merged.column_names:
-                    # positions land in a parallel per-part file, sorted
-                    # by (term, doc) for pushdown reads; the segment
-                    # codec never sees them
-                    t = merged["term_id"].to_numpy(zero_copy_only=False)
-                    d = merged["doc_id"].to_numpy(zero_copy_only=False)
-                    order = np.lexsort((d, t))
-                    ptab = merged.select(["term_id", "doc_id", "pos"]
-                                         ).take(order)
-                    tmp_p = os.path.join(pos_dir,
-                                         f".tmp.part={int(p):05d}.parquet")
-                    # small row groups: (term, doc)-sorted rows + doc_id
-                    # statistics make candidate-scoped positional reads
-                    # prune sharply (a head term's list spans many
-                    # groups, and a phrase with few candidates reads
-                    # only the groups containing them)
-                    # same codec as the segments (lz4 default: 18%
-                    # faster term-scoped reads for 22% more bytes —
-                    # the serving index prefers read speed)
-                    pq.write_table(ptab, tmp_p,
-                                   compression=pos_codec,
-                                   row_group_size=32768)
-                    os.replace(tmp_p, os.path.join(
-                        pos_dir, f"part={int(p):05d}.parquet"))
-                    merged = merged.drop(["pos"])
-                outs.append(writer.encode_part(int(p), merged))
-            return pa.concat_tables(outs)
+            tables = []
+            for wd in wave_dirs:
+                pdir = f"{wd}/part={p}"
+                if sfs.get_file_info(pdir).type == pafs.FileType.Directory:
+                    tables.append(pq.read_table(
+                        pdir, columns=cols, filesystem=sfs,
+                        use_threads=False))
+            if not tables:
+                return pa.table({c: pa.array([], pa.uint64())
+                                 for c in cols[:4]}), None
+            merged = pa.concat_tables(tables)
+            if "pos" not in merged.column_names:
+                return merged, None
+            # positions land in the parallel per-part file; the segment
+            # codec never sees them
+            return merged.drop(["pos"]), merged.select(
+                ["term_id", "doc_id", "pos"])
 
-        # LPT order: launch the biggest partitions first so the Zipf-head
-        # part (every doc contains the head terms) doesn't become the tail
-        # straggler of the whole phase
-        def _part_bytes(p: int) -> int:
+        def spill_bytes(p: int) -> int:
             import pyarrow.fs as pafs
             total = 0
             for wd in wave_dirs:
@@ -340,18 +343,9 @@ class IndexBuilder:
                              if fi.type == pafs.FileType.File)
             return total
 
-        todo.sort(key=_part_bytes, reverse=True)
-        parts_ds = ray.data.from_items([{"p": p} for p in todo],
-                                       override_num_blocks=len(todo))
-        rows = parts_ds.map_batches(encode_one, batch_format="pyarrow",
-                                    batch_size=1).take_all()
-        if done:
-            rows = rows + [self._read_part_manifest(p) for p in sorted(done)]
-        return rows
-
-    def _read_part_manifest(self, part: int) -> dict:
-        with open(part_path(self.segments_dir, part, "json")) as f:
-            return json.load(f)
+        self._encode_parts(gather, spill_bytes)
+        return [read_part_row(self.segments_dir, p)
+                for p in range(self.num_parts)]
 
     # ----- finalize: stats + manifest ------------------------------------
     def finalize(self) -> dict:
@@ -363,7 +357,7 @@ class IndexBuilder:
                     w = json.load(f)
                 waves.append(w)
                 n_docs += w["n_docs"]
-        part_rows = [self._read_part_manifest(p)
+        part_rows = [read_part_row(self.segments_dir, p)
                      for p in sorted(self._done_parts())]
         n_tokens = sum(r.get("n_tokens", 0) for r in part_rows)
         stats = {
@@ -461,12 +455,10 @@ def verify_index(index_dir: str) -> dict:
     seg_dir = segments_dir(index_dir)
     tok = 0
     for part in range(stats["num_parts"]):
-        side = part_path(seg_dir, part, "json")
-        if not os.path.exists(side):
+        if not os.path.exists(part_path(seg_dir, part, "json")):
             errors.append(f"missing sidecar part={part}")
             continue
-        with open(side) as f:
-            row = json.load(f)
+        row = read_part_row(seg_dir, part)
         tok += row.get("n_tokens", 0)
         f_path = part_path(seg_dir, part)
         if not os.path.exists(f_path):

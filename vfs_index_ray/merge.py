@@ -7,12 +7,18 @@ assert count(merged) = count(a) + count(b) − overlap
 (vfsindex_internal_test.go:752-975). Here:
 
 - ``merge_indexes([a, b, ...], out)``: per hash partition, decode all
-  sources' posting chunks, stack with source priority (later wins on a
-  duplicate (term, doc)), re-encode. One Ray task per partition — same
-  shape as the build's encode phase, no global shuffle (sources share the
-  partition function).
+  sources' posting chunks (and positions rows), stack with source
+  priority (later wins on a duplicate (term, doc)), re-encode.
+- ``purge_tombstones(src, out)``: per hash partition, decode, drop the
+  tombstoned docs' rows, re-encode.
 - ``repartition_index(src, out, new_num_parts)``: the Split/Merge analog —
-  re-hash terms into a different partition count.
+  re-hash terms into a different partition count through the build's
+  own shuffle.
+
+All three re-encode through the build's per-part driver
+(``IndexBuilder._encode_parts``; no global shuffle, as sources share the
+partition function) and inherit their source's settings through
+``IndexBuilder.like``.
 
 Assumption (documented): inputs are doc-disjoint, or a doc shared between
 inputs has identical content (the reference has the same property through
@@ -24,6 +30,7 @@ the reference itself has no delete story.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -32,7 +39,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from .build import IndexBuilder, read_stats
-from .segment import SegmentReader, SegmentWriter, _atomic_write_json
+from .segment import SegmentReader, _atomic_write_json, read_part_row
 
 
 def _postings_table(terms, docs, tfs, dls) -> pa.Table:
@@ -43,31 +50,24 @@ def _postings_table(terms, docs, tfs, dls) -> pa.Table:
         "dl": pa.array(dls.astype(np.uint32), pa.uint32())})
 
 
-def _merge_part(part: int, sources: list[SegmentReader],
-                writer: SegmentWriter):
-    """Merge one partition across sources. Later sources win duplicates."""
-    srcs = [r.decode_part(part) for r in sources]
-    counts = [len(s[0]) for s in srcs]
-    terms, docs, tfs, dls = (np.concatenate([s[i] for s in srcs])
-                             for i in range(4))
-    prio = np.repeat(np.arange(len(srcs)), counts)
-    # sort by (term, doc, prio); keep the LAST (highest prio) of each dup
-    order = np.lexsort((prio, docs, terms))
-    t, d, tf, dl = terms[order], docs[order], tfs[order], dls[order]
+def _keep_last(tables: list[pa.Table]) -> pa.Table:
+    """Stack ``tables`` and keep, per (term_id, doc_id), the row of the
+    last table holding it (later sources win duplicates), sorted by
+    (term_id, doc_id)."""
+    tbl = pa.concat_tables(tables)
+    t = tbl["term_id"].to_numpy(zero_copy_only=False)
+    d = tbl["doc_id"].to_numpy(zero_copy_only=False)
+    prio = np.repeat(np.arange(len(tables)), [x.num_rows for x in tables])
+    order = np.lexsort((prio, d, t))
+    t, d = t[order], d[order]
     keep = np.ones(len(t), bool)
     keep[:-1] = (t[:-1] != t[1:]) | (d[:-1] != d[1:])
-    sel = np.flatnonzero(keep)
-    writer.encode_part(part, _postings_table(t[sel], d[sel], tf[sel],
-                                             dl[sel]))
-    return {"part": part, "n_sources": counts, "n_merged": len(sel),
-            "overlap": len(t) - len(sel)}
+    return tbl.take(order[keep])
 
 
 def merged_sources(out_dir: str) -> list[str]:
     """Constituent source index dirs recorded in the merged index's wave
     lineage (the ``merge:<dir>`` entries merge_indexes writes)."""
-    import json
-
     srcs: list[str] = []
     waves_dir = os.path.join(out_dir, "waves")
     if not os.path.isdir(waves_dir):
@@ -127,8 +127,11 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
                   n_docs_override: int | None = None,
                   max_parts: int | None = None,
                   clean_after_merge: bool = False) -> dict:
-    """Merge several indexes built with identical (mode, num_parts) into
-    ``out_dir``. Returns merged stats + per-part merge report.
+    """Merge several indexes built with identical (mode, num_parts,
+    positions) into ``out_dir``, with the first source's settings.
+    Returns merged stats + a merge report: one row per committed part,
+    read from the part sidecars (``n_sources`` each source's postings,
+    ``n_merged`` the output's, ``overlap`` their difference).
 
     ``max_parts`` bounds one merge round (the reference's time-budgeted,
     cancellable MergeDuration, config.go:5-9 / column.go:512-518):
@@ -141,47 +144,41 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
     verified — see ``clean_merged_sources`` for the crash protocol. Only
     applies on the finalizing round, never on a partial one."""
     stats = [read_stats(s) for s in src_dirs]
-    num_parts = stats[0]["num_parts"]
-    mode = stats[0]["mode"]
-    for s in stats[1:]:
-        if s["num_parts"] != num_parts or s["mode"] != mode:
-            raise ValueError("sources must share num_parts and mode; "
-                             "use repartition_index first")
-    out = IndexBuilder(out_dir, mode=mode, num_parts=num_parts,
-                       bucket_shift=stats[0]["bucket_shift"],
-                       compression=stats[0].get("compression", "lz4"))
-    writer = SegmentWriter(out.segments_dir, out.bucket_shift,
-                           compression=out.compression)
-    sources = [SegmentReader(s, num_parts) for s in src_dirs]
+    if len({(s["num_parts"], s["mode"], bool(s.get("positions", False)))
+            for s in stats}) > 1:
+        raise ValueError("sources must share num_parts, mode and "
+                         "positions; use repartition_index to change "
+                         "num_parts")
+    out = IndexBuilder.like(src_dirs[0], out_dir)
+    sources = [SegmentReader(s, out.num_parts) for s in src_dirs]
+    for r in sources:
+        r.check()
+    with_pos = out.positions
 
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        reports = []
-        for p in batch["p"].to_pylist():
-            reports.append(_merge_part(int(p), sources, writer))
-        return pa.table({
-            "part": pa.array([r["part"] for r in reports], pa.int32()),
-            "n_merged": pa.array([r["n_merged"] for r in reports],
-                                 pa.int64()),
-            "overlap": pa.array([r["overlap"] for r in reports], pa.int64()),
-            "n_sources": pa.array([r["n_sources"] for r in reports],
-                                  pa.list_(pa.int64())),
-        })
+    def merge_part(p: int):
+        postings = _keep_last([_postings_table(*r.decode_part(p))
+                               for r in sources])
+        if not with_pos:
+            return postings, None
+        pos = [t for t in (r.read_positions(p) for r in sources)
+               if t is not None]
+        return postings, (_keep_last(pos) if pos else None)
 
-    todo = [p for p in range(num_parts)
-            if p not in out._done_parts()]
-    deferred = []
-    if max_parts is not None and len(todo) > max_parts:
-        todo, deferred = todo[:max_parts], todo[max_parts:]
+    deferred = out._encode_parts(
+        merge_part, lambda p: sum(os.path.getsize(r.path(p))
+                                  for r in sources), max_parts)
+    # per committed part, from the sidecars: count(merged) =
+    # Σ count(source) − overlap
     reports = []
-    if todo:
-        for r in sources:
-            r.check()
-        parts_ds = ray.data.from_items([{"p": p} for p in todo],
-                                       override_num_blocks=len(todo))
-        reports = parts_ds.map_batches(merge_batch, batch_format="pyarrow",
-                                       batch_size=1).take_all()
+    for p in sorted(out._done_parts()):
+        n_sources = [read_part_row(r.segments_dir, p)["n_postings"]
+                     for r in sources]
+        n_merged = read_part_row(out.segments_dir, p)["n_postings"]
+        reports.append({"part": p, "n_sources": n_sources,
+                        "n_merged": n_merged,
+                        "overlap": sum(n_sources) - n_merged})
     if deferred:
-        return {"status": "partial", "parts_done": len(out._done_parts()),
+        return {"status": "partial", "parts_done": len(reports),
                 "parts_remaining": len(deferred), "merge_report": reports}
     # stats: docs per the disjointness contract; tokens from part sidecars
     if n_docs_override is not None:
@@ -208,94 +205,47 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
 def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     """Physically rewrite an index WITHOUT its tombstoned docs (the
     compaction half of the delete story — see SearchEngine.delete_docs
-    for the query-time half). Per hash partition, one Ray task decodes
-    the segment, masks the deleted docs, and re-encodes — identical in
-    shape to the build's encode phase and to merge_indexes, no global
-    shuffle; positional sidecar files get the same row filter. df,
+    for the query-time half). Per hash partition, one task of the
+    build's segment driver decodes the segment, masks the deleted docs
+    and re-encodes; positions files get the same row filter. df,
     n_docs, total_tokens and avgdl all come out exactly as a fresh
     build of the surviving corpus would produce them (deterministic
-    segment content → byte-identical segments, pinned by test), so
-    after a purge the pruned BM25 paths are valid again and the purged
-    index carries no tombstones.
+    content → byte-identical segments and positions files, pinned by
+    test), so after a purge the pruned BM25 paths are valid again and
+    the purged index carries no tombstones.
 
-    Resumable: each partition commits a ``purge/part=N.json`` sidecar
+    Resumable: each partition writes a ``purge/part=N.json`` sidecar
     recording the deleted doc ids it actually dropped (needed to fix
-    n_docs on the driver); re-runs skip committed partitions and re-read
-    their sidecars, and every write is tmp+rename idempotent."""
-    import json
-
+    n_docs on the driver) before the part commits; re-runs skip
+    committed partitions and re-read their sidecars, and every write is
+    tmp+rename idempotent."""
     from .search import load_tombstones
 
     st = read_stats(src_dir)
     tomb = load_tombstones(src_dir)
-    num_parts = int(st["num_parts"])
-    out = IndexBuilder(out_dir, mode=st["mode"], num_parts=num_parts,
-                       bucket_shift=st["bucket_shift"],
-                       compression=st.get("compression", "lz4"),
-                       positions=bool(st.get("positions", False)))
-    writer = SegmentWriter(out.segments_dir, out.bucket_shift,
-                           block_size=st.get("block_size"),
-                           compression=out.compression)
-    src = SegmentReader(src_dir, num_parts)
+    out = IndexBuilder.like(src_dir, out_dir)
+    src = SegmentReader(src_dir, out.num_parts)
+    src.check()
     purge_dir = os.path.join(out_dir, "purge")
     os.makedirs(purge_dir, exist_ok=True)
-    has_pos = os.path.isdir(os.path.join(src_dir, "positions"))
-    if has_pos:
-        os.makedirs(os.path.join(out_dir, "positions"), exist_ok=True)
+    with_pos = out.positions
 
-    def purge_batch(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        parts_o, dropped_o = [], []
-        tomb_pa = pa.array(tomb, pa.uint64())
-        for p in batch["p"].to_pylist():
-            p = int(p)
-            t, d, tf, dl = src.decode_part(p)
-            if len(tomb) and len(d):
-                pos = np.minimum(np.searchsorted(tomb, d), len(tomb) - 1)
-                dead = tomb[pos] == d
-            else:
-                dead = np.zeros(len(d), bool)
-            live = ~dead
-            writer.encode_part(p, _postings_table(t[live], d[live],
-                                                  tf[live], dl[live]))
-            if has_pos:
-                pf = os.path.join(src_dir, "positions",
-                                  f"part={p:05d}.parquet")
-                if os.path.exists(pf):
-                    pt = pq.read_table(pf, use_threads=False)
-                    if len(tomb):
-                        pt = pt.filter(pc.invert(pc.is_in(
-                            pt["doc_id"], value_set=tomb_pa)))
-                    po = os.path.join(out_dir, "positions",
-                                      f"part={p:05d}.parquet")
-                    pq.write_table(pt, po + ".tmp")
-                    os.replace(po + ".tmp", po)
-            dd = np.unique(d[dead]).tolist()
-            _atomic_write_json(
-                os.path.join(purge_dir, f"part={p:05d}.json"),
-                {"part": p, "deleted_docs": dd})
-            parts_o.append(p)
-            dropped_o.append(len(dd))
-        return pa.table({"part": pa.array(parts_o, pa.int32()),
-                         "n_docs_dropped": pa.array(dropped_o,
-                                                    pa.int64())})
+    def purge_part(p: int):
+        t, d, tf, dl = src.decode_part(p)
+        dead = np.isin(d, tomb)
+        _atomic_write_json(os.path.join(purge_dir, f"part={p:05d}.json"),
+                           {"part": p,
+                            "deleted_docs": np.unique(d[dead]).tolist()})
+        live = ~dead
+        pos = src.read_positions(p) if with_pos else None
+        if pos is not None:
+            pos = pos.filter(pa.array(~np.isin(
+                pos["doc_id"].to_numpy(zero_copy_only=False), tomb)))
+        return _postings_table(t[live], d[live], tf[live], dl[live]), pos
 
-    def _done() -> set[int]:
-        done = set()
-        for name in os.listdir(purge_dir):
-            if name.startswith("part=") and name.endswith(".json"):
-                done.add(int(name[len("part="):-len(".json")]))
-        return done
-
-    todo = [p for p in range(num_parts) if p not in _done()]
-    if todo:
-        src.check()
-        parts_ds = ray.data.from_items([{"p": p} for p in todo],
-                                       override_num_blocks=len(todo))
-        parts_ds.map_batches(purge_batch, batch_format="pyarrow",
-                             batch_size=1).materialize()
+    out._encode_parts(purge_part, lambda p: os.path.getsize(src.path(p)))
     deleted: set[int] = set()
-    for p in sorted(_done()):
+    for p in range(out.num_parts):
         with open(os.path.join(purge_dir, f"part={p:05d}.json")) as fh:
             deleted.update(json.load(fh)["deleted_docs"])
     n_docs = int(st["n_docs"]) - len(deleted)
@@ -551,14 +501,16 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
     and ``finalize`` then encode every new part exactly as a fresh
     build with the source's settings would (same segment bytes).
     Resumable like a build: a committed wave and committed parts are
-    reused."""
+    reused. A ``positions=True`` source raises ``ValueError``: its
+    positions files are not re-hashed."""
     from .stages.tokenize import AddPartColumn
 
     st = read_stats(src_dir)
-    out = IndexBuilder(out_dir, mode=st["mode"], num_parts=new_num_parts,
-                       bucket_shift=st["bucket_shift"],
-                       block_size=st.get("block_size"),
-                       compression=st.get("compression", "lz4"))
+    if st.get("positions"):
+        raise ValueError("repartition_index does not re-hash positions "
+                         "files; rebuild a positions=True index with the "
+                         "new num_parts instead")
+    out = IndexBuilder.like(src_dir, out_dir, num_parts=new_num_parts)
     if len(out._done_parts()) == new_num_parts:
         return out.finalize()  # fully committed; scratch may be gone
     if not out._wave_done(0):
@@ -597,8 +549,8 @@ def upsert_docs(index_dir: str, new_files: list[str], out_dir: str, *,
     1. tombstone the incoming ids in the old index (idempotent,
        content-addressed commit — ``SearchEngine.delete_docs``),
     2. ``purge_tombstones`` → a clean old-minus-replaced index,
-    3. build the new snapshot as its own index (same mode/num_parts/
-       bucket_shift/compression, read from the old index's stats),
+    3. build the new snapshot as its own index with every setting of
+       the old one (``IndexBuilder.like``),
     4. ``merge_indexes`` of the now doc-disjoint pair.
 
     Every step is independently resumable (sidecar/rename protocol);
@@ -636,12 +588,8 @@ def upsert_docs(index_dir: str, new_files: list[str], out_dir: str, *,
     if not os.path.exists(os.path.join(purged, "stats.json")):
         purge_tombstones(index_dir, purged)
     if not os.path.exists(os.path.join(newidx, "stats.json")):
-        IndexBuilder(newidx, mode=st["mode"],
-                     num_parts=int(st["num_parts"]),
-                     bucket_shift=st["bucket_shift"],
-                     compression=st.get("compression", "lz4"),
-                     positions=bool(st.get("positions", False)),
-                     id_col=id_col, **builder_kw).build(new_files)
+        IndexBuilder.like(index_dir, newidx, id_col=id_col,
+                          **builder_kw).build(new_files)
     n_override = None
     if old_files is not None:
         old_t = [pq.read_table(f, columns=[id_col], use_threads=False)

@@ -832,10 +832,6 @@ class SearchEngine:
             by_part.setdefault(tid % self.num_parts, []).append(tid)
         e = np.empty(0, np.uint64)
         for part, tids in by_part.items():
-            path = os.path.join(self.index_dir, "positions",
-                                f"part={part:05d}.parquet")
-            if not os.path.exists(path):
-                continue
             filters = [("term_id", "in", [np.uint64(t) for t in tids])]
             if len(doc_set) > 0 and doc_filter == "range":
                 # contiguous candidate chunk (the distributed pure-head
@@ -854,7 +850,9 @@ class SearchEngine:
                 # whole positional list
                 filters.append(("doc_id", "in", list(doc_set)))  # keep
                 # np.uint64 scalars: plain ints > 2^63 overflow isin
-            tbl = pq.read_table(path, filters=filters, use_threads=False)
+            tbl = self.segments.read_positions(part, filters)
+            if tbl is None:
+                continue
             t = tbl["term_id"].to_numpy(zero_copy_only=False)
             d = tbl["doc_id"].to_numpy(zero_copy_only=False)
             if len(doc_set) == 0 or len(d) == 0:
@@ -883,7 +881,7 @@ class SearchEngine:
                 # the builder never emits one — fail loudly, not silently
                 raise ValueError(
                     "malformed positional index: empty pos buffer for a "
-                    f"kept (term, doc) row in {path}")
+                    f"kept (term, doc) row in positions part {part}")
             # vectorized multi-slice gather of the kept rows' buffers
             v0 = np.concatenate([[0], np.cumsum(lens)[:-1]])
             idx = np.repeat(starts - v0, lens) + np.arange(total)

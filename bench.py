@@ -7,11 +7,13 @@ Pipelines timed over $GRAFT_SF_DIR (default /root/testdata/sf0.1):
   - warm BM25 query latency p50/p99 over a mixed query set
   - exact dedup, ANN top-k
 
---scaling: runs the synthetic-corpus build (GRAFT_BENCH_DOCS pages,
-default 20000 — large enough that fixed Ray overhead doesn't drown the
-parallel fraction) twice in fresh processes at num_cpus=8 and 32 on the
-SAME input and reports both throughputs + scaling efficiency
-(BASELINE.md criterion ≥0.8).
+--scaling: runs the synthetic-corpus build (GRAFT_BENCH_DOCS pages —
+large enough that fixed Ray overhead doesn't drown the parallel
+fraction) in fresh processes at a low and a high num_cpus level
+(default n/4 and n, n = the CPUs this process may run on) on the SAME
+input and reports both throughputs + scaling efficiency (BASELINE.md
+criterion ≥0.8). A level above n would run oversubscribed and is
+refused.
 """
 
 from __future__ import annotations
@@ -41,13 +43,18 @@ def _pick_scratch() -> str:
 
 
 SCRATCH = _pick_scratch()  # ephemeral shuffle spill (see build.py)
-# N and 4N parallelism levels for --scaling. Default (2, 8): this
-# single-VM sandbox saturates MEMORY BANDWIDTH well below 32 cores (a
-# pure-compute encode task: 1.26s alone, 11.3s when 32 run concurrently),
-# so 8→32 measures the host's bandwidth ceiling, not the pipeline's
-# scalability; on a real N→4N NODE cluster bandwidth scales with nodes.
-# Both pairs are reported in BASELINE.md. Override: GRAFT_SCALE_LEVELS=8,32
-_levels = os.environ.get("GRAFT_SCALE_LEVELS", "2,8").split(",")
+# Low and high parallelism levels for --scaling: by default n/4 and n,
+# n = the CPUs this process may run on (a level above n would measure
+# oversubscription, not scaling). A single VM saturates MEMORY BANDWIDTH
+# well below 32 cores (a pure-compute encode task: 1.26s alone, 11.3s
+# when 32 run concurrently), so a wide pair measures the host's
+# bandwidth ceiling, not the pipeline's scalability; on a real N→4N
+# NODE cluster bandwidth scales with nodes. Override:
+# GRAFT_SCALE_LEVELS=lo,hi
+AFFINITY_CPUS = len(os.sched_getaffinity(0))
+_levels = os.environ.get(
+    "GRAFT_SCALE_LEVELS",
+    f"{max(1, AFFINITY_CPUS // 4)},{AFFINITY_CPUS}").split(",")
 SCALE_LO, SCALE_HI = int(_levels[0]), int(_levels[1])
 
 QUERY_SET = [
@@ -352,7 +359,14 @@ def run_bench() -> dict:
 
 
 def run_scaling() -> dict:
-    """Same scaling-corpus build at num_cpus=8 and 32, fresh processes."""
+    """Same scaling-corpus build at num_cpus=SCALE_LO and SCALE_HI, fresh
+    processes; exits non-zero if a level exceeds the CPUs available."""
+    too_big = [n for n in (SCALE_LO, SCALE_HI) if n > AFFINITY_CPUS]
+    if too_big:
+        sys.exit(f"--scaling: level(s) {too_big} exceed the "
+                 f"{AFFINITY_CPUS} CPUs this process may run on; set "
+                 "GRAFT_SCALE_LEVELS=lo,hi within that")
+
     def one(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    GRAFT_SCALING_ONLY="1")
@@ -383,6 +397,7 @@ def run_scaling() -> dict:
         f"docs_per_sec_{hi}": rounds[best_i][1],
         "scaling_efficiency": round(effs[best_i], 3),
         "bench_docs": BENCH_DOCS,
+        "affinity_cpus": AFFINITY_CPUS,
         "per_round_rates": rounds,
         "per_round_efficiency": [round(e, 3) for e in effs],
     }

@@ -40,8 +40,7 @@ def built_index(ray_session, pages_file, tmp_path_factory):
     from vfs_index_ray.build import IndexBuilder
 
     idx = str(tmp_path_factory.mktemp("idx") / "word")
-    b = IndexBuilder(idx, mode="word", num_parts=8, id_col=None,
-                     tokenize_concurrency=2)
+    b = IndexBuilder(idx, mode="word", num_parts=8, id_col=None)
     stats = b.build([pages_file])
     return idx, stats
 

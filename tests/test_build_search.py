@@ -101,8 +101,7 @@ def test_build_deterministic_across_parallelism(ray_session, pages_file,
     idx1, _ = built_index
     idx2 = str(tmp_path / "idx2")
     IndexBuilder(idx2, mode="word", num_parts=8, id_col=None,
-                 tokenize_concurrency=1, tokenize_batch_size=64
-                 ).build([pages_file])
+                 tokenize_batch_size=64).build([pages_file])
     e1, e2 = SearchEngine(idx1), SearchEngine(idx2)
     for q in QUERIES:
         d1, s1 = e1.bm25(q, 20)
@@ -128,7 +127,7 @@ def test_bucketed_index_same_results(ray_session, pages_file, tmp_path,
 
     idx = str(tmp_path / "idx_bucketed")
     IndexBuilder(idx, mode="word", num_parts=4, bucket_shift=61,
-                 id_col=None, tokenize_concurrency=1).build([pages_file])
+                 id_col=None).build([pages_file])
     eb = SearchEngine(idx)
     # chunking actually happened: more chunks than terms
     import json

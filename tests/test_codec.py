@@ -57,51 +57,63 @@ def test_varint_roundtrip_all_decode_branches():
         assert (got == arr).all()
 
 
-def _random_postings(rng, n):
-    docs = np.unique(rng.integers(0, 2**62, n).astype(np.uint64))
+def _random_postings(rng, n, dense=False):
+    """Ascending doc ids: hash-like 62-bit ids (their deltas are too wide
+    for varint, so the partition stores fixed64 docs), or ``dense`` ids
+    a few apart (delta varint)."""
+    if dense:
+        docs = np.cumsum(rng.integers(1, 50, n)).astype(np.uint64)
+    else:
+        docs = np.unique(rng.integers(0, 2**62, n).astype(np.uint64))
     tfs = rng.integers(1, 40, len(docs)).astype(np.uint64)
     dls = rng.integers(20, 400, len(docs)).astype(np.uint64)
     return docs, tfs, dls
 
 
+def _one_term_row(docs, tfs, dls) -> dict:
+    """The one chunk row of a one-term partition, as the engine reads
+    it (numpy views)."""
+    seg = codec.encode_partition(np.zeros(len(docs), np.uint64), docs, tfs,
+                                 dls)
+    (row,) = codec.chunk_rows_columnar(seg)
+    return row
+
+
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 5000])
 def test_chunk_roundtrip(n):
     rng = np.random.default_rng(n)
-    docs, tfs, dls = _random_postings(rng, n)
-    row = codec.encode_chunk(docs, tfs, dls)
-    d, t, l = codec.decode_chunk(row)
-    assert (d == docs).all() and (t == tfs).all() and (l == dls).all()
+    for dense, denc in ((False, 1), (True, 0)):
+        docs, tfs, dls = _random_postings(rng, n, dense)
+        row = _one_term_row(docs, tfs, dls)
+        assert row["denc"] == denc
+        d, t, l = codec.decode_chunk(row)
+        assert (d == docs).all() and (t == tfs).all() and (l == dls).all()
 
 
 def test_block_decode_matches_slices():
     rng = np.random.default_rng(7)
-    docs, tfs, dls = _random_postings(rng, 1000)
-    row = codec.encode_chunk(docs, tfs, dls)
-    nblocks = len(row["skip_doc_last"])
-    for bi in range(nblocks):
-        bd, bt, bl = codec.decode_block(row, bi)
-        s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, len(docs))
-        assert (bd == docs[s:e]).all()
-        assert (bt == tfs[s:e]).all()
-        assert (bl == dls[s:e]).all()
+    for dense in (False, True):
+        docs, tfs, dls = _random_postings(rng, 1000, dense)
+        row = _one_term_row(docs, tfs, dls)
+        nblocks = len(row["skip_doc_last"])
+        assert nblocks == -(-len(docs) // codec.BLOCK)
+        for bi in range(nblocks):
+            bd, bt, bl = codec.decode_block(row, bi)
+            s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, len(docs))
+            assert (bd == docs[s:e]).all()
+            assert (bt == tfs[s:e]).all()
+            assert (bl == dls[s:e]).all()
 
 
 def test_block_metadata_bounds():
     rng = np.random.default_rng(11)
     docs, tfs, dls = _random_postings(rng, 700)
-    row = codec.encode_chunk(docs, tfs, dls)
+    row = _one_term_row(docs, tfs, dls)
     for bi in range(len(row["skip_doc_last"])):
         s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, len(docs))
         assert row["skip_doc_last"][bi] == docs[e - 1]
         assert row["block_tf_max"][bi] == tfs[s:e].max()
         assert row["block_dl_min"][bi] == dls[s:e].min()
-
-
-def test_unsorted_rejected():
-    with pytest.raises(ValueError):
-        codec.encode_chunk(np.array([5, 3], np.uint64),
-                           np.array([1, 1], np.uint64),
-                           np.array([1, 1], np.uint64))
 
 
 @pytest.mark.parametrize("shift", [64, 58])
@@ -136,24 +148,25 @@ def test_encode_partition_roundtrip(shift):
 
 @pytest.mark.parametrize("enc", ["varint", "fixed", "auto"])
 def test_encode_partition_doc_encodings(enc):
+    """The doc-stream encoding is picked per partition from its data:
+    dense ids → delta varint; hash-like ids → fixed64; a mostly-dense
+    partition with one hash-id term ("auto") stays varint for every
+    term, the wide one included. Each decodes whole and per block."""
     rng = np.random.default_rng(9)
     terms_l, docs_l = [], []
-    for t in sorted(rng.integers(0, 2**63, 20).astype(np.uint64).tolist()):
-        d = np.unique(rng.integers(0, 2**62, 300).astype(np.uint64))
+    for i, t in enumerate(sorted(
+            rng.integers(0, 2**63, 20).astype(np.uint64).tolist())):
+        wide = enc == "fixed" or (enc == "auto" and i == 0)
+        d = _random_postings(rng, 300, dense=not wide)[0]
         terms_l.append(np.full(len(d), t, np.uint64))
         docs_l.append(d)
     terms = np.concatenate(terms_l)
     docs = np.concatenate(docs_l)
     tfs = rng.integers(1, 9, len(terms)).astype(np.uint64)
     dls = rng.integers(20, 400, len(terms)).astype(np.uint64)
-    seg = codec.encode_partition(terms, docs, tfs, dls,
-                                 doc_encoding=enc)
+    seg = codec.encode_partition(terms, docs, tfs, dls)
     rows = seg.to_pylist()
-    if enc == "fixed":
-        assert all(r["denc"] == 1 for r in rows)
-    if enc == "auto":
-        # hash doc-ids → varint loses → fixed64 chosen
-        assert all(r["denc"] == 1 for r in rows)
+    assert {r["denc"] for r in rows} == {1 if enc == "fixed" else 0}
     for r in rows:
         d, tf, dl = codec.decode_chunk(r)
         m = terms == np.uint64(r["term_id"])
@@ -175,36 +188,6 @@ def test_auto_picks_varint_for_dense_ids():
     assert seg.to_pylist()[0]["denc"] == 0
     d, _, _ = codec.decode_chunk(seg.to_pylist()[0])
     assert (d == docs).all()
-
-
-def test_block_size_roundtrip_and_decode():
-    """Non-default skip-block sizes roundtrip; bsz rides in the chunk row
-    so mixed-block-size segments decode correctly side by side."""
-    import numpy as np
-
-    from vfs_index_ray.codec import (decode_block, decode_chunk,
-                                     encode_chunk, encode_partition)
-
-    rng = np.random.Generator(np.random.Philox(key=[3, 0]))
-    docs = np.cumsum(rng.integers(1, 50, 500).astype(np.uint64))
-    tfs = rng.integers(1, 9, 500).astype(np.uint64)
-    dls = rng.integers(20, 300, 500).astype(np.uint64)
-    for bs in (32, 64, 128, 7):
-        row = encode_chunk(docs, tfs, dls, block_size=bs)
-        assert row["bsz"] == bs
-        assert len(row["skip_doc_last"]) == (500 + bs - 1) // bs
-        d, t, l = decode_chunk(row)
-        assert np.array_equal(d, docs)
-        assert np.array_equal(t, tfs)
-        assert np.array_equal(l, dls)
-        bd, bt, bl = decode_block(row, 1)
-        assert np.array_equal(bd, docs[bs:2 * bs])
-    # partition encode carries bsz per chunk row
-    terms = np.repeat(np.uint64(9), 500)
-    seg = encode_partition(terms, docs, tfs, dls, 64, block_size=32)
-    assert seg["bsz"].to_pylist() == [32]
-    d, t, l = decode_chunk(seg.to_pylist()[0])
-    assert np.array_equal(d, docs)
 
 
 def test_bloom_sorted_matches_unsorted():
@@ -302,15 +285,15 @@ def test_impact_frontier_ub_exact_below_cap():
 
 
 def test_frontier_absent_rows_still_score(tmp_path):
-    """Back-compat: chunk rows lacking imp_* (older indexes,
-    encode_chunk output) take the block-metadata path."""
+    """Chunks below IMPACT_MIN_N postings carry no impact frontier (empty
+    imp_* lists) and take the block-metadata upper bound."""
     from vfs_index_ray.search import Postings, SearchEngine
     rng = np.random.default_rng(11)
-    n = 500
+    n = codec.IMPACT_MIN_N - 1
     d = np.sort(rng.choice(10 ** 6, n, replace=False).astype(np.uint64))
-    row = codec.encode_chunk(d, rng.integers(1, 9, n).astype(np.uint64),
-                             rng.integers(5, 99, n).astype(np.uint64))
-    assert "imp_tf" not in row
+    row = _one_term_row(d, rng.integers(1, 9, n).astype(np.uint64),
+                        rng.integers(5, 99, n).astype(np.uint64))
+    assert len(row["imp_tf"]) == len(row["imp_doc"]) == 0
     eng = SearchEngine.__new__(SearchEngine)
     eng.avgdl, eng.ndocs = 50.0, 1000
     p = Postings(0, n, [row])

@@ -335,29 +335,28 @@ def test_merge_overlap_invariant(ray_session, split_corpora, tmp_path,
         assert s1.tolist() == s2.tolist()
 
 
-def test_merge_and_purge_keep_block_size(ray_session, split_corpora,
-                                        tmp_path):
-    """Merge and purge outputs keep their sources' block_size: stats.json
-    records it and every part reads back as a fresh build with that
-    block_size encodes it."""
-    from vfs_index_ray.build import read_stats
-    from vfs_index_ray.merge import merge_indexes, purge_tombstones
-    from vfs_index_ray.segment import SegmentReader
+def test_like_reproduces_every_recorded_setting(tmp_path):
+    """``IndexBuilder.like`` copies every index setting stats.json
+    records, and stats.json records no setting ``like`` drops: every
+    recorded setting gets a non-default value here and must survive the
+    copy (merge, purge, repartition and upsert all derive through
+    ``like``)."""
+    import inspect
 
-    ia, ib, full = (str(tmp_path / n) for n in ("ia", "ib", "full"))
-    _build(ray_session, split_corpora["a"], ia, block_size=64)
-    _build(ray_session, split_corpora["b"], ib, block_size=64)
-    _build(ray_session, [split_corpora["a"], split_corpora["b"]], full,
-           block_size=64)
-    merged, purged = str(tmp_path / "merged"), str(tmp_path / "purged")
-    merge_indexes([ia, ib], merged)
-    purge_tombstones(full, purged)
-    want = SegmentReader(full, 8)
-    for out in (merged, purged):
-        assert read_stats(out)["block_size"] == 64
-        got = SegmentReader(out, 8)
-        for p in range(8):
-            assert got.read_range(p).equals(want.read_range(p)), (out, p)
+    from vfs_index_ray.build import IndexBuilder, read_stats
+
+    settings = dict(mode="trigram", num_parts=3, bucket_shift=61,
+                    positions=True)
+    defaults = inspect.signature(IndexBuilder).parameters
+    assert all(v != defaults[k].default for k, v in settings.items())
+    src, out = str(tmp_path / "src"), str(tmp_path / "out")
+    IndexBuilder(src, **settings).finalize()
+    stats = read_stats(src)
+    data = {"version", "n_docs", "total_tokens", "avgdl", "k1", "b",
+            "waves"}
+    assert set(stats) - data == set(settings)
+    got = IndexBuilder.like(src, out).finalize()
+    assert {k: got[k] for k in settings} == settings
 
 
 def test_repartition_same_results(ray_session, built_index, tmp_path,

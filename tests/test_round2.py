@@ -131,6 +131,49 @@ def test_old_parquet_segments_raise_rebuild(id_engine, tmp_path, call):
         _trunc_calls()[call](idx, str(tmp_path / "out"))
 
 
+def _rewrite_with_v030_columns(path: str) -> None:
+    """Rewrite one segment file with the columns 0.3.0 wrote: a per-row
+    ``bsz`` after ``denc`` and a ``tf_sum`` after ``n``."""
+    with open(path, "rb") as f:
+        src = pa.ipc.open_file(pa.py_buffer(f.read()))
+    schema = src.schema.insert(2, pa.field("bsz", pa.uint32()))
+    schema = schema.insert(schema.get_field_index("n") + 1,
+                           pa.field("tf_sum", pa.uint64()))
+    with pa.OSFile(path, "wb") as sink, \
+            pa.ipc.new_file(sink, schema) as writer:
+        for i in range(src.num_record_batches):
+            batch = src.get_batch(i)
+            cols = dict(zip(batch.schema.names, batch.columns))
+            cols["bsz"] = pa.array(np.full(batch.num_rows, 128, np.uint32))
+            cols["tf_sum"] = pa.array(np.ones(batch.num_rows, np.uint64))
+            writer.write_batch(pa.record_batch(
+                [cols[n] for n in schema.names], schema=schema))
+
+
+@pytest.mark.parametrize("shape", ["load_terms", "read_range", "nearest",
+                                   "decode_part"])
+def test_v030_segment_schema_raises_rebuild(id_engine, tmp_path, shape):
+    """A segment written with 0.3.0's columns is refused with the
+    rebuild error by every read shape — never read with its columns
+    shifted against the current schema."""
+    import shutil
+
+    from vfs_index_ray.segment import SegmentReader
+
+    idx = str(tmp_path / "v030")
+    shutil.copytree(id_engine.index_dir, idx)
+    tid = id_engine.query_term_ids("bababa")[0]
+    part = tid % 4
+    reader = SegmentReader(idx, 4)
+    _rewrite_with_v030_columns(part_path(reader.segments_dir, part))
+    call = {"load_terms": lambda: reader.load_terms(part, [tid]),
+            "read_range": lambda: reader.read_range(part),
+            "nearest": lambda: reader.nearest(part, tid, less=True),
+            "decode_part": lambda: reader.decode_part(part)}[shape]
+    with pytest.raises(RuntimeError, match="must be rebuilt"):
+        call()
+
+
 def test_absorb_recovers_lost_scratch(ray_session, tmp_path):
     """absorb() after scratch loss re-tokenizes lost waves instead of
     silently dropping their docs (ADVICE item 1)."""
@@ -183,14 +226,14 @@ def test_build_segments_raises_on_lost_scratch(ray_session, tmp_path):
 
 def test_empty_segment_schema_matches_nonempty():
     """Empty and non-empty segment tables share one schema (concat-safe)."""
-    from vfs_index_ray.codec import _empty_segment_table, encode_partition
+    from vfs_index_ray.codec import SEGMENT_SCHEMA, encode_partition
 
     t = np.array([1, 1, 2], np.uint64)
     d = np.array([10, 20, 10], np.uint64)
     tf = np.array([1, 2, 3], np.uint64)
     dl = np.array([5, 6, 5], np.uint64)
     seg = encode_partition(t, d, tf, dl, 64)
-    empty = _empty_segment_table()
+    empty = SEGMENT_SCHEMA.empty_table()
     assert empty.schema == seg.schema
     assert pa.concat_tables([empty, seg]).num_rows == seg.num_rows
 

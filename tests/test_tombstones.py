@@ -23,8 +23,7 @@ def tomb_setup(ray_session, pages_file, tmp_path_factory):
 
     idx = str(tmp_path_factory.mktemp("tomb") / "idx")
     IndexBuilder(idx, mode="word", num_parts=4, id_col=None,
-                 positions=True, tokenize_concurrency=2
-                 ).build([pages_file])
+                 positions=True).build([pages_file])
     eng = SearchEngine(idx, corpus_files=[pages_file])
     # delete two of the planted rare term's four docs + one head doc
     rare = eng.match(corpus.RARE_TERM)
@@ -115,8 +114,7 @@ def test_purge_matches_fresh_build(tomb_setup, pages_file,
     pq.write_table(pages.filter(np.asarray(keep)), live_file)
     ref = str(root / "ref")
     ref_stats = IndexBuilder(ref, mode="word", num_parts=4, id_col=None,
-                             positions=True, tokenize_concurrency=2
-                             ).build([live_file])
+                             positions=True).build([live_file])
 
     assert stats["n_docs"] == ref_stats["n_docs"]
     assert stats["total_tokens"] == ref_stats["total_tokens"]

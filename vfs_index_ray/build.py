@@ -5,7 +5,7 @@ Ray-Data-native re-expression of the reference's build lifecycle
 SURVEY §3.1):
 
   phase 1 (postings): read_parquet(pages, columns pruned — html never read)
-      → map_batches(TokenizeStage actor pool, zero-copy Arrow)
+      → map_batches(tokenize_postings tasks, zero-copy Arrow)
       → write postings parquet per *wave* of input files, committed
         atomically (tmp dir + rename + sidecar JSON) — the analog of the
         reference's per-record write-files with atomic SafeRename publish
@@ -47,7 +47,7 @@ import ray.data
 from . import BM25_B, BM25_K1, __version__
 from .segment import (SegmentWriter, _atomic_write_json, _manifest_table,
                       part_path, read_part_row, segments_dir)
-from .stages.tokenize import AddPartColumn, TokenizeStage, tokenize_postings
+from .stages.tokenize import AddPartColumn, tokenize_postings
 
 
 class IndexBuilder:
@@ -55,15 +55,11 @@ class IndexBuilder:
                  num_parts: int = 16, bucket_shift: int = 64,
                  text_col: str = "text", id_col: str | None = "doc_id",
                  html_col: str | None = None,
-                 url_col: str = "url", tokenize_concurrency=None,
+                 url_col: str = "url",
                  tokenize_batch_size: int | None = 4096,
-                 tokenize_actors: bool = False,
                  scratch_dir: str | None = None,
-                 positions: bool = False,
-                 block_size: int | None = None,
-                 compression: str = "lz4"):
+                 positions: bool = False):
         self.index_dir = index_dir
-        self.compression = compression
         self.mode = mode
         self.num_parts = num_parts
         self.bucket_shift = bucket_shift
@@ -75,14 +71,7 @@ class IndexBuilder:
         # column need not exist in the input at all.
         self.html_col = html_col
         self.url_col = url_col
-        self.tokenize_concurrency = tokenize_concurrency
         self.tokenize_batch_size = tokenize_batch_size
-        self.tokenize_actors = tokenize_actors
-        from .codec import BLOCK
-        # skip-block granularity: smaller blocks → tighter per-block
-        # (tf_max, dl_min) bounds and cheaper point probes, at more
-        # skip entries/bytes
-        self.block_size = int(block_size or BLOCK)
         # positions=True (word mode): token ordinals ride through the
         # shuffle as a delta+varint binary column and land in parallel
         # per-part positions files — token-adjacency phrase queries
@@ -120,8 +109,6 @@ class IndexBuilder:
         st = read_stats(src_dir)
         settings = dict(mode=st["mode"], num_parts=int(st["num_parts"]),
                         bucket_shift=st["bucket_shift"],
-                        block_size=st.get("block_size"),
-                        compression=st.get("compression", "lz4"),
                         positions=bool(st.get("positions", False)))
         return cls(out_dir, **{**settings, **overrides})
 
@@ -188,28 +175,16 @@ class IndexBuilder:
         fn_kwargs = dict(mode=self.mode, text_col=self.text_col,
                          id_col=self.id_col, url_col=self.url_col,
                          positions=self.positions)
-        if self.tokenize_actors:
-            # actor pool: for stateful tokenizer configs (dict shard etc.)
-            conc = self.tokenize_concurrency
-            if conc is None:
-                ncpu = int(ray.cluster_resources().get("CPU", 8))
-                conc = (1, max(2, (ncpu * 3) // 4))
-            post = ds.map_batches(TokenizeStage,
-                                  batch_format="pyarrow",
-                                  batch_size=self.tokenize_batch_size,
-                                  fn_constructor_kwargs=fn_kwargs,
-                                  zero_copy_batch=True, concurrency=conc)
-        else:
-            # stateless tasks: no actor startup, elastic across the cluster
-            post = ds.map_batches(tokenize_postings,
-                                  batch_format="pyarrow",
-                                  batch_size=self.tokenize_batch_size,
-                                  fn_kwargs=fn_kwargs,
-                                  zero_copy_batch=True)
+        # stateless tasks: no actor startup, elastic across the cluster
+        post = ds.map_batches(tokenize_postings,
+                              batch_format="pyarrow",
+                              batch_size=self.tokenize_batch_size,
+                              fn_kwargs=fn_kwargs,
+                              zero_copy_batch=True)
         post = post.map_batches(AddPartColumn(self.num_parts),
                                 batch_format="pyarrow", zero_copy_batch=True)
-        # n_tokens is NOT computed here: sum(tf) falls out of the segment
-        # phase for free (tf_sum per chunk → part sidecars → finalize)
+        # n_tokens is NOT computed here: the segment phase sums each
+        # part's tfs as it encodes (part sidecars → finalize)
         return self._commit_wave(wave, post, {
             "wave": wave, "files": list(files), "n_docs": int(n_docs)})
 
@@ -275,8 +250,7 @@ class IndexBuilder:
         lineage = [os.path.basename(w) for w in
                    self._scratch_subdirs(self.postings_dir, "wave=")]
         writer = SegmentWriter(self.segments_dir, self.bucket_shift,
-                               lineage=lineage, block_size=self.block_size,
-                               compression=self.compression)
+                               lineage=lineage)
 
         def encode(batch: pa.Table) -> pa.Table:
             return pa.concat_tables([writer.encode_part(p, *postings_of(p))
@@ -364,8 +338,6 @@ class IndexBuilder:
             "version": __version__, "mode": self.mode,
             "num_parts": self.num_parts, "bucket_shift": self.bucket_shift,
             "n_docs": n_docs, "total_tokens": n_tokens,
-            "block_size": self.block_size,
-            "compression": self.compression,
             "avgdl": (n_tokens / n_docs) if n_docs else 0.0,
             "k1": BM25_K1, "b": BM25_B, "positions": self.positions,
             "waves": [w["wave"] for w in waves],

@@ -2,33 +2,55 @@
 
 Replaces the reference's per-(key,record) FlatBuffers write-files and merged
 ``KeyRecordList`` (reference: spec/index.fbs:22-60, column.go:418-604) with a
-columnar encoding: one segment row per (term_id, chunk) holding
-delta+varint-compressed doc_ids, varint tfs and dls, skip entries every
-``BLOCK`` postings, and per-block (tf_max, dl_min) bounds from which a valid
-BM25 upper bound can be derived at query time without knowing avgdl/N at
-build time.
+columnar encoding: one segment row per (term_id, chunk) in
+``SEGMENT_SCHEMA``, holding delta+varint-compressed doc_ids (or fixed64
+ones, when the doc ids are too wide for varint to pay), varint tfs and
+dls, skip entries every ``BLOCK`` postings, per-block (tf_max, dl_min)
+bounds from which a valid BM25 upper bound can be derived at query time
+without knowing avgdl/N at build time, and an impact frontier on chunks
+of at least ``IMPACT_MIN_N`` postings.
 
 All encode/decode paths are vectorized numpy — no per-posting Python loops.
 Blocks are self-contained (the first doc_id of each block is encoded
 absolute, not as a delta), so a block can be decoded without its
 predecessors — the analog of the reference's 512B/4096B lazy FlatBuffers
-paging (index_file.go:664-749).
+paging (index_file.go:664-749), whose page sizes are constants too.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 BLOCK = 128  # postings per skip block
 IMPACT_CAP = 64    # frontier bins: exact per-tf below, one overflow above
 # chunks smaller than this carry no impact frontier (they decode in
-# microseconds; the dense scatter buffer would cost 65x their postings).
-# Env-tunable for sweeps; 2**62 disables frontiers entirely.
-IMPACT_MIN_N = int(__import__("os").environ.get("VFSRAY_IMPACT_MIN_N",
-                                                "128"))
+# microseconds; the dense scatter buffer would cost 65x their postings)
+IMPACT_MIN_N = 128
 
 _U64 = np.uint64
-_FNV = None  # placeholder to keep lint quiet; hashing lives in hashing.py
+
+# One row per (term_id, doc bucket) chunk; every segment file has exactly
+# this schema (segment.SegmentReader refuses any other).
+SEGMENT_SCHEMA = pa.schema([
+    ("term_id", pa.uint64()),
+    ("denc", pa.uint8()),          # doc stream: 0 = delta varint, 1 = fixed64
+    ("bucket", pa.uint64()),
+    ("df", pa.uint64()),
+    ("n", pa.uint64()),
+    ("docs", pa.large_binary()),
+    ("tfs", pa.large_binary()),
+    ("dls", pa.large_binary()),
+    ("skip_doc_last", pa.list_(pa.uint64())),
+    ("skip_off_doc", pa.list_(pa.uint32())),
+    ("skip_off_tf", pa.list_(pa.uint32())),
+    ("skip_off_dl", pa.list_(pa.uint32())),
+    ("block_tf_max", pa.list_(pa.uint32())),
+    ("block_dl_min", pa.list_(pa.uint32())),
+    ("imp_tf", pa.list_(pa.uint32())),
+    ("imp_dl", pa.list_(pa.uint32())),
+    ("imp_doc", pa.list_(pa.uint64())),
+])
 
 
 # ---------------------------------------------------------------------------
@@ -157,77 +179,12 @@ def _varint_sizes(v: np.ndarray) -> np.ndarray:
     return np.searchsorted(_VARINT_THRESH, v, side="right") + 1
 
 
-def encode_chunk(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
-                 block_size: int = BLOCK) -> dict:
-    """Encode one term's (chunk of a) posting list.
-
-    ``doc_ids`` must be strictly ascending uint64; ``tfs``/``dls`` aligned.
-    Returns a dict of binary buffers + skip/bound lists, matching the
-    segment-row schema (``encode_partition``). ``block_size`` tunes
-    skip-block granularity (smaller → tighter per-block (tf_max, dl_min)
-    bounds, more skip entries); it is stored per chunk (``bsz``) so
-    decode never guesses.
-    """
-    B = int(block_size)
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
-    tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
-    dls = np.ascontiguousarray(dls, dtype=np.uint64)
-    n = len(doc_ids)
-    if n == 0:
-        return dict(n=0, bsz=B, docs=b"", tfs=b"", dls=b"",
-                    skip_doc_last=[], skip_off_doc=[], skip_off_tf=[],
-                    skip_off_dl=[], block_tf_max=[], block_dl_min=[])
-    if n > 1 and not (doc_ids[1:] > doc_ids[:-1]).all():
-        raise ValueError("doc_ids must be strictly ascending")
-
-    # delta encode with per-block restart (block starts are absolute)
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[0] = doc_ids[0]
-    deltas[1:] = doc_ids[1:] - doc_ids[:-1]
-    block_starts = np.arange(0, n, B, dtype=np.int64)
-    deltas[block_starts] = doc_ids[block_starts]  # absolute restart per block
-
-    doc_sizes = _varint_sizes(deltas)
-    tf_sizes = _varint_sizes(tfs)
-    dl_sizes = _varint_sizes(dls)
-    doc_ends = np.cumsum(doc_sizes)
-    tf_ends = np.cumsum(tf_sizes)
-    dl_ends = np.cumsum(dl_sizes)
-
-    docs_b = varint_encode(deltas)
-    tfs_b = varint_encode(tfs)
-    dls_b = varint_encode(dls)
-
-    nblocks = len(block_starts)
-    block_ends = np.minimum(block_starts + B, n)
-    # byte offset where each block starts in each buffer
-    off_doc = np.zeros(nblocks, dtype=np.int64)
-    off_doc[1:] = doc_ends[block_starts[1:] - 1]
-    off_tf = np.zeros(nblocks, dtype=np.int64)
-    off_tf[1:] = tf_ends[block_starts[1:] - 1]
-    off_dl = np.zeros(nblocks, dtype=np.int64)
-    off_dl[1:] = dl_ends[block_starts[1:] - 1]
-
-    tf_max = np.maximum.reduceat(tfs, block_starts)
-    dl_min = np.minimum.reduceat(dls, block_starts)
-    doc_last = doc_ids[block_ends - 1]
-
-    return dict(
-        n=int(n), bsz=B, docs=docs_b, tfs=tfs_b, dls=dls_b,
-        skip_doc_last=doc_last.tolist(),
-        skip_off_doc=off_doc.tolist(), skip_off_tf=off_tf.tolist(),
-        skip_off_dl=off_dl.tolist(),
-        block_tf_max=tf_max.tolist(), block_dl_min=dl_min.tolist(),
-    )
-
-
 def decode_chunk(row: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode a chunk back into (doc_ids, tfs, dls) uint64 arrays."""
     n = int(row["n"])
-    B = int(row.get("bsz") or BLOCK)
     tfs = varint_decode(row["tfs"], count=n)
     dls = varint_decode(row["dls"], count=n)
-    if row.get("denc", 0):
+    if row["denc"]:
         doc_ids = np.frombuffer(row["docs"], "<u8").copy()
         if len(doc_ids) != n:
             raise ValueError(f"fixed64 docs: expected {n}")
@@ -235,20 +192,18 @@ def decode_chunk(row: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     deltas = varint_decode(row["docs"], count=n)
     doc_ids = np.cumsum(deltas, dtype=np.uint64)
     # undo cumsum across block-restart boundaries: blocks are independent
-    if n > B:
-        block_starts = np.arange(B, n, B, dtype=np.int64)
+    if n > BLOCK:
+        block_starts = np.arange(BLOCK, n, BLOCK, dtype=np.int64)
         # at each restart the stored value is absolute; cumsum added the
         # previous prefix — subtract it per block (vectorized via repeat)
         prefix = doc_ids[block_starts - 1].copy()
         reps = np.diff(np.append(block_starts, n))
-        doc_ids[B:] -= np.repeat(prefix, reps)
+        doc_ids[BLOCK:] -= np.repeat(prefix, reps)
     return doc_ids, tfs, dls
 
 
 def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
-                     dls: np.ndarray, bucket_shift: int = 64,
-                     doc_encoding: str = "auto",
-                     block_size: int = BLOCK):
+                     dls: np.ndarray, bucket_shift: int = 64) -> pa.Table:
     """Encode ALL posting lists of one shuffle partition in one vectorized pass.
 
     Inputs are the partition's postings sorted by (term_id, doc_id), doc_ids
@@ -259,25 +214,19 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     and a distributed scorer can process bucket b of every term
     independently. ``bucket_shift=64`` ⇒ one chunk per term.
 
-    Returns a ``pyarrow.Table`` with columns
-    term_id, bucket, df, n, tf_sum, docs, tfs, dls (large_binary),
-    skip_doc_last, skip_off_doc, skip_off_tf, skip_off_dl,
-    block_tf_max, block_dl_min (lists).
+    Returns a ``pyarrow.Table`` of ``SEGMENT_SCHEMA``.
 
     No per-term Python: varint encoding runs once over the concatenated
     delta stream and per-chunk binary columns are built zero-copy from byte
     offsets into that single buffer.
     """
-    import pyarrow as pa
-
     terms = np.ascontiguousarray(terms, dtype=np.uint64)
     docs = np.ascontiguousarray(docs, dtype=np.uint64)
     tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
     dls = np.ascontiguousarray(dls, dtype=np.uint64)
-    B = int(block_size)
     n = len(terms)
     if n == 0:
-        return _empty_segment_table()
+        return SEGMENT_SCHEMA.empty_table()
     shift = _U64(min(bucket_shift, 63)) if bucket_shift < 64 else None
     buckets = (docs >> shift) if shift is not None else np.zeros(n, np.uint64)
 
@@ -298,7 +247,7 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
 
     # block starts: every B-th posting within a chunk
     local = np.arange(n, dtype=np.int64) - np.repeat(chunk_starts, chunk_counts)
-    block_start_mask = (local % B) == 0
+    block_start_mask = (local % BLOCK) == 0
     block_starts = np.flatnonzero(block_start_mask)
 
     # deltas, absolute at block starts (blocks self-contained)
@@ -316,12 +265,7 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     # through 4-byte widths (measured, BASELINE.md), and above that
     # varint's <45% size saving costs ~1000x on every head-term decode
     # (2.2 s vs ~5 ms for a 1.47M-posting hash-id list).
-    if doc_encoding == "fixed":
-        denc = 1
-    elif doc_encoding == "varint":
-        denc = 0
-    else:  # auto
-        denc = 1 if int(doc_sizes.sum()) > int(4.5 * n) else 0
+    denc = 1 if int(doc_sizes.sum()) > int(4.5 * n) else 0
     if denc:
         doc_sizes = np.full(n, 8, dtype=np.int64)
     tf_sizes = _varint_sizes(tfs)
@@ -356,8 +300,6 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
                   - _byte_start(tf_ends, chunk_starts)[chunk_of_block])
     blk_off_dl = (_byte_start(dl_ends, block_starts)
                   - _byte_start(dl_ends, chunk_starts)[chunk_of_block])
-
-    tf_sum = np.add.reduceat(tfs, chunk_starts)
 
     # ---- impact frontier (disk-resident impact ordering) ---------------
     # Per chunk, one entry per distinct capped tf: the min-dl posting for
@@ -430,11 +372,9 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     return pa.table({
         "term_id": pa.array(terms[chunk_starts], pa.uint64()),
         "denc": pa.array(np.full(nchunks, denc, np.uint8), pa.uint8()),
-        "bsz": pa.array(np.full(nchunks, B, np.uint32), pa.uint32()),
         "bucket": pa.array(buckets[chunk_starts], pa.uint64()),
         "df": pa.array(df_chunk.astype(np.uint64), pa.uint64()),
         "n": pa.array(chunk_counts.astype(np.uint64), pa.uint64()),
-        "tf_sum": pa.array(tf_sum.astype(np.uint64), pa.uint64()),
         "docs": _binary_col(docs_buf, doc_ends),
         "tfs": _binary_col(tfs_buf, tf_ends),
         "dls": _binary_col(dls_buf, dl_ends),
@@ -449,11 +389,10 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
         "imp_dl": _imp_col(imp_counts, imp_dl_v.astype(np.uint32),
                            pa.uint32()),
         "imp_doc": _imp_col(imp_counts, imp_doc_v, pa.uint64()),
-    })
+    }, schema=SEGMENT_SCHEMA)
 
 
 def _imp_col(counts: np.ndarray, values: np.ndarray, typ):
-    import pyarrow as pa
     offs = np.zeros(len(counts) + 1, dtype=np.int32)
     np.cumsum(counts, out=offs[1:])
     return pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
@@ -467,7 +406,6 @@ def chunk_rows_columnar(tbl) -> list[dict]:
     was a measured driver-side hotspot (the 1.6M-doc index stores 640k
     chunks); decode_chunk/decode_block accept these views unchanged
     (they slice and np.frombuffer, both fine on uint8 views)."""
-    import pyarrow as pa
     n = tbl.num_rows
     if n == 0:
         return []
@@ -493,34 +431,6 @@ def chunk_rows_columnar(tbl) -> list[dict]:
             cols[name] = col.to_numpy(zero_copy_only=False)
     names = list(tbl.column_names)
     return [{nm: cols[nm][i] for nm in names} for i in range(n)]
-
-
-def _empty_segment_table():
-    import pyarrow as pa
-    # column order/types must exactly mirror encode_partition's non-empty
-    # output so empty and non-empty segment tables share one schema
-    # (pa.concat_tables over mixed segments raises otherwise)
-    return pa.table({
-        "term_id": pa.array([], pa.uint64()),
-        "denc": pa.array([], pa.uint8()),
-        "bsz": pa.array([], pa.uint32()),
-        "bucket": pa.array([], pa.uint64()),
-        "df": pa.array([], pa.uint64()),
-        "n": pa.array([], pa.uint64()),
-        "tf_sum": pa.array([], pa.uint64()),
-        "docs": pa.array([], pa.large_binary()),
-        "tfs": pa.array([], pa.large_binary()),
-        "dls": pa.array([], pa.large_binary()),
-        "skip_doc_last": pa.array([], pa.list_(pa.uint64())),
-        "skip_off_doc": pa.array([], pa.list_(pa.uint32())),
-        "skip_off_tf": pa.array([], pa.list_(pa.uint32())),
-        "skip_off_dl": pa.array([], pa.list_(pa.uint32())),
-        "block_tf_max": pa.array([], pa.list_(pa.uint32())),
-        "block_dl_min": pa.array([], pa.list_(pa.uint32())),
-        "imp_tf": pa.array([], pa.list_(pa.uint32())),
-        "imp_dl": pa.array([], pa.list_(pa.uint32())),
-        "imp_doc": pa.array([], pa.list_(pa.uint64())),
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +499,17 @@ def bloom_test(bloom: bytes, terms: np.ndarray) -> np.ndarray:
 def decode_block(row: dict, bi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode only block ``bi`` of a chunk (self-contained; for skip reads)."""
     n = int(row["n"])
-    B = int(row.get("bsz") or BLOCK)
-    nblocks = (n + B - 1) // B
+    nblocks = (n + BLOCK - 1) // BLOCK
     if not 0 <= bi < nblocks:
         raise IndexError(bi)
-    cnt = min(B, n - bi * B)
+    cnt = min(BLOCK, n - bi * BLOCK)
     od, ot, ol = (row["skip_off_doc"], row["skip_off_tf"], row["skip_off_dl"])
     d_end = od[bi + 1] if bi + 1 < nblocks else len(row["docs"])
     t_end = ot[bi + 1] if bi + 1 < nblocks else len(row["tfs"])
     l_end = ol[bi + 1] if bi + 1 < nblocks else len(row["dls"])
     tfs = varint_decode(row["tfs"][ot[bi]:t_end], count=cnt)
     dls = varint_decode(row["dls"][ol[bi]:l_end], count=cnt)
-    if row.get("denc", 0):
+    if row["denc"]:
         docs = np.frombuffer(row["docs"][od[bi]:d_end], "<u8").copy()
         return docs, tfs, dls
     deltas = varint_decode(row["docs"][od[bi]:d_end], count=cnt)

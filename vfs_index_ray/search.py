@@ -143,6 +143,15 @@ def accumulate_scores(terms: list[tuple[np.ndarray, np.ndarray]]
     return docs_all, scores
 
 
+def _in_sorted(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Membership mask of ``x`` (any order) in the ascending unique
+    ``ids`` (the tombstone set), by binary search."""
+    if not len(ids):
+        return np.zeros(len(x), bool)
+    pos = np.minimum(np.searchsorted(ids, x), len(ids) - 1)
+    return ids[pos] == x
+
+
 def _range_docs(reader: SegmentReader, part: int, lo: int | None,
                 hi: int | None) -> np.ndarray:
     """One part of ``term_range_docs`` (a Ray task body): the deduped
@@ -161,11 +170,6 @@ def _phrase_chunk(index_dir: str, seq: list[int], by_df: list[int],
         by_df=by_df, doc_filter="range")
 
 
-def _phrase_chunk_remote():
-    from .remote import remote_1cpu
-    return remote_1cpu(_phrase_chunk)
-
-
 def _proximity_chunk(index_dir: str, tids: list[int], window: int,
                      chunk_docs: np.ndarray) -> np.ndarray:
     """One candidate-doc chunk of a distributed proximity match."""
@@ -173,11 +177,6 @@ def _proximity_chunk(index_dir: str, tids: list[int], window: int,
     return eng._proximity_verify(tids, window,
                                  np.asarray(chunk_docs, np.uint64),
                                  doc_filter="range")
-
-
-def _proximity_chunk_remote():
-    from .remote import remote_1cpu
-    return remote_1cpu(_proximity_chunk)
 
 
 @dataclass
@@ -286,12 +285,7 @@ class SearchEngine:
         ids = np.unique(np.asarray(doc_ids, np.uint64))
         if len(ids) == 0:
             return 0
-        if len(self.tombstones):
-            pos = np.minimum(np.searchsorted(self.tombstones, ids),
-                             len(self.tombstones) - 1)
-            new = ids[self.tombstones[pos] != ids]
-        else:
-            new = ids
+        new = ids[~_in_sorted(self.tombstones, ids)]
         if len(new) == 0:
             return 0
         d = os.path.join(self.index_dir, "tombstones")
@@ -309,11 +303,9 @@ class SearchEngine:
 
     def _live(self, docs: np.ndarray) -> np.ndarray:
         """Drop tombstoned ids from a doc array (any order)."""
-        tomb = self.tombstones
-        if not len(tomb) or not len(docs):
+        if not len(self.tombstones):
             return docs
-        pos = np.minimum(np.searchsorted(tomb, docs), len(tomb) - 1)
-        return docs[tomb[pos] != docs]
+        return docs[~_in_sorted(self.tombstones, docs)]
 
     def _live_postings(self, p: Postings) -> Postings:
         """Per-term postings with tombstoned docs masked out; ``df``
@@ -324,11 +316,7 @@ class SearchEngine:
         if got is not None:
             return got
         p = p.decode()
-        tomb = self.tombstones
-        pos = np.minimum(np.searchsorted(tomb, p.docs),
-                         max(len(tomb) - 1, 0))
-        keep = tomb[pos] != p.docs if len(tomb) else \
-            np.ones(len(p.docs), bool)
+        keep = ~_in_sorted(self.tombstones, p.docs)
         q = Postings(p.term_id, p.df, [], docs=p.docs[keep],
                      tfs=p.tfs[keep], dls=p.dls[keep])
         self._tomb_filtered[p.term_id] = q
@@ -399,14 +387,8 @@ class SearchEngine:
         counts = np.diff(np.append(starts, len(alld)))
         docs = alld[starts]
         keep = counts >= m
-        docs, counts = docs[keep], counts[keep]
-        tomb = self.tombstones
-        if len(tomb) and len(docs):
-            pos = np.minimum(np.searchsorted(tomb, docs),
-                             len(tomb) - 1)
-            live = tomb[pos] != docs
-            docs, counts = docs[live], counts[live]
-        return docs, counts.astype(np.int64)
+        keep &= ~_in_sorted(self.tombstones, docs)
+        return docs[keep], counts[keep].astype(np.int64)
 
     # ------------------------------------------------------------------
     def _term_score(self, tf: np.ndarray, dl: np.ndarray, df: int) -> np.ndarray:
@@ -511,11 +493,7 @@ class SearchEngine:
             return targets, np.zeros(len(targets), np.float64)
         tids = sorted(set(self.query_term_ids(q)))
         scores = self._score_targets(tids, self.load_terms(tids), targets)
-        if len(self.tombstones):
-            pos = np.minimum(np.searchsorted(self.tombstones, targets),
-                             len(self.tombstones) - 1)
-            dead = self.tombstones[pos] == targets
-            scores[dead] = 0.0
+        scores[_in_sorted(self.tombstones, targets)] = 0.0
         return targets, scores
 
     def weighted_or(self, weights: dict[str, int], k: int = 10,
@@ -550,12 +528,8 @@ class SearchEngine:
             if exclude else np.empty(0, np.uint64)
         if len(self.tombstones):
             drop = np.union1d(drop, self.tombstones.astype(np.uint64))
-        if len(drop) and len(docs_all):
-            pos = np.minimum(np.searchsorted(drop, docs_all),
-                             len(drop) - 1)
-            keep = drop[pos] != docs_all
-            docs_all, scores = docs_all[keep], scores[keep]
-        return self._topk(docs_all, scores, k)
+        keep = ~_in_sorted(drop, docs_all)
+        return self._topk(docs_all[keep], scores[keep], k)
 
     def index_stats(self) -> dict:
         """Corpus-level statistics from segment METADATA columns alone
@@ -608,15 +582,15 @@ class SearchEngine:
         get the EXACT max single-posting contribution below the tf cap —
         strictly tighter than the global (tf_max, dl_min) pairing, which
         combines a max tf and a min dl that usually belong to different
-        docs. Frontier-less (small/old) chunks fall back to block
+        docs. Frontier-less (small) chunks fall back to block
         metadata. Memoized on the Postings object (avgdl/df are fixed
         per engine, and the cache is per engine)."""
         if p.ub is not None:
             return p.ub
         ub = 0.0
         for c in p.chunks:
-            itf = c.get("imp_tf")
-            if itf is not None and len(itf):
+            itf = c["imp_tf"]
+            if len(itf):
                 idl = np.maximum(np.asarray(c["imp_dl"], np.uint64), 1)
                 ub = max(ub, float(self._term_score(
                     np.asarray(itf, np.uint64), idl, p.df).max()))
@@ -685,8 +659,8 @@ class SearchEngine:
                 continue
             champ = []
             for c in p.chunks:
-                idoc = c.get("imp_doc")
-                if idoc is not None and len(idoc):
+                idoc = c["imp_doc"]
+                if len(idoc):
                     # impact frontier: the chunk's top-contribution docs
                     # are stored — no block decode at all (frontier bins
                     # below the cap ARE real postings, so these are the
@@ -999,24 +973,33 @@ class SearchEngine:
         key intersections — the wall-time of a pure-head phrase — run on
         all cores instead of one. Docs partition cleanly (a phrase match
         is per-doc), so the union of chunk results is exact."""
-        import ray
-
         # df order computed ONCE here; tasks skip their own load_terms
         loaded = self.load_terms(uniq)
         by_df = sorted(uniq, key=lambda t: (loaded[t].df, t))
-        # chunk size: small enough for ~3 tasks per core (the decode +
-        # intersect work is the wall-time), never above the pushdown
-        # threshold, floor 1024 so per-task read/scheduling overhead
-        # stays amortized (tests pin a tiny threshold to force fan-out)
+        return self._fan_out_candidates(_phrase_chunk, cand_sorted,
+                                        list(seq), by_df)
+
+    def _fan_out_candidates(self, fn, cand_sorted: np.ndarray, *args
+                            ) -> np.ndarray:
+        """Sorted union of ``fn(index_dir, *args, chunk)`` over
+        contiguous chunks of the candidate docs, one 1-cpu Ray task per
+        chunk — exact for any per-doc test, since docs partition
+        cleanly. Chunk size: small enough for ~3 tasks per core (the
+        decode + intersect work is the wall-time), never above the
+        pushdown threshold, floor 1024 so per-task read/scheduling
+        overhead stays amortized (tests pin a tiny threshold to force
+        fan-out)."""
+        import ray
+
+        from .remote import remote_1cpu
         ncpu = max(1, int(ray.cluster_resources().get("CPU", 8)))
         target = int(np.ceil(len(cand_sorted) / (3 * ncpu)))
         chunk_sz = min(max(1, self.phrase_stage_threshold),
                        max(1024, target))
         n_chunks = int(np.ceil(len(cand_sorted) / chunk_sz))
-        chunks = np.array_split(cand_sorted, n_chunks)
-        task = _phrase_chunk_remote()
-        parts = ray.get([task.remote(self.index_dir, list(seq), by_df, c)
-                         for c in chunks])
+        task = remote_1cpu(fn)
+        parts = ray.get([task.remote(self.index_dir, *args, c)
+                         for c in np.array_split(cand_sorted, n_chunks)])
         parts = [p for p in parts if len(p)]
         if not parts:
             return np.empty(0, np.uint64)
@@ -1086,20 +1069,8 @@ class SearchEngine:
             use_dist = ray.is_initialized() and \
                 len(cand_sorted) > 2 * self.phrase_stage_threshold
         if use_dist and len(cand_sorted) > 1:
-            import ray
-            ncpu = max(1, int(ray.cluster_resources().get("CPU", 8)))
-            target = int(np.ceil(len(cand_sorted) / (3 * ncpu)))
-            chunk_sz = min(max(1, self.phrase_stage_threshold),
-                           max(1024, target))
-            n_chunks = int(np.ceil(len(cand_sorted) / chunk_sz))
-            task = _proximity_chunk_remote()
-            parts = ray.get([task.remote(self.index_dir, tids, window, c)
-                             for c in np.array_split(cand_sorted,
-                                                     n_chunks)])
-            parts = [p for p in parts if len(p)]
-            if not parts:
-                return np.empty(0, np.uint64)
-            return np.sort(np.concatenate(parts))
+            return self._fan_out_candidates(_proximity_chunk, cand_sorted,
+                                            tids, window)
         return self._proximity_verify(tids, window, cand_sorted)
 
     def _proximity_verify(self, tids: list[int], window: int,

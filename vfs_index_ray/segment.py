@@ -4,12 +4,12 @@ An index keeps one segment per hash partition (``part = term_id % P``)
 under ``segments/``:
 
 - ``part=NNNNN.arrow`` — an Arrow IPC file, lz4-compressed, of one row
-  per (term_id, doc bucket) chunk in ``codec.encode_partition``'s
-  schema, lexsorted by term_id. Record batches are cut at term
-  boundaries by byte size, and the schema metadata (which the file
-  footer repeats) holds each batch's first term_id: a read
-  binary-searches that directory, decompresses only the batches it
-  picks and binary-searches term_id inside them;
+  per (term_id, doc bucket) chunk in ``codec.SEGMENT_SCHEMA``,
+  lexsorted by term_id. Record batches are cut at term boundaries by
+  byte size, and the schema metadata (which the file footer repeats)
+  holds each batch's first term_id: a read binary-searches that
+  directory, decompresses only the batches it picks and binary-searches
+  term_id inside them;
 - ``part=NNNNN.bloom`` — a bloom filter over the part's term ids;
 - ``part=NNNNN.json`` — the part's manifest row; it marks the part
   committed.
@@ -23,9 +23,11 @@ included, so a missing segment file always means a truncated index.
 ``SegmentWriter`` is the one writer; ``SegmentReader`` serves every
 read (term point reads, key-range scans, nearest-key probes, whole-part
 decodes, the Ray Data read of ``bm25_topk_ray``) and the per-part
-fan-out over them. The reference reads its index files through one
-abstraction the same way: it pages them in and binary-searches a sorted
-key list (index_file.go:664-749, 974-1003).
+fan-out over them. A segment file of any other schema (one written by
+an older version) is refused with a "must be rebuilt" error. The
+reference reads its index files through one abstraction the same way:
+it pages them in and binary-searches a sorted key list
+(index_file.go:664-749, 974-1003).
 """
 
 from __future__ import annotations
@@ -39,13 +41,18 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .codec import (_empty_segment_table, chunk_rows_columnar, decode_chunk,
+from .codec import (SEGMENT_SCHEMA, chunk_rows_columnar, decode_chunk,
                     encode_partition)
 
 # schema metadata key of the per-batch first-term directory: the
 # batches' first term_ids as little-endian uint64, hex-encoded
 _DIRECTORY_KEY = b"batch_first_term_ids"
-_FIELDS = _empty_segment_table().column_names
+_FIELDS = SEGMENT_SCHEMA.names
+# segment and positions file codec. lz4 over zstd: the varint payload is
+# already entropy-dense, so zstd buys only ~12% size but costs ~2x on
+# every query-path read (measured, BASELINE.md round-3 late); lz4 over no
+# compression: +63% bytes for ~1 ms per cold query
+_COMPRESSION = "lz4"
 
 
 def segments_dir(index_dir: str) -> str:
@@ -72,8 +79,8 @@ def positions_path(seg_dir: str, part: int) -> str:
 
 # small row groups: a head term's positions span many groups, and a
 # phrase with few candidate docs reads only the groups holding them. The
-# codec is the segment's (lz4 by default: 18% faster term-scoped reads
-# than zstd for 22% more bytes — the serving index prefers read speed)
+# codec is the segment's (lz4: 18% faster term-scoped reads than zstd for
+# 22% more bytes — the serving index prefers read speed)
 POSITIONS_ROW_GROUP = 32768
 
 
@@ -146,19 +153,10 @@ class SegmentWriter:
     BATCH_TARGET_BYTES = 1 << 20
 
     def __init__(self, segments_dir: str, bucket_shift: int,
-                 lineage: list[str] | None = None,
-                 block_size: int | None = None,
-                 compression: str = "lz4"):
-        from .codec import BLOCK
+                 lineage: list[str] | None = None):
         self.segments_dir = segments_dir
         self.bucket_shift = bucket_shift
         self.lineage = lineage or []
-        self.block_size = int(block_size or BLOCK)
-        # lz4 over zstd: the varint payload is already entropy-dense, so
-        # zstd buys only ~12% size but costs ~2x on every query-path
-        # read (measured, BASELINE.md round-3 late); lz4 over no
-        # compression: +63% bytes for ~1 ms per cold query
-        self.compression = compression
 
     def _batch_starts(self, seg: pa.Table) -> np.ndarray:
         """Row offsets of the record batches: the first term boundary at
@@ -186,7 +184,7 @@ class SegmentWriter:
         schema = seg.schema.with_metadata(
             {_DIRECTORY_KEY: firsts.tobytes().hex()})
         ends = np.r_[starts[1:], seg.num_rows]
-        options = pa.ipc.IpcWriteOptions(compression=self.compression)
+        options = pa.ipc.IpcWriteOptions(compression=_COMPRESSION)
         with pa.OSFile(path, "wb") as sink, \
                 pa.ipc.new_file(sink, schema, options=options) as writer:
             for a, b in zip(starts, ends):
@@ -205,7 +203,7 @@ class SegmentWriter:
         os.makedirs(os.path.dirname(final), exist_ok=True)
         tmp = os.path.join(os.path.dirname(final),
                            ".tmp." + os.path.basename(final))
-        pq.write_table(tbl, tmp, compression=self.compression,
+        pq.write_table(tbl, tmp, compression=_COMPRESSION,
                        row_group_size=POSITIONS_ROW_GROUP)
         os.replace(tmp, final)
 
@@ -227,8 +225,7 @@ class SegmentWriter:
         terms, docs, tfs, dls = (terms[order], docs[order],
                                  tfs[order], dls[order])
         terms, docs, tfs, dls = _dedup_sorted_postings(terms, docs, tfs, dls)
-        seg = encode_partition(terms, docs, tfs, dls, self.bucket_shift,
-                               block_size=self.block_size)
+        seg = encode_partition(terms, docs, tfs, dls, self.bucket_shift)
 
         final = part_path(self.segments_dir, part)
         tmp = os.path.join(self.segments_dir,
@@ -339,14 +336,23 @@ class SegmentReader:
     @contextlib.contextmanager
     def _open(self, part: int, columns: list[str] | None):
         """(IPC file reader, first-term directory) of the part's memory
-        mapped segment; only ``columns`` (plus term_id) are decoded."""
+        mapped segment; only ``columns`` (plus term_id) are decoded.
+        The columns are projected by their index in ``SEGMENT_SCHEMA``,
+        so a file of another schema is refused, not read shifted."""
         fields = None if columns is None else [
             i for i, name in enumerate(_FIELDS)
             if name == "term_id" or name in columns]
+        want = SEGMENT_SCHEMA if fields is None else pa.schema(
+            [SEGMENT_SCHEMA.field(i) for i in fields])
         options = pa.ipc.IpcReadOptions(use_threads=False,
                                         included_fields=fields)
-        with pa.memory_map(self.path(part)) as source:
+        path = self.path(part)
+        with pa.memory_map(path) as source:
             reader = pa.ipc.open_file(source, options=options)
+            if not reader.schema.equals(want):
+                raise RuntimeError(
+                    f"{path} has an old segment schema: the index was "
+                    "written by an older version and must be rebuilt")
             firsts = np.frombuffer(bytes.fromhex(
                 reader.schema.metadata[_DIRECTORY_KEY].decode()), "<u8")
             yield reader, firsts

@@ -1,12 +1,12 @@
-"""Tokenize stage: pages batch → posting rows. Actor-pool callable.
+"""Tokenize stage: pages batch → posting rows, as plain Ray Data tasks.
 
 The reference streams records through a tokenizer goroutine and N writer
 goroutines emitting one index file per (key, record) (indexer.go:217-247,
 column.go:179-235). Here the whole per-record path is one vectorized
-per-batch kernel running in an actor pool:
-``ds.map_batches(TokenizeStage, concurrency=N, batch_format="pyarrow")``.
-State (tokenizer mode, compiled split pattern) is built once per actor in
-``__init__``, not per batch.
+per-batch kernel, ``tokenize_postings``, run by stateless tasks:
+``ds.map_batches(tokenize_postings, batch_format="pyarrow")``. With hash
+term ids there is no per-worker state to amortize, so tasks need no actor
+startup and stay elastic across the cluster.
 """
 
 from __future__ import annotations
@@ -18,46 +18,13 @@ from ..hashing import doc_ids_from_urls
 from ..tokenizer import postings_from_texts
 
 
-class TokenizeStage:
-    """pages (url|doc_id, text) → postings (term_id, doc_id, tf, dl)."""
-
-    def __init__(self, mode: str = "word", text_col: str = "text",
-                 id_col: str | None = "doc_id", url_col: str = "url",
-                 positions: bool = False):
-        self.mode = mode
-        self.text_col = text_col
-        self.id_col = id_col
-        self.url_col = url_col
-        self.positions = positions
-
-    def _doc_ids(self, batch: pa.Table) -> np.ndarray:
-        if self.id_col and self.id_col in batch.column_names:
-            col = batch[self.id_col]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            return col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        return doc_ids_from_urls(batch[self.url_col].combine_chunks()
-                                 if isinstance(batch[self.url_col], pa.ChunkedArray)
-                                 else batch[self.url_col])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        return postings_from_texts(texts, self._doc_ids(batch), self.mode,
-                                   positions=self.positions)
-
-
 def tokenize_postings(batch: pa.Table, *, mode: str = "word",
                       text_col: str = "text", id_col: str | None = "doc_id",
                       url_col: str = "url",
                       positions: bool = False) -> pa.Table:
-    """Stateless twin of TokenizeStage for plain-task map_batches.
-
-    With hash term-ids there is no per-actor state to amortize, so
-    stateless tasks (cheap, elastic, no actor startup) are the right
-    default; TokenizeStage (actor pool) is for configurations that hold
-    real state (a term-dictionary shard, a learned tokenizer)."""
+    """pages (url|doc_id, text) → postings (term_id, doc_id, tf, dl[,
+    pos]); doc ids come from ``id_col`` when the batch has it, else from
+    hashing ``url_col``."""
     if id_col and id_col in batch.column_names:
         col = batch[id_col]
         if isinstance(col, pa.ChunkedArray):

@@ -14,7 +14,8 @@ def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: build the word-mode
     inverted index over documents (resumable segment build) and return the
     BM25 top-10 for the reference query."""
-    from vfs_index_ray.pipelines.queries import get_engine, q_bm25_topk
+    from vfs_index_ray.pipelines.common import get_engine
+    from vfs_index_ray.pipelines.index import q_bm25_topk
 
     sf_dir = "/root/testdata/sf0.001"
     get_engine(sf_dir)           # builds (or resumes) the index

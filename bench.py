@@ -138,18 +138,15 @@ def run_bench() -> dict:
     ray.init(address="local", num_cpus=NCPU, include_dashboard=False,
              logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
-    try:  # pull-based sort shuffle anti-scales >8 workers (CLAUDE.md)
-        from ray.data.context import ShuffleStrategy
-        ctx = DataContext.get_current()
-        if ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PULL_BASED:
-            ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-    except Exception:  # noqa: BLE001  (older Ray: keep defaults)
-        pass
 
     import numpy as np
 
     from vfs_index_ray.build import IndexBuilder
+    from vfs_index_ray.pipelines.common import push_based_shuffle
     from vfs_index_ray.search import SearchEngine
+
+    # pull-based sort shuffle anti-scales >8 workers (CLAUDE.md)
+    push_based_shuffle()
 
     scaling_only = os.environ.get("GRAFT_SCALING_ONLY") == "1"
     timings: dict[str, float] = {}
@@ -301,7 +298,7 @@ def run_bench() -> dict:
     # relational join stage (round-4 second session): the TPC-H
     # Q3-shape pipeline (broadcast semi filter + co-partitioned hash
     # join with in-task aggregate) over the sf tables — additive
-    from vfs_index_ray.pipelines.queries import q_tpch_q3
+    from vfs_index_ray.pipelines.tpch import q_tpch_q3
     best = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()

@@ -14,7 +14,8 @@ SF = "/root/testdata/sf0.001"
 
 
 def test_events_ols_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import _sdiv, q_events_ols
+    from vfs_index_ray.pipelines.analytics import q_events_ols
+    from vfs_index_ray.pipelines.common import _sdiv
 
     got = q_events_ols(SF).to_pylist()
     t = pq.read_table(f"{SF}/events.parquet",
@@ -49,7 +50,7 @@ def test_table_checksum_detects_mutation_and_order(ray_session, tmp_path):
     mutation of one row — the property that makes it a copy check."""
     import shutil
 
-    from vfs_index_ray.pipelines.queries import q_table_checksum
+    from vfs_index_ray.pipelines.analytics import q_table_checksum
 
     base = q_table_checksum(SF).to_pylist()
     assert [r["tbl"] for r in base] == ["lineitem", "orders"]
@@ -79,7 +80,7 @@ def test_table_checksum_detects_mutation_and_order(ray_session, tmp_path):
 
 def test_sample_exact_k_is_bottom_k(ray_session):
     from vfs_index_ray.hashing import mix32
-    from vfs_index_ray.pipelines.queries import q_sample_exact_k
+    from vfs_index_ray.pipelines.text import q_sample_exact_k
 
     got = q_sample_exact_k(SF)
     ids = pq.read_table(f"{SF}/documents.parquet",
@@ -92,7 +93,7 @@ def test_sample_exact_k_is_bottom_k(ray_session):
 
 
 def test_events_mad_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import q_events_mad
+    from vfs_index_ray.pipelines.analytics import q_events_mad
 
     got = q_events_mad(SF).to_pylist()
     t = pq.read_table(f"{SF}/events.parquet",
@@ -131,7 +132,7 @@ def test_mad_is_outlier_robust(ray_session):
 
 
 def test_embedding_gram_matches_numpy(ray_session):
-    from vfs_index_ray.pipelines.queries import q_embedding_gram
+    from vfs_index_ray.pipelines.vector import q_embedding_gram
 
     got = q_embedding_gram(SF)
     t = pq.read_table(f"{SF}/embeddings.parquet", columns=["embedding"])
@@ -151,7 +152,7 @@ def test_min_should_match_brackets_and_or(ray_session):
     counts match a brute-force token scan."""
     import re
 
-    from vfs_index_ray.pipelines.queries import get_engine
+    from vfs_index_ray.pipelines.common import get_engine
 
     eng = get_engine(SF)
     q = "spark shuffle window"
@@ -174,7 +175,7 @@ def test_min_should_match_brackets_and_or(ray_session):
 
 
 def test_kmeans_step_matches_numpy(ray_session):
-    from vfs_index_ray.pipelines.queries import q_kmeans_step
+    from vfs_index_ray.pipelines.vector import q_kmeans_step
 
     got = q_kmeans_step(SF)
     t = pq.read_table(f"{SF}/embeddings.parquet",
@@ -203,8 +204,8 @@ def test_corrected_search_fixes_typos(ray_session):
     """The fuzzy top-1 corrections resolve to the intended vocabulary
     words, and the result equals BM25 on the corrected query."""
     from vfs_index_ray.functions.fuzzy import fuzzy_terms
-    from vfs_index_ray.pipelines.queries import (_docs_ds, get_engine,
-                                                 q_corrected_search)
+    from vfs_index_ray.pipelines.common import _docs_ds, get_engine
+    from vfs_index_ray.pipelines.index import q_corrected_search
 
     ds = _docs_ds(SF, columns=["doc_id", "text"])
     fixes = {typo: fuzzy_terms(ds, typo, k=1)["token"][0].as_py()
@@ -218,7 +219,7 @@ def test_corrected_search_fixes_typos(ray_session):
 
 
 def test_weighted_median_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import q_weighted_median
+    from vfs_index_ray.pipelines.analytics import q_weighted_median
 
     got = q_weighted_median(SF).to_pylist()
     t = pq.read_table(
@@ -240,7 +241,7 @@ def test_weighted_median_matches_bruteforce(ray_session):
 
 
 def test_events_iqr_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import q_events_iqr
+    from vfs_index_ray.pipelines.analytics import q_events_iqr
 
     got = q_events_iqr(SF).to_pylist()
     t = pq.read_table(f"{SF}/events.parquet",
@@ -292,7 +293,7 @@ def test_kmv_overlap_accuracy_and_exact_small(ray_session):
 
 def test_sample_k_per_group_quota_and_priority(ray_session):
     from vfs_index_ray.hashing import mix32
-    from vfs_index_ray.pipelines.queries import q_sample_k_per_group
+    from vfs_index_ray.pipelines.text import q_sample_k_per_group
 
     got = q_sample_k_per_group(SF)
     t = pq.read_table(f"{SF}/documents.parquet",
@@ -312,7 +313,7 @@ def test_sample_k_per_group_quota_and_priority(ray_session):
 def test_fk_orphans_detects_planted(ray_session, tmp_path):
     import shutil
 
-    from vfs_index_ray.pipelines.queries import q_fk_orphans
+    from vfs_index_ray.pipelines.analytics import q_fk_orphans
 
     clean = q_fk_orphans(SF).to_pylist()
     assert all(r["n_orphans"] == 0 for r in clean)
@@ -333,7 +334,7 @@ def test_fk_orphans_detects_planted(ray_session, tmp_path):
 
 
 def test_corr_matrix_matches_numpy(ray_session):
-    from vfs_index_ray.pipelines.queries import q_lineitem_corr_matrix
+    from vfs_index_ray.pipelines.analytics import q_lineitem_corr_matrix
 
     got = q_lineitem_corr_matrix(SF).to_pylist()
     t = pq.read_table(f"{SF}/lineitem.parquet")
@@ -349,7 +350,7 @@ def test_corr_matrix_matches_numpy(ray_session):
 
 
 def test_events_ewma_matches_sequential(ray_session):
-    from vfs_index_ray.pipelines.queries import q_events_ewma
+    from vfs_index_ray.pipelines.events import q_events_ewma
 
     got = q_events_ewma(SF).to_pylist()
     t = pq.read_table(f"{SF}/events.parquet",
@@ -366,7 +367,7 @@ def test_events_ewma_matches_sequential(ray_session):
 
 
 def test_pq_codes_matches_numpy(ray_session):
-    from vfs_index_ray.pipelines.queries import q_pq_codes
+    from vfs_index_ray.pipelines.vector import q_pq_codes
 
     got = q_pq_codes(SF)
     t = pq.read_table(f"{SF}/embeddings.parquet",
@@ -393,7 +394,7 @@ def test_pq_codes_matches_numpy(ray_session):
 def test_feature_vectors_matches_bruteforce(ray_session):
     import re
 
-    from vfs_index_ray.pipelines.queries import q_feature_vectors
+    from vfs_index_ray.pipelines.text import q_feature_vectors
 
     got = q_feature_vectors(SF).to_pylist()
     t = pq.read_table(f"{SF}/documents.parquet",
@@ -414,7 +415,7 @@ def test_feature_vectors_matches_bruteforce(ray_session):
 
 
 def test_multi_vector_search_is_maxpool(ray_session):
-    from vfs_index_ray.pipelines.queries import q_multi_vector_search
+    from vfs_index_ray.pipelines.vector import q_multi_vector_search
 
     got = q_multi_vector_search(SF)
     t = pq.read_table(f"{SF}/embeddings.parquet",
@@ -435,7 +436,7 @@ def test_collocations_lift_matches_bruteforce(ray_session):
     import itertools
     import re
 
-    from vfs_index_ray.pipelines.queries import q_collocations
+    from vfs_index_ray.pipelines.text import q_collocations
 
     got = q_collocations(SF).to_pylist()
     t = pq.read_table(f"{SF}/documents.parquet",
@@ -462,7 +463,7 @@ def test_collocations_lift_matches_bruteforce(ray_session):
 
 
 def test_conversion_lag_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import q_conversion_lag
+    from vfs_index_ray.pipelines.events import q_conversion_lag
 
     got = {r["user_id"]: r["lag_s"]
            for r in q_conversion_lag(SF).to_pylist()}
@@ -486,7 +487,7 @@ def test_conversion_lag_matches_bruteforce(ray_session):
 
 
 def test_benford_prices_shares(ray_session):
-    from vfs_index_ray.pipelines.queries import q_benford_prices
+    from vfs_index_ray.pipelines.analytics import q_benford_prices
 
     got = q_benford_prices(SF).to_pylist()
     t = pq.read_table(f"{SF}/orders.parquet", columns=["o_totalprice"])
@@ -505,8 +506,8 @@ def test_grouped_search_is_per_facet_filtered(ray_session):
     """Each facet's rows equal the filtered ranked path for that
     facet, and scores are the GLOBAL BM25 scores (model unchanged by
     the facet filter)."""
-    from vfs_index_ray.pipelines.queries import (_doc_file, get_engine,
-                                                 q_grouped_search)
+    from vfs_index_ray.pipelines.common import _doc_file, get_engine
+    from vfs_index_ray.pipelines.index import q_grouped_search
     from vfs_index_ray.planner import QueryExecutor
 
     got = q_grouped_search(SF).to_pylist()
@@ -524,7 +525,8 @@ def test_grouped_search_is_per_facet_filtered(ray_session):
 
 
 def test_events_wow_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import _sdiv, q_events_wow
+    from vfs_index_ray.pipelines.common import _sdiv
+    from vfs_index_ray.pipelines.events import q_events_wow
 
     got = q_events_wow(SF).to_pylist()
     t = pq.read_table(f"{SF}/events.parquet",
@@ -544,7 +546,7 @@ def test_events_wow_matches_bruteforce(ray_session):
 
 
 def test_events_peak_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import q_events_peak
+    from vfs_index_ray.pipelines.events import q_events_peak
 
     got = q_events_peak(SF).to_pylist()
     t = pq.read_table(f"{SF}/events.parquet",
@@ -565,7 +567,7 @@ def test_events_peak_matches_bruteforce(ray_session):
 
 
 def test_pareto_users_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import q_pareto_users
+    from vfs_index_ray.pipelines.analytics import q_pareto_users
 
     got = q_pareto_users(SF).to_pylist()
     t = pq.read_table(f"{SF}/events.parquet", columns=["user_id"])
@@ -582,7 +584,7 @@ def test_pareto_users_matches_bruteforce(ray_session):
 def test_orders_rfm_matches_duckdb(ray_session):
     import duckdb
 
-    from vfs_index_ray.pipelines.queries import q_orders_rfm
+    from vfs_index_ray.pipelines.analytics import q_orders_rfm
 
     got = q_orders_rfm(SF).to_pylist()
     con = duckdb.connect()
@@ -608,7 +610,7 @@ FROM b GROUP BY 1,2,3 ORDER BY 1,2,3""").df().to_dict("records")
 
 
 def test_events_dow_shares(ray_session):
-    from vfs_index_ray.pipelines.queries import q_events_dow
+    from vfs_index_ray.pipelines.events import q_events_dow
 
     got = q_events_dow(SF).to_pylist()
     t = pq.read_table(f"{SF}/events.parquet",
@@ -626,7 +628,7 @@ def test_events_dow_shares(ray_session):
 
 
 def test_orders_monthly_matches_bruteforce(ray_session):
-    from vfs_index_ray.pipelines.queries import q_orders_monthly
+    from vfs_index_ray.pipelines.tpch import q_orders_monthly
 
     got = q_orders_monthly(SF).to_pylist()
     t = pq.read_table(f"{SF}/orders.parquet",
@@ -648,7 +650,7 @@ def test_nation_balance_iqr_negative_values(ray_session):
     """Per-nation robust stats match brute force (this synthetic
     fixture has no negative balances; the grid kernel itself is
     sign-agnostic — floor(v*1e4+0.5) on both sides)."""
-    from vfs_index_ray.pipelines.queries import q_nation_balance_iqr
+    from vfs_index_ray.pipelines.analytics import q_nation_balance_iqr
 
     got = q_nation_balance_iqr(SF).to_pylist()
     t = pq.read_table(f"{SF}/supplier.parquet",

@@ -367,7 +367,8 @@ def test_detect_hot_keys_derived_dataset_single_pass(ray_session):
 def test_tpch_q18_vs_duckdb(ray_session):
     import duckdb
 
-    from vfs_index_ray.pipelines.queries import ORACLE_SQL, q_tpch_q18
+    from vfs_index_ray.pipelines.queries import ORACLE_SQL
+    from vfs_index_ray.pipelines.tpch import q_tpch_q18
     sf = "/root/testdata/sf0.001"
     got = q_tpch_q18(sf).to_pandas()
     con = duckdb.connect()

@@ -92,7 +92,7 @@ def test_tumbling_aggregate_matches_bruteforce(ray_session):
 
 
 def test_collect_preserves_rows_and_schema(ray_session):
-    from vfs_index_ray.pipelines.queries import _collect
+    from vfs_index_ray.pipelines.common import _collect
     t = pa.table({"x": pa.array(range(1000), pa.int64())})
     out = _collect(_ds(t).map_batches(lambda b: b,
                                       batch_format="pyarrow"))
@@ -101,7 +101,7 @@ def test_collect_preserves_rows_and_schema(ray_session):
 
 
 def test_collect_empty_dataset(ray_session):
-    from vfs_index_ray.pipelines.queries import _collect
+    from vfs_index_ray.pipelines.common import _collect
     t = pa.table({"x": pa.array([], pa.int64())})
     out = _collect(_ds(t).map_batches(lambda b: b,
                                       batch_format="pyarrow"))

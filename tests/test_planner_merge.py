@@ -541,7 +541,7 @@ def test_parse_parens_and_de_morgan():
 def test_paren_executor_matches_flat_dnf(ray_session):
     """A parenthesized expression and its hand-distributed DNF give
     identical doc sets through the executor."""
-    from vfs_index_ray.pipelines.queries import (_doc_file, get_engine)
+    from vfs_index_ray.pipelines.common import _doc_file, get_engine
     from vfs_index_ray.planner import QueryExecutor
 
     sf = "/root/testdata/sf0.001"
@@ -566,7 +566,7 @@ def test_parse_phrase_predicate():
 
 
 def test_phrase_executor_matches_positional(ray_session):
-    from vfs_index_ray.pipelines.queries import _doc_file, get_engine
+    from vfs_index_ray.pipelines.common import _doc_file, get_engine
     from vfs_index_ray.planner import QueryExecutor
 
     sf = "/root/testdata/sf0.001"
@@ -595,7 +595,7 @@ def test_parse_near_predicate():
 
 
 def test_near_executor_matches_proximity(ray_session):
-    from vfs_index_ray.pipelines.queries import _doc_file, get_engine
+    from vfs_index_ray.pipelines.common import _doc_file, get_engine
     from vfs_index_ray.planner import QueryExecutor
 
     sf = "/root/testdata/sf0.001"

@@ -1,19 +1,15 @@
 """Distributed global sort (functions/sort.py): differential vs a
 one-node full pyarrow sort, routing-prefix edge cases, row-number
-exactness, skew, and the resumable sorted_write manifest."""
+exactness and skew."""
 
 from __future__ import annotations
-
-import json
-import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
-from vfs_index_ray.functions.sort import (_route_u64, order_by,
-                                          sorted_write)
+from vfs_index_ray.functions.sort import _route_u64, order_by
 
 
 def _mk_table(n=20000, seed=11, with_nulls=True):
@@ -155,70 +151,6 @@ def test_route_u64_monotone_int_float(ray_session):
     withnull = pa.array([3, None, -4], pa.int64())
     un = _route_u64(withnull, descending=True)
     assert un[1] == np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def test_sorted_write_manifest_and_resume(ray_session, tmp_path):
-    import ray.data
-    t = _mk_table(n=3000, seed=5, with_nulls=False)
-    ds = ray.data.from_arrow(t).repartition(4)
-    out_dir = str(tmp_path / "sorted")
-    man = sorted_write(ds, [("i", "asc"), ("s", "asc")], out_dir,
-                       row_number_col="rn", num_parts=3)
-    assert sum(e["rows"] for e in man.values()) == t.num_rows
-    files = sorted(f for f in os.listdir(out_dir) if f.endswith(".parquet"))
-    assert files == sorted(man.keys())
-    # concatenating files in name order IS the global order
-    import pyarrow.parquet as pq
-    full = pa.concat_tables([pq.read_table(os.path.join(out_dir, f))
-                             for f in files])
-    exp = _expected(t, [("i", "asc"), ("s", "asc")])
-    assert full.sort_by("rn")["i"].to_pylist() == exp["i"].to_pylist()
-    # manifest min/max are range-disjoint in file order (primary key)
-    mins = [man[f]["min"] for f in files]
-    maxs = [man[f]["max"] for f in files]
-    assert all(int(maxs[k]) <= int(mins[k + 1]) for k in
-               range(len(files) - 1))
-    # resume: drop one part from the manifest, rerun — only it rewrites
-    with open(os.path.join(out_dir, "_manifest.json")) as f:
-        before = json.load(f)
-    victim = files[0]
-    del before[victim]
-    with open(os.path.join(out_dir, "_manifest.json"), "w") as f:
-        json.dump(before, f)
-    mtimes = {f: os.path.getmtime(os.path.join(out_dir, f)) for f in files}
-    man2 = sorted_write(ds, [("i", "asc"), ("s", "asc")], out_dir,
-                        row_number_col="rn", num_parts=3)
-    assert set(man2) == set(man)
-    kept = [f for f in files if f != victim]
-    assert all(os.path.getmtime(os.path.join(out_dir, f)) == mtimes[f]
-               for f in kept), "finished parts must not rewrite"
-
-
-def test_read_sorted_range_prunes_files(ray_session, tmp_path):
-    import ray.data
-    from vfs_index_ray.functions.sort import read_sorted_range
-    rng = np.random.default_rng(21)
-    n = 8000
-    t = pa.table({"k": pa.array(rng.permutation(n), pa.int64()),
-                  "v": pa.array(rng.integers(0, 100, n), pa.int64())})
-    out_dir = str(tmp_path / "srt")
-    sorted_write(ray.data.from_arrow(t).repartition(4),
-                 [("k", "asc")], out_dir, num_parts=8)
-    got = read_sorted_range(out_dir, 1000, 1499, key="k")
-    import ray
-    tbl = pa.concat_tables(ray.get(got.to_arrow_refs()))
-    assert sorted(tbl["k"].to_pylist()) == list(range(1000, 1500))
-    # pruning: only files whose [min,max] overlaps the range are read
-    import json
-    with open(out_dir + "/_manifest.json") as f:
-        man = json.load(f)
-    overlapping = sum(1 for e in man.values()
-                      if not (int(e["max"]) < 1000 or int(e["min"]) > 1499))
-    assert overlapping < len(man), "range should not touch every file"
-    # empty range is schema-preserving
-    empty = read_sorted_range(out_dir, -99, -50, key="k")
-    assert empty.count() == 0
-    assert set(empty.schema().names) == {"k", "v"}
 
 
 def test_order_by_empty_and_single_part(ray_session):

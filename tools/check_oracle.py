@@ -7,6 +7,10 @@ Env: GATE_TIMEOUT_S=N puts a per-query wall-clock budget on
 (engine + oracle) — a query over budget prints TIMEOUT and counts as
 skipped, not failed (used for the once-per-round sf1-scale gate where a
 few all-pairs oracle SQLs are quadratic in corpus size).
+
+The run ends with one summary line,
+``N ok, F failed, S skipped, R rows-only of T``; the exit code is 1 iff
+any query failed.
 """
 
 from __future__ import annotations
@@ -57,10 +61,11 @@ def main() -> int:
     qs = entrymod.queries()
     sqls = entrymod.oracle_sql()
     budget = int(os.environ.get("GATE_TIMEOUT_S", "0"))
-    failures = skipped = 0
+    failures = skipped = ok = rows_only = total = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        total += 1
         t0 = time.perf_counter()
         if budget:
             signal.signal(signal.SIGALRM, _alarm)
@@ -86,6 +91,7 @@ def main() -> int:
             signal.alarm(0)
             print(f"ok?  {name}: rows-only ({len(got)} rows, "
                   f"{time.perf_counter() - t0:.1f}s)")
+            rows_only += 1
             continue
         signal.alarm(0)
         # DuckDB runs in C without yielding to Python signal handlers;
@@ -133,10 +139,11 @@ def main() -> int:
         if eq:
             print(f"OK   {name}: {len(g)} rows "
                   f"({time.perf_counter() - t0:.1f}s)")
+            ok += 1
         else:
             failures += 1
-    if skipped:
-        print(f"skipped (over budget): {skipped}")
+    print(f"{ok} ok, {failures} failed, {skipped} skipped, "
+          f"{rows_only} rows-only of {total}")
     ray.shutdown()
     return 1 if failures else 0
 

@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import collect_arrow
+
 _SEPS = {"line": "\n", "token": " "}
 
 
@@ -81,8 +83,6 @@ def partial_aggregate(ds, keys: list[str], aggs: list[tuple[str, str]],
     of groups.  ``aggs`` are pyarrow (column, fn) pairs with
     sum-mergeable fns ("count"/"sum"); output columns are named
     ``{col}_{fn}``.  Returns None on an empty input."""
-    import ray
-
     bad = [f for _, f in aggs if f not in _MERGE_FN]
     if bad:
         raise ValueError(f"non-mergeable aggregate fns: {bad}")
@@ -95,16 +95,15 @@ def partial_aggregate(ds, keys: list[str], aggs: list[tuple[str, str]],
         return _group_counts(t, list(keys), list(aggs))
 
     out = ds.map_batches(partial, batch_format="pyarrow")
-    tbls = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    if not tbls:
+    merged = collect_arrow(out)
+    if merged is None:
         return None
     # merge with MATCHING fns: a count/sum partial merges by sum, a
     # min/max partial by min/max — a blanket sum-merge silently
     # corrupted multi-batch min/max (found via orders_rfm: the merged
     # "max" was a sum of per-batch maxes; single-batch tests hid it)
     merge = [(p, _MERGE_FN[f]) for p, (_, f) in zip(pnames, aggs)]
-    m = _group_counts(pa.concat_tables(tbls).combine_chunks(),
-                      list(keys), merge)
+    m = _group_counts(merged, list(keys), merge)
     cols = {k: m[k] for k in keys}
     for p, (_, f) in zip(pnames, aggs):
         cols[p] = m[f"{p}_{_MERGE_FN[f]}"]

@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 
 from ..hashing import fnv1a64_tokens
 from ..tokenizer import word_tokens_flat
+from . import collect_arrow
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -202,20 +203,6 @@ class BandEmit:
         })
 
 
-def _collect_arrow(ds) -> pa.Table | None:
-    """Materialize a (possibly large) result Dataset as ONE Arrow table
-    on the driver without per-row Python dicts: ``take_all`` builds a
-    dict per row, which at tens of millions of verified pairs costs
-    minutes of single-core driver CPU and GBs of heap; pulling the block
-    refs keeps everything columnar. Returns None when empty."""
-    import ray
-
-    tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not tbls:
-        return None
-    return pa.concat_tables(tbls).combine_chunks()
-
-
 def banded_bucket_apply(bands, key_cols, bucket_fn, *,
                         num_parts: int | None = None,
                         spill_dir: str | None = None):
@@ -349,7 +336,7 @@ def minhash_candidates(ds, *, num_perm: int = 64, num_bands: int = 16,
 
         pairs_ds = banded_bucket_apply(bands, ("band", "band_hash"),
                                        bucket_pairs)
-        ptbl = _collect_arrow(pairs_ds) if pairs_ds is not None else None
+        ptbl = collect_arrow(pairs_ds) if pairs_ds is not None else None
         empty = pa.table({"doc_a": pa.array([], pa.int64()),
                           "doc_b": pa.array([], pa.int64()),
                           "est_jaccard_x1e4": pa.array([], pa.int64())})
@@ -890,7 +877,7 @@ def simhash_near_dups(ds, *, max_hamming: int = 3, text_col: str = "text",
         verified = work.map_batches(
             lambda b: _hamming_work_kernel(b, max_hamming),
             batch_format="pyarrow", batch_size=8)
-        tbl = _collect_arrow(verified)  # pairs + dropped sentinels
+        tbl = collect_arrow(verified)  # pairs + dropped sentinels
     empty = pa.table({"doc_a": pa.array([], pa.int64()),
                       "doc_b": pa.array([], pa.int64()),
                       "hamming": pa.array([], pa.int64())})

@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..tokenizer import pack_trigram, trigram_ids_flat, word_tokens_flat
+from . import collect_arrow
 from .boilerplate import _group_counts
 
 
@@ -70,8 +71,6 @@ def fuzzy_terms(corpus_ds, query: str, *, k: int = 10,
     never match).  Returns (token, jacc_x1e6) ordered by
     (jacc desc, token asc) — a deterministic total order, so the
     k-boundary cut is stable across engines."""
-    import ray
-
     qgrams = np.array(sorted(set(pack_trigram(query.lower()))),
                       np.uint64)
     nq = len(qgrams)
@@ -96,13 +95,10 @@ def fuzzy_terms(corpus_ds, query: str, *, k: int = 10,
             "token": toks.filter(pa.array(m)),
             "jacc_x1e6": pa.array(jacc[m], pa.int64())}))
 
-    parts = [t for t in ray.get(
-        corpus_ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).to_arrow_refs())
-        if t.num_rows]
-    if not parts:
+    t = collect_arrow(corpus_ds.map_batches(partial, batch_format="pyarrow",
+                                            zero_copy_batch=True))
+    if t is None:
         return schema.empty_table()
-    t = pa.concat_tables(parts).combine_chunks()
     # cross-batch duplicates carry identical scores; min == the score
     m = _group_counts(t, ["token"], [("jacc_x1e6", "min")])
     return topk_local(pa.table({

@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import collect_arrow
 from .boilerplate import _group_counts
 from .joins import _key_hash64
 from .windows import _keyed_partition_op
@@ -121,13 +122,11 @@ def pagerank(edges_ds, nodes: pa.Array | pa.ChunkedArray, *,
     def deg_partial(t: pa.Table) -> pa.Table:
         return _group_counts(t, ["src"], [("src", "count")])
 
-    parts = [t for t in ray.get(
-        edges.map_batches(deg_partial, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
+    parts = collect_arrow(edges.map_batches(deg_partial,
+                                            batch_format="pyarrow"))
     outdeg = np.zeros(n, np.int64)
-    if parts:
-        d = _group_counts(pa.concat_tables(parts).combine_chunks(),
-                          ["src"], [("src_count", "sum")])
+    if parts is not None:
+        d = _group_counts(parts, ["src"], [("src_count", "sum")])
         di = pc.index_in(d["src"], value_set=node_arr)
         outdeg[di.to_numpy(zero_copy_only=False)] = \
             d["src_count_sum"].to_numpy(zero_copy_only=False)
@@ -152,13 +151,11 @@ def pagerank(edges_ds, nodes: pa.Array | pa.ChunkedArray, *,
                           "c": pa.array(c, pa.int64())}),
                 ["dst"], [("c", "sum")])
 
-        parts = [t for t in ray.get(
-            edges.map_batches(contrib_partial, batch_format="pyarrow")
-            .to_arrow_refs()) if t.num_rows]
+        parts = collect_arrow(edges.map_batches(contrib_partial,
+                                                batch_format="pyarrow"))
         incoming = np.zeros(n, np.int64)
-        if parts:
-            m = _group_counts(pa.concat_tables(parts).combine_chunks(),
-                              ["dst"], [("c_sum", "sum")])
+        if parts is not None:
+            m = _group_counts(parts, ["dst"], [("c_sum", "sum")])
             mi = pc.index_in(m["dst"], value_set=node_arr)
             incoming[mi.to_numpy(zero_copy_only=False)] = \
                 m["c_sum_sum"].to_numpy(zero_copy_only=False)
@@ -208,13 +205,11 @@ def bfs_hops(edges_ds, seeds: pa.Array | pa.ChunkedArray, *,
                 t["dst"].to_numpy(zero_copy_only=False)[hit])
             return pa.table({"dst": pa.array(dst, pa.int64())})
 
-        parts = [t for t in ray.get(
-            edges.map_batches(reach_partial, batch_format="pyarrow")
-            .to_arrow_refs()) if t.num_rows]
-        if not parts:
+        parts = collect_arrow(edges.map_batches(reach_partial,
+                                                batch_format="pyarrow"))
+        if parts is None:
             break
-        reached = np.unique(np.concatenate(
-            [t["dst"].to_numpy(zero_copy_only=False) for t in parts]))
+        reached = np.unique(parts["dst"].to_numpy(zero_copy_only=False))
         fresh = reached[~np.isin(reached, visited, assume_unique=True)]
         if len(fresh) == 0:
             break

@@ -21,7 +21,7 @@ physical shapes, chosen by the size of the build side:
   joined partition before results leave the task — when the
   downstream grouping key is the join key, co-partitioning makes a
   per-partition aggregate exact with no further shuffle (used by the
-  TPC-H Q3-shape pipeline in pipelines/queries.py).
+  TPC-H Q3-shape pipeline in pipelines/tpch.py).
 
 Hashing is only ever the partition key — equality is decided by the
 join kernel on the raw values, so hash collisions cannot fabricate

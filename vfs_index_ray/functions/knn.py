@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import collect_arrow
 from .similarity import IVFIndex, _embedding_matrix
 
 __all__ = ["knn_join", "semdedup"]
@@ -167,7 +168,6 @@ def _seed_matrix(ds, num_clusters: int, vec_col: str, id_col: str):
     """The ``num_clusters`` lowest-id vectors (centroid c = c-th lowest
     vec_id — the oracle-checked seeded-centroid convention): per-batch
     local bottom-k partials, one driver merge of ≤ k rows per block."""
-    import ray
 
     def local_bottom(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -176,10 +176,7 @@ def _seed_matrix(ds, num_clusters: int, vec_col: str, id_col: str):
         idx = pc.sort_indices(t, sort_keys=[(id_col, "ascending")])
         return t.take(idx[:num_clusters]).select([id_col, vec_col])
 
-    parts = [t for t in ray.get(
-        ds.map_batches(local_bottom, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
-    m = pa.concat_tables(parts).combine_chunks()
+    m = collect_arrow(ds.map_batches(local_bottom, batch_format="pyarrow"))
     ids = _ids_i64(m, id_col)
     order = np.argsort(ids, kind="stable")[:num_clusters]
     mat = _embedding_matrix(m, vec_col)[order]

@@ -40,6 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import collect_arrow
+
 __all__ = ["cooccur_pairs", "top_pairs"]
 
 
@@ -206,7 +208,6 @@ def top_pairs(pairs_ds, *, k: int = 100, min_count: int = 1) -> pa.Table:
     a count floor: per-batch local top-k partials (each batch ships at
     most k rows), one driver merge — the pair table itself never
     reaches the driver."""
-    import ray
 
     def local_top(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater_equal(t["n_groups"], min_count))
@@ -219,10 +220,9 @@ def top_pairs(pairs_ds, *, k: int = 100, min_count: int = 1) -> pa.Table:
 
     out = pairs_ds.map_batches(local_top, batch_format="pyarrow",
                                zero_copy_batch=True)
-    tbls = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    if not tbls:
+    m = collect_arrow(out)
+    if m is None:
         return pairs_ds.schema().base_schema.empty_table()
-    m = pa.concat_tables(tbls).combine_chunks()
     idx = pc.sort_indices(m, sort_keys=[
         ("n_groups", "descending"), ("item_a", "ascending"),
         ("item_b", "ascending")])[:k]

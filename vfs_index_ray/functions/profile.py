@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import collect_arrow
+
 _PARTIAL_SCHEMA = pa.schema([
     ("col", pa.string()),
     ("n", pa.int64()),
@@ -60,8 +62,6 @@ def table_profile(ds, *, num_cols: list[str],
     (col, n_rows, n_nulls, n_distinct, min_val, max_val) with min/max
     rendered as strings (numeric columns via int formatting — identical
     to SQL's CAST(x AS VARCHAR))."""
-    import ray
-
     dset = set(distinct_cols or ())
     known = set(num_cols) | set(str_cols)
     if not dset <= known:
@@ -73,16 +73,15 @@ def table_profile(ds, *, num_cols: list[str],
         return pa.Table.from_pylist(rows, schema=_PARTIAL_SCHEMA)
 
     out = ds.map_batches(partial, batch_format="pyarrow")
-    tbls = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+    m = collect_arrow(out)
     schema = pa.schema([("col", pa.string()),
                         ("n_rows", pa.int64()),
                         ("n_nulls", pa.int64()),
                         ("n_distinct", pa.int64()),
                         ("min_val", pa.string()),
                         ("max_val", pa.string())])
-    if not tbls:
+    if m is None:
         return schema.empty_table()
-    m = pa.concat_tables(tbls).combine_chunks()
     names = m["col"].to_numpy(zero_copy_only=False)
     res = []
     for c in list(num_cols) + list(str_cols):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import collect_arrow
 from .boilerplate import _group_counts
 
 
@@ -47,7 +48,6 @@ def grouped_value_counts(ds, *, key_col: str, val_col: str,
     row counts (integer weights — the weighted-statistics grid).
     Nulls excluded.  Returns None on an empty input; the result is
     keys × grid-points sized, NOT input sized."""
-    import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         k = batch[key_col]
@@ -73,11 +73,10 @@ def grouped_value_counts(ds, *, key_col: str, val_col: str,
                          "n": g["v_count"].cast(pa.int64())})
 
     out = ds.map_batches(partial, batch_format="pyarrow")
-    tbls = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    if not tbls:
+    merged = collect_arrow(out)
+    if merged is None:
         return None
-    m = _group_counts(pa.concat_tables(tbls).combine_chunks(),
-                      ["k", "v"], [("n", "sum")])
+    m = _group_counts(merged, ["k", "v"], [("n", "sum")])
     return pa.table({"k": m["k"], "v": m["v"],
                      "n": m["n_sum"].cast(pa.int64())})
 

@@ -1,7 +1,7 @@
 """Relational reshape: unpivot (melt) wide columns into rows.
 
 The inverse of the conditional-aggregation pivot
-(``pipelines/queries.py q_events_pivot``): each input row with value
+(``pipelines/events.py q_events_pivot``): each input row with value
 columns ``[c1..ck]`` becomes k rows ``(id_cols…, name=ci, value)``.
 Purely per-batch and streaming — no shuffle, no state; output block
 size is k× the input block, so at 100 TB this is a width-for-length

@@ -18,7 +18,7 @@ partitioning-independent sample that needs NO shuffle:
 Reference parity note: vfs-index has no sampling surface; this is a
 beyond-reference LLM-data operator (brief: training-data pipeline
 operations).  The uniform (non-stratified) variant is the driver query
-``sample`` (pipelines/queries.py).
+``sample`` (pipelines/text.py).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..hashing import mix32
+from . import collect_arrow
 
 
 def _head_per_group(codes: np.ndarray, prio: np.ndarray,
@@ -128,7 +129,6 @@ def stratified_sample(ds, *, group_col: str, k: int,
     ``(mix32(id), id)`` priorities — a deterministic per-stratum
     sample.  Returns a small Arrow table ``(group_col, id_col, prio)``
     sorted by (group, prio, id)."""
-    import ray
 
     def local_top(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -146,12 +146,11 @@ def stratified_sample(ds, *, group_col: str, k: int,
         })
 
     out = ds.map_batches(local_top, batch_format="pyarrow")
-    parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    if not parts:
+    merged = collect_arrow(out)
+    if merged is None:
         return pa.table({group_col: pa.array([], pa.string()),
                          id_col: pa.array([], pa.int64()),
                          "prio": pa.array([], pa.int64())})
-    merged = pa.concat_tables(parts).combine_chunks()
     grp = merged[group_col]
     if isinstance(grp, pa.ChunkedArray):
         grp = grp.combine_chunks()

@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from . import collect_arrow
+
 
 def _embedding_matrix(batch: pa.Table, col: str) -> np.ndarray:
     arr = batch[col]
@@ -726,8 +728,7 @@ def centroid_classify(ds, *, vec_col: str = "embedding",
         })
 
     out = ds.map_batches(assign, batch_format="pyarrow")
-    tbls = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    tbl = pa.concat_tables(tbls).combine_chunks()
+    tbl = collect_arrow(out)
     order = np.argsort(tbl["vec_id"].to_numpy(zero_copy_only=False),
                        kind="stable")
     return tbl.take(order).select(["vec_id", "pred_label", "sim_x1e4"])
@@ -880,9 +881,9 @@ def embedding_near_dups(ds, threshold: float = 0.95,
                          "doc_b": pa.array(np.concatenate(out_b),
                                            pa.int64())})
 
-    from .dedup import _collect_arrow, banded_bucket_apply
+    from .dedup import banded_bucket_apply
     pairs_ds = banded_bucket_apply(bands, ("band", "key"), bucket_pairs)
-    ptbl = _collect_arrow(pairs_ds) if pairs_ds is not None else None
+    ptbl = collect_arrow(pairs_ds) if pairs_ds is not None else None
     empty = pa.table({"doc_a": pa.array([], pa.int64()),
                       "doc_b": pa.array([], pa.int64()),
                       "sim_x1e4": pa.array([], pa.int64())})
@@ -977,7 +978,6 @@ def seed_centroids(ds, *, id_col: str, vec_col: str, k: int,
     """Deterministic seeds: the k smallest ids' vectors on the integer
     grid, found with per-batch bottom-k partials (each batch ships at
     most k rows)."""
-    import ray
 
     def bottomk(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
@@ -985,11 +985,8 @@ def seed_centroids(ds, *, id_col: str, vec_col: str, k: int,
         return pa.table({id_col: pa.array(ids[idx], pa.int64()),
                          vec_col: t[vec_col].take(pa.array(idx))})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(bottomk, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs())
-        if t.num_rows]
-    seeds = pa.concat_tables(parts).combine_chunks()
+    seeds = collect_arrow(ds.map_batches(bottomk, batch_format="pyarrow",
+                                         zero_copy_batch=True))
     seeds = seeds.take(pc.sort_indices(
         seeds, sort_keys=[(id_col, "ascending")]).slice(0, k))
     return np.floor(np.asarray(seeds[vec_col].to_pylist(),
@@ -1153,15 +1150,12 @@ def multi_vector_topk(ds, query_ids: list[int], k: int = 10,
         return pa.table({"vec_id": pa.array(ids[top], pa.int64()),
                          "sim": pa.array(sims[top], pa.float64())})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs())
-        if t.num_rows]
+    t = collect_arrow(ds.map_batches(partial, batch_format="pyarrow",
+                                     zero_copy_batch=True))
     schema = pa.schema([("vec_id", pa.int64()), ("rank", pa.int64()),
                         ("sim_x1e4", pa.int64())])
-    if not parts:
+    if t is None:
         return schema.empty_table()
-    t = pa.concat_tables(parts).combine_chunks()
     va = t["vec_id"].to_numpy(zero_copy_only=False)
     sa = t["sim"].to_numpy(zero_copy_only=False)
     order = np.lexsort((va, -sa))[:k]
@@ -1211,9 +1205,7 @@ class PQSearcher:
         codes_ds = pq_encode(ds, id_col=id_col, vec_col=vec_col,
                              subs=subs, k=k, dim=dim, scale=scale,
                              centroids=self.cent)
-        parts = [t for t in ray.get(codes_ds.to_arrow_refs())
-                 if t.num_rows]
-        t = pa.concat_tables(parts).combine_chunks()
+        t = collect_arrow(codes_ds)
         ids = t[id_col].to_numpy(zero_copy_only=False)
         sub = t["sub"].to_numpy(zero_copy_only=False)
         code = t["code"].to_numpy(zero_copy_only=False)

@@ -40,6 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import mix32
+from . import collect_arrow
 
 HLL_P = 6                      # 64 registers
 HLL_M = 1 << HLL_P
@@ -87,7 +88,6 @@ def approx_distinct(ds, *, key_col: str, group_col: str,
     DISTINCT semantics); null groups are ignored like the exact
     operator.  Output sorted by group. Deterministic under any
     partitioning/ordering (max is order-free)."""
-    import ray
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.select([group_col, key_col])
@@ -115,11 +115,10 @@ def approx_distinct(ds, *, key_col: str, group_col: str,
 
     out = ds.map_batches(partial, batch_format="pyarrow",
                          zero_copy_batch=True)
-    tbls = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    if not tbls:
+    m = collect_arrow(out)
+    if m is None:
         return pa.table({group_col: pa.array([], pa.string()),
                          out_col: pa.array([], pa.int64())})
-    m = pa.concat_tables(tbls).combine_chunks()
     # merge partials: max rho per (group, bucket), then estimate
     enc = m[group_col].combine_chunks().dictionary_encode()
     codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -319,7 +318,6 @@ def kmv_overlap(ds, *, id_col: str, side_col: str, side_a: str,
     the companion to the HLL group-by above when the question is
     BETWEEN-set overlap rather than per-group cardinality.  Output:
     one row (k_eff, theta, c, union_est, jacc_x1e6, inter_est)."""
-    import ray
 
     def partial(t: pa.Table) -> pa.Table:
         if prepare is not None:
@@ -338,17 +336,14 @@ def kmv_overlap(ds, *, id_col: str, side_col: str, side_a: str,
         return pa.table({"side": pa.array(out_s, pa.string()),
                          "h": pa.array(out_h, pa.int64())})
 
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs())
-        if t.num_rows]
+    t = collect_arrow(ds.map_batches(partial, batch_format="pyarrow",
+                                     zero_copy_batch=True))
     schema = pa.schema([("k_eff", pa.int64()), ("theta", pa.int64()),
                         ("c", pa.int64()), ("union_est", pa.int64()),
                         ("jacc_x1e6", pa.int64()),
                         ("inter_est", pa.int64())])
-    if not parts:
+    if t is None:
         return schema.empty_table()
-    t = pa.concat_tables(parts).combine_chunks()
     side = t["side"]
     h = t["h"].to_numpy(zero_copy_only=False)
     sk = {}

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import collect_arrow
+
 
 def pareto_keep(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Boolean keep-mask of the maximal (x, y) frontier: sort by
@@ -50,7 +52,6 @@ def skyline(ds, *, x_col: str, y_col: str) -> pa.Table:
     """Pareto frontier of a Dataset maximizing integer columns
     ``x_col``/``y_col``; other columns ride along.  Per-batch local
     prune, one driver-side merge of the small frontiers."""
-    import ray
 
     def local(t: pa.Table) -> pa.Table:
         x = t[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -59,13 +60,12 @@ def skyline(ds, *, x_col: str, y_col: str) -> pa.Table:
 
     out = ds.map_batches(local, batch_format="pyarrow",
                          zero_copy_batch=True)
-    tbls = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    if not tbls:
+    cat = collect_arrow(out)
+    if cat is None:
         try:
             return ds.schema().base_schema.empty_table()
         except Exception:  # noqa: BLE001
             return pa.table({})
-    cat = pa.concat_tables(tbls).combine_chunks()
     x = cat[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
     y = cat[y_col].to_numpy(zero_copy_only=False).astype(np.int64)
     return cat.filter(pa.array(pareto_keep(x, y)))

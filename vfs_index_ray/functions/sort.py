@@ -55,6 +55,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import collect_arrow
+
 # same per-partition byte target as the join substrate (joins.py)
 SORT_PART_TARGET_BYTES = 64 * 1024 * 1024
 
@@ -224,7 +226,6 @@ def _sample_routing(ds, norm: list[tuple[str, str]],
     can soundly prove the 16-byte prefix exact).  Returns
     (word_columns lexsorted, key0_max_len)."""
     import pyarrow.compute as pc
-    import ray
 
     nkeys = min(2, len(norm))
     str0 = None  # resolved from the first non-empty batch's schema
@@ -251,14 +252,12 @@ def _sample_routing(ds, norm: list[tuple[str, str]],
 
     sample = ds.map_batches(one, batch_format="pyarrow",
                             zero_copy_batch=True)
-    tbls = [t for t in ray.get(sample.to_arrow_refs()) if t.num_rows]
-    if not tbls:
+    t = collect_arrow(sample)
+    if t is None:
         return [], -1
-    nw = len(tbls[0].column_names) - 1
-    ws = [np.concatenate([np.asarray(t[f"w{i}"].combine_chunks())
-                          for t in tbls]) for i in range(nw)]
-    ml = max(int(np.asarray(t["ml"].combine_chunks()).max())
-             for t in tbls)
+    nw = t.num_columns - 1
+    ws = [np.asarray(t[f"w{i}"].combine_chunks()) for i in range(nw)]
+    ml = int(np.asarray(t["ml"].combine_chunks()).max())
     order = np.lexsort(tuple(reversed(ws)))
     return [w[order] for w in ws], ml
 
@@ -363,91 +362,3 @@ def order_by(ds, keys, *, row_number_col: str | None = None,
 
         refs = [add_rn.remote(r, int(o)) for r, o in zip(refs, offsets)]
     return ray.data.from_arrow_refs(refs)
-
-
-def sorted_write(ds, keys, out_dir: str, *,
-                 row_number_col: str | None = None, **kw) -> dict:
-    """Globally sort and persist as resumable range-partitioned
-    parquet: one ``part-%05d.parquet`` file per range partition plus a
-    ``_manifest.json`` of per-file row counts and primary-key min/max
-    (a reader can binary-search the manifest instead of the data —
-    the segment-dir pattern from the index build applied to a generic
-    relation).  Files commit via tmp+rename; a re-run skips parts
-    whose manifest entry already exists."""
-    import json
-    import os
-
-    import ray
-
-    out = order_by(ds, keys, row_number_col=row_number_col, **kw)
-    norm = _norm_keys(keys)
-    col0 = norm[0][0]
-    os.makedirs(out_dir, exist_ok=True)
-    man_path = os.path.join(out_dir, "_manifest.json")
-    done: dict[str, dict] = {}
-    if os.path.exists(man_path):
-        with open(man_path) as f:
-            done = json.load(f)
-
-    @ray.remote(num_cpus=1)
-    def write_one(t: pa.Table, path: str) -> dict:
-        import pyarrow.parquet as pq
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
-        lo = pc.min(t[col0]).as_py() if t.num_rows else None
-        hi = pc.max(t[col0]).as_py() if t.num_rows else None
-        return {"rows": t.num_rows, "min": str(lo), "max": str(hi)}
-
-    blocks = out.to_arrow_refs()
-    jobs = {}
-    for i, ref in enumerate(blocks):
-        name = f"part-{i:05d}.parquet"
-        if name in done:
-            continue
-        jobs[name] = write_one.remote(ref, os.path.join(out_dir, name))
-    for name, ref in jobs.items():
-        done[name] = ray.get(ref)
-    tmp = man_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(done, f, indent=1, sort_keys=True)
-    os.replace(tmp, man_path)
-    return done
-
-
-def read_sorted_range(out_dir: str, lo, hi, *, key: str,
-                      columns: list[str] | None = None):
-    """Range scan over a ``sorted_write`` artifact WITHOUT touching
-    data outside the range: the manifest's per-file primary-key
-    min/max prunes whole files on the driver (the generic-relation
-    analog of the index's segment zonemaps), and a parquet row filter
-    pushed into the read trims the boundary files' row groups.
-    ``[lo, hi]`` is inclusive; ``lo``'s Python type parses the
-    manifest's stringified min/max, so int and str keys round-trip
-    exactly (the types ``sorted_write`` is used with).  Returns a Ray
-    Dataset of the matching rows; file-name order is the total order.
-    """
-    import json
-    import os
-
-    import pyarrow.dataset as pads
-    import ray.data
-
-    with open(os.path.join(out_dir, "_manifest.json")) as f:
-        man = json.load(f)
-    keep = []
-    for name in sorted(man):
-        e = man[name]
-        if e["rows"] == 0:
-            continue
-        fmin, fmax = type(lo)(e["min"]), type(lo)(e["max"])
-        if fmax < lo or fmin > hi:
-            continue
-        keep.append(os.path.join(out_dir, name))
-    expr = (pads.field(key) >= lo) & (pads.field(key) <= hi)
-    if not keep:  # schema-preserving empty read off any one file
-        any_f = os.path.join(out_dir, sorted(man)[0])
-        return ray.data.read_parquet(
-            any_f, columns=columns, filter=(pads.field(key) > lo)
-            & (pads.field(key) < lo))
-    return ray.data.read_parquet(keep, columns=columns, filter=expr)

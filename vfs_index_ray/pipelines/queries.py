@@ -1,9829 +1,15 @@
-"""Named pipelines over the driver testdata tables (SURVEY §2 coverage).
+"""The driver's query registry (SURVEY §2 coverage): every named
+pipeline over the testdata tables with its DuckDB oracle SQL.
 
-Each ``q_*`` function takes ``sf_dir`` and returns a pyarrow Table whose
-column names/types match the corresponding oracle SQL in ORACLE_SQL
-(DuckDB over the same parquet). Float-derived outputs are fixed-point
-(``*_x1e4`` / ``*_x100``) so order-insensitive value hashing is stable
-across engines.
-
-The documents table maps onto the pages input_hint shape
-(doc_id↔url-derived id, text, lang); indexes are built once per sf_dir
-(memoized, resumable) under /tmp.
+Each topic module registers its queries where they are defined, with
+``@query(sql)`` (see ``common.py``); importing the modules fills the one
+registry that ``__ray_entry__.queries()`` and ``oracle_sql()`` read.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
-
-from ..build import IndexBuilder
-from ..functions.sketches import cms_oracle_sql as _cms_oracle_sql
-from ..functions.sketches import hll_oracle_sql as _hll_oracle_sql
-from ..search import SearchEngine
-
-BM25_QUERY = "spark join window"
-MATCH_QUERY = "spark window"
-DF_TOKENS = ["spark", "join", "window", "batch"]
-ANN_QUERY_IDS = [0, 1, 2]
-
-_ENGINES: dict[str, SearchEngine] = {}
-
-# one shared DuckDB token-list expression — the tokenizer contract
-TOKS = "list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '')"
-
-
-def _doc_file(sf_dir: str) -> str:
-    return os.path.join(sf_dir, "documents.parquet")
-
-
-def _tune_context() -> None:
-    """Push-based sort shuffle for the groupby queries (the default
-    pull-based sort measured 2-10x slower at >8 workers; see build.py)."""
-    try:
-        from ray.data.context import DataContext, ShuffleStrategy
-        ctx = DataContext.get_current()
-        if ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PULL_BASED:
-            ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-    except Exception:  # noqa: BLE001  (older Ray: keep defaults)
-        pass
-
-
-def _corpus_key(sf_dir: str, src: str) -> str:
-    """Cache key tied to the corpus identity: abs path + source file
-    size/mtime, so two corpora sharing a basename (or a regenerated one)
-    never reuse each other's cached index."""
-    import hashlib
-    st = os.stat(src)
-    raw = f"{os.path.abspath(sf_dir)}|{st.st_size}|{int(st.st_mtime)}"
-    return hashlib.sha1(raw.encode()).hexdigest()[:12]
-
-
-def get_engine(sf_dir: str) -> SearchEngine:
-    """Build (or resume) the word-mode index for sf_dir; memoized."""
-    if sf_dir not in _ENGINES:
-        from .. import __version__
-        name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-        src = _doc_file(sf_dir)
-        # version-keyed so a future segment-format change never reads a
-        # stale cached index; positional (additive — serves all queries)
-        idx = os.path.join("/tmp", "vfsray_cache",
-                           f"{name}-{_corpus_key(sf_dir, src)}"
-                           f"-v{__version__}-pos")
-        if not os.path.exists(os.path.join(idx, "stats.json")):
-            IndexBuilder(idx, mode="word", num_parts=8, id_col="doc_id",
-                         positions=True).build([src])
-        _ENGINES[sf_dir] = SearchEngine(idx, corpus_files=[src],
-                                        id_col="doc_id")
-    return _ENGINES[sf_dir]
-
-
-def _docs_ds(sf_dir: str, columns=None):
-    import ray.data
-    _tune_context()
-    return ray.data.read_parquet(_doc_file(sf_dir), columns=columns)
-
-
-
-def _collect(out) -> pa.Table:
-    """Materialize a Dataset result as ONE Arrow table via object-store
-    block refs — never per-row Python dicts (the round-4 lesson: a
-    take_all() of a corpus-sized result pins the driver for minutes)."""
-    import ray
-    tbls = ray.get(out.to_arrow_refs())
-    non = [t for t in tbls if t.num_rows]
-    if non:
-        return pa.concat_tables(non).combine_chunks()
-    return tbls[0] if tbls else pa.table({})
-
-def _conc(concurrency=None):
-    """Actor-pool sizing for the per-doc wrapper stages: elastic
-    (1, cluster CPUs) by default — one actor covers sf-scale startup
-    cost, the pool grows with backlog so the same wrapper is not a
-    starvation cap if reused at scale. Pass an int/tuple to pin."""
-    if concurrency is not None:
-        return concurrency
-    import ray
-    return (1, max(2, int(ray.cluster_resources().get("CPU", 8))))
-
-
-# ---------------------------------------------------------------------------
-# index/query pipelines (SURVEY §2.5-2.7)
-# ---------------------------------------------------------------------------
-
-def q_bm25_topk(sf_dir: str) -> pa.Table:
-    """O8/A7 analog: BM25 top-10, deterministic ties."""
-    eng = get_engine(sf_dir)
-    docs, scores = eng.bm25(BM25_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(scores * 10000.0 + 0.5).astype(np.int64), pa.int64()),
-    })
-
-
-def q_boosted_bm25(sf_dir: str) -> pa.Table:
-    """BM25 with a static per-document PRIOR (trusted-domain boost
-    +0.5 for sources src0-src4), answered with a PROVABLY-complete
-    bounded re-rank: retrieve bm25 top-K, add priors, and stop once
-    the 10th boosted score strictly exceeds (K-th bm25 score + max
-    boost) — any unretrieved doc scores below that bound — else
-    double K (terminates at candidate exhaustion).  The prior lookup
-    reads only the K candidate rows (at corpus scale this is the
-    fetch_rows row-group-pruned semi-join).  fp64 parity: one
-    deterministic add on top of the engine/oracle-identical BM25
-    sum."""
-    import pyarrow.parquet as pqq
-
-    eng = get_engine(sf_dir)
-    boost, bmax, k = 0.5, 0.5, 10
-    trusted = {"src0", "src1", "src2", "src3", "src4"}
-    K = 40
-    while True:
-        ids, scores = eng.bm25(BM25_QUERY, K)
-        exhausted = len(ids) < K
-        t = pqq.read_table(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "source"],
-            filters=[("doc_id", "in",
-                      [int(i) for i in ids])])
-        pri = dict(zip(t["doc_id"].to_pylist(),
-                       t["source"].to_pylist()))
-        prior = np.array([boost if pri.get(int(i)) in trusted
-                          else 0.0 for i in ids])
-        boosted = scores + prior
-        order = np.lexsort((ids.astype(np.int64), -boosted))[:k]
-        if exhausted:
-            break
-        if len(order) == k and boosted[order[-1]] > scores[-1] + bmax:
-            break
-        K *= 2
-    out_ids = ids.astype(np.int64)[order]
-    out_sc = np.floor(boosted[order] * 10000.0 + 0.5).astype(np.int64)
-    return pa.table({
-        "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64),
-                         pa.int64()),
-        "doc_id": pa.array(out_ids, pa.int64()),
-        "score_x1e4": pa.array(out_sc, pa.int64()),
-    })
-
-
-def q_term_match(sf_dir: str) -> pa.Table:
-    """J3: AND intersection of two terms' postings."""
-    eng = get_engine(sf_dir)
-    docs = eng.match(MATCH_QUERY)
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64), pa.int64())})
-
-
-def q_count_match(sf_dir: str) -> pa.Table:
-    """A4: result count."""
-    eng = get_engine(sf_dir)
-    return pa.table({"n_docs": pa.array([eng.count("spark")], pa.int64())})
-
-
-def q_term_df(sf_dir: str) -> pa.Table:
-    """A2/A3: df per term from segment metadata."""
-    eng = get_engine(sf_dir)
-    dfs = eng.df(" ".join(DF_TOKENS))
-    toks = sorted(DF_TOKENS)
-    return pa.table({
-        "token": pa.array(toks, pa.string()),
-        "df": pa.array([dfs[t] for t in toks], pa.int64()),
-    })
-
-
-def q_search_and_fetch(sf_dir: str) -> pa.Table:
-    """J5/M8: matched ids → row materialization (broadcast semi-join)."""
-    eng = get_engine(sf_dir)
-    docs = eng.match(MATCH_QUERY)
-    rows = eng.fetch_rows(docs, columns=["doc_id", "lang", "n_chars"])
-    return rows
-
-
-PHRASE_QUERY = "order sort table"
-
-
-def q_phrase_match(sf_dir: str) -> pa.Table:
-    """Phrase search: index-AND candidates + exact substring verify."""
-    eng = get_engine(sf_dir)
-    docs = eng.phrase_match(PHRASE_QUERY)
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64), pa.int64())})
-
-
-def q_phrase_positional(sf_dir: str) -> pa.Table:
-    """Token-adjacency phrase matching from positional postings."""
-    eng = get_engine(sf_dir)
-    docs = eng.phrase_match_positional(PHRASE_QUERY)
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64), pa.int64())})
-
-
-def q_proximity(sf_dir: str) -> pa.Table:
-    """Proximity: 'spark' and 'window' within 5 tokens."""
-    eng = get_engine(sf_dir)
-    docs = eng.proximity_match("spark window", 5)
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64), pa.int64())})
-
-
-def q_range_limit(sf_dir: str) -> pa.Table:
-    """J6/O5: numeric range via parquet predicate pushdown + limit.
-
-    The reference's numeric-key range scan (index_file.go:1208-1422)
-    becomes row-group pruning on the column itself."""
-    ds = _docs_ds(sf_dir, columns=["doc_id", "n_chars"])
-
-    def local_top3(t: pa.Table) -> pa.Table:
-        # per-block filter + local lowest-3 doc_ids: the global result is
-        # the merge of ≤3 rows per block — no full sort shuffle
-        t = t.filter(pc.greater_equal(t["n_chars"], 450))
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        keep = np.sort(np.argsort(ids, kind="stable")[:3])
-        return t.take(keep)
-
-    rows = ds.map_batches(local_top3, batch_format="pyarrow").take_all()
-    if not rows:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "n_chars": pa.array([], pa.int64())})
-    tbl = pa.Table.from_pylist(rows)
-    order = np.argsort(tbl["doc_id"].to_numpy(zero_copy_only=False),
-                       kind="stable")[:3]
-    return tbl.take(order).select(["doc_id", "n_chars"])
-
-
-_TRI_ENGINES: dict[str, SearchEngine] = {}
-TRI_RANGE = ("spa", "spc")   # inclusive packed-key bounds
-TRI_PROBE = "spz"            # nearest-key probe (no exact hit likely)
-
-
-def get_trigram_engine(sf_dir: str) -> SearchEngine:
-    """Build (or resume) the trigram-mode index for sf_dir; memoized.
-    Serves the key-space range / nearest-key queries (reference J6/J7
-    string semantics)."""
-    if sf_dir not in _TRI_ENGINES:
-        from .. import __version__
-        name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-        src = _doc_file(sf_dir)
-        idx = os.path.join("/tmp", "vfsray_cache",
-                           f"{name}-{_corpus_key(sf_dir, src)}"
-                           f"-v{__version__}-tri")
-        if not os.path.exists(os.path.join(idx, "stats.json")):
-            IndexBuilder(idx, mode="trigram", num_parts=8,
-                         id_col="doc_id").build([src])
-        _TRI_ENGINES[sf_dir] = SearchEngine(idx, corpus_files=[src],
-                                            id_col="doc_id")
-    return _TRI_ENGINES[sf_dir]
-
-
-def q_range_string(sf_dir: str) -> pa.Table:
-    """J6 string semantics: key-space range scan over the trigram index —
-    docs containing any trigram in [TRI_RANGE] (packed-key order ==
-    lexicographic 3-char order)."""
-    from ..tokenizer import pack_trigram
-    eng = get_trigram_engine(sf_dir)
-    lo = pack_trigram(TRI_RANGE[0])[0]
-    hi = pack_trigram(TRI_RANGE[1])[0]
-    docs = eng.term_range_docs(lo, hi)
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64), pa.int64())})
-
-
-def q_nearest_key(sf_dir: str) -> pa.Table:
-    """J7 on the key space: largest indexed trigram key <= probe, with
-    its df (reference FindNearByKey climbing the sorted key space)."""
-    from ..tokenizer import pack_trigram
-    eng = get_trigram_engine(sf_dir)
-    best = eng.nearest_term(pack_trigram(TRI_PROBE)[0], less=True)
-    if best is None:
-        return pa.table({"tri": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64())})
-    term, df = best
-    tri = "".join(chr((term >> s) & 0xFFFF) for s in (32, 16, 0))
-    return pa.table({"tri": pa.array([tri], pa.string()),
-                     "df": pa.array([df], pa.int64())})
-
-
-def _scan_cond_df3(tids: np.ndarray, dfs: np.ndarray) -> np.ndarray:
-    """Vectorized Select condition (shipped to per-part scan tasks)."""
-    return dfs >= 3
-
-
-def q_select_scan(sf_dir: str) -> pa.Table:
-    """Generic visitor traversal (reference Select(OptCcondFn/OptTraverse),
-    index_file.go:481-537): walk the trigram key space in key order over
-    every 's??' window, keep keys whose df passes a user condition
-    (df >= 3), stop after 25 — per-part pushdown scans + vectorized
-    cond, merged in key order (scan.py)."""
-    from ..tokenizer import unpack_trigram
-    eng = get_trigram_engine(sf_dir)
-    lo = ord("s") << 32                    # 's\0\0'
-    hi = (ord("s") << 32) | 0xFFFFFFFF     # 's￿￿'
-    tbl = eng.select_keys(lo=lo, hi=hi, cond=_scan_cond_df3,
-                          asc=True, limit=25)
-    tris = [unpack_trigram(t) for t in tbl["term_id"].to_pylist()]
-    return pa.table({"tri": pa.array(tris, pa.string()),
-                     "df": tbl["df"].cast(pa.int64())})
-
-
-def q_short_query_empty(sf_dir: str) -> pa.Table:
-    """Reference semantics: a query with no extractable keys matches
-    nothing (vfsindex_test.go:149-159)."""
-    eng = get_engine(sf_dir)
-    docs = eng.match("!!!")
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64), pa.int64())})
-
-
-# ---------------------------------------------------------------------------
-# dedup / text-analysis / similarity (training-data extension set)
-# ---------------------------------------------------------------------------
-
-COOCCUR_PAIRS = [("spark", "join"), ("spark", "window"), ("batch", "stream")]
-
-
-def q_cooccur_distance(sf_dir: str) -> pa.Table:
-    """A6 analog: 1 − |A∩B| / max(|A|,|B|) per token pair."""
-    eng = get_engine(sf_dir)
-    rows = []
-    for ta, tb in COOCCUR_PAIRS:
-        d = eng.cooccur_distance(ta, tb)
-        rows.append((ta, tb, int(np.floor(d * 10000.0 + 0.5))))
-    return pa.table({
-        "token_a": pa.array([r[0] for r in rows], pa.string()),
-        "token_b": pa.array([r[1] for r in rows], pa.string()),
-        "dist_x1e4": pa.array([r[2] for r in rows], pa.int64()),
-    })
-
-
-def q_dedup_exact(sf_dir: str) -> pa.Table:
-    from ..functions.dedup import exact_dedup
-    out = exact_dedup(_docs_ds(sf_dir, columns=["doc_id", "text"]))
-    tbl = _collect(out)
-    return pa.table({
-        "h": tbl["h"].cast(pa.string()),
-        "doc_id": tbl["doc_id"].cast(pa.int64()),
-        "n": tbl["n"].cast(pa.int64()),
-    })
-
-
-def q_fingerprint(sf_dir: str, concurrency=None) -> pa.Table:
-    from ..functions.textstats import Fingerprint
-    out = _docs_ds(sf_dir, columns=["doc_id", "text"]).map_batches(
-        Fingerprint, batch_format="pyarrow", concurrency=_conc(concurrency))
-    return _collect(out).select(["doc_id", "fp"])
-
-
-def q_token_count(sf_dir: str, concurrency=None) -> pa.Table:
-    from ..functions.textstats import TokenStats
-    out = _docs_ds(sf_dir, columns=["doc_id", "text"]).map_batches(
-        TokenStats, batch_format="pyarrow", concurrency=_conc(concurrency))
-    tbl = _collect(out)
-    return tbl.select(["doc_id", "n_tokens"])
-
-
-def q_token_stats(sf_dir: str, concurrency=None) -> pa.Table:
-    from ..functions.textstats import TokenStats
-    out = _docs_ds(sf_dir, columns=["doc_id", "text"]).map_batches(
-        TokenStats, batch_format="pyarrow", concurrency=_conc(concurrency))
-    return _collect(out).select(
-        ["doc_id", "n_tokens", "n_uniq", "stop_ratio_x1e4", "avg_len_x1e4"])
-
-
-def q_extract_text(sf_dir: str) -> pa.Table:
-    """HTML→text extraction as a pipeline (input_hint's per-row
-    invariant: byte-identical extracted text per url). Each document's
-    text is wrapped in the full page template (head/title/style/
-    attributes/trailing script, body escaped) and then run through the
-    vectorized Arrow-RE2 extractor — the oracle is the untouched text
-    column, so the value hash proves extract(wrap(t)) == t over the
-    whole table, entities and tags included."""
-    from ..functions.extract import extract_text_batch, wrap_html
-
-    def wrap(t: pa.Table) -> pa.Table:
-        html = wrap_html(t["text"], title=t["source"])
-        return pa.table({"doc_id": t["doc_id"], "html": html})
-
-    out = (_docs_ds(sf_dir, columns=["doc_id", "text", "source"])
-           .map_batches(wrap, batch_format="pyarrow", zero_copy_batch=True)
-           .map_batches(extract_text_batch, batch_format="pyarrow",
-                        fn_kwargs=dict(html_col="html", text_col="text")))
-    tbl = _collect(out)
-    tbl = tbl.sort_by("doc_id")
-    return pa.table({"doc_id": tbl["doc_id"].cast(pa.int64()),
-                     "text": tbl["text"].cast(pa.string())})
-
-
-def q_lang_distribution(sf_dir: str) -> pa.Table:
-    from ..functions.boilerplate import partial_aggregate
-    tbl = partial_aggregate(_docs_ds(sf_dir, columns=["lang"]),
-                            ["lang"], [("lang", "count")])
-    return pa.table({"lang": tbl["lang"].cast(pa.string()),
-                     "n_docs": tbl["lang_count"].cast(pa.int64())})
-
-
-def q_ann_cosine_topk(sf_dir: str) -> pa.Table:
-    import ray.data
-
-    from ..functions.similarity import ann_cosine_topk
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    return ann_cosine_topk(ds, ANN_QUERY_IDS, k=5)
-
-
-def q_ann_filtered(sf_dir: str) -> pa.Table:
-    """Filtered vector search: exact cosine top-5 among embeddings
-    whose ``label = 1`` only (the metadata-predicate ANN shape).
-    The predicate applies as a per-batch Arrow filter before the
-    matmul; query vectors resolve from the unfiltered set
-    (similarity.ann_cosine_topk query_ds)."""
-    import ray.data
-
-    from ..functions.similarity import ann_cosine_topk
-    _tune_context()
-    full = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"))
-
-    def only_label1(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["label"], 1))
-
-    filt = full.map_batches(only_label1, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return ann_cosine_topk(filt, ANN_QUERY_IDS, k=5, query_ds=full)
-
-
-def _get_ivf(sf_dir: str, num_centroids: int = 8,
-             seed_centroids: bool = False,
-             keep_cols: list[str] | None = None):
-    """Build-or-reuse the IVF index for sf_dir (corpus-keyed cache)."""
-    import ray.data
-
-    from ..functions.similarity import IVFIndex
-    src = os.path.join(sf_dir, "embeddings.parquet")
-    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    st = os.stat(src)
-    import hashlib
-    key = hashlib.sha1(f"{os.path.abspath(src)}|{st.st_size}|"
-                       f"{int(st.st_mtime)}".encode()).hexdigest()[:12]
-    tag = "s" if seed_centroids else "k"
-    kc = ("_" + "-".join(keep_cols)) if keep_cols else ""
-    path = os.path.join("/tmp", "vfsray_cache",
-                        f"ivf_{name}_{key}_c{num_centroids}{tag}{kc}")
-    if not os.path.exists(os.path.join(path, "centroids.npy")):
-        IVFIndex.build(ray.data.read_parquet(src), path,
-                       num_centroids=num_centroids,
-                       seed_centroids=seed_centroids,
-                       keep_cols=keep_cols)
-    return IVFIndex(path), src
-
-
-def _ivf_query_table(sf_dir: str, nprobe: int,
-                     num_centroids: int = 8,
-                     seed_centroids: bool = False) -> pa.Table:
-    import pyarrow.parquet as pqq
-    ivf, src = _get_ivf(sf_dir, num_centroids, seed_centroids)
-    tbl = pqq.read_table(
-        src, filters=[("vec_id", "in", list(ANN_QUERY_IDS))])
-    by_id = dict(zip(tbl["vec_id"].to_pylist(),
-                     tbl["embedding"].to_pylist()))
-    out_q, out_v, out_r, out_s = [], [], [], []
-    for qid in ANN_QUERY_IDS:
-        vec = np.asarray(by_id[qid], np.float64)
-        vids, sims = ivf.search(vec, k=5, nprobe=nprobe, exclude_id=qid)
-        for r, (v, s) in enumerate(zip(vids.tolist(), sims.tolist()), 1):
-            out_q.append(qid)
-            out_v.append(v)
-            out_r.append(r)
-            out_s.append(int(np.floor(s * 10000 + 0.5)))
-    return pa.table({
-        "query_id": pa.array(out_q, pa.int64()),
-        "vec_id": pa.array(out_v, pa.int64()),
-        "rank": pa.array(out_r, pa.int64()),
-        "sim_x1e4": pa.array(out_s, pa.int64()),
-    })
-
-
-def q_ann_ivf_topk(sf_dir: str) -> pa.Table:
-    """IVF ANN approximate probe path (nprobe=4 of 8), oracle-checked
-    end-to-end: seeded centroids (centroid c = c-th lowest vec_id's
-    vector, no Lloyd iterations) make assignment + probing closed-form,
-    so the SQL oracle reproduces the exact approximate result — bucket
-    layout, pruned probe reads and top-k ranking all hash-verified.
-    The k-means-trained path is covered by ann_ivf_exact + tests."""
-    return _ivf_query_table(sf_dir, nprobe=4, seed_centroids=True)
-
-
-def q_ann_filtered_ivf(sf_dir: str) -> pa.Table:
-    """Filtered vector search THROUGH the IVF index (the 100-TB shape
-    — ``q_ann_filtered`` is the exact brute baseline): label = 1
-    pushed into the probed buckets' parquet reads, doubling-nprobe
-    escalation (4 → 8 of 8) until 5 survivors.  Seeded centroids make
-    assignment + probing + the escalation rule closed-form, so the
-    SQL oracle reproduces the approximate result exactly."""
-    import pyarrow.parquet as pqq
-    ivf, src = _get_ivf(sf_dir, num_centroids=8, seed_centroids=True,
-                        keep_cols=["label"])
-    tbl = pqq.read_table(
-        src, filters=[("vec_id", "in", list(ANN_QUERY_IDS))])
-    by_id = dict(zip(tbl["vec_id"].to_pylist(),
-                     tbl["embedding"].to_pylist()))
-    out_q, out_v, out_r, out_s = [], [], [], []
-    for qid in ANN_QUERY_IDS:
-        vec = np.asarray(by_id[qid], np.float64)
-        vids, sims = ivf.search_filtered(
-            vec, k=5, filters=[("label", "==", 1)], nprobe=4,
-            exclude_id=qid)
-        for r, (v, s) in enumerate(zip(vids.tolist(), sims.tolist()), 1):
-            out_q.append(qid)
-            out_v.append(v)
-            out_r.append(r)
-            out_s.append(int(np.floor(s * 10000 + 0.5)))
-    return pa.table({
-        "query_id": pa.array(out_q, pa.int64()),
-        "vec_id": pa.array(out_v, pa.int64()),
-        "rank": pa.array(out_r, pa.int64()),
-        "sim_x1e4": pa.array(out_s, pa.int64()),
-    })
-
-
-def q_ann_ivf_exact(sf_dir: str) -> pa.Table:
-    """IVF with nprobe == num_centroids degrades to exact brute force —
-    DuckDB-checkable against the same cosine-top-k oracle."""
-    return _ivf_query_table(sf_dir, nprobe=8)
-
-
-def q_minhash_near_dup(sf_dir: str) -> pa.Table:
-    """MinHash-LSH candidates → exact shingle-Jaccard verify → pairs
-    with jaccard ≥ 0.8. At (64 perms, 16 bands of 4) the miss odds for a
-    j≈0.9 pair are ~(1-0.9⁴)¹⁶ ≈ 2e-4 and the pipeline is deterministic
-    (seeded permutations), so the output equals the ALL-PAIRS exact SQL
-    — the oracle hash-checks candidate recall + verification end-to-end."""
-    from ..functions.dedup import minhash_candidates, ngram_jaccard_pairs
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    cands = minhash_candidates(ds, num_perm=64, num_bands=16)
-    if cands.num_rows == 0:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64()),
-                         "jaccard_x1e4": pa.array([], pa.int64())})
-    exact = ngram_jaccard_pairs(ds, cands.select(["doc_a", "doc_b"]))
-    keep = pc.greater_equal(exact["jaccard_x1e4"], 8000)
-    out = exact.filter(keep)
-    order = np.lexsort((out["doc_b"].to_numpy(zero_copy_only=False),
-                        out["doc_a"].to_numpy(zero_copy_only=False)))
-    return out.take(order)
-
-
-def q_near_dedup_keep(sf_dir: str) -> pa.Table:
-    """Near-dup REMOVAL composed on the MinHash pipeline: for every
-    verified pair (a, b), a < b, with jaccard ≥ 0.8, drop doc b (the
-    keep-smaller-id pairwise policy — each duplicated pair keeps
-    exactly one side; transitive-closure canonicalization is the
-    clustering family, functions/dedup.py cluster_pairs*).  Returns
-    the surviving doc ids.
-
-    Probabilistic-recall note (same assumption as minhash_near_dup):
-    the engine's candidates come from 64-perm/16-band LSH while the
-    oracle enumerates ALL shared-shingle pairs exactly; a true j≈0.8
-    pair misses every band with prob ~(1-0.8^4)^16 ≈ 2e-4.  The
-    pipeline is deterministic (seeded permutations), and the parity
-    is corpus-verified at sf0.01/sf0.1/sf1 at every change — a future
-    corpus regeneration could legitimately surface a miss, which
-    would show as a 1-2 row diff here, not an engine bug."""
-    from ..functions.dedup import minhash_candidates, ngram_jaccard_pairs
-    import ray
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    cands = minhash_candidates(ds, num_perm=64, num_bands=16)
-    if cands.num_rows == 0:
-        removed = pa.array([], pa.int64())
-    else:
-        exact = ngram_jaccard_pairs(ds, cands.select(["doc_a", "doc_b"]))
-        dup = exact.filter(pc.greater_equal(exact["jaccard_x1e4"], 8000))
-        removed = dup["doc_b"]
-        if isinstance(removed, pa.ChunkedArray):
-            removed = removed.combine_chunks()
-    removed_ref = ray.put(removed)
-
-    def survivors(t: pa.Table) -> pa.Table:
-        rm = ray.get(removed_ref)
-        if len(rm):
-            keep = pc.invert(pc.is_in(t["doc_id"], value_set=rm))
-            t = t.filter(keep)
-        return t.select(["doc_id"])
-
-    out = _docs_ds(sf_dir, columns=["doc_id"]).map_batches(
-        survivors, batch_format="pyarrow", zero_copy_batch=True)
-    tbl = _collect(out)
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("doc_id",
-                                                    "ascending")]))
-    return tbl.cast(pa.schema([("doc_id", pa.int64())]))
-
-
-def q_simhash_near_dup(sf_dir: str) -> pa.Table:
-    """SimHash LSH pairs with hamming ≤ 3. The 4×16-bit banding is
-    GUARANTEED recall at hamming ≤ 3 (pigeonhole: ≤3 flipped bits can
-    spoil at most 3 of 4 bands), and SimHash itself is deterministic
-    (FNV-1a64 token hashes, tf-weighted bit sums) — so the output equals
-    the ALL-PAIRS exact hamming set, which the oracle recomputes from
-    scratch in SQL (FNV via list_reduce over token bytes)."""
-    from ..functions.dedup import simhash_near_dups
-    return simhash_near_dups(_docs_ds(sf_dir, columns=["doc_id", "text"]))
-
-
-def q_embedding_near_dup(sf_dir: str) -> pa.Table:
-    import ray.data
-
-    from ..functions.similarity import embedding_near_dups
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    # testdata embeddings are near-orthogonal; 0.4 exercises the
-    # pipeline. 64 hyperplane bands of 3 bits: collision p = 0.631³ =
-    # 0.251 per band, miss odds per sim≥0.4 pair ≈ (1-0.251)⁶⁴ ≈ 9e-9 —
-    # effectively exact at sf0.1's ~920 true pairs (32×4 bands missed
-    # ~3 there: 0.842³² ≈ 4e-3/pair), so the banded output equals the
-    # all-pairs exact SQL and the oracle hash-checks LSH recall +
-    # cosine verify end-to-end
-    return embedding_near_dups(ds, threshold=0.4, num_bands=64,
-                               band_bits=3)
-
-
-def q_langid(sf_dir: str, concurrency=None) -> pa.Table:
-    from ..functions.textstats import LangId
-    out = _docs_ds(sf_dir, columns=["doc_id", "text"]).map_batches(
-        LangId, batch_format="pyarrow", concurrency=_conc(concurrency))
-    return _collect(out).select(
-        ["doc_id", "lang_pred"])
-
-
-def q_bpe_token_count(sf_dir: str, concurrency=None) -> pa.Table:
-    from ..functions.textstats import BpeTokenCount
-    out = _docs_ds(sf_dir, columns=["doc_id", "text"]).map_batches(
-        BpeTokenCount, batch_format="pyarrow", concurrency=_conc(concurrency))
-    return _collect(out).select(
-        ["doc_id", "n_bpe_tokens"])
-
-
-def q_gopher_quality(sf_dir: str, concurrency=None) -> pa.Table:
-    from ..functions.textstats import GopherQuality
-    out = _docs_ds(sf_dir, columns=["doc_id", "text"]).map_batches(
-        GopherQuality, batch_format="pyarrow", concurrency=_conc(concurrency))
-    return _collect(out).select(
-        ["doc_id", "n_lines", "dup_line_frac_x1e4", "symbol_ratio_x1e4",
-         "bullet_ratio_x1e4"])
-
-
-def q_embedding_centroid(sf_dir: str) -> pa.Table:
-    """Grouped VECTOR aggregation: per-label element-wise embedding
-    sums on the x1e4 grid (one np.add.at scatter per batch — exact
-    integer sums, order-independent), merged as tiny per-label
-    partials.  Output ships the first 4 dims + an all-dims checksum;
-    the oracle recomputes both with DuckDB list lambdas.  Floats
-    promote to float64 BEFORE quantization on both sides."""
-    import ray.data
-
-    from ..functions.boilerplate import _group_counts
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["embedding", "label"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        arr = t["embedding"]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        off = arr.offsets.to_numpy(zero_copy_only=False)
-        n = len(arr)
-        d = int(off[1] - off[0]) if n else 0
-        assert n == 0 or (np.diff(off) == d).all(), "ragged vectors"
-        flat = arr.values.to_numpy(zero_copy_only=False)
-        fx = np.floor(flat.astype(np.float64) * 10000.0
-                      + 0.5).astype(np.int64).reshape(n, d)
-        labs = t["label"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        ulab, codes = np.unique(labs, return_inverse=True)
-        acc = np.zeros((len(ulab), d), np.int64)
-        np.add.at(acc, codes, fx)
-        cnt = np.bincount(codes, minlength=len(ulab))
-        return pa.table({
-            "label": pa.array(ulab, pa.int64()),
-            "n": pa.array(cnt.astype(np.int64), pa.int64()),
-            "d0": pa.array(acc[:, 0], pa.int64()),
-            "d1": pa.array(acc[:, 1], pa.int64()),
-            "d2": pa.array(acc[:, 2], pa.int64()),
-            "d3": pa.array(acc[:, 3], pa.int64()),
-            "ck": pa.array(acc.sum(axis=1), pa.int64())})
-
-    out = ds.map_batches(partial, batch_format="pyarrow")
-    t = _collect(out)
-    schema = pa.schema([
-        ("label", pa.int64()), ("n", pa.int64()),
-        ("dim0_sum_x1e4", pa.int64()), ("dim1_sum_x1e4", pa.int64()),
-        ("dim2_sum_x1e4", pa.int64()), ("dim3_sum_x1e4", pa.int64()),
-        ("checksum_x1e4", pa.int64())])
-    if t.num_rows == 0:
-        return schema.empty_table()
-    m = _group_counts(t, ["label"],
-                      [("n", "sum"), ("d0", "sum"), ("d1", "sum"),
-                       ("d2", "sum"), ("d3", "sum"), ("ck", "sum")])
-    res = pa.table({"label": m["label"],
-                    "n": m["n_sum"].cast(pa.int64()),
-                    "dim0_sum_x1e4": m["d0_sum"].cast(pa.int64()),
-                    "dim1_sum_x1e4": m["d1_sum"].cast(pa.int64()),
-                    "dim2_sum_x1e4": m["d2_sum"].cast(pa.int64()),
-                    "dim3_sum_x1e4": m["d3_sum"].cast(pa.int64()),
-                    "checksum_x1e4": m["ck_sum"].cast(pa.int64())})
-    return res.take(pc.sort_indices(res, sort_keys=[
-        ("label", "ascending")])).cast(schema)
-
-
-def q_quantize_embeddings(sf_dir: str, concurrency=None) -> pa.Table:
-    import ray.data
-
-    from ..functions.similarity import QuantizeInt8
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = ds.map_batches(QuantizeInt8, batch_format="pyarrow",
-                         concurrency=_conc(concurrency))
-    return _collect(out).select(
-        ["vec_id", "qsum", "qmin", "qmax", "scale_x1e8"])
-
-
-BATCH_QUERIES = ["spark join window", "batch stream merge", "hash scan"]
-
-
-def _bm25_sql_for(tokens: list[str], query_id: int, k: int = 5) -> str:
-    """One BM25 top-k SQL block (the bm25_topk oracle, parametrized)."""
-    toklist = ",".join(f"'{t}'" for t in tokens)
-    return f"""
-SELECT {query_id} AS query_id, rank, doc_id, score_x1e4 FROM (
-  WITH tok AS (
-    SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-  ), tf AS (
-    SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-    WHERE tok IN ({toklist}) GROUP BY doc_id, tok
-  ), dl AS (
-    SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-  ), stats AS (
-    SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-           (SELECT count(*) FROM tok)::DOUBLE /
-           (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-  ), df AS (
-    SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-  ), scores AS (
-    SELECT tf.doc_id,
-           sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-               (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-             AS score
-    FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-    GROUP BY tf.doc_id
-  )
-  SELECT row_number() OVER (ORDER BY score DESC, doc_id)::BIGINT AS rank,
-         doc_id,
-         CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-  FROM scores ORDER BY score DESC, doc_id LIMIT {k}
-)"""
-
-
-def q_batch_bm25(sf_dir: str, concurrency=None) -> pa.Table:
-    """Batch scoring of a query TABLE through the QueryActor pool (the
-    batch-inference shape: one Dataset in, one result Dataset out)."""
-    import ray.data
-
-    from ..search import QueryActor
-    eng = get_engine(sf_dir)  # ensure the index exists
-    qds = ray.data.from_items(
-        [{"query_id": i, "query": q}
-         for i, q in enumerate(BATCH_QUERIES)])
-
-    class Scorer(QueryActor):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            out = super().__call__(batch)
-            # map query text back to its id for a stable join key
-            qid = {q: i for i, q in enumerate(BATCH_QUERIES)}
-            ids = [qid[q] for q in out["query"].to_pylist()]
-            sc = np.floor(out["score"].to_numpy(zero_copy_only=False)
-                          * 10000 + 0.5).astype(np.int64)
-            return pa.table({
-                "query_id": pa.array(ids, pa.int64()),
-                "rank": out["rank"].cast(pa.int64()),
-                "doc_id": out["doc_id"].cast(pa.int64()),
-                "score_x1e4": pa.array(sc, pa.int64()),
-            })
-
-    rows = qds.map_batches(
-        Scorer, fn_constructor_kwargs=dict(index_dir=eng.index_dir, k=5),
-        batch_format="pyarrow", concurrency=_conc(concurrency)).take_all()
-    tbl = pa.Table.from_pylist(rows)
-    order = np.lexsort((tbl["rank"].to_numpy(zero_copy_only=False),
-                        tbl["query_id"].to_numpy(zero_copy_only=False)))
-    return tbl.take(order).select(
-        ["query_id", "rank", "doc_id", "score_x1e4"])
-
-
-def q_sample(sf_dir: str) -> pa.Table:
-    """Deterministic uniform sample (§2.7 sampling): priority =
-    md5('s1|' + doc_id), global lowest-20 — computed as per-block local
-    top-n + tiny driver merge (no shuffle, stable under any
-    partitioning; the reservoir-sampling analog with a fixed seed)."""
-    import hashlib
-    n = 20
-
-    def local_top(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        prio = [hashlib.md5(f"s1|{i}".encode()).hexdigest() for i in ids]
-        order = np.argsort(np.array(prio))[:n]
-        return pa.table({
-            "doc_id": pa.array([ids[i] for i in order], pa.int64()),
-            "prio": pa.array([prio[i] for i in order], pa.string()),
-        })
-
-    rows = (_docs_ds(sf_dir, columns=["doc_id"])
-            .map_batches(local_top, batch_format="pyarrow").take_all())
-    rows.sort(key=lambda r: r["prio"])
-    return pa.table({"doc_id": pa.array(
-        sorted(r["doc_id"] for r in rows[:n]), pa.int64())})
-
-
-def q_top_terms(sf_dir: str) -> pa.Table:
-    """Exact corpus-wide top-20 frequent terms (vocabulary head)."""
-    from ..functions.textstats import top_terms
-    return top_terms(_docs_ds(sf_dir, columns=["text"]), k=20)
-
-
-def q_top_bigrams(sf_dir: str) -> pa.Table:
-    """Exact corpus-wide top-20 frequent bigrams (collocation head):
-    adjacent-token pairs within each document, counted via per-batch
-    distinct-bigram partials + one tiny merge (functions/textstats.py
-    top_bigrams) — the n-gram-LM counting shape, never a token-level
-    shuffle."""
-    from ..functions.textstats import top_bigrams
-    return top_bigrams(_docs_ds(sf_dir, columns=["text"]), k=20)
-
-
-JACCARD_PAIRS = [(0, 1), (2, 3), (100, 101)]
-
-
-def q_ngram_jaccard(sf_dir: str) -> pa.Table:
-    """Exact 3-token-shingle Jaccard for fixed doc pairs (the near-dup
-    verification kernel, oracle-checked against SQL shingle sets)."""
-    from ..functions.dedup import ngram_jaccard_pairs
-    pairs = pa.table({
-        "doc_a": pa.array([p[0] for p in JACCARD_PAIRS], pa.int64()),
-        "doc_b": pa.array([p[1] for p in JACCARD_PAIRS], pa.int64()),
-    })
-    return ngram_jaccard_pairs(
-        _docs_ds(sf_dir, columns=["doc_id", "text"]), pairs, shingle=3)
-
-
-def train_split_buckets(ids: np.ndarray) -> np.ndarray:
-    """Vectorized deterministic split hash: two 32-bit multiplicative
-    mixing rounds (Knuth / xxHash-prime constants) over the doc id —
-    reproducible with HUGEINT arithmetic + xor in plain SQL, and a pure
-    numpy kernel here (no per-row Python anywhere). Returns bucket in
-    [0, 100)."""
-    from ..hashing import mix32
-    return mix32(ids) % 100
-
-
-def q_train_split(sf_dir: str) -> pa.Table:
-    """Deterministic hash-based train/eval split (the held-out-split
-    operator every training pipeline needs): bucket =
-    train_split_buckets(doc_id) mod 100; train = bucket < 80. Stable
-    under any partitioning/ordering and reproducible in SQL."""
-
-    def split(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        b = train_split_buckets(ids)
-        return pa.table({
-            "doc_id": t["doc_id"].cast(pa.int64()),
-            "split": pc.if_else(pa.array(b < 80),
-                                pa.scalar("train"), pa.scalar("eval")),
-        })
-
-    out = _docs_ds(sf_dir, columns=["doc_id"]).map_batches(
-        split, batch_format="pyarrow")
-    tbl = _collect(out)
-    order = np.argsort(tbl["doc_id"].to_numpy(zero_copy_only=False),
-                       kind="stable")
-    return tbl.take(order).select(["doc_id", "split"])
-
-
-def q_weighted_sample(sf_dir: str) -> pa.Table:
-    """Length-weighted Bernoulli downsample: keep probability
-    min(1, n_chars/1000), decided by a pure integer hash coin
-    (mix32(doc_id) % 10000 on the x1e4 grid) — deterministic, stable
-    under any partitioning, streaming filter end to end."""
-    from ..functions.sampling import weighted_sample
-
-    ds = _docs_ds(sf_dir, columns=["doc_id", "n_chars"])
-    out = weighted_sample(ds, id_col="doc_id",
-                          weight_col="n_chars", scale=1000)
-    t = _collect(out)
-    order = np.argsort(t["doc_id"].to_numpy(zero_copy_only=False),
-                       kind="stable")
-    return pa.table({
-        "doc_id": t["doc_id"].cast(pa.int64()),
-        "n_chars": t["n_chars"].cast(pa.int64())}).take(order)
-
-
-def q_source_stats(sf_dir: str) -> pa.Table:
-    """Per-source (per-domain) corpus quality rollup: doc counts + mean
-    doc length + mean token count — the curation dashboard staple."""
-    from ..functions.textstats import TokenStats
-
-    ds = _docs_ds(sf_dir, columns=["doc_id", "source", "text", "n_chars"])
-
-    def signals(t: pa.Table) -> pa.Table:
-        stats = TokenStats()(t)
-        return pa.table({
-            "source": t["source"],
-            "n_chars": t["n_chars"].cast(pa.int64()),
-            "n_tokens": stats["n_tokens"],
-        })
-
-    from ..functions.boilerplate import partial_aggregate
-    tbl = partial_aggregate(ds, ["source"],
-                            [("source", "count"), ("n_chars", "sum"),
-                             ("n_tokens", "sum")], prepare=signals)
-    n = tbl["source_count"].to_numpy(zero_copy_only=False
-                                     ).astype(np.float64)
-    cm = np.floor(tbl["n_chars_sum"].to_numpy(zero_copy_only=False)
-                  / n * 10000 + 0.5).astype(np.int64)
-    tm = np.floor(tbl["n_tokens_sum"].to_numpy(zero_copy_only=False)
-                  / n * 10000 + 0.5).astype(np.int64)
-    return pa.table({
-        "source": tbl["source"].cast(pa.string()),
-        "n_docs": tbl["source_count"].cast(pa.int64()),
-        "mean_chars_x1e4": pa.array(cm, pa.int64()),
-        "mean_tokens_x1e4": pa.array(tm, pa.int64()),
-    })
-
-
-def q_curation(sf_dir: str) -> pa.Table:
-    """End-to-end training-data curation pipeline, composed from the
-    operator set and streaming throughout: language filter (LangId) →
-    quality filter (TokenStats, n_tokens ≥ 30) → exact dedup (min doc_id
-    per content hash). Returns surviving doc_ids — every stage has an
-    exact SQL twin, so the WHOLE pipeline is hash-checked."""
-    from ..functions.dedup import exact_dedup
-    from ..functions.textstats import LangId, TokenStats
-
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-
-    def keep(t: pa.Table) -> pa.Table:
-        stats = TokenStats()(t)
-        lang = LangId()(t)
-        ok = pc.and_(
-            pc.greater_equal(stats["n_tokens"], 30),
-            pc.equal(lang["lang_pred"], "en"))
-        return t.filter(ok)
-
-    survivors = exact_dedup(ds.map_batches(keep, batch_format="pyarrow",
-                                           zero_copy_batch=True))
-    tbl = _collect(survivors)
-    ids = np.sort(tbl["doc_id"].to_numpy(zero_copy_only=False)
-                  .astype(np.int64))
-    return pa.table({"doc_id": pa.array(ids, pa.int64())})
-
-
-def q_media_decode(sf_dir: str) -> pa.Table:
-    """Multimodal image decode, end-to-end ORACLE-CHECKED: a
-    closed-form synthetic media table over the first 64 doc_ids (even
-    ids as P6 PPM, odd as PNG cycling all five scanline filters —
-    synth_media_table(noise=False)) is decoded by the REAL pure-numpy
-    decoders in an actor-pool map_batches stage, reduced to the exact
-    int64 pixel sum per image.  The SQL oracle recomputes the same sum
-    analytically from doc_id alone, so any decoder defect (header
-    parse, zlib inflate, scanline unfiltering) shifts the sum and
-    fails the hash.  Feature pooling (DecodeImage) stays pinned by
-    unit tests."""
-    import ray.data
-
-    from ..functions.multimodal import ImageChecksum, synth_media_table
-    ids = (_docs_ds(sf_dir, columns=["doc_id"]).take(64))
-    doc_ids = np.sort(np.array([r["doc_id"] for r in ids], np.int64))
-    media = synth_media_table(doc_ids, noise=False)
-    out = (ray.data.from_items(media.to_pylist())
-           .map_batches(ImageChecksum, batch_format="pyarrow",
-                        batch_size=16, concurrency=(1, 8)).take_all())
-    out.sort(key=lambda r: r["media_id"])
-    return pa.table({
-        "media_id": pa.array([r["media_id"] for r in out], pa.int64()),
-        "width": pa.array([r["width"] for r in out], pa.int64()),
-        "height": pa.array([r["height"] for r in out], pa.int64()),
-        "pix_sum": pa.array([r["pix_sum"] for r in out], pa.int64()),
-    })
-
-
-def q_media_audio(sf_dir: str) -> pa.Table:
-    """WAV decode, end-to-end ORACLE-CHECKED: closed-form PCM16 clips
-    (synth_audio_table) through the real RIFF/WAVE decoder in an
-    actor-pool stage, reduced to (sample_rate, n_frames, exact int64
-    sample sum) — the SQL oracle recomputes all three from doc_id."""
-    import ray.data
-
-    from ..functions.multimodal import AudioChecksum, synth_audio_table
-    ids = (_docs_ds(sf_dir, columns=["doc_id"]).take(32))
-    doc_ids = np.sort(np.array([r["doc_id"] for r in ids], np.int64))
-    media = synth_audio_table(doc_ids)
-    out = (ray.data.from_items(media.to_pylist())
-           .map_batches(AudioChecksum, batch_format="pyarrow",
-                        batch_size=8, concurrency=(1, 8)).take_all())
-    out.sort(key=lambda r: r["media_id"])
-    return pa.table({
-        "media_id": pa.array([r["media_id"] for r in out], pa.int64()),
-        "sample_rate": pa.array([r["sample_rate"] for r in out],
-                                pa.int64()),
-        "n_frames": pa.array([r["n_frames"] for r in out], pa.int64()),
-        "sample_sum": pa.array([r["sample_sum"] for r in out],
-                               pa.int64()),
-    })
-
-
-def q_media_frames(sf_dir: str) -> pa.Table:
-    """Video-column plumbing, ORACLE-CHECKED: deterministic opaque
-    payloads (size closed-form in doc_id) sampled into per-frame
-    metadata rows by the FrameSample stage; the SQL oracle recomputes
-    frame counts and byte offsets from doc_id.  The decode itself
-    stays behind the same NotImplementedError boundary as compressed
-    images."""
-    import ray.data
-
-    from ..functions.multimodal import FrameSample
-    ids = _docs_ds(sf_dir, columns=["doc_id"]).take(16)
-    rows = []
-    for r in sorted(ids, key=lambda x: x["doc_id"]):
-        did = int(r["doc_id"])
-        size = (1 << 16) * (1 + did % 4) + 100  # 1-4 sampled frames
-        rows.append({"media_id": did, "payload": bytes([did % 251]) * size})
-    out = (ray.data.from_items(rows)
-           .map_batches(FrameSample(), batch_format="pyarrow",
-                        batch_size=8).take_all())
-    out.sort(key=lambda r: (r["media_id"], r["frame"]))
-    return pa.table({
-        "media_id": pa.array([r["media_id"] for r in out], pa.int64()),
-        "frame": pa.array([r["frame"] for r in out], pa.int64()),
-        "byte_offset": pa.array([r["byte_offset"] for r in out],
-                                pa.int64()),
-    })
-
-
-# ---------------------------------------------------------------------------
-# the reference's bread-and-butter: secondary-indexing a business table
-# ---------------------------------------------------------------------------
-
-_ORD_ENGINES: dict[str, SearchEngine] = {}
-
-
-def get_orders_engine(sf_dir: str) -> SearchEngine:
-    """Trigram index over orders.o_orderpriority keyed by o_orderkey —
-    the reference's core use case (index one column of a JSON/CSV-shaped
-    business table, point/range lookups on it)."""
-    if sf_dir not in _ORD_ENGINES:
-        from .. import __version__
-        src = os.path.join(sf_dir, "orders.parquet")
-        name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-        idx = os.path.join("/tmp", "vfsray_cache",
-                           f"{name}-{_corpus_key(sf_dir, src)}"
-                           f"-v{__version__}-orders")
-        if not os.path.exists(os.path.join(idx, "stats.json")):
-            IndexBuilder(idx, mode="trigram", num_parts=4,
-                         text_col="o_orderpriority",
-                         id_col="o_orderkey").build([src])
-        _ORD_ENGINES[sf_dir] = SearchEngine(idx, corpus_files=[src],
-                                            id_col="o_orderkey")
-    return _ORD_ENGINES[sf_dir]
-
-
-def q_orders_priority_search(sf_dir: str) -> pa.Table:
-    """Trigram point lookup on a business column: orders whose priority
-    contains 'LOW' (a single 3-rune key is exact — substring ⟺ trigram
-    present, no verification needed)."""
-    eng = get_orders_engine(sf_dir)
-    docs = eng.match("LOW")
-    return pa.table({"o_orderkey": pa.array(docs.astype(np.int64),
-                                            pa.int64())})
-
-
-def q_orders_numeric_range(sf_dir: str) -> pa.Table:
-    """Numeric AND over the same table via parquet pushdown (the
-    reference's uint64-key range lookups)."""
-    from ..planner import QueryExecutor
-    src = os.path.join(sf_dir, "orders.parquet")
-    ex = QueryExecutor(None, [src], text_col="o_orderpriority",
-                       id_col="o_orderkey")
-    docs = ex.execute("o_totalprice >= 400000 && o_custkey < 500")
-    return pa.table({"o_orderkey": pa.array(docs.astype(np.int64),
-                                            pa.int64())})
-
-
-# ---------------------------------------------------------------------------
-# streaming-shaped: event-time tumbling window (§2.10 analog)
-# ---------------------------------------------------------------------------
-
-def q_events_hourly(sf_dir: str) -> pa.Table:
-    """Tumbling hourly windows: per-batch partial hash aggregation
-    (output space = types × hours, tiny), no sort shuffle — the
-    groupby().aggregate() equivalent moved every row through the sort
-    exchange (21.1 s vs ~2 s at 10M events, 32 cpus)."""
-    import ray.data
-
-    from ..functions.windows import tumbling_aggregate
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts", "value"])
-    tbl = tumbling_aggregate(ds, window_minutes=60)
-    sv = np.floor(tbl["sum_value"].to_numpy(zero_copy_only=False)
-                  * 100.0 + 0.5).astype(np.int64)
-    return pa.table({
-        "event_type": tbl["event_type"].cast(pa.string()),
-        "window_start": tbl["window_us"].cast(pa.timestamp("us")),
-        "n": tbl["n"],
-        "sum_value_x100": pa.array(sv, pa.int64()),
-    })
-
-
-def q_events_hopping(sf_dir: str) -> pa.Table:
-    """Hopping (sliding) windows: 120-min windows advancing every
-    30 min — each event lands in exactly 4 overlapping windows.  The
-    replication happens inside the per-batch partial (shifted copies
-    → one Arrow hash agg), so batches still ship one row per
-    (type, window) seen; values fold integer-exactly on the x1e4
-    grid."""
-    import ray.data
-
-    from ..functions.windows import hopping_aggregate
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts", "value"])
-    tbl = hopping_aggregate(ds, window_minutes=120, hop_minutes=30)
-    out = pa.table({
-        "event_type": tbl["event_type"].cast(pa.string()),
-        "window_start": tbl["window_us"].cast(pa.timestamp("us")),
-        "n": tbl["n"],
-        "sum_x1e4": tbl["sum_x1e4"],
-    })
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("event_type", "ascending"), ("window_start", "ascending")]))
-
-
-def q_events_agg_store(sf_dir: str) -> pa.Table:
-    """Incremental windowed-aggregate STORE (aggstore.py): absorb the
-    event file into a fresh store (tmp+rename partial, sidecar-last
-    commit — the index build's wave protocol applied to aggregates),
-    absorb it AGAIN to prove exactly-once (the second absorb must be
-    a no-op), then answer from committed partials only.  x1e4-exact
-    sums; byte-identical regardless of absorb order/granularity
-    (tests/test_aggstore.py)."""
-    import tempfile
-
-    from ..aggstore import AggStore
-    _tune_context()
-    root = tempfile.mkdtemp(prefix="aggstore_")
-    try:
-        store = AggStore(root, window_minutes=60)
-        src = os.path.join(sf_dir, "events.parquet")
-        store.absorb([src])
-        st = store.absorb([src])  # exactly-once: committed => no-op
-        assert st["absorbed"] == 0 and st["skipped"] == 1
-        t = store.query()
-    finally:
-        import shutil
-        shutil.rmtree(root, ignore_errors=True)
-    return pa.table({
-        "event_type": t["event_type"],
-        "window_start": t["window_us"].cast(pa.timestamp("us")),
-        "n": t["n"],
-        "sum_x1e4": t["sum_x1e4"],
-    })
-
-
-def q_events_resample(sf_dir: str) -> pa.Table:
-    """Gap-filled 15-min resample per event type: shuffle-free window
-    partials, then zero rows for every missing bucket between each
-    type's first and last observation (grid fill on the tiny merged
-    result, one np.arange per type)."""
-    import ray.data
-
-    from ..functions.windows import resample_aggregate
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts", "value"])
-    tbl = resample_aggregate(ds, freq_minutes=15)
-    return pa.table({
-        "event_type": tbl["event_type"],
-        "window_start": tbl["window_us"].cast(pa.timestamp("us")),
-        "n": tbl["n"],
-        "sum_x1e4": tbl["sum_x1e4"],
-    })
-
-
-def q_events_sessions(sf_dir: str) -> pa.Table:
-    """Gap-based session windows (30 min) per user (§2.10)."""
-    import ray.data
-
-    from ..functions.windows import sessionize_table
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_id", "user_id", "ts"])
-    return sessionize_table(ds, gap_minutes=30)
-
-
-DECON_PROBES = ["order sort table", "window spark order",
-                "zzzz never occurs qqqq"]
-
-
-def q_decontaminate(sf_dir: str) -> pa.Table:
-    """Benchmark decontamination: flag docs containing any probe n-gram
-    (broadcast tiny probe list, one vectorized substring pass per probe
-    per batch); probe_idx = first matching probe."""
-    from ..functions.textstats import Decontaminate
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = ds.map_batches(Decontaminate(DECON_PROBES, mode="flag"),
-                         batch_format="pyarrow")
-    tbl = _collect(out)
-    if tbl.num_rows == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "probe_idx": pa.array([], pa.int64())})
-    return tbl.select(["doc_id", "probe_idx"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("probe_idx", pa.int64())]))
-
-
-def q_redact(sf_dir: str) -> pa.Table:
-    """Regex redaction (PII-scrub shape): RE2 on both sides — Arrow
-    replace_substring_regex vs DuckDB regexp_replace(…, 'g') with the
-    IDENTICAL pattern, byte-compared over the whole corpus."""
-    from ..functions.textstats import RedactRegex
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = ds.map_batches(
-        RedactRegex(r"\bcustomer\b", "<ENT>"), batch_format="pyarrow")
-    tbl = _collect(out)
-    return tbl.select(["doc_id", "text"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("text", pa.string())]))
-
-
-def q_normalize(sf_dir: str) -> pa.Table:
-    """Text normalization (the standard pre-tokenization cleanup):
-    lowercase, collapse whitespace runs, strip ends — three vectorized
-    Arrow kernels, RE2 on both sides, byte-compared corpus-wide."""
-    import pyarrow.compute as pc
-
-    def norm(batch: pa.Table) -> pa.Table:
-        t = pc.utf8_lower(batch["text"])
-        t = pc.replace_substring_regex(t, pattern=r"\s+", replacement=" ")
-        t = pc.utf8_trim_whitespace(t)
-        return pa.table({"doc_id": batch["doc_id"], "text": t})
-
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    tbl = pa.Table.from_pylist(
-        ds.map_batches(norm, batch_format="pyarrow").take_all())
-    return tbl.select(["doc_id", "text"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("text", pa.string())]))
-
-
-def q_chunk_documents(sf_dir: str) -> pa.Table:
-    """Sliding-window chunking (LLM context packing): 256-char windows
-    every 192 chars, short docs one chunk — vectorized buffer gather,
-    chunk text hash-compared against the generate_series/substr SQL."""
-    from ..functions.textstats import ChunkDocuments
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = ds.map_batches(ChunkDocuments(window=256, stride=192),
-                         batch_format="pyarrow")
-    tbl = _collect(out)
-    return tbl.select(["doc_id", "chunk_id", "chunk"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("chunk_id", pa.int64()),
-        ("chunk", pa.string())]))
-
-
-def q_pack_budget(sf_dir: str) -> pa.Table:
-    """Training-shard packing: per source (doc_id order), pack_id =
-    exclusive-prefix-sum(n_chars) // 4096 — each pack fills ~one budget
-    of consecutive docs. Hash-partition + vectorized prefix kernel."""
-    import ray.data
-
-    from ..functions.windows import pack_by_budget
-    ds = ray.data.read_parquet(_doc_file(sf_dir),
-                               columns=["doc_id", "source", "n_chars"])
-    rows = pack_by_budget(ds, budget=4096).take_all()
-    tbl = pa.Table.from_pylist(rows)
-    return tbl.select(["doc_id", "source", "pack_id"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("source", pa.string()),
-        ("pack_id", pa.int64())]))
-
-
-def q_events_latest(sf_dir: str) -> pa.Table:
-    """Latest record per key (the re-crawl keep-newest-snapshot dedup
-    shape): hash-partition groupby + one vectorized kernel; ties on ts
-    break to the larger event_id."""
-    import ray.data
-
-    from ..functions.windows import latest_per_key
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_id", "user_id", "ts"])
-    rows = latest_per_key(ds).take_all()
-    tbl = pa.Table.from_pylist(rows)
-    return tbl.select(["user_id", "event_id", "ts"]).cast(pa.schema([
-        ("user_id", pa.int64()), ("event_id", pa.int64()),
-        ("ts", pa.timestamp("us"))]))
-
-
-def q_events_props(sf_dir: str) -> pa.Table:
-    """JSON property extraction (vectorized RE2) + per-type aggregate."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    from ..functions.windows import JsonExtractInt
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "props"])
-    tbl = partial_aggregate(
-        ds, ["event_type"], [("event_type", "count"), ("k", "sum")],
-        prepare=JsonExtractInt("k"))
-    return pa.table({
-        "event_type": tbl["event_type"].cast(pa.string()),
-        "n": tbl["event_type_count"].cast(pa.int64()),
-        "k_sum": tbl["k_sum"].cast(pa.int64()),
-    })
-
-
-def q_label_classify(sf_dir: str) -> pa.Table:
-    """Nearest-centroid classification over the labeled embeddings."""
-    import ray.data
-
-    from ..functions.similarity import centroid_classify
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    return centroid_classify(ds)
-
-
-def q_nears(sf_dir: str) -> pa.Table:
-    """The reference's Nears tf-share ranking (A7 parity,
-    search_cond.go:297-381): score = Σ df_tok/Σdf over matched tokens,
-    distance = ceil((1−score)·1e5)/1e5 ascending, doc_id ties. Two-token
-    query keeps the fp sum commutative, so the SQL oracle (whose join
-    may sum in either order) is bit-identical."""
-    eng = get_engine(sf_dir)
-    docs, dist = eng.nears(MATCH_QUERY)  # "spark window", 2 tokens
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "dist_x1e5": pa.array(
-            np.round(dist * 1e5).astype(np.int64), pa.int64()),
-    })
-
-
-def q_filtered_bm25(sf_dir: str) -> pa.Table:
-    """Filtered ranked search: expression AND (text + numeric pushdown)
-    then BM25 top-10 over the text predicate, global statistics."""
-    from ..planner import QueryExecutor
-    eng = get_engine(sf_dir)
-    ex = QueryExecutor(eng, [_doc_file(sf_dir)], text_col="text",
-                       id_col="doc_id")
-    docs, scores = ex.ranked('text.search("spark join") && n_chars >= 300',
-                             k=10)
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(scores * 10000.0 + 0.5).astype(np.int64), pa.int64()),
-    })
-
-
-def q_or_match(sf_dir: str) -> pa.Table:
-    """Disjunctive expression (grammar extension over the reference's
-    AND-only PEG): DNF groups — (spark AND window) OR (stream AND
-    n_chars >= 450) — each group an index/pushdown intersection, the OR
-    a sorted doc-id union."""
-    from ..planner import QueryExecutor
-    eng = get_engine(sf_dir)
-    ex = QueryExecutor(eng, [_doc_file(sf_dir)], text_col="text",
-                       id_col="doc_id")
-    docs = ex.execute('text.search("spark window") || '
-                      'text.search("stream") && n_chars >= 450')
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64), pa.int64())})
-
-
-def q_snippets(sf_dir: str) -> pa.Table:
-    """Result snippets: for docs matching the AND query, an 80-char
-    window centred on the first occurrence of the lead term. Index
-    match + row-group-pruned fetch (result-set-sized — the per-row
-    slice runs over k fetched rows, never the corpus)."""
-    eng = get_engine(sf_dir)
-    docs = eng.match("spark window")
-    rows = eng.fetch_rows(np.sort(docs), columns=["doc_id", "text"])
-    texts = rows["text"].to_pylist()
-    # str.find counts CODE POINTS like the oracle's strpos (Arrow's
-    # find_substring returns BYTE offsets — wrong for non-ASCII text);
-    # per-row work is fine here: this loop is result-set-sized
-    snips = []
-    for t in texts:
-        i = t.find("spark")
-        snips.append(t[max(i - 40, 0):i + 40])
-    return pa.table({
-        "doc_id": rows["doc_id"].cast(pa.int64()),
-        "snippet": pa.array(snips, pa.string()),
-    })
-
-
-def q_not_match(sf_dir: str) -> pa.Table:
-    """AND-NOT (grammar extension): docs with both 'spark' and 'join'
-    but NOT 'window', and under the n_chars cap — negation is a sorted
-    doc-id difference inside the positive group, never a universe scan."""
-    from ..planner import QueryExecutor
-    eng = get_engine(sf_dir)
-    ex = QueryExecutor(eng, [_doc_file(sf_dir)], text_col="text",
-                       id_col="doc_id")
-    docs = ex.execute('text.search("spark join") && '
-                      '!text.search("window") && !n_chars >= 450')
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64), pa.int64())})
-
-
-def q_nearest(sf_dir: str) -> pa.Table:
-    """J7 nearest-key lookup on a numeric column."""
-    eng = get_engine(sf_dir)
-    from ..planner import QueryExecutor
-    ex = QueryExecutor(eng, [_doc_file(sf_dir)], text_col="text",
-                       id_col="doc_id")
-    hit = ex.nearest("n_chars", 300)
-    return pa.table({
-        "doc_id": pa.array([hit["doc_id"]], pa.int64()),
-        "n_chars": pa.array([int(hit["n_chars"])], pa.int64()),
-    })
-
-
-FED_QUERY = "batch stream sort"
-_FED_ENGINES: dict = {}
-
-
-def get_federated_engine(sf_dir: str):
-    """Two doc-disjoint half-indexes (doc_id parity split) queried
-    through FederatedEngine — the reference's merge-on-search serving
-    story (search_cond.go:828-837), scored via per-source Ray tasks.
-    Memoized per sf_dir like get_engine."""
-    if sf_dir not in _FED_ENGINES:
-        import pyarrow.parquet as pqq
-
-        from .. import __version__
-        from ..merge import FederatedEngine
-        src = _doc_file(sf_dir)
-        name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-        base = os.path.join("/tmp", "vfsray_cache",
-                            f"{name}-{_corpus_key(sf_dir, src)}"
-                            f"-v{__version__}-fed")
-        os.makedirs(base, exist_ok=True)
-        idx_dirs = []
-        for half in (0, 1):
-            half_src = os.path.join(base, f"docs{half}.parquet")
-            if not os.path.exists(half_src):
-                tbl = pqq.read_table(src)
-                ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-                tmp = half_src + ".tmp"
-                pqq.write_table(tbl.filter(pa.array(ids % 2 == half)), tmp)
-                os.replace(tmp, half_src)
-            idx = os.path.join(base, f"idx{half}")
-            if not os.path.exists(os.path.join(idx, "stats.json")):
-                IndexBuilder(idx, mode="word", num_parts=4,
-                             id_col="doc_id").build([half_src])
-            idx_dirs.append(idx)
-        _FED_ENGINES[sf_dir] = FederatedEngine(idx_dirs)
-    return _FED_ENGINES[sf_dir]
-
-
-def q_federated_bm25(sf_dir: str) -> pa.Table:
-    """Global BM25 over two unmerged doc-disjoint indexes: per-source df
-    round → broadcast global (N, avgdl, df) → per-source scoring tasks →
-    tiny top-k merge. fp64-identical to one merged index, so the same
-    whole-corpus SQL oracle applies."""
-    fed = get_federated_engine(sf_dir)
-    docs, scores = fed.bm25(FED_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(scores * 10000.0 + 0.5).astype(np.int64), pa.int64()),
-    })
-
-
-def q_prune_boilerplate(sf_dir: str) -> pa.Table:
-    """Corpus-level frequent-unit removal (the CCNet/RefinedWeb
-    boilerplate-dedup shape, token unit on this corpus): partial
-    distinct-doc counts per batch → hive-partitioned disk-shuffle sum +
-    threshold (100*df >= 79*N, exact integers) → broadcast frequent set
-    → one vectorized is_in + binary_join rebuild pass."""
-    from ..functions.boilerplate import remove_boilerplate
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = remove_boilerplate(ds, min_frac=0.79, unit="token")
-    tbl = _collect(out)
-    return tbl.select(["doc_id", "text", "n_removed"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("text", pa.string()),
-        ("n_removed", pa.int64())]))
-
-
-def q_events_asof(sf_dir: str) -> pa.Table:
-    """As-of join: each purchase matched to the same user's most recent
-    strictly-prior click ((ts, event_id) order; -1 when none). The
-    sessionize shuffle shape + one vectorized running-max kernel per
-    partition."""
-    from ..functions.windows import asof_prior
-    import ray.data
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"])
-    out = asof_prior(ds, left_type="purchase", right_type="click")
-    tbl = _collect(out)
-    return tbl.select(["event_id", "user_id", "match_event_id",
-                       "lag_us"]).cast(pa.schema([
-        ("event_id", pa.int64()), ("user_id", pa.int64()),
-        ("match_event_id", pa.int64()), ("lag_us", pa.int64())]))
-
-
-def q_events_window_count(sf_dir: str) -> pa.Table:
-    """Range-join windowed aggregate: clicks in the hour before each
-    purchase (same user, strictly prior in (ts, event_id) order)."""
-    from ..functions.windows import window_count_prior
-    import ray.data
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"])
-    out = window_count_prior(ds, left_type="purchase",
-                             right_type="click", window_minutes=60)
-    tbl = _collect(out)
-    return tbl.select(["event_id", "user_id", "n_window"]).cast(
-        pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
-                   ("n_window", pa.int64())]))
-
-
-def q_events_quantiles(sf_dir: str) -> pa.Table:
-    """Exact p50/p90/p99 of the event value per type over the x1e4
-    fixed-point grid — per-batch partial (key, grid) counts, no sort
-    shuffle; DuckDB-identical ceil(pct*n/100) discrete rank."""
-    from ..functions.quantiles import grouped_quantiles
-    import ray.data
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "value"])
-    return grouped_quantiles(ds, key_col="event_type", val_col="value",
-                             pcts=(50, 90, 99)).cast(pa.schema([
-        ("event_type", pa.string()), ("pct", pa.int64()),
-        ("value_x1e4", pa.int64())]))
-
-
-def q_segment_revenue(sf_dir: str) -> pa.Table:
-    """Broadcast hash join + partial aggregation: revenue per customer
-    market segment. The small side (customer key → segment) is built
-    once, shipped via ray.put, and probed with one vectorized index_in
-    per orders batch — never a shuffle join; prices convert to integer
-    cents PER ROW before summing, so partial sums are exact and
-    order-free."""
-    import ray
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    import pyarrow.parquet as pqq
-    _tune_context()
-    cust = pqq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                          columns=["c_custkey", "c_mktsegment"])
-    cust_ref = ray.put(cust)
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_totalprice"])
-
-    def join_segment(t: pa.Table) -> pa.Table:
-        c = ray.get(cust_ref)
-        keys = c["c_custkey"]
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        seg = c["c_mktsegment"]
-        if isinstance(seg, pa.ChunkedArray):
-            seg = seg.combine_chunks()
-        pos = pc.index_in(t["o_custkey"], value_set=keys)
-        cents = np.floor(t["o_totalprice"].to_numpy(zero_copy_only=False)
-                         * 100.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "c_mktsegment": seg.take(pos),
-            "cents": pa.array(cents, pa.int64()),
-        })
-
-    tbl = partial_aggregate(orders, ["c_mktsegment"],
-                            [("c_mktsegment", "count"), ("cents", "sum")],
-                            prepare=join_segment)
-    return pa.table({
-        "c_mktsegment": tbl["c_mktsegment"].cast(pa.string()),
-        "n_orders": tbl["c_mktsegment_count"].cast(pa.int64()),
-        "revenue_x100": tbl["cents_sum"].cast(pa.int64()),
-    })
-
-
-def q_lineitem_pricing(sf_dir: str) -> pa.Table:
-    """TPC-H Q1-shape pricing summary over lineitem: per (returnflag,
-    linestatus) sums of quantity, base price and discounted price —
-    every measure quantized to integer hundredths PER ROW (the fp64
-    row product is IEEE-identical on both sides), so the distributed
-    partial sums are exact integers."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice", "l_discount"])
-
-    def measures(t: pa.Table) -> pa.Table:
-        q = t["l_quantity"].to_numpy(zero_copy_only=False)
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "l_linestatus": t["l_linestatus"],
-            "qty_x100": pa.array(
-                np.floor(q * 100.0 + 0.5).astype(np.int64), pa.int64()),
-            "base_x100": pa.array(
-                np.floor(ep * 100.0 + 0.5).astype(np.int64), pa.int64()),
-            "disc_x100": pa.array(
-                np.floor(ep * (1.0 - dc) * 100.0 + 0.5
-                         ).astype(np.int64), pa.int64()),
-        })
-
-    tbl = partial_aggregate(
-        ds, ["l_returnflag", "l_linestatus"],
-        [("l_returnflag", "count"), ("qty_x100", "sum"),
-         ("base_x100", "sum"), ("disc_x100", "sum")], prepare=measures)
-    return pa.table({
-        "l_returnflag": tbl["l_returnflag"].cast(pa.string()),
-        "l_linestatus": tbl["l_linestatus"].cast(pa.string()),
-        "n_rows": tbl["l_returnflag_count"].cast(pa.int64()),
-        "sum_qty_x100": tbl["qty_x100_sum"].cast(pa.int64()),
-        "sum_base_x100": tbl["base_x100_sum"].cast(pa.int64()),
-        "sum_disc_x100": tbl["disc_x100_sum"].cast(pa.int64()),
-    })
-
-
-def q_tpch_q3(sf_dir: str) -> pa.Table:
-    """TPC-H Q3-shape shipping-priority top-10: the general
-    co-partitioned hash join (functions/joins.py) over filtered
-    lineitem ⋈ filtered orders, with the customer dimension reduced to
-    a broadcast semi-join filter (keys shipped once via ray.put).
-    The join partitions BY the grouping key (orderkey), so the revenue
-    aggregate and a local top-10 run inside each join task — no second
-    shuffle; the driver merges P candidate top-10s. Revenue quantizes
-    per row (the fp64 product is IEEE-identical on both sides) so the
-    distributed sums are exact integers with a deterministic total
-    order (rev desc, orderdate asc, orderkey asc)."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import _group_counts
-    from ..functions.joins import hash_join
-    _tune_context()
-    cut = pa.scalar(np.datetime64("1998-06-01", "us"), pa.timestamp("us"))
-    cust = pqq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                          columns=["c_custkey", "c_mktsegment"])
-    keys = cust.filter(pc.equal(cust["c_mktsegment"], "BUILDING"))
-    keys = keys["c_custkey"].combine_chunks()
-    keys_ref = ray.put(keys)
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_orderpriority"])
-
-    def filt_orders(t: pa.Table) -> pa.Table:
-        m = pc.and_(pc.less(t["o_orderdate"], cut),
-                    pc.is_in(t["o_custkey"], value_set=ray.get(keys_ref)))
-        return t.filter(m).select(
-            ["o_orderkey", "o_orderdate", "o_orderpriority"])
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"])
-
-    def filt_line(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["l_shipdate"], cut))
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "rev": pa.array(rev, pa.int64())})
-
-    gcols = ["l_orderkey", "o_orderdate", "o_orderpriority"]
-    skeys = [("rev_sum", "descending"), ("o_orderdate", "ascending"),
-             ("l_orderkey", "ascending")]
-
-    def local_topk(j: pa.Table) -> pa.Table:
-        g = _group_counts(j, gcols, [("rev", "sum")])
-        return g.take(pc.sort_indices(g, sort_keys=skeys)[:10])
-
-    out = hash_join(
-        line.map_batches(filt_line, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        orders.map_batches(filt_orders, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        left_on="l_orderkey", right_on="o_orderkey", post=local_topk)
-    schema = pa.schema([("l_orderkey", pa.int64()),
-                        ("revenue_x1e4", pa.int64()),
-                        ("o_orderdate", pa.timestamp("us")),
-                        ("o_orderpriority", pa.string())])
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    t = t.take(pc.sort_indices(t, sort_keys=skeys)[:10])
-    return pa.table({
-        "l_orderkey": t["l_orderkey"].cast(pa.int64()),
-        "revenue_x1e4": t["rev_sum"].cast(pa.int64()),
-        "o_orderdate": t["o_orderdate"],
-        "o_orderpriority": t["o_orderpriority"].cast(pa.string()),
-    })
-
-
-def q_tpch_q5(sf_dir: str) -> pa.Table:
-    """TPC-H Q5-shape local-supplier revenue: region/nation/customer/
-    supplier dims reduced driver-side and applied as BROADCAST joins
-    (functions/joins.py broadcast_join — shipped once, probed per
-    batch), the one genuinely large-large edge (lineitem ⋈ orders)
-    as the co-partitioned hash join with the nation-equality filter +
-    revenue partial aggregate run inside each join task; the driver
-    merges a handful of per-partition partials."""
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import _group_counts
-    from ..functions.joins import broadcast_join, hash_join
-    _tune_context()
-    lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
-    hi = pa.scalar(np.datetime64("1998-01-01", "us"), pa.timestamp("us"))
-
-    region = pqq.read_table(os.path.join(sf_dir, "region.parquet"))
-    nation = pqq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    rk = region.filter(pc.equal(region["r_name"], "ASIA"))["r_regionkey"]
-    asia = nation.filter(pc.is_in(nation["n_regionkey"],
-                                  value_set=rk.combine_chunks()))
-    nkeys = asia["n_nationkey"].combine_chunks()
-    cust = pqq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                          columns=["c_custkey", "c_nationkey"])
-    cust = cust.filter(pc.is_in(cust["c_nationkey"], value_set=nkeys))
-    supp = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                          columns=["s_suppkey", "s_nationkey"])
-    supp = supp.filter(pc.is_in(supp["s_nationkey"], value_set=nkeys))
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def filt_orders(t: pa.Table) -> pa.Table:
-        m = pc.and_(pc.greater_equal(t["o_orderdate"], lo),
-                    pc.less(t["o_orderdate"], hi))
-        return t.filter(m).select(["o_orderkey", "o_custkey"])
-
-    # inner broadcast joins also FILTER to the Asia dims
-    orders_f = broadcast_join(
-        orders.map_batches(filt_orders, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        cust, left_on="o_custkey", right_on="c_custkey")
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"])
-
-    def rev_rows(t: pa.Table) -> pa.Table:
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "l_suppkey": t["l_suppkey"],
-                         "rev": pa.array(rev, pa.int64())})
-
-    line_f = broadcast_join(
-        line.map_batches(rev_rows, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        supp, left_on="l_suppkey", right_on="s_suppkey")
-
-    def local_agg(j: pa.Table) -> pa.Table:
-        j = j.filter(pc.equal(j["s_nationkey"], j["c_nationkey"]))
-        return _group_counts(j, ["s_nationkey"],
-                             [("rev", "count"), ("rev", "sum")])
-
-    out = hash_join(line_f, orders_f, left_on="l_orderkey",
-                    right_on="o_orderkey", post=local_agg)
-    schema = pa.schema([("n_name", pa.string()),
-                        ("n_items", pa.int64()),
-                        ("revenue_x1e4", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    partials = _collect(out)
-    m = _group_counts(partials, ["s_nationkey"],
-                      [("rev_count", "sum"), ("rev_sum", "sum")])
-    names = asia["n_name"].combine_chunks().take(
-        pc.index_in(m["s_nationkey"], value_set=nkeys))
-    t = pa.table({"n_name": names,
-                  "n_items": m["rev_count_sum"].cast(pa.int64()),
-                  "revenue_x1e4": m["rev_sum_sum"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[("n_name", "ascending")]))
-
-
-def q_span_dedup(sf_dir: str) -> pa.Table:
-    """Exact-substring dedup rewrite (functions/spans.py
-    remove_dup_spans): every token covered by a non-first occurrence
-    of a corpus-duplicated 8-token window is removed and the text
-    rebuilt — the Lee et al. dedup rewrite at token-window
-    granularity."""
-    from ..functions.spans import remove_dup_spans
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = remove_dup_spans(ds, L=8)
-    tbl = _collect(out)
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("doc_id",
-                                                    "ascending")]))
-    return tbl.select(["doc_id", "text", "n_removed"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("text", pa.string()),
-        ("n_removed", pa.int64())]))
-
-
-def q_customers_no_urgent(sf_dir: str) -> pa.Table:
-    """Distributed ANTI join (functions/joins.py hash_join, Acero
-    'left anti' per partition pair): customers with no 1-URGENT
-    order.  Both sides co-partition by custkey through the disk
-    spill — the shape that holds when neither side fits in a worker
-    heap."""
-    import ray.data
-
-    from ..functions.joins import hash_join
-    _tune_context()
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name", "c_mktsegment"])
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderpriority"])
-
-    def urgent(t: pa.Table) -> pa.Table:
-        m = pc.equal(t["o_orderpriority"], "1-URGENT")
-        return t.filter(m).select(["o_custkey"])
-
-    out = hash_join(cust,
-                    orders.map_batches(urgent, batch_format="pyarrow",
-                                       zero_copy_batch=True),
-                    left_on="c_custkey", right_on="o_custkey",
-                    how="left anti")
-    schema = pa.schema([("c_custkey", pa.int64()),
-                        ("c_name", pa.string()),
-                        ("c_mktsegment", pa.string())])
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    t = t.take(pc.sort_indices(t, sort_keys=[("c_custkey",
-                                              "ascending")]))
-    return t.select(["c_custkey", "c_name", "c_mktsegment"]).cast(schema)
-
-
-def q_events_running(sf_dir: str) -> pa.Table:
-    """Per-user running value total (the SQL SUM OVER window): one
-    hash partition by user, one vectorized cumsum-minus-run-base
-    kernel per partition (functions/windows.py running_total);
-    per-row x1e4 quantization makes the cumulative sums exact."""
-    import ray.data
-
-    from ..functions.windows import running_total
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "value"])
-    out = running_total(ds)
-    tbl = _collect(out)
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("event_id", "ascending")]))
-    return tbl.select(["event_id", "user_id", "running_x1e4"]).cast(
-        pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
-                   ("running_x1e4", pa.int64())]))
-
-
-def q_events_top_per_user(sf_dir: str) -> pa.Table:
-    """Per-key top-n (group-top-N): each user's 3 highest-value events
-    — one hash partition + a vectorized sort/run-rank kernel per
-    partition (functions/windows.py top_n_per_key).  Values quantize
-    x1e4 per row so the rank order and output are hash-exact."""
-    import ray.data
-
-    from ..functions.windows import top_n_per_key
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "value"])
-
-    def quantize(t: pa.Table) -> pa.Table:
-        v = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                     * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"event_id": t["event_id"],
-                         "user_id": t["user_id"],
-                         "value_x1e4": pa.array(v, pa.int64())})
-
-    out = top_n_per_key(ds.map_batches(quantize, batch_format="pyarrow",
-                                       zero_copy_batch=True),
-                        val_col="value_x1e4", n=3)
-    tbl = _collect(out)
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("user_id", "ascending"), ("rank", "ascending")]))
-    return tbl.select(["user_id", "rank", "event_id",
-                       "value_x1e4"]).cast(pa.schema([
-        ("user_id", pa.int64()), ("rank", pa.int64()),
-        ("event_id", pa.int64()), ("value_x1e4", pa.int64())]))
-
-
-def q_events_distinct(sf_dir: str) -> pa.Table:
-    """Exact distinct aggregation (count(DISTINCT user) per event
-    type): per-batch distinct pairs + pair-hash disk spill + per-part
-    dedup/count (functions/boilerplate.py distinct_aggregate) — the
-    aggregate shape that is NOT sum-mergeable over raw rows."""
-    import ray.data
-
-    from ..functions.boilerplate import distinct_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "user_id"])
-    t = distinct_aggregate(ds, ["event_type"], "user_id")
-    t = t.take(pc.sort_indices(t, sort_keys=[("event_type",
-                                              "ascending")]))
-    return t.cast(pa.schema([("event_type", pa.string()),
-                             ("n_distinct", pa.int64())]))
-
-
-def q_events_approx_users(sf_dir: str) -> pa.Table:
-    """APPROXIMATE distinct users per event type via the 64-register
-    HyperLogLog sketch (functions/sketches.py) — the shuffle-free
-    companion to events_distinct: batches fold into tiny max-register
-    partials, nothing keyed ever moves.  Integer-exact closed form,
-    so the oracle SQL recomputes the identical sketch (mix32 hash in
-    HUGEINT, printf('%b') bitlen, shared linear-counting literals)."""
-    import ray.data
-
-    from ..functions.sketches import approx_distinct
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "user_id"])
-    return approx_distinct(ds, key_col="user_id",
-                           group_col="event_type",
-                           out_col="approx_users")
-
-
-CMS_QUERY_KEYS = list(range(10)) + [10**9]   # last key is absent
-
-
-def q_events_cms_counts(sf_dir: str) -> pa.Table:
-    """APPROXIMATE per-user event counts via a 4x1024 Count-Min
-    Sketch (functions/sketches.py cms_counts) — the shuffle-free
-    frequency probe: batches fold into 16 KiB additive counter
-    partials, estimates are collision-inflated upper bounds, and the
-    oracle SQL recomputes the identical sketch (salted mix32 buckets
-    in HUGEINT, min over rows).  One deliberately-absent key
-    (10^9) exercises the zero/collision path."""
-    import ray.data
-
-    from ..functions.sketches import cms_counts
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id"])
-    return cms_counts(ds, key_col="user_id",
-                      query_keys=CMS_QUERY_KEYS,
-                      out_col="approx_count")
-
-
-def q_lineitem_maxline(sf_dir: str) -> pa.Table:
-    """Multi-column equi-join: lines achieving their (partkey,
-    suppkey) pair's MAX quantity.  The per-pair max is a
-    high-cardinality hash_aggregate; the join back to lineitem
-    co-partitions BOTH sides on the combined two-column key hash
-    (functions/joins.py list keys) with the equality filter running
-    inside each join task.  Quantities quantize to integer x100 so
-    the compared values are exact."""
-    import ray.data
-
-    from ..functions.boilerplate import hash_aggregate
-    from ..functions.joins import hash_join
-    _tune_context()
-
-    def prep(t: pa.Table) -> pa.Table:
-        q = t["l_quantity"].to_numpy(zero_copy_only=False)
-        qx = np.floor(q * 100.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "l_orderkey": t["l_orderkey"].cast(pa.int64()),
-            "l_partkey": t["l_partkey"].cast(pa.int64()),
-            "l_suppkey": t["l_suppkey"].cast(pa.int64()),
-            "qty_x100": pa.array(qx, pa.int64())})
-
-    def read():
-        return ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_orderkey", "l_partkey", "l_suppkey",
-                     "l_quantity"]
-        ).map_batches(prep, batch_format="pyarrow",
-                      zero_copy_batch=True)
-
-    right = hash_aggregate(read(), ["l_partkey", "l_suppkey"],
-                           [("qty_x100", "max")])
-
-    def keep_max(j: pa.Table) -> pa.Table:
-        j = j.filter(pc.equal(j["qty_x100"], j["qty_x100_max"]))
-        return j.select(["l_orderkey", "l_partkey", "l_suppkey",
-                         "qty_x100"])
-
-    out = hash_join(read(), right,
-                    left_on=["l_partkey", "l_suppkey"],
-                    post=keep_max)
-    schema = pa.schema([("l_orderkey", pa.int64()),
-                        ("l_partkey", pa.int64()),
-                        ("l_suppkey", pa.int64()),
-                        ("qty_x100", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("l_orderkey", "ascending"), ("l_partkey", "ascending"),
-        ("l_suppkey", "ascending"), ("qty_x100", "ascending")]))
-
-
-def q_customer_revenue(sf_dir: str) -> pa.Table:
-    """High-cardinality grouped aggregate (one row per customer):
-    hash_aggregate — per-batch Arrow partials, hive disk-shuffle by
-    key hash, per-part merges — with prices quantized to integer
-    cents per row so the distributed sums/maxes are exact."""
-    import ray.data
-
-    from ..functions.boilerplate import hash_aggregate
-    _tune_context()
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_totalprice"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        c = np.floor(t["o_totalprice"].to_numpy(zero_copy_only=False)
-                     * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"o_custkey": t["o_custkey"],
-                         "cents": pa.array(c, pa.int64())})
-
-    out = hash_aggregate(orders, ["o_custkey"],
-                         [("o_custkey", "count"), ("cents", "sum"),
-                          ("cents", "max")], prepare=cents)
-    t = _collect(out)
-    return pa.table({
-        "o_custkey": t["o_custkey"].cast(pa.int64()),
-        "n_orders": t["o_custkey_count"].cast(pa.int64()),
-        "revenue_x100": t["cents_sum"].cast(pa.int64()),
-        "max_order_x100": t["cents_max"].cast(pa.int64()),
-    })
-
-
-def q_line_dedup(sf_dir: str) -> pa.Table:
-    """C4-shape corpus-wide exact line dedup, keep-first
-    (functions/linededup.py).  The testdata documents are single-line,
-    so the wrapper first reflows each doc into fixed 8-token lines —
-    a deterministic, SQL-reproducible transform — then removes every
-    non-first occurrence of each line corpus-wide and rebuilds the
-    texts."""
-    from ..functions.linededup import line_dedup
-    W = 8
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-
-    def reflow(t: pa.Table) -> pa.Table:
-        texts = t["text"]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        toks = pc.split_pattern(texts, pattern=" ")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks).to_numpy(
-            zero_copy_only=False)
-        counts = pc.list_value_length(toks).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        offs = np.zeros(t.num_rows + 1, np.int64)
-        np.cumsum(counts, out=offs[1:])
-        pos = np.arange(len(flat), dtype=np.int64) - offs[parent]
-        starts = np.nonzero(pos % W == 0)[0]
-        line_offs = np.append(starts, len(flat)).astype(np.int64)
-        lines = pc.binary_join(
-            pa.LargeListArray.from_arrays(pa.array(line_offs), flat),
-            " ")
-        lcounts = -(-counts // W)  # ceil; 0-token docs keep 0 lines
-        doffs = np.zeros(t.num_rows + 1, np.int64)
-        np.cumsum(lcounts, out=doffs[1:])
-        text2 = pc.binary_join(
-            pa.LargeListArray.from_arrays(pa.array(doffs), lines),
-            "\n")
-        if text2.type != pa.string():
-            text2 = text2.cast(pa.string())
-        return pa.table({"doc_id": t["doc_id"], "text": text2})
-
-    out = line_dedup(ds.map_batches(reflow, batch_format="pyarrow",
-                                    zero_copy_batch=True))
-    tbl = _collect(out)
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("doc_id",
-                                                    "ascending")]))
-    return tbl.select(["doc_id", "text", "n_removed"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("text", pa.string()),
-        ("n_removed", pa.int64())]))
-
-
-def q_token_df(sf_dir: str) -> pa.Table:
-    """Corpus vocabulary statistics: (token, df) document frequencies
-    via partial distinct-doc counts + hive-partitioned disk-shuffle
-    sum (the postings-shuffle pattern; no Ray Data sort shuffle)."""
-    from ..functions.boilerplate import unit_doc_frequencies
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    t = unit_doc_frequencies(ds, unit="token")
-    return t.select(["unit", "df"]).cast(pa.schema([
-        ("unit", pa.string()), ("df", pa.int64())]))
-
-
-def q_doc_keywords(sf_dir: str) -> pa.Table:
-    """Per-doc top-3 keywords by corpus rarity (df asc, tf desc, token
-    asc — the integer-exact tf-idf core): broadcast byte-sorted vocab,
-    one Arrow hash aggregation + integer lexsort per batch."""
-    from ..functions.keywords import doc_keywords
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = doc_keywords(ds, k=3, unit="token")
-    tbl = _collect(out)
-    return tbl.select(["doc_id", "rank", "token", "tf", "df"]).cast(
-        pa.schema([("doc_id", pa.int64()), ("rank", pa.int64()),
-                   ("token", pa.string()), ("tf", pa.int64()),
-                   ("df", pa.int64())]))
-
-
-def q_repetition_stats(sf_dir: str) -> pa.Table:
-    """Per-doc word-bigram repetition signals (Gopher dup-n-gram family):
-    split + element-wise join + Arrow hash aggregation per batch."""
-    from ..functions.textstats import RepetitionStats
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = ds.map_batches(RepetitionStats(), batch_format="pyarrow")
-    tbl = _collect(out)
-    return tbl.select(["doc_id", "n_bigrams", "dup_bigram_frac_x1e4",
-                       "top_bigram_frac_x1e4"]).cast(pa.schema([
-        ("doc_id", pa.int64()), ("n_bigrams", pa.int64()),
-        ("dup_bigram_frac_x1e4", pa.int64()),
-        ("top_bigram_frac_x1e4", pa.int64())]))
-
-
-def q_lm_score(sf_dir: str) -> pa.Table:
-    """Unigram-LM quality score (the CCNet perplexity-filter shape):
-    disk-shuffled corpus (token, tf) counts → fixed-point per-token
-    logprobs quantized once on the driver → broadcast vocab + one
-    index_in/bincount pass per batch. Integer arithmetic end-to-end
-    after the one ln() per vocab entry, so the SQL oracle is
-    bit-identical."""
-    from ..functions.lmscore import lm_score
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = lm_score(ds, unit="token")
-    tbl = _collect(out)
-    return tbl.select(["doc_id", "n_tokens", "avg_logprob_x1e6"]).cast(
-        pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64()),
-                   ("avg_logprob_x1e6", pa.int64())]))
-
-
-def q_dup_spans(sf_dir: str) -> pa.Table:
-    """Exact duplicate-span stats (the substring-dedup signal): per doc,
-    its 8-token windows occurring >= 2x corpus-wide. Byte-arithmetic
-    window kernel + hive disk-shuffle exact window counts + broadcast
-    is_in probe."""
-    from ..functions.spans import dup_spans
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out = dup_spans(ds, L=8)
-    tbl = _collect(out)
-    idx = pc.sort_indices(tbl, sort_keys=[("doc_id", "ascending")])
-    return tbl.take(idx).select(
-        ["doc_id", "n_windows", "dup_windows", "dup_frac_x1e4"]).cast(
-        pa.schema([("doc_id", pa.int64()), ("n_windows", pa.int64()),
-                   ("dup_windows", pa.int64()),
-                   ("dup_frac_x1e4", pa.int64())]))
-
-
-def q_quality_filter(sf_dir: str) -> pa.Table:
-    """Percentile quality gate on the unigram-LM score: keep docs at or
-    above the exact corpus 30th percentile of avg_logprob_x1e6 (discrete
-    ceil(pct*n/100) rank — integer scores make it hash-exact). Scores
-    histogram as per-ref value-count partials; survivors stay
-    distributed (from_arrow_refs)."""
-    from ..functions.lmscore import quality_filter
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    out, _thr = quality_filter(ds, pct=30, unit="token")
-    tbl = _collect(out)
-    idx = pc.sort_indices(tbl, sort_keys=[("doc_id", "ascending")])
-    return tbl.take(idx).select(
-        ["doc_id", "n_tokens", "avg_logprob_x1e6"]).cast(
-        pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64()),
-                   ("avg_logprob_x1e6", pa.int64())]))
-
-
-def q_stratified_sample(sf_dir: str) -> pa.Table:
-    """Per-language deterministic sample (k lowest mix32(doc_id)
-    priorities per lang): per-batch integer lexsort head-take + tiny
-    driver merge — no shuffle, stable under any partitioning."""
-    from ..functions.sampling import stratified_sample
-    ds = _docs_ds(sf_dir, columns=["doc_id", "lang"])
-    return stratified_sample(ds, group_col="lang", k=5).cast(pa.schema([
-        ("lang", pa.string()), ("doc_id", pa.int64()),
-        ("prio", pa.int64())]))
-
-
-def q_budget_mix(sf_dir: str) -> pa.Table:
-    """Per-source token-budget mixture sampling (the data-mixing step):
-    each source contributes docs in deterministic mix32 shuffle order
-    until 4000 chars — one hash-partition on source over the auto
-    shuffle substrate, one vectorized prefix-sum kernel per part."""
-    from ..functions.sampling import budget_mix
-    ds = _docs_ds(sf_dir, columns=["doc_id", "source", "n_chars"])
-    out = budget_mix(ds, key_col="source", weight_col="n_chars",
-                     budget=4000)
-    tbl = _collect(out)
-    idx = pc.sort_indices(tbl, sort_keys=[
-        ("source", "ascending"), ("prio", "ascending"),
-        ("doc_id", "ascending")])
-    return tbl.take(idx).select(
-        ["source", "doc_id", "prio", "weight", "cum_weight"]).cast(
-        pa.schema([("source", pa.string()), ("doc_id", pa.int64()),
-                   ("prio", pa.int64()), ("weight", pa.int64()),
-                   ("cum_weight", pa.int64())]))
-
-
-def q_shuffle_shards(sf_dir: str) -> pa.Table:
-    """Deterministic epoch-shuffle shard writer (the training global
-    shuffle): prio = mix32(doc_id^seed), shard = prio % S via the hive
-    disk-shuffle substrate, per-shard local (prio, id) sort + atomic
-    one-file-per-shard commit. The returned (shard, pos, doc_id) table
-    IS the written layout read back, so the hash check covers the sink
-    itself."""
-    import shutil
-    import tempfile
-    from ..functions.shards import read_shard, write_shuffled_shards
-    ds = _docs_ds(sf_dir, columns=["doc_id"])
-    out = tempfile.mkdtemp(prefix="shuf_", dir="/tmp")
-    try:
-        stats = write_shuffled_shards(ds, out, num_shards=8, seed=42)
-        parts = []
-        for k in range(stats["shards"]):
-            t = read_shard(out, k, columns=["pos", "doc_id"])
-            parts.append(t.append_column(
-                "shard", pa.array(np.full(t.num_rows, k, np.int64))))
-        tbl = pa.concat_tables(parts)
-        return tbl.select(["shard", "pos", "doc_id"]).cast(pa.schema([
-            ("shard", pa.int64()), ("pos", pa.int64()),
-            ("doc_id", pa.int64())]))
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
-
-
-def q_events_gaps(sf_dir: str) -> pa.Table:
-    """Per-user inter-event gap (the lag()/lead() window family):
-    gap_us = ts - lag(ts) OVER (PARTITION BY user ORDER BY ts, id),
-    -1 sentinel for each user's first event (the oracle COALESCEs its
-    NULL lag to -1).  One hash partition by user + one vectorized
-    shift-and-diff kernel per partition (functions/windows.py
-    lag_gaps)."""
-    import ray.data
-
-    from ..functions.windows import lag_gaps
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id"])
-    tbl = _collect(lag_gaps(ds))
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("event_id", "ascending")]))
-    return tbl.select(["event_id", "user_id", "gap_us"]).cast(
-        pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
-                   ("gap_us", pa.int64())]))
-
-
-def q_events_moving(sf_dir: str) -> pa.Table:
-    """Per-user moving-window sum (SQL ROWS BETWEEN 2 PRECEDING AND
-    CURRENT ROW frame): cumsum-difference kernel with the frame start
-    clamped to each user's run start (functions/windows.py
-    moving_sum); per-row x1e4 quantization keeps the frame sums
-    integer-exact."""
-    import ray.data
-
-    from ..functions.windows import moving_sum
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "value"])
-    tbl = _collect(moving_sum(ds, frame=3))
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("event_id", "ascending")]))
-    return tbl.select(["event_id", "user_id", "moving_x1e4"]).cast(
-        pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
-                   ("moving_x1e4", pa.int64())]))
-
-
-def q_user_event_seq(sf_dir: str) -> pa.Table:
-    """Per-user ordered event-type sequence (SQL string_agg(type, ','
-    ORDER BY ts, id) — the sequence-assembly shape behind session
-    mining and doc reassembly): one hash partition by user, one
-    ListArray + binary_join kernel per partition (functions/windows.py
-    string_agg_per_key) — no per-key Python loop anywhere."""
-    import ray.data
-
-    from ..functions.windows import string_agg_per_key
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"])
-    tbl = _collect(string_agg_per_key(ds))
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("user_id", "ascending")]))
-    return tbl.select(["user_id", "seq", "n_events"]).cast(
-        pa.schema([("user_id", pa.int64()), ("seq", pa.string()),
-                   ("n_events", pa.int64())]))
-
-
-def q_events_rollup(sf_dir: str) -> pa.Table:
-    """GROUP BY ROLLUP(event_type, hour) — all three grouping levels
-    (type×hour, per-type totals, grand total) from ONE streaming pass:
-    per-batch partials at the finest level, coarser levels re-aggregate
-    the tiny finest table (functions/boilerplate.py rollup_aggregate).
-    Sentinels 'ALL'/-1 stand in for ROLLUP's NULLs so the schema is
-    level-invariant; the oracle COALESCEs to the same values.  Per-row
-    x1e4 quantization makes every level's sums integer-exact."""
-    import ray.data
-
-    from ..functions.boilerplate import rollup_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["ts", "event_type", "value"])
-
-    def prepare(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64())
-        w = pc.multiply(pc.floor(pc.divide(us, 3_600_000_000)),
-                        3_600_000_000).cast(pa.int64())
-        v = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                     * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"event_type": t["event_type"],
-                         "window_us": w,
-                         "v": pa.array(v, pa.int64())})
-
-    t = rollup_aggregate(ds, ["event_type", "window_us"],
-                         [("v", "count"), ("v", "sum")],
-                         prepare=prepare,
-                         sentinels={"event_type": "ALL",
-                                    "window_us": -1})
-    t = pa.table({"event_type": t["event_type"],
-                  "window_us": t["window_us"],
-                  "n": t["v_count"].cast(pa.int64()),
-                  "sum_x1e4": t["v_sum"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("event_type", "ascending"), ("window_us", "ascending")]))
-
-
-def q_tpch_q18(sf_dir: str) -> pa.Table:
-    """TPC-H Q18-shape large-volume customers: the HAVING-on-a-
-    high-cardinality-aggregate plan. hash_aggregate sums quantity per
-    orderkey (per-batch combiner -> key-hash disk spill -> per-part
-    merge — orderkey cardinality is input-sized, so no driver merge),
-    the HAVING filter runs inside each merge part and only qualifying
-    keys ever leave; that set is broadcast once (ray.put) and orders
-    stream through an is_in + index_in attach.  The top-100 by
-    totalprice is taken BEFORE the customer lookup, so the name join
-    reads at most 100 customers via a pushed-down point filter."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import hash_aggregate
-    _tune_context()
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_quantity"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        q = np.floor(t["l_quantity"].to_numpy(zero_copy_only=False)
-                     * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "qty": pa.array(q, pa.int64())})
-
-    agg = hash_aggregate(line, ["l_orderkey"], [("qty", "sum")],
-                         prepare=prep)
-    schema = pa.schema([
-        ("c_custkey", pa.int64()), ("c_name", pa.string()),
-        ("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us")),
-        ("totalprice_x100", pa.int64()), ("sum_qty_x100", pa.int64())])
-    if agg is None:
-        return schema.empty_table()
-
-    def having(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t["qty_sum"], 15000))
-
-    qual = _collect(agg.map_batches(having, batch_format="pyarrow",
-                                    zero_copy_batch=True))
-    if qual.num_rows == 0:
-        return schema.empty_table()
-    qual_keys = qual["l_orderkey"].combine_chunks()
-    qual_sums = qual["qty_sum"].combine_chunks()
-    keys_ref = ray.put(qual_keys)
-    sums_ref = ray.put(qual_sums)
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_totalprice"])
-
-    def attach(t: pa.Table) -> pa.Table:
-        idx = pc.index_in(t["o_orderkey"], value_set=ray.get(keys_ref))
-        m = pc.is_valid(idx)
-        t = t.filter(m)
-        idx = idx.filter(m)
-        tp = np.floor(t["o_totalprice"].to_numpy(zero_copy_only=False)
-                      * 100.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "o_orderkey": t["o_orderkey"],
-            "o_custkey": t["o_custkey"],
-            "o_orderdate": t["o_orderdate"],
-            "totalprice_x100": pa.array(tp, pa.int64()),
-            "sum_qty_x100": ray.get(sums_ref).take(idx)})
-
-    top = _collect(orders.map_batches(attach, batch_format="pyarrow",
-                                      zero_copy_batch=True))
-    top = top.take(pc.sort_indices(top, sort_keys=[
-        ("totalprice_x100", "descending"), ("o_orderdate", "ascending"),
-        ("o_orderkey", "ascending")])[:100])
-    cust = pqq.read_table(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name"],
-        filters=[("c_custkey", "in",
-                  sorted(set(top["o_custkey"].to_pylist())))])
-    cidx = pc.index_in(top["o_custkey"],
-                       value_set=cust["c_custkey"].combine_chunks())
-    return pa.table({
-        "c_custkey": top["o_custkey"],
-        "c_name": cust["c_name"].combine_chunks().take(cidx),
-        "o_orderkey": top["o_orderkey"],
-        "o_orderdate": top["o_orderdate"],
-        "totalprice_x100": top["totalprice_x100"],
-        "sum_qty_x100": top["sum_qty_x100"]}).cast(schema)
-
-
-_EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
-
-
-def q_events_pivot(sf_dir: str) -> pa.Table:
-    """Pivot: per-user counts of every event type as COLUMNS (the SQL
-    ``sum(CASE WHEN type=t THEN 1 END)`` conditional-aggregation
-    shape).  The indicator columns are materialized per batch, so the
-    whole pivot is one hash_aggregate over user_id — per-batch
-    combiner, key-hash disk spill, per-part merge; no per-type passes
-    and nothing row-wise."""
-    import ray.data
-
-    from ..functions.boilerplate import hash_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "value"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        cols = {"user_id": t["user_id"]}
-        et = t["event_type"]
-        for ty in _EVENT_TYPES:
-            cols[f"n_{ty}"] = pc.cast(pc.equal(et, ty), pa.int64())
-        v = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                     * 10000.0 + 0.5).astype(np.int64)
-        cols["v"] = pa.array(v, pa.int64())
-        return pa.table(cols)
-
-    aggs = [(f"n_{ty}", "sum") for ty in _EVENT_TYPES] + \
-        [("v", "count"), ("v", "sum")]
-    out = hash_aggregate(ds, ["user_id"], aggs, prepare=prep)
-    names = (["user_id"] + [f"n_{ty}" for ty in _EVENT_TYPES]
-             + ["n_total", "value_x1e4"])
-    schema = pa.schema([(n, pa.int64()) for n in names])
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    t = t.take(pc.sort_indices(t, sort_keys=[("user_id", "ascending")]))
-    return pa.table(dict(zip(names, [
-        t["user_id"]] + [t[f"n_{ty}_sum"] for ty in _EVENT_TYPES]
-        + [t["v_count"], t["v_sum"]]))).cast(schema)
-
-
-def q_events_cube(sf_dir: str) -> pa.Table:
-    """GROUP BY CUBE(event_type, hour) — all four grouping levels
-    (type x hour, per-type, per-hour, grand total) from ONE streaming
-    pass (functions/boilerplate.py cube_aggregate: margins re-aggregate
-    the finest partial table, which is output-sized).  Sentinels
-    'ALL'/-1 stand in for CUBE's NULLs; per-row x1e4 quantization makes
-    every level's sums integer-exact."""
-    import ray.data
-
-    from ..functions.boilerplate import cube_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["ts", "event_type", "value"])
-
-    def prepare(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64())
-        w = pc.multiply(pc.floor(pc.divide(us, 3_600_000_000)),
-                        3_600_000_000).cast(pa.int64())
-        v = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                     * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"event_type": t["event_type"],
-                         "window_us": w,
-                         "v": pa.array(v, pa.int64())})
-
-    t = cube_aggregate(ds, ["event_type", "window_us"],
-                       [("v", "count"), ("v", "sum")],
-                       prepare=prepare,
-                       sentinels={"event_type": "ALL",
-                                  "window_us": -1})
-    t = pa.table({"event_type": t["event_type"],
-                  "window_us": t["window_us"],
-                  "n": t["v_count"].cast(pa.int64()),
-                  "sum_x1e4": t["v_sum"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("event_type", "ascending"), ("window_us", "ascending")]))
-
-
-def q_events_histogram(sf_dir: str) -> pa.Table:
-    """Histogram (width_bucket shape): value bucketed to [0,49] by
-    floor(value/10) capped at 49, count + x1e4 sum per bucket — pure
-    per-batch partials (partial_aggregate), zero shuffle: 50 buckets
-    × blocks is all that ever moves."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["value"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        v = t["value"].to_numpy(zero_copy_only=False)
-        b = np.minimum(np.floor(v / 10.0), 49.0).astype(np.int64)
-        vx = np.floor(v * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"bucket": pa.array(b, pa.int64()),
-                         "v": pa.array(vx, pa.int64())})
-
-    t = partial_aggregate(ds, ["bucket"],
-                          [("v", "count"), ("v", "sum")], prepare=prep)
-    schema = pa.schema([("bucket", pa.int64()), ("n", pa.int64()),
-                        ("sum_x1e4", pa.int64())])
-    if t is None:
-        return schema.empty_table()
-    t = pa.table({"bucket": t["bucket"], "n": t["v_count"],
-                  "sum_x1e4": t["v_sum"]}).cast(schema)
-    return t.take(pc.sort_indices(t, sort_keys=[("bucket",
-                                                 "ascending")]))
-
-
-def q_user_mode(sf_dir: str) -> pa.Table:
-    """Mode per key (most frequent event_type per user, ties broken by
-    type asc): hash_aggregate counts (user, type) pairs — per-batch
-    combiner, pair-hash disk spill — then the group-top-1 runs as the
-    same keyed-partition kernel as events_top_per_user (sort +
-    run-rank, no per-key loop).  Both stages are key-partitioned, so
-    nothing user-sized ever sits on the driver."""
-    import ray.data
-
-    from ..functions.boilerplate import hash_aggregate
-    from ..functions.windows import top_n_per_key
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type"])
-    agg = hash_aggregate(ds, ["user_id", "event_type"],
-                         [("event_type", "count")])
-    schema = pa.schema([("user_id", pa.int64()),
-                        ("mode_type", pa.string()),
-                        ("n", pa.int64())])
-    if agg is None:
-        return schema.empty_table()
-    mode = top_n_per_key(agg, key_col="user_id",
-                         val_col="event_type_count",
-                         id_col="event_type", n=1)
-    t = _collect(mode)
-    t = t.take(pc.sort_indices(t, sort_keys=[("user_id", "ascending")]))
-    return pa.table({"user_id": t["user_id"],
-                     "mode_type": t["event_type"],
-                     "n": t["event_type_count"]}).cast(schema)
-
-
-def q_funnel(sf_dir: str) -> pa.Table:
-    """Conversion funnel (view -> purchase): per-user min view-ts and
-    max purchase-ts via one hash_aggregate (conditional columns are
-    nulled per batch, Arrow min/max skip nulls across the merge), then
-    per-part converted/viewer/purchaser counts fold to ONE row — the
-    user dimension never leaves the partitioned stage."""
-    import ray.data
-
-    from ..functions.boilerplate import hash_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        ts = t["ts"].cast(pa.int64())
-        null64 = pa.scalar(None, pa.int64())
-        return pa.table({
-            "user_id": t["user_id"],
-            "view_ts": pc.if_else(
-                pc.equal(t["event_type"], "view"), ts, null64),
-            "purch_ts": pc.if_else(
-                pc.equal(t["event_type"], "purchase"), ts, null64)})
-
-    agg = hash_aggregate(ds, ["user_id"],
-                         [("view_ts", "min"), ("purch_ts", "max")],
-                         prepare=prep)
-    schema = pa.schema([("n_users", pa.int64()),
-                        ("n_viewers", pa.int64()),
-                        ("n_purchasers", pa.int64()),
-                        ("n_converted", pa.int64())])
-    if agg is None:
-        return pa.table({n: pa.array([0], pa.int64())
-                         for n in schema.names}).cast(schema)
-
-    def counts(t: pa.Table) -> pa.Table:
-        v, p = t["view_ts_min"], t["purch_ts_max"]
-        conv = pc.fill_null(pc.less(v, p), False)
-        return pa.table({
-            "n_users": pa.array([t.num_rows], pa.int64()),
-            "n_viewers": pa.array(
-                [pc.sum(pc.cast(pc.is_valid(v), pa.int64())).as_py()
-                 or 0], pa.int64()),
-            "n_purchasers": pa.array(
-                [pc.sum(pc.cast(pc.is_valid(p), pa.int64())).as_py()
-                 or 0], pa.int64()),
-            "n_converted": pa.array(
-                [pc.sum(pc.cast(conv, pa.int64())).as_py() or 0],
-                pa.int64())})
-
-    t = _collect(agg.map_batches(counts, batch_format="pyarrow",
-                                 zero_copy_batch=True))
-    return pa.table({n: pa.array([pc.sum(t[n]).as_py() or 0],
-                                 pa.int64())
-                     for n in schema.names}).cast(schema)
-
-
-def q_events_rank(sf_dir: str) -> pa.Table:
-    """SQL window trio rank()/dense_rank()/percent_rank() OVER
-    (PARTITION BY user ORDER BY value DESC, event_id) for EVERY event:
-    keyed-partition sort + run-rank kernel (functions/windows.py
-    rank_per_key) — output is input-sized and stays partitioned until
-    the gate collects it.  percent_rank is the same exact-integer
-    division both engines perform, quantized x1e6."""
-    import ray.data
-
-    from ..functions.windows import rank_per_key
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "value"])
-    out = rank_per_key(ds, key_col="user_id", val_col="value",
-                       id_col="event_id")
-    t = _collect(out)
-    vx = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                  * 10000.0 + 0.5).astype(np.int64)
-    t = pa.table({"event_id": t["event_id"],
-                  "user_id": t["user_id"],
-                  "value_x1e4": pa.array(vx, pa.int64()),
-                  "rnk": t["rnk"], "drnk": t["drnk"],
-                  "pct_rank_x1e6": t["pct_rank_x1e6"]})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("user_id", "ascending"), ("rnk", "ascending")]))
-
-
-def q_events_ntile(sf_dir: str) -> pa.Table:
-    """SQL NTILE(4) OVER (PARTITION BY user ORDER BY value DESC,
-    event_id) for every event: the rank kernel already materializes
-    (rank, run_len) per row, so the quartile assignment is two integer
-    divisions — no extra sort, no per-key loop."""
-    import ray.data
-
-    from ..functions.windows import rank_per_key
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "value"])
-    out = rank_per_key(ds, key_col="user_id", val_col="value",
-                       id_col="event_id", ntile=4)
-    t = _collect(out)
-    t = pa.table({"event_id": t["event_id"],
-                  "user_id": t["user_id"],
-                  "rnk": t["rnk"], "ntile": t["ntile"]})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("user_id", "ascending"), ("rnk", "ascending")]))
-
-
-def q_tpch_q10(sf_dir: str) -> pa.Table:
-    """TPC-H Q10-shape returned-item top customers: revenue per
-    orderkey (hash_aggregate over the R-flagged lineitems) joins the
-    date-windowed orders co-partitioned by orderkey with a per-task
-    partial custkey aggregate, then a SECOND hash_aggregate re-keys
-    those partials by custkey (a custkey spans many orderkey
-    partitions) with a local top-20 per merge part — the driver only
-    ever merges P twenty-row candidates.  Customer + nation names
-    attach at the end via point-filtered reads on the 20 winners."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import _group_counts, hash_aggregate
-    from ..functions.joins import hash_join
-    _tune_context()
-    lo = pa.scalar(np.datetime64("1995-01-01", "us"), pa.timestamp("us"))
-    hi = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_returnflag"])
-
-    def prep_line(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["l_returnflag"], "R"))
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "rev": pa.array(rev, pa.int64())})
-
-    agg = hash_aggregate(line, ["l_orderkey"], [("rev", "sum")],
-                         prepare=prep_line)
-    schema = pa.schema([
-        ("c_custkey", pa.int64()), ("c_name", pa.string()),
-        ("revenue_x1e4", pa.int64()), ("acctbal_x100", pa.int64()),
-        ("n_name", pa.string())])
-    if agg is None:
-        return schema.empty_table()
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def filt_orders(t: pa.Table) -> pa.Table:
-        m = pc.and_(pc.greater_equal(t["o_orderdate"], lo),
-                    pc.less(t["o_orderdate"], hi))
-        return t.filter(m).select(["o_orderkey", "o_custkey"])
-
-    def by_cust(j: pa.Table) -> pa.Table:
-        return _group_counts(j, ["o_custkey"], [("rev_sum", "sum")])
-
-    joined = hash_join(
-        agg,
-        orders.map_batches(filt_orders, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        left_on="l_orderkey", right_on="o_orderkey", post=by_cust)
-    if joined is None:
-        return schema.empty_table()
-    cust_rev = hash_aggregate(joined, ["o_custkey"],
-                              [("rev_sum_sum", "sum")])
-    if cust_rev is None:
-        return schema.empty_table()
-
-    def local_top(t: pa.Table) -> pa.Table:
-        return t.take(pc.sort_indices(t, sort_keys=[
-            ("rev_sum_sum_sum", "descending"),
-            ("o_custkey", "ascending")])[:20])
-
-    top = _collect(cust_rev.map_batches(local_top,
-                                        batch_format="pyarrow",
-                                        zero_copy_batch=True))
-    top = top.take(pc.sort_indices(top, sort_keys=[
-        ("rev_sum_sum_sum", "descending"),
-        ("o_custkey", "ascending")])[:20])
-    cust = pqq.read_table(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"],
-        filters=[("c_custkey", "in",
-                  sorted(set(top["o_custkey"].to_pylist())))])
-    nation = pqq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                            columns=["n_nationkey", "n_name"])
-    cidx = pc.index_in(top["o_custkey"],
-                       value_set=cust["c_custkey"].combine_chunks())
-    nkey = cust["c_nationkey"].combine_chunks().take(cidx)
-    nidx = pc.index_in(nkey,
-                       value_set=nation["n_nationkey"].combine_chunks())
-    ab = np.floor(cust["c_acctbal"].combine_chunks().take(cidx)
-                  .to_numpy(zero_copy_only=False) * 100.0
-                  + 0.5).astype(np.int64)
-    return pa.table({
-        "c_custkey": top["o_custkey"],
-        "c_name": cust["c_name"].combine_chunks().take(cidx),
-        "revenue_x1e4": top["rev_sum_sum_sum"],
-        "acctbal_x100": pa.array(ab, pa.int64()),
-        "n_name": nation["n_name"].combine_chunks().take(nidx),
-    }).cast(schema)
-
-
-def q_order_priority_late(sf_dir: str) -> pa.Table:
-    """TPC-H Q4-shape order-priority check (EXISTS rewritten as a
-    mergeable max): max(l_shipdate) per orderkey via hash_aggregate,
-    co-partitioned join with orders, and the 'shipped >60 days after
-    order' predicate + priority partial counts run INSIDE each join
-    task — only 5-row partials reach the driver."""
-    import ray.data
-
-    from ..functions.boilerplate import _group_counts, hash_aggregate
-    from ..functions.joins import hash_join
-    _tune_context()
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_shipdate"])
-    maxship = hash_aggregate(line, ["l_orderkey"],
-                             [("l_shipdate", "max")])
-    schema = pa.schema([("o_orderpriority", pa.string()),
-                        ("n_late", pa.int64())])
-    if maxship is None:
-        return schema.empty_table()
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    sixty_us = 60 * 86_400_000_000
-
-    def late_counts(j: pa.Table) -> pa.Table:
-        ship = j["l_shipdate_max"].cast(pa.int64())
-        od = j["o_orderdate"].cast(pa.int64())
-        j = j.filter(pc.greater(ship, pc.add(od, sixty_us)))
-        return _group_counts(j, ["o_orderpriority"],
-                             [("l_orderkey", "count")])
-
-    out = hash_join(maxship, orders, left_on="l_orderkey",
-                    right_on="o_orderkey", post=late_counts)
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    if t.num_rows == 0:
-        return schema.empty_table()
-    m = _group_counts(t, ["o_orderpriority"],
-                      [("l_orderkey_count", "sum")])
-    m = pa.table({"o_orderpriority": m["o_orderpriority"],
-                  "n_late": m["l_orderkey_count_sum"].cast(pa.int64())})
-    return m.take(pc.sort_indices(m, sort_keys=[
-        ("o_orderpriority", "ascending")])).cast(schema)
-
-
-def q_promo_revenue(sf_dir: str) -> pa.Table:
-    """TPC-H Q14-shape promo revenue ratio: the PROMO partkey set is
-    shipped ONCE (ray.put) and lineitems fold into per-batch
-    (is_promo -> sum, count) partials — zero shuffle; the ratio is the
-    same exact-integer division both engines perform, quantized x1e4.
-    At 100 TB the part dimension outgrowing the broadcast budget flips
-    this to the co-partitioned hash_join + the identical partial."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    part = pqq.read_table(os.path.join(sf_dir, "part.parquet"),
-                          columns=["p_partkey", "p_type"])
-    promo = part.filter(pc.equal(part["p_type"], "PROMO"))
-    promo_ref = ray.put(promo["p_partkey"].combine_chunks())
-    lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
-    hi = pa.scalar(np.datetime64("1997-01-01", "us"), pa.timestamp("us"))
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        m = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                    pc.less(t["l_shipdate"], hi))
-        t = t.filter(m)
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        isp = pc.cast(pc.is_in(t["l_partkey"],
-                               value_set=ray.get(promo_ref)),
-                      pa.int64())
-        return pa.table({"is_promo": isp,
-                         "rev": pa.array(rev, pa.int64())})
-
-    t = partial_aggregate(line, ["is_promo"], [("rev", "sum")],
-                          prepare=prep)
-    schema = pa.schema([("promo_x1e4", pa.int64()),
-                        ("total_x1e4", pa.int64()),
-                        ("ratio_x1e4", pa.int64())])
-    if t is None:
-        return pa.table({n: pa.array([0], pa.int64())
-                         for n in schema.names}).cast(schema)
-    promo_sum = total = 0
-    for flag, s in zip(t["is_promo"].to_pylist(),
-                       t["rev_sum"].to_pylist()):
-        total += s
-        if flag == 1:
-            promo_sum += s
-    ratio = (100.0 * float(promo_sum)) / float(total) if total else 0.0
-    rx = int(np.floor(ratio * 10000.0 + 0.5))
-    return pa.table({"promo_x1e4": pa.array([promo_sum], pa.int64()),
-                     "total_x1e4": pa.array([total], pa.int64()),
-                     "ratio_x1e4": pa.array([rx], pa.int64())})
-
-
-def q_part_supplier_cnt(sf_dir: str) -> pa.Table:
-    """TPC-H Q16-shape supplier counts: NOT-IN anti-filter (the tiny
-    negative-balance supplier set broadcasts once), part attrs attach
-    by broadcast index_in, then count(DISTINCT suppkey) per
-    (brand, size) via the pair-hash distinct_aggregate spill — the
-    only exact-distinct shape that never ships raw rows twice."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import distinct_aggregate
-    _tune_context()
-    sup = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_acctbal"])
-    bad = sup.filter(pc.less(sup["s_acctbal"], 0.0))
-    bad_ref = ray.put(bad["s_suppkey"].combine_chunks())
-    part = pqq.read_table(os.path.join(sf_dir, "part.parquet"),
-                          columns=["p_partkey", "p_brand", "p_size"])
-    part_ref = ray.put(part.combine_chunks())
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_suppkey"])
-
-    def attach(t: pa.Table) -> pa.Table:
-        keep = pc.invert(pc.is_in(t["l_suppkey"],
-                                  value_set=ray.get(bad_ref)))
-        t = t.filter(keep)
-        p = ray.get(part_ref)
-        idx = pc.index_in(t["l_partkey"], value_set=p["p_partkey"])
-        return pa.table({"p_brand": p["p_brand"].take(idx),
-                         "p_size": p["p_size"].take(idx),
-                         "l_suppkey": t["l_suppkey"]})
-
-    ds = line.map_batches(attach, batch_format="pyarrow",
-                          zero_copy_batch=True)
-    t = distinct_aggregate(ds, ["p_brand", "p_size"], "l_suppkey")
-    schema = pa.schema([("p_brand", pa.string()),
-                        ("p_size", pa.int32()),
-                        ("supplier_cnt", pa.int64())])
-    if t is None:
-        return schema.empty_table()
-    t = pa.table({"p_brand": t["p_brand"], "p_size": t["p_size"],
-                  "supplier_cnt": t["n_distinct"]}).cast(schema)
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("supplier_cnt", "descending"), ("p_brand", "ascending"),
-        ("p_size", "ascending")]))
-
-
-def q_events_variance(sf_dir: str) -> pa.Table:
-    """Per-type population variance from ONE pass of integer moment
-    partials (n, Σv, Σv² on the x1e4 grid) — no shuffle, groups ×
-    blocks is all that moves.  The closing arithmetic
-    (n·Σv² − (Σv)²) // n² runs in arbitrary-precision Python ints on
-    the tiny merged groups (n·Σv² overflows int64 past ~1e6 rows) and
-    HUGEINT in the oracle — the same floor division, bit-stable."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "value"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        v = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                     * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"event_type": t["event_type"],
-                         "v": pa.array(v, pa.int64()),
-                         "vv": pa.array(v * v, pa.int64())})
-
-    out = partial_aggregate(ds, ["event_type"],
-                            [("v", "count"), ("v", "sum"),
-                             ("vv", "sum")], prepare=prep)
-    schema = pa.schema([("event_type", pa.string()),
-                        ("n", pa.int64()),
-                        ("mean_x1e4", pa.int64()),
-                        ("var_x1e8", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    rows = []
-    for e, n, s, ss in zip(out["event_type"].to_pylist(),
-                           out["v_count"].to_pylist(),
-                           out["v_sum"].to_pylist(),
-                           out["vv_sum"].to_pylist()):
-        n, s, ss = int(n), int(s), int(ss)
-        rows.append({"event_type": e, "n": n,
-                     "mean_x1e4": s // n,
-                     "var_x1e8": (n * ss - s * s) // (n * n)})
-    rows.sort(key=lambda r: r["event_type"])
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def q_corr_stats(sf_dir: str) -> pa.Table:
-    """Pearson correlation per group from ONE pass of integer moment
-    partials (n, Σq, Σd, Σq², Σd², Σqd on the x100 grid) — zero
-    shuffle, 3 groups × blocks is all that moves.  The closing
-    arithmetic (HUGEINT-exact differences -> fp64 -> one division) is
-    the identical expression tree the oracle SQL evaluates, so the
-    x1e6 quantization is bit-stable across engines."""
-    import math
-
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_quantity", "l_discount"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        q = np.floor(t["l_quantity"].to_numpy(zero_copy_only=False)
-                     * 100.0 + 0.5).astype(np.int64)
-        d = np.floor(t["l_discount"].to_numpy(zero_copy_only=False)
-                     * 100.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "q": pa.array(q, pa.int64()),
-            "d": pa.array(d, pa.int64()),
-            "qq": pa.array(q * q, pa.int64()),
-            "dd": pa.array(d * d, pa.int64()),
-            "qd": pa.array(q * d, pa.int64())})
-
-    t = partial_aggregate(
-        line, ["l_returnflag"],
-        [("q", "count"), ("q", "sum"), ("d", "sum"),
-         ("qq", "sum"), ("dd", "sum"), ("qd", "sum")], prepare=prep)
-    schema = pa.schema([("l_returnflag", pa.string()),
-                        ("n", pa.int64()), ("sum_q", pa.int64()),
-                        ("sum_d", pa.int64()),
-                        ("corr_x1e6", pa.int64())])
-    if t is None:
-        return schema.empty_table()
-    t = t.take(pc.sort_indices(t, sort_keys=[("l_returnflag",
-                                              "ascending")]))
-    corrs = []
-    for i in range(t.num_rows):
-        n = t["q_count"][i].as_py()
-        sq, sd = t["q_sum"][i].as_py(), t["d_sum"][i].as_py()
-        sqq, sdd = t["qq_sum"][i].as_py(), t["dd_sum"][i].as_py()
-        sqd = t["qd_sum"][i].as_py()
-        num = float(n * sqd - sq * sd)          # exact python ints
-        den = (math.sqrt(float(n * sqq - sq * sq))
-               * math.sqrt(float(n * sdd - sd * sd)))
-        c = num / den if den else 0.0
-        corrs.append(int(np.floor(c * 1e6 + 0.5)))
-    return pa.table({
-        "l_returnflag": t["l_returnflag"],
-        "n": t["q_count"].cast(pa.int64()),
-        "sum_q": t["q_sum"].cast(pa.int64()),
-        "sum_d": t["d_sum"].cast(pa.int64()),
-        "corr_x1e6": pa.array(corrs, pa.int64())}).cast(schema)
-
-
-def q_cheapest_supplier(sf_dir: str) -> pa.Table:
-    """TPC-H Q2-shape argmin-per-group join-back, without a join:
-    (price, suppkey) packs into ONE sortable int64 (price_x100 · 2²⁴ +
-    suppkey — suppkey < 2²⁴ holds through sf100), so min(enc) under
-    hash_aggregate IS arg_min with the (price asc, suppkey asc)
-    tie-break, mergeable across every partial.  The oracle decodes the
-    identical encoding."""
-    import ray.data
-
-    from ..functions.boilerplate import hash_aggregate
-    _tune_context()
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_suppkey", "l_extendedprice"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        cost = np.floor(t["l_extendedprice"].to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        sk = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        enc = cost * (1 << 24) + sk
-        return pa.table({"l_partkey": t["l_partkey"],
-                         "enc": pa.array(enc, pa.int64())})
-
-    agg = hash_aggregate(line, ["l_partkey"], [("enc", "min")],
-                         prepare=prep)
-    schema = pa.schema([("l_partkey", pa.int64()),
-                        ("best_suppkey", pa.int64()),
-                        ("min_price_x100", pa.int64())])
-    if agg is None:
-        return schema.empty_table()
-    t = _collect(agg)
-    enc = t["enc_min"].to_numpy(zero_copy_only=False)
-    out = pa.table({
-        "l_partkey": t["l_partkey"],
-        "best_suppkey": pa.array(enc % (1 << 24), pa.int64()),
-        "min_price_x100": pa.array(enc >> 24, pa.int64())})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("l_partkey", "ascending")])).cast(schema)
-
-
-def q_tpch_q13(sf_dir: str) -> pa.Table:
-    """TPC-H Q13-shape customer order-count distribution: orders fold
-    to per-custkey counts (hash_aggregate), customers LEFT OUTER join
-    those counts co-partitioned by custkey, and each join task emits a
-    tiny (c_count -> n) histogram partial — the driver merges P
-    histograms, never customer rows.  Zero-order customers survive via
-    the null-extended outer rows (fill 0)."""
-    import ray.data
-
-    from ..functions.boilerplate import _group_counts, hash_aggregate
-    from ..functions.joins import hash_join
-    _tune_context()
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderkey"])
-    counts = hash_aggregate(orders, ["o_custkey"],
-                            [("o_orderkey", "count")])
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey"])
-    schema = pa.schema([("c_count", pa.int64()),
-                        ("custdist", pa.int64())])
-
-    def hist_partial(j: pa.Table) -> pa.Table:
-        cc = pc.fill_null(j["o_orderkey_count"], 0).cast(pa.int64())
-        return _group_counts(pa.table({"c_count": cc}),
-                             ["c_count"], [("c_count", "count")])
-
-    if counts is None:
-        # no orders at all: every customer has count 0
-        n = _collect(cust).num_rows
-        if n == 0:
-            return schema.empty_table()
-        return pa.table({"c_count": pa.array([0], pa.int64()),
-                         "custdist": pa.array([n], pa.int64())})
-    out = hash_join(cust, counts, left_on="c_custkey",
-                    right_on="o_custkey", how="left outer",
-                    post=hist_partial)
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    m = _group_counts(t, ["c_count"], [("c_count_count", "sum")])
-    m = pa.table({"c_count": m["c_count"],
-                  "custdist": m["c_count_count_sum"].cast(pa.int64())})
-    return m.take(pc.sort_indices(m, sort_keys=[
-        ("custdist", "descending"),
-        ("c_count", "descending")])).cast(schema)
-
-
-def q_tpch_q17(sf_dir: str) -> pa.Table:
-    """TPC-H Q17-shape small-quantity revenue: per-partkey quantity
-    moments for ONE brand fold shuffle-free (partial_aggregate — the
-    brand subset is ~1/25 of part), broadcast once, and the second
-    lineitem pass keeps rows with 5·q·cnt < Σq — the integer-exact
-    rewrite of qty < 0.2·avg(qty) on the x100 grid, so no fp division
-    ever happens.  Total revenue folds as one-row per-batch partials;
-    avg-yearly is the same BIGINT floor division the oracle runs."""
-    import ray
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    import pyarrow.parquet as pqq
-    part = pqq.read_table(os.path.join(sf_dir, "part.parquet"),
-                          columns=["p_partkey", "p_brand"])
-    pk = part.filter(pc.equal(part["p_brand"], "Brand#13"))
-    pk_ref = ray.put(pk["p_partkey"].combine_chunks())
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_quantity", "l_extendedprice"])
-
-    def prep_moments(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["l_partkey"],
-                              value_set=ray.get(pk_ref)))
-        q = np.floor(t["l_quantity"].to_numpy(zero_copy_only=False)
-                     * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"l_partkey": t["l_partkey"],
-                         "q": pa.array(q, pa.int64())})
-
-    mom = partial_aggregate(line, ["l_partkey"],
-                            [("q", "sum"), ("q", "count")],
-                            prepare=prep_moments)
-    schema = pa.schema([("total_x1e4", pa.int64()),
-                        ("avg_yearly_x1e4", pa.int64())])
-    if mom is None:
-        return pa.table({"total_x1e4": pa.array([0], pa.int64()),
-                         "avg_yearly_x1e4":
-                         pa.array([0], pa.int64())}).cast(schema)
-    mom_ref = ray.put(mom.combine_chunks())
-
-    def prep_small(t: pa.Table) -> pa.Table:
-        m = ray.get(mom_ref)
-        idx = pc.index_in(t["l_partkey"], value_set=m["l_partkey"])
-        keep = pc.is_valid(idx)
-        t, idx = t.filter(keep), idx.filter(keep)
-        q = np.floor(t["l_quantity"].to_numpy(zero_copy_only=False)
-                     * 100.0 + 0.5).astype(np.int64)
-        sq = m["q_sum"].take(idx).to_numpy(zero_copy_only=False)
-        cnt = m["q_count"].take(idx).to_numpy(zero_copy_only=False)
-        sel = 5 * q * cnt < sq
-        ep = np.floor(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)[sel]
-            * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"one": pa.array([1], pa.int64()),
-                         "ep": pa.array([int(ep.sum())], pa.int64())})
-
-    tot = partial_aggregate(line, ["one"], [("ep", "sum")],
-                            prepare=prep_small)
-    total = int(tot["ep_sum"][0].as_py()) if tot is not None else 0
-    return pa.table({
-        "total_x1e4": pa.array([total], pa.int64()),
-        "avg_yearly_x1e4": pa.array([total // 7], pa.int64())})
-
-
-def q_tpch_q22(sf_dir: str) -> pa.Table:
-    """TPC-H Q22-shape dormant rich customers: the global
-    positive-balance average is two integers (Σbal, n) folded from
-    one-row batch partials; 'above average' is the exact integer
-    cross-multiplication bal·n > Σbal.  'Dormant' (no order since
-    2000-01-01) is the bloom-routed LEFT ANTI hash join — customers
-    provably absent from the recent-orders key set bypass the shuffle
-    entirely — and survivors fold to per-nation (count, Σbal)
-    partials."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    from ..functions.joins import hash_join
-    _tune_context()
-
-    def read_cust():
-        return ray.data.read_parquet(
-            os.path.join(sf_dir, "customer.parquet"),
-            columns=["c_custkey", "c_nationkey", "c_acctbal"])
-
-    def prep_stats(t: pa.Table) -> pa.Table:
-        bal = np.floor(t["c_acctbal"].to_numpy(zero_copy_only=False)
-                       * 100.0 + 0.5).astype(np.int64)
-        bal = bal[bal > 0]
-        return pa.table({"one": pa.array([1], pa.int64()),
-                         "sm": pa.array([int(bal.sum())], pa.int64()),
-                         "n": pa.array([len(bal)], pa.int64())})
-
-    st = partial_aggregate(read_cust(), ["one"],
-                           [("sm", "sum"), ("n", "sum")],
-                           prepare=prep_stats)
-    schema = pa.schema([("c_nationkey", pa.int64()),
-                        ("numcust", pa.int64()),
-                        ("totacctbal_x100", pa.int64())])
-    if st is None:
-        return schema.empty_table()
-    sm = int(st["sm_sum"][0].as_py())
-    n = int(st["n_sum"][0].as_py())
-
-    def rich(t: pa.Table) -> pa.Table:
-        bal = np.floor(t["c_acctbal"].to_numpy(zero_copy_only=False)
-                       * 100.0 + 0.5).astype(np.int64)
-        keep = bal * n > sm
-        return pa.table({
-            "c_custkey": t["c_custkey"].filter(pa.array(keep)),
-            "c_nationkey": t["c_nationkey"].filter(
-                pa.array(keep)).cast(pa.int64()),
-            "bal": pa.array(bal[keep], pa.int64())})
-
-    eligible = read_cust().map_batches(rich, batch_format="pyarrow",
-                                       zero_copy_batch=True)
-    cutoff = pa.scalar(np.datetime64("2000-01-01", "us"),
-                       pa.timestamp("us"))
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderdate"])
-
-    def recent(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(
-            t["o_orderdate"], cutoff)).select(["o_custkey"])
-
-    out = hash_join(eligible,
-                    orders.map_batches(recent, batch_format="pyarrow",
-                                       zero_copy_batch=True),
-                    left_on="c_custkey", right_on="o_custkey",
-                    how="left anti", bloom_prefilter=True)
-    if out is None:
-        return schema.empty_table()
-    agg = partial_aggregate(out, ["c_nationkey"],
-                            [("bal", "count"), ("bal", "sum")])
-    if agg is None:
-        return schema.empty_table()
-    t = pa.table({"c_nationkey": agg["c_nationkey"],
-                  "numcust": agg["bal_count"].cast(pa.int64()),
-                  "totacctbal_x100": agg["bal_sum"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("c_nationkey", "ascending")])).cast(schema)
-
-
-def q_tpch_q7(sf_dir: str) -> pa.Table:
-    """TPC-H Q7-shape volume shipping between two nations: supplier
-    (tiny, nation-filtered) broadcasts into the lineitem scan so only
-    the two nations' shipments survive the read; the two big joins
-    (orderkey, then custkey) run co-partitioned with per-task partial
-    aggregates INSIDE each join task, so each shuffle ships keyed
-    partials, never raw lineitems twice.  Nation names attach at the
-    end by broadcast lookup on the ≤ (2·2·years)-row result."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import _group_counts
-    from ..functions.joins import hash_join
-    _tune_context()
-    n1, n2 = 6, 9
-    sup = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_nationkey"])
-    sup = sup.filter(pc.is_in(sup["s_nationkey"],
-                              value_set=pa.array([n1, n2], pa.int32())))
-    sup_ref = ray.put(sup.combine_chunks())
-    lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
-    hi = pa.scalar(np.datetime64("1998-01-01", "us"), pa.timestamp("us"))
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount", "l_shipdate"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        m = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                    pc.less(t["l_shipdate"], hi))
-        t = t.filter(m)
-        s = ray.get(sup_ref)
-        idx = pc.index_in(t["l_suppkey"], value_set=s["s_suppkey"])
-        keep = pc.is_valid(idx)
-        t, idx = t.filter(keep), idx.filter(keep)
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "l_orderkey": t["l_orderkey"],
-            "supp_n": s["s_nationkey"].take(idx).cast(pa.int64()),
-            "l_year": pc.year(t["l_shipdate"]).cast(pa.int64()),
-            "rev": pa.array(rev, pa.int64())})
-
-    lmap = line.map_batches(prep, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey"])
-
-    def post1(j: pa.Table) -> pa.Table:
-        return _group_counts(j, ["o_custkey", "supp_n", "l_year"],
-                             [("rev", "sum")])
-
-    j1 = hash_join(lmap, orders, left_on="l_orderkey",
-                   right_on="o_orderkey", post=post1)
-    schema = pa.schema([("supp_nation", pa.string()),
-                        ("cust_nation", pa.string()),
-                        ("l_year", pa.int64()),
-                        ("revenue_x1e4", pa.int64())])
-    if j1 is None:
-        return schema.empty_table()
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_nationkey"])
-
-    def post2(j: pa.Table) -> pa.Table:
-        cn = j["c_nationkey"].cast(pa.int64())
-        sn = j["supp_n"]
-        keep = pc.or_(
-            pc.and_(pc.equal(sn, n1), pc.equal(cn, n2)),
-            pc.and_(pc.equal(sn, n2), pc.equal(cn, n1)))
-        j = pa.table({"supp_n": sn, "cust_n": cn,
-                      "l_year": j["l_year"],
-                      "rev_sum": j["rev_sum"]}).filter(keep)
-        return _group_counts(j, ["supp_n", "cust_n", "l_year"],
-                             [("rev_sum", "sum")])
-
-    j2 = hash_join(j1, cust, left_on="o_custkey",
-                   right_on="c_custkey", post=post2)
-    if j2 is None:
-        return schema.empty_table()
-    t = _collect(j2)
-    if t.num_rows == 0:
-        return schema.empty_table()
-    m = _group_counts(t, ["supp_n", "cust_n", "l_year"],
-                      [("rev_sum_sum", "sum")])
-    nation = pqq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                            columns=["n_nationkey", "n_name"])
-    nk = nation["n_nationkey"].combine_chunks().cast(pa.int64())
-    names = nation["n_name"].combine_chunks()
-    out = pa.table({
-        "supp_nation": names.take(pc.index_in(m["supp_n"],
-                                              value_set=nk)),
-        "cust_nation": names.take(pc.index_in(m["cust_n"],
-                                              value_set=nk)),
-        "l_year": m["l_year"],
-        "revenue_x1e4": m["rev_sum_sum_sum"].cast(pa.int64())})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("supp_nation", "ascending"), ("cust_nation", "ascending"),
-        ("l_year", "ascending")])).cast(schema)
-
-
-def q_pagerank(sf_dir: str) -> pa.Table:
-    """Integer-exact PageRank over the user transition graph (edges =
-    consecutive users within each event_type's time-ordered stream):
-    one keyed exchange extracts edges, then 3 damped iterations of
-    broadcast-rank message passing with per-batch per-dst partial sums
-    (functions/graph.py pagerank — all-integer floor arithmetic, so
-    the distributed result is bit-identical to the oracle's serial
-    SQL transcription)."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    from ..functions.graph import pagerank, transition_edges
-    _tune_context()
-    events = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"])
-    users = partial_aggregate(events, ["user_id"],
-                              [("user_id", "count")])
-    schema = pa.schema([("user_id", pa.int64()),
-                        ("rank_x1e12", pa.int64())])
-    if users is None:
-        return schema.empty_table()
-    edges = transition_edges(events)
-    pr = pagerank(edges, users["user_id"], iterations=3)
-    t = pa.table({"user_id": pr["node"],
-                  "rank_x1e12": pr["rank"]})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("user_id", "ascending")])).cast(schema)
-
-
-def q_bfs_reach(sf_dir: str) -> pa.Table:
-    """Multi-source BFS over the user transition graph: minimum hops
-    (≤3) from the deterministic seed set user_id % 97 == 0.  Each
-    round is ONE streamed pass over the materialized edges with the
-    frontier broadcast as a sorted array — per-batch membership via
-    searchsorted, per-batch distinct dst partials, node-sized driver
-    merge (functions/graph.py bfs_hops)."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    from ..functions.graph import bfs_hops, transition_edges
-    _tune_context()
-    events = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"])
-    users = partial_aggregate(events, ["user_id"],
-                              [("user_id", "count")])
-    schema = pa.schema([("user_id", pa.int64()),
-                        ("hops", pa.int64())])
-    if users is None:
-        return schema.empty_table()
-    uid = users["user_id"].combine_chunks().cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    seeds = pa.array(uid[uid % 97 == 0], pa.int64())
-    edges = transition_edges(events)
-    t = bfs_hops(edges, seeds, max_hops=3)
-    t = pa.table({"user_id": t["node"], "hops": t["hops"]})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("user_id", "ascending")])).cast(schema)
-
-
-def q_fuzzy_term(sf_dir: str) -> pa.Table:
-    """Typo-tolerant term lookup: top-10 vocabulary tokens by
-    character-trigram Jaccard against the misspelled query 'sparc'
-    (functions/fuzzy.py).  Shuffle-free: scores are intrinsic to each
-    token, so every batch emits a 10-row partial over its own distinct
-    tokens and the driver merges batches × 10 rows; integer
-    jacc = inter·10⁶ // union matches the SQL transcription bit for
-    bit."""
-    from ..functions.fuzzy import fuzzy_terms
-    _tune_context()
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    return fuzzy_terms(ds, "sparc", k=10)
-
-
-def q_substring_search(sf_dir: str) -> pa.Table:
-    """Trigram-accelerated infix search (the Code-Search pattern the
-    trigram index exists for): the literal 'k join' crosses a token
-    boundary, so the word index can't serve it — its trigrams ('k j',
-    ' jo', 'joi', …) AND-intersect over the trigram index to a small
-    candidate set, then one vectorized substring verify on the fetched
-    candidates makes the result exact (search.py phrase_match,
-    trigram mode)."""
-    eng = get_trigram_engine(sf_dir)
-    docs = eng.phrase_match("k join")
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64),
-                                        pa.int64())})
-
-
-def q_autocomplete(sf_dir: str) -> pa.Table:
-    """Prefix autocomplete ranked by document frequency: the corpus
-    vocabulary df table (unit_doc_frequencies — partial distinct-doc
-    counts + hive disk-shuffle sum), prefix-filtered to 's', top-5 by
-    (df desc, token asc).  At 100 TB the prefix predicate pushes into
-    the per-part tasks (only survivors cross the wire already; the
-    prefix makes that set tiny)."""
-    from ..functions.boilerplate import unit_doc_frequencies
-    _tune_context()
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    t = unit_doc_frequencies(ds, unit="token")
-    u = t["unit"]
-    if isinstance(u, pa.ChunkedArray):
-        u = u.combine_chunks()
-    t = pa.table({"token": u, "df": t["df"].cast(pa.int64())})
-    t = t.filter(pc.starts_with(t["token"], "s"))
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("df", "descending"), ("token", "ascending")])[:5]).cast(
-        pa.schema([("token", pa.string()), ("df", pa.int64())]))
-
-
-def q_wildcard_search(sf_dir: str) -> pa.Table:
-    """Wildcard term expansion 's*e' (prefix AND suffix) over the
-    corpus vocabulary: the same df table autocomplete uses
-    (unit_doc_frequencies — per-batch distinct (token, doc) incidences
-    + hive disk-shuffle sum), filtered by starts_with ∧ ends_with ∧
-    the LIKE length rule (len ≥ |prefix|+|suffix|), top-10 by
-    (df desc, token).  At 100 TB both predicates push into the
-    per-part vocab tasks — only the tiny expansion crosses the
-    wire."""
-    from ..functions.boilerplate import unit_doc_frequencies
-    _tune_context()
-    prefix, suffix = "t", "e"
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    t = unit_doc_frequencies(ds, unit="token")
-    u = t["unit"]
-    if isinstance(u, pa.ChunkedArray):
-        u = u.combine_chunks()
-    t = pa.table({"token": u, "df": t["df"].cast(pa.int64())})
-    keep = pc.and_(
-        pc.and_(pc.starts_with(t["token"], prefix),
-                pc.ends_with(t["token"], suffix)),
-        pc.greater_equal(pc.utf8_length(t["token"]),
-                         len(prefix) + len(suffix)))
-    t = t.filter(keep)
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("df", "descending"), ("token", "ascending")])[:10]).cast(
-        pa.schema([("token", pa.string()), ("df", pa.int64())]))
-
-
-def q_related_terms(sf_dir: str) -> pa.Table:
-    """Related-term suggestion for 'spark': per-token document
-    co-occurrence confidence pair_df·10⁶ // df in ONE streamed pass —
-    each batch computes distinct (token, doc) incidences, marks the
-    target's docs, and emits vocab-keyed (df, pair) partials; the
-    driver merges integer partials (a disk-shuffle merge at
-    100-TB vocab — same shape as token_df)."""
-    import ray
-    import ray.data
-
-    from ..functions.boilerplate import _group_counts
-    _tune_context()
-    target = "spark"
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        texts = b["text"]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        lists = pc.split_pattern(texts, pattern=" ")
-        pairs = pa.table({"tok": pc.list_flatten(lists),
-                          "p": pc.list_parent_indices(lists)})
-        pairs = _group_counts(pairs, ["tok", "p"], [])
-        in_tgt = pc.is_in(
-            pairs["p"],
-            value_set=pairs.filter(pc.equal(pairs["tok"],
-                                            target))["p"]
-            .combine_chunks())
-        pairs = pairs.append_column(
-            "hit", pc.cast(in_tgt, pa.int64()))
-        return _group_counts(pairs, ["tok"],
-                             [("p", "count"), ("hit", "sum")])
-
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs())
-        if t.num_rows]
-    schema = pa.schema([("token", pa.string()), ("df", pa.int64()),
-                        ("pair", pa.int64()),
-                        ("conf_x1e6", pa.int64())])
-    if not parts:
-        return schema.empty_table()
-    m = _group_counts(pa.concat_tables(parts).combine_chunks(),
-                      ["tok"], [("p_count", "sum"), ("hit_sum", "sum")])
-    df = m["p_count_sum"].to_numpy(zero_copy_only=False)
-    pair = m["hit_sum_sum"].to_numpy(zero_copy_only=False)
-    t = pa.table({"token": m["tok"],
-                  "df": pa.array(df, pa.int64()),
-                  "pair": pa.array(pair, pa.int64()),
-                  "conf_x1e6": pa.array((pair * 1_000_000) // df,
-                                        pa.int64())})
-    keep = pc.and_(pc.greater_equal(t["pair"], 1),
-                   pc.not_equal(t["token"], target))
-    t = t.filter(keep)
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("conf_x1e6", "descending"), ("df", "descending"),
-        ("token", "ascending")])[:10]).cast(schema)
-
-
-def q_events_quantiles_cont(sf_dir: str) -> pa.Table:
-    """Interpolated (percentile_cont-convention) p50/p90/p99 per event
-    type, EXACT: positions pct·(n−1)/100 have a denominator-100
-    fraction, so the linear interpolation stays in integers on a 100×
-    finer grid (value_x1e6 = lo·(100−frac) + hi·frac on the x1e4
-    quantization).  Same shuffle-free (key, grid)-partials substrate
-    as the discrete variant."""
-    import ray.data
-
-    from ..functions.quantiles import grouped_quantiles
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "value"])
-    return grouped_quantiles(ds, key_col="event_type", val_col="value",
-                             pcts=(50, 90, 99),
-                             interpolated=True).cast(pa.schema([
-        ("event_type", pa.string()), ("pct", pa.int64()),
-        ("value_x1e6", pa.int64())]))
-
-
-def q_tpch_q6(sf_dir: str) -> pa.Table:
-    """TPC-H Q6-shape forecast revenue change: the canonical pure
-    streaming aggregate — column-pruned scan, vectorized triple
-    predicate, per-batch integer partial sums, one scalar to the
-    driver.  Zero shuffle at any scale (reference analog: full-scan
-    count/sum fold, vfs-index qparser aggregation path)."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
-    hi = pa.scalar(np.datetime64("1997-01-01", "us"), pa.timestamp("us"))
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_shipdate", "l_discount", "l_quantity",
-                 "l_extendedprice"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        # discount is stored as a float of a 2-decimal value: compare
-        # on the x100 integer grid so BETWEEN matches SQL exactly.
-        d100 = np.floor(dc * 100.0 + 0.5).astype(np.int64)
-        m = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                    pc.less(t["l_shipdate"], hi))
-        m = pc.and_(m, pc.less(t["l_quantity"], 24.0))
-        m = pc.and_(m, pa.array((d100 >= 5) & (d100 <= 7)))
-        t2 = t.filter(m)
-        ep = t2["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc2 = t2["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * dc2 * 10000.0 + 0.5).astype(np.int64)
-        n = len(rev)
-        return pa.table({"g": pa.array(np.zeros(n, np.int64)),
-                         "rev": pa.array(rev, pa.int64())})
-
-    t = partial_aggregate(line, ["g"], [("rev", "sum"), ("rev", "count")],
-                          prepare=prep)
-    schema = pa.schema([("revenue_x1e4", pa.int64()),
-                        ("n_lines", pa.int64())])
-    if t is None or t.num_rows == 0:
-        return pa.table({"revenue_x1e4": pa.array([0], pa.int64()),
-                         "n_lines": pa.array([0], pa.int64())})
-    return pa.table({
-        "revenue_x1e4": pa.array([t["rev_sum"][0].as_py() or 0],
-                                 pa.int64()),
-        "n_lines": pa.array([t["rev_count"][0].as_py() or 0],
-                            pa.int64())}).cast(schema)
-
-
-def q_tpch_q15(sf_dir: str) -> pa.Table:
-    """TPC-H Q15-shape top supplier: quarter-filtered per-supplier
-    revenue via hash_aggregate (per-batch combiner -> key-hash spill ->
-    per-part merge; supplier cardinality ~10k/SF so only keyed partials
-    move), driver-side max over the small result, supplier names attach
-    by broadcast index_in.  Ties on max revenue all return (ordered by
-    suppkey), matching the SQL view semantics."""
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import hash_aggregate
-    _tune_context()
-    lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
-    hi = pa.scalar(np.datetime64("1996-04-01", "us"), pa.timestamp("us"))
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_suppkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        m = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                    pc.less(t["l_shipdate"], hi))
-        t = t.filter(m)
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"l_suppkey": t["l_suppkey"],
-                         "rev": pa.array(rev, pa.int64())})
-
-    out = hash_aggregate(line, ["l_suppkey"], [("rev", "sum")],
-                         prepare=prep)
-    schema = pa.schema([("s_suppkey", pa.int64()),
-                        ("s_name", pa.string()),
-                        ("total_revenue_x1e4", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    if t.num_rows == 0:
-        return schema.empty_table()
-    rev = t["rev_sum"].to_numpy(zero_copy_only=False)
-    best = rev.max()
-    t = t.filter(pa.array(rev == best))
-    sup = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_name"])
-    idx = pc.index_in(t["l_suppkey"],
-                      value_set=sup["s_suppkey"].combine_chunks())
-    out = pa.table({
-        "s_suppkey": t["l_suppkey"].cast(pa.int64()),
-        "s_name": sup["s_name"].combine_chunks().take(idx),
-        "total_revenue_x1e4": t["rev_sum"].cast(pa.int64())})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("s_suppkey", "ascending")])).cast(schema)
-
-
-def q_tpch_q19(sf_dir: str) -> pa.Table:
-    """TPC-H Q19-shape disjunctive discounted revenue: the part
-    dimension's (brand, size) attributes ship ONCE via ray.put and
-    attach to each lineitem batch by index_in (no shuffle — the join
-    key is only needed to evaluate a predicate, so a broadcast attach
-    replaces the entire join); the three-arm OR evaluates as one
-    vectorized mask and only integer partials reach the driver.  At
-    100 TB a part dimension beyond the broadcast budget flips the
-    attach to the co-partitioned hash_join with the same mask as its
-    post kernel."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    part = pqq.read_table(os.path.join(sf_dir, "part.parquet"),
-                          columns=["p_partkey", "p_brand", "p_size"])
-    part_ref = ray.put(part.combine_chunks())
-    arms = [("Brand#12", 1, 5, 1.0, 11.0),
-            ("Brand#23", 1, 10, 10.0, 20.0),
-            ("Brand#3", 1, 15, 20.0, 30.0)]
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_quantity", "l_extendedprice",
-                 "l_discount"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        p = ray.get(part_ref)
-        idx = pc.index_in(t["l_partkey"], value_set=p["p_partkey"])
-        brand = p["p_brand"].take(idx)
-        size = p["p_size"].take(idx)
-        qty = t["l_quantity"]
-        mask = None
-        for b, slo, shi, qlo, qhi in arms:
-            arm = pc.and_(pc.equal(brand, b),
-                          pc.and_(pc.greater_equal(size, slo),
-                                  pc.less_equal(size, shi)))
-            arm = pc.and_(arm,
-                          pc.and_(pc.greater_equal(qty, qlo),
-                                  pc.less_equal(qty, qhi)))
-            mask = arm if mask is None else pc.or_(mask, arm)
-        t2 = t.filter(mask)
-        ep = t2["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t2["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"g": pa.array(np.zeros(len(rev), np.int64)),
-                         "rev": pa.array(rev, pa.int64())})
-
-    t = partial_aggregate(line, ["g"], [("rev", "sum"), ("rev", "count")],
-                          prepare=prep)
-    schema = pa.schema([("revenue_x1e4", pa.int64()),
-                        ("n_lines", pa.int64())])
-    if t is None or t.num_rows == 0:
-        return pa.table({"revenue_x1e4": pa.array([0], pa.int64()),
-                         "n_lines": pa.array([0], pa.int64())})
-    return pa.table({
-        "revenue_x1e4": pa.array([t["rev_sum"][0].as_py() or 0],
-                                 pa.int64()),
-        "n_lines": pa.array([t["rev_count"][0].as_py() or 0],
-                            pa.int64())}).cast(schema)
-
-
-def q_tpch_q8(sf_dir: str) -> pa.Table:
-    """TPC-H Q8-shape national market share: STANDARD-part keys and
-    the supplier->nation map broadcast into the lineitem scan (the two
-    dimension joins vanish into index_in attaches), then the two big
-    joins (orderkey, custkey) run co-partitioned with per-task partial
-    aggregates, exactly the Q7 substrate.  The share division happens
-    ONCE on the driver over per-(year, is-target-nation) integer
-    partials — floor((num * 1e6) / den), reproduced verbatim by the
-    oracle so the ratio is integer-exact."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import _group_counts
-    from ..functions.joins import hash_join
-    _tune_context()
-    target_n = 7
-    asia = [2, 7, 12, 17, 22]
-    part = pqq.read_table(os.path.join(sf_dir, "part.parquet"),
-                          columns=["p_partkey", "p_type"])
-    pk = part.filter(pc.equal(part["p_type"], "STANDARD"))["p_partkey"]
-    pk_ref = ray.put(pk.combine_chunks())
-    sup = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_nationkey"])
-    sup_ref = ray.put(sup.combine_chunks())
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_partkey", "l_suppkey",
-                 "l_extendedprice", "l_discount"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["l_partkey"],
-                              value_set=ray.get(pk_ref)))
-        s = ray.get(sup_ref)
-        idx = pc.index_in(t["l_suppkey"], value_set=s["s_suppkey"])
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "l_orderkey": t["l_orderkey"],
-            "supp_n": s["s_nationkey"].take(idx).cast(pa.int64()),
-            "rev": pa.array(rev, pa.int64())})
-
-    lmap = line.map_batches(prep, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
-    hi = pa.scalar(np.datetime64("1998-01-01", "us"), pa.timestamp("us"))
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def oprep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.and_(pc.greater_equal(t["o_orderdate"], lo),
-                             pc.less(t["o_orderdate"], hi)))
-        return pa.table({
-            "o_orderkey": t["o_orderkey"],
-            "o_custkey": t["o_custkey"],
-            "o_year": pc.year(t["o_orderdate"]).cast(pa.int64())})
-
-    omap = orders.map_batches(oprep, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def post1(j: pa.Table) -> pa.Table:
-        return _group_counts(j, ["o_custkey", "o_year", "supp_n"],
-                             [("rev", "sum")])
-
-    j1 = hash_join(lmap, omap, left_on="l_orderkey",
-                   right_on="o_orderkey", post=post1)
-    schema = pa.schema([("o_year", pa.int64()),
-                        ("nation_x1e4", pa.int64()),
-                        ("total_x1e4", pa.int64()),
-                        ("mkt_share_x1e6", pa.int64())])
-    if j1 is None:
-        return schema.empty_table()
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_nationkey"])
-    asia_arr = pa.array(asia, pa.int32())
-
-    def post2(j: pa.Table) -> pa.Table:
-        j = j.filter(pc.is_in(j["c_nationkey"], value_set=asia_arr))
-        flag = pc.cast(pc.equal(j["supp_n"], target_n), pa.int64())
-        j = pa.table({"o_year": j["o_year"], "is_t": flag,
-                      "rev_sum": j["rev_sum"]})
-        return _group_counts(j, ["o_year", "is_t"],
-                             [("rev_sum", "sum")])
-
-    j2 = hash_join(j1, cust, left_on="o_custkey",
-                   right_on="c_custkey", post=post2)
-    if j2 is None:
-        return schema.empty_table()
-    t = _collect(j2)
-    if t.num_rows == 0:
-        return schema.empty_table()
-    m = _group_counts(t, ["o_year", "is_t"], [("rev_sum_sum", "sum")])
-    acc: dict[int, list[int]] = {}
-    for y, f, s in zip(m["o_year"].to_pylist(), m["is_t"].to_pylist(),
-                       m["rev_sum_sum_sum"].to_pylist()):
-        a = acc.setdefault(int(y), [0, 0])
-        a[1] += int(s)
-        if f == 1:
-            a[0] += int(s)
-    years = sorted(acc)
-    return pa.table({
-        "o_year": pa.array(years, pa.int64()),
-        "nation_x1e4": pa.array([acc[y][0] for y in years], pa.int64()),
-        "total_x1e4": pa.array([acc[y][1] for y in years], pa.int64()),
-        "mkt_share_x1e6": pa.array(
-            [(acc[y][0] * 1_000_000) // acc[y][1] if acc[y][1] else 0
-             for y in years], pa.int64())}).cast(schema)
-
-
-def q_tpch_q9(sf_dir: str) -> pa.Table:
-    """TPC-H Q9-shape product-type profit by supplier nation and
-    order year (adapted: no partsupp table in this corpus, so unit
-    cost is p_retailprice).  Part cost map ('gear' parts) and the
-    supplier->nation map broadcast into the lineitem scan; the single
-    big join (orderkey, for the year) runs co-partitioned with
-    per-(nation, year) integer partials inside each join task —
-    profit_x1e4 = rev_x1e4 - retail_x1e4 * qty stays in int64 end to
-    end, so the distributed sum is bit-exact vs the oracle."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import _group_counts
-    from ..functions.joins import hash_join
-    _tune_context()
-    part = pqq.read_table(os.path.join(sf_dir, "part.parquet"),
-                          columns=["p_partkey", "p_name",
-                                   "p_retailprice"])
-    part = part.filter(pc.match_substring(part["p_name"], "gear"))
-    cost = np.floor(part["p_retailprice"].to_numpy(zero_copy_only=False)
-                    * 10000.0 + 0.5).astype(np.int64)
-    pmap = pa.table({"p_partkey": part["p_partkey"],
-                     "cost_x1e4": pa.array(cost, pa.int64())})
-    pmap_ref = ray.put(pmap.combine_chunks())
-    sup = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_nationkey"])
-    sup_ref = ray.put(sup.combine_chunks())
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-                 "l_extendedprice", "l_discount"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        p = ray.get(pmap_ref)
-        idx = pc.index_in(t["l_partkey"], value_set=p["p_partkey"])
-        keep = pc.is_valid(idx)
-        t, idx = t.filter(keep), idx.filter(keep)
-        s = ray.get(sup_ref)
-        sidx = pc.index_in(t["l_suppkey"], value_set=s["s_suppkey"])
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        qty = np.floor(t["l_quantity"].to_numpy(zero_copy_only=False)
-                       + 0.5).astype(np.int64)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        c = p["cost_x1e4"].take(idx).to_numpy(zero_copy_only=False)
-        return pa.table({
-            "l_orderkey": t["l_orderkey"],
-            "supp_n": s["s_nationkey"].take(sidx).cast(pa.int64()),
-            "profit": pa.array(rev - c * qty, pa.int64())})
-
-    lmap = line.map_batches(prep, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderdate"])
-
-    def oprep(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": t["o_orderkey"],
-            "o_year": pc.year(t["o_orderdate"]).cast(pa.int64())})
-
-    omap = orders.map_batches(oprep, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def post(j: pa.Table) -> pa.Table:
-        return _group_counts(j, ["supp_n", "o_year"],
-                             [("profit", "sum")])
-
-    out = hash_join(lmap, omap, left_on="l_orderkey",
-                    right_on="o_orderkey", post=post)
-    schema = pa.schema([("nation", pa.string()),
-                        ("o_year", pa.int64()),
-                        ("sum_profit_x1e4", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    if t.num_rows == 0:
-        return schema.empty_table()
-    m = _group_counts(t, ["supp_n", "o_year"], [("profit_sum", "sum")])
-    nation = pqq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                            columns=["n_nationkey", "n_name"])
-    nk = nation["n_nationkey"].combine_chunks().cast(pa.int64())
-    out = pa.table({
-        "nation": nation["n_name"].combine_chunks().take(
-            pc.index_in(m["supp_n"], value_set=nk)),
-        "o_year": m["o_year"],
-        "sum_profit_x1e4": m["profit_sum_sum"].cast(pa.int64())})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("nation", "ascending"),
-        ("o_year", "descending")])).cast(schema)
-
-
-def q_tpch_q21(sf_dir: str) -> pa.Table:
-    """TPC-H Q21-shape waiting-supplier count (adapted: this corpus
-    has no commit/receipt dates, so 'kept the order waiting' = the
-    order's sole latest-shipping supplier on a multi-supplier 'F'
-    order — same EXISTS + NOT-EXISTS correlated structure).  One
-    co-partitioned join (lineitem x F-orders on orderkey) puts every
-    order's lines in one partition; a vectorized kernel computes
-    per-order max shipdate, distinct-supplier count, and the
-    distinct-suppliers-at-max via boundary diffs + reduceat (never a
-    per-order Python loop), emitting keyed partials only.  Reference
-    analog: correlated semi/anti probes (vfs-index qparser EXISTS
-    path)."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import _group_counts
-    from ..functions.joins import hash_join
-    _tune_context()
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_suppkey", "l_shipdate"])
-
-    def lprep(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_orderkey": t["l_orderkey"],
-            "l_suppkey": t["l_suppkey"],
-            "ship": t["l_shipdate"].cast(pa.int64())})
-
-    lmap = line.map_batches(lprep, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderstatus"])
-
-    def oprep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["o_orderstatus"], "F"))
-        return t.select(["o_orderkey"])
-
-    omap = orders.map_batches(oprep, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def post(j: pa.Table) -> pa.Table:
-        empty = pa.table({"sk": pa.array([], pa.int64()),
-                          "n": pa.array([], pa.int64())})
-        if j.num_rows == 0:
-            return empty
-        ok = j["l_orderkey"].to_numpy(zero_copy_only=False)
-        sk = j["l_suppkey"].to_numpy(zero_copy_only=False)
-        sd = j["ship"].to_numpy(zero_copy_only=False)
-        srt = np.lexsort((sk, ok))
-        ok, sk, sd = ok[srt], sk[srt], sd[srt]
-        new_ord = np.r_[True, ok[1:] != ok[:-1]]
-        starts = np.flatnonzero(new_ord)
-        counts = np.diff(np.r_[starts, len(ok)])
-        oidx = np.repeat(np.arange(len(starts)), counts)
-        grpmax = np.maximum.reduceat(sd, starts)
-        new_pair = np.r_[True, (ok[1:] != ok[:-1]) |
-                               (sk[1:] != sk[:-1])]
-        pstart = np.flatnonzero(new_pair)
-        ns = np.add.reduceat(new_pair.astype(np.int64), starts)
-        atmax = sd == grpmax[oidx]
-        hasmax = np.maximum.reduceat(
-            atmax.astype(np.int8), pstart).astype(bool)
-        porder = oidx[pstart]
-        nm = np.bincount(porder, weights=hasmax,
-                         minlength=len(starts)).astype(np.int64)
-        sole = hasmax & (nm[porder] == 1) & (ns[porder] >= 2)
-        emit = sk[pstart[sole]]
-        if len(emit) == 0:
-            return empty
-        return _group_counts(
-            pa.table({"sk": pa.array(emit.astype(np.int64), pa.int64()),
-                      "n": pa.array(np.ones(len(emit), np.int64))}),
-            ["sk"], [("n", "sum")]).rename_columns(["sk", "n"])
-
-    out = hash_join(lmap, omap, left_on="l_orderkey",
-                    right_on="o_orderkey", how="inner", post=post)
-    schema = pa.schema([("s_name", pa.string()),
-                        ("numwait", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    if t.num_rows == 0:
-        return schema.empty_table()
-    m = _group_counts(t, ["sk"], [("n", "sum")])
-    sup = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_name"])
-    idx = pc.index_in(m["sk"],
-                      value_set=sup["s_suppkey"].combine_chunks())
-    out = pa.table({
-        "s_name": sup["s_name"].combine_chunks().take(idx),
-        "numwait": m["n_sum"].cast(pa.int64())})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("numwait", "descending"),
-        ("s_name", "ascending")])[:10]).cast(schema)
-
-
-def q_tpch_q12(sf_dir: str) -> pa.Table:
-    """TPC-H Q12-shape late-shipment priority counts (adapted: this
-    corpus has no l_shipmode/commitdate, so the mode axis is
-    l_linestatus and 'late' = shipped more than 60 days after the
-    order date).  One co-partitioned hash join on orderkey with the
-    conditional counts folded INSIDE each join task — only (status,
-    high, low) partials leave the shuffle; the driver merges a
-    handful of rows.  Reference analog: qparser conditional-count
-    aggregation over an AND probe."""
-    import ray.data
-
-    from ..functions.boilerplate import _group_counts
-    from ..functions.joins import hash_join
-    _tune_context()
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linestatus", "l_shipdate"])
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    late_us = 60 * 86_400 * 1_000_000  # 60 days in microseconds
-
-    def lprep(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_orderkey": t["l_orderkey"],
-            "l_linestatus": t["l_linestatus"],
-            "ship": t["l_shipdate"].cast(pa.int64())})
-
-    def oprep(t: pa.Table) -> pa.Table:
-        hi = pc.is_in(t["o_orderpriority"],
-                      value_set=pa.array(["1-URGENT", "2-HIGH"]))
-        return pa.table({
-            "o_orderkey": t["o_orderkey"],
-            "odate": t["o_orderdate"].cast(pa.int64()),
-            "is_high": pc.cast(hi, pa.int64())})
-
-    def post(j: pa.Table) -> pa.Table:
-        empty = pa.table({"l_linestatus": pa.array([], pa.string()),
-                          "high": pa.array([], pa.int64()),
-                          "low": pa.array([], pa.int64())})
-        if j.num_rows == 0:
-            return empty
-        late = pc.greater(pc.subtract(j["ship"], j["odate"]),
-                          pa.scalar(late_us, pa.int64()))
-        j = j.filter(late)
-        if j.num_rows == 0:
-            return empty
-        g = _group_counts(
-            pa.table({"l_linestatus": j["l_linestatus"],
-                      "high": j["is_high"],
-                      "low": pc.subtract(pa.scalar(1, pa.int64()),
-                                         j["is_high"])}),
-            ["l_linestatus"], [("high", "sum"), ("low", "sum")])
-        return g.rename_columns(["l_linestatus", "high", "low"])
-
-    out = hash_join(
-        line.map_batches(lprep, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        orders.map_batches(oprep, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        left_on="l_orderkey", right_on="o_orderkey", how="inner",
-        post=post)
-    schema = pa.schema([("l_linestatus", pa.string()),
-                        ("high_line_count", pa.int64()),
-                        ("low_line_count", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    t = _collect(out)
-    if t.num_rows == 0:
-        return schema.empty_table()
-    m = _group_counts(t, ["l_linestatus"],
-                      [("high", "sum"), ("low", "sum")])
-    t = pa.table({"l_linestatus": m["l_linestatus"],
-                  "high_line_count": m["high_sum"],
-                  "low_line_count": m["low_sum"]}).cast(schema)
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("l_linestatus", "ascending")]))
-
-
-def q_tpch_q11(sf_dir: str) -> pa.Table:
-    """TPC-H Q11-shape important parts (adapted: no partsupp table, so
-    'value' = revenue shipped per part by one nation's suppliers, and
-    the HAVING threshold is 'more than 2x the mean per-part value' —
-    scale-free where Q11's fixed fraction goes vacuous as part
-    cardinality grows).  The nation's supplier key set broadcasts
-    once (at 100 TB the supplier dim is still ~1e-3 of lineitem;
-    past the broadcast budget this flips to hash_join); revenue
-    folds per batch into per-part integer partials — zero shuffle —
-    and the threshold is the exact integer comparison
-    value*n_parts > 2*total both engines run.  Reference analog:
-    count-by-key traversal + threshold scan."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    sup = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_nationkey"])
-    keep = sup.filter(pc.equal(sup["s_nationkey"], 9))
-    keep_ref = ray.put(keep["s_suppkey"].combine_chunks())
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["l_suppkey"],
-                              value_set=ray.get(keep_ref)))
-        ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        dc = t["l_discount"].to_numpy(zero_copy_only=False)
-        rev = np.floor(ep * (1.0 - dc) * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"p_partkey": t["l_partkey"].cast(pa.int64()),
-                         "rev": pa.array(rev, pa.int64())})
-
-    t = partial_aggregate(line, ["p_partkey"], [("rev", "sum")],
-                          prepare=prep)
-    schema = pa.schema([("p_partkey", pa.int64()),
-                        ("value_x1e4", pa.int64())])
-    if t is None:
-        return schema.empty_table()
-    vals = t["rev_sum"].to_numpy(zero_copy_only=False)
-    total = int(vals.sum())
-    mask = vals * len(vals) > 2 * total
-    t = pa.table({"p_partkey": t["p_partkey"],
-                  "value_x1e4": t["rev_sum"]}).filter(
-        pa.array(mask)).cast(schema)
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("value_x1e4", "descending"), ("p_partkey", "ascending")]))
-
-
-def q_tpch_q20(sf_dir: str) -> pa.Table:
-    """TPC-H Q20-shape excess suppliers (adapted: no partsupp/availqty,
-    so the nested EXISTS becomes 'suppliers who shipped more than half
-    of their all-time small-part quantity since 1999' — the same
-    part-family semi-join feeding a per-supplier grouped threshold).
-    The family partkey set broadcasts once; quantities fold into
-    per-supplier (recent, total) integer partials per batch — zero
-    shuffle; names attach by broadcast index_in at the end.
-    Reference analog: nested semi-join probe (qparser EXISTS path)."""
-    import ray
-    import ray.data
-    import pyarrow.parquet as pqq
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    part = pqq.read_table(os.path.join(sf_dir, "part.parquet"),
-                          columns=["p_partkey", "p_name"])
-    fam = part.filter(pc.starts_with(part["p_name"], "small "))
-    fam_ref = ray.put(fam["p_partkey"].combine_chunks())
-    cut = pa.scalar(np.datetime64("1999-01-01", "us"),
-                    pa.timestamp("us"))
-
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_suppkey", "l_quantity",
-                 "l_shipdate"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["l_partkey"],
-                              value_set=ray.get(fam_ref)))
-        q = np.floor(t["l_quantity"].to_numpy(zero_copy_only=False)
-                     * 100.0 + 0.5).astype(np.int64)
-        recent = pc.greater_equal(t["l_shipdate"], cut).to_numpy(
-            zero_copy_only=False)
-        return pa.table({
-            "sk": t["l_suppkey"].cast(pa.int64()),
-            "recent": pa.array(np.where(recent, q, 0), pa.int64()),
-            "total": pa.array(q, pa.int64())})
-
-    t = partial_aggregate(line, ["sk"],
-                          [("recent", "sum"), ("total", "sum")],
-                          prepare=prep)
-    schema = pa.schema([("s_name", pa.string()),
-                        ("nation", pa.string()),
-                        ("recent_x100", pa.int64()),
-                        ("total_x100", pa.int64())])
-    if t is None:
-        return schema.empty_table()
-    rec = t["recent_sum"].to_numpy(zero_copy_only=False)
-    tot = t["total_sum"].to_numpy(zero_copy_only=False)
-    t = t.filter(pa.array(rec * 2 > tot))
-    if t.num_rows == 0:
-        return schema.empty_table()
-    sup = pqq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                         columns=["s_suppkey", "s_name",
-                                  "s_nationkey"])
-    nat = pqq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                         columns=["n_nationkey", "n_name"])
-    sidx = pc.index_in(t["sk"],
-                       value_set=sup["s_suppkey"].combine_chunks())
-    snat = sup["s_nationkey"].combine_chunks().take(sidx)
-    nidx = pc.index_in(snat,
-                       value_set=nat["n_nationkey"].combine_chunks())
-    out = pa.table({
-        "s_name": sup["s_name"].combine_chunks().take(sidx),
-        "nation": nat["n_name"].combine_chunks().take(nidx),
-        "recent_x100": t["recent_sum"],
-        "total_x100": t["total_sum"]}).cast(schema)
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("s_name", "ascending")]))
-
-
-def q_hybrid_search(sf_dir: str) -> pa.Table:
-    """Hybrid retrieval: BM25 top-20 lexical candidates reranked by
-    embedding cosine to the top-1 hit (query-by-document
-    pseudo-relevance rerank — the standard two-stage lexical→vector
-    serving pattern).  Stage 1 is the inverted index (maxscore BM25);
-    stage 2 touches ONLY the k candidate embeddings via a
-    row-group-pruned point read — the corpus-sized embedding table
-    never moves (at serving scale this is QueryService's resident
-    ann_batch path).  Rank = (cosine desc, doc_id asc), scores on the
-    shared x1e4 grid.  Reference analog: A7 tf scoring feeding M8
-    projection (vfs-index has no vector stage; this is the extension
-    surface)."""
-    import pyarrow.parquet as pqq
-    eng = get_engine(sf_dir)
-    docs, scores = eng.bm25(BM25_QUERY, 20)
-    docs = docs.astype(np.int64)
-    schema = pa.schema([("doc_id", pa.int64()),
-                        ("bm25_x1e4", pa.int64()),
-                        ("sim_x1e4", pa.int64()),
-                        ("rank", pa.int64())])
-    if len(docs) == 0:
-        return schema.empty_table()
-    emb = pqq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        filters=[("vec_id", "in", docs.tolist())],
-        columns=["vec_id", "embedding"], use_threads=False)
-    vid = emb["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    mat = np.asarray(emb["embedding"].to_pylist(), np.float64)
-    pos = {int(v): i for i, v in enumerate(vid)}
-    # not every document carries an embedding (sf0.1: 2k of 5k);
-    # rerank the candidates that do, anchored on the best BM25 hit
-    # among them — mirrored exactly by the oracle's inner join.
-    have = np.array([int(d) in pos for d in docs], bool)
-    docs, scores = docs[have], scores[have]
-    if len(docs) < 2:
-        return schema.empty_table()
-    anchor = mat[pos[int(docs[0])]]
-    cand = docs[1:]
-    cidx = np.array([pos[int(d)] for d in cand], np.int64)
-    cmat = mat[cidx]
-    sims = (cmat @ anchor) / (np.linalg.norm(cmat, axis=1)
-                              * np.linalg.norm(anchor))
-    order = np.lexsort((cand, -sims))[:10]
-    return pa.table({
-        "doc_id": pa.array(cand[order], pa.int64()),
-        "bm25_x1e4": pa.array(np.floor(
-            scores[1:][order] * 10000.0 + 0.5).astype(np.int64),
-            pa.int64()),
-        "sim_x1e4": pa.array(np.floor(
-            sims[order] * 10000.0 + 0.5).astype(np.int64), pa.int64()),
-        "rank": pa.array(np.arange(1, len(order) + 1), pa.int64()),
-    }).cast(schema)
-
-
-def _tomb_engine(sf_dir: str):
-    """Word-mode index in a DEDICATED cache dir (never the shared
-    get_engine index — tombstones mutate it) with docs ``doc_id % 7
-    == 3`` deleted. delete_docs is idempotent, so repeated calls
-    converge."""
-    from .. import __version__
-    from ..build import IndexBuilder
-    src = _doc_file(sf_dir)
-    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = os.path.join("/tmp", "vfsray_cache",
-                       f"{name}-{_corpus_key(sf_dir, src)}"
-                       f"-v{__version__}-tombq")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        IndexBuilder(idx, mode="word", num_parts=8,
-                     id_col="doc_id").build([src])
-    eng = SearchEngine(idx, corpus_files=[src], id_col="doc_id")
-    import pyarrow.parquet as pqq
-    # actual ids from the corpus (doc_id spaces can be sparse — sf1's
-    # tiled fixture is), one pruned single-column read
-    ids = pqq.read_table(src, columns=["doc_id"], use_threads=False
-                         )["doc_id"].to_numpy(zero_copy_only=False
-                                              ).astype(np.uint64)
-    eng.delete_docs(ids[ids % 7 == 3])
-    return eng, idx
-
-
-def q_delete_search(sf_dir: str) -> pa.Table:
-    """Tombstoned BM25 (SearchEngine.delete_docs): docs with
-    ``doc_id % 7 == 3`` are deleted; survivors keep their exact
-    pre-delete fp64 scores (stale-statistics scoring, Lucene
-    semantics) — so the oracle is the full-corpus BM25 score set with
-    the deleted docs filtered OUT after scoring.  Extension surface:
-    the reference has no delete story."""
-    eng, _ = _tomb_engine(sf_dir)
-    docs, scores = eng.bm25(BM25_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(scores * 10000.0 + 0.5).astype(np.int64),
-            pa.int64())})
-
-
-def q_purge_search(sf_dir: str) -> pa.Table:
-    """Post-purge BM25 (merge.purge_tombstones): the physically
-    rewritten index scores with LIVE statistics (df, N, avgdl of the
-    surviving corpus), byte-identical to a fresh build — so the
-    oracle recomputes BM25 over ``documents WHERE doc_id % 7 <> 3``
-    from scratch.  Together with delete_search this pins both halves
-    of the delete story against SQL."""
-    eng, idx = _tomb_engine(sf_dir)
-    purged = idx + "-purged"
-    if not os.path.exists(os.path.join(purged, "stats.json")):
-        from ..merge import purge_tombstones
-        purge_tombstones(idx, purged)
-    peng = SearchEngine(purged, corpus_files=[_doc_file(sf_dir)],
-                        id_col="doc_id")
-    docs, scores = peng.bm25(BM25_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(scores * 10000.0 + 0.5).astype(np.int64),
-            pa.int64())})
-
-
-MLT_SEED_DOC = 7
-
-
-def q_more_like_this(sf_dir: str) -> pa.Table:
-    """More-like-this: rank the corpus by idf-weighted overlap with a
-    seed document's distinct tokens, entirely through the inverted
-    index (SearchEngine.weighted_or — postings union + int64 impact
-    accumulation), never a corpus scan.  Weights are integer
-    ``1_000_000 // df`` so engine and SQL agree bit-for-bit; ties
-    (score desc, doc_id asc).  Reference analog: the A7 scoring union
-    with caller impacts (search_cond.go), the classic Lucene MLT
-    shape."""
-    import re
-    eng = get_engine(sf_dir)
-    seed = eng.fetch_rows(np.array([MLT_SEED_DOC], np.uint64),
-                          columns=["doc_id", "text"])
-    text = seed["text"][0].as_py() or ""
-    toks = sorted({t for t in re.split(r"[^a-z0-9]+", text.lower()) if t})
-    dfs = eng.df(" ".join(toks))
-    weights = {t: 1_000_000 // d for t, d in dfs.items() if d > 0}
-    docs, scores = eng.weighted_or(weights, k=10,
-                                   exclude={MLT_SEED_DOC})
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score": pa.array(scores.astype(np.int64), pa.int64())})
-
-
-def q_search_facets(sf_dir: str) -> pa.Table:
-    """Faceted search: index-AND match → row-group-pruned metadata
-    fetch → facet counts by (lang, source).  The aggregation runs on
-    the MATCHED set only (already index-pruned), and its output space
-    is langs × sources — tiny regardless of corpus size."""
-    eng = get_engine(sf_dir)
-    docs = eng.match(MATCH_QUERY)
-    rows = eng.fetch_rows(docs, columns=["doc_id", "lang", "source"])
-    agg = rows.group_by(["lang", "source"]).aggregate([("doc_id", "count")])
-    t = pa.table({"lang": agg["lang"], "source": agg["source"],
-                  "n": agg["doc_id_count"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("lang", "ascending"), ("source", "ascending")]))
-
-
-def q_index_stats(sf_dir: str) -> pa.Table:
-    """Index integrity as an oracle query: corpus-wide distinct terms,
-    total postings and total token occurrences from segment METADATA
-    columns (SearchEngine.index_stats) — DuckDB recomputes all four
-    numbers from raw text, so a single dropped posting anywhere in the
-    build/merge path fails the gate."""
-    eng = get_engine(sf_dir)
-    s = eng.index_stats()
-    return pa.table({k: pa.array([s[k]], pa.int64())
-                     for k in ("n_docs", "n_terms", "n_postings",
-                               "total_tokens")})
-
-
-def q_events_retention(sf_dir: str) -> pa.Table:
-    """Cohort retention triangle over events (functions/windows.py
-    retention_cohorts): one user-hash partition pass, per-partition
-    vectorized (user, day) dedupe + cohort/offset partials, tiny
-    merge."""
-    import ray.data
-    from ..functions.windows import retention_cohorts
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id", "ts"])
-    return retention_cohorts(ds)
-
-
-def q_events_anomaly(sf_dir: str) -> pa.Table:
-    """Integer-exact hourly volume anomalies per event type
-    (functions/windows.py hourly_anomalies): 2-sigma outlier hours
-    flagged via the cross-multiplied variance inequality in Python
-    ints / HUGEINT — engine and oracle share the closed form, no
-    epsilon."""
-    import ray.data
-    from ..functions.windows import hourly_anomalies
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts", "value"])
-    return hourly_anomalies(ds, sigmas=2)
-
-
-def q_skyline_orders(sf_dir: str) -> pa.Table:
-    """Pareto skyline of urgent orders maximizing (totalprice,
-    orderdate): per-batch local frontier prune (sort + boundary-diff
-    kernel, never all-pairs), driver merges the staircase-sized
-    frontiers with the same kernel.  Prices compare on the x1e4 grid;
-    exact (price, date) duplicates all survive, matching the SQL
-    dominance definition."""
-    import ray.data
-
-    from ..functions.skyline import skyline
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_totalprice", "o_orderdate",
-                 "o_orderpriority"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["o_orderpriority"], "1-URGENT"))
-        px = np.floor(t["o_totalprice"].to_numpy(zero_copy_only=False)
-                      * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "o_orderkey": t["o_orderkey"].cast(pa.int64()),
-            "totalprice_x1e4": pa.array(px, pa.int64()),
-            "dus": t["o_orderdate"].cast(pa.int64())})
-
-    out = skyline(ds.map_batches(prep, batch_format="pyarrow",
-                                 zero_copy_batch=True),
-                  x_col="totalprice_x1e4", y_col="dus")
-    res = pa.table({"o_orderkey": out["o_orderkey"],
-                    "totalprice_x1e4": out["totalprice_x1e4"],
-                    "o_orderdate": out["dus"].cast(pa.timestamp("us"))})
-    return res.take(pc.sort_indices(res, sort_keys=[
-        ("totalprice_x1e4", "descending"),
-        ("o_orderdate", "ascending"),
-        ("o_orderkey", "ascending")]))
-
-
-def q_edit_near_dup(sf_dir: str) -> pa.Table:
-    """Exact-verify near-dup pairs by Levenshtein distance: the
-    blocking key (lang + 32-char prefix + byte-length//64 bucket) is
-    DETERMINISTIC, so the oracle reproduces the exact candidate set
-    with a self-join — no LSH-recall caveat.  Blocks hash-partition
-    through the keyed disk spill; the byte-DP (vectorized rows,
-    prefix-min deletion chain) matches DuckDB's byte-based
-    levenshtein()."""
-    from ..functions.editdist import edit_near_dup
-    _tune_context()
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text", "lang"])
-    out = edit_near_dup(ds, id_col="doc_id", text_col="text",
-                        group_cols=["lang"], prefix_len=32,
-                        len_bucket=64, max_dist=10)
-    schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
-                        ("dist", pa.int64())])
-    t = _collect(out)
-    if t.num_rows == 0:  # all-empty blocks may carry no schema
-        return schema.empty_table()
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("id_a", "ascending"), ("id_b", "ascending")])).cast(schema)
-
-
-def q_table_profile(sf_dir: str) -> pa.Table:
-    """Data-quality profile of the documents table in ONE streaming
-    pass: per-column row/null counts, min/max, and exact distinct
-    counts for the low-cardinality enum-ish columns — each batch ships
-    one tiny partial row per column (functions/profile.py), the driver
-    folds partials; the corpus never gathers anywhere."""
-    import ray.data
-
-    from ..functions.profile import table_profile
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "n_chars", "lang", "source"])
-    out = table_profile(ds, num_cols=["doc_id", "n_chars"],
-                        str_cols=["lang", "source"],
-                        distinct_cols=["lang", "source"])
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("col", "ascending")]))
-
-
-def q_regex_scan(sf_dir: str) -> pa.Table:
-    """Corpus grep: count non-overlapping RE2 matches of a PII-style
-    pattern (3+ digit runs) per language — one vectorized
-    ``pc.count_substring_regex`` pass per batch folded into per-lang
-    partials (output space = languages, tiny), never a row-level loop
-    or a shuffle.  pyarrow and DuckDB both embed RE2, so match counts
-    are dialect-identical."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["text", "lang"])
-    pat = r"[0-9]{3,}"
-
-    def prep(t: pa.Table) -> pa.Table:
-        cnt = pc.count_substring_regex(t["text"], pattern=pat)
-        cnt = cnt.cast(pa.int64())
-        hit = pc.cast(pc.greater(cnt, 0), pa.int64())
-        return pa.table({"lang": t["lang"], "m": cnt, "hit": hit})
-
-    out = partial_aggregate(ds, ["lang"],
-                            [("hit", "count"), ("hit", "sum"),
-                             ("m", "sum")], prepare=prep)
-    schema = pa.schema([("lang", pa.string()),
-                        ("docs", pa.int64()),
-                        ("docs_matched", pa.int64()),
-                        ("total_matches", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    res = pa.table({"lang": out["lang"],
-                    "docs": out["hit_count"].cast(pa.int64()),
-                    "docs_matched": out["hit_sum"].cast(pa.int64()),
-                    "total_matches": out["m_sum"].cast(pa.int64())})
-    return res.take(pc.sort_indices(
-        res, sort_keys=[("lang", "ascending")])).cast(schema)
-
-
-def q_orders_customer_full(sf_dir: str) -> pa.Table:
-    """FULL OUTER equi-join with genuinely-disjoint sides: per-customer
-    1995 order counts (hash_aggregate — per-batch partials, hive key
-    shuffle) FULL OUTER the high-balance customer subset.  Customers
-    with 1995 orders but low balance null-extend on the right;
-    high-balance customers with no 1995 orders null-extend on the
-    left — co_partition_apply's ``include_missing_left`` runs right
-    partitions the probe never touched against an empty left table,
-    so each unmatched right row surfaces exactly once.  Acero
-    coalesces the equi-key into one column."""
-    import ray.data
-
-    from ..functions.boilerplate import hash_aggregate
-    from ..functions.joins import hash_join
-    _tune_context()
-    schema = pa.schema([("custkey", pa.int64()),
-                        ("order_cnt", pa.int64()),
-                        ("acctbal_x1e4", pa.int64())])
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderdate"])
-
-    def prep_o(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(pc.year(t["o_orderdate"]), 1995))
-        return pa.table({"o_custkey": t["o_custkey"]})
-
-    counts = hash_aggregate(orders, ["o_custkey"],
-                            [("o_custkey", "count")], prepare=prep_o)
-
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_acctbal"])
-
-    def prep_c(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["c_acctbal"], 5000.0))
-        bal = np.floor(t["c_acctbal"].to_numpy(zero_copy_only=False)
-                       * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"c_custkey": t["c_custkey"].cast(pa.int64()),
-                         "acctbal_x1e4": pa.array(bal, pa.int64())})
-
-    cust_f = cust.map_batches(prep_c, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    if counts is None:  # no 1995 orders at all: right side only
-        t = _collect(cust_f)
-        res = pa.table({
-            "custkey": t["c_custkey"],
-            "order_cnt": pa.nulls(t.num_rows, pa.int64()),
-            "acctbal_x1e4": t["acctbal_x1e4"]})
-        return res.take(pc.sort_indices(
-            res, sort_keys=[("custkey", "ascending")])).cast(schema)
-    out = hash_join(counts, cust_f, left_on="o_custkey",
-                    right_on="c_custkey", how="full outer")
-    t = _collect(out)
-    res = pa.table({"custkey": t["o_custkey"].cast(pa.int64()),
-                    "order_cnt": t["o_custkey_count"].cast(pa.int64()),
-                    "acctbal_x1e4": t["acctbal_x1e4"]})
-    return res.take(pc.sort_indices(
-        res, sort_keys=[("custkey", "ascending")])).cast(schema)
-
-
-def q_type_overlap(sf_dir: str) -> pa.Table:
-    """Audience-overlap matrix: for every unordered pair of event
-    types, how many distinct users performed BOTH.  One group-keyed
-    hash partition (users disjoint per task) + a vectorized distinct →
-    pair-expansion → run-length-count kernel per partition
-    (functions/pairs.py cooccur_pairs); pair partials merge through
-    the partial/hash aggregation substrate, never a sort exchange."""
-    import ray.data
-
-    from ..functions.pairs import cooccur_pairs
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type"])
-    tbl = _collect(cooccur_pairs(ds, group_col="user_id",
-                                 item_col="event_type"))
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("item_a", "ascending"), ("item_b", "ascending")]))
-    return pa.table({
-        "type_a": tbl["item_a"], "type_b": tbl["item_b"],
-        "n_users": tbl["n_groups"]}).cast(pa.schema([
-            ("type_a", pa.string()), ("type_b", pa.string()),
-            ("n_users", pa.int64())]))
-
-
-def q_part_pairs(sf_dir: str) -> pa.Table:
-    """Market-basket pair mining: top-100 part pairs by the number of
-    orders whose lineitems contain both (ties part_a asc, part_b asc).
-    Same cooccur_pairs substrate keyed by orderkey; the top-k is
-    per-batch local partials (≤k rows each) + one driver merge — the
-    full pair table never reaches the driver (functions/pairs.py
-    top_pairs)."""
-    import ray.data
-
-    from ..functions.pairs import cooccur_pairs, top_pairs
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_partkey"])
-    pairs = cooccur_pairs(ds, group_col="l_orderkey",
-                          item_col="l_partkey")
-    tbl = top_pairs(pairs, k=100, min_count=1)
-    return pa.table({
-        "part_a": tbl["item_a"], "part_b": tbl["item_b"],
-        "n_orders": tbl["n_groups"]}).cast(pa.schema([
-            ("part_a", pa.int64()), ("part_b", pa.int64()),
-            ("n_orders", pa.int64())]))
-
-
-def q_knn_graph(sf_dir: str) -> pa.Table:
-    """Exact cosine 3-NN graph over the embedding corpus via the
-    block-tournament kNN join (functions/knn.py knn_join): P
-    object-store blocks → P(P+1)/2 bounded pair tasks emitting ≤k
-    candidates per vector per side, per-vector merge through the
-    keyed disk shuffle.  The oracle is the quadratic self-join with
-    list_cosine_similarity (exact-kNN ground truth)."""
-    import ray.data
-
-    from ..functions.knn import knn_join
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"])
-    tbl = _collect(knn_join(ds.repartition(4), k=3))
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("vec_id", "ascending"), ("rank", "ascending")]))
-    return tbl.select(["vec_id", "nbr_id", "rank", "sim_x1e4"]).cast(
-        pa.schema([("vec_id", pa.int64()), ("nbr_id", pa.int64()),
-                   ("rank", pa.int64()), ("sim_x1e4", pa.int64())]))
-
-
-def q_semdedup(sf_dir: str) -> pa.Table:
-    """SemDeDup (Abbas et al. 2023): seeded-centroid cluster
-    assignment (c-th lowest vec_id — the IVF index's oracle-checked
-    convention) + within-cluster earlier-id neighbor drop at
-    cos ≥ 0.4 on the x1e4 grid (functions/knn.py semdedup).  Emits
-    EVERY row's (cluster, keep) so assignment and verdict both
-    hash-check."""
-    import ray.data
-
-    from ..functions.knn import semdedup
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"])
-    tbl = _collect(semdedup(ds, num_clusters=8, tau_x1e4=4000))
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("vec_id", "ascending")]))
-    return tbl.select(["vec_id", "cluster", "keep"]).cast(pa.schema([
-        ("vec_id", pa.int64()), ("cluster", pa.int64()),
-        ("keep", pa.bool_())]))
-
-
-def q_bm25_page(sf_dir: str) -> pa.Table:
-    """Stateless deep pagination: page 2 (ranks 11-20) of the flagship
-    BM25 query via a ``search_after=(score, doc_id)`` cursor taken
-    from page 1's last hit — page depth costs O(1), never an offset
-    re-rank of prior pages (search.py bm25 search_after).  fp64
-    rank-identical to one deep top-20 (the oracle's row_number
-    window)."""
-    eng = get_engine(sf_dir)
-    ids1, sc1 = eng.bm25(BM25_QUERY, 10)
-    schema = pa.schema([("rank", pa.int64()), ("doc_id", pa.int64()),
-                        ("score_x1e4", pa.int64())])
-    if len(ids1) < 10:
-        return schema.empty_table()
-    cursor = (float(sc1[-1]), int(ids1[-1]))
-    ids2, sc2 = eng.bm25(BM25_QUERY, 10, search_after=cursor)
-    return pa.table({
-        "rank": pa.array(np.arange(11, 11 + len(ids2)), pa.int64()),
-        "doc_id": pa.array(ids2.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(sc2 * 10000.0 + 0.5).astype(np.int64),
-            pa.int64()),
-    }, schema=schema)
-
-
-def q_orders_diff(sf_dir: str) -> pa.Table:
-    """Snapshot diff (incremental-maintenance primitive): classify
-    every orderkey as added / removed / changed between the orders
-    table and a deterministically derived next version (mix32(key)%19:
-    0 → deleted, 7 → priority rewritten, 3 → an extra key+10M row).
-    Both snapshots co-partition by key hash through the disk-spill
-    substrate; the per-partition kernel is one vectorized index_in
-    probe + null-safe column compare (functions/diff.py
-    snapshot_diff)."""
-    import ray.data
-
-    from ..functions.diff import snapshot_diff
-    from ..hashing import mix32
-    _tune_context()
-    cols = ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
-            "o_orderdate", "o_orderpriority"]
-    a = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=cols)
-
-    def derive(t: pa.Table) -> pa.Table:
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        h = mix32(k) % 19
-        base = t.filter(pa.array(h != 0))
-        hb = h[h != 0]
-        pi = base.schema.get_field_index("o_orderpriority")
-        base = base.set_column(pi, "o_orderpriority", pc.if_else(
-            pa.array(hb == 7), pa.scalar("9-SYNTH"),
-            base["o_orderpriority"]))
-        add = t.filter(pa.array(h == 3))
-        ki = add.schema.get_field_index("o_orderkey")
-        add = add.set_column(ki, "o_orderkey", pc.add(
-            add["o_orderkey"], pa.scalar(10_000_000, pa.int64())))
-        api = add.schema.get_field_index("o_orderpriority")
-        add = add.set_column(api, "o_orderpriority", pa.array(
-            np.full(add.num_rows, "0-NEW")))
-        return pa.concat_tables([base, add]).combine_chunks()
-
-    b = a.map_batches(derive, batch_format="pyarrow",
-                      zero_copy_batch=True)
-    out = snapshot_diff(a, b, key="o_orderkey",
-                        compare_cols=[c for c in cols
-                                      if c != "o_orderkey"])
-    tbl = _collect(out)
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("key", "ascending")]))
-    return pa.table({"o_orderkey": tbl["key"],
-                     "change": tbl["change"]}).cast(pa.schema([
-                         ("o_orderkey", pa.int64()),
-                         ("change", pa.string())]))
-
-
-def q_ann_ivf_absorb(sf_dir: str) -> pa.Table:
-    """Incremental vector ingest (IVFIndex.absorb): the base index is
-    built over ``vec_id % 5 != 0`` with seeded centroids (c-th lowest
-    base vec_id — closed-form), the remaining vectors absorb as an
-    immutable content-addressed wave, and the nprobe=4 search runs
-    over base + wave.  The SQL oracle reproduces the whole thing:
-    centroids from the base subset, assignment + probing over the
-    UNION — stale (base-only) buckets would drop every absorbed
-    neighbor and fail the hash."""
-    import pyarrow.parquet as pqq
-    import ray.data
-
-    from ..functions.similarity import IVFIndex
-    _tune_context()
-    src = os.path.join(sf_dir, "embeddings.parquet")
-    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    st0 = os.stat(src)
-    import hashlib
-    key = hashlib.sha1(f"{os.path.abspath(src)}|{st0.st_size}|"
-                       f"{int(st0.st_mtime)}".encode()).hexdigest()[:12]
-    path = os.path.join("/tmp", "vfsray_cache",
-                        f"ivfabs_{name}_{key}_c8s")
-    full = ray.data.read_parquet(src)
-
-    def part(keep_mod0: bool):
-        def f(t: pa.Table) -> pa.Table:
-            v = t["vec_id"].to_numpy(zero_copy_only=False)
-            m = (v % 5 == 0) if keep_mod0 else (v % 5 != 0)
-            return t.filter(pa.array(m))
-        return f
-
-    if not os.path.exists(os.path.join(path, "centroids.npy")):
-        IVFIndex.build(full.map_batches(part(False),
-                                        batch_format="pyarrow",
-                                        zero_copy_batch=True),
-                       path, num_centroids=8, seed_centroids=True)
-    ivf = IVFIndex(path)
-    # content-addressed: re-runs of an already-absorbed snapshot no-op
-    ivf.absorb(full.map_batches(part(True), batch_format="pyarrow",
-                                zero_copy_batch=True))
-    tbl = pqq.read_table(
-        src, filters=[("vec_id", "in", list(ANN_QUERY_IDS))])
-    by_id = dict(zip(tbl["vec_id"].to_pylist(),
-                     tbl["embedding"].to_pylist()))
-    out_q, out_v, out_r, out_s = [], [], [], []
-    for qid in ANN_QUERY_IDS:
-        vec = np.asarray(by_id[qid], np.float64)
-        vids, sims = ivf.search(vec, k=5, nprobe=4, exclude_id=qid)
-        for r, (v, s) in enumerate(zip(vids.tolist(), sims.tolist()), 1):
-            out_q.append(qid)
-            out_v.append(v)
-            out_r.append(r)
-            out_s.append(int(np.floor(s * 10000 + 0.5)))
-    return pa.table({
-        "query_id": pa.array(out_q, pa.int64()),
-        "vec_id": pa.array(out_v, pa.int64()),
-        "rank": pa.array(out_r, pa.int64()),
-        "sim_x1e4": pa.array(out_s, pa.int64()),
-    })
-
-
-def q_fielded_bm25(sf_dir: str) -> pa.Table:
-    """Multi-field weighted BM25 (search.fielded_bm25): body = the
-    text index, field 2 = a word-mode index over the ``source`` column
-    with its OWN statistics (df over sources, dl=1, avgdl=1); query
-    'spark join src3' so the source field actually discriminates.
-    score = BM25_text + 0.4·BM25_source, complete top-10 via the
-    threshold algorithm + point-probe rescoring."""
-    from .. import __version__
-    from ..search import fielded_bm25
-    body = get_engine(sf_dir)
-    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    src = _doc_file(sf_dir)
-    idx = os.path.join("/tmp", "vfsray_cache",
-                       f"{name}-{_corpus_key(sf_dir, src)}"
-                       f"-v{__version__}-srcfield")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        IndexBuilder(idx, mode="word", num_parts=4, id_col="doc_id",
-                     text_col="source").build([src])
-    srcf = SearchEngine(idx)
-    docs, scores = fielded_bm25([(body, 1.0), (srcf, 0.4)],
-                                "spark join src3", k=10)
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(scores * 10000.0 + 0.5).astype(np.int64),
-            pa.int64())})
-
-
-def q_events_unpivot(sf_dir: str) -> pa.Table:
-    """Unpivot (melt): the per-user pivot's count columns back into
-    (user_id, name, value) rows via functions/reshape.py — a purely
-    per-batch reshape with no shuffle on top of the distributed
-    hash_aggregate.  Sampled to every 97th user to keep the gate
-    output bounded while still crossing the agg + melt path."""
-    import ray.data
-
-    from ..functions.boilerplate import hash_aggregate
-    from ..functions.reshape import unpivot
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        cols = {"user_id": t["user_id"]}
-        et = t["event_type"]
-        for ty in _EVENT_TYPES:
-            cols[f"n_{ty}"] = pc.cast(pc.equal(et, ty), pa.int64())
-        return pa.table(cols)
-
-    aggs = [(f"n_{ty}", "sum") for ty in _EVENT_TYPES]
-    out = hash_aggregate(ds, ["user_id"], aggs, prepare=prep)
-    names = [f"n_{ty}" for ty in _EVENT_TYPES]
-    schema = pa.schema([("user_id", pa.int64()),
-                        ("name", pa.string()), ("value", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-
-    def trim(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(u % 97 == 0))
-        return pa.table(dict(
-            [("user_id", t["user_id"])]
-            + [(n, t[f"{n}_sum"]) for n in names]))
-
-    melted = unpivot(out.map_batches(trim, batch_format="pyarrow",
-                                     zero_copy_batch=True),
-                     id_cols=["user_id"], value_cols=names)
-    t = _collect(melted).cast(schema)
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("user_id", "ascending"), ("name", "ascending")]))
-
-
-def q_recrawl_upsert(sf_dir: str) -> pa.Table:
-    """Re-crawl upsert (merge.upsert_docs): docs with ``doc_id % 11 ==
-    5`` arrive as a new snapshot whose text is ``'refreshed revision '
-    || replace(text, 'spark', 'glint')`` — they lose the 'spark' token
-    entirely, so stale postings would be a visible wrong answer and
-    live statistics (df of 'spark' drops, shifting every score) pin
-    the delete→purge→build→merge composition against a BM25 oracle
-    computed over the latest-snapshot corpus."""
-    from .. import __version__
-    from ..build import IndexBuilder
-    from ..merge import upsert_docs
-    src = _doc_file(sf_dir)
-    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    root = os.path.join("/tmp", "vfsray_cache",
-                        f"{name}-{_corpus_key(sf_dir, src)}"
-                        f"-v{__version__}-upsq")
-    base = os.path.join(root, "base")
-    if not os.path.exists(os.path.join(base, "stats.json")):
-        IndexBuilder(base, mode="word", num_parts=8,
-                     id_col="doc_id").build([src])
-    v2 = os.path.join(root, "v2.parquet")
-    if not os.path.exists(v2):
-        import pyarrow.parquet as pq
-        t = pq.read_table(src, columns=["doc_id", "text"],
-                          use_threads=False)
-        t = t.filter(pa.array(
-            (t["doc_id"].to_numpy(zero_copy_only=False) % 11) == 5))
-        txt = pc.replace_substring(t["text"], "spark", "glint")
-        txt = pc.binary_join_element_wise(
-            pa.array(["refreshed revision"] * t.num_rows), txt, " ")
-        tmp = v2 + ".tmp"
-        pq.write_table(pa.table({"doc_id": t["doc_id"], "text": txt}),
-                       tmp)
-        os.replace(tmp, v2)
-    latest = os.path.join(root, "latest")
-    upsert_docs(base, [v2], latest, id_col="doc_id", old_files=[src])
-    eng = SearchEngine(latest, corpus_files=[src], id_col="doc_id")
-    docs, scores = eng.bm25(BM25_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(scores * 10000.0 + 0.5).astype(np.int64),
-            pa.int64())})
-
-
-def q_orders_ranked(sf_dir: str) -> pa.Table:
-    """Global ORDER BY with exact ROW_NUMBER ordinals via the
-    sample-split range-partitioned sort (functions/sort.py): routing
-    prefix → hive range spill → per-part full-key sort → cumulative
-    offsets.  Prices rank on the x1e4 grid so engine and SQL agree on
-    ties; the output samples every 97th rank, which pins the global
-    partition offsets without shipping the whole sorted relation
-    through the gate."""
-    import ray.data
-
-    from ..functions.sort import order_by
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_totalprice"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        px = np.floor(t["o_totalprice"].to_numpy(zero_copy_only=False)
-                      * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "o_orderkey": t["o_orderkey"].cast(pa.int64()),
-            "price_x1e4": pa.array(px, pa.int64())})
-
-    out = order_by(ds.map_batches(prep, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-                   [("price_x1e4", "desc"), ("o_orderkey", "asc")],
-                   row_number_col="rn")
-
-    def stride(t: pa.Table) -> pa.Table:
-        rn = t["rn"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array((rn - 1) % 97 == 0))
-
-    tbl = _collect(out.map_batches(stride, batch_format="pyarrow",
-                                   zero_copy_batch=True))
-    return tbl.select(["o_orderkey", "price_x1e4", "rn"]).sort_by("rn")
-
-
-def q_docs_ordered(sf_dir: str) -> pa.Table:
-    """Global sort on a STRING key (document text): the 8-byte
-    big-endian routing prefix is monotone w.r.t. UTF-8 bytewise order
-    (== DuckDB's binary collation), and rows the prefix cannot
-    distinguish co-partition by construction, so the per-part full-key
-    sort makes the order exact.  Every 97th global ordinal is
-    emitted."""
-    import ray.data
-
-    from ..functions.sort import order_by
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
-    out = order_by(ds, [("text", "asc"), ("doc_id", "asc")],
-                   row_number_col="rn")
-
-    def stride(t: pa.Table) -> pa.Table:
-        rn = t["rn"].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array((rn - 1) % 97 == 0))
-        return t.select(["doc_id", "rn"])
-
-    tbl = _collect(out.map_batches(stride, batch_format="pyarrow",
-                                   zero_copy_batch=True))
-    return tbl.cast(pa.schema([("doc_id", pa.int64()),
-                               ("rn", pa.int64())])).sort_by("rn")
-
-
-def _sdiv(a: int, b: int) -> int:
-    """Sign-safe scaled division shared with the oracle SQL: floor
-    division of |a| by b (b > 0), sign re-applied — identical to the
-    CASE WHEN a < 0 THEN -((-a) // b) ELSE a // b END HUGEINT
-    expression, so negative slopes/intercepts stay bit-stable."""
-    return -((-a) // b) if a < 0 else a // b
-
-
-def q_events_ols(sf_dir: str) -> pa.Table:
-    """Per-type simple linear regression (value vs time) from ONE pass
-    of integer moment partials (n, Σx, Σy, Σx², Σxy with x = minutes
-    since 2024-01-01, y on the x1e4 grid) — zero shuffle; the closing
-    normal-equation arithmetic (slope = (nΣxy−ΣxΣy)/(nΣx²−(Σx)²),
-    intercept = (ΣyΣx²−ΣxΣxy)/den) runs in arbitrary-precision Python
-    ints here and HUGEINT in the oracle.  Reference analog: vfs-index
-    only counts per key (query.go); this is the regression companion
-    for trend extraction over event streams at 100-TB scale."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts", "value"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        x = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-             // 60_000_000) - 28_401_120
-        y = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                     * 10000.0 + 0.5).astype(np.int64)
-        return pa.table({"event_type": t["event_type"],
-                         "x": pa.array(x, pa.int64()),
-                         "y": pa.array(y, pa.int64()),
-                         "xx": pa.array(x * x, pa.int64()),
-                         "xy": pa.array(x * y, pa.int64())})
-
-    out = partial_aggregate(ds, ["event_type"],
-                            [("x", "count"), ("x", "sum"), ("y", "sum"),
-                             ("xx", "sum"), ("xy", "sum")], prepare=prep)
-    schema = pa.schema([("event_type", pa.string()), ("n", pa.int64()),
-                        ("slope_x1e6", pa.int64()),
-                        ("icept_x1e4", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    rows = []
-    for e, n, sx, sy, sxx, sxy in zip(
-            out["event_type"].to_pylist(), out["x_count"].to_pylist(),
-            out["x_sum"].to_pylist(), out["y_sum"].to_pylist(),
-            out["xx_sum"].to_pylist(), out["xy_sum"].to_pylist()):
-        n, sx, sy, sxx, sxy = (int(n), int(sx), int(sy), int(sxx),
-                               int(sxy))
-        den = n * sxx - sx * sx
-        num = n * sxy - sx * sy
-        inum = sy * sxx - sx * sxy
-        rows.append({
-            "event_type": e, "n": n,
-            "slope_x1e6": _sdiv(num * 1_000_000, den) if den else 0,
-            "icept_x1e4": _sdiv(inum, den) if den else 0})
-    rows.sort(key=lambda r: r["event_type"])
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def q_table_checksum(sf_dir: str) -> pa.Table:
-    """Order-independent table integrity checksum — the 100-TB
-    copy-verification primitive (did the migrated / re-partitioned /
-    re-crawled copy keep every row bit-intact?).  Each row folds its
-    identifying columns into one int64 key, mix32-hashes it, and the
-    COMMUTATIVE sum of hashes (mod 2^63) makes the digest independent
-    of partitioning, block order, and parallelism: per-batch (n, Σh)
-    partials are all that move, merged in Python ints.  Reference
-    analog: vfs-index trusts file sizes/mtimes (file.go); this is the
-    content-level check its merge protocol lacks."""
-    import ray.data
-
-    from ..hashing import mix32
-    _tune_context()
-
-    def fold_orders(t: pa.Table) -> pa.Table:
-        k = (t["o_orderkey"].to_numpy(zero_copy_only=False) * 1_000_003
-             + t["o_custkey"].to_numpy(zero_copy_only=False) * 10_007
-             + np.floor(t["o_totalprice"].to_numpy(zero_copy_only=False)
-                        * 100.0 + 0.5).astype(np.int64) * 31)
-        h = mix32(k)
-        return pa.table({"n": pa.array([len(h)], pa.int64()),
-                         "s": pa.array([int(h.sum())], pa.int64())})
-
-    def fold_line(t: pa.Table) -> pa.Table:
-        k = (t["l_orderkey"].to_numpy(zero_copy_only=False) * 1_000_003
-             + t["l_linenumber"].to_numpy(zero_copy_only=False)
-               .astype(np.int64) * 10_007
-             + np.floor(t["l_extendedprice"]
-                        .to_numpy(zero_copy_only=False)
-                        * 100.0 + 0.5).astype(np.int64) * 31)
-        h = mix32(k)
-        return pa.table({"n": pa.array([len(h)], pa.int64()),
-                         "s": pa.array([int(h.sum())], pa.int64())})
-
-    specs = [("lineitem", "lineitem.parquet",
-              ["l_orderkey", "l_linenumber", "l_extendedprice"],
-              fold_line),
-             ("orders", "orders.parquet",
-              ["o_orderkey", "o_custkey", "o_totalprice"], fold_orders)]
-    rows = []
-    for name, fname, cols, fold in specs:
-        ds = ray.data.read_parquet(os.path.join(sf_dir, fname),
-                                   columns=cols)
-        part = _collect(ds.map_batches(fold, batch_format="pyarrow",
-                                       zero_copy_batch=True))
-        n = sum(int(v) for v in part["n"].to_pylist())
-        s = sum(int(v) for v in part["s"].to_pylist())
-        rows.append({"tbl": name, "n": n,
-                     "hash_sum": s % (1 << 63)})
-    return pa.Table.from_pylist(rows, schema=pa.schema(
-        [("tbl", pa.string()), ("n", pa.int64()),
-         ("hash_sum", pa.int64())]))
-
-
-def q_sample_exact_k(sf_dir: str) -> pa.Table:
-    """Deterministic EXACT-k sample: the k rows with the smallest
-    (mix32(doc_id), doc_id) priority — unlike Bernoulli sampling
-    (``sample`` / ``weighted_sample``) the output size is exactly k
-    regardless of corpus size, yet still partitioning-independent and
-    stable under re-runs.  Distributed as per-batch top-k partials
-    (each batch ships at most k rows) + one driver merge — a trillion
-    rows move only tasks × k rows.  Reference analog: none (vfs-index
-    has no sampling); standard bottom-k sketch."""
-    import ray.data
-
-    from ..hashing import mix32
-    _tune_context()
-    k = 100
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "source", "n_chars"])
-
-    def topk(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        pri = mix32(ids)
-        idx = np.lexsort((ids, pri))[:k]
-        return pa.table({"doc_id": pa.array(ids[idx], pa.int64()),
-                         "priority": pa.array(pri[idx], pa.int64()),
-                         "source": t["source"].take(pa.array(idx)),
-                         "n_chars": t["n_chars"].take(pa.array(idx))})
-
-    part = _collect(ds.map_batches(topk, batch_format="pyarrow",
-                                   zero_copy_batch=True))
-    if part.num_rows == 0:
-        return pa.schema([("doc_id", pa.int64()),
-                          ("priority", pa.int64()),
-                          ("source", pa.string()),
-                          ("n_chars", pa.int64())]).empty_table()
-    order = pc.sort_indices(part, sort_keys=[("priority", "ascending"),
-                                             ("doc_id", "ascending")])
-    return part.take(order.slice(0, k))
-
-
-def q_events_mad(sf_dir: str) -> pa.Table:
-    """Per-type median absolute deviation — robust dispersion the
-    variance query can't give (one planted outlier moves variance, not
-    MAD).  Both the median and the MAD come from ONE pass of (key,
-    grid, count) partials (functions/quantiles.py grouped_mad): the
-    merged grid is the full quantized multiset, so |v − median| is
-    re-ranked with its counts driver-side.  DuckDB-identical discrete
-    rank ceil(n/2)."""
-    import ray.data
-
-    from ..functions.quantiles import grouped_mad
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "value"])
-    return grouped_mad(ds, key_col="event_type", val_col="value")
-
-
-def q_embedding_gram(sf_dir: str) -> pa.Table:
-    """Distributed Gram matrix of the embedding corpus — the
-    covariance/PCA building block (X^T X over all vectors): each batch
-    contributes one d×d integer matmul on the x1e4 grid, partials are
-    d(d+1)/2-row triangles REGARDLESS of batch size, and the merge is
-    one hash-sum over 2080 keys — a trillion vectors move only
-    tasks × 2080 rows.  Integer products keep the oracle's HUGEINT
-    self-join bit-identical.  Reference analog: none (vfs-index has no
-    vector surface); standard one-pass second-moment accumulation."""
-    import ray.data
-
-    from ..functions.similarity import gram_matrix
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["embedding"])
-    out = gram_matrix(ds, vec_col="embedding", dim=64)
-    schema = pa.schema([("i", pa.int64()), ("j", pa.int64()),
-                        ("sum_x1e8", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    t = pa.table({"i": out["i"], "j": out["j"],
-                  "sum_x1e8": out["s_sum"]}).cast(schema)
-    return t.take(pc.sort_indices(t, sort_keys=[("i", "ascending"),
-                                                ("j", "ascending")]))
-
-
-def q_min_should_match(sf_dir: str) -> pa.Table:
-    """minimum_should_match retrieval: docs matching >= 2 of the three
-    query terms — the standard IR relaxation between AND and OR,
-    answered from the SAME posting lists as ``match`` with one
-    concat + sort + boundary-diff multiplicity count
-    (search.py min_should_match)."""
-    eng = get_engine(sf_dir)
-    docs, n = eng.min_should_match("spark shuffle window", 2)
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64),
-                                        pa.int64()),
-                     "n_matched": pa.array(n, pa.int64())})
-
-
-def q_kmeans_step(sf_dir: str) -> pa.Table:
-    """One exact Lloyd iteration (E-step assignment + M-step sums)
-    over the embedding corpus from deterministic seeds (the k=8
-    smallest vec_ids): squared-L2 on the x1e4 integer grid via
-    ||q||² + ||c||² − 2·q·cᵀ (int64 matmul, exact), tie → smallest
-    centroid; per-batch partials are (cluster, dim) count/sum rows —
-    fixed k·d = 512 rows per batch regardless of batch size, merged by
-    one hash sum.  This is the building block the IVF index's
-    distributed k-means (similarity.py) iterates; exposed as a query
-    so the assignment arithmetic is oracle-checked end-to-end."""
-    import ray.data
-
-    from ..functions.similarity import kmeans_iteration
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"])
-    out = kmeans_iteration(ds, id_col="vec_id", vec_col="embedding",
-                           k=8, dim=64)
-    schema = pa.schema([("cluster", pa.int64()), ("dim", pa.int64()),
-                        ("n", pa.int64()), ("sum_x1e4", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    t = pa.table({"cluster": out["cluster"], "dim": out["dim"],
-                  "n": out["n_sum"], "sum_x1e4": out["s_sum"]}
-                 ).cast(schema)
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("cluster", "ascending"), ("dim", "ascending")]))
-
-
-def q_corrected_search(sf_dir: str) -> pa.Table:
-    """Did-you-mean search: each misspelled query token is corrected
-    to the top vocabulary token by trigram Jaccard (functions/fuzzy.py
-    — jacc_x1e6 desc, token asc, so the pick is deterministic), the
-    corrected DISTINCT term set feeds standard BM25.  At corpus scale
-    the vocabulary pass would read the token_df artifact instead of
-    re-scanning text; the arithmetic is identical."""
-    from ..functions.fuzzy import fuzzy_terms
-    _tune_context()
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    corrected = []
-    for typo in ("sparkk", "windoww", "joinz"):
-        top = fuzzy_terms(ds, typo, k=1)
-        if top.num_rows:
-            corrected.append(top["token"][0].as_py())
-    corrected = sorted(set(corrected))
-    eng = get_engine(sf_dir)
-    docs, scores = eng.bm25(" ".join(corrected), 10)
-    return pa.table({
-        "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
-        "score_x1e4": pa.array(
-            np.floor(scores * 10000.0 + 0.5).astype(np.int64),
-            pa.int64())})
-
-
-def q_weighted_median(sf_dir: str) -> pa.Table:
-    """Per-returnflag QUANTITY-WEIGHTED median of the extended price —
-    the weighted-statistics variant of the exact grid quantiles: the
-    single (key, grid, Σw) pass makes the cumulative-weight rank
-    ceil(W/2) exact at any scale (functions/quantiles.py
-    grouped_weighted_median)."""
-    import ray.data
-
-    from ..functions.quantiles import grouped_weighted_median
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_extendedprice", "l_quantity"])
-    return grouped_weighted_median(
-        ds, key_col="l_returnflag", val_col="l_extendedprice",
-        weight_col="l_quantity")
-
-
-def q_events_iqr(sf_dir: str) -> pa.Table:
-    """Per-type Tukey-fence outlier counts (1.5·IQR rule) — the robust
-    row-level anomaly flag next to the hourly 2-sigma volume check
-    (events_anomaly): Q1/Q3 and the outlier count all come from ONE
-    (key, grid, count) pass; the 1.5 factor stays integer via the
-    cross-multiplied 2v vs 5Q1−3Q3 inequality both engines share."""
-    import ray.data
-
-    from ..functions.quantiles import grouped_iqr_outliers
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "value"])
-    return grouped_iqr_outliers(ds, key_col="event_type",
-                                val_col="value")
-
-
-def q_kmv_overlap(sf_dir: str) -> pa.Table:
-    """Approximate audience overlap via bottom-k (KMV) sketches: how
-    many users both clicked AND purchased at value > 300, without
-    shuffling either user set — batches ship ≤2k hash rows, and the
-    closed-form integer estimator (union ≈ (k−1)·2³² / θ, overlap =
-    c/k of the union sketch) is reproduced exactly by the oracle.
-    The sketch-family companion to the HLL per-group cardinality
-    (events_approx_users) for BETWEEN-set questions."""
-    import ray.data
-
-    from ..functions.sketches import kmv_overlap
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "user_id", "value"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        v = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                     * 10000.0 + 0.5).astype(np.int64)
-        keep = pa.array(v > 3_000_000)
-        return t.filter(keep)
-
-    return kmv_overlap(ds, id_col="user_id", side_col="event_type",
-                       side_a="purchase", side_b="click", k=64,
-                       prepare=prep)
-
-
-def q_sample_k_per_group(sf_dir: str) -> pa.Table:
-    """Balanced deterministic sampling: EXACTLY k=20 documents per
-    language by (mix32(doc_id), doc_id) priority — the per-stratum
-    variant of ``sample_exact_k`` (quota sampling for balanced eval
-    sets).  Per batch each group ships at most k rows (one lexsort +
-    boundary-diff cumcount, no per-group Python loop); the driver
-    merge reruns the same kernel on groups × tasks × k rows."""
-    import ray.data
-
-    from ..hashing import mix32
-    _tune_context()
-    k = 20
-
-    def bottomk(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        pri = t["priority"].to_numpy(zero_copy_only=False) \
-            if "priority" in t.column_names else mix32(ids)
-        lang = t["lang"]
-        if isinstance(lang, pa.ChunkedArray):
-            lang = lang.combine_chunks()
-        code = pc.dictionary_encode(lang).indices \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ids, pri, code))
-        gc = code[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], gc[1:] != gc[:-1]]))
-        # within-group ordinal: position − start of its group run
-        pos = np.arange(len(gc)) - np.repeat(
-            starts, np.diff(np.append(starts, len(gc))))
-        keep = order[pos < k]
-        return pa.table({"lang": lang.take(pa.array(keep)),
-                         "doc_id": pa.array(ids[keep], pa.int64()),
-                         "priority": pa.array(pri[keep], pa.int64())})
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang"])
-    part = _collect(ds.map_batches(bottomk, batch_format="pyarrow",
-                                   zero_copy_batch=True))
-    schema = pa.schema([("lang", pa.string()), ("doc_id", pa.int64()),
-                        ("priority", pa.int64())])
-    if part.num_rows == 0:
-        return schema.empty_table()
-    out = bottomk(part)
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("lang", "ascending"), ("priority", "ascending"),
-        ("doc_id", "ascending")])).cast(schema)
-
-
-def q_fk_orphans(sf_dir: str) -> pa.Table:
-    """Referential-integrity audit: child rows whose foreign key has
-    no parent (lineitem→orders, orders→customer), counted through the
-    REAL co-partitioned LEFT ANTI join with a per-partition count
-    kernel — partitions ship one count row each, the orphan rows
-    themselves never reach the driver.  Zero on healthy data; the unit
-    test plants orphans and watches them surface."""
-    import ray.data
-
-    from ..functions.joins import hash_join
-    _tune_context()
-    specs = [("lineitem->orders", "lineitem.parquet", "l_orderkey",
-              "orders.parquet", "o_orderkey"),
-             ("orders->customer", "orders.parquet", "o_custkey",
-              "customer.parquet", "c_custkey")]
-    rows = []
-    for name, cf, ck, pf, pk in specs:
-        child = ray.data.read_parquet(os.path.join(sf_dir, cf),
-                                      columns=[ck])
-        parent = ray.data.read_parquet(os.path.join(sf_dir, pf),
-                                       columns=[pk])
-        n_child = child.count()
-        res = hash_join(
-            child, parent, left_on=ck, right_on=pk, how="left anti",
-            post=lambda t: pa.table({"n": pa.array([t.num_rows],
-                                                   pa.int64())}))
-        part = _collect(res)
-        orphans = int(pc.sum(part["n"]).as_py() or 0) \
-            if part.num_rows else 0
-        rows.append({"relation": name, "n_child": int(n_child),
-                     "n_orphans": orphans})
-    rows.sort(key=lambda r: r["relation"])
-    return pa.Table.from_pylist(rows, schema=pa.schema(
-        [("relation", pa.string()), ("n_child", pa.int64()),
-         ("n_orphans", pa.int64())]))
-
-
-def q_lineitem_corr_matrix(sf_dir: str) -> pa.Table:
-    """Pairwise correlation MATRIX over four lineitem measures from
-    ONE pass of integer moment partials (n, four sums, ten second
-    moments) — the table-profiling generalization of corr_stats; the
-    closing Pearson arithmetic per pair is the identical
-    HUGEINT-difference → fp64 → one-division expression tree the
-    oracle evaluates.  Grids are per-column (price in whole units,
-    the rest x100) so every second-moment SUM stays inside int64 at
-    fixture scales; the 100-TB upgrade is a decimal128 merge, same
-    partials."""
-    import math
-
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_quantity", "l_extendedprice", "l_discount",
-                 "l_tax"])
-    names = ["disc", "price", "qty", "tax"]
-
-    def prep(t: pa.Table) -> pa.Table:
-        v = {"qty": np.floor(t["l_quantity"]
-                             .to_numpy(zero_copy_only=False)
-                             * 100.0 + 0.5).astype(np.int64),
-             "price": np.floor(t["l_extendedprice"]
-                               .to_numpy(zero_copy_only=False)
-                               + 0.5).astype(np.int64),
-             "disc": np.floor(t["l_discount"]
-                              .to_numpy(zero_copy_only=False)
-                              * 100.0 + 0.5).astype(np.int64),
-             "tax": np.floor(t["l_tax"].to_numpy(zero_copy_only=False)
-                             * 100.0 + 0.5).astype(np.int64)}
-        cols = {"one": pa.array(np.ones(len(v["qty"]), np.int64))}
-        for a in names:
-            cols[f"s_{a}"] = pa.array(v[a], pa.int64())
-        for i, a in enumerate(names):
-            for b in names[i:]:
-                cols[f"m_{a}_{b}"] = pa.array(v[a] * v[b], pa.int64())
-        return pa.table(cols)
-
-    aggs = [("one", "count")]
-    aggs += [(f"s_{a}", "sum") for a in names]
-    aggs += [(f"m_{a}_{b}", "sum")
-             for i, a in enumerate(names) for b in names[i:]]
-
-    # partial_aggregate needs >= 1 key; a constant group column makes
-    # the whole table one group (partials are still one row per batch)
-    def prep_keyed(t: pa.Table) -> pa.Table:
-        t = prep(t)
-        return t.append_column("g", pa.array(["x"] * t.num_rows))
-
-    out = partial_aggregate(line, ["g"], aggs, prepare=prep_keyed)
-    schema = pa.schema([("var_a", pa.string()), ("var_b", pa.string()),
-                        ("n", pa.int64()), ("corr_x1e6", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    n = int(out["one_count"][0].as_py())
-    s = {a: int(out[f"s_{a}_sum"][0].as_py()) for a in names}
-    m = {(a, b): int(out[f"m_{a}_{b}_sum"][0].as_py())
-         for i, a in enumerate(names) for b in names[i:]}
-    rows = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            num = float(n * m[(a, b)] - s[a] * s[b])
-            den = (math.sqrt(float(n * m[(a, a)] - s[a] * s[a]))
-                   * math.sqrt(float(n * m[(b, b)] - s[b] * s[b])))
-            c = num / den if den else 0.0
-            rows.append({"var_a": a, "var_b": b, "n": n,
-                         "corr_x1e6": int(np.floor(c * 1e6 + 0.5))})
-    rows.sort(key=lambda r: (r["var_a"], r["var_b"]))
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def q_events_ewma(sf_dir: str) -> pa.Table:
-    """Integer EWMA (alpha = 1/2) over each type's hourly event
-    counts — time-series smoothing whose recursion ``s_t = (c_t +
-    s_{t-1}) // 2`` stays exactly reproducible: the DISTRIBUTED work
-    is the (type, hour) count partials; the recursion itself runs on
-    the tiny hour series driver-side here and as a recursive CTE in
-    the oracle — same floor division, same order."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        w = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-             // 3_600_000_000)
-        return pa.table({"event_type": t["event_type"],
-                         "w": pa.array(w, pa.int64())})
-
-    out = partial_aggregate(ds, ["event_type", "w"], [("w", "count")],
-                            prepare=prep)
-    schema = pa.schema([("event_type", pa.string()),
-                        ("n_hours", pa.int64()), ("ewma", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    et = np.asarray(out["event_type"].to_pylist())
-    w = out["w"].to_numpy(zero_copy_only=False)
-    c = out["w_count"].to_numpy(zero_copy_only=False)
-    rows = []
-    for e in np.unique(et):
-        m = et == e
-        cc = c[m][np.argsort(w[m], kind="stable")]
-        s = int(cc[0])
-        for x in cc[1:]:
-            s = (int(x) + s) // 2
-        rows.append({"event_type": str(e), "n_hours": int(m.sum()),
-                     "ewma": s})
-    rows.sort(key=lambda r: r["event_type"])
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def q_pq_codes(sf_dir: str) -> pa.Table:
-    """Product-quantization encoding of the embedding corpus — the
-    vector-compression step an IVF-PQ index runs after bucketing: the
-    64-dim grid vector splits into 8 subspaces of 8 dims; each
-    subvector maps to its nearest of 16 deterministic seed centroids
-    (the 16 smallest vec_ids, as in kmeans_step) via the exact int64
-    ||q||²+||c||²−2qc form per subspace — ties to the smallest code.
-    8 bytes/vector instead of 256.  Output long-form (vec_id, sub,
-    code)."""
-    import ray.data
-
-    from ..functions.similarity import pq_encode
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"])
-    out = _collect(pq_encode(ds, id_col="vec_id", vec_col="embedding",
-                             subs=8, k=16, dim=64))
-    schema = pa.schema([("vec_id", pa.int64()), ("sub", pa.int64()),
-                        ("code", pa.int64())])
-    if out.num_rows == 0:
-        return schema.empty_table()
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("vec_id", "ascending"), ("sub", "ascending")])).cast(schema)
-
-
-def q_feature_vectors(sf_dir: str) -> pa.Table:
-    """Count-vectorizer (hashed bag-of-words) for ML feature
-    extraction: token → slot = vocabulary-rank mod 64, where the rank
-    is the position in the byte-sorted corpus vocabulary (the
-    keywords-family broadcast convention — deterministic and
-    SQL-reproducible, unlike a string hash).  Sparse (doc_id, slot,
-    n) triples for the doc_id % 50 == 0 sample; each doc's text lives
-    in one row, so per-batch counts are final — no merge.  The vocab
-    itself comes from the distributed df pass
-    (boilerplate.unit_doc_frequencies)."""
-    import ray
-
-    from ..functions.boilerplate import unit_doc_frequencies
-    from ..tokenizer import word_tokens_flat
-    _tune_context()
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    vocab = unit_doc_frequencies(ds, unit="token")
-    toks = vocab["unit"].combine_chunks()
-    order = pc.sort_indices(toks)          # byte order (ASCII corpus)
-    sorted_vocab = toks.take(order)
-    vocab_ref = ray.put(sorted_vocab)
-
-    def vectorize(t: pa.Table) -> pa.Table:
-        voc = ray.get(vocab_ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        keep = ids % 50 == 0
-        if not keep.any():
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "slot": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        sub = t.filter(pa.array(keep))
-        sids = sub["doc_id"].to_numpy(zero_copy_only=False)
-        flat, parent, _ = word_tokens_flat(sub["text"])
-        rank = pc.index_in(flat, value_set=voc) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        slot = rank % 64
-        key = parent * 64 + slot
-        cnt = np.bincount(key, minlength=len(sids) * 64)
-        nz = np.flatnonzero(cnt)
-        return pa.table({
-            "doc_id": pa.array(sids[nz // 64], pa.int64()),
-            "slot": pa.array(nz % 64, pa.int64()),
-            "n": pa.array(cnt[nz], pa.int64())})
-
-    out = _collect(ds.map_batches(vectorize, batch_format="pyarrow",
-                                  zero_copy_batch=True))
-    schema = pa.schema([("doc_id", pa.int64()), ("slot", pa.int64()),
-                        ("n", pa.int64())])
-    if out.num_rows == 0:
-        return schema.empty_table()
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("doc_id", "ascending"), ("slot", "ascending")])).cast(schema)
-
-
-def q_multi_vector_search(sf_dir: str) -> pa.Table:
-    """Late-interaction (max-pool) retrieval: a doc scores the MAX
-    cosine over query vectors 0/1/2, so a doc strong on any one aspect
-    of a multi-part query surfaces (functions/similarity.py
-    multi_vector_topk — same broadcast + per-batch matmul shape as
-    ann_cosine_topk; max-pool adds no accumulation, so fp parity with
-    the oracle is per-pair)."""
-    import ray.data
-
-    from ..functions.similarity import multi_vector_topk
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"))
-    return multi_vector_topk(ds, [0, 1, 2], k=10)
-
-
-def q_collocations(sf_dir: str) -> pa.Table:
-    """Collocation mining by LIFT over the 50 most frequent tokens:
-    pair_df·N / (df_a·df_b) ranks pairs that co-occur MORE than their
-    popularity predicts (the symmetric counterpart to related_terms'
-    directional confidence).  The candidate space is the top-50 df
-    tokens, so the pair statistics come from ONE presence-matrix
-    matmul per batch (n_docs×50 0/1 matrix → 50×50 co-occurrence —
-    fixed 1275-row partials at ANY corpus size); df pass reuses the
-    distributed vocabulary shuffle (unit_doc_frequencies)."""
-    import ray
-    import ray.data
-
-    from ..functions.boilerplate import (partial_aggregate,
-                                         unit_doc_frequencies)
-    from ..tokenizer import word_tokens_flat
-    _tune_context()
-    topn, min_pair = 50, 5
-    ds = _docs_ds(sf_dir, columns=["doc_id", "text"])
-    n_docs = ds.count()
-    vocab = unit_doc_frequencies(ds, unit="token")
-    vt = sorted(zip(vocab["unit"].to_pylist(),
-                    vocab["df"].to_pylist()),
-                key=lambda p: (-p[1], p[0]))[:topn]
-    # candidate tokens in BYTE order so pair (i < j) == (tok_i < tok_j)
-    toks = sorted(t for t, _ in vt)
-    dfs = dict(vt)
-    tok_arr = pa.array(toks, pa.string())
-    tok_ref = ray.put(tok_arr)
-    iu, ju = np.triu_indices(len(toks), k=1)
-
-    def pairs(t: pa.Table) -> pa.Table:
-        cand = ray.get(tok_ref)
-        flat, parent, _ = word_tokens_flat(t["text"])
-        rank = pc.index_in(flat, value_set=cand).fill_null(-1) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        hit = rank >= 0
-        m = np.zeros((t.num_rows, len(cand)), np.float64)
-        m[parent[hit], rank[hit]] = 1.0
-        g = (m.T @ m).astype(np.int64)      # exact: 0/1 entries
-        return pa.table({"ia": pa.array(iu, pa.int64()),
-                         "ib": pa.array(ju, pa.int64()),
-                         "c": pa.array(g[iu, ju], pa.int64())})
-
-    out = partial_aggregate(ds, ["ia", "ib"], [("c", "sum")],
-                            prepare=pairs)
-    schema = pa.schema([("tok_a", pa.string()), ("tok_b", pa.string()),
-                        ("pair", pa.int64()), ("lift_x1e6", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    rows = []
-    for ia, ib, c in zip(out["ia"].to_pylist(), out["ib"].to_pylist(),
-                         out["c_sum"].to_pylist()):
-        c = int(c)
-        if c < min_pair:
-            continue
-        a, b = toks[ia], toks[ib]
-        lift = c * n_docs * 1_000_000 // (dfs[a] * dfs[b])
-        rows.append({"tok_a": a, "tok_b": b, "pair": c,
-                     "lift_x1e6": lift})
-    rows.sort(key=lambda r: (-r["lift_x1e6"], r["tok_a"], r["tok_b"]))
-    return pa.Table.from_pylist(rows[:20], schema=schema)
-
-
-def q_equi_depth_bins(sf_dir: str) -> pa.Table:
-    """Equi-depth histogram bin edges (decile upper bounds) per event
-    type — the bucketing a histogram-based optimizer or equi-depth
-    partitioner needs; exactly the grid-quantile substrate evaluated
-    at 10..100 (grouped_quantiles, one pass, no shuffle)."""
-    import ray.data
-
-    from ..functions.quantiles import grouped_quantiles
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "value"])
-    return grouped_quantiles(
-        ds, key_col="event_type", val_col="value",
-        pcts=tuple(range(10, 101, 10))).cast(pa.schema([
-            ("event_type", pa.string()), ("pct", pa.int64()),
-            ("value_x1e4", pa.int64())]))
-
-
-def q_conversion_lag(sf_dir: str) -> pa.Table:
-    """Per-user click→purchase conversion lag (seconds from the FIRST
-    click to the first purchase at-or-after it) in TWO mergeable
-    streaming passes — no shuffle, no co-location: pass 1 reduces
-    min(click ts) per user (a true min-merge), pass 2 broadcasts that
-    small table and reduces min(purchase ts ≥ first click) per user.  At
-    a user dimension too big to broadcast this becomes one
-    co-partitioned pass (windows.py substrate); the arithmetic is
-    unchanged."""
-    import ray
-    import ray.data
-
-    from ..functions.boilerplate import _group_counts
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts"])
-
-    def min_click(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["event_type"], "click"))
-        if t.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "mc": pa.array([], pa.int64())})
-        g = _group_counts(pa.table({
-            "user_id": t["user_id"],
-            "mc": t["ts"].cast(pa.int64())}), ["user_id"],
-            [("mc", "min")])
-        return pa.table({"user_id": g["user_id"],
-                         "mc": g["mc_min"].cast(pa.int64())})
-
-    parts = [t for t in ray.get(
-        ds.map_batches(min_click, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs())
-        if t.num_rows]
-    schema = pa.schema([("user_id", pa.int64()), ("lag_s", pa.int64())])
-    if not parts:
-        return schema.empty_table()
-    mc = _group_counts(pa.concat_tables(parts).combine_chunks(),
-                       ["user_id"], [("mc", "min")])
-    mc = pa.table({"user_id": mc["user_id"],
-                   "mc": mc["mc_min"].cast(pa.int64())})
-    mc_ref = ray.put(mc)
-
-    def min_purchase(t: pa.Table) -> pa.Table:
-        m = ray.get(mc_ref)
-        t = t.filter(pc.equal(t["event_type"], "purchase"))
-        empty = pa.table({"user_id": pa.array([], pa.int64()),
-                          "lag": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
-        idx = pc.index_in(t["user_id"], value_set=m["user_id"])
-        ok = pc.is_valid(idx)
-        t, idx = t.filter(ok), idx.filter(ok)
-        if t.num_rows == 0:
-            return empty
-        mcv = m["mc"].take(idx).to_numpy(zero_copy_only=False)
-        ts = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        keep = ts >= mcv
-        if not keep.any():
-            return empty
-        g = _group_counts(pa.table({
-            "user_id": t["user_id"].filter(pa.array(keep)),
-            "lag": pa.array(ts[keep] - mcv[keep], pa.int64())}),
-            ["user_id"], [("lag", "min")])
-        return pa.table({"user_id": g["user_id"],
-                         "lag": g["lag_min"].cast(pa.int64())})
-
-    parts = [t for t in ray.get(
-        ds.map_batches(min_purchase, batch_format="pyarrow",
-                       zero_copy_batch=True).to_arrow_refs())
-        if t.num_rows]
-    if not parts:
-        return schema.empty_table()
-    lag = _group_counts(pa.concat_tables(parts).combine_chunks(),
-                        ["user_id"], [("lag", "min")])
-    out = pa.table({
-        "user_id": lag["user_id"].cast(pa.int64()),
-        "lag_s": pc.divide(lag["lag_min"].cast(pa.int64()),
-                           pa.scalar(1_000_000, pa.int64()))})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("user_id", "ascending")])).cast(schema)
-
-
-def q_benford_prices(sf_dir: str) -> pa.Table:
-    """Benford leading-digit audit of order totals — the classic
-    fabricated-data screen: the distribution of the first digit of
-    the integer cents, per-batch digit-count partials (string slice
-    of the decimal rendering — exact, no float log10 edge cases),
-    shares on the x1e6 grid."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                               columns=["o_totalprice"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        cents = np.floor(t["o_totalprice"]
-                         .to_numpy(zero_copy_only=False)
-                         * 100.0 + 0.5).astype(np.int64)
-        s = pc.cast(pa.array(cents, pa.int64()), pa.string())
-        digit = pc.cast(pc.utf8_slice_codeunits(s, 0, 1), pa.int64())
-        return pa.table({"digit": digit})
-
-    out = partial_aggregate(ds, ["digit"], [("digit", "count")],
-                            prepare=prep)
-    schema = pa.schema([("digit", pa.int64()), ("n", pa.int64()),
-                        ("share_x1e6", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    d = out["digit"].to_numpy(zero_copy_only=False)
-    n = out["digit_count"].to_numpy(zero_copy_only=False)
-    total = int(n.sum())
-    order = np.argsort(d, kind="stable")
-    return pa.table({
-        "digit": pa.array(d[order], pa.int64()),
-        "n": pa.array(n[order], pa.int64()),
-        "share_x1e6": pa.array(
-            [int(x) * 1_000_000 // total for x in n[order]],
-            pa.int64())}).cast(schema)
-
-
-def q_paren_query(sf_dir: str) -> pa.Table:
-    """Parenthesized boolean grouping (planner.py round-5 grammar):
-    ``(spark || batch) && !(window || merge) && n_chars >= 300`` —
-    the parser pushes the negated parenthesis to the leaves by De
-    Morgan and distributes AND over OR, so execution stays the same
-    DNF machinery (two groups, each with the AND-NOT pair inside)."""
-    from ..planner import QueryExecutor
-    eng = get_engine(sf_dir)
-    ex = QueryExecutor(eng, [_doc_file(sf_dir)], text_col="text",
-                       id_col="doc_id")
-    docs = ex.execute(
-        '(text.search("spark") || text.search("batch")) && '
-        '!(text.search("window") || text.search("merge")) && '
-        'n_chars >= 300')
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64),
-                                        pa.int64())})
-
-
-def q_phrase_bool(sf_dir: str) -> pa.Table:
-    """Phrase predicates inside the boolean planner (round-5 grammar):
-    ``text.phrase("table hash") && !text.phrase("merge group") ||
-    text.phrase("order sort table")`` — exact positional adjacency
-    (phrase_match_positional) composed through the same DNF
-    intersection/AND-NOT/union machinery as term predicates."""
-    from ..planner import QueryExecutor
-    eng = get_engine(sf_dir)
-    ex = QueryExecutor(eng, [_doc_file(sf_dir)], text_col="text",
-                       id_col="doc_id")
-    docs = ex.execute(
-        'text.phrase("table hash") && !text.phrase("merge group") || '
-        'text.phrase("order sort table")')
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64),
-                                        pa.int64())})
-
-
-def q_near_bool(sf_dir: str) -> pa.Table:
-    """Windowed-proximity predicates in the boolean planner:
-    ``text.near("spark window", 4) && !text.near("slow key", 3)`` —
-    the positional minimal-range scan (proximity_match) composed
-    through the same DNF machinery, negation included."""
-    from ..planner import QueryExecutor
-    eng = get_engine(sf_dir)
-    ex = QueryExecutor(eng, [_doc_file(sf_dir)], text_col="text",
-                       id_col="doc_id")
-    docs = ex.execute('text.near("spark window", 4) && '
-                      '!text.near("slow key", 3)')
-    return pa.table({"doc_id": pa.array(docs.astype(np.int64),
-                                        pa.int64())})
-
-
-def q_grouped_search(sf_dir: str) -> pa.Table:
-    """Diversified (per-facet) retrieval: the BM25 top-3 PER LANGUAGE
-    for one query — result diversification by running the filtered
-    ranked path once per facet value (global corpus statistics; the
-    facet narrows candidates, not the model — planner.ranked).  Facet
-    values come from a distinct-scan partial, so nothing is
-    hardcoded."""
-    import ray
-
-    from ..planner import QueryExecutor
-    _tune_context()
-    ds = _docs_ds(sf_dir, columns=["lang"])
-
-    def uniq(t: pa.Table) -> pa.Table:
-        return pa.table({"lang": pc.unique(t["lang"].combine_chunks())})
-
-    langs = sorted(set(pa.concat_tables(
-        [t for t in ray.get(ds.map_batches(
-            uniq, batch_format="pyarrow").to_arrow_refs())
-         if t.num_rows])["lang"].to_pylist()))
-    eng = get_engine(sf_dir)
-    ex = QueryExecutor(eng, [_doc_file(sf_dir)], text_col="text",
-                       id_col="doc_id")
-    rows = []
-    for lg in langs:
-        docs, scores = ex.ranked(
-            f'text.search("spark join") && lang == "{lg}"', k=3)
-        for r, (d, s) in enumerate(zip(docs, scores), 1):
-            rows.append({"lang": lg, "rank": r, "doc_id": int(d),
-                         "score_x1e4": int(np.floor(s * 10000.0
-                                                    + 0.5))})
-    return pa.Table.from_pylist(rows, schema=pa.schema(
-        [("lang", pa.string()), ("rank", pa.int64()),
-         ("doc_id", pa.int64()), ("score_x1e4", pa.int64())]))
-
-
-def q_events_wow(sf_dir: str) -> pa.Table:
-    """Week-over-week volume change per event type on the x1e6 grid —
-    the trend-report shape: distributed (type, week) count partials,
-    then the lag/percent arithmetic on the tiny weekly series
-    driver-side with the same sign-safe floor division the oracle's
-    window expression evaluates."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        w = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-             // 604_800_000_000)
-        return pa.table({"event_type": t["event_type"],
-                         "w": pa.array(w, pa.int64())})
-
-    out = partial_aggregate(ds, ["event_type", "w"], [("w", "count")],
-                            prepare=prep)
-    schema = pa.schema([("event_type", pa.string()), ("week", pa.int64()),
-                        ("n", pa.int64()), ("chg_x1e6", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    et = np.asarray(out["event_type"].to_pylist())
-    w = out["w"].to_numpy(zero_copy_only=False)
-    c = out["w_count"].to_numpy(zero_copy_only=False)
-    rows = []
-    for e in np.unique(et):
-        m = et == e
-        order = np.argsort(w[m], kind="stable")
-        ws, cs = w[m][order], c[m][order]
-        for i in range(1, len(ws)):
-            cur, prev = int(cs[i]), int(cs[i - 1])
-            rows.append({"event_type": str(e), "week": int(ws[i]),
-                         "n": cur,
-                         "chg_x1e6": _sdiv((cur - prev) * 1_000_000,
-                                           prev)})
-    rows.sort(key=lambda r: (r["event_type"], r["week"]))
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def q_events_peak(sf_dir: str) -> pa.Table:
-    """Peak-load report: the busiest sliding 30-minute window (hop 5)
-    per event type — the hopping-window partials (each batch ships one
-    row per (type, window) it saw) plus one argmax per type on the
-    tiny window series (tie → earliest window), matching the oracle's
-    rank-1 row."""
-    import ray.data
-
-    from ..functions.windows import hopping_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "ts", "value"])
-    t = hopping_aggregate(ds, window_minutes=30, hop_minutes=5)
-    schema = pa.schema([("event_type", pa.string()),
-                        ("window_us", pa.int64()),
-                        ("peak_n", pa.int64())])
-    if t.num_rows == 0:
-        return schema.empty_table()
-    et = np.asarray(t["event_type"].to_pylist())
-    w = t["window_us"].to_numpy(zero_copy_only=False)
-    n = t["n"].to_numpy(zero_copy_only=False)
-    rows = []
-    for e in np.unique(et):
-        m = et == e
-        order = np.lexsort((w[m], -n[m]))
-        rows.append({"event_type": str(e),
-                     "window_us": int(w[m][order[0]]),
-                     "peak_n": int(n[m][order[0]])})
-    rows.sort(key=lambda r: r["event_type"])
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def q_pareto_users(sf_dir: str) -> pa.Table:
-    """Concentration report: what share of all events do the top-k
-    most active users generate (k = 1, 10, 50)?  Per-user count
-    partials (user dimension bounded), one driver sort — shares on
-    the x1e6 grid with the deterministic (count desc, user asc)
-    ordering the oracle's window rank uses."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id"])
-    out = partial_aggregate(ds, ["user_id"], [("user_id", "count")])
-    schema = pa.schema([("k", pa.int64()), ("events", pa.int64()),
-                        ("share_x1e6", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    u = out["user_id"].to_numpy(zero_copy_only=False)
-    c = out["user_id_count"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((u, -c))
-    cs = c[order]
-    total = int(cs.sum())
-    rows = []
-    for k in (1, 10, 50):
-        top = int(cs[:k].sum())
-        rows.append({"k": k, "events": top,
-                     "share_x1e6": top * 1_000_000 // total})
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def q_orders_rfm(sf_dir: str) -> pa.Table:
-    """RFM customer segmentation: per-customer (last order date,
-    order count, total cents) from ONE pass of mergeable partials
-    (max/count/sum), then NTILE(5) buckets per dimension with SQL's
-    exact remainder rule ``((rank−1)·5) // n + 1`` over the
-    deterministic (value desc, custkey asc) order — output is the
-    (r, f, m) segment histogram.  The per-customer table is customer-
-    dimension sized; at a customer dimension too big for the driver
-    the bucket ranks come from the same grid-quantile substrate."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderdate", "o_totalprice"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        cents = np.floor(t["o_totalprice"]
-                         .to_numpy(zero_copy_only=False)
-                         * 100.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "o_custkey": t["o_custkey"],
-            "last": t["o_orderdate"].cast(pa.int64()),
-            "cnt": pa.array(np.ones(t.num_rows, np.int64)),
-            "cents": pa.array(cents, pa.int64())})
-
-    out = partial_aggregate(ds, ["o_custkey"],
-                            [("last", "max"), ("cnt", "sum"),
-                             ("cents", "sum")], prepare=prep)
-    schema = pa.schema([("r", pa.int64()), ("f", pa.int64()),
-                        ("m", pa.int64()), ("n_customers", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    out = pa.table({"o_custkey": out["o_custkey"],
-                    "last_max": out["last_max"],
-                    "cnt_sum": out["cnt_sum"],
-                    "cents_sum": out["cents_sum"]})
-    ck = out["o_custkey"].to_numpy(zero_copy_only=False)
-    n = len(ck)
-
-    def ntile5(vals: np.ndarray) -> np.ndarray:
-        order = np.lexsort((ck, -vals))
-        i = np.empty(n, np.int64)
-        i[order] = np.arange(n)
-        # SQL NTILE remainder rule: first n%5 buckets get n//5 + 1
-        q, r = n // 5, n % 5
-        big = r * (q + 1)
-        return np.where(i < big, i // max(q + 1, 1),
-                        r + (i - big) // max(q, 1)) + 1
-
-    r = ntile5(out["last_max"].to_numpy(zero_copy_only=False)
-               .astype(np.int64))
-    f = ntile5(out["cnt_sum"].to_numpy(zero_copy_only=False)
-               .astype(np.int64))
-    m = ntile5(out["cents_sum"].to_numpy(zero_copy_only=False)
-               .astype(np.int64))
-    key = r * 100 + f * 10 + m
-    uk, cnt = np.unique(key, return_counts=True)
-    return pa.table({
-        "r": pa.array(uk // 100, pa.int64()),
-        "f": pa.array(uk // 10 % 10, pa.int64()),
-        "m": pa.array(uk % 10, pa.int64()),
-        "n_customers": pa.array(cnt.astype(np.int64), pa.int64()),
-    }).cast(schema)
-
-
-def q_events_dow(sf_dir: str) -> pa.Table:
-    """Day-of-week seasonality profile per event type (calendar
-    feature extraction): dow from pure epoch-day arithmetic
-    ((days + 4) % 7, 1970-01-01 = Thursday — matching DuckDB's ISO
-    dayofweek numbering via the same closed form), counts + share of
-    the type's volume on the x1e6 grid; one partial-aggregate pass."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        days = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-                // 86_400_000_000)
-        return pa.table({"event_type": t["event_type"],
-                         "dow": pa.array((days + 4) % 7, pa.int64())})
-
-    out = partial_aggregate(ds, ["event_type", "dow"],
-                            [("dow", "count")], prepare=prep)
-    schema = pa.schema([("event_type", pa.string()), ("dow", pa.int64()),
-                        ("n", pa.int64()), ("share_x1e6", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    et = np.asarray(out["event_type"].to_pylist())
-    dw = out["dow"].to_numpy(zero_copy_only=False)
-    c = out["dow_count"].to_numpy(zero_copy_only=False)
-    rows = []
-    for e in np.unique(et):
-        m = et == e
-        total = int(c[m].sum())
-        for d, n in sorted(zip(dw[m].tolist(), c[m].tolist())):
-            rows.append({"event_type": str(e), "dow": int(d),
-                         "n": int(n),
-                         "share_x1e6": int(n) * 1_000_000 // total})
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-def q_orders_monthly(sf_dir: str) -> pa.Table:
-    """Monthly order volume + integer-cents revenue — the calendar
-    rollup every BI layer asks for first; month arithmetic is pure
-    integer (epoch days → civil month via the days-from-civil inverse
-    is avoided: both sides truncate via SQL date_trunc and the engine
-    reads the SAME truncation from DuckDB-compatible year*12+month
-    keys derived with datetime64[M])."""
-    import ray.data
-
-    from ..functions.boilerplate import partial_aggregate
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderdate", "o_totalprice"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        us = t["o_orderdate"].cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        months = us.astype("datetime64[us]").astype("datetime64[M]")
-        mkey = months.astype(np.int64)        # months since 1970-01
-        cents = np.floor(t["o_totalprice"]
-                         .to_numpy(zero_copy_only=False)
-                         * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"mkey": pa.array(mkey, pa.int64()),
-                         "one": pa.array(np.ones(len(us), np.int64)),
-                         "cents": pa.array(cents, pa.int64())})
-
-    out = partial_aggregate(ds, ["mkey"],
-                            [("one", "sum"), ("cents", "sum")],
-                            prepare=prep)
-    schema = pa.schema([("year", pa.int64()), ("month", pa.int64()),
-                        ("n_orders", pa.int64()),
-                        ("revenue_cents", pa.int64())])
-    if out is None:
-        return schema.empty_table()
-    mk = out["mkey"].to_numpy(zero_copy_only=False)
-    order = np.argsort(mk, kind="stable")
-    mk = mk[order]
-    return pa.table({
-        "year": pa.array(1970 + mk // 12, pa.int64()),
-        "month": pa.array(mk % 12 + 1, pa.int64()),
-        "n_orders": pa.array(
-            out["one_sum"].to_numpy(zero_copy_only=False)[order],
-            pa.int64()),
-        "revenue_cents": pa.array(
-            out["cents_sum"].to_numpy(zero_copy_only=False)[order],
-            pa.int64())}).cast(schema)
-
-
-def q_nation_balance_iqr(sf_dir: str) -> pa.Table:
-    """Per-nation supplier account-balance robust stats (Tukey 1.5·IQR
-    outlier counts) — the grid-IQR substrate over a second table and a
-    NEGATIVE-valued measure (acctbal can be < 0; the x1e4 grid floors
-    negatives identically on both sides)."""
-    import ray.data
-
-    from ..functions.quantiles import grouped_iqr_outliers
-    _tune_context()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "supplier.parquet"),
-        columns=["s_nationkey", "s_acctbal"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        return pa.table({"k": pc.cast(t["s_nationkey"], pa.string()),
-                         "v": t["s_acctbal"]})
-
-    out = grouped_iqr_outliers(
-        ds.map_batches(prep, batch_format="pyarrow",
-                       zero_copy_batch=True), key_col="k", val_col="v")
-    schema = pa.schema([("nation_key", pa.int64()), ("n", pa.int64()),
-                        ("q1_x1e4", pa.int64()), ("q3_x1e4", pa.int64()),
-                        ("n_outliers", pa.int64())])
-    if out.num_rows == 0:
-        return schema.empty_table()
-    rows = [{"nation_key": int(r["k"]), "n": r["n"],
-             "q1_x1e4": r["q1_x1e4"], "q3_x1e4": r["q3_x1e4"],
-             "n_outliers": r["n_outliers"]} for r in out.to_pylist()]
-    rows.sort(key=lambda r: r["nation_key"])
-    return pa.Table.from_pylist(rows, schema=schema)
-
-
-# ---------------------------------------------------------------------------
-# registry + oracle SQL
-# ---------------------------------------------------------------------------
-
-QUERIES = {
-    "orders_ranked": q_orders_ranked,
-    "docs_ordered": q_docs_ordered,
-    "recrawl_upsert": q_recrawl_upsert,
-    "ann_ivf_absorb": q_ann_ivf_absorb,
-    "events_unpivot": q_events_unpivot,
-    "fielded_bm25": q_fielded_bm25,
-    "orders_customer_full": q_orders_customer_full,
-    "regex_scan": q_regex_scan,
-    "table_profile": q_table_profile,
-    "weighted_sample": q_weighted_sample,
-    "wildcard_search": q_wildcard_search,
-    "skyline_orders": q_skyline_orders,
-    "edit_near_dup": q_edit_near_dup,
-    "type_overlap": q_type_overlap,
-    "part_pairs": q_part_pairs,
-    "orders_diff": q_orders_diff,
-    "bm25_page": q_bm25_page,
-    "knn_graph": q_knn_graph,
-    "semdedup": q_semdedup,
-    "events_hopping": q_events_hopping,
-    "events_ntile": q_events_ntile,
-    "events_resample": q_events_resample,
-    "events_agg_store": q_events_agg_store,
-    "events_variance": q_events_variance,
-    "embedding_centroid": q_embedding_centroid,
-    "more_like_this": q_more_like_this,
-    "search_facets": q_search_facets,
-    "index_stats": q_index_stats,
-    "events_retention": q_events_retention,
-    "events_anomaly": q_events_anomaly,
-    "bm25_topk": q_bm25_topk,
-    "boosted_bm25": q_boosted_bm25,
-    "term_match": q_term_match,
-    "count_match": q_count_match,
-    "term_df": q_term_df,
-    "search_and_fetch": q_search_and_fetch,
-    "phrase_match": q_phrase_match,
-    "phrase_positional": q_phrase_positional,
-    "proximity": q_proximity,
-    "range_limit": q_range_limit,
-    "range_string": q_range_string,
-    "nearest_key": q_nearest_key,
-    "select_scan": q_select_scan,
-    "short_query_empty": q_short_query_empty,
-    "cooccur_distance": q_cooccur_distance,
-    "dedup_exact": q_dedup_exact,
-    "fingerprint": q_fingerprint,
-    "token_count": q_token_count,
-    "token_stats": q_token_stats,
-    "extract_text": q_extract_text,
-    "lang_distribution": q_lang_distribution,
-    "ann_cosine_topk": q_ann_cosine_topk,
-    "ann_ivf_topk": q_ann_ivf_topk,
-    "ann_filtered_ivf": q_ann_filtered_ivf,
-    "ann_ivf_exact": q_ann_ivf_exact,
-    "minhash_near_dup": q_minhash_near_dup,
-    "near_dedup_keep": q_near_dedup_keep,
-    "ann_filtered": q_ann_filtered,
-    "events_running": q_events_running,
-    "events_top_per_user": q_events_top_per_user,
-    "events_gaps": q_events_gaps,
-    "events_moving": q_events_moving,
-    "user_event_seq": q_user_event_seq,
-    "events_rollup": q_events_rollup,
-    "tpch_q18": q_tpch_q18,
-    "top_bigrams": q_top_bigrams,
-    "events_distinct": q_events_distinct,
-    "events_approx_users": q_events_approx_users,
-    "events_cms_counts": q_events_cms_counts,
-    "lineitem_maxline": q_lineitem_maxline,
-    "simhash_near_dup": q_simhash_near_dup,
-    "embedding_near_dup": q_embedding_near_dup,
-    "langid": q_langid,
-    "bpe_token_count": q_bpe_token_count,
-    "gopher_quality": q_gopher_quality,
-    "quantize_embeddings": q_quantize_embeddings,
-    "curation": q_curation,
-    "ngram_jaccard": q_ngram_jaccard,
-    "top_terms": q_top_terms,
-    "sample": q_sample,
-    "batch_bm25": q_batch_bm25,
-    "filtered_bm25": q_filtered_bm25,
-    "or_match": q_or_match,
-    "not_match": q_not_match,
-    "snippets": q_snippets,
-    "federated_bm25": q_federated_bm25,
-    "nears": q_nears,
-    "train_split": q_train_split,
-    "source_stats": q_source_stats,
-    "media_decode": q_media_decode,
-    "media_frames": q_media_frames,
-    "media_audio": q_media_audio,
-    "orders_priority_search": q_orders_priority_search,
-    "orders_numeric_range": q_orders_numeric_range,
-    "events_hourly": q_events_hourly,
-    "events_sessions": q_events_sessions,
-    "events_props": q_events_props,
-    "events_latest": q_events_latest,
-    "decontaminate": q_decontaminate,
-    "redact": q_redact,
-    "chunk_documents": q_chunk_documents,
-    "normalize": q_normalize,
-    "pack_budget": q_pack_budget,
-    "label_classify": q_label_classify,
-    "nearest": q_nearest,
-    "prune_boilerplate": q_prune_boilerplate,
-    "repetition_stats": q_repetition_stats,
-    "token_df": q_token_df,
-    "doc_keywords": q_doc_keywords,
-    "events_asof": q_events_asof,
-    "events_window_count": q_events_window_count,
-    "events_quantiles": q_events_quantiles,
-    "segment_revenue": q_segment_revenue,
-    "lineitem_pricing": q_lineitem_pricing,
-    "tpch_q3": q_tpch_q3,
-    "line_dedup": q_line_dedup,
-    "customer_revenue": q_customer_revenue,
-    "tpch_q5": q_tpch_q5,
-    "span_dedup": q_span_dedup,
-    "customers_no_urgent": q_customers_no_urgent,
-    "lm_score": q_lm_score,
-    "quality_filter": q_quality_filter,
-    "dup_spans": q_dup_spans,
-    "stratified_sample": q_stratified_sample,
-    "budget_mix": q_budget_mix,
-    "shuffle_shards": q_shuffle_shards,
-    "events_pivot": q_events_pivot,
-    "events_cube": q_events_cube,
-    "events_histogram": q_events_histogram,
-    "user_mode": q_user_mode,
-    "funnel": q_funnel,
-    "events_rank": q_events_rank,
-    "tpch_q10": q_tpch_q10,
-    "order_priority_late": q_order_priority_late,
-    "promo_revenue": q_promo_revenue,
-    "part_supplier_cnt": q_part_supplier_cnt,
-    "corr_stats": q_corr_stats,
-    "cheapest_supplier": q_cheapest_supplier,
-    "tpch_q13": q_tpch_q13,
-    "tpch_q17": q_tpch_q17,
-    "tpch_q22": q_tpch_q22,
-    "tpch_q7": q_tpch_q7,
-    "tpch_q6": q_tpch_q6,
-    "tpch_q15": q_tpch_q15,
-    "tpch_q19": q_tpch_q19,
-    "tpch_q8": q_tpch_q8,
-    "tpch_q9": q_tpch_q9,
-    "tpch_q21": q_tpch_q21,
-    "tpch_q12": q_tpch_q12,
-    "tpch_q11": q_tpch_q11,
-    "tpch_q20": q_tpch_q20,
-    "hybrid_search": q_hybrid_search,
-    "delete_search": q_delete_search,
-    "purge_search": q_purge_search,
-    "pagerank": q_pagerank,
-    "bfs_reach": q_bfs_reach,
-    "fuzzy_term": q_fuzzy_term,
-    "substring_search": q_substring_search,
-    "autocomplete": q_autocomplete,
-    "related_terms": q_related_terms,
-    "events_quantiles_cont": q_events_quantiles_cont,
-    "events_ols": q_events_ols,
-    "table_checksum": q_table_checksum,
-    "sample_exact_k": q_sample_exact_k,
-    "events_mad": q_events_mad,
-    "embedding_gram": q_embedding_gram,
-    "min_should_match": q_min_should_match,
-    "kmeans_step": q_kmeans_step,
-    "corrected_search": q_corrected_search,
-    "weighted_median": q_weighted_median,
-    "events_iqr": q_events_iqr,
-    "kmv_overlap": q_kmv_overlap,
-    "sample_k_per_group": q_sample_k_per_group,
-    "fk_orphans": q_fk_orphans,
-    "lineitem_corr_matrix": q_lineitem_corr_matrix,
-    "events_ewma": q_events_ewma,
-    "pq_codes": q_pq_codes,
-    "feature_vectors": q_feature_vectors,
-    "multi_vector_search": q_multi_vector_search,
-    "collocations": q_collocations,
-    "equi_depth_bins": q_equi_depth_bins,
-    "conversion_lag": q_conversion_lag,
-    "benford_prices": q_benford_prices,
-    "paren_query": q_paren_query,
-    "phrase_bool": q_phrase_bool,
-    "near_bool": q_near_bool,
-    "grouped_search": q_grouped_search,
-    "events_wow": q_events_wow,
-    "events_peak": q_events_peak,
-    "pareto_users": q_pareto_users,
-    "orders_rfm": q_orders_rfm,
-    "events_dow": q_events_dow,
-    "orders_monthly": q_orders_monthly,
-    "nation_balance_iqr": q_nation_balance_iqr,
-}
-
-_STOP_SQL = "['the','and','of','to','a','in','is','it']"
-
-ORACLE_SQL = {
-    "orders_ranked": """
-SELECT o_orderkey, price_x1e4, rn FROM (
-  SELECT o_orderkey,
-         CAST(floor(o_totalprice * 10000 + 0.5) AS BIGINT) AS price_x1e4,
-         row_number() OVER (
-           ORDER BY CAST(floor(o_totalprice * 10000 + 0.5) AS BIGINT) DESC,
-                    o_orderkey) AS rn
-  FROM orders)
-WHERE (rn - 1) % 97 = 0
-ORDER BY rn
-""",
-    "docs_ordered": """
-SELECT doc_id, rn FROM (
-  SELECT doc_id,
-         row_number() OVER (ORDER BY text, doc_id) AS rn
-  FROM documents)
-WHERE (rn - 1) % 97 = 0
-ORDER BY rn
-""",
-    # multi-field BM25: text field + source field, each with its OWN
-    # statistics; combined = body + 0.4*field in that exact fp64 order
-    "fielded_bm25": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join','src3') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), body AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-), stok AS (
-  SELECT doc_id, unnest(list_filter(regexp_split_to_array(
-    lower(source), '[^a-z0-9]+'), x -> x <> '')) AS tok FROM documents
-), stf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM stok
-  WHERE tok IN ('spark','join','src3') GROUP BY doc_id, tok
-), sdl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM stok GROUP BY doc_id
-), sstats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM stok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), sdf AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM stf GROUP BY tok
-), fld AS (
-  SELECT stf.doc_id,
-         sum(ln(1 + (sstats.n - sdf.df + 0.5)/(sdf.df + 0.5)) *
-             (stf.tf*2.2/(stf.tf + 1.2*(1 - 0.75 + 0.75*sdl.dl/sstats.avgdl))))
-           AS score
-  FROM stf JOIN sdf USING(tok) JOIN sdl USING(doc_id) CROSS JOIN sstats
-  GROUP BY stf.doc_id
-), comb AS (
-  SELECT COALESCE(b.doc_id, f.doc_id) AS doc_id,
-         COALESCE(b.score, 0) + 0.4 * COALESCE(f.score, 0) AS score
-  FROM body b FULL OUTER JOIN fld f ON b.doc_id = f.doc_id
-)
-SELECT doc_id, CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM comb ORDER BY score DESC, doc_id LIMIT 10
-""",
-    "events_unpivot": """
-WITH p AS (
-  SELECT user_id,
-         sum(CASE WHEN event_type='click'    THEN 1 ELSE 0 END)::BIGINT AS n_click,
-         sum(CASE WHEN event_type='error'    THEN 1 ELSE 0 END)::BIGINT AS n_error,
-         sum(CASE WHEN event_type='purchase' THEN 1 ELSE 0 END)::BIGINT AS n_purchase,
-         sum(CASE WHEN event_type='signup'   THEN 1 ELSE 0 END)::BIGINT AS n_signup,
-         sum(CASE WHEN event_type='view'     THEN 1 ELSE 0 END)::BIGINT AS n_view
-  FROM events GROUP BY user_id
-), m AS (
-  SELECT user_id, 'n_click' AS name, n_click AS value FROM p
-  UNION ALL SELECT user_id, 'n_error', n_error FROM p
-  UNION ALL SELECT user_id, 'n_purchase', n_purchase FROM p
-  UNION ALL SELECT user_id, 'n_signup', n_signup FROM p
-  UNION ALL SELECT user_id, 'n_view', n_view FROM p
-)
-SELECT user_id, name, value FROM m WHERE user_id % 97 = 0
-ORDER BY user_id, name
-""",
-    # IVF absorb: centroids from the BASE subset (vec_id%5<>0), but
-    # assignment + probing over the UNION — exactly what base+wave
-    # bucket reads produce with stateless argmax-cosine assignment
-    "ann_ivf_absorb": """
-WITH cent AS (
-  SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c, embedding AS ce
-  FROM (SELECT * FROM embeddings WHERE vec_id % 5 <> 0
-        ORDER BY vec_id LIMIT 8)
-), asg AS (
-  SELECT e.vec_id, e.embedding, c.c,
-         row_number() OVER (
-           PARTITION BY e.vec_id
-           ORDER BY list_cosine_similarity(c.ce::DOUBLE[], e.embedding::DOUBLE[]) DESC, c.c
-         ) AS rn
-  FROM embeddings e CROSS JOIN cent c
-), bucket AS (
-  SELECT vec_id, embedding, c AS b FROM asg WHERE rn = 1
-), q AS (
-  SELECT vec_id AS query_id, embedding AS qe FROM embeddings
-  WHERE vec_id IN (0,1,2)
-), probe AS (
-  SELECT q.query_id, c.c,
-         row_number() OVER (
-           PARTITION BY q.query_id
-           ORDER BY list_cosine_similarity(c.ce::DOUBLE[], q.qe::DOUBLE[]) DESC, c.c
-         ) AS rn
-  FROM q CROSS JOIN cent c
-), sims AS (
-  SELECT q.query_id, b.vec_id,
-         list_cosine_similarity(q.qe::DOUBLE[], b.embedding::DOUBLE[]) AS sim
-  FROM q JOIN probe p ON p.query_id = q.query_id AND p.rn <= 4
-         JOIN bucket b ON b.b = p.c
-  WHERE b.vec_id <> q.query_id
-)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id
-                          ORDER BY sim DESC, vec_id)::BIGINT AS rank,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims QUALIFY rank <= 5 ORDER BY query_id, rank
-""",
-    # BM25 over the LATEST-snapshot corpus: docs with doc_id%11=5 were
-    # re-crawled with new text (losing the 'spark' token), absorbed via
-    # delete->purge->build->merge; live stats == fresh build over docs2
-    "recrawl_upsert": f"""
-WITH docs2 AS (
-  SELECT doc_id,
-         CASE WHEN doc_id % 11 = 5
-              THEN 'refreshed revision ' || replace(text, 'spark', 'glint')
-              ELSE text END AS text
-  FROM documents
-), tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM docs2
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join','window') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM docs2)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM docs2)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-)
-SELECT doc_id, CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM scores ORDER BY score DESC, doc_id LIMIT 10
-""",
-    "more_like_this": f"""
-WITH seed AS (
-  SELECT DISTINCT unnest({TOKS}) AS tok FROM documents WHERE doc_id = 7
-), tok AS (
-  SELECT DISTINCT doc_id, unnest({TOKS}) AS tok FROM documents
-), df AS (
-  SELECT tok, count(*)::BIGINT AS df FROM tok GROUP BY tok
-), w AS (
-  SELECT s.tok, 1000000 // d.df AS wt FROM seed s JOIN df d USING (tok)
-)
-SELECT t.doc_id, sum(w.wt)::BIGINT AS score
-FROM tok t JOIN w USING (tok) WHERE t.doc_id <> 7
-GROUP BY t.doc_id ORDER BY score DESC, t.doc_id ASC LIMIT 10
-""",
-    "search_facets": f"""
-SELECT lang, source, count(*)::BIGINT AS n FROM documents
-WHERE list_contains({TOKS}, 'spark') AND list_contains({TOKS}, 'window')
-GROUP BY lang, source ORDER BY lang, source
-""",
-    "index_stats": f"""
-WITH tok AS (SELECT doc_id, unnest({TOKS}) AS tok FROM documents)
-SELECT (SELECT count(*) FROM documents)::BIGINT AS n_docs,
-       count(DISTINCT tok)::BIGINT AS n_terms,
-       (SELECT count(*) FROM (SELECT DISTINCT doc_id, tok FROM tok)
-        )::BIGINT AS n_postings,
-       count(*)::BIGINT AS total_tokens
-FROM tok
-""",
-    "events_retention": """
-WITH d AS (
-  SELECT DISTINCT user_id, epoch_us(ts) // 86400000000 AS day FROM events
-), c AS (
-  SELECT user_id, min(day) AS cohort FROM d GROUP BY user_id
-)
-SELECT c.cohort::BIGINT AS cohort_day,
-       (d.day - c.cohort)::BIGINT AS day_offset,
-       count(*)::BIGINT AS n_users
-FROM d JOIN c USING (user_id)
-GROUP BY 1, 2 ORDER BY 1, 2
-""",
-    "events_anomaly": """
-WITH h AS (
-  SELECT event_type, epoch_us(ts) // 3600000000 AS hour_id,
-         count(*)::BIGINT AS n
-  FROM events GROUP BY 1, 2
-), s AS (
-  SELECT event_type, count(*)::HUGEINT AS hh,
-         sum(n)::HUGEINT AS ss, sum(n::HUGEINT * n)::HUGEINT AS sq
-  FROM h GROUP BY event_type
-)
-SELECT h.event_type, h.hour_id::BIGINT AS hour_id, h.n,
-       (CASE WHEN (h.n * s.hh - s.ss) > 0
-             AND (h.n * s.hh - s.ss) * (h.n * s.hh - s.ss)
-                 > 4 * (s.hh * s.sq - s.ss * s.ss)
-             THEN 1 ELSE 0 END)::BIGINT AS anom
-FROM h JOIN s USING (event_type) ORDER BY 1, 2
-""",
-    # extract(wrap(text)) == text byte-for-byte: the engine wraps each
-    # document in the full page template and re-extracts; the oracle is
-    # the untouched column, so a hash match proves the inversion.
-    "extract_text": """
-SELECT doc_id, text FROM documents ORDER BY doc_id
-""",
-    "boosted_bm25": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join','window') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-), b AS (
-  SELECT s.doc_id,
-         s.score + CASE WHEN d.source IN
-           ('src0','src1','src2','src3','src4')
-           THEN 0.5 ELSE 0 END AS score
-  FROM scores s JOIN documents d USING (doc_id)
-)
-SELECT row_number() OVER (ORDER BY score DESC, doc_id)::BIGINT AS rank,
-       doc_id, CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM b ORDER BY score DESC, doc_id LIMIT 10
-""",
-    "bm25_topk": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join','window') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-)
-SELECT doc_id, CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM scores ORDER BY score DESC, doc_id LIMIT 10
-""",
-    # identical BM25 formula over the whole corpus: the federated path
-    # over two doc-disjoint half-indexes is fp64-identical to one index
-    "federated_bm25": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('batch','stream','sort') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-)
-SELECT doc_id, CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM scores ORDER BY score DESC, doc_id LIMIT 10
-""",
-    "term_match": f"""
-SELECT doc_id FROM documents
-WHERE list_contains({TOKS}, 'spark') AND list_contains({TOKS}, 'window')
-""",
-    "count_match": f"""
-SELECT count(*)::BIGINT AS n_docs FROM documents
-WHERE list_contains({TOKS}, 'spark')
-""",
-    "term_df": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), counts AS (
-  SELECT tok, count(DISTINCT doc_id)::BIGINT AS df FROM tok
-  WHERE tok IN ('spark','join','window','batch') GROUP BY tok
-), probes(token) AS (VALUES ('spark'),('join'),('window'),('batch'))
-SELECT p.token, COALESCE(c.df, 0)::BIGINT AS df
-FROM probes p LEFT JOIN counts c ON c.tok = p.token
-""",
-    "search_and_fetch": f"""
-SELECT doc_id, lang, n_chars FROM documents
-WHERE list_contains({TOKS}, 'spark') AND list_contains({TOKS}, 'window')
-""",
-    "phrase_match": f"""
-SELECT doc_id FROM documents
-WHERE list_contains({TOKS}, 'order') AND list_contains({TOKS}, 'sort')
-  AND list_contains({TOKS}, 'table')
-  AND strpos(lower(text), 'order sort table') > 0
-""",
-    "phrase_positional": f"""
-WITH t AS (SELECT doc_id, {TOKS} AS toks FROM documents),
-p AS (SELECT doc_id, unnest(toks) AS tok,
-             generate_subscripts(toks, 1) AS ord FROM t)
-SELECT DISTINCT p1.doc_id FROM p p1
-JOIN p p2 ON p2.doc_id = p1.doc_id AND p2.ord = p1.ord + 1
-         AND p2.tok = 'sort'
-JOIN p p3 ON p3.doc_id = p1.doc_id AND p3.ord = p1.ord + 2
-         AND p3.tok = 'table'
-WHERE p1.tok = 'order'
-""",
-    "proximity": f"""
-WITH t AS (SELECT doc_id, {TOKS} AS toks FROM documents),
-p AS (SELECT doc_id, unnest(toks) AS tok,
-             generate_subscripts(toks, 1) AS ord FROM t)
-SELECT DISTINCT p1.doc_id FROM p p1
-JOIN p p2 ON p2.doc_id = p1.doc_id AND p2.tok = 'window'
-         AND abs(p1.ord - p2.ord) <= 5
-WHERE p1.tok = 'spark'
-""",
-    "range_limit": """
-SELECT doc_id, n_chars FROM documents WHERE n_chars >= 450
-ORDER BY doc_id LIMIT 3
-""",
-    "or_match": f"""
-SELECT doc_id FROM documents
-WHERE (list_contains({TOKS}, 'spark') AND list_contains({TOKS}, 'window'))
-   OR (list_contains({TOKS}, 'stream') AND n_chars >= 450)
-""",
-    "not_match": f"""
-SELECT doc_id FROM documents
-WHERE list_contains({TOKS}, 'spark') AND list_contains({TOKS}, 'join')
-  AND NOT list_contains({TOKS}, 'window') AND NOT n_chars >= 450
-""",
-    # snippet window: python t[max(i-40,0):i+40] with 0-based i ==
-    # substr(text, max(s-40,1), s+40-max(s-40,1)) with 1-based s
-    "snippets": f"""
-WITH m AS (
-  SELECT doc_id, text, strpos(text, 'spark') AS s FROM documents
-  WHERE list_contains({TOKS}, 'spark') AND list_contains({TOKS}, 'window')
-)
-SELECT doc_id,
-       substr(text, greatest(s - 40, 1),
-              s + 40 - greatest(s - 40, 1)) AS snippet
-FROM m
-""",
-    "short_query_empty": "SELECT doc_id FROM documents WHERE 1=0",
-    # trigram key-space scans: every 3-char window of text; packed-key
-    # order == string order for 3-char BMP windows, so SQL BETWEEN on the
-    # window strings reproduces the engine's uint64 key-range scan
-    "range_string": """
-WITH t AS (
-  SELECT doc_id, text, unnest(generate_series(1, length(text) - 2)) AS i
-  FROM documents WHERE length(text) >= 3
-), g AS (
-  SELECT doc_id, substr(text, CAST(i AS INTEGER), 3) AS tri FROM t
-)
-SELECT DISTINCT doc_id FROM g WHERE tri >= 'spa' AND tri <= 'spc'
-""",
-    # Select visitor traversal: key-order scan of the 's??' trigram keys
-    # keeping keys with df >= 3, first 25 — same window derivation as
-    # range_string (packed-key order == 3-char string order)
-    "select_scan": """
-WITH t AS (
-  SELECT doc_id, text, unnest(generate_series(1, length(text) - 2)) AS i
-  FROM documents WHERE length(text) >= 3
-), g AS (
-  SELECT doc_id, substr(text, CAST(i AS INTEGER), 3) AS tri FROM t
-), d AS (
-  SELECT tri, count(DISTINCT doc_id)::BIGINT AS df FROM g
-  WHERE tri >= 's' AND tri < 't' GROUP BY tri
-)
-SELECT tri, df FROM d WHERE df >= 3 ORDER BY tri LIMIT 25
-""",
-    "nearest_key": """
-WITH t AS (
-  SELECT doc_id, text, unnest(generate_series(1, length(text) - 2)) AS i
-  FROM documents WHERE length(text) >= 3
-), g AS (
-  SELECT doc_id, substr(text, CAST(i AS INTEGER), 3) AS tri FROM t
-), best AS (
-  SELECT max(tri) AS tri FROM g WHERE tri <= 'spz'
-)
-SELECT b.tri AS tri, count(DISTINCT g.doc_id)::BIGINT AS df
-FROM g JOIN best b ON g.tri = b.tri GROUP BY b.tri
-""",
-    "cooccur_distance": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), dt AS (
-  SELECT DISTINCT tok, doc_id FROM tok
-), pairs(ta, tb) AS (
-  VALUES ('spark','join'), ('spark','window'), ('batch','stream')
-), stats AS (
-  SELECT p.ta, p.tb,
-    (SELECT count(*) FROM dt WHERE tok = p.ta) AS ca,
-    (SELECT count(*) FROM dt WHERE tok = p.tb) AS cb,
-    (SELECT count(*) FROM dt a JOIN dt b USING(doc_id)
-      WHERE a.tok = p.ta AND b.tok = p.tb) AS inter
-  FROM pairs p
-)
-SELECT ta AS token_a, tb AS token_b,
-  CAST(floor((1 - inter::DOUBLE / greatest(ca, cb, 1))*10000 + 0.5)
-       AS BIGINT) AS dist_x1e4
-FROM stats
-""",
-    "dedup_exact": """
-SELECT md5(text) AS h, min(doc_id)::BIGINT AS doc_id, count(*)::BIGINT AS n
-FROM documents GROUP BY md5(text)
-""",
-    "fingerprint": "SELECT doc_id, md5(lower(text)) AS fp FROM documents",
-    "token_count": f"""
-SELECT doc_id, len({TOKS})::BIGINT AS n_tokens FROM documents
-""",
-    "token_stats": f"""
-WITH t AS (SELECT doc_id, {TOKS} AS toks FROM documents)
-SELECT doc_id,
-  len(toks)::BIGINT AS n_tokens,
-  len(list_distinct(toks))::BIGINT AS n_uniq,
-  CAST(floor(len(list_filter(toks, x -> list_contains({_STOP_SQL}, x)))::DOUBLE
-       / greatest(len(toks), 1) * 10000 + 0.5) AS BIGINT) AS stop_ratio_x1e4,
-  CAST(floor(list_sum(list_transform(toks, x -> length(x)))::DOUBLE
-       / greatest(len(toks), 1) * 10000 + 0.5) AS BIGINT) AS avg_len_x1e4
-FROM t
-""",
-    "lang_distribution": """
-SELECT lang, count(*)::BIGINT AS n_docs FROM documents GROUP BY lang
-""",
-    # the LangId heuristic replicated exactly: CJK codepoint fraction,
-    # then marker-stopword ratios over the shared tokenizer contract
-    "langid": f"""
-WITH t AS (SELECT doc_id, text, {TOKS} AS toks FROM documents),
-m AS (SELECT doc_id,
-  greatest(length(text), 1) AS nchars,
-  length(text) - length(regexp_replace(text,
-      '[\\x{{3040}}-\\x{{30FF}}\\x{{4E00}}-\\x{{9FFF}}]', '', 'g')) AS ncjk,
-  greatest(len(toks), 1) AS nt,
-  len(list_filter(toks, x -> list_contains(
-      ['der','die','und','das','ist','nicht'], x))) AS de_cnt,
-  len(list_filter(toks, x -> list_contains(
-      ['el','la','los','de','que','es'], x))) AS es_cnt
-  FROM t)
-SELECT doc_id,
-  CASE WHEN ncjk::DOUBLE / nchars > 0.2 THEN 'ja'
-       WHEN de_cnt::DOUBLE / nt > 0.05 THEN 'de'
-       WHEN es_cnt::DOUBLE / nt > 0.08 THEN 'es'
-       ELSE 'en' END AS lang_pred
-FROM m
-""",
-    "ann_cosine_topk": """
-WITH q AS (
-  SELECT vec_id AS query_id, embedding AS qe FROM embeddings
-  WHERE vec_id IN (0,1,2)
-), sims AS (
-  SELECT q.query_id, e.vec_id,
-         list_cosine_similarity(q.qe::DOUBLE[], e.embedding::DOUBLE[]) AS sim
-  FROM q CROSS JOIN embeddings e WHERE e.vec_id <> q.query_id
-)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id
-                          ORDER BY sim DESC, vec_id)::BIGINT AS rank,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims QUALIFY rank <= 5 ORDER BY query_id, rank
-""",
-    "ann_filtered": """
-WITH q AS (
-  SELECT vec_id AS query_id, embedding AS qe FROM embeddings
-  WHERE vec_id IN (0,1,2)
-), sims AS (
-  SELECT q.query_id, e.vec_id,
-         list_cosine_similarity(q.qe::DOUBLE[], e.embedding::DOUBLE[]) AS sim
-  FROM q CROSS JOIN embeddings e
-  WHERE e.vec_id <> q.query_id AND e.label = 1
-)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id
-                          ORDER BY sim DESC, vec_id)::BIGINT AS rank,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims QUALIFY rank <= 5 ORDER BY query_id, rank
-""",
-    # IVF approximate probe path with seeded centroids: centroid c =
-    # c-th lowest vec_id's vector; assign = argmax cosine (ties lowest
-    # c); probe = top-4 centroids per query; exact top-5 within probed
-    # buckets excluding self — mirrors IVFIndex.search exactly
-    "ann_ivf_topk": """
-WITH cent AS (
-  SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c, embedding AS ce
-  FROM (SELECT * FROM embeddings ORDER BY vec_id LIMIT 8)
-), asg AS (
-  SELECT e.vec_id, e.embedding, c.c,
-         row_number() OVER (
-           PARTITION BY e.vec_id
-           ORDER BY list_cosine_similarity(c.ce::DOUBLE[], e.embedding::DOUBLE[]) DESC, c.c
-         ) AS rn
-  FROM embeddings e CROSS JOIN cent c
-), bucket AS (
-  SELECT vec_id, embedding, c AS b FROM asg WHERE rn = 1
-), q AS (
-  SELECT vec_id AS query_id, embedding AS qe FROM embeddings
-  WHERE vec_id IN (0,1,2)
-), probe AS (
-  SELECT q.query_id, c.c,
-         row_number() OVER (
-           PARTITION BY q.query_id
-           ORDER BY list_cosine_similarity(c.ce::DOUBLE[], q.qe::DOUBLE[]) DESC, c.c
-         ) AS rn
-  FROM q CROSS JOIN cent c
-), sims AS (
-  SELECT q.query_id, b.vec_id,
-         list_cosine_similarity(q.qe::DOUBLE[], b.embedding::DOUBLE[]) AS sim
-  FROM q JOIN probe p ON p.query_id = q.query_id AND p.rn <= 4
-         JOIN bucket b ON b.b = p.c
-  WHERE b.vec_id <> q.query_id
-)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id
-                          ORDER BY sim DESC, vec_id)::BIGINT AS rank,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims QUALIFY rank <= 5 ORDER BY query_id, rank
-""",
-    # real-decoder media checksums: the engine decodes real container
-    # bytes (PPM/PNG/WAV built from closed-form pixel/sample rules);
-    # the SQL recomputes the exact integer checksums analytically from
-    # doc_id — any decoder defect shifts the sum and fails the hash
-    "media_decode": """
-WITH ids AS (SELECT doc_id AS did FROM documents ORDER BY doc_id LIMIT 64),
-dims AS (SELECT did, 24 + did % 17 AS w, 20 + did % 13 AS h FROM ids),
-px AS (SELECT did, w, h,
-              unnest(generate_series(0, w*h*3 - 1)) AS i FROM dims),
-v AS (SELECT did, w, h,
-             (i // 3) % w AS x, (i // 3) // w AS y, i % 3 AS c FROM px)
-SELECT did AS media_id, w::BIGINT AS width, h::BIGINT AS height,
-       sum(least(x*255 // (w-1) + y*131 // (h-1)
-                 + (x*7 + y*11 + c*5 + did) % 32, 255))::BIGINT AS pix_sum
-FROM v GROUP BY did, w, h ORDER BY media_id
-""",
-    "media_frames": """
-WITH ids AS (SELECT doc_id AS did FROM documents ORDER BY doc_id LIMIT 16),
-f AS (SELECT did, unnest(generate_series(0, did % 4)) AS frame FROM ids)
-SELECT did AS media_id, frame::BIGINT AS frame,
-       (frame * 65536)::BIGINT AS byte_offset
-FROM f ORDER BY media_id, frame
-""",
-    "media_audio": """
-WITH ids AS (SELECT doc_id AS did FROM documents ORDER BY doc_id LIMIT 32),
-s AS (SELECT did,
-             unnest(generate_series(0, 2048 + (did % 5) * 17 - 1)) AS i
-      FROM ids)
-SELECT did AS media_id, 16000::BIGINT AS sample_rate,
-       (2048 + (did % 5) * 17)::BIGINT AS n_frames,
-       sum((did*31 + i*7) % 65536 - 32768)::BIGINT AS sample_sum
-FROM s GROUP BY did ORDER BY media_id
-""",
-    # filtered IVF probe path: ann_ivf_topk's seeded-centroid probe
-    # with the label predicate applied INSIDE the probed buckets, plus
-    # the engine's doubling-nprobe escalation rule — probe width 4,
-    # widen to all 8 iff fewer than k=5 rows survive the filter at 4
-    # (search_filtered, functions/similarity.py)
-    "ann_filtered_ivf": """
-WITH cent AS (
-  SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c, embedding AS ce
-  FROM (SELECT * FROM embeddings ORDER BY vec_id LIMIT 8)
-), asg AS (
-  SELECT e.vec_id, e.embedding, e.label, c.c,
-         row_number() OVER (
-           PARTITION BY e.vec_id
-           ORDER BY list_cosine_similarity(c.ce::DOUBLE[], e.embedding::DOUBLE[]) DESC, c.c
-         ) AS rn
-  FROM embeddings e CROSS JOIN cent c
-), bucket AS (
-  SELECT vec_id, embedding, label, c AS b FROM asg WHERE rn = 1
-), q AS (
-  SELECT vec_id AS query_id, embedding AS qe FROM embeddings
-  WHERE vec_id IN (0,1,2)
-), probe AS (
-  SELECT q.query_id, c.c,
-         row_number() OVER (
-           PARTITION BY q.query_id
-           ORDER BY list_cosine_similarity(c.ce::DOUBLE[], q.qe::DOUBLE[]) DESC, c.c
-         ) AS rn
-  FROM q CROSS JOIN cent c
-), cnt AS (
-  SELECT q.query_id, count(b.vec_id) AS n4
-  FROM q LEFT JOIN probe p ON p.query_id = q.query_id AND p.rn <= 4
-         LEFT JOIN bucket b ON b.b = p.c
-           AND b.vec_id <> q.query_id AND b.label = 1
-  GROUP BY q.query_id
-), sims AS (
-  SELECT q.query_id, b.vec_id,
-         list_cosine_similarity(q.qe::DOUBLE[], b.embedding::DOUBLE[]) AS sim
-  FROM q JOIN cnt ON cnt.query_id = q.query_id
-         JOIN probe p ON p.query_id = q.query_id
-           AND p.rn <= CASE WHEN cnt.n4 >= 5 THEN 4 ELSE 8 END
-         JOIN bucket b ON b.b = p.c
-  WHERE b.vec_id <> q.query_id AND b.label = 1
-)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id
-                          ORDER BY sim DESC, vec_id)::BIGINT AS rank,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims QUALIFY rank <= 5 ORDER BY query_id, rank
-""",
-    # IVF probing every centroid == exact brute force: same oracle
-    "ann_ivf_exact": """
-WITH q AS (
-  SELECT vec_id AS query_id, embedding AS qe FROM embeddings
-  WHERE vec_id IN (0,1,2)
-), sims AS (
-  SELECT q.query_id, e.vec_id,
-         list_cosine_similarity(q.qe::DOUBLE[], e.embedding::DOUBLE[]) AS sim
-  FROM q CROSS JOIN embeddings e WHERE e.vec_id <> q.query_id
-)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id
-                          ORDER BY sim DESC, vec_id)::BIGINT AS rank,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims QUALIFY rank <= 5 ORDER BY query_id, rank
-""",
-    # decontamination: first matching probe per contaminated doc (CASE
-    # order == the engine's lowest-probe-index-first rule)
-    "decontaminate": """
-SELECT doc_id,
-       CASE WHEN strpos(text, 'order sort table') > 0 THEN 0
-            WHEN strpos(text, 'window spark order') > 0 THEN 1
-            WHEN strpos(text, 'zzzz never occurs qqqq') > 0 THEN 2
-       END::BIGINT AS probe_idx
-FROM documents
-WHERE strpos(text, 'order sort table') > 0
-   OR strpos(text, 'window spark order') > 0
-   OR strpos(text, 'zzzz never occurs qqqq') > 0
-""",
-    # identical RE2 pattern on both sides ('g' = replace every match,
-    # same as Arrow's replace_substring_regex default)
-    "redact": """
-SELECT doc_id, regexp_replace(text, '\\bcustomer\\b', '<ENT>', 'g') AS text
-FROM documents
-""",
-    "normalize": """
-SELECT doc_id,
-       trim(regexp_replace(lower(text), '\\s+', ' ', 'g')) AS text
-FROM documents
-""",
-    "pack_budget": """
-WITH w AS (
-  SELECT doc_id, source,
-         sum(n_chars) OVER (
-           PARTITION BY source ORDER BY doc_id
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS excl
-  FROM documents
-)
-SELECT doc_id, source,
-       (CAST(COALESCE(excl, 0) AS BIGINT) // 4096)::BIGINT AS pack_id
-FROM w
-""",
-    # chunking: k-th window starts at char k*stride+1 (1-based substr);
-    # max k = ceil((L - window)/stride) clamped at 0 (>=1 chunk per doc)
-    "chunk_documents": """
-WITH d AS (SELECT doc_id, text, length(text) AS L FROM documents),
-c AS (
-  SELECT doc_id, text,
-         unnest(generate_series(0,
-           CAST(greatest(ceil((L - 256)::DOUBLE / 192.0), 0) AS INTEGER)
-         )) AS k
-  FROM d
-)
-SELECT doc_id, k::BIGINT AS chunk_id, substr(text, k*192 + 1, 256) AS chunk
-FROM c
-""",
-    "events_latest": """
-SELECT user_id, event_id, ts FROM events
-QUALIFY row_number() OVER (PARTITION BY user_id
-                           ORDER BY ts DESC, event_id DESC) = 1
-""",
-    "events_ntile": """
-SELECT event_id, user_id,
-       rank() OVER w::BIGINT AS rnk,
-       ntile(4) OVER w::BIGINT AS ntile
-FROM events
-WINDOW w AS (PARTITION BY user_id ORDER BY value DESC, event_id)
-ORDER BY user_id, rnk
-""",
-    "embedding_centroid": """
-WITH e AS (
-  SELECT label::BIGINT AS label,
-         list_transform(embedding,
-           x -> CAST(floor(CAST(x AS DOUBLE) * 10000 + 0.5)
-                     AS BIGINT)) AS q
-  FROM embeddings
-)
-SELECT label, count(*)::BIGINT AS n,
-       sum(q[1])::BIGINT AS dim0_sum_x1e4,
-       sum(q[2])::BIGINT AS dim1_sum_x1e4,
-       sum(q[3])::BIGINT AS dim2_sum_x1e4,
-       sum(q[4])::BIGINT AS dim3_sum_x1e4,
-       sum(list_aggregate(q, 'sum'))::BIGINT AS checksum_x1e4
-FROM e GROUP BY 1 ORDER BY 1
-""",
-    "events_variance": """
-WITH e AS (
-  SELECT event_type,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS v
-  FROM events
-), g AS (
-  SELECT event_type, count(*)::HUGEINT AS n,
-         sum(v::HUGEINT) AS s, sum((v::HUGEINT) * v) AS ss
-  FROM e GROUP BY 1
-)
-SELECT event_type, n::BIGINT AS n, (s // n)::BIGINT AS mean_x1e4,
-       ((n * ss - s * s) // (n * n))::BIGINT AS var_x1e8
-FROM g ORDER BY event_type
-""",
-    "events_agg_store": """
-SELECT event_type,
-       make_timestamp((epoch_us(ts) // 3600000000) * 3600000000)
-         AS window_start,
-       count(*)::BIGINT AS n,
-       sum(CAST(floor(value * 10000 + 0.5) AS BIGINT))::BIGINT
-         AS sum_x1e4
-FROM events GROUP BY 1, 2 ORDER BY 1, 2
-""",
-    "events_resample": """
-WITH a AS (
-  SELECT event_type,
-         (epoch_us(ts) // 900000000) * 900000000 AS w,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS v
-  FROM events
-), g AS (
-  SELECT event_type, w, count(*)::BIGINT AS n, sum(v)::BIGINT AS s
-  FROM a GROUP BY 1, 2
-), r AS (
-  SELECT event_type, min(w) AS mn, max(w) AS mx FROM g GROUP BY 1
-), grid AS (
-  SELECT event_type, unnest(range(mn, mx + 1, 900000000)) AS w FROM r
-)
-SELECT grid.event_type, make_timestamp(grid.w) AS window_start,
-       coalesce(n, 0)::BIGINT AS n, coalesce(s, 0)::BIGINT AS sum_x1e4
-FROM grid LEFT JOIN g ON grid.event_type = g.event_type
-                     AND grid.w = g.w
-ORDER BY 1, 2
-""",
-    "events_hopping": """
-WITH e AS (
-  SELECT event_type, epoch_us(ts) AS us,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS v
-  FROM events
-), w AS (
-  SELECT event_type,
-         (us // 1800000000 - k) * 1800000000 AS window_us, v
-  FROM e, (SELECT unnest(range(0, 4)) AS k)
-)
-SELECT event_type, make_timestamp(window_us) AS window_start,
-       count(*)::BIGINT AS n, sum(v)::BIGINT AS sum_x1e4
-FROM w GROUP BY 1, 2 ORDER BY 1, 2
-""",
-    "events_hourly": """
-SELECT event_type, date_trunc('hour', ts) AS window_start,
-       count(*)::BIGINT AS n,
-       CAST(floor(sum(value)*100 + 0.5) AS BIGINT) AS sum_value_x100
-FROM events GROUP BY event_type, date_trunc('hour', ts)
-""",
-    "events_sessions": """
-WITH e AS (
-  SELECT user_id, ts, event_id,
-    CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
-                                 ORDER BY ts, event_id)
-              > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new_sess
-  FROM events
-), s AS (
-  SELECT *, sum(new_sess) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                                ROWS UNBOUNDED PRECEDING) AS session_id
-  FROM e
-)
-SELECT user_id, session_id::BIGINT AS session_id,
-       min(ts) AS session_start, max(ts) AS session_end,
-       count(*)::BIGINT AS n_events
-FROM s GROUP BY user_id, session_id
-""",
-    "nearest": """
-SELECT doc_id, n_chars FROM documents
-ORDER BY abs(n_chars - 300), n_chars, doc_id LIMIT 1
-""",
-    "orders_priority_search": """
-SELECT o_orderkey FROM orders WHERE strpos(o_orderpriority, 'LOW') > 0
-""",
-    "orders_numeric_range": """
-SELECT o_orderkey FROM orders
-WHERE o_totalprice >= 400000 AND o_custkey < 500
-""",
-    "events_props": """
-SELECT event_type, count(*)::BIGINT AS n,
-       sum(CAST(json_extract_string(props, '$.k') AS BIGINT))::BIGINT
-         AS k_sum
-FROM events GROUP BY event_type
-""",
-    # centroids rounded to 1e-6 on BOTH sides so differing avg()
-    # accumulation orders cannot flip the compared fixed-point output
-    "label_classify": """
-WITH u AS (
-  SELECT label, unnest(embedding) AS v,
-         generate_subscripts(embedding, 1) AS i
-  FROM embeddings
-), c AS (
-  SELECT label, i, floor(avg(v) / 1e-6 + 0.5) * 1e-6 AS cv
-  FROM u GROUP BY label, i
-), cl AS (
-  SELECT label, list(cv ORDER BY i) AS cent FROM c GROUP BY label
-), sims AS (
-  SELECT e.vec_id, cl.label,
-         list_cosine_similarity(e.embedding::DOUBLE[], cl.cent::DOUBLE[]) AS sim
-  FROM embeddings e CROSS JOIN cl
-)
-SELECT vec_id, label::BIGINT AS pred_label,
-       CAST(floor(sim * 10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims
-QUALIFY row_number() OVER (PARTITION BY vec_id
-                           ORDER BY sim DESC, label) = 1
-""",
-    "top_bigrams": f"""
-WITH d AS (SELECT {TOKS} AS toks FROM documents),
- w AS (SELECT unnest(generate_series(1, len(toks) - 1)) AS i, toks
-       FROM d),
- b AS (SELECT toks[i] || ' ' || toks[i + 1] AS bigram FROM w)
-SELECT bigram, count(*)::BIGINT AS n FROM b
-GROUP BY bigram ORDER BY n DESC, bigram LIMIT 20
-""",
-    "top_terms": f"""
-WITH tok AS (SELECT unnest({TOKS}) AS token FROM documents)
-SELECT token, count(*)::BIGINT AS n FROM tok
-GROUP BY token ORDER BY n DESC, token LIMIT 20
-""",
-    "sample": """
-WITH s AS (
-  SELECT doc_id FROM documents
-  ORDER BY md5('s1|' || doc_id::VARCHAR) LIMIT 20
-)
-SELECT doc_id FROM s ORDER BY doc_id
-""",
-    "batch_bm25": "\nUNION ALL\n".join(
-        _bm25_sql_for(q.split(), i, k=5)
-        for i, q in enumerate(BATCH_QUERIES)),
-    # Nears parity: per-token df/total division BEFORE the sum (mirrors
-    # the engine's accumulation; commutative for the 2-token query)
-    "nears": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), dt AS (
-  SELECT DISTINCT doc_id, tok FROM tok WHERE tok IN ('spark','window')
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM dt GROUP BY tok
-), tot AS (
-  SELECT sum(df) AS t FROM df
-), sc AS (
-  SELECT dt.doc_id, sum(df.df / tot.t) AS s
-  FROM dt JOIN df USING(tok) CROSS JOIN tot GROUP BY dt.doc_id
-)
-SELECT doc_id, CAST(ceil((1 - s) * 100000) AS BIGINT) AS dist_x1e5
-FROM sc
-""",
-    # filtered ranked search: global-stat BM25 restricted to docs that
-    # contain every query token AND pass the numeric filter
-    "filtered_bm25": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-), eligible AS (
-  SELECT doc_id FROM documents
-  WHERE n_chars >= 300
-    AND list_contains({TOKS}, 'spark') AND list_contains({TOKS}, 'join')
-)
-SELECT s.doc_id, CAST(floor(s.score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM scores s JOIN eligible USING(doc_id)
-ORDER BY s.score DESC, s.doc_id LIMIT 10
-""",
-    # 3-token shingles as strings reproduce the engine's hashed shingle
-    # sets exactly (64-bit fnv collisions are negligible at this scale)
-    "ngram_jaccard": f"""
-WITH pairs(doc_a, doc_b) AS (VALUES (0, 1), (2, 3), (100, 101)),
-t AS (SELECT doc_id, {TOKS} AS toks FROM documents
-      WHERE doc_id IN (0, 1, 2, 3, 100, 101)),
-s AS (SELECT doc_id,
-  list_distinct([toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]
-                 for i in generate_series(1, len(toks) - 2)]) AS sh
-  FROM t)
-SELECT p.doc_a, p.doc_b,
-  CAST(floor(len(list_intersect(a.sh, b.sh))::DOUBLE /
-       greatest(len(list_distinct(list_concat(a.sh, b.sh))), 1)
-       * 10000 + 0.5) AS BIGINT) AS jaccard_x1e4
-FROM pairs p JOIN s a ON a.doc_id = p.doc_a
-             JOIN s b ON b.doc_id = p.doc_b
-""",
-    # ALL-PAIRS exact shingle Jaccard ≥ 0.8 — hash-checks the engine's
-    # MinHash-LSH candidate recall AND its exact verification stage
-    "minhash_near_dup": f"""
-WITH t AS (SELECT doc_id, {TOKS} AS toks FROM documents),
-s AS (SELECT doc_id,
-  list_distinct([toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]
-                 for i in generate_series(1, len(toks) - 2)]) AS sh
-  FROM t),
-u AS (SELECT doc_id, unnest(sh) AS g FROM s),
-cand AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS inter
-         FROM u a JOIN u b ON a.g = b.g AND a.doc_id < b.doc_id
-         GROUP BY 1, 2),
-j AS (SELECT doc_a, doc_b,
-        CAST(floor(inter::DOUBLE /
-             greatest(len(sa.sh) + len(sb.sh) - inter, 1) * 10000 + 0.5)
-             AS BIGINT) AS jaccard_x1e4
-      FROM cand JOIN s sa ON sa.doc_id = cand.doc_a
-                JOIN s sb ON sb.doc_id = cand.doc_b)
-SELECT doc_a, doc_b, jaccard_x1e4 FROM j WHERE jaccard_x1e4 >= 8000
-ORDER BY doc_a, doc_b
-""",
-    # keep-smaller-id pairwise removal over the same all-pairs set
-    "near_dedup_keep": f"""
-WITH t AS (SELECT doc_id, {TOKS} AS toks FROM documents),
-s AS (SELECT doc_id,
-  list_distinct([toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]
-                 for i in generate_series(1, len(toks) - 2)]) AS sh
-  FROM t),
-u AS (SELECT doc_id, unnest(sh) AS g FROM s),
-cand AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS inter
-         FROM u a JOIN u b ON a.g = b.g AND a.doc_id < b.doc_id
-         GROUP BY 1, 2),
-j AS (SELECT doc_a, doc_b,
-        CAST(floor(inter::DOUBLE /
-             greatest(len(sa.sh) + len(sb.sh) - inter, 1) * 10000 + 0.5)
-             AS BIGINT) AS jaccard_x1e4
-      FROM cand JOIN s sa ON sa.doc_id = cand.doc_a
-                JOIN s sb ON sb.doc_id = cand.doc_b)
-SELECT doc_id FROM documents
-WHERE doc_id NOT IN (SELECT doc_b FROM j WHERE jaccard_x1e4 >= 8000)
-ORDER BY doc_id
-""",
-    # ALL-PAIRS exact cosine ≥ 0.4 — hash-checks hyperplane-LSH recall
-    # AND the exact cosine verify
-    "embedding_near_dup": """
-WITH sims AS (
-  SELECT a.vec_id AS doc_a, b.vec_id AS doc_b,
-         list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]) AS sim
-  FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-)
-SELECT doc_a, doc_b,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims WHERE sim >= 0.4 ORDER BY doc_a, doc_b
-""",
-    # the engine's train_split_buckets hash, in HUGEINT/xor SQL
-    "weighted_sample": """
-WITH h1 AS (
-  SELECT doc_id, n_chars,
-    CAST((CAST(doc_id AS HUGEINT) * 2654435761) % 4294967296 AS BIGINT)
-      AS v FROM documents
-), h2 AS (
-  SELECT doc_id, n_chars,
-    CAST((CAST(xor(v, v >> 16) AS HUGEINT) * 2246822519) % 4294967296
-         AS BIGINT) AS v FROM h1
-)
-SELECT doc_id, n_chars FROM h2
-WHERE xor(v, v >> 13) % 10000 < least(10000, n_chars * 10000 // 1000)
-ORDER BY doc_id
-""",
-    "train_split": """
-WITH h1 AS (
-  SELECT doc_id,
-    CAST((CAST(doc_id AS HUGEINT) * 2654435761) % 4294967296 AS BIGINT)
-      AS v FROM documents
-), h2 AS (
-  SELECT doc_id,
-    CAST((CAST(xor(v, v >> 16) AS HUGEINT) * 2246822519) % 4294967296
-         AS BIGINT) AS v FROM h1
-)
-SELECT doc_id,
-  CASE WHEN xor(v, v >> 13) % 100 < 80 THEN 'train' ELSE 'eval' END
-    AS split
-FROM h2
-""",
-    "source_stats": f"""
-WITH t AS (SELECT source, n_chars, len({TOKS}) AS nt FROM documents)
-SELECT source, count(*)::BIGINT AS n_docs,
-  CAST(floor(sum(n_chars)::DOUBLE / count(*) * 10000 + 0.5) AS BIGINT)
-    AS mean_chars_x1e4,
-  CAST(floor(sum(nt)::DOUBLE / count(*) * 10000 + 0.5) AS BIGINT)
-    AS mean_tokens_x1e4
-FROM t GROUP BY source
-""",
-    # the full curation pipeline: language + quality filter + exact
-    # dedup, all via the same SQL fragments as the per-stage oracles
-    "curation": f"""
-WITH t AS (SELECT doc_id, text, {TOKS} AS toks FROM documents),
-m AS (SELECT doc_id, text,
-  len(toks) AS nt,
-  greatest(len(toks), 1) AS nts,
-  greatest(length(text), 1) AS nchars,
-  length(text) - length(regexp_replace(text,
-      '[\\x{{3040}}-\\x{{30FF}}\\x{{4E00}}-\\x{{9FFF}}]', '', 'g')) AS ncjk,
-  len(list_filter(toks, x -> list_contains(
-      ['der','die','und','das','ist','nicht'], x))) AS de_cnt,
-  len(list_filter(toks, x -> list_contains(
-      ['el','la','los','de','que','es'], x))) AS es_cnt
-  FROM t),
-f AS (
-  SELECT doc_id, text FROM m
-  WHERE nt >= 30
-    AND NOT (ncjk::DOUBLE / nchars > 0.2)
-    AND NOT (de_cnt::DOUBLE / nts > 0.05)
-    AND NOT (es_cnt::DOUBLE / nts > 0.08)
-)
-SELECT min(doc_id)::BIGINT AS doc_id FROM f GROUP BY md5(text)
-""",
-    # pyarrow and DuckDB both use RE2: identical BPE-segment counts
-    "bpe_token_count": r"""
-SELECT doc_id, len(regexp_extract_all(text,
-  '''(?:s|t|re|ve|m|ll|d)| ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+|\s+'
-  ))::BIGINT AS n_bpe_tokens
-FROM documents
-""",
-    "gopher_quality": """
-WITH t AS (
-  SELECT doc_id, text, string_split(text, chr(10)) AS lines
-  FROM documents
-), m AS (
-  SELECT doc_id,
-    len(lines) AS n_lines,
-    greatest(len(lines), 1) AS nl,
-    len(lines) - len(list_distinct(lines)) AS dup_lines,
-    len(list_filter(lines, x -> starts_with(x, '- ')
-                            OR starts_with(x, '* '))) AS bullets,
-    greatest(length(text), 1) AS nchars,
-    length(regexp_replace(text, '[a-zA-Z0-9 ]', '', 'g')) AS syms
-  FROM t)
-SELECT doc_id,
-  n_lines::BIGINT AS n_lines,
-  CAST(floor(dup_lines::DOUBLE / nl * 10000 + 0.5) AS BIGINT)
-    AS dup_line_frac_x1e4,
-  CAST(floor(syms::DOUBLE / nchars * 10000 + 0.5) AS BIGINT)
-    AS symbol_ratio_x1e4,
-  CAST(floor(bullets::DOUBLE / nl * 10000 + 0.5) AS BIGINT)
-    AS bullet_ratio_x1e4
-FROM m
-""",
-    "quantize_embeddings": """
-WITH q AS (
-  SELECT vec_id,
-    127.0 / greatest(list_max(list_transform(embedding, x -> abs(x))),
-                     1e-30) AS scale,
-    embedding
-  FROM embeddings
-), qq AS (
-  SELECT vec_id, scale,
-    list_transform(embedding, x -> floor(x * scale + 0.5)) AS qvals
-  FROM q)
-SELECT vec_id,
-  CAST(list_sum(qvals) AS BIGINT) AS qsum,
-  CAST(list_min(qvals) AS BIGINT) AS qmin,
-  CAST(list_max(qvals) AS BIGINT) AS qmax,
-  CAST(floor(scale * 1e8 + 0.5) AS BIGINT) AS scale_x1e8
-FROM qq
-""",
-    # ALL-PAIRS exact 64-bit SimHash hamming ≤ 3, recomputed from
-    # scratch: FNV-1a64 per token via list_reduce over byte values
-    # (UBIGINT xor, HUGEINT multiply mod 2^64, matching
-    # hashing.fnv1a64_spans incl. the 64-byte cap + length fold),
-    # tf-weighted sign-summed bits, pairwise |bit| differences. The
-    # engine's 4×16-bit banding has guaranteed recall at hamming ≤ 3,
-    # so the LSH output must hash-match this exact set.
-    "simhash_near_dup": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), hv0 AS (
-  SELECT doc_id,
-    list_reduce(
-      list_prepend(14695981039346656037::UBIGINT,
-        [ord(substr(tok, i, 1))::UBIGINT
-         for i in generate_series(1, least(length(tok), 64))]),
-      (acc, b) -> CAST((CAST(xor(acc, b) AS HUGEINT) * 1099511628211)
-                       % 18446744073709551616 AS UBIGINT)
-    ) AS h, length(tok) AS lt
-  FROM tok
-), hv AS (
-  SELECT doc_id,
-    CASE WHEN lt > 64 THEN
-      CAST((CAST(xor(h, lt::UBIGINT) AS HUGEINT) * 1099511628211)
-           % 18446744073709551616 AS UBIGINT)
-    ELSE h END AS h
-  FROM hv0
-), bits AS (
-  SELECT d.doc_id, g.k,
-    CASE WHEN coalesce(sum(
-      CASE WHEN (h.h >> g.k) & 1 = 1 THEN 1 ELSE -1 END), 0) > 0
-    THEN 1 ELSE 0 END AS bit
-  FROM (SELECT doc_id FROM documents) d
-  CROSS JOIN generate_series(0, 63) AS g(k)
-  LEFT JOIN hv h ON h.doc_id = d.doc_id
-  GROUP BY d.doc_id, g.k
-), sh AS (
-  SELECT doc_id, list(bit ORDER BY k) AS bits FROM bits GROUP BY doc_id
-), p AS (
-  SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-    CAST(list_sum(list_transform(generate_series(1, 64),
-        i -> abs(a.bits[i] - b.bits[i]))) AS BIGINT) AS hamming
-  FROM sh a JOIN sh b ON a.doc_id < b.doc_id)
-SELECT doc_a, doc_b, hamming FROM p WHERE hamming <= 3
-ORDER BY doc_a, doc_b
-""",
-    # corpus-level frequent-token pruning: threshold in exact integer
-    # arithmetic (100*df >= 79*N == df >= ceil(0.79*N)); string_agg
-    # skips the NULLed-out boilerplate tokens, preserving token order.
-    "prune_boilerplate": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok,
-         generate_subscripts(string_split(text, ' '), 1) AS ord
-  FROM documents
-), freq AS (
-  SELECT tok FROM (
-    SELECT tok, count(DISTINCT doc_id) AS df FROM toks GROUP BY tok
-  ) WHERE 100 * df >= 79 * (SELECT count(*) FROM documents)
-), marked AS (
-  SELECT doc_id, tok, ord,
-         tok IN (SELECT tok FROM freq) AS bad
-  FROM toks
-), agg AS (
-  SELECT doc_id,
-         string_agg(CASE WHEN NOT bad THEN tok END, ' ' ORDER BY ord)
-           AS text,
-         sum(CASE WHEN bad THEN 1 ELSE 0 END)::BIGINT AS n_removed
-  FROM marked GROUP BY doc_id
-)
-SELECT d.doc_id, coalesce(a.text, '') AS text,
-       coalesce(a.n_removed, 0)::BIGINT AS n_removed
-FROM documents d LEFT JOIN agg a USING (doc_id)
-ORDER BY d.doc_id
-""",
-    # word-bigram repetition: ord+1 self-join builds the bigrams; the
-    # fp64 ratio association (divide, then *10000, then floor(+0.5))
-    # mirrors the engine's _x1e4 exactly.
-    "repetition_stats": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok,
-         generate_subscripts(string_split(text, ' '), 1) AS ord
-  FROM documents
-), big AS (
-  SELECT a.doc_id, a.tok || ' ' || b.tok AS bg
-  FROM toks a JOIN toks b ON a.doc_id = b.doc_id AND b.ord = a.ord + 1
-), cnt AS (
-  SELECT doc_id, bg, count(*) AS c FROM big GROUP BY doc_id, bg
-), per AS (
-  SELECT doc_id, sum(c)::BIGINT AS n_bigrams,
-         count(*)::BIGINT AS n_distinct, max(c)::BIGINT AS max_c
-  FROM cnt GROUP BY doc_id
-)
-SELECT d.doc_id,
-  coalesce(p.n_bigrams, 0)::BIGINT AS n_bigrams,
-  CASE WHEN coalesce(p.n_bigrams, 0) = 0 THEN 0
-       ELSE floor(((p.n_bigrams - p.n_distinct)::DOUBLE / p.n_bigrams)
-                  * 10000 + 0.5) END::BIGINT AS dup_bigram_frac_x1e4,
-  CASE WHEN coalesce(p.n_bigrams, 0) = 0 THEN 0
-       ELSE floor((p.max_c::DOUBLE / p.n_bigrams)
-                  * 10000 + 0.5) END::BIGINT AS top_bigram_frac_x1e4
-FROM documents d LEFT JOIN per p USING (doc_id)
-ORDER BY d.doc_id
-""",
-    # as-of join: last_value IGNORE NULLS over ROWS ... 1 PRECEDING is
-    # exactly "latest strictly-prior right-type row in (ts, id) order";
-    # -1 sentinels keep the match columns pure BIGINT for the hash
-    "events_asof": """
-WITH ev AS (
-  SELECT event_id, user_id, ts, event_type FROM events
-  WHERE event_type IN ('click', 'purchase')
-), w AS (
-  SELECT event_id, user_id, ts, event_type,
-         last_value(CASE WHEN event_type = 'click' THEN event_id END
-                    IGNORE NULLS)
-           OVER (PARTITION BY user_id ORDER BY ts, event_id
-                 ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS m_id,
-         last_value(CASE WHEN event_type = 'click' THEN ts END
-                    IGNORE NULLS)
-           OVER (PARTITION BY user_id ORDER BY ts, event_id
-                 ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS m_ts
-  FROM ev
-)
-SELECT event_id, user_id,
-       coalesce(m_id, -1)::BIGINT AS match_event_id,
-       (CASE WHEN m_id IS NULL THEN -1
-             ELSE epoch_us(ts) - epoch_us(m_ts) END)::BIGINT AS lag_us
-FROM w WHERE event_type = 'purchase' ORDER BY event_id
-""",
-    # range-join windowed aggregate: inequality join bounds mirror the
-    # kernel's half-open (ts - 1h, ts) window with (ts, id) order
-    "events_window_count": """
-SELECT p.event_id, p.user_id, count(c.event_id)::BIGINT AS n_window
-FROM (SELECT * FROM events WHERE event_type = 'purchase') p
-LEFT JOIN (SELECT * FROM events WHERE event_type = 'click') c
-  ON c.user_id = p.user_id
- AND c.ts > p.ts - INTERVAL 60 MINUTE
- AND (c.ts < p.ts OR (c.ts = p.ts AND c.event_id < p.event_id))
-GROUP BY p.event_id, p.user_id ORDER BY p.event_id
-""",
-    # broadcast join + integer-cents partial sums: exact, order-free
-    "segment_revenue": """
-SELECT c.c_mktsegment,
-       count(*)::BIGINT AS n_orders,
-       sum(CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-         AS revenue_x100
-FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-GROUP BY c.c_mktsegment ORDER BY c.c_mktsegment
-""",
-    # TPC-H Q1 shape: every measure quantized to hundredths PER ROW
-    # (both sides compute the same IEEE fp64 row product), summed as
-    # exact integers
-    "lineitem_pricing": """
-SELECT l_returnflag, l_linestatus,
-       count(*)::BIGINT AS n_rows,
-       sum(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT))::BIGINT
-         AS sum_qty_x100,
-       sum(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT))::BIGINT
-         AS sum_base_x100,
-       sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5)
-                AS BIGINT))::BIGINT AS sum_disc_x100
-FROM lineitem
-GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus
-""",
-    # fp64 product identical on both sides: extendedprice * (1-discount)
-    # * 10000 left-assoc, floor(x+0.5), THEN integer sum — so the hash
-    # compare is exact; tie order is total (rev, orderdate, orderkey)
-    "tpch_q3": """
-SELECT l_orderkey,
-       sum(CAST(floor(l_extendedprice * (1 - l_discount) * 10000 + 0.5)
-                AS BIGINT))::BIGINT AS revenue_x1e4,
-       o_orderdate, o_orderpriority
-FROM customer, orders, lineitem
-WHERE c_mktsegment = 'BUILDING'
-  AND c_custkey = o_custkey AND l_orderkey = o_orderkey
-  AND o_orderdate < TIMESTAMP '1998-06-01'
-  AND l_shipdate > TIMESTAMP '1998-06-01'
-GROUP BY l_orderkey, o_orderdate, o_orderpriority
-ORDER BY revenue_x1e4 DESC, o_orderdate, l_orderkey
-LIMIT 10
-""",
-    # 8-token reflow on both sides, then keep-first global line dedup:
-    # rn=1 in (doc_id, ord) order is exactly the engine's min-(doc,ord)
-    # survivor; a doc whose every line is removed keeps text=''
-    "line_dedup": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok,
-         generate_subscripts(string_split(text, ' '), 1) AS i
-  FROM documents
-), lines AS (
-  SELECT doc_id, (i - 1) // 8 AS ord,
-         string_agg(tok, ' ' ORDER BY i) AS line
-  FROM toks GROUP BY doc_id, (i - 1) // 8
-), ranked AS (
-  SELECT doc_id, ord, line,
-         row_number() OVER (PARTITION BY line
-                            ORDER BY doc_id, ord) AS rn
-  FROM lines
-)
-SELECT doc_id,
-       coalesce(string_agg(line, chr(10) ORDER BY ord)
-                FILTER (WHERE rn = 1), '') AS text,
-       (count(*) FILTER (WHERE rn > 1))::BIGINT AS n_removed
-FROM ranked GROUP BY doc_id ORDER BY doc_id
-""",
-    "customer_revenue": """
-SELECT o_custkey,
-       count(*)::BIGINT AS n_orders,
-       sum(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-         AS revenue_x100,
-       max(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-         AS max_order_x100
-FROM orders GROUP BY o_custkey ORDER BY o_custkey
-""",
-    "events_distinct": """
-SELECT event_type, count(DISTINCT user_id)::BIGINT AS n_distinct
-FROM events GROUP BY event_type ORDER BY event_type
-""",
-    # generated: recomputes the engine's exact integer HLL sketch
-    # (functions/sketches.py hll_oracle_sql — shared literals)
-    "events_approx_users": _hll_oracle_sql(
-        "events", "user_id", "event_type", "approx_users"),
-    # generated: recomputes the engine's exact integer CMS sketch
-    # (functions/sketches.py cms_oracle_sql — shared salts/width)
-    "events_cms_counts": _cms_oracle_sql(
-        "events", "user_id", CMS_QUERY_KEYS, out_col="approx_count"),
-    "lineitem_maxline": """
-WITH q AS (
-  SELECT l_orderkey, l_partkey, l_suppkey,
-         CAST(floor(l_quantity * 100 + 0.5) AS BIGINT) AS qty_x100
-  FROM lineitem
-), mx AS (
-  SELECT l_partkey, l_suppkey, max(qty_x100) AS max_qty
-  FROM q GROUP BY l_partkey, l_suppkey
-)
-SELECT q.l_orderkey, q.l_partkey, q.l_suppkey, q.qty_x100
-FROM q JOIN mx ON q.l_partkey = mx.l_partkey
-              AND q.l_suppkey = mx.l_suppkey
-WHERE q.qty_x100 = mx.max_qty
-ORDER BY q.l_orderkey, q.l_partkey, q.l_suppkey, q.qty_x100
-""",
-    "events_top_per_user": """
-WITH q AS (
-  SELECT event_id, user_id,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS value_x1e4
-  FROM events
-), r AS (
-  SELECT user_id, event_id, value_x1e4,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY value_x1e4 DESC, event_id)::BIGINT
-           AS rank
-  FROM q
-)
-SELECT user_id, rank, event_id, value_x1e4 FROM r
-WHERE rank <= 3 ORDER BY user_id, rank
-""",
-    "events_running": """
-SELECT event_id, user_id,
-       SUM(CAST(floor(value * 10000 + 0.5) AS BIGINT))
-         OVER (PARTITION BY user_id
-               ORDER BY ts, event_id)::BIGINT AS running_x1e4
-FROM events ORDER BY event_id
-""",
-    "events_gaps": """
-SELECT event_id, user_id,
-       COALESCE(date_diff('microsecond',
-                          lag(ts) OVER (PARTITION BY user_id
-                                        ORDER BY ts, event_id),
-                          ts), -1)::BIGINT AS gap_us
-FROM events ORDER BY event_id
-""",
-    "events_moving": """
-SELECT event_id, user_id,
-       SUM(CAST(floor(value * 10000 + 0.5) AS BIGINT))
-         OVER (PARTITION BY user_id ORDER BY ts, event_id
-               ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)::BIGINT
-         AS moving_x1e4
-FROM events ORDER BY event_id
-""",
-    "user_event_seq": """
-SELECT user_id,
-       string_agg(event_type, ',' ORDER BY ts, event_id) AS seq,
-       count(*)::BIGINT AS n_events
-FROM events GROUP BY user_id ORDER BY user_id
-""",
-    "tpch_q18": """
-WITH q AS (
-  SELECT l_orderkey,
-         sum(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT))
-           AS sum_qty_x100
-  FROM lineitem GROUP BY l_orderkey
-  HAVING sum_qty_x100 > 15000
-)
-SELECT c_custkey, c_name, o.o_orderkey, o.o_orderdate,
-       CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT)
-         AS totalprice_x100,
-       q.sum_qty_x100::BIGINT AS sum_qty_x100
-FROM q JOIN orders o ON o.o_orderkey = q.l_orderkey
-       JOIN customer ON c_custkey = o.o_custkey
-ORDER BY totalprice_x100 DESC, o.o_orderdate, o.o_orderkey LIMIT 100
-""",
-    "events_rollup": """
-WITH q AS (
-  SELECT event_type,
-         epoch_us(date_trunc('hour', ts))::BIGINT AS window_us,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS v
-  FROM events
-)
-SELECT COALESCE(event_type, 'ALL') AS event_type,
-       COALESCE(window_us, -1)::BIGINT AS window_us,
-       count(v)::BIGINT AS n, sum(v)::BIGINT AS sum_x1e4
-FROM q GROUP BY ROLLUP(event_type, window_us)
-ORDER BY 1, 2
-""",
-    "customers_no_urgent": """
-SELECT c_custkey, c_name, c_mktsegment FROM customer
-WHERE c_custkey NOT IN (SELECT o_custkey FROM orders
-                        WHERE o_orderpriority = '1-URGENT')
-ORDER BY c_custkey
-""",
-    "tpch_q5": """
-SELECT n_name, count(*)::BIGINT AS n_items,
-       sum(CAST(floor(l_extendedprice * (1 - l_discount) * 10000 + 0.5)
-                AS BIGINT))::BIGINT AS revenue_x1e4
-FROM customer, orders, lineitem, supplier, nation, region
-WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-  AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-  AND r_name = 'ASIA'
-  AND o_orderdate >= TIMESTAMP '1996-01-01'
-  AND o_orderdate < TIMESTAMP '1998-01-01'
-GROUP BY n_name ORDER BY n_name
-""",
-    # token i and window start j are 1-based here, 0-based in the
-    # engine — only the (doc, j) ORDER matters for the keep-first pick
-    "span_dedup": """
-WITH d AS (
-  SELECT doc_id, string_split(text, ' ') AS toks FROM documents
-), wins AS (
-  SELECT doc_id,
-         unnest(generate_series(1, greatest(len(toks) - 7, 0))) AS j,
-         toks
-  FROM d
-), w2 AS (
-  SELECT doc_id, j,
-         array_to_string(list_slice(toks, j, j + 7), ' ') AS win
-  FROM wins
-), dupw AS (
-  SELECT win FROM w2 GROUP BY win HAVING count(*) >= 2
-), occ AS (
-  SELECT w.doc_id, w.j,
-         row_number() OVER (PARTITION BY w.win
-                            ORDER BY w.doc_id, w.j) AS rn
-  FROM w2 w JOIN dupw USING (win)
-), rem AS (
-  SELECT DISTINCT doc_id, j + k AS i
-  FROM occ, (SELECT unnest(generate_series(0, 7)) AS k)
-  WHERE rn > 1
-), toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok,
-         generate_subscripts(string_split(text, ' '), 1) AS i
-  FROM documents
-), kept AS (
-  SELECT t.doc_id, t.i, t.tok, (r.i IS NOT NULL) AS removed
-  FROM toks t LEFT JOIN rem r ON r.doc_id = t.doc_id AND r.i = t.i
-)
-SELECT doc_id,
-       coalesce(string_agg(tok, ' ' ORDER BY i)
-                FILTER (WHERE NOT removed), '') AS text,
-       (count(*) FILTER (WHERE removed))::BIGINT AS n_removed
-FROM kept GROUP BY doc_id ORDER BY doc_id
-""",
-    # exact discrete quantiles over the quantized multiset: decimal
-    # literals keep q*n exact in DuckDB (float ceil(0.99*400) would be
-    # 397; both sides compute 396), so the grid values hash-match
-    "events_quantiles": """
-WITH v AS (
-  SELECT event_type,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS vq
-  FROM events WHERE value IS NOT NULL
-)
-SELECT event_type, pct, value_x1e4 FROM (
-  SELECT event_type, 50::BIGINT AS pct,
-         quantile_disc(vq, 0.50) AS value_x1e4 FROM v GROUP BY event_type
-  UNION ALL
-  SELECT event_type, 90::BIGINT, quantile_disc(vq, 0.90)
-  FROM v GROUP BY event_type
-  UNION ALL
-  SELECT event_type, 99::BIGINT, quantile_disc(vq, 0.99)
-  FROM v GROUP BY event_type
-)
-ORDER BY event_type, pct
-""",
-    # vocabulary document frequencies — the broadcast small side of the
-    # keyword extractor, checked corpus-wide
-    "token_df": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok FROM documents
-)
-SELECT tok AS unit, count(DISTINCT doc_id)::BIGINT AS df
-FROM toks GROUP BY tok ORDER BY unit
-""",
-    # rare-term keyword extraction: integer-only ordering (df asc, tf
-    # desc, token asc) so engine and oracle are bit-identical with no
-    # floats; row_number ties are impossible (token is unique per doc)
-    "doc_keywords": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::BIGINT AS tf FROM toks
-  GROUP BY doc_id, tok
-), dfs AS (
-  SELECT tok, count(DISTINCT doc_id)::BIGINT AS df FROM toks GROUP BY tok
-), r AS (
-  SELECT t.doc_id, t.tok, t.tf, d.df,
-         row_number() OVER (PARTITION BY t.doc_id
-                            ORDER BY d.df ASC, t.tf DESC, t.tok ASC)
-           AS rnk
-  FROM tf t JOIN dfs d USING (tok)
-)
-SELECT doc_id, rnk::BIGINT AS rank, tok AS token, tf, df
-FROM r WHERE rnk <= 3 ORDER BY doc_id, rnk
-""",
-    # unigram-LM quality score: each token's logprob quantized to an
-    # integer via the SAME libm ln() double, then pure integer sums +
-    # one final division — no float summation-order hazards
-    "lm_score": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok FROM documents
-), cnt AS (
-  SELECT tok, count(*)::BIGINT AS c FROM toks GROUP BY tok
-), tot AS (
-  SELECT sum(c)::BIGINT AS total FROM cnt
-), lp AS (
-  SELECT tok,
-    CAST(floor(ln(c::DOUBLE / (SELECT total FROM tot)) * 1000000 + 0.5)
-         AS BIGINT) AS lp
-  FROM cnt
-)
-SELECT t.doc_id, count(*)::BIGINT AS n_tokens,
-  CAST(floor(sum(l.lp)::DOUBLE / count(*)::DOUBLE + 0.5) AS BIGINT)
-    AS avg_logprob_x1e6
-FROM toks t JOIN lp l ON t.tok = l.tok
-GROUP BY t.doc_id ORDER BY t.doc_id
-""",
-    # duplicate spans: every 8-token window via list slicing; a window
-    # is duplicated when its exact joined string occurs >= 2x anywhere
-    # (within- and cross-document multiplicity both count)
-    "dup_spans": """
-WITH toks AS (
-  SELECT doc_id, string_split(text, ' ') AS t FROM documents
-), wins AS (
-  SELECT doc_id, array_to_string(t[i:i+7], ' ') AS g
-  FROM toks, UNNEST(generate_series(1, greatest(len(t)-7, 0))) AS s(i)
-), cnt AS (SELECT g, count(*) AS c FROM wins GROUP BY g),
-per AS (
-  SELECT w.doc_id, count(*)::BIGINT AS n_windows,
-         sum(CASE WHEN c.c >= 2 THEN 1 ELSE 0 END)::BIGINT AS dup_windows
-  FROM wins w JOIN cnt c ON w.g = c.g GROUP BY w.doc_id
-)
-SELECT d.doc_id, coalesce(n_windows, 0)::BIGINT AS n_windows,
-       coalesce(dup_windows, 0)::BIGINT AS dup_windows,
-       CASE WHEN coalesce(n_windows, 0) = 0 THEN 0
-            ELSE floor(dup_windows::DOUBLE / n_windows * 10000 + 0.5)
-       END::BIGINT AS dup_frac_x1e4
-FROM documents d LEFT JOIN per USING (doc_id) ORDER BY d.doc_id
-""",
-    # percentile quality gate: the lm_score CTE, then the exact 30th
-    # ascending-rank value (ceil(30*n/100), events_quantiles rule) as
-    # the keep threshold; ties at the threshold survive on both sides
-    "quality_filter": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok FROM documents
-), cnt AS (
-  SELECT tok, count(*)::BIGINT AS c FROM toks GROUP BY tok
-), tot AS (
-  SELECT sum(c)::BIGINT AS total FROM cnt
-), lp AS (
-  SELECT tok,
-    CAST(floor(ln(c::DOUBLE / (SELECT total FROM tot)) * 1000000 + 0.5)
-         AS BIGINT) AS lp
-  FROM cnt
-), scored AS (
-  SELECT t.doc_id, count(*)::BIGINT AS n_tokens,
-    CAST(floor(sum(l.lp)::DOUBLE / count(*)::DOUBLE + 0.5) AS BIGINT)
-      AS avg_logprob_x1e6
-  FROM toks t JOIN lp l ON t.tok = l.tok GROUP BY t.doc_id
-), ranked AS (
-  SELECT avg_logprob_x1e6 AS v,
-         row_number() OVER (ORDER BY avg_logprob_x1e6) AS rn
-  FROM scored
-), th AS (
-  SELECT v FROM ranked
-  WHERE rn = (SELECT (30 * count(*) + 99) // 100 FROM scored)
-)
-SELECT doc_id, n_tokens, avg_logprob_x1e6 FROM scored
-WHERE avg_logprob_x1e6 >= (SELECT v FROM th)
-ORDER BY doc_id
-""",
-    # stratified sample: same mix32 hash as train_split, full 32-bit
-    # value as the priority; k lowest (prio, doc_id) per lang
-    "stratified_sample": """
-WITH h1 AS (
-  SELECT doc_id, lang,
-    CAST((CAST(doc_id AS HUGEINT) * 2654435761) % 4294967296 AS BIGINT)
-      AS v FROM documents
-), h2 AS (
-  SELECT doc_id, lang,
-    CAST((CAST(xor(v, v >> 16) AS HUGEINT) * 2246822519) % 4294967296
-         AS BIGINT) AS v FROM h1
-), p AS (
-  SELECT doc_id, lang, xor(v, v >> 13) AS prio FROM h2
-), r AS (
-  SELECT lang, doc_id, prio,
-         row_number() OVER (PARTITION BY lang
-                            ORDER BY prio ASC, doc_id ASC) AS rn
-  FROM p
-)
-SELECT lang, doc_id, prio::BIGINT AS prio FROM r WHERE rn <= 5
-ORDER BY lang, prio, doc_id
-""",
-    # budget mix: greedy per-source fill in (mix32(doc_id), doc_id)
-    # order — keep a doc while the source's EXCLUSIVE char prefix-sum
-    # is below the budget (the crossing doc is included)
-    "budget_mix": """
-WITH h1 AS (
-  SELECT doc_id, source, n_chars,
-    CAST((CAST(doc_id AS HUGEINT) * 2654435761) % 4294967296 AS BIGINT)
-      AS v FROM documents
-), h2 AS (
-  SELECT doc_id, source, n_chars,
-    CAST((CAST(xor(v, v >> 16) AS HUGEINT) * 2246822519) % 4294967296
-         AS BIGINT) AS v FROM h1
-), p AS (
-  SELECT doc_id, source, n_chars, xor(v, v >> 13) AS prio FROM h2
-), c AS (
-  SELECT source, doc_id, prio, n_chars,
-    coalesce(sum(n_chars) OVER (
-      PARTITION BY source ORDER BY prio, doc_id
-      ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS excl
-  FROM p
-)
-SELECT source, doc_id, prio::BIGINT AS prio,
-       n_chars::BIGINT AS weight,
-       (excl + n_chars)::BIGINT AS cum_weight
-FROM c WHERE excl < 4000
-ORDER BY source, prio, doc_id
-""",
-    # epoch shuffle: shard = mix32(doc_id^42) % 8, pos = rank of
-    # (prio, doc_id) within the shard — the written shard layout
-    "shuffle_shards": """
-WITH h1 AS (
-  SELECT doc_id,
-    CAST((CAST(xor(doc_id, 42) AS HUGEINT) * 2654435761) % 4294967296
-         AS BIGINT) AS v FROM documents
-), h2 AS (
-  SELECT doc_id,
-    CAST((CAST(xor(v, v >> 16) AS HUGEINT) * 2246822519) % 4294967296
-         AS BIGINT) AS v FROM h1
-), p AS (
-  SELECT doc_id, xor(v, v >> 13) AS prio FROM h2
-)
-SELECT (prio % 8)::BIGINT AS shard,
-  (row_number() OVER (PARTITION BY prio % 8
-                      ORDER BY prio ASC, doc_id ASC) - 1)::BIGINT AS pos,
-  doc_id
-FROM p ORDER BY shard, pos
-""",
-    # minhash LSH candidate stage / media pipelines: remaining rows-only
-    # checks (approximate IVF + Philox-noise media are approximate or
-    # non-SQL by nature).
-    "events_pivot": """
-SELECT user_id,
-  sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)::BIGINT
-    AS n_click,
-  sum(CASE WHEN event_type = 'error' THEN 1 ELSE 0 END)::BIGINT
-    AS n_error,
-  sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END)::BIGINT
-    AS n_purchase,
-  sum(CASE WHEN event_type = 'signup' THEN 1 ELSE 0 END)::BIGINT
-    AS n_signup,
-  sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)::BIGINT
-    AS n_view,
-  count(*)::BIGINT AS n_total,
-  sum(CAST(floor(value * 10000 + 0.5) AS BIGINT))::BIGINT AS value_x1e4
-FROM events GROUP BY user_id ORDER BY user_id
-""",
-    "events_cube": """
-WITH q AS (
-  SELECT event_type,
-         epoch_us(date_trunc('hour', ts))::BIGINT AS window_us,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS v
-  FROM events
-)
-SELECT COALESCE(event_type, 'ALL') AS event_type,
-       COALESCE(window_us, -1)::BIGINT AS window_us,
-       count(v)::BIGINT AS n, sum(v)::BIGINT AS sum_x1e4
-FROM q GROUP BY CUBE(event_type, window_us)
-ORDER BY 1, 2
-""",
-    "events_histogram": """
-SELECT LEAST(CAST(floor(value / 10.0) AS BIGINT), 49) AS bucket,
-       count(*)::BIGINT AS n,
-       sum(CAST(floor(value * 10000 + 0.5) AS BIGINT))::BIGINT
-         AS sum_x1e4
-FROM events GROUP BY 1 ORDER BY 1
-""",
-    "user_mode": """
-WITH c AS (
-  SELECT user_id, event_type, count(*)::BIGINT AS n
-  FROM events GROUP BY 1, 2
-), r AS (
-  SELECT user_id, event_type, n,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY n DESC, event_type ASC) AS rn
-  FROM c
-)
-SELECT user_id, event_type AS mode_type, n
-FROM r WHERE rn = 1 ORDER BY user_id
-""",
-    "funnel": """
-WITH u AS (
-  SELECT user_id,
-         min(CASE WHEN event_type = 'view' THEN ts END) AS v,
-         max(CASE WHEN event_type = 'purchase' THEN ts END) AS p
-  FROM events GROUP BY user_id
-)
-SELECT count(*)::BIGINT AS n_users,
-       count(v)::BIGINT AS n_viewers,
-       count(p)::BIGINT AS n_purchasers,
-       sum(CASE WHEN v < p THEN 1 ELSE 0 END)::BIGINT AS n_converted
-FROM u
-""",
-    "events_rank": """
-WITH r AS (
-  SELECT event_id, user_id, value,
-         rank() OVER w AS rnk,
-         dense_rank() OVER (PARTITION BY user_id
-                            ORDER BY value DESC) AS drnk,
-         percent_rank() OVER w AS pr
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY value DESC, event_id ASC)
-)
-SELECT event_id, user_id,
-       CAST(floor(value * 10000 + 0.5) AS BIGINT) AS value_x1e4,
-       rnk::BIGINT AS rnk, drnk::BIGINT AS drnk,
-       CAST(floor(pr * 1000000 + 0.5) AS BIGINT) AS pct_rank_x1e6
-FROM r ORDER BY user_id, rnk
-""",
-    "tpch_q10": """
-WITH rev AS (
-  SELECT o_custkey, sum(r)::BIGINT AS revenue
-  FROM (SELECT l_orderkey,
-               CAST(floor(l_extendedprice * (1 - l_discount) * 10000
-                          + 0.5) AS BIGINT) AS r
-        FROM lineitem WHERE l_returnflag = 'R') l
-  JOIN orders ON l_orderkey = o_orderkey
-  WHERE o_orderdate >= TIMESTAMP '1995-01-01'
-    AND o_orderdate < TIMESTAMP '1996-01-01'
-  GROUP BY o_custkey
-)
-SELECT c_custkey, c_name, revenue AS revenue_x1e4,
-       CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT) AS acctbal_x100,
-       n_name
-FROM rev JOIN customer ON o_custkey = c_custkey
-JOIN nation ON c_nationkey = n_nationkey
-ORDER BY revenue_x1e4 DESC, c_custkey LIMIT 20
-""",
-    "order_priority_late": """
-WITH m AS (
-  SELECT l_orderkey, max(l_shipdate) AS ms FROM lineitem GROUP BY 1
-)
-SELECT o_orderpriority, count(*)::BIGINT AS n_late
-FROM orders JOIN m ON o_orderkey = l_orderkey
-WHERE ms > o_orderdate + INTERVAL 60 DAY
-GROUP BY 1 ORDER BY 1
-""",
-    "promo_revenue": """
-WITH l AS (
-  SELECT CAST(floor(l_extendedprice * (1 - l_discount) * 10000 + 0.5)
-              AS BIGINT) AS rev,
-         (p_type = 'PROMO') AS isp
-  FROM lineitem JOIN part ON l_partkey = p_partkey
-  WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate < TIMESTAMP '1997-01-01'
-), s AS (
-  SELECT sum(CASE WHEN isp THEN rev ELSE 0 END)::BIGINT AS promo,
-         sum(rev)::BIGINT AS total
-  FROM l
-)
-SELECT promo AS promo_x1e4, total AS total_x1e4,
-       CAST(floor((100.0 * promo::DOUBLE) / total::DOUBLE * 10000
-                  + 0.5) AS BIGINT) AS ratio_x1e4
-FROM s
-""",
-    "part_supplier_cnt": """
-SELECT p_brand, p_size,
-       count(DISTINCT l_suppkey)::BIGINT AS supplier_cnt
-FROM lineitem JOIN part ON l_partkey = p_partkey
-WHERE l_suppkey NOT IN (SELECT s_suppkey FROM supplier
-                        WHERE s_acctbal < 0)
-GROUP BY 1, 2
-ORDER BY supplier_cnt DESC, p_brand, p_size
-""",
-    "corr_stats": """
-WITH b AS (
-  SELECT l_returnflag,
-         CAST(floor(l_quantity * 100 + 0.5) AS BIGINT) AS q,
-         CAST(floor(l_discount * 100 + 0.5) AS BIGINT) AS d
-  FROM lineitem
-), m AS (
-  SELECT l_returnflag, count(*)::BIGINT AS n, sum(q)::BIGINT AS sq,
-         sum(d)::BIGINT AS sd, sum(q * q)::BIGINT AS sqq,
-         sum(d * d)::BIGINT AS sdd, sum(q * d)::BIGINT AS sqd
-  FROM b GROUP BY 1
-)
-SELECT l_returnflag, n, sq AS sum_q, sd AS sum_d,
-       CAST(floor(
-         ((n::HUGEINT * sqd - sq::HUGEINT * sd)::DOUBLE /
-          (sqrt((n::HUGEINT * sqq - sq::HUGEINT * sq)::DOUBLE) *
-           sqrt((n::HUGEINT * sdd - sd::HUGEINT * sd)::DOUBLE)))
-         * 1000000 + 0.5) AS BIGINT) AS corr_x1e6
-FROM m ORDER BY l_returnflag
-""",
-    "cheapest_supplier": """
-WITH e AS (
-  SELECT l_partkey,
-         min(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-             * 16777216 + l_suppkey) AS enc
-  FROM lineitem GROUP BY 1
-)
-SELECT l_partkey, (enc % 16777216)::BIGINT AS best_suppkey,
-       (enc // 16777216)::BIGINT AS min_price_x100
-FROM e ORDER BY l_partkey
-""",
-    "skyline_orders": """
-WITH t AS (
-  SELECT o_orderkey,
-         CAST(floor(o_totalprice * 10000 + 0.5) AS BIGINT) AS px,
-         epoch_us(o_orderdate) AS dus
-  FROM orders WHERE o_orderpriority = '1-URGENT'
-), g AS (
-  SELECT px, dus FROM t GROUP BY 1, 2
-), s AS (
-  SELECT px, dus FROM (
-    SELECT px, dus,
-           max(dus) OVER (ORDER BY px DESC, dus DESC
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS pm,
-           max(dus) OVER (PARTITION BY px) AS gm
-    FROM g)
-  WHERE dus = gm AND (pm IS NULL OR dus > pm)
-)
-SELECT a.o_orderkey, a.px AS totalprice_x1e4,
-       make_timestamp(a.dus) AS o_orderdate
-FROM t a JOIN s ON a.px = s.px AND a.dus = s.dus
-ORDER BY totalprice_x1e4 DESC, o_orderdate, o_orderkey
-""",
-    "edit_near_dup": """
-WITH b AS (
-  SELECT doc_id, lang, substr(text, 1, 32) AS p,
-         strlen(text) // 64 AS lb, text
-  FROM documents
-)
-SELECT a.doc_id AS id_a, c.doc_id AS id_b,
-       levenshtein(a.text, c.text)::BIGINT AS dist
-FROM b a JOIN b c
-  ON a.lang = c.lang AND a.p = c.p AND a.lb = c.lb
- AND a.doc_id < c.doc_id
-WHERE levenshtein(a.text, c.text) <= 10
-ORDER BY id_a, id_b
-""",
-    "table_profile": """
-WITH p AS (
-  SELECT 'doc_id' AS col, count(*)::BIGINT AS n_rows,
-         coalesce(sum(CASE WHEN doc_id IS NULL THEN 1 ELSE 0 END),
-                  0)::BIGINT AS n_nulls,
-         NULL::BIGINT AS n_distinct,
-         CAST(min(doc_id) AS VARCHAR) AS min_val,
-         CAST(max(doc_id) AS VARCHAR) AS max_val
-  FROM documents
-  UNION ALL
-  SELECT 'n_chars', count(*)::BIGINT,
-         coalesce(sum(CASE WHEN n_chars IS NULL THEN 1 ELSE 0 END),
-                  0)::BIGINT,
-         NULL::BIGINT, CAST(min(n_chars) AS VARCHAR),
-         CAST(max(n_chars) AS VARCHAR)
-  FROM documents
-  UNION ALL
-  SELECT 'lang', count(*)::BIGINT,
-         coalesce(sum(CASE WHEN lang IS NULL THEN 1 ELSE 0 END),
-                  0)::BIGINT,
-         count(DISTINCT lang)::BIGINT, min(lang), max(lang)
-  FROM documents
-  UNION ALL
-  SELECT 'source', count(*)::BIGINT,
-         coalesce(sum(CASE WHEN source IS NULL THEN 1 ELSE 0 END),
-                  0)::BIGINT,
-         count(DISTINCT source)::BIGINT, min(source), max(source)
-  FROM documents
-)
-SELECT * FROM p ORDER BY col
-""",
-    "regex_scan": """
-SELECT lang, count(*)::BIGINT AS docs,
-       sum(CASE WHEN len(regexp_extract_all(text, '[0-9]{3,}')) > 0
-                THEN 1 ELSE 0 END)::BIGINT AS docs_matched,
-       sum(len(regexp_extract_all(text, '[0-9]{3,}')))::BIGINT
-         AS total_matches
-FROM documents GROUP BY lang ORDER BY lang
-""",
-    "orders_customer_full": """
-WITH o AS (
-  SELECT o_custkey, count(*)::BIGINT AS order_cnt
-  FROM orders WHERE year(o_orderdate) = 1995 GROUP BY 1
-), c AS (
-  SELECT c_custkey,
-         CAST(floor(c_acctbal * 10000 + 0.5) AS BIGINT) AS acctbal_x1e4
-  FROM customer WHERE c_acctbal > 5000
-)
-SELECT COALESCE(o.o_custkey, c.c_custkey) AS custkey,
-       order_cnt, acctbal_x1e4
-FROM o FULL OUTER JOIN c ON o.o_custkey = c.c_custkey
-ORDER BY custkey
-""",
-    "tpch_q13": """
-WITH c AS (
-  SELECT c_custkey, count(o_orderkey)::BIGINT AS c_count
-  FROM customer LEFT OUTER JOIN orders ON c_custkey = o_custkey
-  GROUP BY 1
-)
-SELECT c_count, count(*)::BIGINT AS custdist
-FROM c GROUP BY 1 ORDER BY custdist DESC, c_count DESC
-""",
-    "tpch_q17": """
-WITH l AS (
-  SELECT l_partkey,
-         CAST(floor(l_quantity * 100 + 0.5) AS BIGINT) AS q,
-         CAST(floor(l_extendedprice * 10000 + 0.5) AS BIGINT) AS ep
-  FROM lineitem JOIN part ON l_partkey = p_partkey
-  WHERE p_brand = 'Brand#13'
-), a AS (
-  SELECT l_partkey, sum(q)::BIGINT AS sq, count(*)::BIGINT AS cnt
-  FROM l GROUP BY 1
-), s AS (
-  SELECT COALESCE(sum(ep), 0)::BIGINT AS total
-  FROM l JOIN a USING (l_partkey)
-  WHERE 5 * q * cnt < sq
-)
-SELECT total AS total_x1e4, (total // 7)::BIGINT AS avg_yearly_x1e4
-FROM s
-""",
-    "tpch_q22": """
-WITH b AS (
-  SELECT c_custkey, c_nationkey,
-         CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT) AS bal
-  FROM customer
-), s AS (
-  SELECT sum(bal)::BIGINT AS sm, count(*)::BIGINT AS n
-  FROM b WHERE bal > 0
-)
-SELECT c_nationkey::BIGINT AS c_nationkey,
-       count(*)::BIGINT AS numcust,
-       sum(bal)::BIGINT AS totacctbal_x100
-FROM b, s
-WHERE bal * n > sm
-  AND NOT EXISTS (SELECT 1 FROM orders
-                  WHERE o_custkey = c_custkey
-                    AND o_orderdate >= TIMESTAMP '2000-01-01')
-GROUP BY 1 ORDER BY 1
-""",
-    "tpch_q7": """
-WITH l AS (
-  SELECT l_orderkey, s_nationkey AS supp_n,
-         EXTRACT(year FROM l_shipdate)::BIGINT AS l_year,
-         CAST(floor(l_extendedprice * (1 - l_discount) * 10000
-                    + 0.5) AS BIGINT) AS rev
-  FROM lineitem JOIN supplier ON l_suppkey = s_suppkey
-  WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate < TIMESTAMP '1998-01-01'
-    AND s_nationkey IN (6, 9)
-), j AS (
-  SELECT supp_n, c_nationkey AS cust_n, l_year, rev
-  FROM l JOIN orders ON l_orderkey = o_orderkey
-         JOIN customer ON o_custkey = c_custkey
-  WHERE (supp_n = 6 AND c_nationkey = 9)
-     OR (supp_n = 9 AND c_nationkey = 6)
-)
-SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation, l_year,
-       sum(rev)::BIGINT AS revenue_x1e4
-FROM j JOIN nation n1 ON supp_n = n1.n_nationkey
-       JOIN nation n2 ON cust_n = n2.n_nationkey
-GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
-""",
-    "tpch_q6": """
-SELECT COALESCE(sum(CAST(floor(l_extendedprice * l_discount * 10000
-                               + 0.5) AS BIGINT)), 0)::BIGINT
-         AS revenue_x1e4,
-       count(*)::BIGINT AS n_lines
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-  AND l_shipdate < TIMESTAMP '1997-01-01'
-  AND CAST(floor(l_discount * 100 + 0.5) AS BIGINT) BETWEEN 5 AND 7
-  AND l_quantity < 24
-""",
-    "tpch_q15": """
-WITH r AS (
-  SELECT l_suppkey,
-         sum(CAST(floor(l_extendedprice * (1 - l_discount) * 10000
-                        + 0.5) AS BIGINT))::BIGINT AS total_revenue_x1e4
-  FROM lineitem
-  WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate < TIMESTAMP '1996-04-01'
-  GROUP BY 1
-)
-SELECT s_suppkey::BIGINT AS s_suppkey, s_name, total_revenue_x1e4
-FROM supplier JOIN r ON s_suppkey = l_suppkey
-WHERE total_revenue_x1e4 = (SELECT max(total_revenue_x1e4) FROM r)
-ORDER BY s_suppkey
-""",
-    "tpch_q19": """
-SELECT COALESCE(sum(CAST(floor(l_extendedprice * (1 - l_discount)
-                               * 10000 + 0.5) AS BIGINT)), 0)::BIGINT
-         AS revenue_x1e4,
-       count(*)::BIGINT AS n_lines
-FROM lineitem JOIN part ON l_partkey = p_partkey
-WHERE (p_brand = 'Brand#12' AND p_size BETWEEN 1 AND 5
-       AND l_quantity BETWEEN 1 AND 11)
-   OR (p_brand = 'Brand#23' AND p_size BETWEEN 1 AND 10
-       AND l_quantity BETWEEN 10 AND 20)
-   OR (p_brand = 'Brand#3' AND p_size BETWEEN 1 AND 15
-       AND l_quantity BETWEEN 20 AND 30)
-""",
-    "tpch_q8": """
-WITH l AS (
-  SELECT l_orderkey, s_nationkey AS supp_n,
-         CAST(floor(l_extendedprice * (1 - l_discount) * 10000
-                    + 0.5) AS BIGINT) AS rev
-  FROM lineitem
-    JOIN part ON l_partkey = p_partkey AND p_type = 'STANDARD'
-    JOIN supplier ON l_suppkey = s_suppkey
-), j AS (
-  SELECT EXTRACT(year FROM o_orderdate)::BIGINT AS o_year,
-         (supp_n = 7) AS is_t, rev
-  FROM l JOIN orders ON l_orderkey = o_orderkey
-         JOIN customer ON o_custkey = c_custkey
-  WHERE o_orderdate >= TIMESTAMP '1996-01-01'
-    AND o_orderdate < TIMESTAMP '1998-01-01'
-    AND c_nationkey IN (2, 7, 12, 17, 22)
-), y AS (
-  SELECT o_year,
-         sum(CASE WHEN is_t THEN rev ELSE 0 END)::BIGINT AS num,
-         sum(rev)::BIGINT AS den
-  FROM j GROUP BY 1
-)
-SELECT o_year, num AS nation_x1e4, den AS total_x1e4,
-       CASE WHEN den = 0 THEN 0
-            ELSE ((num::HUGEINT * 1000000) // den)::BIGINT
-       END AS mkt_share_x1e6
-FROM y ORDER BY o_year
-""",
-    "tpch_q9": """
-WITH l AS (
-  SELECT s_nationkey AS supp_n,
-         EXTRACT(year FROM o_orderdate)::BIGINT AS o_year,
-         (CAST(floor(l_extendedprice * (1 - l_discount) * 10000
-                     + 0.5) AS BIGINT)
-          - CAST(floor(p_retailprice * 10000 + 0.5) AS BIGINT)
-            * CAST(floor(l_quantity + 0.5) AS BIGINT)) AS profit
-  FROM lineitem
-    JOIN part ON l_partkey = p_partkey AND p_name LIKE '%gear%'
-    JOIN supplier ON l_suppkey = s_suppkey
-    JOIN orders ON l_orderkey = o_orderkey
-)
-SELECT n_name AS nation, o_year,
-       sum(profit)::BIGINT AS sum_profit_x1e4
-FROM l JOIN nation ON supp_n = n_nationkey
-GROUP BY 1, 2 ORDER BY nation, o_year DESC
-""",
-    "tpch_q21": """
-WITH f AS (
-  SELECT l_orderkey, l_suppkey, l_shipdate
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  WHERE o_orderstatus = 'F'
-), m AS (
-  SELECT l_orderkey, max(l_shipdate) AS ms,
-         count(DISTINCT l_suppkey) AS ns
-  FROM f GROUP BY 1
-), w AS (
-  SELECT f.l_orderkey, min(f.l_suppkey) AS sk,
-         count(DISTINCT f.l_suppkey) AS nl
-  FROM f JOIN m ON f.l_orderkey = m.l_orderkey
-                AND f.l_shipdate = m.ms
-  WHERE m.ns >= 2 GROUP BY 1
-)
-SELECT s_name, count(*)::BIGINT AS numwait
-FROM w JOIN supplier ON w.sk = s_suppkey
-WHERE nl = 1
-GROUP BY 1 ORDER BY numwait DESC, s_name LIMIT 10
-""",
-    "tpch_q12": """
-SELECT l_linestatus,
-       sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                THEN 1 ELSE 0 END)::BIGINT AS high_line_count,
-       sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                THEN 0 ELSE 1 END)::BIGINT AS low_line_count
-FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-WHERE l_shipdate > o_orderdate + INTERVAL 60 DAY
-GROUP BY 1 ORDER BY 1
-""",
-    "tpch_q11": """
-WITH v AS (
-  SELECT l_partkey::BIGINT AS p_partkey,
-         sum(CAST(floor(l_extendedprice * (1 - l_discount) * 10000
-                        + 0.5) AS BIGINT))::BIGINT AS value_x1e4
-  FROM lineitem JOIN supplier ON l_suppkey = s_suppkey
-  WHERE s_nationkey = 9 GROUP BY 1
-)
-SELECT p_partkey, value_x1e4 FROM v
-WHERE value_x1e4 * (SELECT count(*) FROM v)
-      > 2 * (SELECT sum(value_x1e4) FROM v)
-ORDER BY value_x1e4 DESC, p_partkey
-""",
-    "tpch_q20": """
-WITH fam AS (
-  SELECT p_partkey FROM part WHERE p_name LIKE 'small %'
-), q AS (
-  SELECT l_suppkey,
-         sum(CASE WHEN l_shipdate >= TIMESTAMP '1999-01-01'
-                  THEN CAST(floor(l_quantity * 100 + 0.5) AS BIGINT)
-                  ELSE 0 END)::BIGINT AS recent_x100,
-         sum(CAST(floor(l_quantity * 100 + 0.5)
-                  AS BIGINT))::BIGINT AS total_x100
-  FROM lineitem JOIN fam ON l_partkey = p_partkey GROUP BY 1
-)
-SELECT s_name, n_name AS nation, recent_x100, total_x100
-FROM q JOIN supplier ON l_suppkey = s_suppkey
-       JOIN nation ON s_nationkey = n_nationkey
-WHERE recent_x100 * 2 > total_x100
-ORDER BY s_name
-""",
-    # two-stage hybrid retrieval: BM25 top-20 (the bm25_topk CTE with
-    # LIMIT 20) reranked by embedding cosine to the rank-1 hit
-    "hybrid_search": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join','window') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-), cand AS (
-  SELECT doc_id, score,
-         row_number() OVER (ORDER BY score DESC, doc_id) AS rn
-  FROM scores ORDER BY score DESC, doc_id LIMIT 20
-), withe AS (
-  SELECT c.rn, c.doc_id, c.score, e.embedding
-  FROM cand c JOIN embeddings e ON e.vec_id = c.doc_id
-), anchor AS (
-  SELECT embedding AS ae, rn AS arn FROM withe ORDER BY rn LIMIT 1
-), sims AS (
-  SELECT w.doc_id, w.score,
-         list_cosine_similarity(w.embedding::DOUBLE[],
-                                (SELECT ae FROM anchor)::DOUBLE[])
-           AS sim
-  FROM withe w WHERE w.rn > (SELECT arn FROM anchor)
-)
-SELECT doc_id,
-       CAST(floor(score*10000 + 0.5) AS BIGINT) AS bm25_x1e4,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4,
-       row_number() OVER (ORDER BY sim DESC, doc_id)::BIGINT AS rank
-FROM sims QUALIFY rank <= 10 ORDER BY rank
-""",
-    # tombstoned BM25: full-corpus statistics AND scores (stale-stats
-    # semantics), deleted docs filtered AFTER scoring
-    "delete_search": f"""
-WITH tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join','window') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-)
-SELECT doc_id, CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM scores WHERE doc_id % 7 <> 3
-ORDER BY score DESC, doc_id LIMIT 10
-""",
-    # post-purge BM25: statistics recomputed over the SURVIVING corpus
-    # only — the purged index is byte-identical to a fresh build
-    "purge_search": f"""
-WITH live AS (
-  SELECT doc_id, text FROM documents WHERE doc_id % 7 <> 3
-), tok AS (
-  SELECT doc_id, unnest({TOKS}) AS tok FROM live
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join','window') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM live)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM live)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-)
-SELECT doc_id, CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM scores ORDER BY score DESC, doc_id LIMIT 10
-""",
-    "pagerank": """
-WITH e0 AS (
-  SELECT event_type, user_id,
-         lead(user_id) OVER (PARTITION BY event_type
-                             ORDER BY ts, event_id) AS nxt
-  FROM events
-), e AS (
-  SELECT user_id AS src, nxt AS dst FROM e0
-  WHERE nxt IS NOT NULL AND nxt <> user_id
-), nodes AS (SELECT DISTINCT user_id AS node FROM events),
-nn AS (SELECT count(*)::BIGINT AS cnt FROM nodes),
-od AS (SELECT src, count(*)::BIGINT AS outdeg FROM e GROUP BY 1),
-r0 AS (SELECT node, (1000000000000 // cnt)::BIGINT AS r
-       FROM nodes CROSS JOIN nn),
-c1 AS (SELECT e.dst AS node, sum(r0.r // od.outdeg)::BIGINT AS s
-       FROM e JOIN r0 ON e.src = r0.node JOIN od ON od.src = e.src
-       GROUP BY 1),
-r1 AS (SELECT nodes.node,
-              ((15 * 1000000000000 // 100) // cnt
-               + (85 * COALESCE(c1.s, 0)) // 100)::BIGINT AS r
-       FROM nodes CROSS JOIN nn LEFT JOIN c1 ON nodes.node = c1.node),
-c2 AS (SELECT e.dst AS node, sum(r1.r // od.outdeg)::BIGINT AS s
-       FROM e JOIN r1 ON e.src = r1.node JOIN od ON od.src = e.src
-       GROUP BY 1),
-r2 AS (SELECT nodes.node,
-              ((15 * 1000000000000 // 100) // cnt
-               + (85 * COALESCE(c2.s, 0)) // 100)::BIGINT AS r
-       FROM nodes CROSS JOIN nn LEFT JOIN c2 ON nodes.node = c2.node),
-c3 AS (SELECT e.dst AS node, sum(r2.r // od.outdeg)::BIGINT AS s
-       FROM e JOIN r2 ON e.src = r2.node JOIN od ON od.src = e.src
-       GROUP BY 1),
-r3 AS (SELECT nodes.node,
-              ((15 * 1000000000000 // 100) // cnt
-               + (85 * COALESCE(c3.s, 0)) // 100)::BIGINT AS r
-       FROM nodes CROSS JOIN nn LEFT JOIN c3 ON nodes.node = c3.node)
-SELECT node AS user_id, r AS rank_x1e12 FROM r3 ORDER BY user_id
-""",
-    "bfs_reach": """
-WITH e0 AS (
-  SELECT event_type, user_id,
-         lead(user_id) OVER (PARTITION BY event_type
-                             ORDER BY ts, event_id) AS nxt
-  FROM events
-), e AS (
-  SELECT user_id AS src, nxt AS dst FROM e0
-  WHERE nxt IS NOT NULL AND nxt <> user_id
-), s AS (
-  SELECT DISTINCT user_id AS node FROM events WHERE user_id % 97 = 0
-), h1 AS (
-  SELECT DISTINCT e.dst AS node FROM e JOIN s ON e.src = s.node
-  WHERE e.dst NOT IN (SELECT node FROM s)
-), h2 AS (
-  SELECT DISTINCT e.dst AS node FROM e JOIN h1 ON e.src = h1.node
-  WHERE e.dst NOT IN (SELECT node FROM s UNION ALL
-                      SELECT node FROM h1)
-), h3 AS (
-  SELECT DISTINCT e.dst AS node FROM e JOIN h2 ON e.src = h2.node
-  WHERE e.dst NOT IN (SELECT node FROM s UNION ALL
-                      SELECT node FROM h1 UNION ALL
-                      SELECT node FROM h2)
-)
-SELECT node AS user_id, hops FROM (
-  SELECT node, 0::BIGINT AS hops FROM s
-  UNION ALL SELECT node, 1::BIGINT FROM h1
-  UNION ALL SELECT node, 2::BIGINT FROM h2
-  UNION ALL SELECT node, 3::BIGINT FROM h3
-) ORDER BY user_id
-""",
-    "fuzzy_term": f"""
-WITH v AS (
-  SELECT DISTINCT unnest({TOKS}) AS tok FROM documents
-), t AS (
-  SELECT tok,
-         list_distinct(list_transform(range(1, length(tok) - 1),
-                                      i -> substr(tok, CAST(i AS INT),
-                                                  3))) AS gs
-  FROM v WHERE length(tok) >= 3
-), s AS (
-  SELECT tok, len(list_intersect(gs, ['spa', 'par', 'arc'])) AS inter,
-         len(gs) AS ng
-  FROM t
-)
-SELECT tok AS token,
-       ((inter * 1000000) // (ng + 3 - inter))::BIGINT AS jacc_x1e6
-FROM s WHERE inter >= 1
-ORDER BY jacc_x1e6 DESC, token LIMIT 10
-""",
-    "substring_search": """
-SELECT doc_id FROM documents WHERE contains(text, 'k join')
-ORDER BY doc_id
-""",
-    "wildcard_search": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok FROM documents
-), d AS (
-  SELECT tok, count(DISTINCT doc_id)::BIGINT AS df
-  FROM toks GROUP BY 1
-)
-SELECT tok AS token, df FROM d WHERE tok LIKE 't%e'
-ORDER BY df DESC, token LIMIT 10
-""",
-    "autocomplete": """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok FROM documents
-), d AS (
-  SELECT tok, count(DISTINCT doc_id)::BIGINT AS df
-  FROM toks GROUP BY 1
-)
-SELECT tok AS token, df FROM d WHERE tok LIKE 's%'
-ORDER BY df DESC, token LIMIT 5
-""",
-    "related_terms": """
-WITH toks AS (
-  SELECT DISTINCT doc_id, unnest(string_split(text, ' ')) AS tok
-  FROM documents
-), stats AS (
-  SELECT tok, count(*)::BIGINT AS df,
-         sum(CASE WHEN doc_id IN (SELECT doc_id FROM toks
-                                  WHERE tok = 'spark')
-             THEN 1 ELSE 0 END)::BIGINT AS pair
-  FROM toks GROUP BY 1
-)
-SELECT tok AS token, df, pair,
-       ((pair * 1000000) // df)::BIGINT AS conf_x1e6
-FROM stats WHERE pair >= 1 AND tok <> 'spark'
-ORDER BY conf_x1e6 DESC, df DESC, token LIMIT 10
-""",
-    # exact kNN graph: quadratic self-join ground truth (documented
-    # quadratic-oracle family — the ENGINE is block-bounded, the
-    # oracle is O(n²) by definition of exactness)
-    "knn_graph": """
-WITH sims AS (
-  SELECT a.vec_id AS vec_id, b.vec_id AS nbr_id,
-         list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]) AS sim
-  FROM embeddings a JOIN embeddings b ON a.vec_id <> b.vec_id
-)
-SELECT vec_id, nbr_id,
-       row_number() OVER (PARTITION BY vec_id
-                          ORDER BY sim DESC, nbr_id)::BIGINT AS rank,
-       CAST(floor(sim*10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims QUALIFY rank <= 3 ORDER BY vec_id, rank
-""",
-    # SemDeDup: same seeded-centroid assignment CTE as ann_ivf_topk,
-    # then an earlier-id same-cluster neighbor EXISTS at the x1e4
-    # threshold
-    "semdedup": """
-WITH cent AS (
-  SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c, embedding AS ce
-  FROM (SELECT * FROM embeddings ORDER BY vec_id LIMIT 8)
-), asg AS (
-  SELECT e.vec_id, e.embedding, c.c,
-         row_number() OVER (
-           PARTITION BY e.vec_id
-           ORDER BY list_cosine_similarity(c.ce::DOUBLE[], e.embedding::DOUBLE[]) DESC, c.c
-         ) AS rn
-  FROM embeddings e CROSS JOIN cent c
-), b AS (
-  SELECT vec_id, embedding, c FROM asg WHERE rn = 1
-), dup AS (
-  SELECT DISTINCT x.vec_id
-  FROM b x JOIN b y ON x.c = y.c AND y.vec_id < x.vec_id
-  WHERE CAST(floor(list_cosine_similarity(x.embedding::DOUBLE[],
-                                           y.embedding::DOUBLE[])
-                   * 10000 + 0.5) AS BIGINT) >= 4000
-)
-SELECT b.vec_id, b.c::BIGINT AS cluster,
-       (dup.vec_id IS NULL) AS keep
-FROM b LEFT JOIN dup ON dup.vec_id = b.vec_id
-ORDER BY b.vec_id
-""",
-    # deep pagination: the oracle ranks the full BM25 result with one
-    # row_number window and slices ranks 11-20 — cursor-equivalence
-    # holds because (score desc, doc_id asc) is a total order
-    "bm25_page": """
-WITH tok AS (
-  SELECT doc_id, unnest(list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '')) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark','join','window') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 + 0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-), ranked AS (
-  SELECT doc_id, score,
-         row_number() OVER (ORDER BY score DESC, doc_id) AS rank
-  FROM scores
-)
-SELECT rank::BIGINT AS rank, doc_id,
-       CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM ranked WHERE rank BETWEEN 11 AND 20 ORDER BY rank
-""",
-    # snapshot diff: the oracle derives version B with the same mix32
-    # (HUGEINT arithmetic + xor) and classifies via a FULL OUTER JOIN
-    # with IS DISTINCT FROM column compares
-    "orders_diff": """
-WITH h1 AS (
-  SELECT *, CAST((CAST(o_orderkey AS HUGEINT) * 2654435761)
-                 % 4294967296 AS BIGINT) AS v
-  FROM orders
-), h2 AS (
-  SELECT * REPLACE (CAST((CAST(xor(v, v >> 16) AS HUGEINT)
-                          * 2246822519) % 4294967296 AS BIGINT) AS v)
-  FROM h1
-), hh AS (
-  SELECT *, xor(v, v >> 13) % 19 AS h FROM h2
-), b AS (
-  SELECT o_orderkey, o_custkey, o_orderstatus, o_totalprice,
-         o_orderdate,
-         CASE WHEN h = 7 THEN '9-SYNTH'
-              ELSE o_orderpriority END AS o_orderpriority
-  FROM hh WHERE h <> 0
-  UNION ALL
-  SELECT o_orderkey + 10000000, o_custkey, o_orderstatus,
-         o_totalprice, o_orderdate, '0-NEW'
-  FROM hh WHERE h = 3
-), d AS (
-  SELECT coalesce(a.o_orderkey, b.o_orderkey) AS o_orderkey,
-         CASE WHEN b.o_orderkey IS NULL THEN 'removed'
-              WHEN a.o_orderkey IS NULL THEN 'added'
-              WHEN (a.o_custkey IS DISTINCT FROM b.o_custkey)
-                OR (a.o_orderstatus IS DISTINCT FROM b.o_orderstatus)
-                OR (a.o_totalprice IS DISTINCT FROM b.o_totalprice)
-                OR (a.o_orderdate IS DISTINCT FROM b.o_orderdate)
-                OR (a.o_orderpriority IS DISTINCT FROM
-                    b.o_orderpriority)
-              THEN 'changed' END AS change
-  FROM orders a FULL OUTER JOIN b ON a.o_orderkey = b.o_orderkey
-)
-SELECT o_orderkey, change FROM d WHERE change IS NOT NULL
-ORDER BY o_orderkey
-""",
-    # audience overlap: distinct (user, type) pairs self-joined on
-    # user with a < b value order — the engine's value-ranked
-    # dictionary codes reproduce VARCHAR binary collation
-    "type_overlap": """
-WITH d AS (SELECT DISTINCT user_id, event_type FROM events)
-SELECT a.event_type AS type_a, b.event_type AS type_b,
-       count(*)::BIGINT AS n_users
-FROM d a JOIN d b
-  ON a.user_id = b.user_id AND a.event_type < b.event_type
-GROUP BY 1, 2 ORDER BY 1, 2
-""",
-    "part_pairs": """
-WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-p AS (
-  SELECT a.l_partkey AS part_a, b.l_partkey AS part_b,
-         count(*)::BIGINT AS n_orders
-  FROM d a JOIN d b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-  GROUP BY 1, 2
-)
-SELECT * FROM p ORDER BY n_orders DESC, part_a, part_b LIMIT 100
-""",
-    "events_quantiles_cont": """
-WITH q AS (
-  SELECT event_type,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS v
-  FROM events WHERE value IS NOT NULL
-), r AS (
-  SELECT event_type, v,
-         row_number() OVER (PARTITION BY event_type ORDER BY v) - 1
-           AS rn,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM q
-), px AS (
-  SELECT event_type, n, unnest([50, 90, 99]) AS pct
-  FROM (SELECT DISTINCT event_type, n FROM r)
-), b AS (
-  SELECT event_type, pct, n,
-         (pct * (n - 1)) // 100 AS idx,
-         (pct * (n - 1)) % 100 AS frac
-  FROM px
-)
-SELECT b.event_type, b.pct::BIGINT AS pct,
-       (lo.v * (100 - b.frac) + hi.v * b.frac)::BIGINT AS value_x1e6
-FROM b
-JOIN r lo ON lo.event_type = b.event_type AND lo.rn = b.idx
-JOIN r hi ON hi.event_type = b.event_type
-         AND hi.rn = LEAST(b.idx + 1, b.n - 1)
-ORDER BY b.event_type, b.pct
-""",
-    "events_ols": """
-WITH e AS (
-  SELECT event_type,
-         (epoch_us(ts) // 60000000) - 28401120 AS x,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS y
-  FROM events
-), g AS (
-  SELECT event_type, count(*)::HUGEINT AS n,
-         sum(x::HUGEINT) AS sx, sum(y::HUGEINT) AS sy,
-         sum((x::HUGEINT) * x) AS sxx, sum((x::HUGEINT) * y) AS sxy
-  FROM e GROUP BY 1
-), c AS (
-  SELECT event_type, n,
-         n * sxy - sx * sy AS num,
-         n * sxx - sx * sx AS den,
-         sy * sxx - sx * sxy AS inum
-  FROM g
-)
-SELECT event_type, n::BIGINT AS n,
-  (CASE WHEN den = 0 THEN 0
-        WHEN num < 0 THEN -(((-num) * 1000000) // den)
-        ELSE (num * 1000000) // den END)::BIGINT AS slope_x1e6,
-  (CASE WHEN den = 0 THEN 0
-        WHEN inum < 0 THEN -((-inum) // den)
-        ELSE inum // den END)::BIGINT AS icept_x1e4
-FROM c ORDER BY event_type
-""",
-    "table_checksum": """
-WITH ok AS (
-  SELECT (CAST(o_orderkey AS BIGINT) * 1000003
-          + o_custkey * 10007
-          + CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) * 31) AS k
-  FROM orders
-), lk AS (
-  SELECT (CAST(l_orderkey AS BIGINT) * 1000003
-          + CAST(l_linenumber AS BIGINT) * 10007
-          + CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) * 31)
-         AS k
-  FROM lineitem
-), oh AS (
-  SELECT xor(v2, v2 >> 13) AS h FROM (
-    SELECT CAST((CAST(xor(v1, v1 >> 16) AS HUGEINT) * 2246822519)
-                % 4294967296 AS BIGINT) AS v2
-    FROM (SELECT CAST((CAST(k AS HUGEINT) * 2654435761)
-                      % 4294967296 AS BIGINT) AS v1 FROM ok))
-), lh AS (
-  SELECT xor(v2, v2 >> 13) AS h FROM (
-    SELECT CAST((CAST(xor(v1, v1 >> 16) AS HUGEINT) * 2246822519)
-                % 4294967296 AS BIGINT) AS v2
-    FROM (SELECT CAST((CAST(k AS HUGEINT) * 2654435761)
-                      % 4294967296 AS BIGINT) AS v1 FROM lk))
-)
-SELECT 'lineitem' AS tbl, count(*)::BIGINT AS n,
-       (sum(h::HUGEINT) % 9223372036854775808)::BIGINT AS hash_sum
-FROM lh
-UNION ALL
-SELECT 'orders' AS tbl, count(*)::BIGINT AS n,
-       (sum(h::HUGEINT) % 9223372036854775808)::BIGINT AS hash_sum
-FROM oh
-ORDER BY tbl
-""",
-    "sample_exact_k": """
-WITH h AS (
-  SELECT doc_id, source, n_chars, xor(v2, v2 >> 13) AS priority
-  FROM (
-    SELECT doc_id, source, n_chars,
-           CAST((CAST(xor(v1, v1 >> 16) AS HUGEINT) * 2246822519)
-                % 4294967296 AS BIGINT) AS v2
-    FROM (SELECT doc_id, source, n_chars,
-                 CAST((CAST(doc_id AS HUGEINT) * 2654435761)
-                      % 4294967296 AS BIGINT) AS v1
-          FROM documents))
-)
-SELECT doc_id, priority, source, n_chars FROM h
-ORDER BY priority, doc_id LIMIT 100
-""",
-    "events_mad": """
-WITH q AS (
-  SELECT event_type,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS v
-  FROM events WHERE value IS NOT NULL
-), m AS (
-  SELECT event_type, v,
-         row_number() OVER (PARTITION BY event_type ORDER BY v) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM q
-), med AS (
-  SELECT event_type, n, v AS med FROM m
-  WHERE rn = (n * 50 + 99) // 100
-), d AS (
-  SELECT q.event_type, abs(q.v - med.med) AS dv
-  FROM q JOIN med USING (event_type)
-), m2 AS (
-  SELECT event_type, dv,
-         row_number() OVER (PARTITION BY event_type ORDER BY dv) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM d
-)
-SELECT m2.event_type, med.n::BIGINT AS n, med.med AS median_x1e4,
-       m2.dv AS mad_x1e4
-FROM m2 JOIN med USING (event_type)
-WHERE m2.rn = (m2.n * 50 + 99) // 100
-ORDER BY m2.event_type
-""",
-    "embedding_gram": """
-WITH e AS (
-  SELECT vec_id,
-         list_transform(embedding,
-           x -> CAST(floor(CAST(x AS DOUBLE) * 10000 + 0.5)
-                     AS BIGINT)) AS q
-  FROM embeddings
-), u AS (
-  SELECT vec_id, gs AS i, q[gs] AS v
-  FROM e, generate_series(1, 64) AS t(gs)
-)
-SELECT a.i::BIGINT AS i, b.i::BIGINT AS j,
-       sum((a.v::HUGEINT) * b.v)::BIGINT AS sum_x1e8
-FROM u a JOIN u b ON a.vec_id = b.vec_id AND b.i >= a.i
-GROUP BY 1, 2 ORDER BY 1, 2
-""",
-    "min_should_match": """
-WITH m AS (
-  SELECT doc_id,
-         (CASE WHEN list_contains(toks, 'spark') THEN 1 ELSE 0 END
-        + CASE WHEN list_contains(toks, 'shuffle') THEN 1 ELSE 0 END
-        + CASE WHEN list_contains(toks, 'window') THEN 1 ELSE 0 END)
-           AS n_matched
-  FROM (SELECT doc_id,
-               list_filter(regexp_split_to_array(lower(text),
-                                                 '[^a-z0-9]+'),
-                           x -> x <> '') AS toks
-        FROM documents)
-)
-SELECT doc_id, n_matched::BIGINT AS n_matched FROM m
-WHERE n_matched >= 2 ORDER BY doc_id
-""",
-    "kmeans_step": """
-WITH e AS (
-  SELECT vec_id,
-         list_transform(embedding,
-           x -> CAST(floor(CAST(x AS DOUBLE) * 10000 + 0.5)
-                     AS BIGINT)) AS q
-  FROM embeddings
-), seeds AS (
-  SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c, q AS cq
-  FROM e ORDER BY vec_id LIMIT 8
-), u AS (
-  SELECT vec_id, gs AS dim, q[gs] AS v
-  FROM e, generate_series(1, 64) t(gs)
-), su AS (
-  SELECT c, gs AS dim, cq[gs] AS cv
-  FROM seeds, generate_series(1, 64) t(gs)
-), dist AS (
-  SELECT u.vec_id, su.c, sum((u.v - su.cv) * (u.v - su.cv)) AS d2
-  FROM u JOIN su USING (dim) GROUP BY 1, 2
-), asg AS (
-  SELECT vec_id, c FROM (
-    SELECT vec_id, c,
-           row_number() OVER (PARTITION BY vec_id
-                              ORDER BY d2, c) AS rn
-    FROM dist)
-  WHERE rn = 1
-)
-SELECT a.c::BIGINT AS cluster, u.dim::BIGINT AS dim,
-       count(*)::BIGINT AS n, sum(u.v)::BIGINT AS sum_x1e4
-FROM asg a JOIN u USING (vec_id) GROUP BY 1, 2 ORDER BY 1, 2
-""",
-    "corrected_search": """
-WITH v AS (
-  SELECT DISTINCT unnest(list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '')) AS tok FROM documents
-), tg AS (
-  SELECT tok, list_distinct(list_transform(range(1, length(tok) - 1),
-                                           i -> substr(tok,
-                                                       CAST(i AS INT),
-                                                       3))) AS gs
-  FROM v WHERE length(tok) >= 3
-), q(qtok, qg) AS (
-  VALUES ('sparkk', ['spa', 'par', 'ark', 'rkk']),
-         ('windoww', ['win', 'ind', 'ndo', 'dow', 'oww']),
-         ('joinz', ['joi', 'oin', 'inz'])
-), sc AS (
-  SELECT q.qtok, tg.tok,
-         len(list_intersect(tg.gs, q.qg)) AS inter,
-         len(tg.gs) + len(q.qg) - len(list_intersect(tg.gs, q.qg))
-           AS un
-  FROM tg, q
-), best AS (
-  SELECT tok FROM (
-    SELECT qtok, tok,
-           row_number() OVER (PARTITION BY qtok
-             ORDER BY (inter * 1000000) // un DESC, tok ASC) AS rn
-    FROM sc WHERE inter >= 1)
-  WHERE rn = 1
-), ct AS (SELECT DISTINCT tok FROM best),
-tokd AS (
-  SELECT doc_id, unnest(list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '')) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tokd
-  WHERE tok IN (SELECT tok FROM ct) GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tokd GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tokd)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 +
-                                      0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-)
-SELECT doc_id, CAST(floor(score*10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM scores ORDER BY score DESC, doc_id LIMIT 10
-""",
-    "weighted_median": """
-WITH q AS (
-  SELECT l_returnflag AS k,
-         CAST(floor(l_extendedprice * 10000 + 0.5) AS BIGINT) AS v,
-         CAST(floor(l_quantity + 0.5) AS BIGINT) AS w
-  FROM lineitem
-), g AS (
-  SELECT k, v, sum(w)::BIGINT AS w FROM q GROUP BY 1, 2
-), c AS (
-  SELECT k, v, sum(w) OVER (PARTITION BY k ORDER BY v) AS cw,
-         sum(w) OVER (PARTITION BY k) AS tw
-  FROM g
-)
-SELECT k AS l_returnflag, min(tw)::BIGINT AS total_w,
-       min(v)::BIGINT AS wmedian_x1e4
-FROM c WHERE cw >= (tw * 50 + 99) // 100
-GROUP BY k ORDER BY k
-""",
-    "events_iqr": """
-WITH q AS (
-  SELECT event_type,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS v
-  FROM events WHERE value IS NOT NULL
-), m AS (
-  SELECT event_type, v,
-         row_number() OVER (PARTITION BY event_type ORDER BY v) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM q
-), qs AS (
-  SELECT event_type, n,
-         min(CASE WHEN rn = (n * 25 + 99) // 100 THEN v END) AS q1,
-         min(CASE WHEN rn = (n * 75 + 99) // 100 THEN v END) AS q3
-  FROM m GROUP BY 1, 2
-)
-SELECT q.event_type, qs.n::BIGINT AS n, qs.q1 AS q1_x1e4,
-       qs.q3 AS q3_x1e4,
-       count(*) FILTER (2 * q.v < 5 * qs.q1 - 3 * qs.q3
-                        OR 2 * q.v > 5 * qs.q3 - 3 * qs.q1)::BIGINT
-         AS n_outliers
-FROM q JOIN qs USING (event_type)
-GROUP BY 1, 2, 3, 4 ORDER BY 1
-""",
-    "kmv_overlap": """
-WITH f AS (
-  SELECT event_type AS side, user_id FROM events
-  WHERE event_type IN ('purchase', 'click')
-    AND CAST(floor(value * 10000 + 0.5) AS BIGINT) > 3000000
-), uh AS (
-  SELECT DISTINCT side, xor(v2, v2 >> 13) AS h FROM (
-    SELECT side,
-           CAST((CAST(xor(v1, v1 >> 16) AS HUGEINT) * 2246822519)
-                % 4294967296 AS BIGINT) AS v2
-    FROM (SELECT side,
-                 CAST((CAST(user_id AS HUGEINT) * 2654435761)
-                      % 4294967296 AS BIGINT) AS v1 FROM f))
-), a AS (SELECT h FROM uh WHERE side = 'purchase'
-         ORDER BY h LIMIT 64),
-b AS (SELECT h FROM uh WHERE side = 'click' ORDER BY h LIMIT 64),
-u AS (SELECT DISTINCT h
-      FROM (SELECT h FROM a UNION ALL SELECT h FROM b)
-      ORDER BY h LIMIT 64),
-s AS (
-  SELECT count(*)::BIGINT AS k_eff, max(h)::BIGINT AS theta,
-         (SELECT count(*) FROM u
-          WHERE h IN (SELECT h FROM a)
-            AND h IN (SELECT h FROM b))::BIGINT AS c
-  FROM u
-)
-SELECT k_eff, theta, c,
-  (CASE WHEN k_eff < 64 THEN k_eff
-        ELSE ((k_eff - 1) * 4294967296) // theta END)::BIGINT
-    AS union_est,
-  (c * 1000000 // k_eff)::BIGINT AS jacc_x1e6,
-  (c * (CASE WHEN k_eff < 64 THEN k_eff
-             ELSE ((k_eff - 1) * 4294967296) // theta END)
-   // k_eff)::BIGINT AS inter_est
-FROM s
-""",
-    "sample_k_per_group": """
-WITH h AS (
-  SELECT lang, doc_id, xor(v2, v2 >> 13) AS priority FROM (
-    SELECT lang, doc_id,
-           CAST((CAST(xor(v1, v1 >> 16) AS HUGEINT) * 2246822519)
-                % 4294967296 AS BIGINT) AS v2
-    FROM (SELECT lang, doc_id,
-                 CAST((CAST(doc_id AS HUGEINT) * 2654435761)
-                      % 4294967296 AS BIGINT) AS v1
-          FROM documents))
-)
-SELECT lang, doc_id, priority FROM (
-  SELECT lang, doc_id, priority,
-         row_number() OVER (PARTITION BY lang
-                            ORDER BY priority, doc_id) AS rn
-  FROM h)
-WHERE rn <= 20 ORDER BY lang, priority, doc_id
-""",
-    "fk_orphans": """
-SELECT 'lineitem->orders' AS relation,
-       (SELECT count(*) FROM lineitem)::BIGINT AS n_child,
-       (SELECT count(*) FROM lineitem l
-        WHERE NOT EXISTS (SELECT 1 FROM orders o
-                          WHERE o.o_orderkey = l.l_orderkey))::BIGINT
-         AS n_orphans
-UNION ALL
-SELECT 'orders->customer' AS relation,
-       (SELECT count(*) FROM orders)::BIGINT AS n_child,
-       (SELECT count(*) FROM orders o
-        WHERE NOT EXISTS (SELECT 1 FROM customer c
-                          WHERE c.c_custkey = o.o_custkey))::BIGINT
-         AS n_orphans
-ORDER BY relation
-""",
-    "lineitem_corr_matrix": """
-WITH b AS (
-  SELECT CAST(floor(l_quantity * 100 + 0.5) AS BIGINT) AS qty,
-         CAST(floor(l_extendedprice + 0.5) AS BIGINT) AS price,
-         CAST(floor(l_discount * 100 + 0.5) AS BIGINT) AS disc,
-         CAST(floor(l_tax * 100 + 0.5) AS BIGINT) AS tax
-  FROM lineitem
-), m AS (
-  SELECT count(*)::BIGINT AS n,
-         sum(disc)::BIGINT AS s_disc, sum(price)::BIGINT AS s_price,
-         sum(qty)::BIGINT AS s_qty, sum(tax)::BIGINT AS s_tax,
-         sum(disc * disc)::BIGINT AS m_dd,
-         sum(price * price)::BIGINT AS m_pp,
-         sum(qty * qty)::BIGINT AS m_qq,
-         sum(tax * tax)::BIGINT AS m_tt,
-         sum(disc * price)::BIGINT AS m_dp,
-         sum(disc * qty)::BIGINT AS m_dq,
-         sum(disc * tax)::BIGINT AS m_dt,
-         sum(price * qty)::BIGINT AS m_pq,
-         sum(price * tax)::BIGINT AS m_pt,
-         sum(qty * tax)::BIGINT AS m_qt
-  FROM b
-)
-SELECT 'disc' AS var_a, 'price' AS var_b, n,
-  CAST(floor(((n::HUGEINT * m_dp - s_disc::HUGEINT * s_price)::DOUBLE
-    / (sqrt((n::HUGEINT * m_dd - s_disc::HUGEINT * s_disc)::DOUBLE)
-     * sqrt((n::HUGEINT * m_pp - s_price::HUGEINT * s_price)::DOUBLE)))
-    * 1000000 + 0.5) AS BIGINT) AS corr_x1e6 FROM m
-UNION ALL
-SELECT 'disc', 'qty', n,
-  CAST(floor(((n::HUGEINT * m_dq - s_disc::HUGEINT * s_qty)::DOUBLE
-    / (sqrt((n::HUGEINT * m_dd - s_disc::HUGEINT * s_disc)::DOUBLE)
-     * sqrt((n::HUGEINT * m_qq - s_qty::HUGEINT * s_qty)::DOUBLE)))
-    * 1000000 + 0.5) AS BIGINT) FROM m
-UNION ALL
-SELECT 'disc', 'tax', n,
-  CAST(floor(((n::HUGEINT * m_dt - s_disc::HUGEINT * s_tax)::DOUBLE
-    / (sqrt((n::HUGEINT * m_dd - s_disc::HUGEINT * s_disc)::DOUBLE)
-     * sqrt((n::HUGEINT * m_tt - s_tax::HUGEINT * s_tax)::DOUBLE)))
-    * 1000000 + 0.5) AS BIGINT) FROM m
-UNION ALL
-SELECT 'price', 'qty', n,
-  CAST(floor(((n::HUGEINT * m_pq - s_price::HUGEINT * s_qty)::DOUBLE
-    / (sqrt((n::HUGEINT * m_pp - s_price::HUGEINT * s_price)::DOUBLE)
-     * sqrt((n::HUGEINT * m_qq - s_qty::HUGEINT * s_qty)::DOUBLE)))
-    * 1000000 + 0.5) AS BIGINT) FROM m
-UNION ALL
-SELECT 'price', 'tax', n,
-  CAST(floor(((n::HUGEINT * m_pt - s_price::HUGEINT * s_tax)::DOUBLE
-    / (sqrt((n::HUGEINT * m_pp - s_price::HUGEINT * s_price)::DOUBLE)
-     * sqrt((n::HUGEINT * m_tt - s_tax::HUGEINT * s_tax)::DOUBLE)))
-    * 1000000 + 0.5) AS BIGINT) FROM m
-UNION ALL
-SELECT 'qty', 'tax', n,
-  CAST(floor(((n::HUGEINT * m_qt - s_qty::HUGEINT * s_tax)::DOUBLE
-    / (sqrt((n::HUGEINT * m_qq - s_qty::HUGEINT * s_qty)::DOUBLE)
-     * sqrt((n::HUGEINT * m_tt - s_tax::HUGEINT * s_tax)::DOUBLE)))
-    * 1000000 + 0.5) AS BIGINT) FROM m
-ORDER BY var_a, var_b
-""",
-    "events_ewma": """
-WITH RECURSIVE h AS (
-  SELECT event_type, epoch_us(ts) // 3600000000 AS w,
-         count(*)::BIGINT AS c
-  FROM events GROUP BY 1, 2
-), o AS (
-  SELECT event_type, c,
-         row_number() OVER (PARTITION BY event_type ORDER BY w) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS nh
-  FROM h
-), r AS (
-  SELECT event_type, rn, nh, c AS s FROM o WHERE rn = 1
-  UNION ALL
-  SELECT o.event_type, o.rn, o.nh, (o.c + r.s) // 2
-  FROM r JOIN o ON o.event_type = r.event_type AND o.rn = r.rn + 1
-)
-SELECT event_type, nh::BIGINT AS n_hours, s::BIGINT AS ewma
-FROM r WHERE rn = nh ORDER BY event_type
-""",
-    "pq_codes": """
-WITH e AS (
-  SELECT vec_id,
-         list_transform(embedding,
-           x -> CAST(floor(CAST(x AS DOUBLE) * 10000 + 0.5)
-                     AS BIGINT)) AS q
-  FROM embeddings
-), seeds AS (
-  SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c, q AS cq
-  FROM e ORDER BY vec_id LIMIT 16
-), u AS (
-  SELECT vec_id, (gs - 1) // 8 AS sub, gs AS dim, q[gs] AS v
-  FROM e, generate_series(1, 64) t(gs)
-), su AS (
-  SELECT c, gs AS dim, cq[gs] AS cv
-  FROM seeds, generate_series(1, 64) t(gs)
-), dist AS (
-  SELECT u.vec_id, u.sub, su.c,
-         sum((u.v - su.cv) * (u.v - su.cv)) AS d2
-  FROM u JOIN su USING (dim) GROUP BY 1, 2, 3
-)
-SELECT vec_id, sub::BIGINT AS sub, c::BIGINT AS code FROM (
-  SELECT vec_id, sub, c,
-         row_number() OVER (PARTITION BY vec_id, sub
-                            ORDER BY d2, c) AS rn
-  FROM dist)
-WHERE rn = 1 ORDER BY vec_id, sub
-""",
-    "feature_vectors": """
-WITH tok AS (
-  SELECT doc_id, unnest(list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '')) AS tok FROM documents
-), v AS (
-  SELECT DISTINCT tok FROM tok
-), r AS (
-  SELECT tok, (row_number() OVER (ORDER BY tok) - 1) % 64 AS slot
-  FROM v
-)
-SELECT doc_id, r.slot::BIGINT AS slot, count(*)::BIGINT AS n
-FROM tok JOIN r USING (tok)
-WHERE doc_id % 50 = 0
-GROUP BY 1, 2 ORDER BY doc_id, slot
-""",
-    "multi_vector_search": """
-WITH q AS (
-  SELECT embedding AS qe FROM embeddings WHERE vec_id IN (0, 1, 2)
-), sims AS (
-  SELECT e.vec_id,
-         max(list_cosine_similarity(q.qe::DOUBLE[],
-                                    e.embedding::DOUBLE[])) AS sim
-  FROM q CROSS JOIN embeddings e
-  WHERE e.vec_id NOT IN (0, 1, 2)
-  GROUP BY 1
-)
-SELECT vec_id,
-       row_number() OVER (ORDER BY sim DESC, vec_id)::BIGINT AS rank,
-       CAST(floor(sim * 10000 + 0.5) AS BIGINT) AS sim_x1e4
-FROM sims QUALIFY rank <= 10 ORDER BY rank
-""",
-    "collocations": """
-WITH tok AS (
-  SELECT doc_id,
-         unnest(list_distinct(list_filter(regexp_split_to_array(
-           lower(text), '[^a-z0-9]+'), x -> x <> ''))) AS tok
-  FROM documents
-), df AS (
-  SELECT tok, count(*)::BIGINT AS df FROM tok GROUP BY 1
-), top AS (
-  SELECT tok, df FROM df ORDER BY df DESC, tok LIMIT 50
-), p AS (
-  SELECT a.tok AS tok_a, b.tok AS tok_b, count(*)::BIGINT AS pair
-  FROM tok a JOIN tok b USING (doc_id)
-  WHERE a.tok < b.tok
-    AND a.tok IN (SELECT tok FROM top)
-    AND b.tok IN (SELECT tok FROM top)
-  GROUP BY 1, 2
-), n AS (SELECT count(*)::HUGEINT AS nd FROM documents)
-SELECT tok_a, tok_b, pair,
-       (pair::HUGEINT * nd * 1000000
-        // (ta.df::HUGEINT * tb.df))::BIGINT AS lift_x1e6
-FROM p
-JOIN top ta ON ta.tok = p.tok_a
-JOIN top tb ON tb.tok = p.tok_b
-CROSS JOIN n
-WHERE pair >= 5
-ORDER BY lift_x1e6 DESC, tok_a, tok_b LIMIT 20
-""",
-    "equi_depth_bins": """
-WITH v AS (
-  SELECT event_type,
-         CAST(floor(value * 10000 + 0.5) AS BIGINT) AS vq
-  FROM events WHERE value IS NOT NULL
-)
-SELECT event_type, pct, value_x1e4 FROM (
-  SELECT event_type, 10::BIGINT AS pct,
-         quantile_disc(vq, 0.10) AS value_x1e4 FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 20::BIGINT, quantile_disc(vq, 0.20)
-  FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 30::BIGINT, quantile_disc(vq, 0.30)
-  FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 40::BIGINT, quantile_disc(vq, 0.40)
-  FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 50::BIGINT, quantile_disc(vq, 0.50)
-  FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 60::BIGINT, quantile_disc(vq, 0.60)
-  FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 70::BIGINT, quantile_disc(vq, 0.70)
-  FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 80::BIGINT, quantile_disc(vq, 0.80)
-  FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 90::BIGINT, quantile_disc(vq, 0.90)
-  FROM v GROUP BY 1
-  UNION ALL SELECT event_type, 100::BIGINT, quantile_disc(vq, 1.00)
-  FROM v GROUP BY 1
-)
-ORDER BY event_type, pct
-""",
-    "conversion_lag": """
-WITH c AS (
-  SELECT user_id, min(ts) AS mc FROM events
-  WHERE event_type = 'click' GROUP BY 1
-), p AS (
-  SELECT e.user_id,
-         min(epoch_us(e.ts) - epoch_us(c.mc)) AS lag_us
-  FROM events e JOIN c USING (user_id)
-  WHERE e.event_type = 'purchase' AND e.ts >= c.mc
-  GROUP BY 1
-)
-SELECT user_id, (lag_us // 1000000)::BIGINT AS lag_s
-FROM p ORDER BY user_id
-""",
-    "benford_prices": """
-WITH d AS (
-  SELECT CAST(substr(CAST(CAST(floor(o_totalprice * 100 + 0.5)
-                               AS BIGINT) AS VARCHAR), 1, 1)
-              AS BIGINT) AS digit
-  FROM orders
-), g AS (
-  SELECT digit, count(*)::BIGINT AS n FROM d GROUP BY 1
-), t AS (SELECT sum(n)::HUGEINT AS total FROM g)
-SELECT digit, n, (n::HUGEINT * 1000000 // total)::BIGINT
-         AS share_x1e6
-FROM g CROSS JOIN t ORDER BY digit
-""",
-    "paren_query": """
-WITH d AS (
-  SELECT doc_id, n_chars,
-         list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
-                     x -> x <> '') AS toks
-  FROM documents
-)
-SELECT doc_id FROM d
-WHERE (list_contains(toks, 'spark') OR list_contains(toks, 'batch'))
-  AND NOT (list_contains(toks, 'window')
-           OR list_contains(toks, 'merge'))
-  AND n_chars >= 300
-ORDER BY doc_id
-""",
-    "phrase_bool": """
-WITH t AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '') AS toks FROM documents
-), p AS (
-  SELECT doc_id, unnest(toks) AS tok,
-         generate_subscripts(toks, 1) AS ord FROM t
-), th AS (
-  SELECT DISTINCT p1.doc_id FROM p p1
-  JOIN p p2 ON p2.doc_id = p1.doc_id AND p2.ord = p1.ord + 1
-           AND p2.tok = 'hash'
-  WHERE p1.tok = 'table'
-), mg AS (
-  SELECT DISTINCT p1.doc_id FROM p p1
-  JOIN p p2 ON p2.doc_id = p1.doc_id AND p2.ord = p1.ord + 1
-           AND p2.tok = 'group'
-  WHERE p1.tok = 'merge'
-), ost AS (
-  SELECT DISTINCT p1.doc_id FROM p p1
-  JOIN p p2 ON p2.doc_id = p1.doc_id AND p2.ord = p1.ord + 1
-           AND p2.tok = 'sort'
-  JOIN p p3 ON p3.doc_id = p1.doc_id AND p3.ord = p1.ord + 2
-           AND p3.tok = 'table'
-  WHERE p1.tok = 'order'
-)
-SELECT doc_id FROM (
-  SELECT doc_id FROM th
-  WHERE doc_id NOT IN (SELECT doc_id FROM mg)
-  UNION
-  SELECT doc_id FROM ost
-) ORDER BY doc_id
-""",
-    "near_bool": """
-WITH t AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '') AS toks FROM documents
-), p AS (
-  SELECT doc_id, unnest(toks) AS tok,
-         generate_subscripts(toks, 1) AS ord FROM t
-), a AS (
-  SELECT DISTINCT p1.doc_id FROM p p1
-  JOIN p p2 ON p2.doc_id = p1.doc_id AND p2.tok = 'window'
-           AND abs(p1.ord - p2.ord) <= 4
-  WHERE p1.tok = 'spark'
-), b AS (
-  SELECT DISTINCT p1.doc_id FROM p p1
-  JOIN p p2 ON p2.doc_id = p1.doc_id AND p2.tok = 'key'
-           AND abs(p1.ord - p2.ord) <= 3
-  WHERE p1.tok = 'slow'
-)
-SELECT doc_id FROM a
-WHERE doc_id NOT IN (SELECT doc_id FROM b)
-ORDER BY doc_id
-""",
-    "grouped_search": """
-WITH tok AS (
-  SELECT doc_id, unnest(list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '')) AS tok FROM documents
-), tf AS (
-  SELECT doc_id, tok, count(*)::DOUBLE AS tf FROM tok
-  WHERE tok IN ('spark', 'join') GROUP BY doc_id, tok
-), dl AS (
-  SELECT doc_id, count(*)::DOUBLE AS dl FROM tok GROUP BY doc_id
-), stats AS (
-  SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-         (SELECT count(*) FROM tok)::DOUBLE /
-         (SELECT count(*) FROM documents)::DOUBLE AS avgdl
-), df AS (
-  SELECT tok, count(*)::DOUBLE AS df FROM tf GROUP BY tok
-), scores AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (stats.n - df.df + 0.5)/(df.df + 0.5)) *
-             (tf.tf*2.2/(tf.tf + 1.2*(1 - 0.75 +
-                                      0.75*dl.dl/stats.avgdl))))
-           AS score
-  FROM tf JOIN df USING(tok) JOIN dl USING(doc_id) CROSS JOIN stats
-  GROUP BY tf.doc_id
-), el AS (
-  SELECT d.doc_id, d.lang FROM documents d
-  WHERE list_contains(list_filter(regexp_split_to_array(lower(text),
-          '[^a-z0-9]+'), x -> x <> ''), 'spark')
-    AND list_contains(list_filter(regexp_split_to_array(lower(text),
-          '[^a-z0-9]+'), x -> x <> ''), 'join')
-), r AS (
-  SELECT el.lang, s.doc_id, s.score,
-         row_number() OVER (PARTITION BY el.lang
-                            ORDER BY s.score DESC, s.doc_id) AS rank
-  FROM scores s JOIN el USING (doc_id)
-)
-SELECT lang, rank::BIGINT AS rank, doc_id,
-       CAST(floor(score * 10000 + 0.5) AS BIGINT) AS score_x1e4
-FROM r WHERE rank <= 3 ORDER BY lang, rank
-""",
-    "events_wow": """
-WITH h AS (
-  SELECT event_type, epoch_us(ts) // 604800000000 AS w,
-         count(*)::BIGINT AS c
-  FROM events GROUP BY 1, 2
-), l AS (
-  SELECT event_type, w, c,
-         lag(c) OVER (PARTITION BY event_type ORDER BY w) AS p
-  FROM h
-)
-SELECT event_type, w::BIGINT AS week, c AS n,
-  (CASE WHEN c >= p THEN ((c - p) * 1000000) // p
-        ELSE -(((p - c) * 1000000) // p) END)::BIGINT AS chg_x1e6
-FROM l WHERE p IS NOT NULL ORDER BY event_type, week
-""",
-    "events_peak": """
-WITH e AS (
-  SELECT event_type,
-         ((epoch_us(ts) // 300000000) - gs) * 300000000 AS window_us
-  FROM events, generate_series(0, 5) t(gs)
-), g AS (
-  SELECT event_type, window_us, count(*)::BIGINT AS n
-  FROM e GROUP BY 1, 2
-), r AS (
-  SELECT event_type, window_us, n,
-         row_number() OVER (PARTITION BY event_type
-                            ORDER BY n DESC, window_us) AS rk
-  FROM g
-)
-SELECT event_type, window_us, n AS peak_n
-FROM r WHERE rk = 1 ORDER BY event_type
-""",
-    "pareto_users": """
-WITH u AS (
-  SELECT user_id, count(*)::BIGINT AS c FROM events GROUP BY 1
-), r AS (
-  SELECT c, row_number() OVER (ORDER BY c DESC, user_id) AS rk FROM u
-), t AS (SELECT sum(c)::HUGEINT AS total FROM u)
-SELECT k, events,
-       (events::HUGEINT * 1000000 // total)::BIGINT AS share_x1e6
-FROM (
-  SELECT 1::BIGINT AS k, sum(c)::BIGINT AS events FROM r WHERE rk <= 1
-  UNION ALL
-  SELECT 10::BIGINT, sum(c)::BIGINT FROM r WHERE rk <= 10
-  UNION ALL
-  SELECT 50::BIGINT, sum(c)::BIGINT FROM r WHERE rk <= 50
-) CROSS JOIN t ORDER BY k
-""",
-    "orders_rfm": """
-WITH c AS (
-  SELECT o_custkey, max(epoch_us(o_orderdate)) AS last_us,
-         count(*)::BIGINT AS cnt,
-         sum(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-           AS cents
-  FROM orders GROUP BY 1
-), b AS (
-  SELECT ntile(5) OVER (ORDER BY last_us DESC, o_custkey) AS r,
-         ntile(5) OVER (ORDER BY cnt DESC, o_custkey) AS f,
-         ntile(5) OVER (ORDER BY cents DESC, o_custkey) AS m
-  FROM c
-)
-SELECT r::BIGINT AS r, f::BIGINT AS f, m::BIGINT AS m,
-       count(*)::BIGINT AS n_customers
-FROM b GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
-""",
-    "events_dow": """
-WITH d AS (
-  SELECT event_type,
-         ((epoch_us(ts) // 86400000000) + 4) % 7 AS dow
-  FROM events
-), g AS (
-  SELECT event_type, dow, count(*)::BIGINT AS n
-  FROM d GROUP BY 1, 2
-), t AS (
-  SELECT event_type, sum(n)::HUGEINT AS total FROM g GROUP BY 1
-)
-SELECT g.event_type, g.dow::BIGINT AS dow, g.n,
-       (g.n::HUGEINT * 1000000 // t.total)::BIGINT AS share_x1e6
-FROM g JOIN t USING (event_type)
-ORDER BY g.event_type, g.dow
-""",
-    "orders_monthly": """
-SELECT year(o_orderdate)::BIGINT AS year,
-       month(o_orderdate)::BIGINT AS month,
-       count(*)::BIGINT AS n_orders,
-       sum(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-         AS revenue_cents
-FROM orders GROUP BY 1, 2 ORDER BY 1, 2
-""",
-    "nation_balance_iqr": """
-WITH q AS (
-  SELECT s_nationkey,
-         CAST(floor(s_acctbal * 10000 + 0.5) AS BIGINT) AS v
-  FROM supplier WHERE s_acctbal IS NOT NULL
-), m AS (
-  SELECT s_nationkey, v,
-         row_number() OVER (PARTITION BY s_nationkey
-                            ORDER BY v) AS rn,
-         count(*) OVER (PARTITION BY s_nationkey) AS n
-  FROM q
-), qs AS (
-  SELECT s_nationkey, n,
-         min(CASE WHEN rn = (n * 25 + 99) // 100 THEN v END) AS q1,
-         min(CASE WHEN rn = (n * 75 + 99) // 100 THEN v END) AS q3
-  FROM m GROUP BY 1, 2
-)
-SELECT q.s_nationkey::BIGINT AS nation_key, qs.n::BIGINT AS n,
-       qs.q1 AS q1_x1e4, qs.q3 AS q3_x1e4,
-       count(*) FILTER (2 * q.v < 5 * qs.q1 - 3 * qs.q3
-                        OR 2 * q.v > 5 * qs.q3 - 3 * qs.q1)::BIGINT
-         AS n_outliers
-FROM q JOIN qs USING (s_nationkey)
-GROUP BY 1, 2, 3, 4 ORDER BY 1
-""",
-}
+from . import analytics, events, index, text, tpch, vector  # noqa: F401
+from .common import REGISTRY
+
+QUERIES = REGISTRY.fns
+ORACLE_SQL = REGISTRY.sql

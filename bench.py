@@ -65,7 +65,7 @@ QUERY_SET = [
 
 
 def _bench_corpus(n: int) -> str:
-    """Deterministic synthetic pages corpus, cached, written as 8 files
+    """Deterministic synthetic pages corpus, cached, written as 16 files
     so the read parallelizes."""
     import pyarrow.parquet as pq
 

@@ -5,6 +5,7 @@ vfsindex_internal_test.go:707-718, sorted-insert vfsindex_test.go:405-445)
 for our encoding."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,13 +71,12 @@ def _random_postings(rng, n, dense=False):
     return docs, tfs, dls
 
 
-def _one_term_row(docs, tfs, dls) -> dict:
+def _one_term_rows(docs, tfs, dls) -> codec.Chunks:
     """The one chunk row of a one-term partition, as the engine reads
-    it (numpy views)."""
+    it (column views)."""
     seg = codec.encode_partition(np.zeros(len(docs), np.uint64), docs, tfs,
                                  dls)
-    (row,) = codec.chunk_rows_columnar(seg)
-    return row
+    return codec.Chunks(seg)
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 5000])
@@ -84,9 +84,10 @@ def test_chunk_roundtrip(n):
     rng = np.random.default_rng(n)
     for dense, denc in ((False, 1), (True, 0)):
         docs, tfs, dls = _random_postings(rng, n, dense)
-        row = _one_term_row(docs, tfs, dls)
+        rows = _one_term_rows(docs, tfs, dls)
+        (row,) = rows
         assert row["denc"] == denc
-        d, t, l = codec.decode_chunk(row)
+        d, t, l = codec.decode_blocks(rows)
         assert (d == docs).all() and (t == tfs).all() and (l == dls).all()
 
 
@@ -94,11 +95,12 @@ def test_block_decode_matches_slices():
     rng = np.random.default_rng(7)
     for dense in (False, True):
         docs, tfs, dls = _random_postings(rng, 1000, dense)
-        row = _one_term_row(docs, tfs, dls)
+        rows = _one_term_rows(docs, tfs, dls)
+        (row,) = rows
         nblocks = len(row["skip_doc_last"])
         assert nblocks == -(-len(docs) // codec.BLOCK)
         for bi in range(nblocks):
-            bd, bt, bl = codec.decode_block(row, bi)
+            bd, bt, bl = codec.decode_blocks(rows, [bi])
             s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, len(docs))
             assert (bd == docs[s:e]).all()
             assert (bt == tfs[s:e]).all()
@@ -108,7 +110,7 @@ def test_block_decode_matches_slices():
 def test_block_metadata_bounds():
     rng = np.random.default_rng(11)
     docs, tfs, dls = _random_postings(rng, 700)
-    row = _one_term_row(docs, tfs, dls)
+    (row,) = _one_term_rows(docs, tfs, dls)
     for bi in range(len(row["skip_doc_last"])):
         s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, len(docs))
         assert row["skip_doc_last"][bi] == docs[e - 1]
@@ -131,13 +133,23 @@ def test_encode_partition_roundtrip(shift):
     tfs = np.concatenate(tfs_l)
     dls = np.concatenate(dls_l)
     seg = codec.encode_partition(terms, docs, tfs, dls, bucket_shift=shift)
+    seg_terms = seg["term_id"].to_numpy()
     per_term: dict[int, list] = {}
-    for row in seg.to_pylist():
-        per_term.setdefault(row["term_id"], []).append(row)
+    for i, row in enumerate(seg.to_pylist()):
+        per_term.setdefault(row["term_id"], []).append((i, row))
     assert len(per_term) == 50
     for t, rows in per_term.items():
-        d = np.concatenate([codec.decode_chunk(r)[0] for r in rows])
-        tf = np.concatenate([codec.decode_chunk(r)[1] for r in rows])
+        # the term's rows, one decode each, concatenated in row order
+        d = np.concatenate([codec.decode_blocks(codec.Chunks(
+            seg.slice(i, 1)))[0] for i, _ in rows])
+        tf = np.concatenate([codec.decode_blocks(codec.Chunks(
+            seg.slice(i, 1)))[1] for i, _ in rows])
+        # ... and all of them in one decode
+        first = int(np.searchsorted(seg_terms, np.uint64(t)))
+        whole = codec.decode_blocks(codec.Chunks(seg.slice(first,
+                                                           len(rows))))
+        assert (whole[0] == d).all() and (whole[1] == tf).all()
+        rows = [r for _, r in rows]
         m = terms == np.uint64(t)
         assert (d == docs[m]).all()
         assert (tf == tfs[m]).all()
@@ -167,13 +179,14 @@ def test_encode_partition_doc_encodings(enc):
     seg = codec.encode_partition(terms, docs, tfs, dls)
     rows = seg.to_pylist()
     assert {r["denc"] for r in rows} == {1 if enc == "fixed" else 0}
-    for r in rows:
-        d, tf, dl = codec.decode_chunk(r)
+    for i, r in enumerate(rows):
+        one = codec.Chunks(seg.slice(i, 1))
+        d, tf, dl = codec.decode_blocks(one)
         m = terms == np.uint64(r["term_id"])
         # single-bucket mode: one chunk per term
         assert (d == docs[m]).all() and (tf == tfs[m]).all()
         for bi in range(len(r["skip_doc_last"])):
-            bd, bt, _ = codec.decode_block(r, bi)
+            bd, bt, _ = codec.decode_blocks(one, [bi])
             s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, int(m.sum()))
             assert (bd == docs[m][s:e]).all()
 
@@ -186,8 +199,98 @@ def test_auto_picks_varint_for_dense_ids():
     dls = np.full(len(docs), 100, np.uint64)
     seg = codec.encode_partition(terms, docs, tfs, dls)
     assert seg.to_pylist()[0]["denc"] == 0
-    d, _, _ = codec.decode_chunk(seg.to_pylist()[0])
+    d, _, _ = codec.decode_blocks(codec.Chunks(seg))
     assert (d == docs).all()
+
+
+# ------------------------------------------------------------ block kernel
+def _partition(rng, sizes, dense, shift):
+    """A partition of one term per entry of ``sizes``, its postings and
+    its segment rows."""
+    terms, docs, tfs, dls = [], [], [], []
+    for t, n in enumerate(sizes):
+        d, tf, dl = _random_postings(rng, n, dense)
+        terms.append(np.full(len(d), t, np.uint64))
+        docs.append(d)
+        tfs.append(tf)
+        dls.append(dl)
+    terms, docs, tfs, dls = (np.concatenate(a) for a in
+                             (terms, docs, tfs, dls))
+    return (docs, tfs, dls), codec.encode_partition(terms, docs, tfs, dls,
+                                                    bucket_shift=shift)
+
+
+def _block_slices(seg) -> list[slice]:
+    """Each skip block as a slice of the partition's postings: the
+    BLOCK-posting runs of every row, rows in order."""
+    out, start = [], 0
+    for n in seg["n"].to_pylist():
+        out += [slice(start + s, start + min(s + codec.BLOCK, n))
+                for s in range(0, n, codec.BLOCK)]
+        start += n
+    return out
+
+
+@pytest.mark.parametrize("dense,shift", [(True, 64), (True, 9),
+                                         (False, 64), (False, 58)])
+def test_decode_blocks_subset_is_slice_of_full_decode(dense, shift):
+    """Any ascending block subset decodes to the matching slices of the
+    full decode: the first block, middle ones, the last (partial) one,
+    non-contiguous sets and the empty set; varint and fixed64 doc
+    streams, one row per term and several."""
+    rng = np.random.default_rng(5)
+    postings, seg = _partition(rng, [1000, 129, 300, 1], dense, shift)
+    rows = codec.Chunks(seg)
+    assert set(seg["denc"].to_pylist()) == {0 if dense else 1}
+    assert (seg.num_rows > 4) == (shift < 64)
+    full = codec.decode_blocks(rows)
+    for got, want in zip(full, postings):
+        assert got.dtype == np.uint64 and (got == want).all()
+    blocks = _block_slices(seg)
+    nb = len(blocks)
+    assert nb == len(rows.column("skip_doc_last"))
+    subsets = [[], [0], [1, 2], [nb - 2], [nb - 1], [0, 3, nb - 1],
+               list(range(1, nb, 2)), list(range(nb)),
+               sorted(rng.choice(nb, nb // 3, replace=False).tolist())]
+    for sub in subsets:
+        got = codec.decode_blocks(rows, np.array(sub, np.int64))
+        for g, f in zip(got, full):
+            want = (np.concatenate([f[blocks[b]] for b in sub]) if sub
+                    else f[:0])
+            assert g.dtype == np.uint64 and (g == want).all(), sub
+
+
+def test_decode_blocks_rows_of_several_segments():
+    """A table gathered from two segments of one doc encoding decodes
+    whole and by block subset; rows that mix encodings are refused."""
+    rng = np.random.default_rng(8)
+    (d1, t1, l1), s1 = _partition(rng, [300, 140], True, 64)
+    (d2, t2, l2), s2 = _partition(rng, [260], True, 64)
+    rows = codec.Chunks(pa.concat_tables([s1, s2, s1]))
+    full = codec.decode_blocks(rows)
+    for got, a, b in zip(full, (d1, t1, l1), (d2, t2, l2)):
+        assert (got == np.concatenate([a, b, a])).all()
+    blocks = _block_slices(pa.concat_tables([s1, s2, s1]))
+    sub = [1, 3, 4, 5, 7, len(blocks) - 1]
+    got = codec.decode_blocks(rows, sub)
+    for g, f in zip(got, full):
+        assert (g == np.concatenate([f[blocks[b]] for b in sub])).all()
+    _, wide = _partition(rng, [260], False, 64)
+    with pytest.raises(ValueError, match="mix doc encodings"):
+        codec.decode_blocks(codec.Chunks(pa.concat_tables([s1, wide])))
+
+
+def test_chunks_rows_are_read_only_views():
+    rng = np.random.default_rng(2)
+    _, seg = _partition(rng, [200, 3], True, 64)
+    rows = list(codec.Chunks(seg))
+    assert len(rows) == 2 and list(rows[0]) == codec.SEGMENT_SCHEMA.names
+    assert sum(r["docs"].nbytes for r in rows) == \
+        pa.compute.sum(pa.compute.binary_length(seg["docs"])).as_py()
+    with pytest.raises(TypeError):
+        rows[0]["n"] = 1
+    assert len(codec.Chunks()) == 0
+    assert all(len(a) == 0 for a in codec.decode_blocks(codec.Chunks()))
 
 
 def test_bloom_sorted_matches_unsorted():
@@ -239,12 +342,12 @@ def test_impact_frontier_dominates_every_posting():
     tf-monotone/dl-antitone score is a true upper bound."""
     terms, docs, tfs, dls = _frontier_postings()
     seg = codec.encode_partition(terms, docs, tfs, dls, bucket_shift=64)
-    rows = codec.chunk_rows_columnar(seg)
+    rows = codec.Chunks(seg)
     saw_frontier = False
-    for row in rows:
+    for i, row in enumerate(rows):
         itf = np.asarray(row["imp_tf"], np.uint64)
         idl = np.asarray(row["imp_dl"], np.uint64)
-        d, tf, dl = codec.decode_chunk(row)
+        d, tf, dl = codec.decode_blocks(codec.Chunks(seg.slice(i, 1)))
         if int(row["n"]) < codec.IMPACT_MIN_N:
             assert len(itf) == 0
             continue
@@ -273,7 +376,7 @@ def test_impact_frontier_ub_exact_below_cap():
     dl = rng.integers(5, 300, n).astype(np.uint64)
     seg = codec.encode_partition(np.zeros(n, np.uint64), d, tf, dl,
                                  bucket_shift=64)
-    row = codec.chunk_rows_columnar(seg)[0]
+    (row,) = codec.Chunks(seg)
     itf = np.asarray(row["imp_tf"], np.float64)
     idl = np.asarray(row["imp_dl"], np.float64)
     for avgdl in (8.0, 60.0, 900.0):
@@ -291,12 +394,13 @@ def test_frontier_absent_rows_still_score(tmp_path):
     rng = np.random.default_rng(11)
     n = codec.IMPACT_MIN_N - 1
     d = np.sort(rng.choice(10 ** 6, n, replace=False).astype(np.uint64))
-    row = _one_term_row(d, rng.integers(1, 9, n).astype(np.uint64),
-                        rng.integers(5, 99, n).astype(np.uint64))
+    rows = _one_term_rows(d, rng.integers(1, 9, n).astype(np.uint64),
+                          rng.integers(5, 99, n).astype(np.uint64))
+    (row,) = rows
     assert len(row["imp_tf"]) == len(row["imp_doc"]) == 0
     eng = SearchEngine.__new__(SearchEngine)
     eng.avgdl, eng.ndocs = 50.0, 1000
-    p = Postings(0, n, [row])
+    p = Postings(0, n, rows)
     ub = eng._term_ub(p)
     p.decode()
     true_max = eng._term_score(p.tfs, p.dls, p.df).max()

@@ -15,9 +15,16 @@ Blocks are self-contained (the first doc_id of each block is encoded
 absolute, not as a delta), so a block can be decoded without its
 predecessors — the analog of the reference's 512B/4096B lazy FlatBuffers
 paging (index_file.go:664-749), whose page sizes are constants too.
+
+Reads see rows as ``Chunks``: numpy views into the Arrow columns of a
+run of rows, with no per-row objects. ``decode_blocks`` is the one
+decode: any ascending set of a run's blocks (or all of them), one varint
+pass per stream over their gathered byte ranges.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 import pyarrow as pa
@@ -106,6 +113,8 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
     n = int(is_end.sum())
     if count is not None and n != count:
         raise ValueError(f"varint_decode: expected {count} values, got {n}")
+    if n == len(b):  # every value one byte (tfs, dense doc deltas)
+        return b.astype(np.uint64)
     # uniform-width fast path (e.g. a dl stream where every doc length
     # is 2 bytes): strided column reads, no index arrays at all
     if 0 < n < len(b) and len(b) % n == 0:
@@ -177,29 +186,6 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
 
 def _varint_sizes(v: np.ndarray) -> np.ndarray:
     return np.searchsorted(_VARINT_THRESH, v, side="right") + 1
-
-
-def decode_chunk(row: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode a chunk back into (doc_ids, tfs, dls) uint64 arrays."""
-    n = int(row["n"])
-    tfs = varint_decode(row["tfs"], count=n)
-    dls = varint_decode(row["dls"], count=n)
-    if row["denc"]:
-        doc_ids = np.frombuffer(row["docs"], "<u8").copy()
-        if len(doc_ids) != n:
-            raise ValueError(f"fixed64 docs: expected {n}")
-        return doc_ids, tfs, dls
-    deltas = varint_decode(row["docs"], count=n)
-    doc_ids = np.cumsum(deltas, dtype=np.uint64)
-    # undo cumsum across block-restart boundaries: blocks are independent
-    if n > BLOCK:
-        block_starts = np.arange(BLOCK, n, BLOCK, dtype=np.int64)
-        # at each restart the stored value is absolute; cumsum added the
-        # previous prefix — subtract it per block (vectorized via repeat)
-        prefix = doc_ids[block_starts - 1].copy()
-        reps = np.diff(np.append(block_starts, n))
-        doc_ids[BLOCK:] -= np.repeat(prefix, reps)
-    return doc_ids, tfs, dls
 
 
 def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
@@ -399,38 +385,162 @@ def _imp_col(counts: np.ndarray, values: np.ndarray, typ):
                                     pa.array(values, typ))
 
 
-def chunk_rows_columnar(tbl) -> list[dict]:
-    """Segment rows as light dicts whose buffer/list values are numpy
-    VIEWS into the Arrow columns — no per-row byte copies or Python
-    boxing. ``tbl.to_pylist()`` on a head term's thousands of chunk rows
-    was a measured driver-side hotspot (the 1.6M-doc index stores 640k
-    chunks); decode_chunk/decode_block accept these views unchanged
-    (they slice and np.frombuffer, both fine on uint8 views)."""
-    n = tbl.num_rows
-    if n == 0:
-        return []
-    cols: dict[str, object] = {}
-    for name in tbl.column_names:
-        col = tbl[name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        t = col.type
-        if pa.types.is_large_binary(t) or pa.types.is_binary(t):
-            width = 8 if pa.types.is_large_binary(t) else 4
-            dt = np.int64 if width == 8 else np.int32
-            offs = np.frombuffer(col.buffers()[1], dt, count=len(col) + 1,
-                                 offset=col.offset * width)
-            data = np.frombuffer(col.buffers()[2] or b"", np.uint8)
-            cols[name] = [data[offs[i]:offs[i + 1]] for i in range(n)]
-        elif pa.types.is_list(t):
-            offs = np.frombuffer(col.buffers()[1], np.int32,
-                                 count=len(col) + 1, offset=col.offset * 4)
-            vals = col.values.to_numpy(zero_copy_only=False)
-            cols[name] = [vals[offs[i]:offs[i + 1]] for i in range(n)]
+# ---------------------------------------------------------------------------
+# chunk rows as columns, and the one block-decode kernel
+# ---------------------------------------------------------------------------
+
+_NO_ROWS = SEGMENT_SCHEMA.empty_table()
+# the skip-offset column of each payload stream
+_SKIP_OFF = {"docs": "skip_off_doc", "tfs": "skip_off_tf",
+             "dls": "skip_off_dl"}
+
+
+class Chunks:
+    """A run of segment rows (one term's chunks, or a part's) as numpy
+    views into their Arrow columns, each column read on first use.
+
+    A fixed-width column is one array with a value per row
+    (``column``). A binary or list column is one flat array spanning the
+    rows (``column``) plus row offsets into it (``offsets``): row i's
+    docs bytes are ``column("docs")[offsets("docs")[i]:
+    offsets("docs")[i + 1]]``. Skip blocks are numbered across the rows
+    in order, the way the flat ``skip_*`` and ``block_*`` columns list
+    them. Iterating yields one read-only mapping per row (column name →
+    value or view); the query path never builds them.
+    """
+
+    def __init__(self, rows: pa.RecordBatch | pa.Table = _NO_ROWS):
+        self._rows = rows
+        self._views: dict = {}
+        self._blocks: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return self._rows.num_rows
+
+    def _view(self, name: str):
+        got = self._views.get(name)
+        if got is None:
+            col = self._rows.column(name)
+            if isinstance(col, pa.ChunkedArray):
+                col = col.combine_chunks()
+            if pa.types.is_large_binary(col.type):
+                offs = np.frombuffer(col.buffers()[1], np.int64,
+                                     count=len(col) + 1,
+                                     offset=col.offset * 8)
+                data = np.frombuffer(col.buffers()[2] or b"", np.uint8)
+                got = (data[offs[0]:offs[-1]], offs - offs[0])
+            elif pa.types.is_list(col.type):
+                offs = np.asarray(col.offsets, np.int64)
+                got = (col.flatten().to_numpy(zero_copy_only=False),
+                       offs - offs[0])
+            else:
+                got = col.to_numpy(zero_copy_only=False)
+            self._views[name] = got
+        return got
+
+    def column(self, name: str) -> np.ndarray:
+        got = self._view(name)
+        return got[0] if isinstance(got, tuple) else got
+
+    def offsets(self, name: str) -> np.ndarray:
+        return self._view(name)[1]
+
+    def block_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, posting count) of every skip block."""
+        if self._blocks is None:
+            n = self.column("n").astype(np.int64)
+            nb = -(-n // BLOCK)
+            row = np.repeat(np.arange(len(n)), nb)
+            local = np.arange(len(row)) - np.repeat(np.cumsum(nb) - nb, nb)
+            self._blocks = row, np.minimum(n[row] - local * BLOCK, BLOCK)
+        return self._blocks
+
+    def __iter__(self):
+        for i in range(len(self)):
+            row = {}
+            for name in self._rows.schema.names:
+                got = self._view(name)
+                if isinstance(got, tuple):
+                    vals, offs = got
+                    row[name] = vals[offs[i]:offs[i + 1]]
+                else:
+                    row[name] = got[i]
+            yield MappingProxyType(row)
+
+
+def _gather(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+            ) -> np.ndarray:
+    """The byte ranges [starts[i], ends[i]) of ``buf``, concatenated.
+    Adjacent ranges merge first, so one run is a view, not a copy."""
+    if len(starts) == 0:
+        return buf[:0]
+    cut = np.flatnonzero(starts[1:] != ends[:-1]) + 1
+    s = starts[np.concatenate(([0], cut))]
+    e = ends[np.concatenate((cut - 1, [len(ends) - 1]))]
+    if len(s) == 1:
+        return buf[s[0]:e[0]]
+    lens = e - s
+    firsts = np.cumsum(lens) - lens
+    return buf[np.repeat(s - firsts, lens) + np.arange(int(lens.sum()))]
+
+
+def _decode_docs(raw: np.ndarray, counts: np.ndarray, fixed: bool
+                 ) -> np.ndarray:
+    """Doc ids of consecutive blocks of ``counts`` postings stored in
+    ``raw``: fixed64, or delta varints that restart (absolute) at every
+    block."""
+    total = int(counts.sum())
+    if fixed:
+        docs = np.frombuffer(raw, "<u8").astype(np.uint64)
+        if len(docs) != total:
+            raise ValueError(f"fixed64 docs: expected {total}")
+        return docs
+    docs = np.cumsum(varint_decode(raw, count=total), dtype=np.uint64)
+    if len(counts) > 1:
+        # the cumsum ran across the restarts: take each block's
+        # predecessor prefix back out
+        at = np.cumsum(counts[:-1])
+        docs[at[0]:] -= np.repeat(docs[at - 1], counts[1:])
+    return docs
+
+
+def decode_blocks(rows: Chunks, blocks: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(docs, tfs, dls) uint64 arrays of the skip blocks ``blocks``
+    (ascending block numbers, see ``Chunks``) of ``rows``, in block
+    order; None decodes every block. The blocks' byte ranges come from
+    the ``skip_off_*`` columns and each stream is decoded by one varint
+    pass over them (fixed64 doc streams by one ``frombuffer``), so the
+    cost does not grow with the number of blocks asked for. The rows
+    must share one doc encoding, as the rows of one segment file do."""
+    denc = rows.column("denc")
+    if len(denc) and (denc != denc[0]).any():
+        raise ValueError("rows mix doc encodings: decode the rows of "
+                         "each segment file on their own")
+    if blocks is None:
+        n = rows.column("n")
+        if len(n) == 1 and n[0] <= BLOCK:  # one block: no table needed
+            counts = n.astype(np.int64)
         else:
-            cols[name] = col.to_numpy(zero_copy_only=False)
-    names = list(tbl.column_names)
-    return [{nm: cols[nm][i] for nm in names} for i in range(n)]
+            counts = rows.block_table()[1]
+        raw = {s: rows.column(s) for s in _SKIP_OFF}
+    else:
+        b = np.asarray(blocks, np.int64)
+        row_of, counts = rows.block_table()
+        counts = counts[b]
+        raw = {}
+        for s, skip_col in _SKIP_OFF.items():
+            offs, skip = rows.offsets(s), rows.column(skip_col)
+            if len(skip) != len(row_of):
+                raise ValueError("skip lists do not match the row sizes")
+            starts = offs[row_of] + skip
+            raw[s] = _gather(rows.column(s), starts[b],
+                             np.append(starts[1:], offs[-1])[b])
+    total = int(counts.sum())
+    fixed = bool(len(denc) and denc[0])
+    return (_decode_docs(raw["docs"], counts, fixed),
+            varint_decode(raw["tfs"], count=total),
+            varint_decode(raw["dls"], count=total))
 
 
 # ---------------------------------------------------------------------------
@@ -494,23 +604,3 @@ def bloom_test(bloom: bytes, terms: np.ndarray) -> np.ndarray:
                          bitorder="little")
     idx = _bloom_hashes(t, len(bits))
     return bits[idx].all(axis=0).astype(bool)
-
-
-def decode_block(row: dict, bi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode only block ``bi`` of a chunk (self-contained; for skip reads)."""
-    n = int(row["n"])
-    nblocks = (n + BLOCK - 1) // BLOCK
-    if not 0 <= bi < nblocks:
-        raise IndexError(bi)
-    cnt = min(BLOCK, n - bi * BLOCK)
-    od, ot, ol = (row["skip_off_doc"], row["skip_off_tf"], row["skip_off_dl"])
-    d_end = od[bi + 1] if bi + 1 < nblocks else len(row["docs"])
-    t_end = ot[bi + 1] if bi + 1 < nblocks else len(row["tfs"])
-    l_end = ol[bi + 1] if bi + 1 < nblocks else len(row["dls"])
-    tfs = varint_decode(row["tfs"][ot[bi]:t_end], count=cnt)
-    dls = varint_decode(row["dls"][ol[bi]:l_end], count=cnt)
-    if row["denc"]:
-        docs = np.frombuffer(row["docs"][od[bi]:d_end], "<u8").copy()
-        return docs, tfs, dls
-    deltas = varint_decode(row["docs"][od[bi]:d_end], count=cnt)
-    return np.cumsum(deltas, dtype=np.uint64), tfs, dls

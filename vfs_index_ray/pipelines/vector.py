@@ -9,7 +9,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .common import _collect, _conc, fixed_point, query, read_ds, read_table
+from .common import (_collect, _conc, _corpus_key, fixed_point, query,
+                     read_ds, read_table)
 
 ANN_QUERY_IDS = [0, 1, 2]
 
@@ -75,10 +76,7 @@ def _get_ivf(sf_dir: str, num_centroids: int = 8,
     from ..functions.similarity import IVFIndex
     src = os.path.join(sf_dir, "embeddings.parquet")
     name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    st = os.stat(src)
-    import hashlib
-    key = hashlib.sha1(f"{os.path.abspath(src)}|{st.st_size}|"
-                       f"{int(st.st_mtime)}".encode()).hexdigest()[:12]
+    key = _corpus_key(sf_dir, src)
     tag = "s" if seed_centroids else "k"
     kc = ("_" + "-".join(keep_cols)) if keep_cols else ""
     path = os.path.join("/tmp", "vfsray_cache",
@@ -555,10 +553,7 @@ def q_ann_ivf_absorb(sf_dir: str) -> pa.Table:
     from ..functions.similarity import IVFIndex
     src = os.path.join(sf_dir, "embeddings.parquet")
     name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    st0 = os.stat(src)
-    import hashlib
-    key = hashlib.sha1(f"{os.path.abspath(src)}|{st0.st_size}|"
-                       f"{int(st0.st_mtime)}".encode()).hexdigest()[:12]
+    key = _corpus_key(sf_dir, src)
     path = os.path.join("/tmp", "vfsray_cache",
                         f"ivfabs_{name}_{key}_c8s")
     full = read_ds(sf_dir, "embeddings")

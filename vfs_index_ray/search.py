@@ -26,8 +26,9 @@ doc set:
   queries only pay the accumulate + top-k.
 - ``maxscore``: candidate generation via term-level upper bounds derived
   from the per-block (tf_max, dl_min) metadata, then exact rescore of
-  candidates probing only the skip blocks that contain them — frequent
-  terms' posting lists are mostly never decoded. Best p99.
+  candidates probing only the skip blocks that contain them (one
+  ``codec.decode_blocks`` call per term) — frequent terms' posting lists
+  are mostly never decoded. Best p99.
 - ``auto`` (default for the actor/service paths): ``maxscore`` for
   multi-term queries over big lists, ``exact`` otherwise — informed by
   the BASELINE.md measurements; results are bit-identical either way.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
@@ -50,8 +51,8 @@ import pyarrow.parquet as pq
 
 from . import BM25_B, BM25_K1
 from .build import read_stats
-from .codec import chunk_rows_columnar, decode_block, decode_chunk
-from .segment import SegmentReader, decode_rows
+from .codec import Chunks, decode_blocks
+from .segment import SegmentReader
 from .tokenizer import tokenize_query
 
 
@@ -181,10 +182,11 @@ def _proximity_chunk(index_dir: str, tids: list[int], window: int,
 
 @dataclass
 class Postings:
-    """Decoded (or decodable) postings of one term."""
+    """One term's postings: its segment rows as column views
+    (``chunks``, bucket ascending), decoded on demand."""
     term_id: int
     df: int
-    chunks: list[dict]            # raw segment rows (bucket asc)
+    chunks: Chunks = field(default_factory=Chunks)
     docs: np.ndarray | None = None
     tfs: np.ndarray | None = None
     dls: np.ndarray | None = None
@@ -194,7 +196,7 @@ class Postings:
 
     def decode(self) -> "Postings":
         if self.docs is None:
-            self.docs, self.tfs, self.dls = decode_rows(self.chunks)
+            self.docs, self.tfs, self.dls = decode_blocks(self.chunks)
         return self
 
 
@@ -215,6 +217,7 @@ class SearchEngine:
         # search_cond.go:57-80): last_query_stats after each bm25/match
         self.last_query_stats: dict = {}
         self.last_fetch_stats: dict = {}
+        self._blocks_probed = 0  # skip blocks decoded by point probes
         self.segments = SegmentReader(index_dir, self.num_parts)
         self.last_load_stats: dict = {}
         # doc-level tombstones (delete_docs): result-set APIs filter
@@ -225,8 +228,9 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     def load_terms(self, term_ids: list[int]) -> dict[int, Postings]:
-        """Fetch raw segment rows for the given terms (part-pruned +
-        binary-searched segment read), with per-engine caching. Terms the
+        """Fetch the given terms' segment rows as column views
+        (part-pruned + binary-searched segment read, decoded on demand),
+        with per-engine caching. Terms the
         part's bloom filter rules out short-circuit to df=0 without
         touching the segment file (negative-lookup fast path)."""
         from .codec import bloom_test
@@ -243,7 +247,7 @@ class SearchEngine:
             maybe = bloom_test(bloom, np.array(tids, np.uint64))
             for tid, ok in zip(tids, maybe):
                 if not ok:  # definitely absent: no parquet read
-                    self._cache[tid] = Postings(tid, 0, [])
+                    self._cache[tid] = Postings(tid, 0)
                     bloom_skips += 1
             kept = [t for t, ok in zip(tids, maybe) if ok]
             if kept:
@@ -256,7 +260,7 @@ class SearchEngine:
             rows_by_term = self.segments.load_terms(part, tids)
             for tid in tids:
                 rows = rows_by_term[tid]
-                df = int(rows[0]["df"]) if rows else 0
+                df = int(rows.column("df")[0]) if len(rows) else 0
                 self._cache[tid] = Postings(tid, df, rows)
         return {tid: self._cache[tid] for tid in term_ids}
 
@@ -317,7 +321,7 @@ class SearchEngine:
             return got
         p = p.decode()
         keep = ~_in_sorted(self.tombstones, p.docs)
-        q = Postings(p.term_id, p.df, [], docs=p.docs[keep],
+        q = Postings(p.term_id, p.df, docs=p.docs[keep],
                      tfs=p.tfs[keep], dls=p.dls[keep])
         self._tomb_filtered[p.term_id] = q
         return q
@@ -423,6 +427,7 @@ class SearchEngine:
         single deep top-k). ``method`` must be one of ``BM25_METHODS``."""
         import time
         t0 = time.perf_counter()
+        self._blocks_probed = 0
         if method not in BM25_METHODS:
             raise ValueError(f"unknown BM25 method {method!r}; expected "
                              f"one of {', '.join(BM25_METHODS)}")
@@ -459,6 +464,7 @@ class SearchEngine:
             "n_decoded": int(sum(len(loaded[t].docs)
                                  for t in tids
                                  if loaded[t].docs is not None)),
+            "n_blocks_probed": self._blocks_probed,
             "ms": round((time.perf_counter() - t0) * 1e3, 3),
         }
         return out
@@ -466,8 +472,8 @@ class SearchEngine:
     def explain(self, q: str, k: int = 10, method: str = "auto") -> dict:
         """Run the query and return its execution profile (reference
         EnableStats/OptQueryStat parity, search_cond.go:57-80): resolved
-        method, per-term dfs, postings decoded, parts read vs bloom-
-        skipped, wall time."""
+        method, per-term dfs, postings decoded, skip blocks probed
+        (``n_blocks_probed``), parts read vs bloom-skipped, wall time."""
         self.bm25(q, k, method)
         out = dict(self.last_query_stats)
         out.update({f"load_{k_}": v
@@ -587,46 +593,44 @@ class SearchEngine:
         per engine, and the cache is per engine)."""
         if p.ub is not None:
             return p.ub
+        c = p.chunks
         ub = 0.0
-        for c in p.chunks:
-            itf = c["imp_tf"]
-            if len(itf):
-                idl = np.maximum(np.asarray(c["imp_dl"], np.uint64), 1)
-                ub = max(ub, float(self._term_score(
-                    np.asarray(itf, np.uint64), idl, p.df).max()))
-                continue
-            tf_max = max(c["block_tf_max"]) if len(c["block_tf_max"]) else 0
-            dl_min = min(c["block_dl_min"]) if len(c["block_dl_min"]) else 1
-            if tf_max:
-                ub = max(ub, float(self._term_score(
-                    np.array([tf_max], np.uint64),
-                    np.array([max(dl_min, 1)], np.uint64), p.df)[0]))
+        itf = c.column("imp_tf")
+        if len(itf):
+            idl = np.maximum(c.column("imp_dl").astype(np.uint64), 1)
+            ub = float(self._term_score(itf.astype(np.uint64), idl,
+                                        p.df).max())
+        plain = np.diff(c.offsets("imp_tf")) == 0  # rows with no frontier
+        if plain.any():
+            first = c.offsets("block_tf_max")[:-1]
+            tf_max = np.maximum.reduceat(c.column("block_tf_max"), first)
+            dl_min = np.minimum.reduceat(c.column("block_dl_min"), first)
+            ub = max(ub, float(self._term_score(
+                tf_max[plain].astype(np.uint64),
+                np.maximum(dl_min[plain].astype(np.uint64), 1),
+                p.df).max()))
         p.ub = ub
         return ub
 
     def _probe_blocks(self, p: Postings, targets: np.ndarray):
         """tf/dl for ``targets`` (sorted doc ids) in term ``p``, decoding
-        only the skip blocks that can contain them (J2/J4 point-probe)."""
+        only the skip blocks that can contain them, all in one kernel
+        call (J2/J4 point-probe). The rows are doc-disjoint and
+        ascending, so their flat ``skip_doc_last`` is one ascending
+        list."""
         tf_out = np.zeros(len(targets), np.uint64)
         dl_out = np.ones(len(targets), np.uint64)
-        hit = np.zeros(len(targets), bool)
-        for c in p.chunks:
-            lasts = np.asarray(c["skip_doc_last"], np.uint64)
-            if len(lasts) == 0:
-                continue
-            blk = np.searchsorted(lasts, targets)  # candidate block per target
-            valid = blk < len(lasts)
-            for bi in np.unique(blk[valid]):
-                sel = np.flatnonzero(valid & (blk == bi))
-                bd, bt, bl = decode_block(c, int(bi))
-                pos = np.searchsorted(bd, targets[sel])
-                ok = (pos < len(bd))
-                pos2 = np.minimum(pos, len(bd) - 1)
-                ok &= bd[pos2] == targets[sel]
-                found = sel[ok]
-                tf_out[found] = bt[pos2[ok]]
-                dl_out[found] = bl[pos2[ok]]
-                hit[found] = True
+        lasts = p.chunks.column("skip_doc_last")
+        blk = np.searchsorted(lasts, targets)  # candidate block per target
+        blocks = np.unique(blk[blk < len(lasts)])
+        if len(blocks) == 0:
+            return tf_out, dl_out, np.zeros(len(targets), bool)
+        self._blocks_probed += len(blocks)
+        bd, bt, bl = decode_blocks(p.chunks, blocks)
+        pos = np.minimum(np.searchsorted(bd, targets), len(bd) - 1)
+        hit = bd[pos] == targets
+        tf_out[hit] = bt[pos[hit]]
+        dl_out[hit] = bl[pos[hit]]
         return tf_out, dl_out, hit
 
     def _bootstrap_theta(self, tids, loaded, k, max_blocks: int = 4):
@@ -640,9 +644,8 @@ class SearchEngine:
         (None, -inf) when there aren't k docs to bound with — any real
         docs give a valid bound, so correctness never depends on which
         blocks are picked."""
-        from .codec import decode_block
         cands = []
-        blocks: list[tuple[float, dict, int]] = []
+        blocks: list[tuple[float, Postings, int]] = []
         for t in tids:
             p = loaded[t]
             if p.docs is not None:
@@ -657,36 +660,41 @@ class SearchEngine:
             if p.champions is not None:
                 cands.append(p.champions)
                 continue
+            c = p.chunks
+            imp, blk = c.offsets("imp_doc"), c.offsets("block_tf_max")
             champ = []
-            for c in p.chunks:
-                idoc = c["imp_doc"]
-                if len(idoc):
+            for r in range(len(c)):
+                if imp[r + 1] > imp[r]:
                     # impact frontier: the chunk's top-contribution docs
                     # are stored — no block decode at all (frontier bins
                     # below the cap ARE real postings, so these are the
                     # chunk's true champions for the query-time avgdl)
-                    itf = np.asarray(c["imp_tf"], np.uint64)
-                    idl = np.maximum(np.asarray(c["imp_dl"], np.uint64), 1)
+                    sl = slice(imp[r], imp[r + 1])
+                    itf = c.column("imp_tf")[sl].astype(np.uint64)
+                    idl = np.maximum(
+                        c.column("imp_dl")[sl].astype(np.uint64), 1)
                     contrib = self._term_score(itf, idl, p.df)
                     top = (np.argsort(-contrib)[:4] if len(contrib) > 4
                            else slice(None))
-                    champ.append(np.asarray(idoc, np.uint64)[top])
+                    champ.append(c.column("imp_doc")[sl][top])
                     continue
-                if len(c["skip_doc_last"]) == 0:
-                    continue
-                tf_max = np.asarray(c["block_tf_max"], np.uint64)
+                sl = slice(blk[r], blk[r + 1])
+                tf_max = c.column("block_tf_max")[sl].astype(np.uint64)
                 dl_min = np.maximum(
-                    np.asarray(c["block_dl_min"], np.uint64), 1)
+                    c.column("block_dl_min")[sl].astype(np.uint64), 1)
                 ub = self._term_score(tf_max, dl_min, p.df)
                 for bi in np.argsort(-ub)[:2]:
-                    blocks.append((float(ub[bi]), c, int(bi)))
+                    blocks.append((float(ub[bi]), p, int(blk[r] + bi)))
             if champ:
                 p.champions = np.concatenate(champ)
                 cands.append(p.champions)
         blocks.sort(key=lambda x: -x[0])
-        for _, c, bi in blocks[:max_blocks]:
-            d, _, _ = decode_block(c, bi)
-            cands.append(d)
+        picked: dict[int, list[int]] = {}
+        for _, p, bi in blocks[:max_blocks]:
+            picked.setdefault(p.term_id, []).append(bi)
+        for t, bis in picked.items():  # one kernel call per term
+            self._blocks_probed += len(bis)
+            cands.append(decode_blocks(loaded[t].chunks, np.sort(bis))[0])
         if not cands:
             return None, -np.inf
         boot = sorted_union(cands)
@@ -1468,13 +1476,16 @@ def bm25_topk_ray(index_dir: str, q: str, k: int = 10):
     ndocs, avgdl = engine.stats["n_docs"], engine.stats["avgdl"]
 
     def score_bucket(group: pa.Table) -> pa.Table:
-        rows = sorted(chunk_rows_columnar(group),
-                      key=lambda r: (int(r["term_id"]), int(r["bucket"])))
+        group = group.sort_by([("term_id", "ascending"),
+                               ("bucket", "ascending")])
         decoded = []
-        for row in rows:  # ascending term_id (+ bucket)
-            d, tf, dl = decode_chunk(row)
-            decoded.append((d, bm25_term_weight(tf, dl, int(row["df"]),
-                                                ndocs, avgdl)))
+        # ascending term_id (+ bucket); row by row, as the rows come
+        # from several segment files that may use different doc encodings
+        for i in range(group.num_rows):
+            row = Chunks(group.slice(i, 1))
+            d, tf, dl = decode_blocks(row)
+            decoded.append((d, bm25_term_weight(
+                tf, dl, int(row.column("df")[0]), ndocs, avgdl)))
         docs_all, scores = accumulate_scores(decoded)
         dd, ss = SearchEngine._topk(docs_all, scores, k)
         return pa.table({"doc_id": pa.array(dd, pa.uint64()),

@@ -41,8 +41,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .codec import (SEGMENT_SCHEMA, chunk_rows_columnar, decode_chunk,
-                    encode_partition)
+from .codec import SEGMENT_SCHEMA, Chunks, decode_blocks, encode_partition
 
 # schema metadata key of the per-batch first-term directory: the
 # batches' first term_ids as little-endian uint64, hex-encoded
@@ -124,16 +123,6 @@ def _dedup_sorted_postings(terms, docs, tfs, dls):
     tfs2 = np.add.reduceat(tfs, starts)
     dls2 = np.maximum.reduceat(dls, starts)
     return terms[starts], docs[starts], tfs2, dls2
-
-
-def decode_rows(rows: list[dict]):
-    """Decode chunk rows and concatenate them in row order:
-    (docs, tfs, dls) uint64 arrays."""
-    if not rows:
-        e = np.empty(0, np.uint64)
-        return e, e.copy(), e.copy()
-    parts = [decode_chunk(r) for r in rows]
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
 
 
 class SegmentWriter:
@@ -394,15 +383,16 @@ class SegmentReader:
         return tbl if columns is None else tbl.select(columns)
 
     # ----- the four read shapes -----------------------------------------
-    def load_terms(self, part: int, tids: list[int]
-                   ) -> dict[int, list[dict]]:
+    def load_terms(self, part: int, tids: list[int]) -> dict[int, Chunks]:
         """Term point read: the chunk rows of each of ``tids`` (all in
-        ``part``); rows hold numpy views, bucket ascending."""
-        tbl = self._read(part, [(t, t) for t in sorted(set(tids))])
-        rows: dict[int, list[dict]] = {t: [] for t in tids}
-        for row in chunk_rows_columnar(tbl):
-            rows[int(row["term_id"])].append(row)
-        return rows
+        ``part``) as column views into the record batch holding them,
+        bucket ascending; an absent term gets no rows."""
+        out = {t: Chunks() for t in tids}
+        with self._open(part, None) as (reader, firsts):
+            for rows in self._slices(reader, firsts,
+                                     [(t, t) for t in sorted(set(tids))]):
+                out[rows.column("term_id")[0].as_py()] = Chunks(rows)
+        return out
 
     def read_range(self, part: int, lo: int | None = None,
                    hi: int | None = None, columns: list[str] | None = None
@@ -440,12 +430,10 @@ class SegmentReader:
         """Whole-part decode (or of the terms in [lo, hi]): flat postings
         (terms, docs, tfs, dls), ordered (term asc, bucket asc → doc
         asc)."""
-        tbl = self.read_range(part, lo, hi)
-        terms = np.repeat(tbl["term_id"].to_numpy(zero_copy_only=False),
-                          tbl["n"].to_numpy(zero_copy_only=False
-                                            ).astype(np.int64))
-        return (terms.astype(np.uint64),
-                *decode_rows(chunk_rows_columnar(tbl)))
+        rows = Chunks(self.read_range(part, lo, hi))
+        terms = np.repeat(rows.column("term_id"),
+                          rows.column("n").astype(np.int64))
+        return (terms.astype(np.uint64), *decode_blocks(rows))
 
     def terms_dataset(self, tids: list[int]):
         """Ray Dataset of the chunk rows of ``tids``: one 1-cpu task per

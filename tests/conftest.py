@@ -53,3 +53,60 @@ def oracle_index(pages_file):
     pages = pq.read_table(pages_file)
     doc_ids = [doc_id_from_url(u) for u in pages["url"].to_pylist()]
     return OracleIndex.build(pages["text"].to_pylist(), doc_ids)
+
+
+@pytest.fixture
+def disk_calls(monkeypatch):
+    """Spy on ``spillfs.partition_apply``: the list holds the spill
+    prefix of every disk-substrate call, so a test can show which
+    substrate a keyed op ran on (an empty list means Ray Data's
+    groupby)."""
+    from vfs_index_ray import spillfs
+
+    calls: list[str] = []
+    real = spillfs.partition_apply
+
+    def spy(ds, part_col, per_part, **kw):
+        calls.append(kw.get("prefix", "part_"))
+        return real(ds, part_col, per_part, **kw)
+
+    monkeypatch.setattr(spillfs, "partition_apply", spy)
+    return calls
+
+
+@pytest.fixture
+def ray_tasks(monkeypatch):
+    """Spy on ``remote.remote_1cpu``: the list holds every function the
+    package fanned out as Ray tasks (an empty list means the in-process
+    branch ran)."""
+    from vfs_index_ray import merge, remote
+
+    tasks: list = []
+    real = remote.remote_1cpu
+
+    def spy(fn):
+        tasks.append(fn)
+        return real(fn)
+
+    monkeypatch.setattr(remote, "remote_1cpu", spy)
+    monkeypatch.setattr(merge, "_remote", spy)
+    return tasks
+
+
+@pytest.fixture
+def ray_down(monkeypatch):
+    """A context manager under which ``ray.is_initialized()`` reads
+    False, so the fan-out rules (``SegmentReader.map_parts``,
+    ``FederatedEngine``, phrase/proximity) pick their in-process
+    branch."""
+    import contextlib
+
+    import ray
+
+    @contextlib.contextmanager
+    def down():
+        with monkeypatch.context() as m:
+            m.setattr(ray, "is_initialized", lambda: False)
+            yield
+
+    return down

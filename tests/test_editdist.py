@@ -57,19 +57,24 @@ def _corpus(n=400, seed=13):
     })
 
 
-@pytest.mark.parametrize("shuffle", ["sort", "disk"])
-def test_edit_near_dup_matches_duckdb(ray_session, shuffle):
+@pytest.mark.parametrize("substrate", ["sort", "disk"])
+def test_edit_near_dup_matches_duckdb(ray_session, substrate, tmp_path,
+                                      disk_calls):
+    """The default on this small input is the groupby; ``spill_dir``
+    forces the disk spill."""
     import ray
     import ray.data
 
     from vfs_index_ray.functions.editdist import edit_near_dup
 
     t = _corpus()
+    spill_dir = str(tmp_path) if substrate == "disk" else None
     out = edit_near_dup(ray.data.from_arrow(t).repartition(5),
                         group_cols=["lang"], prefix_len=32,
-                        len_bucket=64, max_dist=4, shuffle=shuffle)
+                        len_bucket=64, max_dist=4, spill_dir=spill_dir)
     got = pa.concat_tables(
         [t for t in ray.get(out.to_arrow_refs()) if t.num_rows])
+    assert len(disk_calls) == (substrate == "disk")
     gset = {(a, b, d) for a, b, d in zip(got["id_a"].to_pylist(),
                                          got["id_b"].to_pylist(),
                                          got["dist"].to_pylist())}

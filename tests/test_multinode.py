@@ -299,8 +299,19 @@ docs = pa.table({
     "doc_id": pa.array(np.arange(400), pa.int64()),
     "text": pa.array([f"page body {i % 77}" for i in range(400)]),
 })
+# spy on the disk substrate: spill_dir must force it, the default on
+# this small input must not take it
+from vfs_index_ray import spillfs
+real_apply, disk_calls = spillfs.partition_apply, []
+def spy(*a, **kw):
+    disk_calls.append(kw.get("prefix"))
+    return real_apply(*a, **kw)
+spillfs.partition_apply = spy
 dd = exact_dedup(ray.data.from_arrow(docs), spill_dir=spill)
-ds_ = exact_dedup(ray.data.from_arrow(docs), shuffle="sort")
+assert disk_calls == ["winpart_"], disk_calls
+ds_ = exact_dedup(ray.data.from_arrow(docs))
+assert disk_calls == ["winpart_"], disk_calls
+spillfs.partition_apply = real_apply
 a = norm(pa.concat_tables(ray.get(dd.to_arrow_refs())))
 b2 = norm(pa.concat_tables(ray.get(ds_.to_arrow_refs())))
 assert a.equals(b2.cast(a.schema))

@@ -1,5 +1,5 @@
 """Per-group co-occurrence pair mining (functions/pairs.py):
-kernel vs brute force, shuffle-path equality, hot-group cap, top-k."""
+kernel vs brute force, substrate-path equality, hot-group cap, top-k."""
 
 from __future__ import annotations
 
@@ -57,7 +57,11 @@ def test_kernel_int_items_value_order():
     assert out["item_b"].to_pylist() == [40, 300, 300]
 
 
-def test_cooccur_pairs_paths_agree(ray_session):
+def test_cooccur_pairs_paths_agree(ray_session, tmp_path, disk_calls):
+    """The default on this small input runs the groupby partial and the
+    driver merge; ``spill_dir`` runs the disk partial and the
+    pair-hash disk merge."""
+    import ray
     import ray.data
 
     rng = np.random.default_rng(11)
@@ -68,15 +72,16 @@ def test_cooccur_pairs_paths_agree(ray_session):
     })
     ds = ray.data.from_arrow(t).repartition(8)
     expect = _brute(t["g"].to_pylist(), t["it"].to_pylist())
-    for shuffle, merge in [("sort", "driver"), ("disk", "driver"),
-                           ("sort", "hash")]:
-        import ray
+    for spill_dir, spills in [(None, []),
+                              (str(tmp_path), ["winpart_", "hashagg_"])]:
+        disk_calls.clear()
         out = cooccur_pairs(ds, group_col="g", item_col="it",
-                            shuffle=shuffle, merge=merge)
+                            spill_dir=spill_dir)
         tbls = [t2 for t2 in ray.get(out.to_arrow_refs())
                 if t2.num_rows]
         got = _to_dict(pa.concat_tables(tbls))
-        assert got == expect, (shuffle, merge)
+        assert disk_calls == spills
+        assert got == expect, spill_dir
 
 
 def test_top_pairs_order_and_floor(ray_session):

@@ -414,10 +414,13 @@ def test_merge_bucketed_indexes(ray_session, split_corpora, tmp_path,
         assert [float(x) for x in scores] == [s for _, s in expected], q
 
 
-def test_federated_engine_matches_merged(ray_session, tmp_path):
+def test_federated_engine_matches_merged(ray_session, tmp_path,
+                                         ray_tasks, ray_down):
     """FederatedEngine over doc-disjoint indexes is fp64-identical to
     the merged index; merge-on-search compacts budgeted rounds per query
     and transparently swaps once complete (search_cond.go:828-837)."""
+    import contextlib
+
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -445,11 +448,14 @@ def test_federated_engine_matches_merged(ray_session, tmp_path):
               "nosuchtokenzz"]:
         rd, rs = ref.bm25(q, 10)
         for dist in (True, False):  # Ray fan-out and in-process paths
-            fd, fs = fed.bm25(q, 10, distributed=dist)
+            ray_tasks.clear()
+            with contextlib.nullcontext() if dist else ray_down():
+                fd, fs = fed.bm25(q, 10)
+                fm = fed.match(q)
+            assert bool(ray_tasks) == dist, (q, dist)
             assert fd.tolist() == rd.tolist(), (q, dist)
             assert fs.tolist() == rs.tolist(), (q, dist)  # fp64-identical
-            assert fed.match(q, distributed=dist).tolist() == \
-                ref.match(q).tolist()
+            assert fm.tolist() == ref.match(q).tolist()
     assert fed.df("bababa") == ref.df("bababa")
 
     # merge-on-search: budget 2 parts/query → compacts over 2 queries,

@@ -27,6 +27,18 @@ def _py_phrase_docs(texts, ids, phrase):
     return sorted(out)
 
 
+def _staged_docs(eng, phrase: str) -> list:
+    """The serial rare-pivot staged phrase path, called directly on the
+    phrase's candidates (``phrase_match_positional`` takes it only for
+    more than ``PHRASE_STAGE_THRESHOLD`` candidates with Ray down)."""
+    seq = eng._phrase_keys(phrase)
+    cands = np.sort(np.asarray(eng.match(phrase), np.uint64))
+    if len(cands) == 0:
+        return []
+    return eng._phrase_positional_staged(seq, sorted(set(seq)),
+                                         cands).tolist()
+
+
 @pytest.fixture(scope="module")
 def pos_index(ray_session, pages_file, tmp_path_factory):
     from vfs_index_ray.build import IndexBuilder
@@ -126,7 +138,8 @@ def test_positions_require_flag(built_index):
         eng.phrase_match_positional("bababa babade")
 
 
-def test_proximity_vs_python(pos_index, pages_file):
+def test_proximity_vs_python(pos_index, pages_file, monkeypatch,
+                             ray_tasks):
     from vfs_index_ray.hashing import doc_id_from_url
     from vfs_index_ray.search import SearchEngine
 
@@ -156,13 +169,18 @@ def test_proximity_vs_python(pos_index, pages_file):
         assert got == py_prox(sorted(set(q.split())), w), (q, w)
     # window 0 with two distinct terms → impossible
     assert eng.proximity_match("bababa babade", 0).tolist() == []
-    # chunked distributed path returns identical docs
-    dist = SearchEngine(pos_index)
-    dist.phrase_stage_threshold = 4
-    dist.phrase_distributed = True
+    # chunked distributed path returns identical docs: a tiny
+    # threshold puts the candidates above 2x it with Ray up
+    from vfs_index_ray import search
     for q, w in [("bababa babade", 3), ("bababa babade", 20)]:
-        assert dist.proximity_match(q, w).tolist() == \
-            eng.proximity_match(q, w).tolist(), (q, w)
+        want = eng.proximity_match(q, w).tolist()
+        assert not ray_tasks
+        with monkeypatch.context() as m:
+            m.setattr(search, "PHRASE_STAGE_THRESHOLD", 4)
+            got = SearchEngine(pos_index).proximity_match(q, w).tolist()
+        assert ray_tasks == [search._proximity_chunk]
+        ray_tasks.clear()
+        assert got == want, (q, w)
 
 
 def test_trigram_positional_exact_substring(ray_session, tmp_path):
@@ -289,8 +307,6 @@ def test_staged_phrase_identical_to_batched(pos_index, pages_file):
 
     batched = SearchEngine(pos_index, corpus_files=[pages_file])
     staged = SearchEngine(pos_index, corpus_files=[pages_file])
-    staged.phrase_stage_threshold = 0      # force the staged path
-    staged.phrase_distributed = False
     tbl = pq.read_table(pages_file, columns=["url", "text"])
     texts = tbl["text"].to_pylist()
     ids = [doc_id_from_url(u) for u in tbl["url"].to_pylist()]
@@ -304,27 +320,42 @@ def test_staged_phrase_identical_to_batched(pos_index, pages_file):
         j = int(rng.integers(0, len(toks) - 3))
         ln = int(rng.integers(2, 5))
         phrase = " ".join(toks[j:j + ln])
-        got = staged.phrase_match_positional(phrase).tolist()
+        got = _staged_docs(staged, phrase)
         assert got == batched.phrase_match_positional(phrase).tolist(), \
             phrase
         assert got == _py_phrase_docs(texts, ids, phrase), phrase
         checked += 1
     assert checked > 10
     # repeated-token phrase exercises multi-occurrence base constraints
-    got = staged.phrase_match_positional("ba ba").tolist()
+    got = _staged_docs(staged, "ba ba")
     assert got == batched.phrase_match_positional("ba ba").tolist()
 
 
 def test_distributed_phrase_identical_to_batched(ray_session, pos_index,
-                                                 pages_file):
+                                                 pages_file, monkeypatch,
+                                                 ray_tasks):
     """Chunked Ray fan-out phrase path (pure-head regime) returns
     exactly the batched and staged paths' docs on fuzzed phrases."""
+    from vfs_index_ray import search
     from vfs_index_ray.search import SearchEngine
 
     batched = SearchEngine(pos_index, corpus_files=[pages_file])
     dist = SearchEngine(pos_index, corpus_files=[pages_file])
-    dist.phrase_stage_threshold = 4        # tiny chunks → real fan-out
-    dist.phrase_distributed = True
+
+    fanned = []
+
+    def dist_docs(phrase):
+        # a tiny threshold (with Ray up) means tiny chunks and a real
+        # fan-out for phrases of two or more distinct tokens over more
+        # than 8 candidates; the batched engine runs at the default
+        ray_tasks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(search, "PHRASE_STAGE_THRESHOLD", 4)
+            out = dist.phrase_match_positional(phrase).tolist()
+        assert ray_tasks in ([], [search._phrase_chunk]), phrase
+        fanned.extend(ray_tasks)
+        return out
+
     tbl = pq.read_table(pages_file, columns=["text"])
     texts = tbl["text"].to_pylist()
     rng = np.random.Generator(np.random.Philox(key=[78, 0]))
@@ -336,12 +367,14 @@ def test_distributed_phrase_identical_to_batched(ray_session, pos_index,
             continue
         j = int(rng.integers(0, len(toks) - 3))
         phrase = " ".join(toks[j:j + int(rng.integers(2, 5))])
-        assert dist.phrase_match_positional(phrase).tolist() == \
-            batched.phrase_match_positional(phrase).tolist(), phrase
+        want = batched.phrase_match_positional(phrase).tolist()
+        assert dist_docs(phrase) == want == _staged_docs(batched,
+                                                         phrase), phrase
         checked += 1
-    assert checked > 5
-    # repeated-token phrase through the distributed path
-    assert dist.phrase_match_positional("ba ba").tolist() == \
+    assert checked > 5 and len(fanned) > 3
+    # repeated-token phrase through the fan-out engine (one distinct
+    # token never stages, so it runs batched there too)
+    assert dist_docs("ba ba") == \
         batched.phrase_match_positional("ba ba").tolist()
 
 
@@ -367,7 +400,5 @@ def test_staged_phrase_ordinal_underflow(ray_session, tmp_path):
     IndexBuilder(idx, mode="word", num_parts=2, id_col="doc_id",
                  positions=True).build([src])
     eng = SearchEngine(idx, corpus_files=[src], id_col="doc_id")
-    eng.phrase_stage_threshold = 0         # force the staged path
-    eng.phrase_distributed = False
-    assert eng.phrase_match_positional("alpha beta").tolist() == [1]
-    assert eng.phrase_match_positional("beta alpha").tolist() == [0]
+    assert _staged_docs(eng, "alpha beta") == [1]
+    assert _staged_docs(eng, "beta alpha") == [0]

@@ -41,15 +41,20 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
-@pytest.mark.parametrize("shuffle", ["sort", "disk"])
-def test_retention_matches_duckdb(ray_session, shuffle):
+@pytest.mark.parametrize("substrate", ["sort", "disk"])
+def test_retention_matches_duckdb(ray_session, substrate, tmp_path,
+                                  disk_calls):
+    """The default on this small input is the groupby; ``spill_dir``
+    forces the disk spill."""
     import ray.data
 
     from vfs_index_ray.functions.windows import retention_cohorts
 
     t = _rand_events()
+    spill_dir = str(tmp_path) if substrate == "disk" else None
     got = retention_cohorts(ray.data.from_arrow(t),
-                            shuffle=shuffle).to_pandas()
+                            spill_dir=spill_dir).to_pandas()
+    assert len(disk_calls) == (substrate == "disk")
     con = duckdb.connect()
     con.register("e", t)
     want = con.sql(RETENTION_SQL).df()

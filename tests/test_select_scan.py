@@ -85,26 +85,31 @@ def test_select_keys_range_cond_limit_desc(scan_engine, keydf):
 
 
 _FANOUT_CALLS = {
-    "select_keys": lambda e, keys, dist: e.select_keys(
-        lo=int(keys[3]), hi=int(keys[-3]), distributed=dist),
-    "term_range_docs": lambda e, keys, dist: e.term_range_docs(
-        int(keys[3]), int(keys[-3]), distributed=dist),
-    "nearest_below": lambda e, keys, dist: e.nearest_term(
-        int(keys[5]) + 1, less=True, distributed=dist),
-    "nearest_above": lambda e, keys, dist: e.nearest_term(
-        int(keys[5]) + 1, less=False, distributed=dist),
-    "nearest_none": lambda e, keys, dist: e.nearest_term(
-        int(keys[0]) - 1, less=True, distributed=dist),
+    "select_keys": lambda e, keys: e.select_keys(
+        lo=int(keys[3]), hi=int(keys[-3])),
+    "term_range_docs": lambda e, keys: e.term_range_docs(
+        int(keys[3]), int(keys[-3])),
+    "nearest_below": lambda e, keys: e.nearest_term(
+        int(keys[5]) + 1, less=True),
+    "nearest_above": lambda e, keys: e.nearest_term(
+        int(keys[5]) + 1, less=False),
+    "nearest_none": lambda e, keys: e.nearest_term(
+        int(keys[0]) - 1, less=True),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_FANOUT_CALLS))
-def test_select_keys_distributed_matches_local(scan_engine, keydf, call):
-    """Both branches of the per-part fan-out (one Ray task per part vs
-    the local loop) give the same answer for every caller."""
+def test_select_keys_distributed_matches_local(scan_engine, keydf, call,
+                                               ray_tasks, ray_down):
+    """Both branches of the per-part fan-out (one Ray task per part
+    with Ray up vs the local loop with Ray down) give the same answer
+    for every caller."""
     keys, dfs = keydf
-    a = _FANOUT_CALLS[call](scan_engine, keys, True)
-    b = _FANOUT_CALLS[call](scan_engine, keys, False)
+    a = _FANOUT_CALLS[call](scan_engine, keys)
+    assert len(ray_tasks) == 1          # 4 parts, Ray up: fanned out
+    with ray_down():
+        b = _FANOUT_CALLS[call](scan_engine, keys)
+    assert len(ray_tasks) == 1          # the local loop made no task
     if isinstance(a, pa.Table):
         assert a.num_rows > 0 and a.equals(b)
     elif isinstance(a, np.ndarray):
@@ -152,5 +157,4 @@ def test_select_keys_empty_range(scan_engine, keydf):
 
 def test_select_cond_bad_shape_raises(scan_engine):
     with pytest.raises(Exception, match="one bool per candidate"):
-        scan_engine.select_keys(cond=lambda t, d: np.array([True]),
-                                distributed=False)
+        scan_engine.select_keys(cond=lambda t, d: np.array([True]))

@@ -111,10 +111,11 @@ def test_reused_spill_root_never_mixes_runs(ray_session, tmp_path):
     assert first.equals(fresh) and second.equals(fresh)
 
 
-def test_substrate_over_fsspec_filesystem(ray_session, tmp_path):
-    """hash_join + exact_dedup + banded_bucket_apply running their
-    spills through a PyFileSystem(FSSpecHandler) — results identical
-    to the default local-tmp spill."""
+def test_substrate_over_fsspec_filesystem(ray_session, tmp_path,
+                                          disk_calls):
+    """hash_join + exact_dedup running their spills through a
+    PyFileSystem(FSSpecHandler) — results identical to the default
+    local-tmp spill (join) and to Ray Data's groupby (dedup)."""
     import ray
     import ray.data
 
@@ -150,8 +151,11 @@ def test_substrate_over_fsspec_filesystem(ray_session, tmp_path):
         "doc_id": pa.array(np.arange(200), pa.int64()),
         "text": pa.array([f"doc {i % 40}" for i in range(200)]),
     })
+    disk_calls.clear()
     d_remote = exact_dedup(ray.data.from_arrow(docs), spill_dir=spec)
-    d_local = exact_dedup(ray.data.from_arrow(docs), shuffle="sort")
+    assert disk_calls == ["winpart_"]  # spill_dir forces the disk spill
+    d_local = exact_dedup(ray.data.from_arrow(docs))
+    assert disk_calls == ["winpart_"]  # the default ran the groupby
     ar = norm(pa.concat_tables(ray.get(d_remote.to_arrow_refs())))
     br = norm(pa.concat_tables(ray.get(d_local.to_arrow_refs())))
     assert ar.equals(br.cast(ar.schema))

@@ -234,10 +234,11 @@ def test_json_extract_int_missing_and_negative(ray_session):
     assert out["k"].to_pylist() == [7, -3, None, None, None]
 
 
-def test_disk_shuffle_identical_to_sort_shuffle(ray_session):
-    """The five keyed-partition ops produce identical results on the
-    hive-partitioned disk spill (default) and Ray Data's sort-shuffle
-    groupby substrates."""
+def test_disk_shuffle_identical_to_sort_shuffle(ray_session, tmp_path,
+                                               disk_calls):
+    """The keyed-partition ops produce identical results on Ray Data's
+    sort-shuffle groupby (the default on a small input) and the
+    hive-partitioned disk spill (forced by ``spill_dir``)."""
     import numpy as np
     import pyarrow as pa
     import ray.data
@@ -279,14 +280,17 @@ def test_disk_shuffle_identical_to_sort_shuffle(ray_session):
                           "weight_col": "n_chars", "budget": 4096},
          ["source", "event_id", "prio", "weight", "cum_weight"]),
     ]:
-        ds = ray.data.from_arrow(t)
-        a = rows(op(ds, shuffle="disk", **kw), keys)
-        ds = ray.data.from_arrow(t)
-        b = rows(op(ds, shuffle="sort", **kw), keys)
+        disk_calls.clear()
+        a = rows(op(ray.data.from_arrow(t), spill_dir=str(tmp_path),
+                    **kw), keys)
+        assert disk_calls == ["winpart_"]
+        b = rows(op(ray.data.from_arrow(t), **kw), keys)
+        assert disk_calls == ["winpart_"]  # the default ran the groupby
         assert a == b and len(a) > 0
 
 
-def test_exact_dedup_disk_identical_to_sort(ray_session):
+def test_exact_dedup_disk_identical_to_sort(ray_session, tmp_path,
+                                            disk_calls):
     import numpy as np
     import pyarrow as pa
     import ray.data
@@ -298,13 +302,70 @@ def test_exact_dedup_disk_identical_to_sort(ray_session):
     t = pa.table({"doc_id": pa.array(np.arange(300, dtype=np.int64)),
                   "text": pa.array(texts)})
 
-    def rows(mode):
-        out = exact_dedup(ray.data.from_arrow(t), shuffle=mode)
+    def rows(**kw):
+        out = exact_dedup(ray.data.from_arrow(t), **kw)
         return sorted((r["h"], r["doc_id"], r["n"])
                       for r in out.take_all())
 
-    a, b = rows("disk"), rows("sort")
+    a = rows(spill_dir=str(tmp_path))
+    assert disk_calls == ["winpart_"]
+    b = rows()
+    assert disk_calls == ["winpart_"]  # the default ran the groupby
     assert a == b and len(a) == 37
+
+
+def test_substrate_rule_picks_disk_or_sort(ray_session, tmp_path,
+                                           monkeypatch, disk_calls):
+    """``windows._use_disk`` is the one disk-or-sort rule: an input
+    over ``AUTO_DISK_BYTES`` or a caller's ``spill_dir`` takes the disk
+    spill — for a windows op, ``exact_dedup`` and both of
+    ``cooccur_pairs``' partial and merge — and a small input takes Ray
+    Data's groupby; the three runs agree row for row."""
+    import pyarrow as pa
+    import ray.data
+
+    from vfs_index_ray.functions import windows as W
+    from vfs_index_ray.functions.dedup import exact_dedup
+    from vfs_index_ray.functions.pairs import cooccur_pairs
+
+    rng = np.random.default_rng(41)
+    n = 600
+    events = pa.table({
+        "event_id": pa.array(np.arange(n, dtype=np.int64)),
+        "ts": pa.array((rng.integers(0, 86_400, n) * 1_000_000
+                        ).astype("datetime64[us]")),
+        "user_id": pa.array(rng.integers(0, 25, n)),
+    })
+    docs = pa.table({"doc_id": pa.array(np.arange(n, dtype=np.int64)),
+                     "text": pa.array([f"doc {i % 53}" for i in range(n)])})
+    baskets = pa.table({
+        "g": pa.array(rng.integers(0, 80, n), pa.int64()),
+        "it": pa.array([f"t{int(x)}" for x in rng.integers(0, 7, n)])})
+    default_bytes = W.AUTO_DISK_BYTES
+
+    def rows(out):
+        return sorted(tuple(r.values()) for r in out.take_all())
+
+    for run, spills in [
+        (lambda **kw: W.sessionize(ray.data.from_arrow(events), **kw),
+         ["winpart_"]),
+        (lambda **kw: exact_dedup(ray.data.from_arrow(docs), **kw),
+         ["winpart_"]),
+        (lambda **kw: cooccur_pairs(ray.data.from_arrow(baskets),
+                                    group_col="g", item_col="it", **kw),
+         ["winpart_", "hashagg_"]),
+    ]:
+        disk_calls.clear()
+        sort = rows(run())
+        assert disk_calls == []
+        forced = rows(run(spill_dir=str(tmp_path)))
+        assert disk_calls == spills
+        disk_calls.clear()
+        monkeypatch.setattr(W, "AUTO_DISK_BYTES", 0)
+        large = rows(run())
+        monkeypatch.setattr(W, "AUTO_DISK_BYTES", default_bytes)
+        assert disk_calls == spills
+        assert sort == forced == large and len(sort) > 0
 
 
 def test_budget_mix_greedy_semantics():
@@ -361,7 +422,7 @@ def test_running_total_negative_values(ray_session):
         "user_id": pa.array(users, pa.int64()),
         "value": pa.array(vals, pa.float64()),
     })
-    out = running_total(ray.data.from_arrow(t), shuffle="sort")
+    out = running_total(ray.data.from_arrow(t))
     got = pa.concat_tables(ray.get(out.to_arrow_refs())).combine_chunks()
     got = {e: r for e, r in zip(got["event_id"].to_pylist(),
                                 got["running_x1e4"].to_pylist())}
@@ -394,7 +455,7 @@ def test_top_n_per_key_ties_and_partitions(ray_session):
             (2, 1): 5, (2, 2): 6, (2, 3): 7}
     for parts in (1, 4):
         out = top_n_per_key(ray.data.from_arrow(t), val_col="value",
-                            n=3, num_partitions=parts, shuffle="sort")
+                            n=3, num_partitions=parts)
         got = pa.concat_tables(
             ray.get(out.to_arrow_refs())).combine_chunks()
         m = {(u, r): e for u, r, e in zip(got["user_id"].to_pylist(),

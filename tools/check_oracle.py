@@ -49,7 +49,8 @@ def main() -> int:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()

@@ -2,10 +2,12 @@
 synthetic stream (10M events by default).
 
     python tools/perf_events.py [--events 10000000] [--cpus 32] \
-        [--ops sessionize latest asof window quantiles]
+        [--ops sessionize latest asof window quantiles] [--spill-dir D]
 
 Each op runs its full pipeline to a parquet sink (or aggregate result);
-prints one JSON line with per-op wall seconds.
+prints one JSON line with per-op wall seconds.  The keyed ops pick their
+substrate by input size (``windows._use_disk``); ``--spill-dir`` forces
+the disk spill under that root.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def main(argv=None) -> int:
         "sessionize", "latest", "asof", "window", "quantiles",
         "running", "topn", "distinct", "hll", "graph",
         "hopping", "resample", "ntile", "skyline", "sort"])
-    ap.add_argument("--shuffle", default="disk", choices=["disk", "sort"])
+    ap.add_argument("--spill-dir", default=None,
+                    help="spill root; forces the keyed ops' disk substrate")
     args = ap.parse_args(argv)
 
     import ray
@@ -90,34 +93,34 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         run("sessionize", W.sessionize(
             ds(["event_id", "ts", "user_id"]), gap_minutes=30,
-            shuffle=args.shuffle))
+            spill_dir=args.spill_dir))
     if "latest" in args.ops:
         t0 = time.perf_counter()
         run("latest", W.latest_per_key(
             ds(["event_id", "ts", "user_id", "event_type", "value"]),
-            shuffle=args.shuffle))
+            spill_dir=args.spill_dir))
     if "asof" in args.ops:
         t0 = time.perf_counter()
         run("asof", W.asof_prior(
             ds(["event_id", "ts", "user_id", "event_type"]),
             left_type="purchase", right_type="click",
-            shuffle=args.shuffle))
+            spill_dir=args.spill_dir))
     if "window" in args.ops:
         t0 = time.perf_counter()
         run("window", W.window_count_prior(
             ds(["event_id", "ts", "user_id", "event_type"]),
             left_type="purchase", right_type="click", window_minutes=60,
-            shuffle=args.shuffle))
+            spill_dir=args.spill_dir))
     if "running" in args.ops:
         t0 = time.perf_counter()
         run("running", W.running_total(
             ds(["event_id", "ts", "user_id", "value"]),
-            shuffle=args.shuffle))
+            spill_dir=args.spill_dir))
     if "topn" in args.ops:
         t0 = time.perf_counter()
         run("topn", W.top_n_per_key(
             ds(["event_id", "user_id", "value"]), val_col="value",
-            n=3, shuffle=args.shuffle))
+            n=3, spill_dir=args.spill_dir))
     if "distinct" in args.ops:
         from vfs_index_ray.functions.boilerplate import distinct_aggregate
         t0 = time.perf_counter()
@@ -144,7 +147,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         run("ntile", W.rank_per_key(
             ds(["event_id", "user_id", "value"]), ntile=4,
-            shuffle=args.shuffle))
+            spill_dir=args.spill_dir))
     if "skyline" in args.ops:
         import numpy as np
         import pyarrow as pa
@@ -230,7 +233,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         edges = transition_edges(
             ds(["event_id", "ts", "user_id", "event_type"]),
-            shuffle=args.shuffle).materialize()
+            spill_dir=args.spill_dir).materialize()
         times["graph_edges"] = round(time.perf_counter() - t0, 3)
         nodes = pa.array(np.arange(100_000, dtype=np.int64))
         t0 = time.perf_counter()
@@ -243,7 +246,7 @@ def main(argv=None) -> int:
 
     shutil.rmtree(sink, ignore_errors=True)
     print(json.dumps({"events": args.events, "cpus": args.cpus,
-                      "shuffle": args.shuffle, "sec": times}))
+                      "spill_dir": args.spill_dir, "sec": times}))
     ray.shutdown()
     return 0
 

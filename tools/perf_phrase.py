@@ -5,9 +5,11 @@
 
 Builds (or reuses) a positional index over the deterministic bench
 corpus under /tmp/vfsray_bench, then times each phrase warm on three
-paths: batched (pushdown), serial staged (rare-pivot), distributed
-(chunked fan-out, the pure-head scale path) — asserting all three
-return identical docs. Prints one JSON line per phrase.
+paths: batched (pushdown; ``PHRASE_STAGE_THRESHOLD`` raised so nothing
+stages), serial staged (rare-pivot; ``_phrase_positional_staged``
+called directly) and distributed (chunked fan-out, the pure-head scale
+path; ``_phrase_positional_distributed`` called directly) — asserting
+all three return identical docs. Prints one JSON line per phrase.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def main(argv=None) -> int:
                     choices=["batched", "staged", "distributed"])
     args = ap.parse_args(argv)
 
+    import numpy as np
     import ray
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=args.cpus,
@@ -50,8 +53,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, _REPO)
     from bench import _bench_corpus
 
+    from vfs_index_ray import search
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.search import SearchEngine
+
+    default_threshold = search.PHRASE_STAGE_THRESHOLD
 
     bdir = _bench_corpus(args.docs)
     files = sorted(os.path.join(bdir, f) for f in os.listdir(bdir)
@@ -61,21 +67,32 @@ def main(argv=None) -> int:
                  positions=True).build(files)  # resume-aware: reuses
 
     eng = SearchEngine(idx)
+
+    def chain(positional):
+        def run(phrase):
+            cands = np.sort(np.asarray(eng.match(phrase), np.uint64))
+            if len(cands) == 0:
+                return cands
+            seq = eng._phrase_keys(phrase)
+            return positional(seq, sorted(set(seq)), cands)
+        return run
+
+    paths = {"batched": eng.phrase_match_positional,
+             "staged": chain(eng._phrase_positional_staged),
+             "distributed": chain(eng._phrase_positional_distributed)}
     for phrase in args.phrases:
         results, times = {}, {}
         for path in args.paths:
-            eng.phrase_distributed = {"batched": None, "staged": False,
-                                      "distributed": True}[path]
-            thr = eng.phrase_stage_threshold
+            run = paths[path]
             if path == "batched":
-                eng.phrase_stage_threshold = 1 << 40  # never stage
-            eng.phrase_match_positional(phrase)       # warm
+                search.PHRASE_STAGE_THRESHOLD = 1 << 40  # never stage
+            run(phrase)                                   # warm
             best = float("inf")
             for _ in range(args.rounds):
                 t0 = time.perf_counter()
-                docs = eng.phrase_match_positional(phrase)
+                docs = run(phrase)
                 best = min(best, time.perf_counter() - t0)
-            eng.phrase_stage_threshold = thr
+            search.PHRASE_STAGE_THRESHOLD = default_threshold
             results[path] = docs.tolist()
             times[path] = round(best * 1000, 1)
         vals = list(results.values())

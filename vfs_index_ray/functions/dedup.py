@@ -8,11 +8,12 @@
 - embedding:   cosine near-dup pairs over an embedding column
 
 Shuffle shapes: exact dedup hash-partitions on the content hash
-(uniform, skew-free; hive disk spill above the auto threshold, sort
-groupby below); LSH bucketing is a hive-partitioned disk shuffle + per-part
-tasks (``banded_bucket_apply`` — the build.py postings pattern, because
-Ray Data's pull-based sort shuffle anti-scales at high core counts);
-candidate-pair verification touches only the (tiny) candidate set.
+(uniform, skew-free; hive disk spill above the auto threshold or with a
+``spill_dir``, sort groupby otherwise); LSH bucketing is a
+hive-partitioned disk shuffle + per-part tasks (``banded_bucket_apply``
+— the build.py postings pattern, because Ray Data's pull-based sort
+shuffle anti-scales at high core counts); candidate-pair verification
+touches only the (tiny) candidate set.
 Nothing materializes the corpus.
 """
 
@@ -35,61 +36,38 @@ _MERSENNE = np.uint64((1 << 61) - 1)
 # exact dedup
 # ---------------------------------------------------------------------------
 
-class ContentHash:
-    """Append h = md5(text) (hex) — matches DuckDB ``md5(text)``."""
-
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        hs = [hashlib.md5(s.encode("utf-8")).hexdigest()
-              for s in batch[self.text_col].to_pylist()]
-        return batch.append_column("h", pa.array(hs, pa.string()))
+def _content_hash(batch: pa.Table, text_col: str) -> pa.Array:
+    """h = md5(text) (hex) — matches DuckDB ``md5(text)``."""
+    return pa.array([hashlib.md5(s.encode("utf-8")).hexdigest()
+                     for s in batch[text_col].to_pylist()], pa.string())
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 num_partitions: int | None = None,
-                shuffle: str = "auto",
                 spill_dir: str | None = None):
     """groupby(content hash) → (h, doc_id=min, n=count).
 
     The A5 exact-dedup analog (search_finder.go:242-244 uniq on record
-    identity), as a hash-partitioned shuffle. Default substrate is the
-    hive-partitioned disk spill (``fnv(h) % P`` — every hash group
-    lands whole in one part, so per-part Arrow min/count aggregation is
-    exact); ``shuffle="sort"`` keeps the Ray Data groupby for A/B
-    (interleaved at 1.2M pages, 32 cpus: sort 13.5-14.1 s vs disk
-    2.3-3.5 s)."""
+    identity), as a hash-partitioned keyed op
+    (``windows._keyed_partition_op``): ``fnv(h) % P`` puts every hash
+    group whole in one part, so per-part Arrow min/count aggregation is
+    exact.  The substrate is ``windows._use_disk``'s: the disk spill on
+    large inputs or with ``spill_dir`` (interleaved at 1.2M pages, 32
+    cpus: sort 13.5-14.1 s vs disk 2.3-3.5 s), Ray Data's groupby
+    otherwise."""
     import ray
-    import ray.data  # noqa: F401  (ds is a ray Dataset)
 
-    from .windows import _auto_shuffle
-
-    if shuffle in (None, "auto"):
-        shuffle = _auto_shuffle(ds)
-    hashed = (ds.map_batches(ContentHash(text_col),
-                             batch_format="pyarrow")
-              .select_columns(["h", id_col]))
-    if shuffle == "sort":
-        from ray.data.aggregate import Count, Min
-        return (hashed.groupby("h")
-                .aggregate(Min(id_col, alias_name="doc_id"),
-                           Count(alias_name="n")))
-
-    from ..hashing import fnv1a64_tokens
     from .boilerplate import _group_counts
-    from .windows import _keyed_partition_op  # noqa: F811
+    from .windows import _keyed_partition_op
 
     num_parts = num_partitions or max(
         16, 2 * int(ray.cluster_resources().get("CPU", 8)))
 
     def add_part(t: pa.Table) -> pa.Table:
-        hcol = t["h"]
-        if isinstance(hcol, pa.ChunkedArray):
-            hcol = hcol.combine_chunks()
-        part = (fnv1a64_tokens(hcol) % np.uint64(num_parts)
-                ).astype(np.int32)
-        return t.append_column("hpart", pa.array(part, pa.int32()))
+        h = _content_hash(t, text_col)
+        part = (fnv1a64_tokens(h) % np.uint64(num_parts)).astype(np.int32)
+        return pa.table({"h": h, id_col: t[id_col],
+                         "hpart": pa.array(part, pa.int32())})
 
     def per_part(t: pa.Table) -> pa.Table:
         g = _group_counts(t, ["h"],
@@ -100,8 +78,8 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             "n": g[f"{id_col}_count"].cast(pa.int64()),
         })
 
-    return _keyed_partition_op(hashed, add_part, "hpart", per_part,
-                               shuffle="disk", spill_dir=spill_dir)
+    return _keyed_partition_op(ds, add_part, "hpart", per_part,
+                               spill_dir=spill_dir)
 
 
 # ---------------------------------------------------------------------------

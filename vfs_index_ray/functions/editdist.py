@@ -7,9 +7,9 @@ same length bucket — so the candidate set is exactly reproducible in
 SQL (a self-join on the blocking key), unlike LSH-band recall.  Within
 a block, every pair is verified with a true Levenshtein DP.
 
-Scale shape: blocks hash-partition through the keyed disk spill
-(windows._keyed_partition_op — the 100-TB substrate every keyed op
-here uses); pair enumeration and DP run per partition as independent
+Scale shape: blocks hash-partition through the keyed-op substrate
+(windows._keyed_partition_op — the one every keyed op here uses);
+pair enumeration and DP run per partition as independent
 tasks.  Blocks are tiny by construction (same prefix AND same length
 bucket), so the per-block quadratic never sees the corpus.
 
@@ -64,7 +64,6 @@ def edit_near_dup(ds, *, id_col: str = "doc_id",
                   group_cols: list[str] | None = None,
                   prefix_len: int = 32, len_bucket: int = 64,
                   max_dist: int = 10,
-                  shuffle: str = "auto",
                   spill_dir: str | None = None):
     """All (id_a < id_b, dist) pairs with Levenshtein(text_a, text_b)
     <= ``max_dist`` among rows sharing the deterministic blocking key
@@ -126,4 +125,4 @@ def edit_near_dup(ds, *, id_col: str = "doc_id",
                          "dist": pa.array(d_out, pa.int64())})
 
     return _keyed_partition_op(ds, add_part, "_ep", per_part,
-                               shuffle=shuffle, spill_dir=spill_dir)
+                               spill_dir=spill_dir)

@@ -66,7 +66,7 @@ def _transition_kernel(t: pa.Table, stream_col: str, ts_col: str,
 def transition_edges(events_ds, *, stream_col: str = "event_type",
                      ts_col: str = "ts", id_col: str = "event_id",
                      node_col: str = "user_id",
-                     num_partitions: int = 32, shuffle: str = "auto",
+                     num_partitions: int = 32,
                      spill_dir: str | None = None):
     """(src, dst) transition edges: within each ``stream_col`` value's
     (ts, id)-ordered event sequence, an edge from each event's node to
@@ -89,7 +89,7 @@ def transition_edges(events_ds, *, stream_col: str = "event_type",
                                   node_col)
 
     return _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                               shuffle=shuffle, spill_dir=spill_dir)
+                               spill_dir=spill_dir)
 
 
 def pagerank(edges_ds, nodes: pa.Array | pa.ChunkedArray, *,

@@ -84,14 +84,15 @@ def _pair_table(vec, nbr, s) -> pa.Table:
 
 def knn_join(ds, *, k: int = 3, vec_col: str = "embedding",
              id_col: str = "vec_id", num_parts: int | None = None,
-             shuffle: str = "auto", spill_dir=None):
+             spill_dir=None):
     """Exact cosine k-NN graph: for every vector, its k nearest other
     vectors.  Returns a Dataset of ``(vec_id, nbr_id, rank,
     sim_x1e4)`` with rank 1..k (ties sim desc, nbr_id asc).
 
     Block tournament: P object-store blocks → P(P+1)/2 pair tasks,
     each emitting ≤ k candidates per vector per side; per-vector
-    merge through the keyed disk shuffle."""
+    merge through the keyed-op substrate
+    (``windows._keyed_partition_op``)."""
     import ray
     import ray.data
 
@@ -161,7 +162,7 @@ def knn_join(ds, *, k: int = 3, vec_col: str = "embedding",
         })
 
     return _keyed_partition_op(cands, add_part, "_vp", merge_part,
-                               shuffle=shuffle, spill_dir=spill_dir)
+                               spill_dir=spill_dir)
 
 
 def _seed_matrix(ds, num_clusters: int, vec_col: str, id_col: str):
@@ -186,7 +187,7 @@ def _seed_matrix(ds, num_clusters: int, vec_col: str, id_col: str):
 def semdedup(ds, *, num_clusters: int = 8, tau_x1e4: int = 9500,
              vec_col: str = "embedding", id_col: str = "vec_id",
              block_rows: int = 4096,
-             shuffle: str = "auto", spill_dir=None):
+             spill_dir=None):
     """SemDeDup: drop every vector with an earlier-id same-cluster
     neighbor at ``floor(cos·1e4 + 0.5) ≥ tau_x1e4``.  Returns a
     Dataset of ``(vec_id, cluster, keep)`` covering EVERY input row —
@@ -249,5 +250,5 @@ def semdedup(ds, *, num_clusters: int = 8, tau_x1e4: int = 9500,
         })
 
     return _keyed_partition_op(assigned, lambda t: t, "_cl",
-                               per_cluster, shuffle=shuffle,
+                               per_cluster,
                                spill_dir=spill_dir)

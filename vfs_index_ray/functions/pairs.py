@@ -13,8 +13,8 @@ corpus.
 
 Scale shape (the 100-TB plan):
 
-1. ONE uniform hash-partition on the group key through the hive
-   disk-spill substrate (``windows._keyed_partition_op``) — groups are
+1. ONE uniform hash-partition on the group key through the keyed-op
+   substrate (``windows._keyed_partition_op``) — groups are
    disjoint across partitions, so per-group distinct and pair emission
    are exact inside one task with no cross-task state.
 2. The per-partition kernel is fully vectorized (value-ranked
@@ -24,7 +24,7 @@ Scale shape (the 100-TB plan):
 3. Pair counts merge across partitions with the existing partial /
    hash aggregation substrate: driver merge for small pair spaces,
    pair-hash disk spill (``hash_aggregate``) for large ones, chosen by
-   the partials' measured size.
+   the same rule as step 1 (``windows._use_disk``).
 
 Hot-group guard: a group with ``s`` distinct items emits ``s·(s-1)/2``
 pairs — quadratic in the single hottest group, which no partitioning
@@ -131,23 +131,22 @@ def _pairs_kernel(t: pa.Table, group_col: str, item_col: str,
 
 def cooccur_pairs(ds, *, group_col: str, item_col: str,
                   max_items: int | None = None,
-                  num_partitions: int = 32,
-                  shuffle: str = "auto", merge: str = "auto",
-                  spill_dir=None):
+                  num_partitions: int = 32, spill_dir=None):
     """Distinct-per-group unordered item pairs with group counts.
 
     Returns a ``ray.data.Dataset`` with columns ``(item_a, item_b,
     n_groups)`` where ``item_a < item_b`` by value.
 
-    ``merge`` picks the cross-partition pair-count merge: ``"driver"``
-    (one small merge aggregation — audience-overlap-sized outputs),
-    ``"hash"`` (pair-hash disk spill via ``hash_aggregate`` — pair
-    spaces that must never reach one machine), or ``"auto"`` (driver
-    below the disk-shuffle size threshold, hash above)."""
+    ``windows._use_disk`` picks both the partial's substrate and the
+    cross-partition pair-count merge: when it says disk (a large input
+    or a ``spill_dir``), pair counts merge through a pair-hash disk
+    spill (``hash_aggregate`` — pair spaces that must never reach one
+    machine); otherwise one small driver merge aggregation
+    (audience-overlap-sized outputs)."""
     import ray.data
 
     from .boilerplate import hash_aggregate, partial_aggregate
-    from .windows import AUTO_DISK_BYTES, _keyed_partition_op
+    from .windows import _keyed_partition_op, _use_disk
 
     def add_part(t: pa.Table) -> pa.Table:
         gcol = t[group_col]
@@ -169,16 +168,9 @@ def cooccur_pairs(ds, *, group_col: str, item_col: str,
         return _pairs_kernel(g, group_col, item_col, max_items)
 
     partials = _keyed_partition_op(ds, add_part, "_gp", per_part,
-                                   shuffle=shuffle, spill_dir=spill_dir)
+                                   spill_dir=spill_dir)
 
-    if merge == "auto":
-        try:
-            sz = ds.size_bytes()
-        except Exception:
-            sz = None
-        merge = "hash" if (sz or 0) > AUTO_DISK_BYTES else "driver"
-
-    if merge == "driver":
+    if not _use_disk(ds, spill_dir):
         tbl = partial_aggregate(partials, ["item_a", "item_b"],
                                 [("cnt", "sum")])
         if tbl is None:

@@ -85,7 +85,7 @@ def _budget_mix_kernel(t: pa.Table, key_col: str, id_col: str,
 
 def budget_mix(ds, *, key_col: str = "source", id_col: str = "doc_id",
                weight_col: str = "n_chars", budget: int,
-               num_partitions: int = 32, shuffle: str = "auto",
+               num_partitions: int = 32,
                spill_dir: str | None = None):
     """Deterministic mixture sampling under a per-key weight budget —
     the training-data "mixing" step: each source (domain, language,
@@ -96,8 +96,9 @@ def budget_mix(ds, *, key_col: str = "source", id_col: str = "doc_id",
     ``(key, id, prio, weight, cum_weight)`` for the selected docs.
 
     Same 100-TB shape as ``pack_by_budget``/sessionize: ONE uniform
-    hash-partition on the key over the auto-picked shuffle substrate
-    (hive disk spill above ~128 MiB, sort groupby below), then one
+    hash-partition on the key over the keyed-op substrate (hive disk
+    spill above ~128 MiB or with ``spill_dir``, sort groupby
+    otherwise), then one
     vectorized kernel per partition — the prefix sum is per-key, so
     keys parallelize perfectly and no global order exists anywhere."""
     from .windows import _keyed_partition_op
@@ -119,7 +120,6 @@ def budget_mix(ds, *, key_col: str = "source", id_col: str = "doc_id",
         return _budget_mix_kernel(g, key_col, id_col, weight_col, budget)
 
     return _keyed_partition_op(ds, add_part, "kpart", per_part,
-                               shuffle=shuffle,
                                spill_dir=spill_dir)
 
 

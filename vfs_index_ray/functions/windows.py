@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 from . import collect_arrow
 
 
-# auto shuffle dispatch: below this estimated in-memory size the disk
+# the disk-or-sort rule: below this estimated in-memory size the disk
 # spill's fixed cost (parquet write + P part tasks, ~1-2 s) exceeds the
 # sort exchange it avoids; above it the sort exchange anti-scales
 # (measured crossings: 5k docs sort 0.96 s vs disk ~2 s; 1.2M pages
@@ -35,49 +35,50 @@ from . import collect_arrow
 AUTO_DISK_BYTES = 128 * 1024 * 1024
 
 
-def _auto_shuffle(ds) -> str:
-    """Pick the shuffle substrate from the dataset's metadata-based
-    size estimate (free for parquet reads; no execution)."""
+def _use_disk(ds, spill_dir) -> bool:
+    """The one substrate rule of every keyed op: a caller's
+    ``spill_dir`` (any ``spillfs.open_spill`` spec — shared storage on
+    clusters) or an input whose metadata-based size estimate (free for
+    parquet reads; no execution) exceeds ``AUTO_DISK_BYTES`` means the
+    hive-partitioned disk spill; anything else means Ray Data's
+    groupby."""
+    if spill_dir is not None:
+        return True
     try:
         sz = ds.size_bytes() or 0
     except Exception:
         sz = 0
-    return "disk" if sz > AUTO_DISK_BYTES else "sort"
+    return sz > AUTO_DISK_BYTES
+
+
+def _sort_partition_op(keyed_ds, part_col: str, per_part):
+    """The groupby branch: Ray Data's sort shuffle on ``part_col``,
+    ``per_part`` on each group without it."""
+    return keyed_ds.groupby(part_col).map_groups(
+        lambda g: per_part(g.drop([part_col])), batch_format="pyarrow")
 
 
 def _keyed_partition_op(events_ds, add_part, part_col: str, per_part,
-                        shuffle: str = "auto",
                         spill_dir: str | None = None):
-    """Dispatch a hash-partitioned per-partition kernel over the disk
-    spill (the 100-TB path) or Ray Data's sort-shuffle groupby
-    (``shuffle="sort"``, kept for A/B and tiny inputs); the default
-    ``"auto"`` picks by the input's metadata size estimate.  Passing
-    ``spill_dir`` (any ``spillfs.open_spill`` spec — shared storage on
-    clusters) forces the disk substrate."""
-    if spill_dir is not None:
-        shuffle = "disk"
-    elif shuffle in (None, "auto"):
-        shuffle = _auto_shuffle(events_ds)
-    if shuffle == "sort":
-        return (events_ds
-                .map_batches(add_part, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .groupby(part_col)
-                .map_groups(lambda g: per_part(g.drop([part_col])),
-                            batch_format="pyarrow"))
+    """Run a hash-partitioned per-partition kernel: ``add_part`` maps
+    the part column on, ``per_part`` sees one partition's rows without
+    it.  ``_use_disk`` picks the substrate: the disk spill
+    (``spillfs.partition_apply``, the 100-TB path) or Ray Data's
+    groupby (cheaper on small inputs)."""
+    keyed = events_ds.map_batches(add_part, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+    if not _use_disk(events_ds, spill_dir):
+        return _sort_partition_op(keyed, part_col, per_part)
     import ray.data
 
     from ..spillfs import partition_apply
 
-    refs = partition_apply(
-        events_ds.map_batches(add_part, batch_format="pyarrow",
-                              zero_copy_batch=True),
-        part_col, per_part, spill_dir=spill_dir, prefix="winpart_")
+    refs = partition_apply(keyed, part_col, per_part,
+                           spill_dir=spill_dir, prefix="winpart_")
     if not refs:
-        # empty input: no partitions spilled; the sort path runs
+        # empty input: no partitions spilled; the groupby runs
         # trivially and yields the correct (empty) output schema
-        return _keyed_partition_op(events_ds, add_part, part_col,
-                                   per_part, shuffle="sort")
+        return _sort_partition_op(keyed, part_col, per_part)
     return ray.data.from_arrow_refs(refs)
 
 
@@ -129,17 +130,15 @@ def _sessions_kernel(t: pa.Table, gap_us: int, user_col: str,
 def sessionize(events_ds, *, gap_minutes: int = 30,
                user_col: str = "user_id", ts_col: str = "ts",
                id_col: str = "event_id", num_partitions: int = 32,
-               shuffle: str = "auto",
                spill_dir: str | None = None):
     """events → one row per (user, session): session_id (0-based per
     user, in time order), session_start, session_end, n_events.
 
     Shuffle shape: ONE uniform hash-partition on
     ``user % num_partitions`` (size it to the cluster); the per-part fn
-    is a single vectorized kernel over the whole partition. Default
-    substrate is the hive-partitioned disk spill
-    (``spillfs.partition_apply``); ``shuffle="sort"`` keeps the Ray Data
-    groupby for A/B."""
+    is a single vectorized kernel over the whole partition, on the
+    substrate ``_use_disk`` picks (``spill_dir`` forces the disk
+    spill)."""
     gap_us = gap_minutes * 60_000_000
 
     def add_part(t: pa.Table) -> pa.Table:
@@ -151,7 +150,6 @@ def sessionize(events_ds, *, gap_minutes: int = 30,
         return _sessions_kernel(g, gap_us, user_col, ts_col, id_col)
 
     return _keyed_partition_op(events_ds, add_part, "upart", per_part,
-                               shuffle=shuffle,
                                spill_dir=spill_dir)
 
 
@@ -355,7 +353,7 @@ def _latest_kernel(t: pa.Table, key_col: str, ts_col: str,
 
 def latest_per_key(events_ds, *, key_col: str = "user_id",
                    ts_col: str = "ts", id_col: str = "event_id",
-                   num_partitions: int = 32, shuffle: str = "auto",
+                   num_partitions: int = 32,
                    spill_dir: str | None = None):
     """Latest record per key — the re-crawl dedup shape for a web
     corpus (keep the newest snapshot per url: key=url-hash, ts=crawl
@@ -373,7 +371,6 @@ def latest_per_key(events_ds, *, key_col: str = "user_id",
         return _latest_kernel(g, key_col, ts_col, id_col)
 
     return _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                               shuffle=shuffle,
                                spill_dir=spill_dir)
 
 
@@ -438,7 +435,7 @@ def _asof_kernel(t: pa.Table, user_col: str, ts_col: str, id_col: str,
 def asof_prior(events_ds, *, left_type: str, right_type: str,
                user_col: str = "user_id", ts_col: str = "ts",
                id_col: str = "event_id", type_col: str = "event_type",
-               num_partitions: int = 32, shuffle: str = "auto",
+               num_partitions: int = 32,
                spill_dir: str | None = None):
     """As-of join inside one event log: every LEFT-type event matched
     to the latest RIGHT-type event of the same key that strictly
@@ -467,7 +464,6 @@ def asof_prior(events_ds, *, left_type: str, right_type: str,
                             left_type, right_type)
 
     return _keyed_partition_op(events_ds, add_part, "upart", per_part,
-                               shuffle=shuffle,
                                spill_dir=spill_dir)
 
 
@@ -534,7 +530,7 @@ def window_count_prior(events_ds, *, left_type: str, right_type: str,
                        user_col: str = "user_id", ts_col: str = "ts",
                        id_col: str = "event_id",
                        type_col: str = "event_type",
-                       num_partitions: int = 32, shuffle: str = "auto",
+                       num_partitions: int = 32,
                        spill_dir: str | None = None):
     """Range-join windowed aggregate: for every LEFT-type event, how
     many RIGHT-type events of the same key fall in the sliding window
@@ -560,7 +556,6 @@ def window_count_prior(events_ds, *, left_type: str, right_type: str,
                                     window_us)
 
     return _keyed_partition_op(events_ds, add_part, "upart", per_part,
-                               shuffle=shuffle,
                                spill_dir=spill_dir)
 
 
@@ -597,7 +592,7 @@ def _pack_kernel(t: pa.Table, key_col: str, order_col: str,
 def pack_by_budget(ds, *, key_col: str = "source",
                    order_col: str = "doc_id",
                    weight_col: str = "n_chars", budget: int = 4096,
-                   num_partitions: int = 32, shuffle: str = "auto",
+                   num_partitions: int = 32,
                    spill_dir: str | None = None):
     """Greedy budget packing (training-shard packing: fill each pack
     with ~``budget`` weight of consecutive docs per key). Same shuffle
@@ -623,7 +618,6 @@ def pack_by_budget(ds, *, key_col: str = "source",
         return _pack_kernel(g, key_col, order_col, weight_col, budget)
 
     return _keyed_partition_op(ds, add_part, "kpart", per_part,
-                               shuffle=shuffle,
                                spill_dir=spill_dir)
 
 
@@ -665,7 +659,6 @@ def _running_total_kernel(t: pa.Table, key_col: str, ts_col: str,
 def running_total(events_ds, *, key_col: str = "user_id",
                   ts_col: str = "ts", id_col: str = "event_id",
                   val_col: str = "value", num_partitions: int = 32,
-                  shuffle: str = "auto",
                   spill_dir: str | None = None):
     """Per-key running sum (the SQL ``SUM(v) OVER (PARTITION BY key
     ORDER BY ts, id)`` window) — values quantize to integer x1e4 PER
@@ -681,7 +674,6 @@ def running_total(events_ds, *, key_col: str = "user_id",
                                      val_col)
 
     return _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                               shuffle=shuffle,
                                spill_dir=spill_dir)
 
 
@@ -711,7 +703,6 @@ def _top_n_kernel(t: pa.Table, key_col: str, val_col: str,
 def top_n_per_key(events_ds, *, key_col: str = "user_id",
                   val_col: str = "value", id_col: str = "event_id",
                   n: int = 3, num_partitions: int = 32,
-                  shuffle: str = "auto",
                   spill_dir: str | None = None):
     """Per-key top-n (the SQL ``row_number() OVER (PARTITION BY key
     ORDER BY val DESC, id) <= n`` shape): one uniform hash partition,
@@ -726,7 +717,6 @@ def top_n_per_key(events_ds, *, key_col: str = "user_id",
         return _top_n_kernel(g, key_col, val_col, id_col, n)
 
     return _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                               shuffle=shuffle,
                                spill_dir=spill_dir)
 
 
@@ -773,7 +763,7 @@ def _lag_diff_kernel(t: pa.Table, key_col: str, ts_col: str,
 
 def lag_gaps(events_ds, *, key_col: str = "user_id",
              ts_col: str = "ts", id_col: str = "event_id",
-             num_partitions: int = 32, shuffle: str = "auto",
+             num_partitions: int = 32,
              spill_dir: str | None = None):
     """Per-key inter-event gap (lag/lead window family): gap_us = ts -
     previous ts of the same key in (ts, id) order, -1 for each key's
@@ -789,7 +779,7 @@ def lag_gaps(events_ds, *, key_col: str = "user_id",
         return _lag_diff_kernel(g, key_col, ts_col, id_col)
 
     return _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                               shuffle=shuffle, spill_dir=spill_dir)
+                               spill_dir=spill_dir)
 
 
 def _moving_sum_kernel(t: pa.Table, key_col: str, ts_col: str,
@@ -827,7 +817,7 @@ def _moving_sum_kernel(t: pa.Table, key_col: str, ts_col: str,
 def moving_sum(events_ds, *, key_col: str = "user_id",
                ts_col: str = "ts", id_col: str = "event_id",
                val_col: str = "value", frame: int = 3,
-               num_partitions: int = 32, shuffle: str = "auto",
+               num_partitions: int = 32,
                spill_dir: str | None = None):
     """Per-key moving-window sum (the SQL ``SUM(v) OVER (PARTITION BY
     key ORDER BY ts, id ROWS BETWEEN frame-1 PRECEDING AND CURRENT
@@ -843,7 +833,7 @@ def moving_sum(events_ds, *, key_col: str = "user_id",
                                   frame)
 
     return _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                               shuffle=shuffle, spill_dir=spill_dir)
+                               spill_dir=spill_dir)
 
 
 def _string_agg_kernel(t: pa.Table, key_col: str, ts_col: str,
@@ -881,7 +871,7 @@ def _string_agg_kernel(t: pa.Table, key_col: str, ts_col: str,
 def string_agg_per_key(events_ds, *, key_col: str = "user_id",
                        ts_col: str = "ts", id_col: str = "event_id",
                        str_col: str = "event_type", sep: str = ",",
-                       num_partitions: int = 32, shuffle: str = "auto",
+                       num_partitions: int = 32,
                        spill_dir: str | None = None):
     """Per-key ordered concatenation (sequence assembly — the
     event-sequence-mining / doc-reassembly shape): one hash partition
@@ -897,7 +887,7 @@ def string_agg_per_key(events_ds, *, key_col: str = "user_id",
                                   sep)
 
     return _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                               shuffle=shuffle, spill_dir=spill_dir)
+                               spill_dir=spill_dir)
 
 
 def _rank_kernel(t: pa.Table, key_col: str, val_col: str,
@@ -961,7 +951,7 @@ def _rank_kernel(t: pa.Table, key_col: str, val_col: str,
 def rank_per_key(events_ds, *, key_col: str = "user_id",
                  val_col: str = "value", id_col: str = "event_id",
                  ntile: int | None = None,
-                 num_partitions: int = 32, shuffle: str = "auto",
+                 num_partitions: int = 32,
                  spill_dir: str | None = None):
     """SQL ``rank() / dense_rank() / percent_rank() OVER (PARTITION BY
     key ORDER BY val DESC, id)`` for every input row (plus
@@ -978,7 +968,7 @@ def rank_per_key(events_ds, *, key_col: str = "user_id",
         return _rank_kernel(g, key_col, val_col, id_col, ntile)
 
     return _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                               shuffle=shuffle, spill_dir=spill_dir)
+                               spill_dir=spill_dir)
 
 
 def _retention_kernel(t: pa.Table, user_col: str, day_col: str
@@ -1023,7 +1013,6 @@ def _retention_kernel(t: pa.Table, user_col: str, day_col: str
 
 def retention_cohorts(events_ds, *, user_col: str = "user_id",
                       ts_col: str = "ts", num_partitions: int = 32,
-                      shuffle: str = "auto",
                       spill_dir: str | None = None) -> pa.Table:
     """Cohort retention: cohort = each user's first active day, then
     for every (cohort_day, day_offset) the count of distinct users
@@ -1050,7 +1039,7 @@ def retention_cohorts(events_ds, *, user_col: str = "user_id",
         return _retention_kernel(g, user_col, "day")
 
     out = _keyed_partition_op(events_ds, add_part, "kpart", per_part,
-                              shuffle=shuffle, spill_dir=spill_dir)
+                              spill_dir=spill_dir)
     merged = collect_arrow(out)
     if merged is None:
         return _retention_kernel(pa.table(

@@ -322,7 +322,9 @@ class FederatedEngine:
     Scoring uses GLOBAL statistics (N = Σ n_docs, avgdl from summed token
     counts, df = Σ per-source df), and per-term postings are the sorted
     union of the sources' — so BM25 results are fp64-identical to
-    querying the fully merged index (tests assert it).
+    querying the fully merged index (tests assert it). Per-source work
+    runs as one Ray task per source when Ray is up and there is more
+    than one source, else in process (``_per_source``).
 
     ``merge_budget`` > 0 merges that many partitions into ``out_dir``
     per query (budgeted compaction rounds, the MergeDuration analog);
@@ -421,39 +423,36 @@ class FederatedEngine:
                 out[tok] = out.get(tok, 0) + d
         return out
 
-    def _use_ray(self, distributed: bool | None) -> bool:
-        if distributed is not None:
-            return distributed
+    def _per_source(self, fn, *args) -> list:
+        """``[fn(src, *args) for src in src_dirs]``: one Ray task per
+        source when Ray is up and there is more than one source, else an
+        in-process loop over the open engines (same code per source
+        either way)."""
         import ray
-        return ray.is_initialized() and len(self.src_dirs) > 1
+        if ray.is_initialized() and len(self.src_dirs) > 1:
+            return ray.get([_remote(fn).remote(s, *args)
+                            for s in self.src_dirs])
+        return [fn(s, *args, engine=e)
+                for s, e in zip(self.src_dirs, self.engines)]
 
-    def match(self, q: str, distributed: bool | None = None) -> np.ndarray:
+    def match(self, q: str) -> np.ndarray:
         self._maybe_merge()
         if self.merged is not None:
             return self.merged.match(q)
-        if self._use_ray(distributed):
-            import ray
-            parts = ray.get([_remote(_fed_match_source).remote(s, q)
-                             for s in self.src_dirs])
-        else:
-            parts = [_fed_match_source(s, q, engine=e)
-                     for s, e in zip(self.src_dirs, self.engines)]
-        return np.sort(np.concatenate(parts))
+        return np.sort(np.concatenate(self._per_source(_fed_match_source,
+                                                       q)))
 
-    def bm25(self, q: str, k: int = 10,
-             distributed: bool | None = None):
+    def bm25(self, q: str, k: int = 10):
         """Exact global BM25 over the union of sources (fp64-identical
         to the merged index's exact path — tests assert it).
 
-        Scoring is fanned out as one Ray task per source (two rounds:
-        per-source dfs → global (N, avgdl, df) broadcast → per-source
-        exact scoring + local top-k; the driver only merges ≤ k rows per
-        source). ``distributed=None`` auto-selects: Ray tasks when Ray is
-        up and there is more than one source, else the in-process loop
-        (same code path per source either way). This replaces the
-        round-2 driver-side term×source loop — the reference's
-        merge-on-search serving story (search_cond.go:828-837) kept
-        off-driver."""
+        Scoring is fanned out per source (``_per_source``: one Ray task
+        each when Ray is up and there is more than one source) in two
+        rounds: per-source dfs → global (N, avgdl, df) broadcast →
+        per-source exact scoring + local top-k; the driver only merges
+        ≤ k rows per source. This replaces the round-2 driver-side
+        term×source loop — the reference's merge-on-search serving
+        story (search_cond.go:828-837) kept off-driver."""
         from .search import SearchEngine
         self._maybe_merge()
         if self.merged is not None:
@@ -461,14 +460,7 @@ class FederatedEngine:
         empty = (np.empty(0, np.uint64), np.empty(0, np.float64))
         if not self.ndocs:
             return empty
-        use_ray = self._use_ray(distributed)
-        if use_ray:
-            import ray
-            df_maps = ray.get([_remote(_fed_source_dfs).remote(s, q)
-                               for s in self.src_dirs])
-        else:
-            df_maps = [_fed_source_dfs(s, q, engine=e)
-                       for s, e in zip(self.src_dirs, self.engines)]
+        df_maps = self._per_source(_fed_source_dfs, q)
         gdf: dict[int, int] = {}
         for m in df_maps:
             for t, d in m.items():
@@ -476,15 +468,8 @@ class FederatedEngine:
         tids = sorted(t for t, d in gdf.items() if d > 0)
         if not tids:
             return empty
-        if use_ray:
-            import ray
-            tops = ray.get([_remote(_fed_score_source).remote(
-                s, tids, gdf, self.ndocs, self.avgdl, k)
-                for s in self.src_dirs])
-        else:
-            tops = [_fed_score_source(s, tids, gdf, self.ndocs,
-                                      self.avgdl, k, engine=e)
-                    for s, e in zip(self.src_dirs, self.engines)]
+        tops = self._per_source(_fed_score_source, tids, gdf, self.ndocs,
+                                self.avgdl, k)
         tops = [t for t in tops if len(t[0])]
         if not tops:
             return empty

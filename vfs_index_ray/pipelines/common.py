@@ -87,32 +87,55 @@ def _corpus_key(sf_dir: str, src: str) -> str:
     return hashlib.sha1(raw.encode()).hexdigest()[:12]
 
 
+def build_once(idx: str, files: list[str], **builder_kw) -> str:
+    """Build the index at ``idx`` from ``files`` unless its
+    ``stats.json`` exists (a build resumes, so an interrupted one
+    completes); returns ``idx``."""
+    if not os.path.exists(os.path.join(idx, "stats.json")):
+        IndexBuilder(idx, **builder_kw).build(files)
+    return idx
+
+
+def cache_dir(sf_dir: str, tag: str, src: str | None = None) -> str:
+    """The cache directory ``/tmp/vfsray_cache/{name}-{key}-v{version}-
+    {tag}`` of an index over ``src`` (default: the documents table):
+    keyed on the corpus (``_corpus_key``) and on the package version, so
+    a segment-format change never reads a stale cached index."""
+    from .. import __version__
+    src = src or _doc_file(sf_dir)
+    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
+    return os.path.join("/tmp", "vfsray_cache",
+                        f"{name}-{_corpus_key(sf_dir, src)}"
+                        f"-v{__version__}-{tag}")
+
+
 def get_engine(sf_dir: str) -> SearchEngine:
-    """Build (or resume) the word-mode index for sf_dir; memoized."""
+    """Build (or resume) the word-mode index for sf_dir; memoized.
+    Positional (additive — serves all queries)."""
     if sf_dir not in _ENGINES:
-        from .. import __version__
-        name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-        src = _doc_file(sf_dir)
-        # version-keyed so a future segment-format change never reads a
-        # stale cached index; positional (additive — serves all queries)
-        idx = os.path.join("/tmp", "vfsray_cache",
-                           f"{name}-{_corpus_key(sf_dir, src)}"
-                           f"-v{__version__}-pos")
-        if not os.path.exists(os.path.join(idx, "stats.json")):
-            IndexBuilder(idx, mode="word", num_parts=8, id_col="doc_id",
-                         positions=True).build([src])
-        _ENGINES[sf_dir] = SearchEngine(idx, corpus_files=[src],
-                                        id_col="doc_id")
+        idx = build_once(cache_dir(sf_dir, "pos"), [_doc_file(sf_dir)],
+                         mode="word", num_parts=8, id_col="doc_id",
+                         positions=True)
+        _ENGINES[sf_dir] = SearchEngine(
+            idx, corpus_files=[_doc_file(sf_dir)], id_col="doc_id")
     return _ENGINES[sf_dir]
 
 
 def read_ds(sf_dir: str, table: str, columns=None):
     """Ray Data read of one testdata table (``<sf_dir>/<table>.parquet``),
-    with the push-based shuffle set first for the query's groupbys."""
+    with the push-based shuffle set first for the query's groupbys.
+
+    The read gets the file's schema without its metadata: the testdata
+    files carry ``pandas`` metadata, ``pyarrow.Schema.__hash__`` raises
+    on a schema with metadata, and Ray Data's schema unification logs a
+    warning for every block it cannot hash."""
     import ray.data
     push_based_shuffle()
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                                 columns=columns)
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
 def read_table(sf_dir: str, table: str, columns=None, **kw) -> pa.Table:

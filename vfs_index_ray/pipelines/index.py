@@ -11,11 +11,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..build import IndexBuilder
 from ..functions import collect_arrow
 from ..search import SearchEngine
-from .common import (TOKS, _conc, _corpus_key, _doc_file, _docs_ds,
-                     fixed_point, get_engine, query, read_table)
+from .common import (TOKS, _conc, _doc_file, _docs_ds, build_once,
+                     cache_dir, fixed_point, get_engine, query,
+                     read_table)
 
 BM25_QUERY = "spark join window"
 MATCH_QUERY = "spark window"
@@ -277,17 +277,10 @@ def get_trigram_engine(sf_dir: str) -> SearchEngine:
     Serves the key-space range / nearest-key queries (reference J6/J7
     string semantics)."""
     if sf_dir not in _TRI_ENGINES:
-        from .. import __version__
-        name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-        src = _doc_file(sf_dir)
-        idx = os.path.join("/tmp", "vfsray_cache",
-                           f"{name}-{_corpus_key(sf_dir, src)}"
-                           f"-v{__version__}-tri")
-        if not os.path.exists(os.path.join(idx, "stats.json")):
-            IndexBuilder(idx, mode="trigram", num_parts=8,
-                         id_col="doc_id").build([src])
-        _TRI_ENGINES[sf_dir] = SearchEngine(idx, corpus_files=[src],
-                                            id_col="doc_id")
+        idx = build_once(cache_dir(sf_dir, "tri"), [_doc_file(sf_dir)],
+                         mode="trigram", num_parts=8, id_col="doc_id")
+        _TRI_ENGINES[sf_dir] = SearchEngine(
+            idx, corpus_files=[_doc_file(sf_dir)], id_col="doc_id")
     return _TRI_ENGINES[sf_dir]
 
 
@@ -497,16 +490,10 @@ def get_orders_engine(sf_dir: str) -> SearchEngine:
     the reference's core use case (index one column of a JSON/CSV-shaped
     business table, point/range lookups on it)."""
     if sf_dir not in _ORD_ENGINES:
-        from .. import __version__
         src = os.path.join(sf_dir, "orders.parquet")
-        name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-        idx = os.path.join("/tmp", "vfsray_cache",
-                           f"{name}-{_corpus_key(sf_dir, src)}"
-                           f"-v{__version__}-orders")
-        if not os.path.exists(os.path.join(idx, "stats.json")):
-            IndexBuilder(idx, mode="trigram", num_parts=4,
-                         text_col="o_orderpriority",
-                         id_col="o_orderkey").build([src])
+        idx = build_once(cache_dir(sf_dir, "orders", src), [src],
+                         mode="trigram", num_parts=4,
+                         text_col="o_orderpriority", id_col="o_orderkey")
         _ORD_ENGINES[sf_dir] = SearchEngine(idx, corpus_files=[src],
                                             id_col="o_orderkey")
     return _ORD_ENGINES[sf_dir]
@@ -718,13 +705,8 @@ def get_federated_engine(sf_dir: str):
     if sf_dir not in _FED_ENGINES:
         import pyarrow.parquet as pqq
 
-        from .. import __version__
         from ..merge import FederatedEngine
-        src = _doc_file(sf_dir)
-        name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-        base = os.path.join("/tmp", "vfsray_cache",
-                            f"{name}-{_corpus_key(sf_dir, src)}"
-                            f"-v{__version__}-fed")
+        base = cache_dir(sf_dir, "fed")
         os.makedirs(base, exist_ok=True)
         idx_dirs = []
         for half in (0, 1):
@@ -735,11 +717,9 @@ def get_federated_engine(sf_dir: str):
                 tmp = half_src + ".tmp"
                 pqq.write_table(tbl.filter(pa.array(ids % 2 == half)), tmp)
                 os.replace(tmp, half_src)
-            idx = os.path.join(base, f"idx{half}")
-            if not os.path.exists(os.path.join(idx, "stats.json")):
-                IndexBuilder(idx, mode="word", num_parts=4,
-                             id_col="doc_id").build([half_src])
-            idx_dirs.append(idx)
+            idx_dirs.append(build_once(
+                os.path.join(base, f"idx{half}"), [half_src],
+                mode="word", num_parts=4, id_col="doc_id"))
         _FED_ENGINES[sf_dir] = FederatedEngine(idx_dirs)
     return _FED_ENGINES[sf_dir]
 
@@ -1072,17 +1052,10 @@ def _tomb_engine(sf_dir: str):
     get_engine index — tombstones mutate it) with docs ``doc_id % 7
     == 3`` deleted. delete_docs is idempotent, so repeated calls
     converge."""
-    from .. import __version__
-    from ..build import IndexBuilder
-    src = _doc_file(sf_dir)
-    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = os.path.join("/tmp", "vfsray_cache",
-                       f"{name}-{_corpus_key(sf_dir, src)}"
-                       f"-v{__version__}-tombq")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        IndexBuilder(idx, mode="word", num_parts=8,
-                     id_col="doc_id").build([src])
-    eng = SearchEngine(idx, corpus_files=[src], id_col="doc_id")
+    idx = build_once(cache_dir(sf_dir, "tombq"), [_doc_file(sf_dir)],
+                     mode="word", num_parts=8, id_col="doc_id")
+    eng = SearchEngine(idx, corpus_files=[_doc_file(sf_dir)],
+                       id_col="doc_id")
     # actual ids from the corpus (doc_id spaces can be sparse — sf1's
     # tiled fixture is), one pruned single-column read
     ids = read_table(sf_dir, "documents", columns=["doc_id"],
@@ -1384,18 +1357,11 @@ def q_fielded_bm25(sf_dir: str) -> pa.Table:
     'spark join src3' so the source field actually discriminates.
     score = BM25_text + 0.4·BM25_source, complete top-10 via the
     threshold algorithm + point-probe rescoring."""
-    from .. import __version__
     from ..search import fielded_bm25
     body = get_engine(sf_dir)
-    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    src = _doc_file(sf_dir)
-    idx = os.path.join("/tmp", "vfsray_cache",
-                       f"{name}-{_corpus_key(sf_dir, src)}"
-                       f"-v{__version__}-srcfield")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        IndexBuilder(idx, mode="word", num_parts=4, id_col="doc_id",
-                     text_col="source").build([src])
-    srcf = SearchEngine(idx)
+    srcf = SearchEngine(build_once(
+        cache_dir(sf_dir, "srcfield"), [_doc_file(sf_dir)], mode="word",
+        num_parts=4, id_col="doc_id", text_col="source"))
     docs, scores = fielded_bm25([(body, 1.0), (srcf, 0.4)],
                                 "spark join src3", k=10)
     return pa.table({
@@ -1447,18 +1413,11 @@ def q_recrawl_upsert(sf_dir: str) -> pa.Table:
     live statistics (df of 'spark' drops, shifting every score) pin
     the delete→purge→build→merge composition against a BM25 oracle
     computed over the latest-snapshot corpus."""
-    from .. import __version__
-    from ..build import IndexBuilder
     from ..merge import upsert_docs
     src = _doc_file(sf_dir)
-    name = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    root = os.path.join("/tmp", "vfsray_cache",
-                        f"{name}-{_corpus_key(sf_dir, src)}"
-                        f"-v{__version__}-upsq")
-    base = os.path.join(root, "base")
-    if not os.path.exists(os.path.join(base, "stats.json")):
-        IndexBuilder(base, mode="word", num_parts=8,
-                     id_col="doc_id").build([src])
+    root = cache_dir(sf_dir, "upsq")
+    base = build_once(os.path.join(root, "base"), [src], mode="word",
+                      num_parts=8, id_col="doc_id")
     v2 = os.path.join(root, "v2.parquet")
     if not os.path.exists(v2):
         import pyarrow.parquet as pq

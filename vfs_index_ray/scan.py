@@ -79,20 +79,18 @@ def _select_part(reader, part: int, lo: int | None, hi: int | None,
 
 def select_keys(engine, lo: int | None = None, hi: int | None = None,
                 cond: CondFn | None = None, asc: bool = True,
-                limit: int | None = None,
-                distributed: bool | None = None) -> pa.Table:
+                limit: int | None = None) -> pa.Table:
     """Ordered key-space scan: every indexed (term_id, df) with
     ``lo <= term_id <= hi`` passing ``cond``, in key order.
 
     Returns a pyarrow Table (term_id: uint64, df: uint64). ``cond`` is a
     vectorized predicate over candidate arrays; it is shipped to the
     per-part Ray tasks, so it must be serializable and must not close
-    over the engine. ``distributed=None`` auto-selects Ray fan-out when
-    Ray is up and the index has multiple parts (same policy as
-    SearchEngine.term_range_docs).
+    over the engine. Parts fan out as Ray tasks when Ray is up and the
+    index has multiple parts (``SegmentReader.map_parts``).
     """
     parts = engine.segments.map_parts(_select_part, lo, hi, cond, asc,
-                                      limit, distributed=distributed)
+                                      limit)
     parts = [p for p in parts if len(p[0])]
     if not parts:
         return pa.table({"term_id": pa.array([], pa.uint64()),
@@ -111,8 +109,7 @@ def select_keys(engine, lo: int | None = None, hi: int | None = None,
 def select(engine, visit: Callable[[int, int], object],
            lo: int | None = None, hi: int | None = None,
            cond: CondFn | None = None, asc: bool = True,
-           limit: int | None = None,
-           distributed: bool | None = None) -> int:
+           limit: int | None = None) -> int:
     """Visitor traversal (reference ``Select`` with ``OptTraverse``):
     call ``visit(term_id, df)`` for each matching key in key order;
     ``visit`` returning ``False`` stops the walk early (the reference's
@@ -123,7 +120,7 @@ def select(engine, visit: Callable[[int, int], object],
     issue follow-up engine calls (e.g. ``engine.load_terms([tid])``).
     """
     tbl = select_keys(engine, lo=lo, hi=hi, cond=cond, asc=asc,
-                      limit=limit, distributed=distributed)
+                      limit=limit)
     tids = tbl["term_id"].to_numpy(zero_copy_only=False)
     dfs = tbl["df"].to_numpy(zero_copy_only=False)
     n = 0

@@ -55,6 +55,12 @@ from .codec import Chunks, decode_blocks
 from .segment import SegmentReader
 from .tokenizer import tokenize_query
 
+# candidate count above which positional phrase matching goes
+# term-at-a-time (the regime where positions_flat can no longer push the
+# doc set down into the read); with Ray up, phrase and proximity
+# matching fan out over more than twice this many candidates
+PHRASE_STAGE_THRESHOLD = 8192
+
 
 def load_tombstones(index_dir: str) -> np.ndarray:
     """Union of all committed tombstone files (sorted-unique uint64 doc
@@ -158,6 +164,15 @@ def _range_docs(reader: SegmentReader, part: int, lo: int | None,
     """One part of ``term_range_docs`` (a Ray task body): the deduped
     ascending doc_ids of the part's terms in [lo, hi]."""
     return sorted_union([reader.decode_part(part, lo, hi)[1]])
+
+
+def _use_fan_out(cand_sorted: np.ndarray) -> bool:
+    """Phrase and proximity matching fan candidate chunks out as Ray
+    tasks when Ray is up and there are more than twice
+    ``PHRASE_STAGE_THRESHOLD`` candidates."""
+    import ray
+    return (len(cand_sorted) > 2 * PHRASE_STAGE_THRESHOLD
+            and ray.is_initialized())
 
 
 def _phrase_chunk(index_dir: str, seq: list[int], by_df: list[int],
@@ -902,25 +917,27 @@ class SearchEngine:
         ci = np.searchsorted(cand_sorted, dr).astype(np.uint64)
         return (ci << np.uint64(32)) | orr
 
+    def _phrase_keys(self, phrase: str) -> list[int]:
+        """The phrase's key sequence WITH duplicates, in order (dedup
+        would break repeated keys). Word mode: token hashes; trigram
+        mode: packed trigram windows — chaining consecutive windows
+        makes the trigram AND *exact* (the reference's unverified AND
+        can false-positive on scattered trigrams)."""
+        if self.mode == "trigram":
+            from .tokenizer import pack_trigram
+            return pack_trigram(phrase)
+        import re
+
+        from .hashing import fnv1a64
+        from .tokenizer import WORD_SPLIT
+        return [fnv1a64(tok)
+                for tok in re.split(WORD_SPLIT, phrase.lower()) if tok]
+
     def phrase_match_positional(self, phrase: str) -> np.ndarray:
         """Token-adjacency phrase matching from positional postings — no
         corpus access (the proper IR semantics: the exact token sequence
         appears, regardless of the separators between tokens)."""
-        # key sequence WITH duplicates, in order (dedup would break
-        # repeated keys). Word mode: token hashes; trigram mode: packed
-        # trigram windows — chaining consecutive windows makes the
-        # trigram AND *exact* (the reference's unverified AND can
-        # false-positive on scattered trigrams)
-        if self.mode == "trigram":
-            from .tokenizer import pack_trigram
-            seq = pack_trigram(phrase)
-        else:
-            import re
-
-            from .hashing import fnv1a64
-            from .tokenizer import WORD_SPLIT
-            seq = [fnv1a64(tok)
-                   for tok in re.split(WORD_SPLIT, phrase.lower()) if tok]
+        seq = self._phrase_keys(phrase)
         if not seq:
             return np.empty(0, np.uint64)
         cands = self.match(phrase)
@@ -928,7 +945,7 @@ class SearchEngine:
             return cands
         cand_sorted = np.sort(np.asarray(cands, np.uint64))
         uniq = sorted(set(seq))
-        if len(cand_sorted) > self.phrase_stage_threshold and len(uniq) > 1:
+        if len(cand_sorted) > PHRASE_STAGE_THRESHOLD and len(uniq) > 1:
             # pure-head phrase: too many candidates for the positional
             # read to push doc filters down. With Ray up, split the
             # candidates into ≤threshold contiguous doc chunks and run
@@ -937,12 +954,7 @@ class SearchEngine:
             # decode+intersect parallelizes); else switch to serial
             # rare-pivot chaining (one term at a time, df-ascending,
             # each fetch scoped to the docs still alive)
-            use_dist = self.phrase_distributed
-            if use_dist is None:
-                import ray
-                use_dist = ray.is_initialized() and \
-                    len(cand_sorted) > 2 * self.phrase_stage_threshold
-            if use_dist:
+            if _use_fan_out(cand_sorted):
                 return self._phrase_positional_distributed(
                     seq, uniq, cand_sorted)
             return self._phrase_positional_staged(seq, uniq, cand_sorted)
@@ -960,14 +972,6 @@ class SearchEngine:
         if len(A) == 0:
             return np.empty(0, np.uint64)
         return cand_sorted[np.unique(A >> np.uint64(32)).astype(np.int64)]
-
-    # candidate count above which phrase matching goes term-at-a-time
-    # (must match the regime where positions_flat can no longer push the
-    # doc set down into the parquet read)
-    phrase_stage_threshold = 8192
-    # None = auto (Ray up and candidates > 2x threshold → chunked
-    # fan-out); True/False pins the distributed vs serial-staged path
-    phrase_distributed: bool | None = None
 
     def _phrase_positional_distributed(self, seq: list[int],
                                        uniq: list[int],
@@ -995,14 +999,14 @@ class SearchEngine:
         cleanly. Chunk size: small enough for ~3 tasks per core (the
         decode + intersect work is the wall-time), never above the
         pushdown threshold, floor 1024 so per-task read/scheduling
-        overhead stays amortized (tests pin a tiny threshold to force
-        fan-out)."""
+        overhead stays amortized (tests monkeypatch a tiny
+        ``PHRASE_STAGE_THRESHOLD`` to force fan-out)."""
         import ray
 
         from .remote import remote_1cpu
         ncpu = max(1, int(ray.cluster_resources().get("CPU", 8)))
         target = int(np.ceil(len(cand_sorted) / (3 * ncpu)))
-        chunk_sz = min(max(1, self.phrase_stage_threshold),
+        chunk_sz = min(max(1, PHRASE_STAGE_THRESHOLD),
                        max(1024, target))
         n_chunks = int(np.ceil(len(cand_sorted) / chunk_sz))
         task = remote_1cpu(fn)
@@ -1071,12 +1075,7 @@ class SearchEngine:
         if len(cands) == 0:
             return cands
         cand_sorted = np.sort(np.asarray(cands, np.uint64))
-        use_dist = self.phrase_distributed
-        if use_dist is None:
-            import ray
-            use_dist = ray.is_initialized() and \
-                len(cand_sorted) > 2 * self.phrase_stage_threshold
-        if use_dist and len(cand_sorted) > 1:
+        if _use_fan_out(cand_sorted):
             return self._fan_out_candidates(_proximity_chunk, cand_sorted,
                                             tids, window)
         return self._proximity_verify(tids, window, cand_sorted)
@@ -1114,25 +1113,23 @@ class SearchEngine:
                                      ).astype(np.int64)]
 
     # ------------------------------------------------------------------
-    def term_range_docs(self, lo: int | None, hi: int | None,
-                        distributed: bool | None = None) -> np.ndarray:
+    def term_range_docs(self, lo: int | None, hi: int | None) -> np.ndarray:
         """Key-space range scan (reference J6 full semantics: string/
         trigram range, index_file.go:1208-1422 keyRecordsBy +
         commonNearFnByKey): ascending doc_ids of every indexed term with
         ``lo <= term_id <= hi`` (None = open bound).
 
-        Every part is touched (terms are hash-partitioned), so the scan
-        fans out as ONE RAY TASK PER PART (each returns its deduped doc
-        array; the driver unions ≤ P small arrays) — a wide string range
-        at scale is parallel per-part work, never a driver-sequential
-        key-space walk. The sorted ``term_id`` layout makes each read a
-        binary search — only record batches overlapping the key range
-        are decoded. In trigram mode the packed key order IS the
-        lexicographic order of the 3-rune windows, so this is a
-        string-range scan. ``distributed=None`` auto-selects Ray tasks
-        when Ray is up and the index is multi-part."""
-        parts = self.segments.map_parts(_range_docs, lo, hi,
-                                        distributed=distributed)
+        Every part is touched (terms are hash-partitioned), so when Ray
+        is up the scan fans out as ONE RAY TASK PER PART (each returns
+        its deduped doc array; the driver unions ≤ P small arrays) — a
+        wide string range at scale is parallel per-part work, never a
+        driver-sequential key-space walk. The sorted ``term_id`` layout
+        makes each read a binary search — only record batches
+        overlapping the key range are decoded. In trigram mode the
+        packed key order IS the lexicographic order of the 3-rune
+        windows, so this is a string-range scan
+        (``SegmentReader.map_parts`` picks the fan-out)."""
+        parts = self.segments.map_parts(_range_docs, lo, hi)
         parts = [p for p in parts if len(p)]
         if not parts:
             return np.empty(0, np.uint64)
@@ -1154,8 +1151,7 @@ class SearchEngine:
         from .scan import select
         return select(self, visit, **kw)
 
-    def nearest_term(self, key: int, less: bool = True,
-                     distributed: bool | None = None
+    def nearest_term(self, key: int, less: bool = True
                      ) -> tuple[int, int] | None:
         """Nearest indexed key (reference J7 on the KEY space:
         FindNearByKey index_file.go:1461-1534 — exact hit if present,
@@ -1165,12 +1161,12 @@ class SearchEngine:
         (``less=True``) or the smallest >= key. Per part this reads the
         record batch the segment's first-term directory picks (terms are
         sorted within a segment file); parts probe as parallel Ray tasks
-        (``distributed=None`` auto-selects, same policy as
+        when Ray is up (``SegmentReader.map_parts``, as for
         ``term_range_docs``/``select_keys`` — serial at 8 parts is fine,
         serial at 512 is not) and the driver merges one candidate per
         part."""
         cands = self.segments.map_parts(SegmentReader.nearest, int(key),
-                                        less, distributed=distributed)
+                                        less)
         cands = [c for c in cands if c is not None]
         if not cands:
             return None

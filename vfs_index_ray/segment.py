@@ -451,22 +451,18 @@ class SegmentReader:
             [task.remote(self, p, bounds) for p, bounds in by_part.items()])
 
     # ----- fan-out --------------------------------------------------------
-    def map_parts(self, fn, *args, distributed: bool | None = None
-                  ) -> list:
+    def map_parts(self, fn, *args) -> list:
         """``[fn(self, part, *args) for part in range(num_parts)]``, as
-        one 1-cpu Ray task per part when ``distributed`` (None = when Ray
-        is up and there is more than one part), else a local loop. Every
-        part file must exist. ``fn`` is a module-level function or
-        method (its Ray remote is cached per function)."""
-        self.check()
-        parts = range(self.num_parts)
-        if distributed is None:
-            import ray
-            distributed = ray.is_initialized() and self.num_parts > 1
-        if not distributed:
-            return [fn(self, p, *args) for p in parts]
+        one 1-cpu Ray task per part when Ray is up and there is more
+        than one part, else a local loop. Every part file must exist.
+        ``fn`` is a module-level function or method (its Ray remote is
+        cached per function)."""
         import ray
 
+        self.check()
+        parts = range(self.num_parts)
+        if not (ray.is_initialized() and self.num_parts > 1):
+            return [fn(self, p, *args) for p in parts]
         from .remote import remote_1cpu
         task = remote_1cpu(fn)
         return ray.get([task.remote(self, p, *args) for p in parts])

@@ -220,22 +220,33 @@ class QueryService:
             self.workers[self._route(q)].bm25_batch.remote([q], k, method))
         return np.array(docs, np.uint64), np.array(scores, np.float64)
 
+    def _scatter_gather(self, n: int, route, call, dtypes) -> list:
+        """Group input indexes ``0..n-1`` by replica (``route(i)``), make
+        one RPC per replica (``call(worker, idxs)``) and reassemble the
+        per-input ``(ids, values)`` pairs in input order, as arrays of
+        ``dtypes``."""
+        by_worker: dict[int, list[int]] = {}
+        for i in range(n):
+            by_worker.setdefault(route(i), []).append(i)
+        futs = {w: call(self.workers[w], idxs)
+                for w, idxs in by_worker.items()}
+        id_t, val_t = dtypes
+        out: list = [None] * n
+        for w, idxs in by_worker.items():
+            for i, (ids, vals) in zip(idxs, ray.get(futs[w])):
+                out[i] = (np.array(ids, id_t), np.array(vals, val_t))
+        return out
+
     def bm25_batch(self, queries: list[str], k: int = 10,
                    method: str = "auto"):
-        """Route, batch per replica (one RPC each), reassemble in input
-        order. Returns [(doc_ids, scores), ...] aligned with queries."""
-        by_worker: dict[int, list[int]] = {}
-        for i, q in enumerate(queries):
-            by_worker.setdefault(self._route(q), []).append(i)
-        futs = {w: self.workers[w].bm25_batch.remote(
-            [queries[i] for i in idxs], k, method)
-            for w, idxs in by_worker.items()}
-        out: list = [None] * len(queries)
-        for w, idxs in by_worker.items():
-            for i, (docs, scores) in zip(idxs, ray.get(futs[w])):
-                out[i] = (np.array(docs, np.uint64),
-                          np.array(scores, np.float64))
-        return out
+        """Route by query hash, batch per replica (one RPC each),
+        reassemble in input order. Returns [(doc_ids, scores), ...]
+        aligned with queries."""
+        return self._scatter_gather(
+            len(queries), lambda i: self._route(queries[i]),
+            lambda w, idxs: w.bm25_batch.remote(
+                [queries[i] for i in idxs], k, method),
+            (np.uint64, np.float64))
 
     def match(self, q: str) -> np.ndarray:
         return np.array(
@@ -257,19 +268,12 @@ class QueryService:
         reassembled in input order.  Returns [(ids, sims), ...]."""
         ex = _per_vector_excludes(exclude_ids, len(vecs))
         n = len(self.workers)
-        by_worker: dict[int, list[int]] = {}
-        for i in range(len(vecs)):
-            by_worker.setdefault(i % n, []).append(i)
-        futs = {w: self.workers[w].ann_batch.remote(
-            [vecs[i] for i in idxs], k, nprobe, filters,
-            [ex[i] for i in idxs])
-            for w, idxs in by_worker.items()}
-        out: list = [None] * len(vecs)
-        for w, idxs in by_worker.items():
-            for i, (ids, sims) in zip(idxs, ray.get(futs[w])):
-                out[i] = (np.array(ids, np.int64),
-                          np.array(sims, np.float64))
-        return out
+        return self._scatter_gather(
+            len(vecs), lambda i: i % n,
+            lambda w, idxs: w.ann_batch.remote(
+                [vecs[i] for i in idxs], k, nprobe, filters,
+                [ex[i] for i in idxs]),
+            (np.int64, np.float64))
 
     def pq_batch(self, vecs, k: int = 5, rerank: int = 1024,
                  exclude_ids=None):
@@ -278,19 +282,12 @@ class QueryService:
         Returns [(ids, exact_d2), ...] in input order."""
         ex = _per_vector_excludes(exclude_ids, len(vecs))
         n = len(self.workers)
-        by_worker: dict[int, list[int]] = {}
-        for i in range(len(vecs)):
-            by_worker.setdefault(i % n, []).append(i)
-        futs = {w: self.workers[w].pq_batch.remote(
-            [vecs[i] for i in idxs], k, rerank,
-            [ex[i] for i in idxs])
-            for w, idxs in by_worker.items()}
-        out: list = [None] * len(vecs)
-        for w, idxs in by_worker.items():
-            for i, (ids, d2) in zip(idxs, ray.get(futs[w])):
-                out[i] = (np.array(ids, np.int64),
-                          np.array(d2, np.int64))
-        return out
+        return self._scatter_gather(
+            len(vecs), lambda i: i % n,
+            lambda w, idxs: w.pq_batch.remote(
+                [vecs[i] for i in idxs], k, rerank,
+                [ex[i] for i in idxs]),
+            (np.int64, np.int64))
 
     def calls_per_worker(self) -> list[int]:
         return ray.get([w.calls.remote() for w in self.workers])

@@ -13,12 +13,15 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pyarrow.parquet as pq
 import pytest
 
 from vfs_index_ray import corpus
 
+# the checkout these tests live in
+REPO = str(Path(__file__).resolve().parents[1])
 PAGES = 1500  # big enough that a wave/merge is killable mid-write
 
 
@@ -63,9 +66,9 @@ def _spawn(body: str, tmp_path, name: str) -> subprocess.Popen:
         "from ray.data import DataContext\n"
         "DataContext.get_current().enable_progress_bars = False\n"
         + body)
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO)
     return subprocess.Popen([sys.executable, str(script)],
-                            cwd="/root/repo", env=env,
+                            cwd=REPO, env=env,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL,
                             start_new_session=True)

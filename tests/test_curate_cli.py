@@ -7,9 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+# the checkout these tests live in
+REPO = str(Path(__file__).resolve().parents[1])
 
 
 def test_curate_corpus_cli(tmp_path):
@@ -26,12 +30,12 @@ def test_curate_corpus_cli(tmp_path):
         "doc_id": pa.array([d for d, _ in docs], pa.int64()),
         "text": pa.array([t for _, t in docs])}), str(src))
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO)
     res = subprocess.run(
         [sys.executable, "scripts/curate_corpus.py", "--input",
          str(src), "--output", str(out), "--line-dedup",
          "--span-dedup", "--min-tokens", "5"],
-        cwd="/root/repo", env=env, capture_output=True, text=True,
+        cwd=REPO, env=env, capture_output=True, text=True,
         timeout=300)
     assert res.returncode == 0, res.stdout[-1500:] + res.stderr[-1500:]
     stats = json.load(open(out / "stats.json"))

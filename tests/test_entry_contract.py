@@ -1,11 +1,15 @@
 """Driver-contract consistency checks on __ray_entry__."""
 
 import importlib.util
+from pathlib import Path
+
+# the checkout these tests live in
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _load():
     spec = importlib.util.spec_from_file_location(
-        "_entry_mod", "/root/repo/__ray_entry__.py")
+        "_entry_mod", REPO / "__ray_entry__.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod

@@ -8,6 +8,10 @@ a local engine."""
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+# the checkout these tests live in
+REPO = str(Path(__file__).resolve().parents[1])
 
 SCRIPT = r"""
 import numpy as np
@@ -20,7 +24,7 @@ cluster = Cluster(initialize_head=True, head_node_args={"num_cpus": 2})
 cluster.add_node(num_cpus=2)
 ray.init(address=cluster.address, include_dashboard=False,
          logging_level="ERROR",
-         runtime_env={"env_vars": {"PYTHONPATH": "/root/repo"}})
+         runtime_env={"env_vars": {"PYTHONPATH": "%REPO%"}})
 
 from vfs_index_ray import corpus
 from vfs_index_ray.build import IndexBuilder
@@ -68,11 +72,12 @@ cluster.shutdown()
 
 
 def test_query_service_spreads_across_two_nodes(tmp_path):
-    script = SCRIPT.replace("%TMP%", str(tmp_path))
+    script = SCRIPT.replace("%TMP%", str(tmp_path)).replace(
+        "%REPO%", REPO)
     f = tmp_path / "two_node.py"
     f.write_text(script)
-    env = dict(os.environ, PYTHONPATH="/root/repo")
-    res = subprocess.run([sys.executable, str(f)], cwd="/root/repo",
+    env = dict(os.environ, PYTHONPATH=REPO)
+    res = subprocess.run([sys.executable, str(f)], cwd=REPO,
                          env=env, capture_output=True, text=True,
                          timeout=420)
     assert res.returncode == 0, res.stdout[-2000:] + res.stderr[-2000:]
@@ -87,7 +92,7 @@ SHIP_SCRIPT = r"""
 # 3-node cluster can import vfs_index_ray ONLY through the runtime_env
 # py_modules upload that cluster.connect-style packaging provides.
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, "%REPO%")
 
 import numpy as np
 import pyarrow as pa
@@ -118,7 +123,7 @@ def probe():
 # the worker resolved the package from the runtime_env working dir,
 # not from a shared checkout
 loc = ray.get(probe.remote())
-assert "/root/repo" not in loc, loc
+assert "%REPO%" not in loc, loc
 print("SHIPPED_FROM", loc)
 
 TMP = "%TMP%"
@@ -162,7 +167,8 @@ def test_three_node_build_query_code_shipping(tmp_path):
     """Full job on a simulated 3-node cluster with the package shipped
     via runtime_env py_modules — no PYTHONPATH, driver cwd outside the
     repo, so workers cannot see the checkout at all."""
-    script = SHIP_SCRIPT.replace("%TMP%", str(tmp_path))
+    script = SHIP_SCRIPT.replace("%TMP%", str(tmp_path)).replace(
+        "%REPO%", REPO)
     f = tmp_path / "three_node.py"
     f.write_text(script)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -190,7 +196,7 @@ cluster = Cluster(initialize_head=True, head_node_args={"num_cpus": 2})
 cluster.add_node(num_cpus=2)
 ray.init(address=cluster.address, include_dashboard=False,
          logging_level="ERROR",
-         runtime_env={"env_vars": {"PYTHONPATH": "/root/repo"}})
+         runtime_env={"env_vars": {"PYTHONPATH": "%REPO%"}})
 import ray.data
 
 from vfs_index_ray.functions.joins import hash_join
@@ -224,9 +230,9 @@ cluster.shutdown()
 
 def test_hash_join_on_two_node_cluster(tmp_path):
     f = tmp_path / "two_node_join.py"
-    f.write_text(JOIN_SCRIPT)
-    env = dict(os.environ, PYTHONPATH="/root/repo")
-    res = subprocess.run([sys.executable, str(f)], cwd="/root/repo",
+    f.write_text(JOIN_SCRIPT.replace("%REPO%", REPO))
+    env = dict(os.environ, PYTHONPATH=REPO)
+    res = subprocess.run([sys.executable, str(f)], cwd=REPO,
                          env=env, capture_output=True, text=True,
                          timeout=420)
     assert res.returncode == 0, res.stdout[-2000:] + res.stderr[-2000:]
@@ -251,7 +257,7 @@ cluster = Cluster(initialize_head=True, head_node_args={"num_cpus": 2})
 cluster.add_node(num_cpus=2)
 ray.init(address=cluster.address, include_dashboard=False,
          logging_level="ERROR",
-         runtime_env={"env_vars": {"PYTHONPATH": "/root/repo"}})
+         runtime_env={"env_vars": {"PYTHONPATH": "%REPO%"}})
 import ray.data
 
 import fsspec
@@ -356,11 +362,12 @@ def test_two_node_nonlocal_spill_end_to_end(tmp_path):
     """North-rule item: build -> bm25 -> exact_dedup -> hash_join on a
     simulated two-node cluster with every spill on a non-native
     pyarrow filesystem; all results identical to local/single-node."""
-    script = FSSPILL_SCRIPT.replace("%TMP%", str(tmp_path))
+    script = FSSPILL_SCRIPT.replace("%TMP%", str(tmp_path)).replace(
+        "%REPO%", REPO)
     f = tmp_path / "two_node_fsspill.py"
     f.write_text(script)
-    env = dict(os.environ, PYTHONPATH="/root/repo")
-    res = subprocess.run([sys.executable, str(f)], cwd="/root/repo",
+    env = dict(os.environ, PYTHONPATH=REPO)
+    res = subprocess.run([sys.executable, str(f)], cwd=REPO,
                          env=env, capture_output=True, text=True,
                          timeout=420)
     assert res.returncode == 0, res.stdout[-2000:] + res.stderr[-2000:]

@@ -3,11 +3,15 @@ record.go:46-82: interrupted builds continue, results identical)."""
 
 import os
 import shutil
+from pathlib import Path
 
 import pyarrow.parquet as pq
 import pytest
 
 from vfs_index_ray import corpus
+
+# the checkout these tests live in
+REPO = str(Path(__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +147,7 @@ def test_watch_absorb_once(ray_session, tmp_path):
             [sys.executable, "scripts/watch_absorb.py", "--index", idx,
              "--input", str(inc / "*.parquet"), "--num-parts", "4",
              "--once"],
-            capture_output=True, text=True, cwd="/root/repo", check=True)
+            capture_output=True, text=True, cwd=REPO, check=True)
 
     out = run_once()
     assert '"absorbed": 1' in out.stdout
@@ -182,6 +186,6 @@ def test_build_index_toml_config(ray_session, tmp_path):
     subprocess.run(
         [sys.executable, "scripts/build_index.py", "--input", src,
          "--index", idx, "--config", str(cfg)],
-        capture_output=True, text=True, cwd="/root/repo", check=True)
+        capture_output=True, text=True, cwd=REPO, check=True)
     st = read_stats(idx)
     assert st["num_parts"] == 2 and st["mode"] == "word"

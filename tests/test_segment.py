@@ -1,7 +1,9 @@
-"""Segment reads across record-batch boundaries: an index re-encoded
-with a few-KB batch target (many batches per part) answers every read
-shape exactly like the default one-batch-per-part encoding."""
+"""Segment reads on the one-record-batch format: every read shape
+answers exactly what a brute-force filter of the part's full table
+gives, term reads are zero-copy views of the memory-mapped file, and a
+file of another layout is refused."""
 
+import os
 import shutil
 
 import numpy as np
@@ -9,100 +11,170 @@ import pyarrow as pa
 import pytest
 
 from vfs_index_ray import corpus
-from vfs_index_ray.segment import SegmentReader, SegmentWriter, part_path
+from vfs_index_ray.codec import Chunks, decode_blocks
+from vfs_index_ray.segment import SegmentReader, part_path
 
 PARTS = 4
 QUERIES = [corpus.RARE_TERM, corpus.PHRASE, "bababa babade",
-           "the of and"]
+           "the of and", "nosuchtoken42"]
 
 
 @pytest.fixture(scope="module")
-def two_encodings(ray_session, pages_file, tmp_path_factory):
-    """(default index, the same postings re-encoded in 4 KB batches).
-    Bucketed (``bucket_shift=61``) so head terms span several rows."""
+def bucketed(ray_session, pages_file, tmp_path_factory):
+    """A bucketed index (``bucket_shift=61``): head terms span several
+    chunk rows."""
     from vfs_index_ray.build import IndexBuilder
 
-    root = tmp_path_factory.mktemp("batches")
-    default = str(root / "default")
-    IndexBuilder(default, mode="word", num_parts=PARTS, bucket_shift=61,
+    idx = str(tmp_path_factory.mktemp("segment") / "idx")
+    IndexBuilder(idx, mode="word", num_parts=PARTS, bucket_shift=61,
                  id_col=None).build([pages_file])
-    small = str(root / "small")
-    shutil.copytree(default, small)
-    src = SegmentReader(default, PARTS)
-    mp = pytest.MonkeyPatch()
-    mp.setattr(SegmentWriter, "BATCH_TARGET_BYTES", 4096)
-    try:
-        writer = SegmentWriter(SegmentReader(small, PARTS).segments_dir, 61)
-        for p in range(PARTS):
-            t, d, tf, dl = src.decode_part(p)
-            writer.encode_part(p, pa.table({"term_id": t, "doc_id": d,
-                                            "tf": tf, "dl": dl}))
-    finally:
-        mp.undo()
-    return default, small
+    return idx
 
 
-def _batch_firsts(reader, part):
-    with pa.memory_map(part_path(reader.segments_dir, part)) as src:
-        f = pa.ipc.open_file(src)
-        return [f.get_batch(i).column("term_id")[0].as_py()
-                for i in range(f.num_record_batches)]
+def _full(reader, part) -> pa.Table:
+    """The part's whole table, read without ``SegmentReader``."""
+    with open(part_path(reader.segments_dir, part), "rb") as f:
+        return pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
 
 
-def _rows(by_term):
-    return {t: [{k: np.asarray(v).tobytes() for k, v in row.items()}
-                for row in rows] for t, rows in by_term.items()}
+def _multi_row_term(full: pa.Table) -> int:
+    tids = full["term_id"].to_numpy()
+    return int(tids[np.flatnonzero(tids[1:] == tids[:-1])[0]])
 
 
-def test_reads_across_batch_boundaries(two_encodings):
-    from vfs_index_ray.search import SearchEngine, bm25_topk_ray
+def _rows(chunks):
+    return [{k: np.asarray(v).tobytes() for k, v in row.items()}
+            for row in chunks]
 
-    default, small = two_encodings
-    big_r, small_r = SegmentReader(default, PARTS), SegmentReader(small,
-                                                                  PARTS)
+
+def test_read_shapes_match_brute_force(bucketed):
+    reader = SegmentReader(bucketed, PARTS)
     for p in range(PARTS):
-        assert len(_batch_firsts(big_r, p)) == 1
-        firsts = _batch_firsts(small_r, p)
-        assert len(firsts) >= 8, p
-        terms = big_r.read_range(p, columns=["term_id"])["term_id"]
-        terms = np.unique(terms.to_numpy())
-        # head terms span several chunk rows: their rows stay together
-        assert big_r.read_range(p).num_rows > len(terms)
+        full = _full(reader, p)
+        tids, dfs = full["term_id"].to_numpy(), full["df"].to_numpy()
+        terms = np.unique(tids)
+        assert len(tids) > len(terms)  # head terms span several rows
+        first, last = int(terms[0]), int(terms[-1])
+        multi = _multi_row_term(full)
+        keys = [first - 1, first, multi, last, last + 1]
 
-        # keys on, just below and just above some batch-first terms
-        near = sorted({k for f in firsts[1::len(firsts) // 6]
-                       for k in (f - 1, f, f + 1)})
-        probe = sorted(set(terms[::7].tolist()) | set(near))
-        assert (_rows(small_r.load_terms(p, probe))
-                == _rows(big_r.load_terms(p, probe)))
-        for lo in [None] + near:
-            for hi in [None] + near:
+        def where(lo, hi):
+            keep = np.ones(len(tids), bool)
+            if lo is not None:
+                keep &= tids >= lo
+            if hi is not None:
+                keep &= tids <= hi
+            return full.filter(keep)
+
+        got = reader.load_terms(p, keys)
+        assert len(got[multi]) > 1
+        for key in keys:
+            assert _rows(got[key]) == _rows(Chunks(where(key, key))), \
+                (p, key)
+        for lo in [None] + keys:
+            for hi in [None] + keys:
                 if lo is not None and hi is not None and hi < lo:
                     continue
-                assert small_r.read_range(p, lo, hi).equals(
-                    big_r.read_range(p, lo, hi)), (p, lo, hi)
+                want = where(lo, hi)
+                assert reader.read_range(p, lo, hi).equals(want), \
+                    (p, lo, hi)
                 cols = ["df", "term_id"]
-                assert small_r.read_range(p, lo, hi, cols).equals(
-                    big_r.read_range(p, lo, hi, cols)), (p, lo, hi)
-        keys = near + [0, int(terms[0]) - 1, int(terms[0]),
-                       int(terms[-1]), int(terms[-1]) + 1, (1 << 64) - 1]
-        for key in keys:
-            for less in (True, False):
-                assert (small_r.nearest(p, key, less)
-                        == big_r.nearest(p, key, less)), (p, key, less)
-        assert big_r.nearest(p, int(terms[0]) - 1, True) is None
-        assert big_r.nearest(p, int(terms[-1]) + 1, False) is None
-        for lo, hi in [(None, None), (firsts[2], firsts[5] - 1),
-                       (firsts[3] + 1, firsts[3] + 1)]:
-            for a, b in zip(small_r.decode_part(p, lo, hi),
-                            big_r.decode_part(p, lo, hi)):
-                assert np.array_equal(a, b), (p, lo, hi)
+                assert reader.read_range(p, lo, hi, cols).equals(
+                    want.select(cols)), (p, lo, hi)
+                rows = Chunks(want)
+                expect = (np.repeat(rows.column("term_id"),
+                                    rows.column("n").astype(np.int64)),
+                          *decode_blocks(rows))
+                for a, b in zip(reader.decode_part(p, lo, hi), expect):
+                    assert np.array_equal(a, b), (p, lo, hi)
+        for key in keys + [0, (1 << 64) - 1]:
+            le, ge = tids <= np.uint64(key), tids >= np.uint64(key)
+            below = (int(tids[le][-1]), int(dfs[le][-1])) if le.any() \
+                else None
+            above = (int(tids[ge][0]), int(dfs[ge][0])) if ge.any() \
+                else None
+            assert reader.nearest(p, key, True) == below, (p, key)
+            assert reader.nearest(p, key, False) == above, (p, key)
 
-    eb, es = SearchEngine(default), SearchEngine(small)
+
+def test_bm25_matches_oracle(bucketed, oracle_index):
+    from vfs_index_ray.search import SearchEngine, bm25_topk_ray
+
+    eng = SearchEngine(bucketed)
     for q in QUERIES:
-        db, sb = eb.bm25(q, 20)
-        ds, ss = es.bm25(q, 20)
-        assert ds.tolist() == db.tolist() and ss.tolist() == sb.tolist()
-        rb, rs = bm25_topk_ray(default, q, 10), bm25_topk_ray(small, q, 10)
-        assert rs[0].tolist() == rb[0].tolist()
-        assert rs[1].tolist() == rb[1].tolist()
+        want = oracle_index.bm25(q, 20)
+        for method in ("exact", "maxscore"):
+            docs, scores = eng.bm25(q, 20, method=method)
+            assert list(zip(docs.tolist(), scores.tolist())) == want, \
+                (q, method)
+        docs, scores = bm25_topk_ray(bucketed, q, 20)
+        assert list(zip(docs.tolist(), scores.tolist())) == want, q
+
+
+def test_load_terms_is_zero_copy(bucketed):
+    """A term read allocates no Arrow memory: its rows and the column
+    views over them are the memory-mapped file's pages."""
+    reader = SegmentReader(bucketed, PARTS)
+    p = 0
+    term = _multi_row_term(_full(reader, p))
+    before = pa.total_allocated_bytes()
+    rows = reader.load_terms(p, [term])[term]
+    views = [rows.column(c) for c in ("docs", "tfs", "skip_doc_last")]
+    assert len(rows) > 1 and all(len(v) for v in views)
+    assert pa.total_allocated_bytes() <= before
+
+
+def test_one_term_read_ships_only_its_rows(bucketed):
+    """Ray serializes a one-term ``_read`` (what ``terms_dataset``
+    tasks return) as its own rows, not the whole memory-mapped part."""
+    import ray
+
+    reader = SegmentReader(bucketed, PARTS)
+    p = 0
+    full = _full(reader, p)
+    term = _multi_row_term(full)
+    tbl = reader._read(p, [(term, term)])
+    assert tbl.num_rows > 1
+    ctx = ray._private.worker.global_worker.get_serialization_context()
+    assert ctx.serialize(tbl).total_bytes < 0.05 * full.nbytes
+
+
+def _rewrite(path: str, layout: str) -> None:
+    """Rewrite one segment file as two uncompressed record batches cut
+    at a term boundary, or as 0.4.0 wrote a small part: one lz4 batch
+    with the first-term directory in the schema metadata."""
+    with open(path, "rb") as f:
+        tbl = pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
+    tids = tbl["term_id"].to_numpy()
+    if layout == "two_batches":
+        cut = int(np.searchsorted(tids, tids[len(tids) // 2]))
+        batches, options = [tbl.slice(0, cut), tbl.slice(cut)], None
+    else:
+        tbl = tbl.replace_schema_metadata({
+            b"batch_first_term_ids": tids[:1].astype("<u8").tobytes().hex()})
+        batches = [tbl]
+        options = pa.ipc.IpcWriteOptions(compression="lz4")
+    with pa.OSFile(path, "wb") as sink, \
+            pa.ipc.new_file(sink, tbl.schema, options=options) as writer:
+        for b in batches:
+            writer.write_table(b.combine_chunks())
+
+
+@pytest.mark.parametrize("layout", ["two_batches", "v040_directory"])
+@pytest.mark.parametrize("shape", ["load_terms", "read_range", "nearest",
+                                   "decode_part"])
+def test_other_layouts_raise_rebuild(bucketed, tmp_path, layout, shape):
+    idx = str(tmp_path / "old")
+    shutil.copytree(bucketed, idx)
+    reader = SegmentReader(idx, PARTS)
+    p = 0
+    term = _multi_row_term(_full(reader, p))
+    path = part_path(reader.segments_dir, p)
+    _rewrite(path, layout)
+    assert os.path.getsize(path) > 0
+    call = {"load_terms": lambda: reader.load_terms(p, [term]),
+            "read_range": lambda: reader.read_range(p),
+            "nearest": lambda: reader.nearest(p, term, less=True),
+            "decode_part": lambda: reader.decode_part(p)}[shape]
+    with pytest.raises(RuntimeError, match="must be rebuilt"):
+        call()

@@ -368,6 +368,43 @@ def test_substrate_rule_picks_disk_or_sort(ray_session, tmp_path,
         assert sort == forced == large and len(sort) > 0
 
 
+def test_substrate_rule_never_executes_its_input(ray_session, tmp_path,
+                                                monkeypatch):
+    """``_use_disk`` sizes a derived input from the nearest upstream
+    operator whose size is known (here the parquet read) and runs none
+    of the plan: the map function of a ``map_batches`` over the read
+    runs zero times while the rule decides, both ways."""
+    import os
+    import time
+
+    import pyarrow as pa
+    import ray.data
+
+    from vfs_index_ray.functions import windows as W
+
+    src = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"x": np.arange(5000, dtype=np.int64)}), src)
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def mark(batch):
+        (calls / f"{os.getpid()}-{time.monotonic_ns()}").touch()
+        return batch
+
+    read = ray.data.read_parquet(src)
+    mapped = read.map_batches(mark, batch_format="pyarrow")
+    size = read._logical_plan.dag.infer_metadata().size_bytes
+    assert size and mapped._logical_plan.dag.infer_metadata(
+    ).size_bytes is None
+    assert W._plan_size_bytes(mapped._logical_plan.dag) == size
+    monkeypatch.setattr(W, "AUTO_DISK_BYTES", size)
+    assert not W._use_disk(mapped, None)
+    monkeypatch.setattr(W, "AUTO_DISK_BYTES", size - 1)
+    assert W._use_disk(mapped, None)
+    assert list(calls.iterdir()) == []
+    assert len(mapped.take_all()) == 5000 and list(calls.iterdir())
+
+
 def test_budget_mix_greedy_semantics():
     """The kernel keeps docs in (mix32(id), id) order while the key's
     exclusive prefix-sum is under budget — the crossing doc is kept,

@@ -421,8 +421,9 @@ class Chunks:
         got = self._views.get(name)
         if got is None:
             col = self._rows.column(name)
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
+            if isinstance(col, pa.ChunkedArray):  # one chunk: no copy
+                col = (col.chunk(0) if col.num_chunks == 1
+                       else col.combine_chunks())
             if pa.types.is_large_binary(col.type):
                 offs = np.frombuffer(col.buffers()[1], np.int64,
                                      count=len(col) + 1,
@@ -548,22 +549,25 @@ def decode_blocks(rows: Chunks, blocks: np.ndarray | None = None
 # ---------------------------------------------------------------------------
 
 _BLOOM_K = 7  # hash functions; with m = 16 bits/term → fp rate ~0.6%
+# the k seeds, a column each row of terms broadcasts against
+_BLOOM_SEEDS = (np.arange(1, _BLOOM_K + 1, dtype=np.uint64)
+                * _U64(0x9E3779B97F4A7C15))[:, None]
 
 
 def _bloom_hashes(terms: np.ndarray, m: int) -> np.ndarray:
     """(k, n) bit indices for each term — splitmix64 finalizer over
-    term ^ seed_i, vectorized. ``m`` must be a power of two."""
+    term + seed_i, one in-place broadcast pass over all k seeds. ``m``
+    must be a power of two."""
     t = np.ascontiguousarray(terms, np.uint64)
-    out = np.empty((_BLOOM_K, len(t)), np.int64)
-    mask = _U64(m - 1)
     with np.errstate(over="ignore"):
-        for i in range(_BLOOM_K):
-            z = t + _U64(0x9E3779B97F4A7C15) * _U64(i + 1)
-            z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-            z = z ^ (z >> _U64(31))
-            out[i] = (z & mask).astype(np.int64)
-    return out
+        z = t + _BLOOM_SEEDS
+        z ^= z >> _U64(30)
+        z *= _U64(0xBF58476D1CE4E5B9)
+        z ^= z >> _U64(27)
+        z *= _U64(0x94D049BB133111EB)
+        z ^= z >> _U64(31)
+    z &= _U64(m - 1)
+    return z.view(np.int64)  # < m <= 2**63: the same values
 
 
 def bloom_build(terms: np.ndarray, bits_per_term: int = 16,
@@ -600,7 +604,9 @@ def bloom_test(bloom: bytes, terms: np.ndarray) -> np.ndarray:
     t = np.ascontiguousarray(terms, np.uint64)
     if len(t) == 0:
         return np.zeros(0, bool)
-    bits = np.unpackbits(np.frombuffer(bloom, np.uint8),
-                         bitorder="little")
-    idx = _bloom_hashes(t, len(bits))
-    return bits[idx].all(axis=0).astype(bool)
+    packed = np.frombuffer(bloom, np.uint8)
+    idx = _bloom_hashes(t, len(packed) * 8)
+    # bit i is bit i % 8 of byte i // 8 (little bit order): test the
+    # packed bytes, never unpack the whole filter
+    bits = (packed[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
+    return bits.all(axis=0)

@@ -35,20 +35,27 @@ from . import collect_arrow
 AUTO_DISK_BYTES = 128 * 1024 * 1024
 
 
+def _plan_size_bytes(op) -> int:
+    """Size estimate of a logical operator's output, never executing
+    it: its own metadata estimate when known (a parquet read's, a
+    materialized dataset's), else its inputs' summed (a map or filter
+    is sized by the nearest upstream operator that knows)."""
+    meta = op.infer_metadata()
+    if meta is not None and meta.size_bytes is not None:
+        return meta.size_bytes
+    return sum(_plan_size_bytes(dep) for dep in op.input_dependencies)
+
+
 def _use_disk(ds, spill_dir) -> bool:
     """The one substrate rule of every keyed op: a caller's
     ``spill_dir`` (any ``spillfs.open_spill`` spec — shared storage on
-    clusters) or an input whose metadata-based size estimate (free for
-    parquet reads; no execution) exceeds ``AUTO_DISK_BYTES`` means the
+    clusters) or an input whose plan-based size estimate
+    (``_plan_size_bytes``) exceeds ``AUTO_DISK_BYTES`` means the
     hive-partitioned disk spill; anything else means Ray Data's
     groupby."""
     if spill_dir is not None:
         return True
-    try:
-        sz = ds.size_bytes() or 0
-    except Exception:
-        sz = 0
-    return sz > AUTO_DISK_BYTES
+    return _plan_size_bytes(ds._logical_plan.dag) > AUTO_DISK_BYTES
 
 
 def _sort_partition_op(keyed_ds, part_col: str, per_part):

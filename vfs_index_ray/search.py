@@ -1124,10 +1124,10 @@ class SearchEngine:
         its deduped doc array; the driver unions ≤ P small arrays) — a
         wide string range at scale is parallel per-part work, never a
         driver-sequential key-space walk. The sorted ``term_id`` layout
-        makes each read a binary search — only record batches
-        overlapping the key range are decoded. In trigram mode the
-        packed key order IS the lexicographic order of the 3-rune
-        windows, so this is a string-range scan
+        makes each read a binary search — only the rows in the key
+        range are decoded. In trigram mode the packed key order IS the
+        lexicographic order of the 3-rune windows, so this is a
+        string-range scan
         (``SegmentReader.map_parts`` picks the fan-out)."""
         parts = self.segments.map_parts(_range_docs, lo, hi)
         parts = [p for p in parts if len(p)]
@@ -1158,9 +1158,9 @@ class SearchEngine:
         else climb to the closest indexed key below/above).
 
         Returns (term_id, df) of the largest indexed term <= key
-        (``less=True``) or the smallest >= key. Per part this reads the
-        record batch the segment's first-term directory picks (terms are
-        sorted within a segment file); parts probe as parallel Ray tasks
+        (``less=True``) or the smallest >= key. Per part this is one
+        binary search of the segment's term_id column (terms are sorted
+        within a segment file); parts probe as parallel Ray tasks
         when Ray is up (``SegmentReader.map_parts``, as for
         ``term_range_docs``/``select_keys`` — serial at 8 parts is fine,
         serial at 512 is not) and the driver merges one candidate per

@@ -3,13 +3,11 @@
 An index keeps one segment per hash partition (``part = term_id % P``)
 under ``segments/``:
 
-- ``part=NNNNN.arrow`` — an Arrow IPC file, lz4-compressed, of one row
-  per (term_id, doc bucket) chunk in ``codec.SEGMENT_SCHEMA``,
-  lexsorted by term_id. Record batches are cut at term boundaries by
-  byte size, and the schema metadata (which the file footer repeats)
-  holds each batch's first term_id: a read binary-searches that
-  directory, decompresses only the batches it picks and binary-searches
-  term_id inside them;
+- ``part=NNNNN.arrow`` — an Arrow IPC file of one uncompressed record
+  batch: one row per (term_id, doc bucket) chunk in
+  ``codec.SEGMENT_SCHEMA``, lexsorted by term_id. A read memory-maps
+  the file, binary-searches the term_id column and slices the rows it
+  wants: zero-copy views of the file's pages, never a decompress;
 - ``part=NNNNN.bloom`` — a bloom filter over the part's term ids;
 - ``part=NNNNN.json`` — the part's manifest row; it marks the part
   committed.
@@ -23,16 +21,15 @@ included, so a missing segment file always means a truncated index.
 ``SegmentWriter`` is the one writer; ``SegmentReader`` serves every
 read (term point reads, key-range scans, nearest-key probes, whole-part
 decodes, the Ray Data read of ``bm25_topk_ray``) and the per-part
-fan-out over them. A segment file of any other schema (one written by
-an older version) is refused with a "must be rebuilt" error. The
-reference reads its index files through one abstraction the same way:
-it pages them in and binary-searches a sorted key list
+fan-out over them. A segment file of any other schema or layout (one
+written by an older version) is refused with a "must be rebuilt"
+error. The reference reads its index files through one abstraction
+the same way: it pages them in and binary-searches a sorted key list
 (index_file.go:664-749, 974-1003).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import tempfile
@@ -43,15 +40,12 @@ import pyarrow.parquet as pq
 
 from .codec import SEGMENT_SCHEMA, Chunks, decode_blocks, encode_partition
 
-# schema metadata key of the per-batch first-term directory: the
-# batches' first term_ids as little-endian uint64, hex-encoded
-_DIRECTORY_KEY = b"batch_first_term_ids"
 _FIELDS = SEGMENT_SCHEMA.names
-# segment and positions file codec. lz4 over zstd: the varint payload is
-# already entropy-dense, so zstd buys only ~12% size but costs ~2x on
-# every query-path read (measured, BASELINE.md round-3 late); lz4 over no
-# compression: +63% bytes for ~1 ms per cold query
-_COMPRESSION = "lz4"
+_U64_MAX = (1 << 64) - 1
+# positions file codec. Segments are not compressed: lz4 shrank them
+# by a third (mostly the tfs column; docs and dls barely compress), but
+# cost a whole-part decompress per cold term read
+_POSITIONS_COMPRESSION = "lz4"
 
 
 def segments_dir(index_dir: str) -> str:
@@ -77,9 +71,9 @@ def positions_path(seg_dir: str, part: int) -> str:
 
 
 # small row groups: a head term's positions span many groups, and a
-# phrase with few candidate docs reads only the groups holding them. The
-# codec is the segment's (lz4: 18% faster term-scoped reads than zstd for
-# 22% more bytes — the serving index prefers read speed)
+# phrase with few candidate docs reads only the groups holding them
+# (lz4: 18% faster term-scoped reads than zstd for 22% more bytes — the
+# serving index prefers read speed)
 POSITIONS_ROW_GROUP = 32768
 
 
@@ -133,51 +127,21 @@ class SegmentWriter:
     Runs inside the per-part tasks of ``IndexBuilder._encode_parts``.
     """
 
-    # ~1 MB of chunk-row payload per record batch: a term point read
-    # decompresses the batches holding the term, so the batch byte size
-    # — not a fixed row count — bounds read amplification. Fat rows
-    # (unbucketed head terms, ~150 KB/chunk) get few rows per batch;
-    # skinny bucketed chunks keep the 4096 cap. A term's chunks never
-    # straddle a cut, so one term lives in one batch.
-    BATCH_TARGET_BYTES = 1 << 20
-
     def __init__(self, segments_dir: str, bucket_shift: int,
                  lineage: list[str] | None = None):
         self.segments_dir = segments_dir
         self.bucket_shift = bucket_shift
         self.lineage = lineage or []
 
-    def _batch_starts(self, seg: pa.Table) -> np.ndarray:
-        """Row offsets of the record batches: the first term boundary at
-        or after every ~BATCH_TARGET_BYTES of rows."""
-        n = seg.num_rows
-        if n == 0:
-            return np.empty(0, np.int64)
-        avg_row = max(seg.nbytes / n, 1.0)
-        rows = int(min(4096, max(16, self.BATCH_TARGET_BYTES // avg_row)))
-        tids = seg["term_id"].to_numpy()
-        term_starts = np.flatnonzero(np.r_[True, tids[1:] != tids[:-1]])
-        starts = [0]
-        while True:
-            k = np.searchsorted(term_starts, starts[-1] + rows)
-            if k == len(term_starts):
-                return np.array(starts, np.int64)
-            starts.append(int(term_starts[k]))
-
-    def _write_segment(self, seg: pa.Table, path: str) -> None:
-        """``seg`` as an IPC file of term-aligned record batches, the
-        batches' first term_ids in the schema metadata."""
-        seg = seg.combine_chunks()
-        starts = self._batch_starts(seg)
-        firsts = seg["term_id"].to_numpy()[starts].astype("<u8")
-        schema = seg.schema.with_metadata(
-            {_DIRECTORY_KEY: firsts.tobytes().hex()})
-        ends = np.r_[starts[1:], seg.num_rows]
-        options = pa.ipc.IpcWriteOptions(compression=_COMPRESSION)
+    @staticmethod
+    def _write_segment(seg: pa.Table, path: str) -> None:
+        """``seg`` as an IPC file of one uncompressed record batch (an
+        empty one for an empty part)."""
+        batch = pa.record_batch([c.combine_chunks() for c in seg.columns],
+                                schema=seg.schema)
         with pa.OSFile(path, "wb") as sink, \
-                pa.ipc.new_file(sink, schema, options=options) as writer:
-            for a, b in zip(starts, ends):
-                writer.write_table(seg.slice(a, b - a))  # one chunk each
+                pa.ipc.new_file(sink, seg.schema) as writer:
+            writer.write_batch(batch)
 
     def _write_positions(self, part: int, positions: pa.Table) -> None:
         """``positions`` (term_id, doc_id, pos) as the part's positions
@@ -192,7 +156,7 @@ class SegmentWriter:
         os.makedirs(os.path.dirname(final), exist_ok=True)
         tmp = os.path.join(os.path.dirname(final),
                            ".tmp." + os.path.basename(final))
-        pq.write_table(tbl, tmp, compression=_COMPRESSION,
+        pq.write_table(tbl, tmp, compression=_POSITIONS_COMPRESSION,
                        row_group_size=POSITIONS_ROW_GROUP)
         os.replace(tmp, final)
 
@@ -262,10 +226,10 @@ class SegmentReader:
 
     Picklable (the bloom cache stays behind), so Ray tasks receive it;
     ``map_parts`` runs ``fn(reader, part, ...)`` over all parts, as one
-    Ray task per part or as a local loop. Reads decompress on the
-    calling thread: a batch is at most ~1 MB, and Arrow's thread pool
-    made a cold term read slower, besides oversubscribing a node that
-    runs concurrent tasks.
+    Ray task per part or as a local loop. Every read returns views into
+    the memory-mapped file, which stays mapped while any view is alive;
+    so segment files are only ever replaced (tmp + rename), never
+    rewritten in place, which would fault a reader's views.
     """
 
     def __init__(self, index_dir: str, num_parts: int):
@@ -322,108 +286,87 @@ class SegmentReader:
         return self._blooms[part]
 
     # ----- the one read path ----------------------------------------------
-    @contextlib.contextmanager
-    def _open(self, part: int, columns: list[str] | None):
-        """(IPC file reader, first-term directory) of the part's memory
-        mapped segment; only ``columns`` (plus term_id) are decoded.
+    def _batch(self, part: int, columns: list[str] | None
+               ) -> pa.RecordBatch:
+        """The part's record batch, its columns zero-copy views of the
+        memory-mapped file; only ``columns`` (plus term_id) are read.
         The columns are projected by their index in ``SEGMENT_SCHEMA``,
-        so a file of another schema is refused, not read shifted."""
+        so a file of another schema is refused, not read shifted; so is
+        a file of several batches or with schema metadata (0.4.0 wrote
+        lz4 batches cut every ~1 MB and a first-term directory)."""
         fields = None if columns is None else [
             i for i, name in enumerate(_FIELDS)
             if name == "term_id" or name in columns]
         want = SEGMENT_SCHEMA if fields is None else pa.schema(
             [SEGMENT_SCHEMA.field(i) for i in fields])
-        options = pa.ipc.IpcReadOptions(use_threads=False,
-                                        included_fields=fields)
+        options = pa.ipc.IpcReadOptions(included_fields=fields)
         path = self.path(part)
         with pa.memory_map(path) as source:
             reader = pa.ipc.open_file(source, options=options)
-            if not reader.schema.equals(want):
+            if (not reader.schema.equals(want) or reader.schema.metadata
+                    or reader.num_record_batches != 1):
                 raise RuntimeError(
-                    f"{path} has an old segment schema: the index was "
-                    "written by an older version and must be rebuilt")
-            firsts = np.frombuffer(bytes.fromhex(
-                reader.schema.metadata[_DIRECTORY_KEY].decode()), "<u8")
-            yield reader, firsts
+                    f"{path} has an old segment schema or layout: the "
+                    "index was written by an older version and must be "
+                    "rebuilt")
+            return reader.get_batch(0)
 
     @staticmethod
-    def _slices(reader, firsts: np.ndarray, bounds):
-        """Yield, in term order, the rows with ``lo <= term_id <= hi``
-        for each ``(lo, hi)`` of ascending, disjoint ``bounds`` (None =
-        open) as record batch slices. The directory picks the batches
-        overlapping a range, each is decompressed at most once, and
-        term_id is binary-searched inside it."""
-        cached = (-1, None)
-        for lo, hi in bounds:
-            lo = None if lo is None else np.uint64(lo)
-            hi = None if hi is None else np.uint64(hi)
-            first = 0 if lo is None else max(
-                int(np.searchsorted(firsts, lo, "right")) - 1, 0)
-            stop = (len(firsts) if hi is None
-                    else int(np.searchsorted(firsts, hi, "right")))
-            for b in range(first, stop):
-                if cached[0] != b:
-                    cached = (b, reader.get_batch(b))
-                batch = cached[1]
-                tids = batch.column("term_id").to_numpy()
-                i = 0 if lo is None else int(np.searchsorted(tids, lo))
-                j = (len(tids) if hi is None
-                     else int(np.searchsorted(tids, hi, "right")))
-                if i < j:
-                    yield batch.slice(i, j - i)
+    def _slices(batch: pa.RecordBatch, bounds) -> list[pa.RecordBatch]:
+        """The rows with ``lo <= term_id <= hi`` for each ``(lo, hi)`` of
+        ascending, disjoint ``bounds`` (None = open), in term order, as
+        slices of ``batch``; empty ones are left out. Two binary searches
+        of the term_id column find them all."""
+        tids = batch.column("term_id").to_numpy()
+        lo = np.array([0 if b[0] is None else b[0] for b in bounds],
+                      np.uint64)
+        hi = np.array([_U64_MAX if b[1] is None else b[1] for b in bounds],
+                      np.uint64)
+        starts = np.searchsorted(tids, lo).tolist()
+        stops = np.searchsorted(tids, hi, "right").tolist()
+        return [batch.slice(i, j - i) for i, j in zip(starts, stops)
+                if i < j]
 
     def _read(self, part: int, bounds, columns: list[str] | None = None
               ) -> pa.Table:
         """The part's rows in ``bounds`` (see ``_slices``) as a table of
         ``columns`` (None = all)."""
-        with self._open(part, columns) as (reader, firsts):
-            tbl = pa.Table.from_batches(
-                list(self._slices(reader, firsts, bounds)),
-                schema=reader.schema.remove_metadata())
+        batch = self._batch(part, columns)
+        tbl = pa.Table.from_batches(self._slices(batch, bounds),
+                                    schema=batch.schema)
         return tbl if columns is None else tbl.select(columns)
 
     # ----- the four read shapes -----------------------------------------
     def load_terms(self, part: int, tids: list[int]) -> dict[int, Chunks]:
         """Term point read: the chunk rows of each of ``tids`` (all in
-        ``part``) as column views into the record batch holding them,
-        bucket ascending; an absent term gets no rows."""
+        ``part``) as column views into the memory-mapped file, bucket
+        ascending; an absent term gets no rows."""
         out = {t: Chunks() for t in tids}
-        with self._open(part, None) as (reader, firsts):
-            for rows in self._slices(reader, firsts,
-                                     [(t, t) for t in sorted(set(tids))]):
-                out[rows.column("term_id")[0].as_py()] = Chunks(rows)
+        batch = self._batch(part, None)
+        for rows in self._slices(batch,
+                                 [(t, t) for t in sorted(set(tids))]):
+            out[rows.column("term_id")[0].as_py()] = Chunks(rows)
         return out
 
     def read_range(self, part: int, lo: int | None = None,
                    hi: int | None = None, columns: list[str] | None = None
                    ) -> pa.Table:
         """Key-range read: the part's chunk rows with
-        ``lo <= term_id <= hi`` (None = open bound), only record batches
-        overlapping the range decompressed."""
+        ``lo <= term_id <= hi`` (None = open bound)."""
         return self._read(part, [(lo, hi)], columns)
 
     def nearest(self, part: int, key: int, less: bool
                 ) -> tuple[int, int] | None:
         """Nearest-key probe: (term_id, df) of the part's largest term
-        <= key (``less``) or smallest >= key. The directory picks the
-        batch; the smallest term >= key reads the next batch too when
-        the key is past the last term of its own."""
-        with self._open(part, ["term_id", "df"]) as (reader, firsts):
-            if less:
-                b = int(np.searchsorted(firsts, np.uint64(key), "right"))
-                if b == 0:
-                    return None
-                hits = list(self._slices(reader, firsts,
-                                         [(firsts[b - 1], key)]))
-                batch, i = hits[-1], -1
-            else:
-                batch = next(self._slices(reader, firsts, [(key, None)]),
-                             None)
-                if batch is None:
-                    return None
-                i = 0
-            return (int(batch.column("term_id")[i].as_py()),
-                    int(batch.column("df")[i].as_py()))
+        <= key (``less``) or smallest >= key."""
+        batch = self._batch(part, ["term_id", "df"])
+        tids = batch.column("term_id").to_numpy()
+        key = np.uint64(key)
+        i = (int(np.searchsorted(tids, key, "right")) - 1 if less
+             else int(np.searchsorted(tids, key)))
+        if not 0 <= i < len(tids):
+            return None
+        return int(tids[i]), int(batch.column("df")[i].as_py())
 
     def decode_part(self, part: int, lo: int | None = None,
                     hi: int | None = None):

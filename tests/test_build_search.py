@@ -92,16 +92,20 @@ def test_text_byte_identical_per_url(pages_file):
 
 
 def test_build_deterministic_across_parallelism(ray_session, pages_file,
-                                                tmp_path, built_index):
+                                                tmp_path, built_index,
+                                                monkeypatch):
     """Two builds at different parallelism → identical segment contents
-    (FIXTURES.md item 10)."""
+    (FIXTURES.md item 10). A 16 KB block cap splits the second build's
+    wave into dozens of tokenize batches."""
+    from vfs_index_ray import build
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.search import SearchEngine
 
     idx1, _ = built_index
     idx2 = str(tmp_path / "idx2")
-    IndexBuilder(idx2, mode="word", num_parts=8, id_col=None,
-                 tokenize_batch_size=64).build([pages_file])
+    monkeypatch.setattr(build, "WAVE_BLOCK_BYTES", 16 << 10)
+    IndexBuilder(idx2, mode="word", num_parts=8, id_col=None
+                 ).build([pages_file])
     e1, e2 = SearchEngine(idx1), SearchEngine(idx2)
     for q in QUERIES:
         d1, s1 = e1.bm25(q, 20)
@@ -116,6 +120,41 @@ def test_build_deterministic_across_parallelism(ray_session, pages_file,
         b1 = open(part_path(r1.segments_dir, p, "bloom"), "rb").read()
         b2 = open(part_path(r2.segments_dir, p, "bloom"), "rb").read()
         assert b1 == b2, p
+
+
+@pytest.mark.parametrize("tasks_per_cpu", [1, 2])
+def test_wave_spill_files_bounded_by_cpus(ray_session, tmp_path,
+                                          monkeypatch, tasks_per_cpu):
+    """A wave runs one fused read→tokenize→write task per cluster CPU,
+    so it writes at most CPUs × num_parts spill files, also when it
+    reads more files than there are CPUs; a wave over
+    ``WAVE_TASK_BYTES`` per CPU runs (and writes for) more tasks."""
+    import os
+
+    import ray
+
+    from vfs_index_ray import build
+    from vfs_index_ray.build import IndexBuilder
+
+    pages = corpus.generate_pages(600)
+    ncpu = int(ray.cluster_resources()["CPU"])
+    n_files = 3 * ncpu
+    files = []
+    for i, lo in enumerate(range(0, 600, 600 // n_files)):
+        files.append(str(tmp_path / f"p{i:02d}.parquet"))
+        pq.write_table(pages.slice(lo, 600 // n_files), files[-1])
+    if tasks_per_cpu > 1:
+        nbytes = sum(build._column_bytes(pq.read_metadata(f),
+                                         ["text", "url"]) for f in files)
+        monkeypatch.setattr(build, "WAVE_TASK_BYTES",
+                            -(-nbytes // (tasks_per_cpu * ncpu)))
+    b = IndexBuilder(str(tmp_path / "idx"), mode="word", num_parts=8,
+                     id_col=None)
+    b.build_postings_wave(0, files)
+    spill = [f for _, _, fs in os.walk(f"{b.postings_dir}/wave=0000")
+             for f in fs]
+    assert (tasks_per_cpu - 1) * ncpu * 8 < len(spill) \
+        <= tasks_per_cpu * ncpu * 8
 
 
 def test_bucketed_index_same_results(ray_session, pages_file, tmp_path,

@@ -311,19 +311,40 @@ def test_join_auto_decoded_overshoot_falls_back(ray_session):
     assert a.equals(b.cast(a.schema))
 
 
+def _unsized_ds(table: pa.Table):
+    """``table`` read through a datasource that reports no size: its
+    plan's size estimate is unknown."""
+    import ray.data
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    class Unsized(Datasource):
+        def estimate_inmemory_data_size(self):
+            return None
+
+        def get_read_tasks(self, parallelism, **kw):
+            meta = BlockMetadata(num_rows=None, size_bytes=None,
+                                 input_files=None, exec_stats=None)
+            return [ReadTask(lambda: [table], meta)]
+
+    return ray.data.read_datasource(Unsized())
+
+
 def test_join_auto_unknown_size_takes_hash_path(ray_session):
-    """size_bytes() -> None (unknown) must take the co-partitioned
-    path, never materialize the right side on the driver."""
+    """A right side whose size estimate is unknown (a leaf without a
+    size) must take the co-partitioned path, never materialize the
+    right side on the driver."""
     from unittest import mock
 
     import ray
     import ray.data
 
-    from vfs_index_ray.functions import joins
+    from vfs_index_ray.functions import _plan_size_bytes, joins
     from vfs_index_ray.functions.joins import join_auto
 
     lt, rt = _left_table(seed=81), _right_table()
-    rds = ray.data.from_arrow(rt)
+    rds = _unsized_ds(rt)
+    assert _plan_size_bytes(rds._logical_plan.dag) is None
     called = {}
     real_hash = joins.hash_join
 
@@ -331,8 +352,7 @@ def test_join_auto_unknown_size_takes_hash_path(ray_session):
         called["hash"] = True
         return real_hash(*a, **k)
 
-    with mock.patch.object(rds, "size_bytes", return_value=None), \
-         mock.patch.object(joins, "hash_join", side_effect=spy):
+    with mock.patch.object(joins, "hash_join", side_effect=spy):
         out = join_auto(ray.data.from_arrow(lt), rds,
                         left_on="k", right_on="k2", how="inner")
         t = _sorted(pa.concat_tables(ray.get(out.to_arrow_refs()))
@@ -342,6 +362,69 @@ def test_join_auto_unknown_size_takes_hash_path(ray_session):
                    .select(["k", "v", "w"]))
     assert t.select(sorted(t.column_names)).equals(
         want.cast(t.select(sorted(t.column_names)).schema))
+
+
+def _marked_read(tmp_path, table: pa.Table, name: str):
+    """(read, mapped, calls): a parquet read of ``table`` and a
+    ``map_batches`` over it that touches a file in ``calls`` per batch,
+    so a test can see whether anything executed the plan."""
+    import os
+    import time
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    src = str(tmp_path / f"{name}.parquet")
+    pq.write_table(table, src)
+    calls = tmp_path / f"{name}_calls"
+    calls.mkdir()
+
+    def mark(batch):
+        (calls / f"{os.getpid()}-{time.monotonic_ns()}").touch()
+        return batch
+
+    read = ray.data.read_parquet(src)
+    return read, read.map_batches(mark, batch_format="pyarrow"), calls
+
+
+def test_size_based_parts_never_executes_its_input(ray_session, tmp_path):
+    """``_size_based_parts`` sizes a derived input from its plan (here
+    the parquet read under a map) and runs none of it."""
+    from vfs_index_ray.functions import joins
+
+    read, mapped, calls = _marked_read(tmp_path, _left_table(), "l")
+    size = read._logical_plan.dag.infer_metadata().size_bytes
+    target = max(1, size // 20)
+    assert joins._size_based_parts((mapped, mapped),
+                                   target_bytes=target) \
+        == -(-2 * size // target) > 8
+    assert list(calls.iterdir()) == []
+
+
+def test_join_auto_never_executes_its_input(ray_session, tmp_path,
+                                            monkeypatch):
+    """The broadcast-or-shuffle decision reads the right side's plan
+    estimate and executes neither input: one byte under the estimate
+    takes the co-partitioned join with no map call on either side; at
+    the estimate the right side is broadcast."""
+    from vfs_index_ray.functions import joins
+
+    _, left, lcalls = _marked_read(tmp_path, _left_table(), "l")
+    read, right, rcalls = _marked_read(tmp_path, _right_table(), "r")
+    size = read._logical_plan.dag.infer_metadata().size_bytes
+    chosen = []
+    monkeypatch.setattr(joins, "hash_join",
+                        lambda *a, **k: chosen.append("hash"))
+    monkeypatch.setattr(joins, "broadcast_join",
+                        lambda *a, **k: chosen.append("broadcast"))
+    joins.join_auto(left, right, left_on="k", right_on="k2",
+                    broadcast_bytes=size - 1)
+    assert chosen == ["hash"]
+    assert list(lcalls.iterdir()) == list(rcalls.iterdir()) == []
+    joins.join_auto(left, right, left_on="k", right_on="k2",
+                    broadcast_bytes=size)
+    assert chosen == ["hash", "broadcast"]
+    assert list(lcalls.iterdir()) == []
 
 
 def test_detect_hot_keys_derived_dataset_single_pass(ray_session):

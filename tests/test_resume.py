@@ -81,6 +81,57 @@ def test_resume_after_partial_segments(ray_session, two_files, tmp_path):
         assert r1.read_range(p).equals(r2.read_range(p)), p
 
 
+def test_encode_parts_failure_waits_then_resumes(ray_session, two_files,
+                                                tmp_path):
+    """One part's task raising makes ``_encode_parts`` raise only after
+    every other part task has ended: each of them committed and none
+    left a ``.tmp.`` file. A rerun encodes the failed part and the
+    index equals a clean build, byte for byte."""
+    import time
+
+    from vfs_index_ray.build import IndexBuilder
+
+    clean = str(tmp_path / "clean3")
+    IndexBuilder(clean, mode="word", num_parts=8, id_col=None
+                 ).build(two_files)
+
+    inter = str(tmp_path / "inter3")
+    b1 = IndexBuilder(inter, mode="word", num_parts=8, id_col=None)
+    b1.build_postings_wave(0, two_files)
+    wave = os.path.join(b1.postings_dir, "wave=0000")
+    bad = 5
+
+    def postings_of(p):
+        if p == bad:
+            raise RuntimeError("part task failed")
+        time.sleep(0.5)  # still running when the bad part fails
+        return pq.read_table(os.path.join(wave, f"part={p}"),
+                             columns=["term_id", "doc_id", "tf", "dl"]
+                             ), None
+
+    # the bad part is the largest, so it is submitted (and fails) first
+    with pytest.raises(Exception, match="part task failed"):
+        b1._encode_parts(postings_of, lambda p: 1 << 40 if p == bad else p)
+    left = sorted(os.listdir(b1.segments_dir))
+    assert sorted(b1._done_parts()) == [p for p in range(8) if p != bad]
+    assert not [n for n in left if n.startswith(".tmp.")]
+    time.sleep(1.0)
+    assert sorted(os.listdir(b1.segments_dir)) == left
+
+    IndexBuilder(inter, mode="word", num_parts=8, id_col=None
+                 ).build(two_files)
+    assert (open(os.path.join(clean, "stats.json"), "rb").read()
+            == open(os.path.join(inter, "stats.json"), "rb").read())
+    seg = os.path.join(clean, "segments")
+    names = [n for n in sorted(os.listdir(seg))
+             if n.endswith((".arrow", ".bloom"))]
+    assert names == [n for n in sorted(os.listdir(b1.segments_dir))
+                     if n.endswith((".arrow", ".bloom"))]
+    for n in names:
+        assert (open(os.path.join(seg, n), "rb").read()
+                == open(os.path.join(b1.segments_dir, n), "rb").read()), n
+
+
 def test_wave_sidecar_requires_postings(ray_session, two_files, tmp_path):
     """Scratch loss before segments are built → wave recomputed, not
     trusted from the orphaned sidecar."""

@@ -163,3 +163,31 @@ def test_order_by_empty_and_single_part(ray_session):
     out2 = order_by(ray.data.from_arrow(t2), [("i", "desc")],
                     row_number_col="rn", num_parts=1)
     assert _got(out2)["i"].to_pylist() == [3, 2, 1]
+
+
+def test_sort_parts_never_executes_its_input(ray_session, tmp_path):
+    """``_num_parts`` sizes a derived input from its plan (the parquet
+    read under a map) and runs none of it: the map function runs zero
+    times while the partition count is decided."""
+    import os
+    import time
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from vfs_index_ray.functions import sort
+
+    src = str(tmp_path / "t.parquet")
+    pq.write_table(_mk_table(with_nulls=False), src)
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def mark(batch):
+        (calls / f"{os.getpid()}-{time.monotonic_ns()}").touch()
+        return batch
+
+    read = ray.data.read_parquet(src)
+    mapped = read.map_batches(mark, batch_format="pyarrow")
+    size = read._logical_plan.dag.infer_metadata().size_bytes
+    assert sort._num_parts(mapped, -(-size // 3)) == 3
+    assert list(calls.iterdir()) == []

@@ -6,7 +6,7 @@ import numpy as np
 import pyarrow as pa
 
 from vfs_index_ray import corpus
-from vfs_index_ray.hashing import fnv1a64, fnv1a64_tokens
+from vfs_index_ray.hashing import MAX_TOKEN_BYTES, fnv1a64, fnv1a64_tokens
 from vfs_index_ray.oracle import oracle_tokenize
 from vfs_index_ray.tokenizer import (pack_trigram, postings_from_texts,
                                      tokenize_query, trigram_ids_flat)
@@ -16,6 +16,25 @@ def test_fnv_vector_matches_scalar():
     toks = pa.array(["hello", "a", "", "x" * 100, "日本語", "0abc9"])
     hv = fnv1a64_tokens(toks)
     assert [int(x) for x in hv] == [fnv1a64(t) for t in toks.to_pylist()]
+    # seeded random tokens of 0-80 UTF-8 bytes: both sides of the
+    # MAX_TOKEN_BYTES cap, multi-byte characters, every length in one
+    # call (the kernel sorts spans by length)
+    rng = np.random.default_rng(11)
+    alphabet = list("abcxyz019-_") + ["é", "ß", "日", "語", "🙂"]
+    words = []
+    for _ in range(2000):
+        budget = int(rng.integers(0, 81))
+        w = ""
+        for c in rng.choice(alphabet, size=budget):
+            if len((w + c).encode()) > budget:
+                break
+            w += c
+        words.append(w)
+    lens = [len(w.encode()) for w in words]
+    assert min(lens) == 0 and max(lens) > MAX_TOKEN_BYTES
+    assert any(len(w) < n for w, n in zip(words, lens))  # non-ASCII
+    hv = fnv1a64_tokens(pa.array(words))
+    assert [int(x) for x in hv] == [fnv1a64(w) for w in words]
 
 
 def _postings_via_oracle(texts, mode):

@@ -4,12 +4,17 @@ Ray-Data-native re-expression of the reference's build lifecycle
 (indexer.go Regist → column.go Update/WriteDirties → baseMergeIndex,
 SURVEY §3.1):
 
-  phase 1 (postings): read_parquet(pages, columns pruned — html never read)
-      → map_batches(tokenize_postings tasks, zero-copy Arrow)
-      → write postings parquet per *wave* of input files, committed
-        atomically (tmp dir + rename + sidecar JSON) — the analog of the
-        reference's per-record write-files with atomic SafeRename publish
-        (record.go:194-248, filelist.go:224-231), at a sane granularity.
+  phase 1 (postings): read_parquet(pages, columns pruned — html never
+      read, one block per cluster CPU, more for a wave over
+      ``WAVE_TASK_BYTES`` per CPU) → map_batches(tokenize_postings,
+      whole blocks) → part column → write postings parquet per *wave* of
+      input files, all fused into one task per read block. Blocks are
+      capped at ``WAVE_BLOCK_BYTES`` so the executor admits every CPU
+      from the first task and each tokenize batch stays bounded. The wave is
+      committed atomically (tmp dir + rename + sidecar JSON) — the
+      analog of the reference's per-record write-files with atomic
+      SafeRename publish (record.go:194-248, filelist.go:224-231), at a
+      sane granularity.
 
   phase 2 (segments, ``build_segments``): phase 1 already wrote the
       postings hive-partitioned by part = term_id % P (THE build shuffle,
@@ -17,11 +22,13 @@ SURVEY §3.1):
       column.go:449-545). ``build_segments`` hands a per-part gather of
       that part's files from every wave to ``_encode_parts``, the
       segment rewrite driver merge and purge share (as the reference
-      shares baseMergeIndex): one Ray task per uncommitted part, largest
-      part first, encodes it (segment.SegmentWriter.encode_part),
-      publishes its files atomically and commits a sidecar manifest
-      row, so a rerun skips committed partitions (resume — the
-      reference's IsExist anti-join, record.go:46-82).
+      shares baseMergeIndex): one plain 1-cpu Ray task per uncommitted
+      part, submitted largest part first, encodes it
+      (segment.SegmentWriter.encode_part), publishes its files
+      atomically and commits a sidecar manifest row, so a rerun skips
+      committed partitions (resume — the reference's IsExist anti-join,
+      record.go:46-82). Every task is waited for before the first error
+      is raised.
 
   finalize: stats.json (N, total tokens, avgdl) + manifest.parquet
         (per-partition lineage + metrics) assembled from sidecars.
@@ -49,6 +56,19 @@ from .segment import (SegmentWriter, _atomic_write_json, _manifest_table,
                       part_path, read_part_row, segments_dir)
 from .stages.tokenize import AddPartColumn, tokenize_postings
 
+# block cap of a wave's dataset (its own DataContext, never the global
+# one). Until a task has finished, Ray Data sizes each task's output at
+# twice this cap against the object store budget; at the default 128 MB
+# it admits ONE task first and the rest of the cluster idles behind it.
+# 16 MB admits every CPU at once and bounds each tokenize batch.
+WAVE_BLOCK_BYTES = 16 << 20
+# input bytes (uncompressed, read columns) one phase-1 task may take on.
+# A task's spill write holds ALL its output at once (Ray's parquet sink
+# lists its blocks before the partitioned write), which turns
+# superlinear: on one CPU, 1.2M pages as one 720 MB task took 268 s in
+# phase 1, as 8, 12 or 16 tasks of 90-45 MB 46-48 s.
+WAVE_TASK_BYTES = 64 << 20
+
 
 class IndexBuilder:
     def __init__(self, index_dir: str, *, mode: str = "word",
@@ -56,7 +76,6 @@ class IndexBuilder:
                  text_col: str = "text", id_col: str | None = "doc_id",
                  html_col: str | None = None,
                  url_col: str = "url",
-                 tokenize_batch_size: int | None = 4096,
                  scratch_dir: str | None = None,
                  positions: bool = False):
         self.index_dir = index_dir
@@ -71,7 +90,6 @@ class IndexBuilder:
         # column need not exist in the input at all.
         self.html_col = html_col
         self.url_col = url_col
-        self.tokenize_batch_size = tokenize_batch_size
         # positions=True (word mode): token ordinals ride through the
         # shuffle as a delta+varint binary column and land in parallel
         # per-part positions files — token-adjacency phrase queries
@@ -149,15 +167,19 @@ class IndexBuilder:
             cols.append(self.id_col)
         else:
             cols.append(self.url_col)
-        # block count = cluster CPUs (not Ray's default ~200): each write
-        # task emits one file per part it sees, so fewer/larger blocks keep
-        # the per-part file count (and phase-2 open() overhead) bounded
+        # block count = cluster CPUs (not Ray's default ~200): each
+        # fused read→tokenize→write task emits one file per part it sees,
+        # so one task per CPU keeps the spill at CPUs × parts files (and
+        # phase-2 open() overhead) bounded. More tasks only when a task
+        # would read over WAVE_TASK_BYTES (see there)
         ncpu = int(ray.cluster_resources().get("CPU", 8))
-        nblocks = max(len(files), ncpu)
         if is_parquet:
-            ds = ray.data.read_parquet(files, columns=cols,
-                                       override_num_blocks=nblocks)
-            n_docs = sum(pq.read_metadata(f).num_rows for f in files)
+            metas = [pq.read_metadata(f) for f in files]
+            n_docs = sum(m.num_rows for m in metas)
+            nbytes = sum(_column_bytes(m, cols) for m in metas)
+            ds = ray.data.read_parquet(
+                files, columns=cols,
+                override_num_blocks=max(ncpu, -(-nbytes // WAVE_TASK_BYTES)))
         else:
             # json/csv ingestion (reference S1-S5 decoder registry
             # analog). Materialize once: count() and the tokenize pass
@@ -169,20 +191,21 @@ class IndexBuilder:
         if self.html_col:
             from .functions.extract import extract_text_batch
             ds = ds.map_batches(extract_text_batch, batch_format="pyarrow",
-                                zero_copy_batch=True,
+                                batch_size=None, zero_copy_batch=True,
                                 fn_kwargs=dict(html_col=self.html_col,
                                                text_col=self.text_col))
         fn_kwargs = dict(mode=self.mode, text_col=self.text_col,
                          id_col=self.id_col, url_col=self.url_col,
                          positions=self.positions)
-        # stateless tasks: no actor startup, elastic across the cluster
+        # stateless tasks: no actor startup, elastic across the cluster.
+        # Whole blocks (batch_size=None) let the read fuse into the map
         post = ds.map_batches(tokenize_postings,
-                              batch_format="pyarrow",
-                              batch_size=self.tokenize_batch_size,
+                              batch_format="pyarrow", batch_size=None,
                               fn_kwargs=fn_kwargs,
                               zero_copy_batch=True)
         post = post.map_batches(AddPartColumn(self.num_parts),
-                                batch_format="pyarrow", zero_copy_batch=True)
+                                batch_format="pyarrow", batch_size=None,
+                                zero_copy_batch=True)
         # n_tokens is NOT computed here: the segment phase sums each
         # part's tfs as it encodes (part sidecars → finalize)
         return self._commit_wave(wave, post, {
@@ -198,6 +221,7 @@ class IndexBuilder:
         Ray's groupby sort+map_groups on the same data ran the per-group
         encode with almost no parallelism; this layout also makes the
         shuffle itself restartable — it lives on disk, per wave.)"""
+        post.context.target_max_block_size = WAVE_BLOCK_BYTES
         final = f"{self.postings_dir}/wave={wave:04d}"
         if self.scratch_local:
             # local fs: tmp + atomic rename
@@ -237,7 +261,8 @@ class IndexBuilder:
         positions | None)`` (it must not capture ``self``) and commits
         the part through the one ``SegmentWriter``, so a rerun skips
         committed parts. Largest ``sizes(part)`` first, so the Zipf-head
-        part does not become the phase's tail straggler. ``max_parts``
+        part does not become the phase's tail straggler. A part task's
+        error is raised once every task has ended. ``max_parts``
         bounds one round; returns the deferred parts."""
         done = self._done_parts()
         todo = sorted((p for p in range(self.num_parts) if p not in done),
@@ -251,15 +276,15 @@ class IndexBuilder:
                    self._scratch_subdirs(self.postings_dir, "wave=")]
         writer = SegmentWriter(self.segments_dir, self.bucket_shift,
                                lineage=lineage)
-
-        def encode(batch: pa.Table) -> pa.Table:
-            return pa.concat_tables([writer.encode_part(p, *postings_of(p))
-                                     for p in batch["p"].to_pylist()])
-
-        parts_ds = ray.data.from_items([{"p": p} for p in todo],
-                                       override_num_blocks=len(todo))
-        parts_ds.map_batches(encode, batch_format="pyarrow",
-                             batch_size=1).take_all()
+        # plain tasks, not a Ray Data map: nothing waits on a first task's
+        # output-size estimate, and submission order is largest first
+        from .remote import remote_1cpu
+        task = remote_1cpu(_encode_part)
+        refs = [task.remote(writer, postings_of, p) for p in todo]
+        # every task ends before the first error surfaces: no part task
+        # is still writing segment files once this returns or raises
+        ray.wait(refs, num_returns=len(refs))
+        ray.get(refs)
         return deferred
 
     def build_segments(self) -> list[dict]:
@@ -408,6 +433,23 @@ class IndexBuilder:
             self.build_postings_wave(i, [str(f) for f in chunk])
         self.build_segments()
         return self.finalize()
+
+
+def _column_bytes(meta: pq.FileMetaData, cols: list[str]) -> int:
+    """Uncompressed bytes of the top-level columns ``cols`` in a parquet
+    file, from its footer."""
+    total = 0
+    for g in range(meta.num_row_groups):
+        rg = meta.row_group(g)
+        total += sum(rg.column(i).total_uncompressed_size
+                     for i in range(rg.num_columns)
+                     if rg.column(i).path_in_schema in cols)
+    return total
+
+
+def _encode_part(writer: SegmentWriter, postings_of, part: int) -> None:
+    """One ``_encode_parts`` task: encode and commit ``part``."""
+    writer.encode_part(part, *postings_of(part))
 
 
 def read_stats(index_dir: str) -> dict:

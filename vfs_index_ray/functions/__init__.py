@@ -19,3 +19,19 @@ def collect_arrow(ds) -> pa.Table | None:
     if not tbls:
         return None
     return pa.concat_tables(tbls).combine_chunks()
+
+
+def _plan_size_bytes(op) -> int | None:
+    """Size estimate of a logical operator's output, never executing
+    it: its own metadata estimate when known (a parquet read's, a
+    materialized dataset's), else its inputs' summed (a map or filter
+    is sized by the nearest upstream operator that knows). ``None``
+    when some leaf's size is unknown: an unknown input never looks
+    small."""
+    meta = op.infer_metadata()
+    if meta is not None and meta.size_bytes is not None:
+        return meta.size_bytes
+    sizes = [_plan_size_bytes(dep) for dep in op.input_dependencies]
+    if not sizes or None in sizes:
+        return None
+    return sum(sizes)

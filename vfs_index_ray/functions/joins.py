@@ -44,6 +44,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import _plan_size_bytes
+
 
 def _key_hash64(arr) -> np.ndarray:
     """uint64 key hashes for an int or string key array: splitmix64
@@ -102,16 +104,12 @@ PART_TARGET_BYTES = 64 * 1024 * 1024
 
 def _size_based_parts(dss, *, target_bytes: int = PART_TARGET_BYTES,
                       ) -> int:
-    """Partition count from the datasets' metadata size estimates:
+    """Partition count from the datasets' plan-based size estimates
+    (``_plan_size_bytes``, an unknown size counts 0):
     max(cluster-CPU floor, ceil(total_bytes / target_bytes))."""
     import ray
 
-    total = 0
-    for d in dss:
-        try:
-            total += d.size_bytes() or 0
-        except Exception:  # noqa: BLE001
-            pass
+    total = sum(_plan_size_bytes(d._logical_plan.dag) or 0 for d in dss)
     floor = max(8, int(ray.cluster_resources().get("CPU", 8)))
     return max(floor, -(-total // target_bytes))
 
@@ -575,7 +573,8 @@ def join_auto(left_ds, right_ds, *, left_on, right_on=None,
               broadcast_bytes: int = AUTO_BROADCAST_BYTES,
               broadcast_decoded_bytes: int | None = None):
     """Equi-join with physical-shape dispatch: if the right side's
-    metadata-based size estimate is under ``broadcast_bytes`` it is
+    plan-based size estimate (``_plan_size_bytes``, which never executes
+    it) is under ``broadcast_bytes`` it is
     materialized once and broadcast (per-batch Acero probes, no
     shuffle); otherwise both sides co-partition through the disk
     spill.  An UNKNOWN size (None) takes the scalable hash-join path.
@@ -588,10 +587,7 @@ def join_auto(left_ds, right_ds, *, left_on, right_on=None,
     (the broadcast path has no join-key partitioning for a local
     aggregate to exploit); apply batch transforms downstream
     instead."""
-    try:
-        sz = right_ds.size_bytes()
-    except Exception:  # noqa: BLE001
-        sz = None
+    sz = _plan_size_bytes(right_ds._logical_plan.dag)
     if sz is None:
         sz = broadcast_bytes + 1  # unknown: take the scalable path
     if sz <= broadcast_bytes and post is None and how != "full outer":

@@ -55,7 +55,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import collect_arrow
+from . import _plan_size_bytes, collect_arrow
 
 # same per-partition byte target as the join substrate (joins.py)
 SORT_PART_TARGET_BYTES = 64 * 1024 * 1024
@@ -206,10 +206,7 @@ def _norm_keys(keys) -> list[tuple[str, str]]:
 def _num_parts(ds, target_bytes: int) -> int:
     import ray
 
-    try:
-        total = ds.size_bytes() or 0
-    except Exception:  # noqa: BLE001
-        total = 0
+    total = _plan_size_bytes(ds._logical_plan.dag) or 0
     cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
     # size-based first (the 100-TB axis); only add CPU-driven
     # parallelism when there is enough data to amortize P part tasks

@@ -55,16 +55,32 @@ def fnv1a64_tokens(arr: pa.Array) -> np.ndarray:
 def fnv1a64_spans(data: np.ndarray, starts: np.ndarray,
                   lens: np.ndarray) -> np.ndarray:
     """FNV-1a 64 over byte spans (starts, lens) of one buffer — the
-    shared kernel for Arrow string arrays and the byte-level tokenizer."""
+    shared kernel for Arrow string arrays and the byte-level tokenizer.
+
+    Spans are sorted once by capped length, longest first, so the
+    spans still hashing at byte ``i`` are a prefix of that order: each
+    byte position updates the slice ``h[:k]`` in place, with no mask."""
     n = len(starts)
     if n == 0:
         return np.empty(0, dtype=np.uint64)
-    h = np.full(n, FNV_OFFSET, dtype=np.uint64)
     capped = np.minimum(lens, MAX_TOKEN_BYTES)
+    # stable radix sort of a uint8 key, longest first
+    order = np.argsort((MAX_TOKEN_BYTES - capped).astype(np.uint8),
+                       kind="stable")
+    ptr = starts[order]  # advanced one byte per round
+    # n_longer[i] = spans longer than i bytes
+    n_longer = n - np.cumsum(np.bincount(capped,
+                                         minlength=MAX_TOKEN_BYTES + 1))
+    hs = np.full(n, FNV_OFFSET, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for i in range(int(capped.max()) if n else 0):
-            m = capped > i
-            h[m] = (h[m] ^ data[starts[m] + i].astype(np.uint64)) * FNV_PRIME
+        for i in range(int(capped.max())):
+            k = int(n_longer[i])
+            head, at = hs[:k], ptr[:k]  # views: updated in place
+            head ^= data.take(at)
+            head *= FNV_PRIME
+            at += 1
+        h = np.empty(n, dtype=np.uint64)
+        h[order] = hs
         long = lens > MAX_TOKEN_BYTES
         if long.any():
             h[long] = (h[long] ^ lens[long].astype(np.uint64)) * FNV_PRIME

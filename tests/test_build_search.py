@@ -95,15 +95,15 @@ def test_build_deterministic_across_parallelism(ray_session, pages_file,
                                                 tmp_path, built_index,
                                                 monkeypatch):
     """Two builds at different parallelism → identical segment contents
-    (FIXTURES.md item 10). A 16 KB block cap splits the second build's
-    wave into dozens of tokenize batches."""
+    (FIXTURES.md item 10). A 16 KB task budget splits the second
+    build's wave into dozens of tokenize tasks."""
     from vfs_index_ray import build
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.search import SearchEngine
 
     idx1, _ = built_index
     idx2 = str(tmp_path / "idx2")
-    monkeypatch.setattr(build, "WAVE_BLOCK_BYTES", 16 << 10)
+    monkeypatch.setattr(build, "WAVE_TASK_BYTES", 16 << 10)
     IndexBuilder(idx2, mode="word", num_parts=8, id_col=None
                  ).build([pages_file])
     e1, e2 = SearchEngine(idx1), SearchEngine(idx2)
@@ -123,12 +123,16 @@ def test_build_deterministic_across_parallelism(ray_session, pages_file,
 
 
 @pytest.mark.parametrize("tasks_per_cpu", [1, 2])
+@pytest.mark.parametrize("files_per_cpu", [0, 3])
 def test_wave_spill_files_bounded_by_cpus(ray_session, tmp_path,
-                                          monkeypatch, tasks_per_cpu):
-    """A wave runs one fused read→tokenize→write task per cluster CPU,
-    so it writes at most CPUs × num_parts spill files, also when it
-    reads more files than there are CPUs; a wave over
-    ``WAVE_TASK_BYTES`` per CPU runs (and writes for) more tasks."""
+                                          monkeypatch, tasks_per_cpu,
+                                          files_per_cpu):
+    """A wave runs one read→tokenize→write task per cluster CPU, so it
+    writes CPUs × num_parts spill files, also when it reads more files
+    than there are CPUs, or one file (0 per CPU) that Ray Data would
+    read and tokenize in one task; a wave over ``WAVE_TASK_BYTES`` per
+    CPU runs (and writes for) more tasks. A 16 KB block cap gives the
+    read the block count of a large file."""
     import os
 
     import ray
@@ -138,7 +142,8 @@ def test_wave_spill_files_bounded_by_cpus(ray_session, tmp_path,
 
     pages = corpus.generate_pages(600)
     ncpu = int(ray.cluster_resources()["CPU"])
-    n_files = 3 * ncpu
+    n_files = max(1, files_per_cpu * ncpu)
+    monkeypatch.setattr(build, "WAVE_BLOCK_BYTES", 16 << 10)
     files = []
     for i, lo in enumerate(range(0, 600, 600 // n_files)):
         files.append(str(tmp_path / f"p{i:02d}.parquet"))
@@ -153,7 +158,7 @@ def test_wave_spill_files_bounded_by_cpus(ray_session, tmp_path,
     b.build_postings_wave(0, files)
     spill = [f for _, _, fs in os.walk(f"{b.postings_dir}/wave=0000")
              for f in fs]
-    assert (tasks_per_cpu - 1) * ncpu * 8 < len(spill) \
+    assert (tasks_per_cpu * ncpu - 1) * 8 < len(spill) \
         <= tasks_per_cpu * ncpu * 8
 
 

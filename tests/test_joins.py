@@ -344,7 +344,7 @@ def test_join_auto_unknown_size_takes_hash_path(ray_session):
 
     lt, rt = _left_table(seed=81), _right_table()
     rds = _unsized_ds(rt)
-    assert _plan_size_bytes(rds._logical_plan.dag) is None
+    assert _plan_size_bytes(rds._logical_plan.dag) == (0, False)
     called = {}
     real_hash = joins.hash_join
 

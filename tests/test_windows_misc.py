@@ -396,11 +396,28 @@ def test_substrate_rule_never_executes_its_input(ray_session, tmp_path,
     size = read._logical_plan.dag.infer_metadata().size_bytes
     assert size and mapped._logical_plan.dag.infer_metadata(
     ).size_bytes is None
-    assert W._plan_size_bytes(mapped._logical_plan.dag) == size
+    assert W._plan_size_bytes(mapped._logical_plan.dag) == (size, True)
+    # a union with a source of unknown size keeps the known bytes
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    class Unsized(Datasource):
+        def estimate_inmemory_data_size(self):
+            return None
+
+        def get_read_tasks(self, parallelism, **kw):
+            meta = BlockMetadata(num_rows=None, size_bytes=None,
+                                 input_files=None, exec_stats=None)
+            return [ReadTask(lambda: [mark(pa.table({"x": [0]}))], meta)]
+
+    union = mapped.union(ray.data.read_datasource(Unsized()))
+    assert W._plan_size_bytes(union._logical_plan.dag) == (size, False)
     monkeypatch.setattr(W, "AUTO_DISK_BYTES", size)
     assert not W._use_disk(mapped, None)
+    assert not W._use_disk(union, None)
     monkeypatch.setattr(W, "AUTO_DISK_BYTES", size - 1)
     assert W._use_disk(mapped, None)
+    assert W._use_disk(union, None)
     assert list(calls.iterdir()) == []
     assert len(mapped.take_all()) == 5000 and list(calls.iterdir())
 

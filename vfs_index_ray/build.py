@@ -5,12 +5,14 @@ Ray-Data-native re-expression of the reference's build lifecycle
 SURVEY §3.1):
 
   phase 1 (postings): read_parquet(pages, columns pruned — html never
-      read, one block per cluster CPU, more for a wave over
-      ``WAVE_TASK_BYTES`` per CPU) → map_batches(tokenize_postings,
-      whole blocks) → part column → write postings parquet per *wave* of
-      input files, all fused into one task per read block. Blocks are
-      capped at ``WAVE_BLOCK_BYTES`` so the executor admits every CPU
-      from the first task and each tokenize batch stays bounded. The wave is
+      read) → map_batches(tokenize_postings, whole blocks) → part column
+      → write postings parquet per *wave* of input files, one task per
+      cluster CPU (more for a wave over ``WAVE_TASK_BYTES`` per CPU).
+      With at least one file per task the read fuses into that task; a
+      wave of fewer files is re-split into equal blocks first, since
+      Ray Data reads a file in one task. Blocks are capped at
+      ``WAVE_BLOCK_BYTES`` so the executor admits every CPU from the
+      first task. The wave is
       committed atomically (tmp dir + rename + sidecar JSON) — the
       analog of the reference's per-record write-files with atomic
       SafeRename publish (record.go:194-248, filelist.go:224-231), at a
@@ -167,19 +169,19 @@ class IndexBuilder:
             cols.append(self.id_col)
         else:
             cols.append(self.url_col)
-        # block count = cluster CPUs (not Ray's default ~200): each
-        # fused read→tokenize→write task emits one file per part it sees,
-        # so one task per CPU keeps the spill at CPUs × parts files (and
-        # phase-2 open() overhead) bounded. More tasks only when a task
-        # would read over WAVE_TASK_BYTES (see there)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
+        # task count = cluster CPUs (not Ray's default ~200): each
+        # read→tokenize→write task emits one file per part it sees, so one
+        # task per CPU keeps the spill at CPUs × parts files (and phase-2
+        # open() overhead) bounded. More tasks only when a task would
+        # read over WAVE_TASK_BYTES (see there)
+        ntasks = int(ray.cluster_resources().get("CPU", 8))
         if is_parquet:
             metas = [pq.read_metadata(f) for f in files]
             n_docs = sum(m.num_rows for m in metas)
             nbytes = sum(_column_bytes(m, cols) for m in metas)
-            ds = ray.data.read_parquet(
-                files, columns=cols,
-                override_num_blocks=max(ncpu, -(-nbytes // WAVE_TASK_BYTES)))
+            ntasks = max(ntasks, -(-nbytes // WAVE_TASK_BYTES))
+            ds = ray.data.read_parquet(files, columns=cols,
+                                       override_num_blocks=ntasks)
         else:
             # json/csv ingestion (reference S1-S5 decoder registry
             # analog). Materialize once: count() and the tokenize pass
@@ -188,6 +190,15 @@ class IndexBuilder:
             from .sinks import read_corpus
             ds = read_corpus(files, columns=cols).materialize()
             n_docs = ds.count()
+        if len(files) < ntasks:
+            # Ray Data reads a file in ONE task and fuses the maps below
+            # into it (it only splits that task's output blocks when they
+            # are few and small), so a wave of fewer files than tasks
+            # would run as len(files) tasks: on 4 CPUs one 107 MB file
+            # took 6.5-7.8 s in phase 1 as one task, 3.6-3.8 s as four.
+            # Re-split the read into ntasks equal blocks, one task each;
+            # the read's output passes through the object store first
+            ds = ds.repartition(ntasks)
         if self.html_col:
             from .functions.extract import extract_text_batch
             ds = ds.map_batches(extract_text_batch, batch_format="pyarrow",
@@ -198,7 +209,8 @@ class IndexBuilder:
                          id_col=self.id_col, url_col=self.url_col,
                          positions=self.positions)
         # stateless tasks: no actor startup, elastic across the cluster.
-        # Whole blocks (batch_size=None) let the read fuse into the map
+        # Whole blocks (batch_size=None): one task per read (or re-split)
+        # block, a read fused into it
         post = ds.map_batches(tokenize_postings,
                               batch_format="pyarrow", batch_size=None,
                               fn_kwargs=fn_kwargs,

@@ -21,17 +21,17 @@ def collect_arrow(ds) -> pa.Table | None:
     return pa.concat_tables(tbls).combine_chunks()
 
 
-def _plan_size_bytes(op) -> int | None:
-    """Size estimate of a logical operator's output, never executing
-    it: its own metadata estimate when known (a parquet read's, a
-    materialized dataset's), else its inputs' summed (a map or filter
-    is sized by the nearest upstream operator that knows). ``None``
-    when some leaf's size is unknown: an unknown input never looks
-    small."""
+def _plan_size_bytes(op) -> tuple[int, bool]:
+    """``(bytes, complete)``: a size estimate of a logical operator's
+    output, never executing it. An operator with a known metadata
+    estimate (a parquet read's, a materialized dataset's) counts that,
+    any other its inputs' summed (a map or filter is sized by the
+    nearest upstream operator that knows); a leaf without one counts 0
+    and makes ``complete`` False."""
     meta = op.infer_metadata()
     if meta is not None and meta.size_bytes is not None:
-        return meta.size_bytes
+        return meta.size_bytes, True
+    if not op.input_dependencies:
+        return 0, False
     sizes = [_plan_size_bytes(dep) for dep in op.input_dependencies]
-    if not sizes or None in sizes:
-        return None
-    return sum(sizes)
+    return sum(b for b, _ in sizes), all(c for _, c in sizes)

@@ -105,11 +105,11 @@ PART_TARGET_BYTES = 64 * 1024 * 1024
 def _size_based_parts(dss, *, target_bytes: int = PART_TARGET_BYTES,
                       ) -> int:
     """Partition count from the datasets' plan-based size estimates
-    (``_plan_size_bytes``, an unknown size counts 0):
+    (``_plan_size_bytes``, the known bytes):
     max(cluster-CPU floor, ceil(total_bytes / target_bytes))."""
     import ray
 
-    total = sum(_plan_size_bytes(d._logical_plan.dag) or 0 for d in dss)
+    total = sum(_plan_size_bytes(d._logical_plan.dag)[0] for d in dss)
     floor = max(8, int(ray.cluster_resources().get("CPU", 8)))
     return max(floor, -(-total // target_bytes))
 
@@ -577,7 +577,8 @@ def join_auto(left_ds, right_ds, *, left_on, right_on=None,
     it) is under ``broadcast_bytes`` it is
     materialized once and broadcast (per-batch Acero probes, no
     shuffle); otherwise both sides co-partition through the disk
-    spill.  An UNKNOWN size (None) takes the scalable hash-join path.
+    spill.  A right side with a leaf of UNKNOWN size takes the scalable
+    hash-join path.
     Because the metadata estimate is parquet-ENCODED bytes, the
     decoded size is re-checked during materialization: if it
     overshoots ``broadcast_decoded_bytes`` (default 4x the broadcast
@@ -587,8 +588,8 @@ def join_auto(left_ds, right_ds, *, left_on, right_on=None,
     (the broadcast path has no join-key partitioning for a local
     aggregate to exploit); apply batch transforms downstream
     instead."""
-    sz = _plan_size_bytes(right_ds._logical_plan.dag)
-    if sz is None:
+    sz, complete = _plan_size_bytes(right_ds._logical_plan.dag)
+    if not complete:
         sz = broadcast_bytes + 1  # unknown: take the scalable path
     if sz <= broadcast_bytes and post is None and how != "full outer":
         import ray

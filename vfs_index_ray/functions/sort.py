@@ -206,7 +206,7 @@ def _norm_keys(keys) -> list[tuple[str, str]]:
 def _num_parts(ds, target_bytes: int) -> int:
     import ray
 
-    total = _plan_size_bytes(ds._logical_plan.dag) or 0
+    total, _ = _plan_size_bytes(ds._logical_plan.dag)
     cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
     # size-based first (the 100-TB axis); only add CPU-driven
     # parallelism when there is enough data to amortize P part tasks

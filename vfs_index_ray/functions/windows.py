@@ -40,11 +40,11 @@ def _use_disk(ds, spill_dir) -> bool:
     ``spill_dir`` (any ``spillfs.open_spill`` spec — shared storage on
     clusters) or an input whose plan-based size estimate
     (``_plan_size_bytes``) exceeds ``AUTO_DISK_BYTES`` means the
-    hive-partitioned disk spill; anything else, an unknown size too,
-    means Ray Data's groupby."""
+    hive-partitioned disk spill; anything else means Ray Data's
+    groupby."""
     if spill_dir is not None:
         return True
-    return (_plan_size_bytes(ds._logical_plan.dag) or 0) > AUTO_DISK_BYTES
+    return _plan_size_bytes(ds._logical_plan.dag)[0] > AUTO_DISK_BYTES
 
 
 def _sort_partition_op(keyed_ds, part_col: str, per_part):

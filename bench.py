@@ -29,6 +29,9 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NCPU = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count())
 BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "1200000"))
 SCALE_ROUNDS = int(os.environ.get("GRAFT_SCALE_ROUNDS", "3"))
+# timed warm rounds per serving-QPS stage: one ~130 ms round spreads
+# wider than any code effect, so the stage reports the median round
+SERVE_ROUNDS = 15
 def _pick_scratch() -> str:
     """Prefer RAM-backed scratch for the shuffle spill; fall back to /tmp
     if /dev/shm is missing or unwritable in the runner's sandbox."""
@@ -131,6 +134,22 @@ CONTENDED_PAR_MS = float(os.environ.get("GRAFT_CONTENDED_PAR_MS", "700"))
 CONTENDED_SPREAD = float(os.environ.get("GRAFT_CONTENDED_SPREAD", "1.35"))
 
 
+def _warm_qps(run_round, n_queries: int) -> tuple[float, list[float]]:
+    """(median, [q1, q3]) queries/s of ``SERVE_ROUNDS`` timed rounds of
+    ``run_round``, after one untimed round that fills the replicas'
+    caches."""
+    import numpy as np
+
+    run_round()
+    rates = []
+    for _ in range(SERVE_ROUNDS):
+        t0 = time.perf_counter()
+        run_round()
+        rates.append(n_queries / (time.perf_counter() - t0))
+    q1, med, q3 = np.percentile(rates, [25, 50, 75])
+    return round(float(med), 1), [round(float(q1), 1), round(float(q3), 1)]
+
+
 def run_bench() -> dict:
     import ray
     from ray.data import DataContext
@@ -149,7 +168,7 @@ def run_bench() -> dict:
     push_based_shuffle()
 
     scaling_only = os.environ.get("GRAFT_SCALING_ONLY") == "1"
-    timings: dict[str, float] = {}
+    timings: dict = {}
     src = os.path.join(SF_DIR, "documents.parquet")
     # warm OS page cache so we measure compute+shuffle, not first disk read
     import pyarrow.parquet as pq
@@ -210,17 +229,14 @@ def run_bench() -> dict:
     # batch-query throughput via the long-lived query service (T2/T5
     # analog + daemon parity): resident replica actors with
     # query→replica cache-affinity routing; the pool persists across
-    # calls, so we report the warm (steady-state) run
+    # calls, so we report the warm (steady-state) rounds
     from vfs_index_ray.service import QueryService
     svc = QueryService(idx, replicas=4)
     batch = [QUERY_SET[i % len(QUERY_SET)] for i in range(400)]
-    svc.bm25_batch(batch, k=10)                   # cold: caches fill
-    t0 = time.perf_counter()
-    svc.bm25_batch(batch, k=10)                   # warm, same actors
-    qsec = time.perf_counter() - t0
-    assert max(svc.calls_per_worker()) >= 2  # same actors served both runs
+    timings["batch_query_qps"], timings["batch_query_qps_q1_q3"] = \
+        _warm_qps(lambda: svc.bm25_batch(batch, k=10), len(batch))
+    assert max(svc.calls_per_worker()) >= 2  # same actors served each round
     svc.shutdown()
-    timings["batch_query_qps"] = round(400 / qsec, 1)
 
     # MIXED serving workload (round-5): the same replica pool answers
     # BM25 and resident-IVF ANN (incl. filtered probes) — 300 text
@@ -242,18 +258,14 @@ def run_bench() -> dict:
     vec_batch = [qvecs[i % len(qvecs)] for i in range(100)]
 
     def mixed_round():
-        futs_done = svc.bm25_batch(text_batch, k=10)
+        svc.bm25_batch(text_batch, k=10)
         svc.ann_batch(vec_batch[:50], k=5, nprobe=4)
         svc.ann_batch(vec_batch[50:], k=5, nprobe=4,
                       filters=[("label", "==", 1)])
-        return futs_done
 
-    mixed_round()                                  # cold: caches fill
-    t0 = time.perf_counter()
-    mixed_round()                                  # warm, same actors
-    msec = time.perf_counter() - t0
+    timings["mixed_query_qps"], timings["mixed_query_qps_q1_q3"] = \
+        _warm_qps(mixed_round, len(text_batch) + len(vec_batch))
     svc.shutdown()
-    timings["mixed_query_qps"] = round(400 / msec, 1)
 
     from vfs_index_ray.functions.dedup import exact_dedup
     from vfs_index_ray.functions.similarity import ann_cosine_topk

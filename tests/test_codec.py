@@ -1,4 +1,5 @@
-"""Codec unit tests: varint/delta roundtrips, skip blocks, partition encode.
+"""Codec unit tests: varint roundtrips (the positions encoding), stream
+widths, skip blocks, partition encode.
 
 Mirrors the reference's operator-level tests (trigram roundtrip
 vfsindex_internal_test.go:707-718, sorted-insert vfsindex_test.go:405-445)
@@ -58,10 +59,16 @@ def test_varint_roundtrip_all_decode_branches():
         assert (got == arr).all()
 
 
+def _width_of(v) -> int:
+    """The stream width a partition whose largest value is max(v) gets."""
+    top = int(np.max(v))
+    return 1 if top < 2**8 else 2 if top < 2**16 else 4 if top < 2**32 \
+        else 8
+
+
 def _random_postings(rng, n, dense=False):
-    """Ascending doc ids: hash-like 62-bit ids (their deltas are too wide
-    for varint, so the partition stores fixed64 docs), or ``dense`` ids
-    a few apart (delta varint)."""
+    """Ascending doc ids: hash-like 62-bit ids (an 8-byte doc stream), or
+    ``dense`` ids a few apart (a narrow one)."""
     if dense:
         docs = np.cumsum(rng.integers(1, 50, n)).astype(np.uint64)
     else:
@@ -82,11 +89,12 @@ def _one_term_rows(docs, tfs, dls) -> codec.Chunks:
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 5000])
 def test_chunk_roundtrip(n):
     rng = np.random.default_rng(n)
-    for dense, denc in ((False, 1), (True, 0)):
+    for dense in (False, True):
         docs, tfs, dls = _random_postings(rng, n, dense)
         rows = _one_term_rows(docs, tfs, dls)
         (row,) = rows
-        assert row["denc"] == denc
+        assert row["docs_w"] == (_width_of(docs) if dense else 8)
+        assert (row["tfs_w"], row["dls_w"]) == (1, _width_of(dls))
         d, t, l = codec.decode_blocks(rows)
         assert (d == docs).all() and (t == tfs).all() and (l == dls).all()
 
@@ -160,10 +168,12 @@ def test_encode_partition_roundtrip(shift):
 
 @pytest.mark.parametrize("enc", ["varint", "fixed", "auto"])
 def test_encode_partition_doc_encodings(enc):
-    """The doc-stream encoding is picked per partition from its data:
-    dense ids → delta varint; hash-like ids → fixed64; a mostly-dense
-    partition with one hash-id term ("auto") stays varint for every
-    term, the wide one included. Each decodes whole and per block."""
+    """The doc-stream width is picked per partition from its largest id:
+    dense ids ("varint", the encoding they got before fixed-width
+    streams) → a narrow width; hash-like ids ("fixed") → 8 bytes; a
+    mostly-dense partition with one hash-id term ("auto") → 8 bytes for
+    every term, the dense ones included. Each decodes whole and per
+    block."""
     rng = np.random.default_rng(9)
     terms_l, docs_l = [], []
     for i, t in enumerate(sorted(
@@ -178,7 +188,8 @@ def test_encode_partition_doc_encodings(enc):
     dls = rng.integers(20, 400, len(terms)).astype(np.uint64)
     seg = codec.encode_partition(terms, docs, tfs, dls)
     rows = seg.to_pylist()
-    assert {r["denc"] for r in rows} == {1 if enc == "fixed" else 0}
+    assert {r["docs_w"] for r in rows} == {_width_of(docs)}
+    assert (_width_of(docs) == 8) == (enc != "varint")
     for i, r in enumerate(rows):
         one = codec.Chunks(seg.slice(i, 1))
         d, tf, dl = codec.decode_blocks(one)
@@ -191,16 +202,51 @@ def test_encode_partition_doc_encodings(enc):
             assert (bd == docs[m][s:e]).all()
 
 
-def test_auto_picks_varint_for_dense_ids():
-    # dense doc ids (small deltas) → varint wins → denc == 0
+def test_dense_ids_get_narrow_doc_width():
+    # ids below 2**16 → 2-byte docs; tf 1 and dl 100 → 1-byte streams
     docs = np.arange(1, 2000, dtype=np.uint64)
     terms = np.zeros(len(docs), np.uint64)
     tfs = np.ones(len(docs), np.uint64)
     dls = np.full(len(docs), 100, np.uint64)
     seg = codec.encode_partition(terms, docs, tfs, dls)
-    assert seg.to_pylist()[0]["denc"] == 0
+    row = seg.to_pylist()[0]
+    assert (row["docs_w"], row["tfs_w"], row["dls_w"]) == (2, 1, 1)
+    assert len(row["docs"]) == 2 * len(docs)
     d, _, _ = codec.decode_blocks(codec.Chunks(seg))
     assert (d == docs).all()
+
+
+@pytest.mark.parametrize("top,width", [
+    (255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4),
+    (2**32, 8), (2**64 - 1, 8)])
+@pytest.mark.parametrize("stream", ["docs", "tfs", "dls"])
+def test_stream_width_boundaries(stream, top, width):
+    """A stream whose largest value is ``top`` is stored at ``width``
+    bytes per value and round-trips exactly, whole and by block."""
+    rng = np.random.default_rng(top % 1000)
+    n = 300
+    cols = {"docs": np.arange(n, dtype=np.uint64),
+            "tfs": np.ones(n, np.uint64),
+            "dls": np.full(n, 7, np.uint64)}
+    vals = np.sort(rng.integers(0, min(top, 2**63), n, dtype=np.uint64,
+                                endpoint=True))
+    vals[-1] = top
+    if stream == "docs":
+        vals = np.unique(vals)
+    cols[stream] = vals
+    n = len(cols[stream])
+    cols = {k: v[:n] for k, v in cols.items()}
+    seg = codec.encode_partition(np.zeros(n, np.uint64), cols["docs"],
+                                 cols["tfs"], cols["dls"])
+    assert seg[stream + "_w"].to_pylist() == [width]
+    assert len(seg[stream][0].as_py()) == n * width
+    rows = codec.Chunks(seg)
+    full = codec.decode_blocks(rows)
+    for got, want in zip(full, (cols["docs"], cols["tfs"], cols["dls"])):
+        assert got.dtype == np.uint64 and (got == want).all()
+    last = codec.decode_blocks(rows, [n // codec.BLOCK])
+    for got, want in zip(last, full):
+        assert (got == want[n // codec.BLOCK * codec.BLOCK:]).all()
 
 
 # ------------------------------------------------------------ block kernel
@@ -236,12 +282,12 @@ def _block_slices(seg) -> list[slice]:
 def test_decode_blocks_subset_is_slice_of_full_decode(dense, shift):
     """Any ascending block subset decodes to the matching slices of the
     full decode: the first block, middle ones, the last (partial) one,
-    non-contiguous sets and the empty set; varint and fixed64 doc
+    non-contiguous sets and the empty set; narrow and 8-byte doc
     streams, one row per term and several."""
     rng = np.random.default_rng(5)
     postings, seg = _partition(rng, [1000, 129, 300, 1], dense, shift)
     rows = codec.Chunks(seg)
-    assert set(seg["denc"].to_pylist()) == {0 if dense else 1}
+    assert set(seg["docs_w"].to_pylist()) == {2 if dense else 8}
     assert (seg.num_rows > 4) == (shift < 64)
     full = codec.decode_blocks(rows)
     for got, want in zip(full, postings):
@@ -260,9 +306,69 @@ def test_decode_blocks_subset_is_slice_of_full_decode(dense, shift):
             assert g.dtype == np.uint64 and (g == want).all(), sub
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_decode_blocks_subset_every_width(width):
+    """Block subsets decode to slices of the full decode when every
+    stream has ``width`` bytes: several terms, several buckets each."""
+    rng = np.random.default_rng(width)
+    top = 2**(8 * width) - 1
+    sizes = [250, 129, 1, 200]  # at most 256 distinct 1-byte doc ids
+    n = sum(sizes)
+    terms = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)
+    docs = np.concatenate([np.sort(rng.choice(
+        min(top, 2**62), s, replace=False).astype(np.uint64))
+        for s in sizes])
+    docs[sizes[0] - 1] = top  # the first term's last doc
+    tfs = rng.integers(1, 9, n, dtype=np.uint64)
+    dls = rng.integers(0, top, n, dtype=np.uint64, endpoint=True)
+    tfs[0], dls[0] = top, top
+    seg = codec.encode_partition(terms, docs, tfs, dls,
+                                 bucket_shift=max(8 * width - 2, 1))
+    for s in ("docs", "tfs", "dls"):
+        assert set(seg[s + "_w"].to_pylist()) == {width}
+    assert seg.num_rows > len(sizes)
+    rows = codec.Chunks(seg)
+    full = codec.decode_blocks(rows)
+    for got, want in zip(full, (docs, tfs, dls)):
+        assert (got == want).all()
+    blocks = _block_slices(seg)
+    nb = len(blocks)
+    for sub in ([], [0], [nb - 1], [1, 2, 3], list(range(0, nb, 3)),
+                sorted(rng.choice(nb, nb // 2, replace=False).tolist())):
+        got = codec.decode_blocks(rows, np.array(sub, np.int64))
+        for g, f in zip(got, full):
+            want = (np.concatenate([f[blocks[b]] for b in sub]) if sub
+                    else f[:0])
+            assert (g == want).all(), sub
+
+
+@pytest.mark.parametrize("stream", ["docs", "tfs", "dls"])
+def test_stream_of_wrong_length_raises(stream):
+    """A stream whose rows do not hold n × width bytes each (a truncated
+    segment) raises instead of decoding shifted postings: one byte cut
+    off the end, or one byte moved from one row to the next."""
+    rng = np.random.default_rng(4)
+    _, seg = _partition(rng, [300, 140], True, 64)
+    col = seg[stream].combine_chunks()
+    offs = np.frombuffer(col.buffers()[1], np.int64).copy()
+    data = col.buffers()[2]
+    for bad in (np.r_[offs[:-1], offs[-1] - 1], np.r_[offs[0], offs[1] + 1,
+                                                      offs[2:]]):
+        cut = pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(), len(col),
+            [None, pa.py_buffer(bad.astype(np.int64)), data])
+        rows = codec.Chunks(seg.set_column(
+            seg.schema.get_field_index(stream), stream, cut))
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            codec.decode_blocks(rows)
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            codec.decode_blocks(rows, [0])
+
+
 def test_decode_blocks_rows_of_several_segments():
-    """A table gathered from two segments of one doc encoding decodes
-    whole and by block subset; rows that mix encodings are refused."""
+    """A table gathered from two segments of one set of stream widths
+    decodes whole and by block subset; rows that mix widths are
+    refused."""
     rng = np.random.default_rng(8)
     (d1, t1, l1), s1 = _partition(rng, [300, 140], True, 64)
     (d2, t2, l2), s2 = _partition(rng, [260], True, 64)
@@ -276,7 +382,7 @@ def test_decode_blocks_rows_of_several_segments():
     for g, f in zip(got, full):
         assert (g == np.concatenate([f[blocks[b]] for b in sub])).all()
     _, wide = _partition(rng, [260], False, 64)
-    with pytest.raises(ValueError, match="mix doc encodings"):
+    with pytest.raises(ValueError, match="mix docs widths"):
         codec.decode_blocks(codec.Chunks(pa.concat_tables([s1, wide])))
 
 

@@ -1,11 +1,12 @@
-"""Terms split into several chunk rows (``bucket_shift=61``): the pruned
-MaxScore path, point scoring and the distributed scorer all agree bit
-for bit with exact scoring, for varint and for fixed64 doc streams.
+"""Terms split into several chunk rows: the pruned MaxScore path, point
+scoring and the distributed scorer all agree bit for bit with exact
+scoring, for a narrow and for an 8-byte doc stream.
 
-Dense int ids all fall into bucket 0 at shift 61, so the int-id corpus
-spreads its ids over four buckets (``doc_id = (i % 4) << 61 | i``): the
-deltas inside a bucket stay small and the doc stream stays varint. The
-``id_col=None`` corpus hashes urls into 64-bit ids (fixed64 stream)."""
+The ``varint`` case (named for the encoding small ids got before
+fixed-width streams) indexes dense int ids ``0..N_PAGES-1`` with
+``bucket_shift=9``, so they span four buckets and a 2-byte doc stream.
+The ``fixed64`` case hashes urls into 64-bit ids (``id_col=None``, an
+8-byte doc stream) with ``bucket_shift=61``."""
 
 from collections import Counter
 
@@ -32,7 +33,7 @@ def _queries(pages: pa.Table) -> list[str]:
 
 @pytest.fixture(scope="module", params=["varint", "fixed64"])
 def bucketed(request, ray_session, tmp_path_factory):
-    """(index dir, engine factory, queries, denc) of one encoding."""
+    """(index dir, engine factory, queries, docs_w) of one id space."""
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.search import SearchEngine
 
@@ -40,28 +41,27 @@ def bucketed(request, ray_session, tmp_path_factory):
     pages = corpus.generate_pages(N_PAGES)
     i = np.arange(N_PAGES, dtype=np.int64)
     if request.param == "varint":
-        pages = pages.append_column("doc_id", pa.array((i % 4) << 61 | i))
-        id_col = "doc_id"
+        pages = pages.append_column("doc_id", pa.array(i))
+        id_col, shift, width = "doc_id", 9, 2
     else:
-        id_col = None
+        id_col, shift, width = None, 61, 8
     src = str(d / "pages.parquet")
     pq.write_table(pages, src)
     idx = str(d / "idx")
-    IndexBuilder(idx, mode="word", num_parts=4, bucket_shift=61,
+    IndexBuilder(idx, mode="word", num_parts=4, bucket_shift=shift,
                  id_col=id_col).build([src])
-    return (idx, lambda: SearchEngine(idx), _queries(pages),
-            0 if request.param == "varint" else 1)
+    return idx, lambda: SearchEngine(idx), _queries(pages), width
 
 
 def test_terms_span_several_rows(bucketed):
-    idx, engine, queries, denc = bucketed
+    idx, engine, queries, width = bucketed
     eng = engine()
     tids = sorted({t for q in queries for t in eng.query_term_ids(q)})
     loaded = eng.load_terms(tids)
     rows = [p.chunks for p in loaded.values() if p.df > 0]
     assert max(len(c) for c in rows) > 1
     assert max(np.max(np.diff(c.offsets("skip_doc_last"))) for c in rows) > 1
-    assert {int(d) for c in rows for d in c.column("denc")} == {denc}
+    assert {int(w) for c in rows for w in c.column("docs_w")} == {width}
 
 
 def test_maxscore_matches_exact(bucketed):
@@ -80,7 +80,8 @@ def test_scores_for_matches_exact(bucketed):
     for q in queries:
         de, se = engine().bm25(q, 50, method="exact")
         # the top docs plus docs that hold none of the terms
-        absent = np.array([3, 5, 2 ** 62 + 7], np.uint64)
+        absent = np.array([N_PAGES + 3, N_PAGES + 5, 2 ** 62 + 7],
+                          np.uint64)
         docs, scores = engine().bm25_scores_for(q, np.r_[de, absent])
         got = dict(zip(docs.tolist(), scores.tolist()))
         assert [got[d] for d in de.tolist()] == se.tolist(), q

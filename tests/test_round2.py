@@ -132,8 +132,9 @@ def test_old_parquet_segments_raise_rebuild(id_engine, tmp_path, call):
 
 
 def _rewrite_with_v030_columns(path: str) -> None:
-    """Rewrite one segment file with the columns 0.3.0 wrote: a per-row
-    ``bsz`` after ``denc`` and a ``tf_sum`` after ``n``."""
+    """Rewrite one segment file with two columns 0.3.0 wrote: a per-row
+    ``bsz`` (third, as it followed 0.3.0's ``denc``) and a ``tf_sum``
+    after ``n``."""
     with open(path, "rb") as f:
         src = pa.ipc.open_file(pa.py_buffer(f.read()))
     schema = src.schema.insert(2, pa.field("bsz", pa.uint32()))

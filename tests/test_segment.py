@@ -139,16 +139,37 @@ def test_one_term_read_ships_only_its_rows(bucketed):
     assert ctx.serialize(tbl).total_bytes < 0.05 * full.nbytes
 
 
+def _v050_columns(tbl: pa.Table) -> pa.Table:
+    """``tbl`` with the columns 0.5.0 wrote: a ``denc`` doc-encoding
+    flag where the stream widths are now, and a ``skip_off_*`` byte
+    offset list per stream after ``skip_doc_last``."""
+    skips = tbl["skip_doc_last"].combine_chunks()
+    offsets = pa.ListArray.from_arrays(
+        skips.offsets, pa.array(np.zeros(len(skips.values), np.uint32)))
+    cols = {"term_id": tbl["term_id"],
+            "denc": pa.array(np.zeros(tbl.num_rows, np.uint8))}
+    for name in tbl.schema.names[4:]:
+        cols[name] = tbl[name]
+        if name == "skip_doc_last":
+            cols.update({f"skip_off_{s}": offsets for s in ("doc", "tf",
+                                                          "dl")})
+    return pa.table(cols)
+
+
 def _rewrite(path: str, layout: str) -> None:
     """Rewrite one segment file as two uncompressed record batches cut
-    at a term boundary, or as 0.4.0 wrote a small part: one lz4 batch
-    with the first-term directory in the schema metadata."""
+    at a term boundary, as 0.4.0 wrote a small part (one lz4 batch with
+    the first-term directory in the schema metadata), or with 0.5.0's
+    delta-varint columns in one uncompressed batch."""
     with open(path, "rb") as f:
         tbl = pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
     tids = tbl["term_id"].to_numpy()
     if layout == "two_batches":
         cut = int(np.searchsorted(tids, tids[len(tids) // 2]))
         batches, options = [tbl.slice(0, cut), tbl.slice(cut)], None
+    elif layout == "v050":
+        tbl = _v050_columns(tbl)
+        batches, options = [tbl], None
     else:
         tbl = tbl.replace_schema_metadata({
             b"batch_first_term_ids": tids[:1].astype("<u8").tobytes().hex()})
@@ -160,7 +181,8 @@ def _rewrite(path: str, layout: str) -> None:
             writer.write_table(b.combine_chunks())
 
 
-@pytest.mark.parametrize("layout", ["two_batches", "v040_directory"])
+@pytest.mark.parametrize("layout", ["two_batches", "v040_directory",
+                                    "v050"])
 @pytest.mark.parametrize("shape", ["load_terms", "read_range", "nearest",
                                    "decode_part"])
 def test_other_layouts_raise_rebuild(bucketed, tmp_path, layout, shape):
@@ -178,3 +200,39 @@ def test_other_layouts_raise_rebuild(bucketed, tmp_path, layout, shape):
             "decode_part": lambda: reader.decode_part(p)}[shape]
     with pytest.raises(RuntimeError, match="must be rebuilt"):
         call()
+
+
+def test_verify_index_flags_old_format(bucketed, tmp_path):
+    """``verify_index`` opens every segment's footer: a part left in
+    0.5.0's layout (its sidecar's byte size updated, so only the format
+    is wrong) is reported as "must be rebuilt", and a part whose bytes
+    are not an Arrow file at all as unreadable."""
+    import json
+
+    from vfs_index_ray.build import verify_index
+
+    assert verify_index(bucketed)["ok"]
+    idx = str(tmp_path / "old")
+    shutil.copytree(bucketed, idx)
+    reader = SegmentReader(idx, PARTS)
+    p = 1
+    path = part_path(reader.segments_dir, p)
+    _rewrite(path, "v050")
+    sidecar = part_path(reader.segments_dir, p, "json")
+    with open(sidecar) as f:
+        row = json.load(f)
+    row["output_bytes"] = os.path.getsize(path)
+    with open(sidecar, "w") as f:
+        json.dump(row, f)
+    rep = verify_index(idx)
+    assert not rep["ok"]
+    assert len(rep["errors"]) == 1
+    assert rep["errors"][0].startswith(f"part={p}: ")
+    assert "must be rebuilt" in rep["errors"][0]
+    garbage = part_path(reader.segments_dir, p + 1)
+    size = os.path.getsize(garbage)
+    with open(garbage, "wb") as f:
+        f.write(b"\0" * size)
+    rep = verify_index(idx)
+    assert len(rep["errors"]) == 2
+    assert rep["errors"][1].startswith(f"part={p + 1}: ")

@@ -54,8 +54,9 @@ import pyarrow.parquet as pq
 import ray.data
 
 from . import BM25_B, BM25_K1, __version__
-from .segment import (SegmentWriter, _atomic_write_json, _manifest_table,
-                      part_path, read_part_row, segments_dir)
+from .segment import (SegmentReader, SegmentWriter, _atomic_write_json,
+                      _manifest_table, part_path, read_part_row,
+                      segments_dir)
 from .stages.tokenize import AddPartColumn, tokenize_postings
 
 # block cap of a wave's dataset (its own DataContext, never the global
@@ -472,13 +473,16 @@ def read_stats(index_dir: str) -> dict:
 def verify_index(index_dir: str) -> dict:
     """Integrity audit for a committed index (the ops tool a 100 TB
     deployment runs after copy/restore): every partition's segment file
-    must exist with the byte size its sidecar recorded, every part in
-    [0, num_parts) must be committed, wave sidecars must sum to
+    must exist with the byte size its sidecar recorded and the current
+    segment format (its footer is opened, so an index an older version
+    wrote reports "must be rebuilt" here, not at its first query), every
+    part in [0, num_parts) must be committed, wave sidecars must sum to
     stats.n_docs, and part sidecars to stats.total_tokens. Returns
     {"ok": bool, "errors": [...], "parts": N, "n_docs": N}."""
     errors: list[str] = []
     stats = read_stats(index_dir)
     seg_dir = segments_dir(index_dir)
+    reader = SegmentReader(index_dir, stats["num_parts"])
     tok = 0
     for part in range(stats["num_parts"]):
         if not os.path.exists(part_path(seg_dir, part, "json")):
@@ -493,6 +497,11 @@ def verify_index(index_dir: str) -> dict:
             errors.append(
                 f"size mismatch part={part}: "
                 f"{os.path.getsize(f_path)} != {row.get('output_bytes')}")
+        else:
+            try:
+                reader.check_format(part)
+            except (RuntimeError, pa.ArrowInvalid) as e:
+                errors.append(f"part={part}: {e}")
     waves_dir = os.path.join(index_dir, "waves")
     n_docs = 0
     if os.path.isdir(waves_dir):

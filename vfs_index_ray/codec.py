@@ -1,25 +1,29 @@
-"""Posting-list codec: delta + varint compression, skip blocks, block metadata.
+"""Posting-list codec: fixed-width postings streams, skip blocks, metadata.
 
 Replaces the reference's per-(key,record) FlatBuffers write-files and merged
 ``KeyRecordList`` (reference: spec/index.fbs:22-60, column.go:418-604) with a
 columnar encoding: one segment row per (term_id, chunk) in
-``SEGMENT_SCHEMA``, holding delta+varint-compressed doc_ids (or fixed64
-ones, when the doc ids are too wide for varint to pay), varint tfs and
-dls, skip entries every ``BLOCK`` postings, per-block (tf_max, dl_min)
-bounds from which a valid BM25 upper bound can be derived at query time
-without knowing avgdl/N at build time, and an impact frontier on chunks
-of at least ``IMPACT_MIN_N`` postings.
+``SEGMENT_SCHEMA``, holding the chunk's doc ids, tfs and dls as three
+little-endian fixed-width streams, skip entries every ``BLOCK`` postings,
+per-block (tf_max, dl_min) bounds from which a valid BM25 upper bound can
+be derived at query time without knowing avgdl/N at build time, and an
+impact frontier on chunks of at least ``IMPACT_MIN_N`` postings.
+
+Each stream of a segment uses the narrowest of 1, 2, 4 or 8 bytes that
+holds its largest value in that segment (the ``docs_w``, ``tfs_w`` and
+``dls_w`` columns, equal on every row of a file). Doc ids are stored
+absolute, so block b of a row starts at posting b·BLOCK of each stream
+and a set of blocks decodes with one ``frombuffer`` view per stream,
+never a pass over its predecessors: the analog of the reference's fixed
+32-byte ``Record`` read in place (spec/index.fbs:54-60) and its
+512B/4096B lazy FlatBuffers paging (index_file.go:664-749), whose page
+sizes are constants too.
 
 All encode/decode paths are vectorized numpy — no per-posting Python loops.
-Blocks are self-contained (the first doc_id of each block is encoded
-absolute, not as a delta), so a block can be decoded without its
-predecessors — the analog of the reference's 512B/4096B lazy FlatBuffers
-paging (index_file.go:664-749), whose page sizes are constants too.
-
 Reads see rows as ``Chunks``: numpy views into the Arrow columns of a
 run of rows, with no per-row objects. ``decode_blocks`` is the one
-decode: any ascending set of a run's blocks (or all of them), one varint
-pass per stream over their gathered byte ranges.
+decode. Varint (LEB128) encodes the positions files' ordinals
+(tokenizer.py), not postings.
 """
 
 from __future__ import annotations
@@ -36,12 +40,16 @@ IMPACT_CAP = 64    # frontier bins: exact per-tf below, one overflow above
 IMPACT_MIN_N = 128
 
 _U64 = np.uint64
+# the postings streams; stream s stores its byte width in column s + "_w"
+_STREAMS = ("docs", "tfs", "dls")
 
 # One row per (term_id, doc bucket) chunk; every segment file has exactly
 # this schema (segment.SegmentReader refuses any other).
 SEGMENT_SCHEMA = pa.schema([
     ("term_id", pa.uint64()),
-    ("denc", pa.uint8()),          # doc stream: 0 = delta varint, 1 = fixed64
+    ("docs_w", pa.uint8()),        # bytes per value of each stream
+    ("tfs_w", pa.uint8()),
+    ("dls_w", pa.uint8()),
     ("bucket", pa.uint64()),
     ("df", pa.uint64()),
     ("n", pa.uint64()),
@@ -49,9 +57,6 @@ SEGMENT_SCHEMA = pa.schema([
     ("tfs", pa.large_binary()),
     ("dls", pa.large_binary()),
     ("skip_doc_last", pa.list_(pa.uint64())),
-    ("skip_off_doc", pa.list_(pa.uint32())),
-    ("skip_off_tf", pa.list_(pa.uint32())),
-    ("skip_off_dl", pa.list_(pa.uint32())),
     ("block_tf_max", pa.list_(pa.uint32())),
     ("block_dl_min", pa.list_(pa.uint32())),
     ("imp_tf", pa.list_(pa.uint32())),
@@ -72,14 +77,18 @@ _VARINT_THRESH = np.array([1 << (7 * k) for k in range(1, 10)],
                           dtype=np.uint64)
 
 
+def _varint_sizes(v: np.ndarray) -> np.ndarray:
+    """Bytes per value: ceil(bitlen/7), min 1."""
+    return np.searchsorted(_VARINT_THRESH, v, side="right") + 1
+
+
 def varint_encode(values: np.ndarray) -> bytes:
     """Encode a uint64 array as concatenated LEB128 varints (vectorized)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
     n = len(v)
     if n == 0:
         return b""
-    # bytes needed per value: ceil(bitlen/7), min 1
-    nbytes = np.searchsorted(_VARINT_THRESH, v, side="right") + 1
+    nbytes = _varint_sizes(v)
     ends = np.cumsum(nbytes)
     starts = ends - nbytes
     out = np.empty(int(ends[-1]), dtype=np.uint8)
@@ -113,10 +122,10 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
     n = int(is_end.sum())
     if count is not None and n != count:
         raise ValueError(f"varint_decode: expected {count} values, got {n}")
-    if n == len(b):  # every value one byte (tfs, dense doc deltas)
+    if n == len(b):  # every value one byte (most position deltas)
         return b.astype(np.uint64)
-    # uniform-width fast path (e.g. a dl stream where every doc length
-    # is 2 bytes): strided column reads, no index arrays at all
+    # uniform-width fast path (e.g. every value 2 bytes): strided
+    # column reads, no index arrays at all
     if 0 < n < len(b) and len(b) % n == 0:
         w = len(b) // n
         if w <= 10:
@@ -134,7 +143,7 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
     start_pos = np.flatnonzero(starts)
     if len(start_pos) * 5 < len(b):
         # very-wide-value streams only (avg > 5 bytes/value — rare:
-        # posting deltas/tfs are mostly 1 byte, dls 1-3): per-position
+        # position deltas are mostly 1 byte): per-position
         # full passes beat subset gathers there (measured crossover
         # between 4- and 8-byte uniform widths)
         validx = np.zeros(len(b), dtype=np.int64)
@@ -184,8 +193,10 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
 # posting-list chunk encode/decode
 # ---------------------------------------------------------------------------
 
-def _varint_sizes(v: np.ndarray) -> np.ndarray:
-    return np.searchsorted(_VARINT_THRESH, v, side="right") + 1
+def _width(v: np.ndarray) -> int:
+    """Bytes per value: the narrowest of 1, 2, 4 or 8 that holds max(v)."""
+    top = int(v.max())
+    return next(w for w in (1, 2, 4, 8) if top < 1 << (8 * w))
 
 
 def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
@@ -202,9 +213,9 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
 
     Returns a ``pyarrow.Table`` of ``SEGMENT_SCHEMA``.
 
-    No per-term Python: varint encoding runs once over the concatenated
-    delta stream and per-chunk binary columns are built zero-copy from byte
-    offsets into that single buffer.
+    No per-term Python: each stream is the partition's whole column cast
+    once to its width, and the per-chunk binary columns are zero-copy
+    offsets into that one buffer.
     """
     terms = np.ascontiguousarray(terms, dtype=np.uint64)
     docs = np.ascontiguousarray(docs, dtype=np.uint64)
@@ -233,59 +244,13 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
 
     # block starts: every B-th posting within a chunk
     local = np.arange(n, dtype=np.int64) - np.repeat(chunk_starts, chunk_counts)
-    block_start_mask = (local % BLOCK) == 0
-    block_starts = np.flatnonzero(block_start_mask)
-
-    # deltas, absolute at block starts (blocks self-contained)
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[0] = docs[0]
-    deltas[1:] = docs[1:] - docs[:-1]
-    deltas[block_starts] = docs[block_starts]
-
-    doc_sizes = _varint_sizes(deltas)
-    # doc-stream encoding: hash doc-ids make deltas ~as wide as raw
-    # values; fixed64 (denc=1) decodes with one frombuffer (zero
-    # passes) while wide varints take the slow dense decode path.
-    # Decode-speed-aware threshold: varint only pays below ~4.5
-    # bytes/value average — the shrinking-subset decoder is fast
-    # through 4-byte widths (measured, BASELINE.md), and above that
-    # varint's <45% size saving costs ~1000x on every head-term decode
-    # (2.2 s vs ~5 ms for a 1.47M-posting hash-id list).
-    denc = 1 if int(doc_sizes.sum()) > int(4.5 * n) else 0
-    if denc:
-        doc_sizes = np.full(n, 8, dtype=np.int64)
-    tf_sizes = _varint_sizes(tfs)
-    dl_sizes = _varint_sizes(dls)
-    doc_ends = np.cumsum(doc_sizes)
-    tf_ends = np.cumsum(tf_sizes)
-    dl_ends = np.cumsum(dl_sizes)
-
-    def _byte_start(ends: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(idx), dtype=np.int64)
-        nz = idx > 0
-        out[nz] = ends[idx[nz] - 1]
-        return out
-
-    if denc:
-        docs_buf = np.frombuffer(
-            np.ascontiguousarray(docs).astype("<u8").tobytes(), np.uint8)
-    else:
-        docs_buf = np.frombuffer(varint_encode(deltas), np.uint8)
-    tfs_buf = np.frombuffer(varint_encode(tfs), np.uint8)
-    dls_buf = np.frombuffer(varint_encode(dls), np.uint8)
+    block_starts = np.flatnonzero((local % BLOCK) == 0)
 
     # per-block metadata
     block_ends = np.append(block_starts[1:], n) - 1  # last posting idx of block
     blk_doc_last = docs[block_ends]
     blk_tf_max = np.maximum.reduceat(tfs, block_starts)
     blk_dl_min = np.minimum.reduceat(dls, block_starts)
-    chunk_of_block = np.cumsum(new_chunk)[block_starts] - 1
-    blk_off_doc = (_byte_start(doc_ends, block_starts)
-                   - _byte_start(doc_ends, chunk_starts)[chunk_of_block])
-    blk_off_tf = (_byte_start(tf_ends, block_starts)
-                  - _byte_start(tf_ends, chunk_starts)[chunk_of_block])
-    blk_off_dl = (_byte_start(dl_ends, block_starts)
-                  - _byte_start(dl_ends, chunk_starts)[chunk_of_block])
 
     # ---- impact frontier (disk-resident impact ordering) ---------------
     # Per chunk, one entry per distinct capped tf: the min-dl posting for
@@ -339,17 +304,17 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
         imp_dl_v = mind[present]
         imp_doc_v = mindoc[present]
 
-    def _binary_col(buf: np.ndarray, ends: np.ndarray) -> pa.Array:
-        offs = np.empty(nchunks + 1, dtype=np.int64)
-        offs[:-1] = _byte_start(ends, chunk_starts)
-        offs[-1] = ends[-1]
-        return pa.LargeBinaryArray.from_buffers(
+    post_offs = np.append(chunk_starts, n)
+    streams, widths = {}, {}
+    for name, v in zip(_STREAMS, (docs, tfs, dls)):
+        w = widths[name] = _width(v)
+        streams[name] = pa.LargeBinaryArray.from_buffers(
             pa.large_binary(), nchunks,
-            [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(buf.tobytes())])
+            [None, pa.py_buffer(post_offs * w),
+             pa.py_buffer(v.astype(f"<u{w}"))])
 
-    blocks_per_chunk = np.bincount(chunk_of_block, minlength=nchunks)
     list_offs = np.zeros(nchunks + 1, dtype=np.int32)
-    np.cumsum(blocks_per_chunk, out=list_offs[1:])
+    np.cumsum(-(-chunk_counts // BLOCK), out=list_offs[1:])
     loffs = pa.array(list_offs, pa.int32())
 
     def _list_col(values: np.ndarray, typ) -> pa.Array:
@@ -357,17 +322,13 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
 
     return pa.table({
         "term_id": pa.array(terms[chunk_starts], pa.uint64()),
-        "denc": pa.array(np.full(nchunks, denc, np.uint8), pa.uint8()),
+        **{s + "_w": pa.array(np.full(nchunks, w, np.uint8), pa.uint8())
+           for s, w in widths.items()},
         "bucket": pa.array(buckets[chunk_starts], pa.uint64()),
         "df": pa.array(df_chunk.astype(np.uint64), pa.uint64()),
         "n": pa.array(chunk_counts.astype(np.uint64), pa.uint64()),
-        "docs": _binary_col(docs_buf, doc_ends),
-        "tfs": _binary_col(tfs_buf, tf_ends),
-        "dls": _binary_col(dls_buf, dl_ends),
+        **streams,
         "skip_doc_last": _list_col(blk_doc_last, pa.uint64()),
-        "skip_off_doc": _list_col(blk_off_doc.astype(np.uint32), pa.uint32()),
-        "skip_off_tf": _list_col(blk_off_tf.astype(np.uint32), pa.uint32()),
-        "skip_off_dl": _list_col(blk_off_dl.astype(np.uint32), pa.uint32()),
         "block_tf_max": _list_col(blk_tf_max.astype(np.uint32), pa.uint32()),
         "block_dl_min": _list_col(blk_dl_min.astype(np.uint32), pa.uint32()),
         "imp_tf": _imp_col(imp_counts, imp_tf_v.astype(np.uint32),
@@ -390,9 +351,6 @@ def _imp_col(counts: np.ndarray, values: np.ndarray, typ):
 # ---------------------------------------------------------------------------
 
 _NO_ROWS = SEGMENT_SCHEMA.empty_table()
-# the skip-offset column of each payload stream
-_SKIP_OFF = {"docs": "skip_off_doc", "tfs": "skip_off_tf",
-             "dls": "skip_off_dl"}
 
 
 class Chunks:
@@ -405,8 +363,9 @@ class Chunks:
     docs bytes are ``column("docs")[offsets("docs")[i]:
     offsets("docs")[i + 1]]``. Skip blocks are numbered across the rows
     in order, the way the flat ``skip_*`` and ``block_*`` columns list
-    them. Iterating yields one read-only mapping per row (column name →
-    value or view); the query path never builds them.
+    them; ``block_table`` gives each one's postings. Iterating yields
+    one read-only mapping per row (column name → value or view); the
+    query path never builds them.
     """
 
     def __init__(self, rows: pa.RecordBatch | pa.Table = _NO_ROWS):
@@ -447,13 +406,15 @@ class Chunks:
         return self._view(name)[1]
 
     def block_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, posting count) of every skip block."""
+        """(first posting, posting count) of every skip block, postings
+        numbered across the rows in order."""
         if self._blocks is None:
             n = self.column("n").astype(np.int64)
             nb = -(-n // BLOCK)
             row = np.repeat(np.arange(len(n)), nb)
             local = np.arange(len(row)) - np.repeat(np.cumsum(nb) - nb, nb)
-            self._blocks = row, np.minimum(n[row] - local * BLOCK, BLOCK)
+            counts = np.minimum(n[row] - local * BLOCK, BLOCK)
+            self._blocks = np.cumsum(counts) - counts, counts
         return self._blocks
 
     def __iter__(self):
@@ -469,79 +430,55 @@ class Chunks:
             yield MappingProxyType(row)
 
 
-def _gather(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+def _gather(vals: np.ndarray, starts: np.ndarray, ends: np.ndarray
             ) -> np.ndarray:
-    """The byte ranges [starts[i], ends[i]) of ``buf``, concatenated.
+    """The ranges [starts[i], ends[i]) of ``vals``, concatenated.
     Adjacent ranges merge first, so one run is a view, not a copy."""
     if len(starts) == 0:
-        return buf[:0]
+        return vals[:0]
     cut = np.flatnonzero(starts[1:] != ends[:-1]) + 1
     s = starts[np.concatenate(([0], cut))]
     e = ends[np.concatenate((cut - 1, [len(ends) - 1]))]
     if len(s) == 1:
-        return buf[s[0]:e[0]]
+        return vals[s[0]:e[0]]
     lens = e - s
     firsts = np.cumsum(lens) - lens
-    return buf[np.repeat(s - firsts, lens) + np.arange(int(lens.sum()))]
-
-
-def _decode_docs(raw: np.ndarray, counts: np.ndarray, fixed: bool
-                 ) -> np.ndarray:
-    """Doc ids of consecutive blocks of ``counts`` postings stored in
-    ``raw``: fixed64, or delta varints that restart (absolute) at every
-    block."""
-    total = int(counts.sum())
-    if fixed:
-        docs = np.frombuffer(raw, "<u8").astype(np.uint64)
-        if len(docs) != total:
-            raise ValueError(f"fixed64 docs: expected {total}")
-        return docs
-    docs = np.cumsum(varint_decode(raw, count=total), dtype=np.uint64)
-    if len(counts) > 1:
-        # the cumsum ran across the restarts: take each block's
-        # predecessor prefix back out
-        at = np.cumsum(counts[:-1])
-        docs[at[0]:] -= np.repeat(docs[at - 1], counts[1:])
-    return docs
+    return vals[np.repeat(s - firsts, lens) + np.arange(int(lens.sum()))]
 
 
 def decode_blocks(rows: Chunks, blocks: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(docs, tfs, dls) uint64 arrays of the skip blocks ``blocks``
     (ascending block numbers, see ``Chunks``) of ``rows``, in block
-    order; None decodes every block. The blocks' byte ranges come from
-    the ``skip_off_*`` columns and each stream is decoded by one varint
-    pass over them (fixed64 doc streams by one ``frombuffer``), so the
-    cost does not grow with the number of blocks asked for. The rows
-    must share one doc encoding, as the rows of one segment file do."""
-    denc = rows.column("denc")
-    if len(denc) and (denc != denc[0]).any():
-        raise ValueError("rows mix doc encodings: decode the rows of "
-                         "each segment file on their own")
-    if blocks is None:
-        n = rows.column("n")
-        if len(n) == 1 and n[0] <= BLOCK:  # one block: no table needed
-            counts = n.astype(np.int64)
-        else:
-            counts = rows.block_table()[1]
-        raw = {s: rows.column(s) for s in _SKIP_OFF}
-    else:
+    order; None decodes every block. Each stream is one little-endian
+    view of its bytes at the rows' width, gathered to the blocks'
+    posting ranges and widened to uint64: no per-block Python and no
+    pass over postings outside the blocks. The rows must share their
+    widths, as the rows of one segment file do. A stream whose rows do
+    not hold exactly n × width bytes each raises ``ValueError``: a
+    truncated segment never decodes to shifted postings."""
+    n = rows.column("n").astype(np.int64)
+    post_offs = np.zeros(len(n) + 1, np.int64)
+    np.cumsum(n, out=post_offs[1:])
+    if blocks is not None:
+        first, counts = rows.block_table()
         b = np.asarray(blocks, np.int64)
-        row_of, counts = rows.block_table()
-        counts = counts[b]
-        raw = {}
-        for s, skip_col in _SKIP_OFF.items():
-            offs, skip = rows.offsets(s), rows.column(skip_col)
-            if len(skip) != len(row_of):
-                raise ValueError("skip lists do not match the row sizes")
-            starts = offs[row_of] + skip
-            raw[s] = _gather(rows.column(s), starts[b],
-                             np.append(starts[1:], offs[-1])[b])
-    total = int(counts.sum())
-    fixed = bool(len(denc) and denc[0])
-    return (_decode_docs(raw["docs"], counts, fixed),
-            varint_decode(raw["tfs"], count=total),
-            varint_decode(raw["dls"], count=total))
+        starts, ends = first[b], first[b] + counts[b]
+    out = []
+    for s in _STREAMS:
+        ws = rows.column(s + "_w")
+        if len(ws) and (ws != ws[0]).any():
+            raise ValueError(f"rows mix {s} widths: decode the rows of "
+                             "each segment file on their own")
+        w = int(ws[0]) if len(ws) else 1
+        if not np.array_equal(rows.offsets(s), post_offs * w):
+            raise ValueError(f"{s} stream does not hold n x {w} bytes "
+                             "per row: the segment is truncated or corrupt")
+        vals = rows.column(s).view(f"<u{w}")
+        if blocks is not None:
+            vals = _gather(vals, starts, ends)
+        out.append(vals.astype(np.uint64))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

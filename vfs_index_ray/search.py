@@ -4,8 +4,7 @@ Maps the reference's query machinery onto the segment layout:
 
 - key point-lookup (index_file.go:1424-1459 FindByKey + bsearch) →
   ``part = term_id % P`` pruning + a binary search of the segment's
-  per-batch first-term directory and of the sorted ``term_id`` column
-  (segment.py);
+  memory-mapped, sorted ``term_id`` column (segment.py);
 - posting-list AND intersection on record identity
   (search_finder.go:108-193) → sorted-uint64 ``np.intersect1d`` in
   df-ascending order (the reference's intended selectivity ordering,
@@ -817,8 +816,8 @@ class SearchEngine:
         """Flat positional postings for candidate docs: per term, a
         (doc_rep, ordinal) pair of aligned arrays sorted by (doc,
         ordinal). ALL varint decoding happens in one vectorized pass per
-        part (concatenated buffer + per-row cumsum restart — the same
-        trick as the block codec); no per-(term,doc) Python loop."""
+        part (concatenated buffer + per-row cumsum restart); no
+        per-(term,doc) Python loop."""
         from .codec import varint_decode
         if not self.stats.get("positions"):
             raise ValueError("index was built without positions=True")
@@ -1476,7 +1475,7 @@ def bm25_topk_ray(index_dir: str, q: str, k: int = 10):
                                ("bucket", "ascending")])
         decoded = []
         # ascending term_id (+ bucket); row by row, as the rows come
-        # from several segment files that may use different doc encodings
+        # from several segment files that may use different stream widths
         for i in range(group.num_rows):
             row = Chunks(group.slice(i, 1))
             d, tf, dl = decode_blocks(row)

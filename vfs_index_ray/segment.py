@@ -265,6 +265,12 @@ class SegmentReader:
         for part in range(self.num_parts):
             self.path(part)
 
+    def check_format(self, part: int) -> None:
+        """Raise the "must be rebuilt" error unless the part's segment
+        file has the current schema and layout; maps the file and reads
+        only its IPC metadata."""
+        self._batch(part, None)
+
     def read_positions(self, part: int, filters=None) -> pa.Table | None:
         """The part's positions rows matching the Parquet ``filters``
         (None = all); None if the part has no positions file."""
@@ -291,9 +297,10 @@ class SegmentReader:
         """The part's record batch, its columns zero-copy views of the
         memory-mapped file; only ``columns`` (plus term_id) are read.
         The columns are projected by their index in ``SEGMENT_SCHEMA``,
-        so a file of another schema is refused, not read shifted; so is
-        a file of several batches or with schema metadata (0.4.0 wrote
-        lz4 batches cut every ~1 MB and a first-term directory)."""
+        so a file of another schema (0.5.0's delta-varint ``denc`` and
+        ``skip_off_*`` columns) is refused, not read shifted; so is a
+        file of several batches or with schema metadata (0.4.0 wrote lz4
+        batches cut every ~1 MB and a first-term directory)."""
         fields = None if columns is None else [
             i for i, name in enumerate(_FIELDS)
             if name == "term_id" or name in columns]

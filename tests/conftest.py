@@ -97,8 +97,7 @@ def ray_tasks(monkeypatch):
 def ray_down(monkeypatch):
     """A context manager under which ``ray.is_initialized()`` reads
     False, so the fan-out rules (``SegmentReader.map_parts``,
-    ``FederatedEngine``, phrase/proximity) pick their in-process
-    branch."""
+    ``FederatedEngine``) pick their in-process branch."""
     import contextlib
 
     import ray

@@ -1,5 +1,5 @@
-"""Codec unit tests: varint roundtrips (the positions encoding), stream
-widths, skip blocks, partition encode.
+"""Codec unit tests: stream widths, skip blocks, partition encode, the
+positions streams.
 
 Mirrors the reference's operator-level tests (trigram roundtrip
 vfsindex_internal_test.go:707-718, sorted-insert vfsindex_test.go:405-445)
@@ -8,55 +8,8 @@ for our encoding."""
 import numpy as np
 import pyarrow as pa
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vfs_index_ray import codec
-
-
-def test_varint_roundtrip_edges():
-    vals = np.array([0, 1, 127, 128, 16383, 16384, 2**32, 2**63, 2**64 - 1],
-                    dtype=np.uint64)
-    assert (codec.varint_decode(codec.varint_encode(vals)) == vals).all()
-
-
-def test_varint_empty():
-    assert codec.varint_encode(np.empty(0, np.uint64)) == b""
-    assert len(codec.varint_decode(b"")) == 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=500))
-def test_varint_roundtrip_property(vals):
-    arr = np.array(vals, dtype=np.uint64)
-    assert (codec.varint_decode(codec.varint_encode(arr)) == arr).all()
-
-
-def test_varint_roundtrip_all_decode_branches():
-    """Deterministic fuzz hitting every decode strategy: uniform-width
-    strided (1..10 bytes), shrinking-subset (small + large continuation
-    sets, bsearch and cumsum value-index), and the dense very-wide
-    fallback — at sizes crossing the branch thresholds."""
-    rng = np.random.Generator(np.random.Philox(key=[31, 0]))
-    cases = []
-    for w in range(10):  # uniform widths 1..10 bytes
-        lo = 0 if w == 0 else 1 << (7 * w)
-        hi = (1 << (7 * (w + 1))) - 1 if w < 9 else 2**64 - 1
-        cases.append(rng.integers(lo, hi, 2000, dtype=np.uint64))
-    # mixed magnitudes (subset branch, both value-index strategies)
-    small = rng.integers(0, 100, 5000, dtype=np.uint64)
-    m = small.copy(); m[rng.integers(0, 5000, 50)] = 2**63
-    cases.append(m)                      # sparse wide -> bsearch path
-    m2 = rng.integers(0, 1 << 20, 5000, dtype=np.uint64)
-    cases.append(m2)                     # dense 1-3 byte -> cumsum path
-    cases.append(rng.integers(1 << 56, 2**64 - 1, 3000,
-                              dtype=np.uint64))  # dense fallback
-    cases.append(np.array([0, 2**64 - 1, 127, 128, 16383, 16384],
-                          np.uint64))
-    for arr in cases:
-        buf = codec.varint_encode(arr)
-        got = codec.varint_decode(buf, count=len(arr))
-        assert (got == arr).all()
 
 
 def _width_of(v) -> int:
@@ -511,3 +464,30 @@ def test_frontier_absent_rows_still_score(tmp_path):
     p.decode()
     true_max = eng._term_score(p.tfs, p.dls, p.df).max()
     assert ub >= true_max - 1e-12
+
+
+def test_positions_roundtrip():
+    """``encode_positions`` then ``decode_positions`` gives back each
+    posting's ordinals, for the whole part and for any run of rows; a
+    stream cut short raises."""
+    rng = np.random.Generator(np.random.Philox(key=[53, 0]))
+    n = np.array([3, 1, 5, 2], np.int64)          # postings per row
+    lens = rng.integers(1, 6, int(n.sum()))       # ordinals per posting
+    ords = np.concatenate([np.sort(rng.choice(70000, k, replace=False))
+                           for k in lens]).astype(np.uint32)
+    tbl = codec.encode_positions(n, lens, ords)
+    assert tbl.schema.equals(codec.POSITIONS_SCHEMA)
+    assert tbl["pos_w"][0].as_py() == 4 if ords.max() > 65535 else 2
+    starts = np.cumsum(lens) - lens
+    post0 = np.cumsum(n) - n
+    for i, j in [(0, 4), (1, 3), (2, 3), (3, 4), (2, 2)]:
+        ends, got = codec.decode_positions(
+            codec.Chunks(tbl.slice(i, j - i)), n[i:j])
+        ks = range(post0[i], post0[i] + int(n[i:j].sum()))
+        assert len(ends) == len(ks)
+        for local, k in enumerate(ks):
+            lo = ends[local - 1] if local else 0
+            assert got[lo:ends[local]].tolist() == \
+                ords[starts[k]:starts[k] + lens[k]].tolist()
+    with pytest.raises(ValueError, match="truncated or corrupt"):
+        codec.decode_positions(codec.Chunks(tbl), n + 1)

@@ -27,16 +27,13 @@ def _py_phrase_docs(texts, ids, phrase):
     return sorted(out)
 
 
-def _staged_docs(eng, phrase: str) -> list:
-    """The serial rare-pivot staged phrase path, called directly on the
-    phrase's candidates (``phrase_match_positional`` takes it only for
-    more than ``PHRASE_STAGE_THRESHOLD`` candidates with Ray down)."""
-    seq = eng._phrase_keys(phrase)
-    cands = np.sort(np.asarray(eng.match(phrase), np.uint64))
-    if len(cands) == 0:
-        return []
-    return eng._phrase_positional_staged(seq, sorted(set(seq)),
-                                         cands).tolist()
+def _pages_oracle(pages_file):
+    """(texts, doc ids) of the pages corpus, for the Python oracles."""
+    from vfs_index_ray.hashing import doc_id_from_url
+
+    tbl = pq.read_table(pages_file, columns=["url", "text"])
+    return (tbl["text"].to_pylist(),
+            [doc_id_from_url(u) for u in tbl["url"].to_pylist()])
 
 
 @pytest.fixture(scope="module")
@@ -138,15 +135,11 @@ def test_positions_require_flag(built_index):
         eng.phrase_match_positional("bababa babade")
 
 
-def test_proximity_vs_python(pos_index, pages_file, monkeypatch,
-                             ray_tasks):
-    from vfs_index_ray.hashing import doc_id_from_url
+def test_proximity_vs_python(pos_index, pages_file, ray_tasks):
     from vfs_index_ray.search import SearchEngine
 
     eng = SearchEngine(pos_index)
-    tbl = pq.read_table(pages_file, columns=["url", "text"])
-    texts = tbl["text"].to_pylist()
-    ids = [doc_id_from_url(u) for u in tbl["url"].to_pylist()]
+    texts, ids = _pages_oracle(pages_file)
 
     def py_prox(qtoks, window):
         out = []
@@ -164,23 +157,14 @@ def test_proximity_vs_python(pos_index, pages_file, monkeypatch,
         return sorted(out)
 
     for q, w in [("bababa babade", 3), ("bababa babade", 20),
-                 (corpus.PHRASE, 3)]:
+                 (corpus.PHRASE, 3), ("bababa babade", 1),
+                 ("bababa babade kekeke", 6)]:
         got = eng.proximity_match(q, w).tolist()
         assert got == py_prox(sorted(set(q.split())), w), (q, w)
     # window 0 with two distinct terms → impossible
     assert eng.proximity_match("bababa babade", 0).tolist() == []
-    # chunked distributed path returns identical docs: a tiny
-    # threshold puts the candidates above 2x it with Ray up
-    from vfs_index_ray import search
-    for q, w in [("bababa babade", 3), ("bababa babade", 20)]:
-        want = eng.proximity_match(q, w).tolist()
-        assert not ray_tasks
-        with monkeypatch.context() as m:
-            m.setattr(search, "PHRASE_STAGE_THRESHOLD", 4)
-            got = SearchEngine(pos_index).proximity_match(q, w).tolist()
-        assert ray_tasks == [search._proximity_chunk]
-        ray_tasks.clear()
-        assert got == want, (q, w)
+    # one path at every candidate count, in process
+    assert not ray_tasks
 
 
 def test_trigram_positional_exact_substring(ray_session, tmp_path):
@@ -263,10 +247,9 @@ def test_absorb_rewrites_positions(ray_session, tmp_path, pages_file):
 def test_merge_carries_positions(ray_session, tmp_path, pages_file):
     """Merging two positional halves answers positional phrases like the
     full positional build and writes the same positions files; sources
-    that disagree on positions, and repartitioning a positional index,
-    raise."""
+    that disagree on positions raise."""
     from vfs_index_ray.build import IndexBuilder
-    from vfs_index_ray.merge import merge_indexes, repartition_index
+    from vfs_index_ray.merge import merge_indexes
     from vfs_index_ray.search import SearchEngine
     from vfs_index_ray.segment import positions_path, segments_dir
 
@@ -294,92 +277,54 @@ def test_merge_carries_positions(ray_session, tmp_path, pages_file):
     IndexBuilder(plain, **kw).build([b])
     with pytest.raises(ValueError, match="positions"):
         merge_indexes([ia, plain], str(tmp_path / "mixed"))
-    with pytest.raises(ValueError, match="positions"):
-        repartition_index(full, str(tmp_path / "rep"), 2)
 
 
-def test_staged_phrase_identical_to_batched(pos_index, pages_file):
-    """Rare-pivot staged chaining (the pure-head-phrase path) returns
-    exactly the batched path's docs on every fuzzed phrase, including
-    repeated-token phrases."""
-    from vfs_index_ray.hashing import doc_id_from_url
+def test_phrase_fuzz_long_and_repeated(pos_index, pages_file):
+    """Fuzzed 2-4 token phrases and repeated-token phrases (several
+    base constraints from one term) match the Python oracle."""
     from vfs_index_ray.search import SearchEngine
 
-    batched = SearchEngine(pos_index, corpus_files=[pages_file])
-    staged = SearchEngine(pos_index, corpus_files=[pages_file])
-    tbl = pq.read_table(pages_file, columns=["url", "text"])
-    texts = tbl["text"].to_pylist()
-    ids = [doc_id_from_url(u) for u in tbl["url"].to_pylist()]
+    eng = SearchEngine(pos_index)
+    texts, ids = _pages_oracle(pages_file)
     rng = np.random.Generator(np.random.Philox(key=[77, 0]))
     checked = 0
     for _ in range(25):
-        doc = texts[int(rng.integers(0, len(texts)))]
-        toks = _tokens(doc)
-        if len(toks) < 4:
-            continue
-        j = int(rng.integers(0, len(toks) - 3))
-        ln = int(rng.integers(2, 5))
-        phrase = " ".join(toks[j:j + ln])
-        got = _staged_docs(staged, phrase)
-        assert got == batched.phrase_match_positional(phrase).tolist(), \
-            phrase
-        assert got == _py_phrase_docs(texts, ids, phrase), phrase
-        checked += 1
-    assert checked > 10
-    # repeated-token phrase exercises multi-occurrence base constraints
-    got = _staged_docs(staged, "ba ba")
-    assert got == batched.phrase_match_positional("ba ba").tolist()
-
-
-def test_distributed_phrase_identical_to_batched(ray_session, pos_index,
-                                                 pages_file, monkeypatch,
-                                                 ray_tasks):
-    """Chunked Ray fan-out phrase path (pure-head regime) returns
-    exactly the batched and staged paths' docs on fuzzed phrases."""
-    from vfs_index_ray import search
-    from vfs_index_ray.search import SearchEngine
-
-    batched = SearchEngine(pos_index, corpus_files=[pages_file])
-    dist = SearchEngine(pos_index, corpus_files=[pages_file])
-
-    fanned = []
-
-    def dist_docs(phrase):
-        # a tiny threshold (with Ray up) means tiny chunks and a real
-        # fan-out for phrases of two or more distinct tokens over more
-        # than 8 candidates; the batched engine runs at the default
-        ray_tasks.clear()
-        with monkeypatch.context() as m:
-            m.setattr(search, "PHRASE_STAGE_THRESHOLD", 4)
-            out = dist.phrase_match_positional(phrase).tolist()
-        assert ray_tasks in ([], [search._phrase_chunk]), phrase
-        fanned.extend(ray_tasks)
-        return out
-
-    tbl = pq.read_table(pages_file, columns=["text"])
-    texts = tbl["text"].to_pylist()
-    rng = np.random.Generator(np.random.Philox(key=[78, 0]))
-    checked = 0
-    for _ in range(12):
-        doc = texts[int(rng.integers(0, len(texts)))]
-        toks = _tokens(doc)
+        toks = _tokens(texts[int(rng.integers(0, len(texts)))])
         if len(toks) < 4:
             continue
         j = int(rng.integers(0, len(toks) - 3))
         phrase = " ".join(toks[j:j + int(rng.integers(2, 5))])
-        want = batched.phrase_match_positional(phrase).tolist()
-        assert dist_docs(phrase) == want == _staged_docs(batched,
-                                                         phrase), phrase
+        assert eng.phrase_match_positional(phrase).tolist() == \
+            _py_phrase_docs(texts, ids, phrase), phrase
         checked += 1
-    assert checked > 5 and len(fanned) > 3
-    # repeated-token phrase through the fan-out engine (one distinct
-    # token never stages, so it runs batched there too)
-    assert dist_docs("ba ba") == \
-        batched.phrase_match_positional("ba ba").tolist()
+    assert checked > 10
+    for phrase in ("ba ba", "bababa bababa", "bababa babade bababa"):
+        assert eng.phrase_match_positional(phrase).tolist() == \
+            _py_phrase_docs(texts, ids, phrase), phrase
+
+
+def test_head_phrase_oracle(pos_index, pages_file, ray_tasks):
+    """Phrases of the corpus' most frequent tokens — the most candidates
+    the chain meets — match the Python oracle, in process."""
+    from collections import Counter
+
+    from vfs_index_ray.search import SearchEngine
+
+    eng = SearchEngine(pos_index)
+    texts, ids = _pages_oracle(pages_file)
+    head = [t for t, _ in Counter(
+        t for text in texts for t in set(_tokens(text))).most_common(4)]
+    phrases = [f"{a} {b}" for a in head for b in head if a != b]
+    phrases.append(" ".join(head[:3]))
+    assert max(len(eng.match(p)) for p in phrases) > len(texts) // 4
+    for phrase in phrases:
+        assert eng.phrase_match_positional(phrase).tolist() == \
+            _py_phrase_docs(texts, ids, phrase), phrase
+    assert not ray_tasks
 
 
 def test_staged_phrase_ordinal_underflow(ray_session, tmp_path):
-    """Regression: the staged path's base keys wrap uint64 when the
+    """Regression: the rare-pivot chain's base keys wrap uint64 when the
     rarest term occurs at an ordinal SMALLER than its phrase index in
     the first candidate (doc0 = 'beta alpha' for phrase 'alpha beta'
     puts beta at ordinal 0 with idx 1) — used to IndexError on the
@@ -400,5 +345,102 @@ def test_staged_phrase_ordinal_underflow(ray_session, tmp_path):
     IndexBuilder(idx, mode="word", num_parts=2, id_col="doc_id",
                  positions=True).build([src])
     eng = SearchEngine(idx, corpus_files=[src], id_col="doc_id")
-    assert _staged_docs(eng, "alpha beta") == [1]
-    assert _staged_docs(eng, "beta alpha") == [0]
+    assert eng.phrase_match_positional("alpha beta").tolist() == [1]
+    assert eng.phrase_match_positional("beta alpha").tolist() == [0]
+
+
+def test_repartition_carries_positions(ray_session, tmp_path, pos_index,
+                                      pages_file):
+    """Repartitioning a positional index answers phrase and proximity
+    queries like a fresh build at the new part count and writes the
+    same positions files, byte for byte."""
+    from vfs_index_ray.build import IndexBuilder
+    from vfs_index_ray.merge import repartition_index
+    from vfs_index_ray.search import SearchEngine
+    from vfs_index_ray.segment import part_path, positions_path, segments_dir
+
+    rep, fresh = str(tmp_path / "rep"), str(tmp_path / "fresh")
+    repartition_index(pos_index, rep, 3)
+    IndexBuilder(fresh, mode="word", num_parts=3, id_col=None,
+                 positions=True).build([pages_file])
+    for p in range(3):
+        for path in (part_path, positions_path):
+            with open(path(segments_dir(rep), p), "rb") as fr, \
+                    open(path(segments_dir(fresh), p), "rb") as ff:
+                assert fr.read() == ff.read(), (path.__name__, p)
+    er, ef = SearchEngine(rep), SearchEngine(fresh)
+    for q in (corpus.PHRASE, "bababa babade", "babade bababa"):
+        assert er.phrase_match_positional(q).tolist() == \
+            ef.phrase_match_positional(q).tolist(), q
+        assert er.proximity_match(q, 4).tolist() == \
+            ef.proximity_match(q, 4).tolist(), q
+    assert len(er.phrase_match_positional(corpus.PHRASE)) == 3
+
+
+def test_missing_positions_file_raises(pos_index, tmp_path):
+    """A positional index with one positions file gone is truncated:
+    ``verify_index`` reports it and a query over that part raises
+    instead of answering with no matches."""
+    import os
+    import shutil
+
+    from vfs_index_ray.build import verify_index
+    from vfs_index_ray.search import SearchEngine
+    from vfs_index_ray.segment import positions_path, segments_dir
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(pos_index, idx)
+    assert verify_index(idx)["ok"]
+    terms = SearchEngine(idx)._phrase_keys(corpus.PHRASE)
+    os.remove(positions_path(segments_dir(idx), terms[0] % 8))
+    rep = verify_index(idx)
+    assert not rep["ok"]
+    assert any("partition file missing" in e for e in rep["errors"])
+    with pytest.raises(RuntimeError, match="partition file missing"):
+        SearchEngine(idx).phrase_match_positional(corpus.PHRASE)
+
+
+def test_old_parquet_positions_must_be_rebuilt(pos_index, tmp_path):
+    """An index with 0.6.0's Parquet positions files raises "must be
+    rebuilt" on a positional query and in ``verify_index``."""
+    import os
+    import shutil
+
+    from vfs_index_ray.build import verify_index
+    from vfs_index_ray.search import SearchEngine
+    from vfs_index_ray.segment import positions_path, segments_dir
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(pos_index, idx)
+    for p in range(8):
+        path = positions_path(segments_dir(idx), p)
+        pq.write_table(pa.table({"term_id": pa.array([], pa.uint64())}),
+                       positions_path(segments_dir(idx), p, "parquet"))
+        os.remove(path)
+    rep = verify_index(idx)
+    assert not rep["ok"]
+    assert all("must be rebuilt" in e for e in rep["errors"])
+    with pytest.raises(RuntimeError, match="must be rebuilt"):
+        SearchEngine(idx).phrase_match_positional(corpus.PHRASE)
+
+
+def test_duplicate_doc_joins_positions(ray_session, tmp_path):
+    """A doc id in two waves (a re-crawl) is one posting per term, its
+    tfs summed and its ordinals joined ascending, so each version's
+    phrases still match it."""
+    from vfs_index_ray.build import IndexBuilder
+    from vfs_index_ray.search import SearchEngine
+
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                             "text": ["alpha beta", "beta alpha"]}), a)
+    pq.write_table(pa.table({"doc_id": pa.array([1], pa.int64()),
+                             "text": ["gamma alpha beta"]}), b)
+    idx = str(tmp_path / "idx")
+    IndexBuilder(idx, mode="word", num_parts=2, id_col="doc_id",
+                 positions=True).build([a, b], waves=2)
+    eng = SearchEngine(idx)
+    assert eng.df("alpha") == {"alpha": 2}
+    assert eng.phrase_match_positional("alpha beta").tolist() == [1]
+    assert eng.phrase_match_positional("gamma alpha beta").tolist() == [1]
+    assert eng.phrase_match_positional("beta alpha").tolist() == [2]

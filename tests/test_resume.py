@@ -106,8 +106,7 @@ def test_encode_parts_failure_waits_then_resumes(ray_session, two_files,
             raise RuntimeError("part task failed")
         time.sleep(0.5)  # still running when the bad part fails
         return pq.read_table(os.path.join(wave, f"part={p}"),
-                             columns=["term_id", "doc_id", "tf", "dl"]
-                             ), None
+                             columns=["term_id", "doc_id", "tf", "dl"])
 
     # the bad part is the largest, so it is submitted (and fails) first
     with pytest.raises(Exception, match="part task failed"):

@@ -1,15 +1,16 @@
 """Positional-phrase latency harness on the synthetic bench corpus.
 
-    python tools/perf_phrase.py [--docs 1600000] [--cpus 32] \
+    python tools/perf_phrase.py [--docs 1600000] [--cpus N] \
         [--rounds 3] [--phrases "bababa babade" ...]
 
 Builds (or reuses) a positional index over the deterministic bench
-corpus under /tmp/vfsray_bench, then times each phrase warm on three
-paths: batched (pushdown; ``PHRASE_STAGE_THRESHOLD`` raised so nothing
-stages), serial staged (rare-pivot; ``_phrase_positional_staged``
-called directly) and distributed (chunked fan-out, the pure-head scale
-path; ``_phrase_positional_distributed`` called directly) — asserting
-all three return identical docs. Prints one JSON line per phrase.
+corpus under /tmp/vfsray_bench (64 parts, keyed on the package version
+so an index another version wrote is never read), then times
+``SearchEngine.phrase_match_positional`` warm on each phrase: the best
+of ``--rounds`` runs after one warm-up. Prints one JSON line for the
+index (its positions bytes, and those per token) and one per phrase
+(candidates from ``match``, matching docs, best ms). ``--cpus``
+defaults to this process's CPU affinity.
 """
 
 from __future__ import annotations
@@ -27,22 +28,24 @@ DEFAULT_PHRASES = [
     "bababa babade xenolithite",   # pure-head 2 + rare (miss)
     "bababa babade",               # pure-head pair
     "babade bababa kekeke",        # pure-head triple (miss-ish)
-    "the table scan",              # natural head phrase
+    "bababa bababa babade",        # pure-head triple with a repeat
 ]
+
+
+def _dir_bytes(path: str) -> int:
+    return sum(os.path.getsize(os.path.join(path, f))
+               for f in os.listdir(path))
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--docs", type=int, default=1_600_000)
-    ap.add_argument("--cpus", type=int, default=32)
+    ap.add_argument("--cpus", type=int,
+                    default=len(os.sched_getaffinity(0)))
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--phrases", nargs="*", default=DEFAULT_PHRASES)
-    ap.add_argument("--paths", nargs="*",
-                    default=["staged", "distributed"],
-                    choices=["batched", "staged", "distributed"])
     args = ap.parse_args(argv)
 
-    import numpy as np
     import ray
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=args.cpus,
@@ -50,56 +53,39 @@ def main(argv=None) -> int:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, _REPO)
     from bench import _bench_corpus
 
-    from vfs_index_ray import search
+    from vfs_index_ray import __version__
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.search import SearchEngine
-
-    default_threshold = search.PHRASE_STAGE_THRESHOLD
 
     bdir = _bench_corpus(args.docs)
     files = sorted(os.path.join(bdir, f) for f in os.listdir(bdir)
                    if f.endswith(".parquet"))
-    idx = f"/tmp/vfsray_bench/idx_pos_{args.docs}"
-    IndexBuilder(idx, mode="word", num_parts=64, id_col=None,
-                 positions=True).build(files)  # resume-aware: reuses
+    idx = f"/tmp/vfsray_bench/idx_pos_{args.docs}_v{__version__}"
+    stats = IndexBuilder(idx, mode="word", num_parts=64, id_col=None,
+                         positions=True).build(files)  # resume-aware
+    pos_bytes = _dir_bytes(os.path.join(idx, "positions"))
+    print(json.dumps({
+        "index": idx, "corpus_docs": args.docs,
+        "tokens": stats["total_tokens"],
+        "segment_bytes": _dir_bytes(os.path.join(idx, "segments")),
+        "positions_bytes": pos_bytes,
+        "positions_bytes_per_token": round(
+            pos_bytes / max(1, stats["total_tokens"]), 3)}))
 
     eng = SearchEngine(idx)
-
-    def chain(positional):
-        def run(phrase):
-            cands = np.sort(np.asarray(eng.match(phrase), np.uint64))
-            if len(cands) == 0:
-                return cands
-            seq = eng._phrase_keys(phrase)
-            return positional(seq, sorted(set(seq)), cands)
-        return run
-
-    paths = {"batched": eng.phrase_match_positional,
-             "staged": chain(eng._phrase_positional_staged),
-             "distributed": chain(eng._phrase_positional_distributed)}
     for phrase in args.phrases:
-        results, times = {}, {}
-        for path in args.paths:
-            run = paths[path]
-            if path == "batched":
-                search.PHRASE_STAGE_THRESHOLD = 1 << 40  # never stage
-            run(phrase)                                   # warm
-            best = float("inf")
-            for _ in range(args.rounds):
-                t0 = time.perf_counter()
-                docs = run(phrase)
-                best = min(best, time.perf_counter() - t0)
-            search.PHRASE_STAGE_THRESHOLD = default_threshold
-            results[path] = docs.tolist()
-            times[path] = round(best * 1000, 1)
-        vals = list(results.values())
-        assert all(v == vals[0] for v in vals), f"path mismatch: {phrase}"
-        print(json.dumps({"phrase": phrase, "n_docs": len(vals[0]),
-                          "ms": times, "corpus_docs": args.docs,
-                          "cpus": args.cpus}))
+        eng.phrase_match_positional(phrase)           # warm
+        best = float("inf")
+        for _ in range(args.rounds):
+            t0 = time.perf_counter()
+            docs = eng.phrase_match_positional(phrase)
+            best = min(best, time.perf_counter() - t0)
+        print(json.dumps({"phrase": phrase,
+                          "candidates": len(eng.match(phrase)),
+                          "n_docs": len(docs), "ms": round(best * 1000, 1),
+                          "corpus_docs": args.docs, "cpus": args.cpus}))
     ray.shutdown()
     return 0
 

@@ -55,8 +55,8 @@ import ray.data
 
 from . import BM25_B, BM25_K1, __version__
 from .segment import (SegmentReader, SegmentWriter, _atomic_write_json,
-                      _manifest_table, part_path, read_part_row,
-                      segments_dir)
+                      _manifest_table, part_path, positions_path,
+                      postings_schema, read_part_row, segments_dir)
 from .stages.tokenize import AddPartColumn, tokenize_postings
 
 # block cap of a wave's dataset (its own DataContext, never the global
@@ -93,10 +93,10 @@ class IndexBuilder:
         # column need not exist in the input at all.
         self.html_col = html_col
         self.url_col = url_col
-        # positions=True (word mode): token ordinals ride through the
-        # shuffle as a delta+varint binary column and land in parallel
-        # per-part positions files — token-adjacency phrase queries
-        # then need no corpus access. Segment codec is untouched.
+        # positions=True: each posting's token ordinals ride through the
+        # shuffle as one more postings column (a list) and land in a
+        # positions file per part whose rows align with the segment's —
+        # token-adjacency phrase queries then need no corpus access
         self.positions = positions
         # Shuffle spill (postings) is the build's scratch — the
         # Spark-local-dirs analog. Single node: a local path (default
@@ -270,8 +270,9 @@ class IndexBuilder:
                       max_parts: int | None = None) -> list[int]:
         """THE segment rewrite of build, absorb, merge and purge (the
         reference's one baseMergeIndex, column.go:418-604): one Ray task
-        per uncommitted part runs ``postings_of(part) -> (postings,
-        positions | None)`` (it must not capture ``self``) and commits
+        per uncommitted part runs ``postings_of(part)``, a table in
+        ``segment.postings_schema(self.positions)`` (it must not capture
+        ``self``), and commits
         the part through the one ``SegmentWriter``, so a rerun skips
         committed parts. Largest ``sizes(part)`` first, so the Zipf-head
         part does not become the phase's tail straggler. A part task's
@@ -288,7 +289,7 @@ class IndexBuilder:
         lineage = [os.path.basename(w) for w in
                    self._scratch_subdirs(self.postings_dir, "wave=")]
         writer = SegmentWriter(self.segments_dir, self.bucket_shift,
-                               lineage=lineage)
+                               lineage=lineage, positions=self.positions)
         # plain tasks, not a Ray Data map: nothing waits on a first task's
         # output-size estimate, and submission order is largest first
         from .remote import remote_1cpu
@@ -317,8 +318,7 @@ class IndexBuilder:
         if not wave_dirs:
             raise RuntimeError("no committed postings waves")
         sfs = self.scratch_fs  # picklable: captured by the encode tasks
-        cols = ["term_id", "doc_id", "tf", "dl"] + \
-            (["pos"] if self.positions else [])
+        schema = postings_schema(self.positions)
 
         def gather(p: int):
             # this part's postings from every wave (hive layout
@@ -331,18 +331,10 @@ class IndexBuilder:
                 pdir = f"{wd}/part={p}"
                 if sfs.get_file_info(pdir).type == pafs.FileType.Directory:
                     tables.append(pq.read_table(
-                        pdir, columns=cols, filesystem=sfs,
+                        pdir, columns=schema.names, filesystem=sfs,
                         use_threads=False))
-            if not tables:
-                return pa.table({c: pa.array([], pa.uint64())
-                                 for c in cols[:4]}), None
-            merged = pa.concat_tables(tables)
-            if "pos" not in merged.column_names:
-                return merged, None
-            # positions land in the parallel per-part file; the segment
-            # codec never sees them
-            return merged.drop(["pos"]), merged.select(
-                ["term_id", "doc_id", "pos"])
+            return pa.concat_tables(tables) if tables \
+                else schema.empty_table()
 
         def spill_bytes(p: int) -> int:
             import pyarrow.fs as pafs
@@ -462,7 +454,7 @@ def _column_bytes(meta: pq.FileMetaData, cols: list[str]) -> int:
 
 def _encode_part(writer: SegmentWriter, postings_of, part: int) -> None:
     """One ``_encode_parts`` task: encode and commit ``part``."""
-    writer.encode_part(part, *postings_of(part))
+    writer.encode_part(part, postings_of(part))
 
 
 def read_stats(index_dir: str) -> dict:
@@ -473,9 +465,10 @@ def read_stats(index_dir: str) -> dict:
 def verify_index(index_dir: str) -> dict:
     """Integrity audit for a committed index (the ops tool a 100 TB
     deployment runs after copy/restore): every partition's segment file
-    must exist with the byte size its sidecar recorded and the current
-    segment format (its footer is opened, so an index an older version
-    wrote reports "must be rebuilt" here, not at its first query), every
+    (and a positional index's positions file) must exist with the byte
+    size its sidecar recorded and the current format (its footer is
+    opened, so an index an older version wrote reports "must be
+    rebuilt" here, not at its first query), every
     part in [0, num_parts) must be committed, wave sidecars must sum to
     stats.n_docs, and part sidecars to stats.total_tokens. Returns
     {"ok": bool, "errors": [...], "parts": N, "n_docs": N}."""
@@ -490,16 +483,20 @@ def verify_index(index_dir: str) -> dict:
             continue
         row = read_part_row(seg_dir, part)
         tok += row.get("n_tokens", 0)
-        f_path = part_path(seg_dir, part)
-        if not os.path.exists(f_path):
-            errors.append(f"missing segment file part={part}")
-        elif os.path.getsize(f_path) != row.get("output_bytes"):
-            errors.append(
-                f"size mismatch part={part}: "
-                f"{os.path.getsize(f_path)} != {row.get('output_bytes')}")
-        else:
-            try:
-                reader.check_format(part)
+        files = [("segment", part_path(seg_dir, part), "output_bytes",
+                  reader.check_format)]
+        if stats.get("positions"):
+            files.append(("positions", positions_path(seg_dir, part),
+                          "positions_bytes", reader.check_positions))
+        for kind, f_path, size_key, check in files:
+            if (os.path.exists(f_path)
+                    and os.path.getsize(f_path) != row.get(size_key)):
+                errors.append(
+                    f"{kind} size mismatch part={part}: "
+                    f"{os.path.getsize(f_path)} != {row.get(size_key)}")
+                continue
+            try:  # a missing file raises too: truncated, or older format
+                check(part)
             except (RuntimeError, pa.ArrowInvalid) as e:
                 errors.append(f"part={part}: {e}")
     waves_dir = os.path.join(index_dir, "waves")

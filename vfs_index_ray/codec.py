@@ -19,11 +19,18 @@ never a pass over its predecessors: the analog of the reference's fixed
 512B/4096B lazy FlatBuffers paging (index_file.go:664-749), whose page
 sizes are constants too.
 
+A ``positions=True`` index keeps one more file per segment, in
+``POSITIONS_SCHEMA``: one row per segment row, in the same order, holding
+the token ordinals of the row's postings as one fixed-width stream and
+each posting's end offset in the part's ordinal stream as another, both
+at the part's narrowest width (``encode_positions``). A posting's
+ordinals are then one slice of a memory-mapped stream, found from its
+index in the term's doc ids (``decode_positions``): no per-record decode.
+
 All encode/decode paths are vectorized numpy — no per-posting Python loops.
 Reads see rows as ``Chunks``: numpy views into the Arrow columns of a
 run of rows, with no per-row objects. ``decode_blocks`` is the one
-decode. Varint (LEB128) encodes the positions files' ordinals
-(tokenizer.py), not postings.
+postings decode.
 """
 
 from __future__ import annotations
@@ -64,129 +71,16 @@ SEGMENT_SCHEMA = pa.schema([
     ("imp_doc", pa.list_(pa.uint64())),
 ])
 
-
-# ---------------------------------------------------------------------------
-# varint (LEB128) — vectorized encode/decode for uint64 arrays
-# ---------------------------------------------------------------------------
-
-# LEB128 size thresholds: value >= 2^(7k) needs k+1 bytes. One
-# searchsorted pass replaces a shift-loop of up to 10 full-array passes
-# (measured 5x on a 5M mixed-magnitude array — the encode stage is
-# memory-bandwidth-bound, so passes are the cost).
-_VARINT_THRESH = np.array([1 << (7 * k) for k in range(1, 10)],
-                          dtype=np.uint64)
-
-
-def _varint_sizes(v: np.ndarray) -> np.ndarray:
-    """Bytes per value: ceil(bitlen/7), min 1."""
-    return np.searchsorted(_VARINT_THRESH, v, side="right") + 1
-
-
-def varint_encode(values: np.ndarray) -> bytes:
-    """Encode a uint64 array as concatenated LEB128 varints (vectorized)."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    n = len(v)
-    if n == 0:
-        return b""
-    nbytes = _varint_sizes(v)
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    out = np.empty(int(ends[-1]), dtype=np.uint8)
-    # byte 0 exists for every value — write it without a mask pass
-    multi = nbytes > 1
-    chunk = (v & _U64(0x7F)).astype(np.uint8)
-    chunk[multi] |= np.uint8(0x80)
-    out[starts] = chunk
-    # higher bytes touch only the shrinking subset of wide values
-    rest = np.flatnonzero(multi)
-    i = 1
-    while len(rest):
-        nb = nbytes[rest]
-        st = starts[rest]
-        vr = v[rest]
-        chunk = ((vr >> _U64(7 * i)) & _U64(0x7F)).astype(np.uint8)
-        cont = (nb - 1) > i
-        chunk[cont] |= np.uint8(0x80)
-        out[st + i] = chunk
-        rest = rest[cont]
-        i += 1
-    return out.tobytes()
-
-
-def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarray:
-    """Decode concatenated LEB128 varints into a uint64 array (vectorized)."""
-    b = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
-    if len(b) == 0:
-        return np.empty(0, dtype=np.uint64)
-    is_end = (b & 0x80) == 0
-    n = int(is_end.sum())
-    if count is not None and n != count:
-        raise ValueError(f"varint_decode: expected {count} values, got {n}")
-    if n == len(b):  # every value one byte (most position deltas)
-        return b.astype(np.uint64)
-    # uniform-width fast path (e.g. every value 2 bytes): strided
-    # column reads, no index arrays at all
-    if 0 < n < len(b) and len(b) % n == 0:
-        w = len(b) // n
-        if w <= 10:
-            ie = is_end.reshape(n, w)
-            if ie[:, -1].all() and not ie[:, :-1].any():
-                bb = b.reshape(n, w)
-                out = (bb[:, 0] & 0x7F).astype(np.uint64)
-                for i in range(1, w):
-                    out |= ((bb[:, i] & 0x7F).astype(np.uint64)
-                            << _U64(7 * i))
-                return out
-    starts = np.empty(len(b), dtype=bool)
-    starts[0] = True
-    starts[1:] = is_end[:-1]
-    start_pos = np.flatnonzero(starts)
-    if len(start_pos) * 5 < len(b):
-        # very-wide-value streams only (avg > 5 bytes/value — rare:
-        # position deltas are mostly 1 byte): per-position
-        # full passes beat subset gathers there (measured crossover
-        # between 4- and 8-byte uniform widths)
-        validx = np.zeros(len(b), dtype=np.int64)
-        np.cumsum(is_end[:-1], out=validx[1:])
-        idx = np.arange(len(b), dtype=np.int64)
-        start_idx = np.maximum.accumulate(np.where(starts, idx, 0))
-        pos = idx - start_idx
-        out = np.zeros(n, dtype=np.uint64)
-        for p in range(int(pos.max()) + 1):
-            sel = pos == p
-            out[validx[sel]] |= ((b[sel] & 0x7F).astype(np.uint64)
-                                 << _U64(7 * p))
-        return out
-    # byte 0 of every value (values are mostly 1 byte — one gather)
-    out = (b[start_pos] & 0x7F).astype(np.uint64)
-    rest = np.flatnonzero(~starts)
-    if len(rest):
-        # continuation bytes only, then shrink the working set as
-        # positions are consumed (no `pos == p` passes over 1-byte
-        # values). Value index per byte: bsearch on start positions when
-        # the set is small (skips the full-array cumsum), cumsum gather
-        # when it is not (bsearch is n log n in the set size)
-        if len(rest) * 4 < n:
-            vrest = np.searchsorted(start_pos, rest, side="right") - 1
-        else:
-            validx = np.zeros(len(b), dtype=np.int64)
-            np.cumsum(is_end[:-1], out=validx[1:])
-            vrest = validx[rest]
-        pos_rest = rest - start_pos[vrest]
-        p = 1
-        while len(rest):
-            take = pos_rest == p
-            cur = rest[take]
-            out[vrest[take]] |= ((b[cur] & 0x7F).astype(np.uint64)
-                                 << _U64(7 * p))
-            keep = ~take
-            rest = rest[keep]
-            vrest = vrest[keep]
-            pos_rest = pos_rest[keep]
-            p += 1
-    if count is not None and n != count:
-        raise ValueError(f"varint_decode: expected {count} values, got {n}")
-    return out
+# One row per segment row, in the segment file's order; a positions=True
+# index keeps one file of this schema per part (segment.positions_path).
+POSITIONS_SCHEMA = pa.schema([
+    ("ends_w", pa.uint8()),        # bytes per value of each stream
+    ("pos_w", pa.uint8()),
+    # per posting: the end of its ordinals in the part's pos stream
+    ("ends", pa.large_binary()),
+    # per posting: its ascending token ordinals in the doc
+    ("pos", pa.large_binary()),
+])
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +89,20 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
 
 def _width(v: np.ndarray) -> int:
     """Bytes per value: the narrowest of 1, 2, 4 or 8 that holds max(v)."""
-    top = int(v.max())
+    top = int(v.max()) if len(v) else 0
     return next(w for w in (1, 2, 4, 8) if top < 1 << (8 * w))
+
+
+def _fixed_width(v: np.ndarray, row_offs: np.ndarray
+                 ) -> tuple[pa.LargeBinaryArray, int]:
+    """``v`` at its narrowest width, as a binary column whose row i holds
+    values ``row_offs[i]:row_offs[i + 1]`` (zero-copy offsets into one
+    buffer), and that width."""
+    w = _width(v)
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(row_offs) - 1,
+        [None, pa.py_buffer(row_offs * w),
+         pa.py_buffer(v.astype(f"<u{w}"))]), w
 
 
 def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
@@ -307,11 +213,7 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     post_offs = np.append(chunk_starts, n)
     streams, widths = {}, {}
     for name, v in zip(_STREAMS, (docs, tfs, dls)):
-        w = widths[name] = _width(v)
-        streams[name] = pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(), nchunks,
-            [None, pa.py_buffer(post_offs * w),
-             pa.py_buffer(v.astype(f"<u{w}"))])
+        streams[name], widths[name] = _fixed_width(v, post_offs)
 
     list_offs = np.zeros(nchunks + 1, dtype=np.int32)
     np.cumsum(-(-chunk_counts // BLOCK), out=list_offs[1:])
@@ -337,6 +239,23 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
                            pa.uint32()),
         "imp_doc": _imp_col(imp_counts, imp_doc_v, pa.uint64()),
     }, schema=SEGMENT_SCHEMA)
+
+
+def encode_positions(n: np.ndarray, lens: np.ndarray, ords: np.ndarray
+                     ) -> pa.Table:
+    """The positions rows (``POSITIONS_SCHEMA``) of segment rows holding
+    ``n`` postings each: posting k (numbered across the rows, in segment
+    order) has the ``lens[k]`` ordinals that follow its predecessors' in
+    ``ords``. Each stream is cast once to the part's narrowest width."""
+    post_offs = _offsets(n)
+    ends = _offsets(lens)
+    ends_col, ew = _fixed_width(ends[1:], post_offs)
+    pos_col, pw = _fixed_width(ords, ends[post_offs])
+    rows = len(n)
+    return pa.table({
+        "ends_w": pa.array(np.full(rows, ew, np.uint8), pa.uint8()),
+        "pos_w": pa.array(np.full(rows, pw, np.uint8), pa.uint8()),
+        "ends": ends_col, "pos": pos_col}, schema=POSITIONS_SCHEMA)
 
 
 def _imp_col(counts: np.ndarray, values: np.ndarray, typ):
@@ -457,28 +376,62 @@ def decode_blocks(rows: Chunks, blocks: np.ndarray | None = None
     widths, as the rows of one segment file do. A stream whose rows do
     not hold exactly n × width bytes each raises ``ValueError``: a
     truncated segment never decodes to shifted postings."""
-    n = rows.column("n").astype(np.int64)
-    post_offs = np.zeros(len(n) + 1, np.int64)
-    np.cumsum(n, out=post_offs[1:])
+    post_offs = _offsets(rows.column("n"))
     if blocks is not None:
         first, counts = rows.block_table()
         b = np.asarray(blocks, np.int64)
         starts, ends = first[b], first[b] + counts[b]
     out = []
     for s in _STREAMS:
-        ws = rows.column(s + "_w")
-        if len(ws) and (ws != ws[0]).any():
-            raise ValueError(f"rows mix {s} widths: decode the rows of "
-                             "each segment file on their own")
-        w = int(ws[0]) if len(ws) else 1
-        if not np.array_equal(rows.offsets(s), post_offs * w):
-            raise ValueError(f"{s} stream does not hold n x {w} bytes "
-                             "per row: the segment is truncated or corrupt")
-        vals = rows.column(s).view(f"<u{w}")
+        vals = _stream(rows, s, post_offs)
         if blocks is not None:
             vals = _gather(vals, starts, ends)
         out.append(vals.astype(np.uint64))
     return tuple(out)
+
+
+def decode_positions(rows: Chunks, n: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, ords) of a run of positions rows whose segment rows hold
+    ``n`` postings each: ``ords`` the rows' ordinals (a view at the
+    file's width), ``ends`` (int64) the end of each posting's ordinals in
+    ``ords``, postings numbered across the rows. Posting k's ordinals are
+    ``ords[ends[k - 1]:ends[k]]`` (from 0 for k = 0). Streams that do not
+    hold what ``n`` says raise ``ValueError``, as in ``decode_blocks``."""
+    post_offs = _offsets(n)
+    ends = _stream(rows, "ends", post_offs).astype(np.int64)
+    if len(ends):  # stored absolute in the part: rebase to these rows
+        ends -= ends[-1] - (len(rows.column("pos"))
+                            // _width_of_rows(rows, "pos"))
+    return ends, _stream(rows, "pos", np.append(0, ends)[post_offs])
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each run of ``counts`` values
+    starts, and the total."""
+    offs = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(np.asarray(counts, np.int64), out=offs[1:])
+    return offs
+
+
+def _width_of_rows(rows: Chunks, s: str) -> int:
+    """The byte width of stream ``s``, one for all the rows."""
+    ws = rows.column(s + "_w")
+    if len(ws) and (ws != ws[0]).any():
+        raise ValueError(f"rows mix {s} widths: decode the rows of "
+                         "each file on their own")
+    return int(ws[0]) if len(ws) else 1
+
+
+def _stream(rows: Chunks, s: str, offs: np.ndarray) -> np.ndarray:
+    """Stream ``s`` of the rows as one little-endian view at its width,
+    checked to hold values ``offs[i]:offs[i + 1]`` in row i."""
+    w = _width_of_rows(rows, s)
+    if not np.array_equal(rows.offsets(s), offs * w):
+        raise ValueError(f"{s} stream does not hold the rows' values "
+                         f"at {w} bytes each: the file is truncated or "
+                         "corrupt")
+    return rows.column(s).view(f"<u{w}")
 
 
 # ---------------------------------------------------------------------------

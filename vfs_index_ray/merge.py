@@ -7,8 +7,9 @@ assert count(merged) = count(a) + count(b) − overlap
 (vfsindex_internal_test.go:752-975). Here:
 
 - ``merge_indexes([a, b, ...], out)``: per hash partition, decode all
-  sources' posting chunks (and positions rows), stack with source
-  priority (later wins on a duplicate (term, doc)), re-encode.
+  sources' postings (with their positions, a postings column), stack
+  with source priority (later wins on a duplicate (term, doc)),
+  re-encode.
 - ``purge_tombstones(src, out)``: per hash partition, decode, drop the
   tombstoned docs' rows, re-encode.
 - ``repartition_index(src, out, new_num_parts)``: the Split/Merge analog —
@@ -40,14 +41,6 @@ import ray.data
 
 from .build import IndexBuilder, read_stats
 from .segment import SegmentReader, _atomic_write_json, read_part_row
-
-
-def _postings_table(terms, docs, tfs, dls) -> pa.Table:
-    return pa.table({
-        "term_id": pa.array(terms, pa.uint64()),
-        "doc_id": pa.array(docs, pa.uint64()),
-        "tf": pa.array(tfs.astype(np.uint32), pa.uint32()),
-        "dl": pa.array(dls.astype(np.uint32), pa.uint32())})
 
 
 def _keep_last(tables: list[pa.Table]) -> pa.Table:
@@ -156,13 +149,7 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
     with_pos = out.positions
 
     def merge_part(p: int):
-        postings = _keep_last([_postings_table(*r.decode_part(p))
-                               for r in sources])
-        if not with_pos:
-            return postings, None
-        pos = [t for t in (r.read_positions(p) for r in sources)
-               if t is not None]
-        return postings, (_keep_last(pos) if pos else None)
+        return _keep_last([r.postings(p, with_pos) for r in sources])
 
     deferred = out._encode_parts(
         merge_part, lambda p: sum(os.path.getsize(r.path(p))
@@ -206,8 +193,8 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     """Physically rewrite an index WITHOUT its tombstoned docs (the
     compaction half of the delete story — see SearchEngine.delete_docs
     for the query-time half). Per hash partition, one task of the
-    build's segment driver decodes the segment, masks the deleted docs
-    and re-encodes; positions files get the same row filter. df,
+    build's segment driver decodes the segment (and its positions),
+    masks the deleted docs and re-encodes. df,
     n_docs, total_tokens and avgdl all come out exactly as a fresh
     build of the surviving corpus would produce them (deterministic
     content → byte-identical segments and positions files, pinned by
@@ -231,17 +218,13 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     with_pos = out.positions
 
     def purge_part(p: int):
-        t, d, tf, dl = src.decode_part(p)
+        postings = src.postings(p, with_pos)
+        d = postings["doc_id"].to_numpy()
         dead = np.isin(d, tomb)
         _atomic_write_json(os.path.join(purge_dir, f"part={p:05d}.json"),
                            {"part": p,
                             "deleted_docs": np.unique(d[dead]).tolist()})
-        live = ~dead
-        pos = src.read_positions(p) if with_pos else None
-        if pos is not None:
-            pos = pos.filter(pa.array(~np.isin(
-                pos["doc_id"].to_numpy(zero_copy_only=False), tomb)))
-        return _postings_table(t[live], d[live], tf[live], dl[live]), pos
+        return postings.filter(pa.array(~dead))
 
     out._encode_parts(purge_part, lambda p: os.path.getsize(src.path(p)))
     deleted: set[int] = set()
@@ -484,17 +467,12 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
     part is decoded once, keyed by its new part and written as the
     output builder's committed wave 0; the output's ``build_segments``
     and ``finalize`` then encode every new part exactly as a fresh
-    build with the source's settings would (same segment bytes).
-    Resumable like a build: a committed wave and committed parts are
-    reused. A ``positions=True`` source raises ``ValueError``: its
-    positions files are not re-hashed."""
+    build with the source's settings would (same segment and positions
+    bytes). Resumable like a build: a committed wave and committed parts
+    are reused."""
     from .stages.tokenize import AddPartColumn
 
     st = read_stats(src_dir)
-    if st.get("positions"):
-        raise ValueError("repartition_index does not re-hash positions "
-                         "files; rebuild a positions=True index with the "
-                         "new num_parts instead")
     out = IndexBuilder.like(src_dir, out_dir, num_parts=new_num_parts)
     if len(out._done_parts()) == new_num_parts:
         return out.finalize()  # fully committed; scratch may be gone
@@ -502,9 +480,10 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
         src = SegmentReader(src_dir, st["num_parts"])
         src.check()
 
+        with_pos = out.positions
+
         def decode_part(batch: pa.Table) -> pa.Table:
-            p = int(batch["p"][0].as_py())
-            return _postings_table(*src.decode_part(p))
+            return src.postings(int(batch["p"][0].as_py()), with_pos)
 
         post = (ray.data.from_items([{"p": p} for p in range(src.num_parts)],
                                     override_num_blocks=src.num_parts)

@@ -50,15 +50,11 @@ import pyarrow.parquet as pq
 
 from . import BM25_B, BM25_K1
 from .build import read_stats
-from .codec import Chunks, decode_blocks
+from .codec import Chunks, _gather, decode_blocks
 from .segment import SegmentReader
 from .tokenizer import tokenize_query
 
-# candidate count above which positional phrase matching goes
-# term-at-a-time (the regime where positions_flat can no longer push the
-# doc set down into the read); with Ray up, phrase and proximity
-# matching fan out over more than twice this many candidates
-PHRASE_STAGE_THRESHOLD = 8192
+_ORD_MASK = np.uint64(0xFFFFFFFF)  # the ordinal half of a position key
 
 
 def load_tombstones(index_dir: str) -> np.ndarray:
@@ -165,33 +161,36 @@ def _range_docs(reader: SegmentReader, part: int, lo: int | None,
     return sorted_union([reader.decode_part(part, lo, hi)[1]])
 
 
-def _use_fan_out(cand_sorted: np.ndarray) -> bool:
-    """Phrase and proximity matching fan candidate chunks out as Ray
-    tasks when Ray is up and there are more than twice
-    ``PHRASE_STAGE_THRESHOLD`` candidates."""
-    import ray
-    return (len(cand_sorted) > 2 * PHRASE_STAGE_THRESHOLD
-            and ray.is_initialized())
+def _position_keys(p: "Postings", cands: np.ndarray, ci: np.ndarray
+                   ) -> np.ndarray:
+    """Ascending packed keys ``candidate index << 32 | ordinal`` of the
+    term ``p``'s occurrences in the docs ``cands[ci]`` (``ci`` ascending
+    indexes into the ascending ``cands``). A doc's posting is a binary
+    search of the term's doc ids and its ordinals one slice of the
+    memory-mapped ordinal stream (``codec.decode_positions``). Ordinals
+    are token positions (< 2^32 for any real doc), so +1 arithmetic
+    stays inside the doc."""
+    if not len(ci) or not p.df:
+        return np.empty(0, np.uint64)
+    docs = p.decode().docs
+    ends, ords = p.positions
+    want = cands[ci]
+    k = np.minimum(np.searchsorted(docs, want), len(docs) - 1)
+    hit = docs[k] == want
+    k, ci = k[hit], ci[hit]
+    stop = ends[k]
+    start = np.where(k > 0, ends[k - 1], 0)
+    return ((np.repeat(ci.astype(np.uint64), stop - start) << np.uint64(32))
+            | _gather(ords, start, stop).astype(np.uint64))
 
 
-def _phrase_chunk(index_dir: str, seq: list[int], by_df: list[int],
-                  chunk_docs: np.ndarray) -> np.ndarray:
-    """One candidate-doc chunk of a distributed positional phrase match
-    (SearchEngine._phrase_positional_distributed): staged rare-pivot
-    chain scoped to the chunk, df order precomputed by the driver."""
-    eng = SearchEngine(index_dir)
-    return eng._phrase_positional_staged(
-        seq, sorted(set(seq)), np.asarray(chunk_docs, np.uint64),
-        by_df=by_df, doc_filter="range")
-
-
-def _proximity_chunk(index_dir: str, tids: list[int], window: int,
-                     chunk_docs: np.ndarray) -> np.ndarray:
-    """One candidate-doc chunk of a distributed proximity match."""
-    eng = SearchEngine(index_dir)
-    return eng._proximity_verify(tids, window,
-                                 np.asarray(chunk_docs, np.uint64),
-                                 doc_filter="range")
+def _live_candidates(keys: np.ndarray) -> np.ndarray:
+    """The distinct candidate indexes of the ascending position keys
+    ``keys``, by boundary diff."""
+    ci = (keys >> np.uint64(32)).astype(np.int64)
+    keep = np.ones(len(ci), bool)
+    keep[1:] = ci[1:] != ci[:-1]
+    return ci[keep]
 
 
 @dataclass
@@ -207,6 +206,8 @@ class Postings:
     scores: np.ndarray | None = None  # cached BM25 contributions (T2/T3)
     ub: float | None = None           # memoized _term_ub (engine-fixed)
     champions: np.ndarray | None = None  # memoized frontier champion docs
+    # (ends, ords) views of a positional index (SearchEngine._positional)
+    positions: tuple[np.ndarray, np.ndarray] | None = None
 
     def decode(self) -> "Postings":
         if self.docs is None:
@@ -810,111 +811,20 @@ class SearchEngine:
         return np.sort(ids[ok])
 
     # ------------------------------------------------------------------
-    def positions_flat(self, term_ids: list[int], docs: np.ndarray,
-                       doc_filter: str = "in"
-                       ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Flat positional postings for candidate docs: per term, a
-        (doc_rep, ordinal) pair of aligned arrays sorted by (doc,
-        ordinal). ALL varint decoding happens in one vectorized pass per
-        part (concatenated buffer + per-row cumsum restart); no
-        per-(term,doc) Python loop."""
-        from .codec import varint_decode
+    def _positional(self, tids: list[int]) -> dict[int, Postings]:
+        """``load_terms(tids)`` with each term's positions read too
+        (memoized per term, like its postings views)."""
         if not self.stats.get("positions"):
             raise ValueError("index was built without positions=True")
-        doc_set = np.sort(np.asarray(docs, np.uint64))
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        loaded = self.load_terms(tids)
         by_part: dict[int, list[int]] = {}
-        for tid in term_ids:
-            by_part.setdefault(tid % self.num_parts, []).append(tid)
-        e = np.empty(0, np.uint64)
-        for part, tids in by_part.items():
-            filters = [("term_id", "in", [np.uint64(t) for t in tids])]
-            if len(doc_set) > 0 and doc_filter == "range":
-                # contiguous candidate chunk (the distributed pure-head
-                # fan-out): a min/max range predicate gives the same
-                # row-group pruning as an in-list for a dense span but
-                # is O(1) to evaluate per row instead of a set probe
-                # over thousands of members; exact membership is
-                # re-applied via the searchsorted pass below
-                filters.append(("doc_id", ">=", doc_set[0]))
-                filters.append(("doc_id", "<=", doc_set[-1]))
-            elif 0 < len(doc_set) <= 8192:
-                # small SCATTERED candidate set (e.g. rare∧head
-                # phrase): push the doc ids down — rows are (term,
-                # doc)-sorted, so row groups of a head term's span
-                # prune on doc statistics instead of decoding its
-                # whole positional list
-                filters.append(("doc_id", "in", list(doc_set)))  # keep
-                # np.uint64 scalars: plain ints > 2^63 overflow isin
-            tbl = self.segments.read_positions(part, filters)
-            if tbl is None:
-                continue
-            t = tbl["term_id"].to_numpy(zero_copy_only=False)
-            d = tbl["doc_id"].to_numpy(zero_copy_only=False)
-            if len(doc_set) == 0 or len(d) == 0:
-                continue
-            pos_in = np.minimum(np.searchsorted(doc_set, d),
-                                len(doc_set) - 1)
-            keep = np.flatnonzero(doc_set[pos_in] == d)
-            if len(keep) == 0:
-                continue
-            pos_col = tbl["pos"]
-            if isinstance(pos_col, pa.ChunkedArray):
-                pos_col = pos_col.combine_chunks()
-            if pos_col.offset:  # raw-buffer math assumes offset 0
-                pos_col = pa.concat_arrays([pos_col])
-            offs = np.frombuffer(pos_col.buffers()[1], np.int64,
-                                 count=len(pos_col) + 1)
-            data = np.frombuffer(pos_col.buffers()[2] or b"", np.uint8)
-            starts, ends = offs[keep], offs[keep + 1]
-            lens = ends - starts
-            total = int(lens.sum())
-            if total == 0:
-                continue
-            if (lens == 0).any():
-                # a kept row with an empty pos buffer would corrupt the
-                # ce[cumsum(lens)-1] count recovery below for EVERY row;
-                # the builder never emits one — fail loudly, not silently
-                raise ValueError(
-                    "malformed positional index: empty pos buffer for a "
-                    f"kept (term, doc) row in positions part {part}")
-            # vectorized multi-slice gather of the kept rows' buffers
-            v0 = np.concatenate([[0], np.cumsum(lens)[:-1]])
-            idx = np.repeat(starts - v0, lens) + np.arange(total)
-            buf = data[idx]
-            flat = varint_decode(buf)
-            is_end = (buf & 0x80) == 0
-            ce = np.cumsum(is_end)
-            counts = np.diff(np.concatenate(
-                [[0], ce[np.cumsum(lens) - 1]]))
-            # per-row cumsum restart (first value of each row absolute)
-            ords = np.cumsum(flat, dtype=np.uint64)
-            vstarts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            prefix = np.where(vstarts > 0, ords[vstarts - 1], 0
-                              ).astype(np.uint64)
-            ords = ords - np.repeat(prefix, counts)
-            doc_rep = np.repeat(d[keep], counts).astype(np.uint64)
-            term_rep = np.repeat(t[keep], counts)
-            # rows are sorted (term, doc) → contiguous per-term runs
-            bnd = np.flatnonzero(np.concatenate(
-                [[True], term_rep[1:] != term_rep[:-1]]))
-            ends_v = np.append(bnd[1:], len(term_rep))
-            for s0, e0 in zip(bnd, ends_v):
-                out[int(term_rep[s0])] = (doc_rep[s0:e0], ords[s0:e0])
-        for tid in term_ids:
-            out.setdefault(tid, (e, e.copy()))
-        return out
-
-    def _position_keys(self, flat_pair, cand_sorted: np.ndarray
-                       ) -> np.ndarray:
-        """(doc, ordinal) → packed uint64 key: candidate index << 32 |
-        ordinal. Ordinals are token positions (< 2^32 for any real doc),
-        so +1 arithmetic stays inside the doc."""
-        dr, orr = flat_pair
-        if len(dr) == 0:
-            return np.empty(0, np.uint64)
-        ci = np.searchsorted(cand_sorted, dr).astype(np.uint64)
-        return (ci << np.uint64(32)) | orr
+        for t in tids:
+            if loaded[t].positions is None:
+                by_part.setdefault(t % self.num_parts, []).append(t)
+        for part, ts in by_part.items():
+            for t, got in self.segments.load_positions(part, ts).items():
+                loaded[t].positions = got
+        return loaded
 
     def _phrase_keys(self, phrase: str) -> list[int]:
         """The phrase's key sequence WITH duplicates, in order (dedup
@@ -935,162 +845,56 @@ class SearchEngine:
     def phrase_match_positional(self, phrase: str) -> np.ndarray:
         """Token-adjacency phrase matching from positional postings — no
         corpus access (the proper IR semantics: the exact token sequence
-        appears, regardless of the separators between tokens)."""
+        appears, regardless of the separators between tokens).
+
+        Rare-pivot chaining over the candidates of ``match``: terms go
+        df-ascending, and after each one only the phrase-start bases
+        satisfying every occurrence so far survive, so the next term's
+        positions are read for the surviving docs only. A base key is
+        (cand_idx << 32 | ordinal) − idx: a base survives term t at
+        phrase index idx iff t occurs at base + idx. Occurrences with
+        ordinal < idx cannot host the idx-th phrase token (the
+        subtraction would borrow into another candidate's key space, or
+        wrap past zero for candidate 0) and are masked out first."""
         seq = self._phrase_keys(phrase)
         if not seq:
             return np.empty(0, np.uint64)
-        cands = self.match(phrase)
-        if len(cands) == 0:
-            return cands
-        cand_sorted = np.sort(np.asarray(cands, np.uint64))
         uniq = sorted(set(seq))
-        if len(cand_sorted) > PHRASE_STAGE_THRESHOLD and len(uniq) > 1:
-            # pure-head phrase: too many candidates for the positional
-            # read to push doc filters down. With Ray up, split the
-            # candidates into ≤threshold contiguous doc chunks and run
-            # the staged chain per chunk as parallel tasks (pushdown
-            # re-engages for EVERY term in every chunk, and the
-            # decode+intersect parallelizes); else switch to serial
-            # rare-pivot chaining (one term at a time, df-ascending,
-            # each fetch scoped to the docs still alive)
-            if _use_fan_out(cand_sorted):
-                return self._phrase_positional_distributed(
-                    seq, uniq, cand_sorted)
-            return self._phrase_positional_staged(seq, uniq, cand_sorted)
-        # vectorized across ALL candidate docs at once: pack (doc,
-        # ordinal) into one sortable key, then chain sorted-set
-        # intersections of (prefix_end + 1) with the next term's keys
-        flat = self.positions_flat(uniq, cand_sorted)
-        A = self._position_keys(flat[seq[0]], cand_sorted)
-        one = np.uint64(1)
-        for tid in seq[1:]:
-            if len(A) == 0:
-                break
-            A = np.intersect1d(A + one, self._position_keys(
-                flat[tid], cand_sorted), assume_unique=True)
-        if len(A) == 0:
-            return np.empty(0, np.uint64)
-        return cand_sorted[np.unique(A >> np.uint64(32)).astype(np.int64)]
-
-    def _phrase_positional_distributed(self, seq: list[int],
-                                       uniq: list[int],
-                                       cand_sorted: np.ndarray
-                                       ) -> np.ndarray:
-        """Pure-head phrase fan-out: contiguous ≤threshold-doc candidate
-        chunks, one Ray task each, running the staged rare-pivot chain
-        scoped to its chunk. Because every chunk is under the pushdown
-        threshold, every term's positional read row-group-prunes on the
-        chunk's (term, doc)-sorted doc range, and the varint decode +
-        key intersections — the wall-time of a pure-head phrase — run on
-        all cores instead of one. Docs partition cleanly (a phrase match
-        is per-doc), so the union of chunk results is exact."""
-        # df order computed ONCE here; tasks skip their own load_terms
-        loaded = self.load_terms(uniq)
-        by_df = sorted(uniq, key=lambda t: (loaded[t].df, t))
-        return self._fan_out_candidates(_phrase_chunk, cand_sorted,
-                                        list(seq), by_df)
-
-    def _fan_out_candidates(self, fn, cand_sorted: np.ndarray, *args
-                            ) -> np.ndarray:
-        """Sorted union of ``fn(index_dir, *args, chunk)`` over
-        contiguous chunks of the candidate docs, one 1-cpu Ray task per
-        chunk — exact for any per-doc test, since docs partition
-        cleanly. Chunk size: small enough for ~3 tasks per core (the
-        decode + intersect work is the wall-time), never above the
-        pushdown threshold, floor 1024 so per-task read/scheduling
-        overhead stays amortized (tests monkeypatch a tiny
-        ``PHRASE_STAGE_THRESHOLD`` to force fan-out)."""
-        import ray
-
-        from .remote import remote_1cpu
-        ncpu = max(1, int(ray.cluster_resources().get("CPU", 8)))
-        target = int(np.ceil(len(cand_sorted) / (3 * ncpu)))
-        chunk_sz = min(max(1, PHRASE_STAGE_THRESHOLD),
-                       max(1024, target))
-        n_chunks = int(np.ceil(len(cand_sorted) / chunk_sz))
-        task = remote_1cpu(fn)
-        parts = ray.get([task.remote(self.index_dir, *args, c)
-                         for c in np.array_split(cand_sorted, n_chunks)])
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.empty(0, np.uint64)
-        return np.sort(np.concatenate(parts))
-
-    def _phrase_positional_staged(self, seq: list[int], uniq: list[int],
-                                  cand_sorted: np.ndarray,
-                                  by_df: list[int] | None = None,
-                                  doc_filter: str = "in") -> np.ndarray:
-        """Rare-pivot phrase chaining: process terms df-ASCENDING; after
-        each term only phrase-start bases satisfying every occurrence so
-        far survive, and the NEXT term's positional read is scoped to
-        the surviving docs (candidate pushdown re-engages as soon as the
-        live set shrinks under the threshold). A pure-head phrase thus
-        decodes the rarest term's full positional list ONCE and reads
-        only matching row groups of the other heads, instead of decoding
-        every head term's full list.
-
-        Base keys: (cand_idx << 32 | ordinal) − idx — a base survives
-        term t at position idx iff t occurs at base+idx. Occurrences
-        with ordinal < idx cannot host the idx-th phrase token (the
-        subtraction would borrow into another candidate's key space, or
-        wrap past zero for candidate 0) and are masked out before the
-        subtraction."""
-        if by_df is None:
-            loaded = self.load_terms(uniq)
-            by_df = sorted(uniq, key=lambda t: (loaded[t].df, t))
+        loaded = self._positional(uniq)
+        cands = self.match(phrase)
         idxs_of: dict[int, list[int]] = {t: [] for t in uniq}
         for i, t in enumerate(seq):
             idxs_of[t].append(i)
-        A: np.ndarray | None = None
-        live = cand_sorted
-        for tid in by_df:
-            flat = self.positions_flat([tid], live, doc_filter=doc_filter)
-            K = self._position_keys(flat[tid], cand_sorted)
-            T: np.ndarray | None = None
+        by_df = sorted(uniq, key=lambda t: (loaded[t].df, t))
+        live = np.arange(len(cands))
+        bases = None
+        for i, tid in enumerate(by_df):
+            if i > 1:  # one term's bases keep ~every candidate alive
+                live = _live_candidates(bases)
+            keys = _position_keys(loaded[tid], cands, live)
             for idx in idxs_of[tid]:
-                ok = (K & np.uint64(0xFFFFFFFF)) >= np.uint64(idx)
-                bases = K[ok] - np.uint64(idx)
-                T = bases if T is None else np.intersect1d(
-                    T, bases, assume_unique=True)
-            A = T if A is None else np.intersect1d(A, T,
-                                                   assume_unique=True)
-            if A is None or len(A) == 0:
-                return np.empty(0, np.uint64)
-            live = cand_sorted[np.unique(A >> np.uint64(32)
-                                         ).astype(np.int64)]
-        return live
+                b = keys if idx == 0 else (
+                    keys[(keys & _ORD_MASK) >= np.uint64(idx)]
+                    - np.uint64(idx))
+                bases = b if bases is None else sorted_intersect(bases, b)
+        return cands[_live_candidates(bases)]
 
     def proximity_match(self, q: str, window: int) -> np.ndarray:
         """Positional proximity: docs where some occurrence of every
         query term fits in a token window of ``window`` (max ordinal −
-        min ordinal ≤ window). Classic k-sorted-lists minimal-range scan
-        per candidate doc. Pure-head queries (candidates above 2× the
-        pushdown threshold) fan out as chunked Ray tasks exactly like
-        phrase matching — the per-doc window test partitions cleanly."""
+        min ordinal ≤ window). A doc matches iff for SOME occurrence
+        position p, max_j next_j(p) − p ≤ window, where next_j(p) is
+        term j's first occurrence ≥ p in the same doc (the optimal
+        window's low end is always an occurrence, so scanning occurrence
+        positions is exact); vectorized across all candidate docs."""
         tids = sorted(set(self.query_term_ids(q)))
         if not tids:
             return np.empty(0, np.uint64)
+        loaded = self._positional(tids)
         cands = self.match(q)
-        if len(cands) == 0:
-            return cands
-        cand_sorted = np.sort(np.asarray(cands, np.uint64))
-        if _use_fan_out(cand_sorted):
-            return self._fan_out_candidates(_proximity_chunk, cand_sorted,
-                                            tids, window)
-        return self._proximity_verify(tids, window, cand_sorted)
-
-    def _proximity_verify(self, tids: list[int], window: int,
-                          cand_sorted: np.ndarray,
-                          doc_filter: str = "in") -> np.ndarray:
-        # vectorized exact minimal-window test across all docs at once:
-        # a doc matches iff for SOME occurrence position p,
-        # max_j next_j(p) − p ≤ window, where next_j(p) is list j's first
-        # occurrence ≥ p in the same doc (the optimal window's low end is
-        # always an occurrence, so scanning occurrence positions is exact)
-        flat = self.positions_flat(tids, cand_sorted,
-                                   doc_filter=doc_filter)
-        keys = [self._position_keys(flat[t], cand_sorted) for t in tids]
-        P = sorted_union(keys) if keys else np.empty(0, np.uint64)
+        ci = np.arange(len(cands))
+        keys = [_position_keys(loaded[t], cands, ci) for t in tids]
+        P = sorted_union(keys)
         if len(P) == 0:
             return np.empty(0, np.uint64)
         sentinel = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -1106,10 +910,7 @@ class SearchEngine:
             max_next = np.maximum(max_next, nj)
         good = (max_next != sentinel) & \
                (max_next - P <= np.uint64(window))
-        if not good.any():
-            return np.empty(0, np.uint64)
-        return cand_sorted[np.unique(P[good] >> np.uint64(32)
-                                     ).astype(np.int64)]
+        return cands[_live_candidates(P[good])]
 
     # ------------------------------------------------------------------
     def term_range_docs(self, lo: int | None, hi: int | None) -> np.ndarray:

@@ -12,12 +12,14 @@ under ``segments/``:
 - ``part=NNNNN.json`` — the part's manifest row; it marks the part
   committed.
 
-A ``positions=True`` index also keeps ``positions/part=NNNNN.parquet``
-beside ``segments/``: the part's (term_id, doc_id, pos) rows sorted by
-(term_id, doc_id); an empty part has none.
+A ``positions=True`` index also keeps ``positions/part=NNNNN.arrow``
+beside ``segments/``: one uncompressed record batch in
+``codec.POSITIONS_SCHEMA`` whose rows align 1:1 with the segment's, read
+the same zero-copy way.
 
-Every build, merge, purge and repartition writes all P parts, empty ones
-included, so a missing segment file always means a truncated index.
+Every build, merge, purge and repartition writes all P parts (and, for a
+positional index, all P positions files), empty ones included, so a
+missing file always means a truncated index.
 ``SegmentWriter`` is the one writer; ``SegmentReader`` serves every
 read (term point reads, key-range scans, nearest-key probes, whole-part
 decodes, the Ray Data read of ``bm25_topk_ray``) and the per-part
@@ -36,16 +38,14 @@ import tempfile
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-from .codec import SEGMENT_SCHEMA, Chunks, decode_blocks, encode_partition
+from .codec import (POSITIONS_SCHEMA, SEGMENT_SCHEMA, Chunks, _gather,
+                    decode_blocks, decode_positions, encode_partition,
+                    encode_positions)
+from .tokenizer import POS_TYPE
 
 _FIELDS = SEGMENT_SCHEMA.names
 _U64_MAX = (1 << 64) - 1
-# positions file codec. Segments are not compressed: lz4 shrank them
-# by a third (mostly the tfs column; docs and dls barely compress), but
-# cost a whole-part decompress per cold term read
-_POSITIONS_COMPRESSION = "lz4"
 
 
 def segments_dir(index_dir: str) -> str:
@@ -64,17 +64,19 @@ def read_part_row(seg_dir: str, part: int) -> dict:
         return json.load(f)
 
 
-def positions_path(seg_dir: str, part: int) -> str:
+def positions_path(seg_dir: str, part: int, ext: str = "arrow") -> str:
     """The part's positions file, beside the segments directory."""
     return os.path.join(os.path.dirname(seg_dir), "positions",
-                        f"part={part:05d}.parquet")
+                        f"part={part:05d}.{ext}")
 
 
-# small row groups: a head term's positions span many groups, and a
-# phrase with few candidate docs reads only the groups holding them
-# (lz4: 18% faster term-scoped reads than zstd for 22% more bytes — the
-# serving index prefers read speed)
-POSITIONS_ROW_GROUP = 32768
+def postings_schema(positions: bool) -> pa.Schema:
+    """The postings tables that flow into ``SegmentWriter.encode_part``:
+    the build's spill, and the parts merge, purge and repartition
+    re-encode (``SegmentReader.postings``)."""
+    return pa.schema([("term_id", pa.uint64()), ("doc_id", pa.uint64()),
+                      ("tf", pa.uint32()), ("dl", pa.uint32())]
+                     + ([("pos", POS_TYPE)] if positions else []))
 
 
 def _atomic_write_json(path: str, obj: dict) -> None:
@@ -98,8 +100,11 @@ def _manifest_table(rows: list[dict]) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=_MANIFEST_SCHEMA)
 
 
-def _dedup_sorted_postings(terms, docs, tfs, dls):
-    """Collapse duplicate (term, doc) rows (tf summed, dl maxed).
+def _dedup_sorted_postings(terms, docs, tfs, dls, lens, ords):
+    """Collapse duplicate (term, doc) rows (tf summed, dl maxed, the
+    ordinals joined in ascending order); ``lens`` and ``ords`` (each
+    row's ordinal count and the rows' ordinals in row order) are None
+    for an index without positions.
 
     Inputs sorted by (term, doc). Duplicates only occur if the same doc_id
     appears in multiple input batches/waves (e.g. re-crawled url) — the
@@ -107,16 +112,46 @@ def _dedup_sorted_postings(terms, docs, tfs, dls):
     """
     n = len(terms)
     if n == 0:
-        return terms, docs, tfs, dls
+        return terms, docs, tfs, dls, lens, ords
     new = np.empty(n, dtype=bool)
     new[0] = True
     new[1:] = (terms[1:] != terms[:-1]) | (docs[1:] != docs[:-1])
     if new.all():
-        return terms, docs, tfs, dls
+        return terms, docs, tfs, dls, lens, ords
     starts = np.flatnonzero(new)
     tfs2 = np.add.reduceat(tfs, starts)
     dls2 = np.maximum.reduceat(dls, starts)
-    return terms[starts], docs[starts], tfs2, dls2
+    if lens is not None:
+        group = np.repeat(np.cumsum(new) - 1, lens)
+        ords = ords[np.lexsort((ords, group))]
+        lens = np.add.reduceat(lens, starts)
+    return terms[starts], docs[starts], tfs2, dls2, lens, ords
+
+
+def _pos_lists(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """A ``pos`` column as (each row's ordinal count, the rows' ordinals
+    in row order)."""
+    lens, ords = [np.empty(0, np.int64)], [np.empty(0, np.uint32)]
+    for chunk in col.chunks:
+        lens.append(np.diff(np.asarray(chunk.offsets, np.int64)))
+        ords.append(chunk.flatten().to_numpy(zero_copy_only=False))
+    return np.concatenate(lens), np.concatenate(ords)
+
+
+def _tmp_path(path: str) -> str:
+    """Where ``path`` is written before its atomic rename."""
+    return os.path.join(os.path.dirname(path),
+                        ".tmp." + os.path.basename(path))
+
+
+def _write_batch(tbl: pa.Table, path: str) -> None:
+    """``tbl`` as an IPC file of one uncompressed record batch (an empty
+    one for an empty part)."""
+    batch = pa.record_batch([c.combine_chunks() for c in tbl.columns],
+                            schema=tbl.schema)
+    with pa.OSFile(path, "wb") as sink, \
+            pa.ipc.new_file(sink, tbl.schema) as writer:
+        writer.write_batch(batch)
 
 
 class SegmentWriter:
@@ -128,45 +163,17 @@ class SegmentWriter:
     """
 
     def __init__(self, segments_dir: str, bucket_shift: int,
-                 lineage: list[str] | None = None):
+                 lineage: list[str] | None = None, positions: bool = False):
         self.segments_dir = segments_dir
         self.bucket_shift = bucket_shift
         self.lineage = lineage or []
+        self.positions = positions
 
-    @staticmethod
-    def _write_segment(seg: pa.Table, path: str) -> None:
-        """``seg`` as an IPC file of one uncompressed record batch (an
-        empty one for an empty part)."""
-        batch = pa.record_batch([c.combine_chunks() for c in seg.columns],
-                                schema=seg.schema)
-        with pa.OSFile(path, "wb") as sink, \
-                pa.ipc.new_file(sink, seg.schema) as writer:
-            writer.write_batch(batch)
-
-    def _write_positions(self, part: int, positions: pa.Table) -> None:
-        """``positions`` (term_id, doc_id, pos) as the part's positions
-        file, sorted by (term_id, doc_id); nothing for an empty part."""
-        if positions.num_rows == 0:
-            return
-        t = positions["term_id"].to_numpy(zero_copy_only=False)
-        d = positions["doc_id"].to_numpy(zero_copy_only=False)
-        # no schema metadata: the file's bytes depend only on its rows
-        tbl = positions.take(np.lexsort((d, t))).replace_schema_metadata()
-        final = positions_path(self.segments_dir, part)
-        os.makedirs(os.path.dirname(final), exist_ok=True)
-        tmp = os.path.join(os.path.dirname(final),
-                           ".tmp." + os.path.basename(final))
-        pq.write_table(tbl, tmp, compression=_POSITIONS_COMPRESSION,
-                       row_group_size=POSITIONS_ROW_GROUP)
-        os.replace(tmp, final)
-
-    def encode_part(self, part: int, postings: pa.Table,
-                    positions: pa.Table | None = None) -> pa.Table:
-        """Encode and publish the part's segment (and its positions
-        file, when ``positions`` is given), then commit the part."""
+    def encode_part(self, part: int, postings: pa.Table) -> pa.Table:
+        """Encode and publish the part's segment (and, for a positional
+        index, its positions file from the ``pos`` column), then commit
+        the part."""
         import time
-        if positions is not None:
-            self._write_positions(part, positions)
         t_start = time.perf_counter()
         terms = postings["term_id"].to_numpy(zero_copy_only=False
                                              ).astype(np.uint64)
@@ -177,13 +184,30 @@ class SegmentWriter:
         order = np.lexsort((docs, terms))
         terms, docs, tfs, dls = (terms[order], docs[order],
                                  tfs[order], dls[order])
-        terms, docs, tfs, dls = _dedup_sorted_postings(terms, docs, tfs, dls)
+        lens = ords = None
+        if self.positions:
+            # the rows' ordinals follow the same permutation
+            lens, ords = _pos_lists(postings["pos"])
+            ends = np.cumsum(lens)
+            lens = lens[order]
+            ords = _gather(ords, ends[order] - lens, ends[order])
+        terms, docs, tfs, dls, lens, ords = _dedup_sorted_postings(
+            terms, docs, tfs, dls, lens, ords)
         seg = encode_partition(terms, docs, tfs, dls, self.bucket_shift)
 
         final = part_path(self.segments_dir, part)
-        tmp = os.path.join(self.segments_dir,
-                           ".tmp." + os.path.basename(final))
-        self._write_segment(seg, tmp)
+        tmp = _tmp_path(final)
+        _write_batch(seg, tmp)
+        extra = {}
+        if self.positions:
+            # published before the segment and its sidecar, like the
+            # bloom below
+            pos_path = positions_path(self.segments_dir, part)
+            os.makedirs(os.path.dirname(pos_path), exist_ok=True)
+            _write_batch(encode_positions(seg["n"].to_numpy(), lens, ords),
+                         _tmp_path(pos_path))
+            os.replace(_tmp_path(pos_path), pos_path)
+            extra["positions_bytes"] = os.path.getsize(pos_path)
         # term bloom filter beside the segment: absent-term lookups skip
         # the segment read entirely (segment-level negative cache).
         # Published BEFORE the segment: a concurrent reader pairing the
@@ -192,11 +216,9 @@ class SegmentWriter:
         # the new segment and silently answer df=0 for a present term.
         from .codec import bloom_build
         bloom = part_path(self.segments_dir, part, "bloom")
-        bloom_tmp = os.path.join(self.segments_dir,
-                                 ".tmp." + os.path.basename(bloom))
-        with open(bloom_tmp, "wb") as f:
+        with open(_tmp_path(bloom), "wb") as f:
             f.write(bloom_build(terms, assume_sorted=True))
-        os.replace(bloom_tmp, bloom)
+        os.replace(_tmp_path(bloom), bloom)
         os.replace(tmp, final)
         row = {
             "part": part,
@@ -216,6 +238,7 @@ class SegmentWriter:
             "inputs": list(self.lineage),
             "encode_seconds": round(time.perf_counter() - t_start, 4),
             "output_bytes": os.path.getsize(final),
+            **extra,
         }
         _atomic_write_json(part_path(self.segments_dir, part, "json"), row)
         return _manifest_table([row])
@@ -271,13 +294,11 @@ class SegmentReader:
         only its IPC metadata."""
         self._batch(part, None)
 
-    def read_positions(self, part: int, filters=None) -> pa.Table | None:
-        """The part's positions rows matching the Parquet ``filters``
-        (None = all); None if the part has no positions file."""
-        path = positions_path(self.segments_dir, part)
-        if not os.path.exists(path):
-            return None
-        return pq.read_table(path, filters=filters, use_threads=False)
+    def check_positions(self, part: int) -> None:
+        """Raise unless the part's positions file exists in the current
+        format with a row per segment row; maps both files and reads
+        only their IPC metadata."""
+        self._positions_batch(part, self._batch(part, ["n"]))
 
     def bloom(self, part: int) -> bytes | None:
         """The part's term bloom filter, loaded once (None if absent —
@@ -292,38 +313,67 @@ class SegmentReader:
         return self._blooms[part]
 
     # ----- the one read path ----------------------------------------------
-    def _batch(self, part: int, columns: list[str] | None
-               ) -> pa.RecordBatch:
-        """The part's record batch, its columns zero-copy views of the
-        memory-mapped file; only ``columns`` (plus term_id) are read.
-        The columns are projected by their index in ``SEGMENT_SCHEMA``,
-        so a file of another schema (0.5.0's delta-varint ``denc`` and
-        ``skip_off_*`` columns) is refused, not read shifted; so is a
-        file of several batches or with schema metadata (0.4.0 wrote lz4
-        batches cut every ~1 MB and a first-term directory)."""
-        fields = None if columns is None else [
-            i for i, name in enumerate(_FIELDS)
-            if name == "term_id" or name in columns]
-        want = SEGMENT_SCHEMA if fields is None else pa.schema(
-            [SEGMENT_SCHEMA.field(i) for i in fields])
-        options = pa.ipc.IpcReadOptions(included_fields=fields)
-        path = self.path(part)
+    @staticmethod
+    def _open(path: str, want: pa.Schema, options=None) -> pa.RecordBatch:
+        """The one record batch of the IPC file at ``path``, its columns
+        zero-copy views of the memory-mapped file. A file of another
+        schema, of several batches or with schema metadata (one an older
+        version wrote) raises the "must be rebuilt" error."""
         with pa.memory_map(path) as source:
             reader = pa.ipc.open_file(source, options=options)
             if (not reader.schema.equals(want) or reader.schema.metadata
                     or reader.num_record_batches != 1):
                 raise RuntimeError(
-                    f"{path} has an old segment schema or layout: the "
-                    "index was written by an older version and must be "
-                    "rebuilt")
+                    f"{path} has an old schema or layout: the index was "
+                    "written by an older version and must be rebuilt")
             return reader.get_batch(0)
 
+    def _batch(self, part: int, columns: list[str] | None
+               ) -> pa.RecordBatch:
+        """The part's segment batch; only ``columns`` (plus term_id) are
+        read. The columns are projected by their index in
+        ``SEGMENT_SCHEMA``, so a file of another schema (0.5.0's
+        delta-varint ``denc`` and ``skip_off_*`` columns) is refused, not
+        read shifted; so is a file of several batches or with schema
+        metadata (0.4.0 wrote lz4 batches cut every ~1 MB and a
+        first-term directory)."""
+        fields = None if columns is None else [
+            i for i, name in enumerate(_FIELDS)
+            if name == "term_id" or name in columns]
+        want = SEGMENT_SCHEMA if fields is None else pa.schema(
+            [SEGMENT_SCHEMA.field(i) for i in fields])
+        return self._open(self.path(part), want,
+                          pa.ipc.IpcReadOptions(included_fields=fields))
+
+    def _positions_batch(self, part: int, seg: pa.RecordBatch
+                         ) -> pa.RecordBatch:
+        """The part's positions batch, whose rows must align with the
+        segment batch ``seg``. A missing file of a positional index
+        means the index is truncated (``path``)."""
+        path = positions_path(self.segments_dir, part)
+        if not os.path.exists(path):
+            if os.path.exists(positions_path(self.segments_dir, part,
+                                             "parquet")):
+                raise RuntimeError(
+                    f"{path} not found, but a Parquet positions file is: "
+                    "the index uses the old positions format and must be "
+                    "rebuilt")
+            raise RuntimeError(
+                f"index partition file missing: {path} (stats.json "
+                "claims positions); the index is truncated or mid-rebuild")
+        batch = self._open(path, POSITIONS_SCHEMA)
+        if batch.num_rows != seg.num_rows:
+            raise RuntimeError(
+                f"{path} has {batch.num_rows} rows for the segment's "
+                f"{seg.num_rows}: the index is truncated or corrupt")
+        return batch
+
     @staticmethod
-    def _slices(batch: pa.RecordBatch, bounds) -> list[pa.RecordBatch]:
-        """The rows with ``lo <= term_id <= hi`` for each ``(lo, hi)`` of
-        ascending, disjoint ``bounds`` (None = open), in term order, as
-        slices of ``batch``; empty ones are left out. Two binary searches
-        of the term_id column find them all."""
+    def _ranges(batch: pa.RecordBatch, bounds) -> list[tuple[int, int]]:
+        """The row range [i, j) with ``lo <= term_id <= hi`` for each
+        ``(lo, hi)`` of ascending, disjoint ``bounds`` (None = open), in
+        term order; empty ones are left out. Two binary searches of the
+        term_id column find them all."""
         tids = batch.column("term_id").to_numpy()
         lo = np.array([0 if b[0] is None else b[0] for b in bounds],
                       np.uint64)
@@ -331,8 +381,14 @@ class SegmentReader:
                       np.uint64)
         starts = np.searchsorted(tids, lo).tolist()
         stops = np.searchsorted(tids, hi, "right").tolist()
-        return [batch.slice(i, j - i) for i, j in zip(starts, stops)
-                if i < j]
+        return [(i, j) for i, j in zip(starts, stops) if i < j]
+
+    @classmethod
+    def _slices(cls, batch: pa.RecordBatch, bounds
+                ) -> list[pa.RecordBatch]:
+        """The rows of each of ``bounds`` (see ``_ranges``) as slices of
+        ``batch``."""
+        return [batch.slice(i, j - i) for i, j in cls._ranges(batch, bounds)]
 
     def _read(self, part: int, bounds, columns: list[str] | None = None
               ) -> pa.Table:
@@ -343,7 +399,7 @@ class SegmentReader:
                                     schema=batch.schema)
         return tbl if columns is None else tbl.select(columns)
 
-    # ----- the four read shapes -----------------------------------------
+    # ----- the read shapes ----------------------------------------------
     def load_terms(self, part: int, tids: list[int]) -> dict[int, Chunks]:
         """Term point read: the chunk rows of each of ``tids`` (all in
         ``part``) as column views into the memory-mapped file, bucket
@@ -384,6 +440,37 @@ class SegmentReader:
         terms = np.repeat(rows.column("term_id"),
                           rows.column("n").astype(np.int64))
         return (terms.astype(np.uint64), *decode_blocks(rows))
+
+    def load_positions(self, part: int, tids: list[int]
+                       ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Positions point read: ``codec.decode_positions``' (ends, ords)
+        of each of ``tids`` (all in ``part``), views into the
+        memory-mapped positions file; an absent term gets empty ones."""
+        seg = self._batch(part, ["n"])
+        pos = self._positions_batch(part, seg)
+        n = seg.column("n").to_numpy()
+        empty = decode_positions(Chunks(pos.slice(0, 0)), n[:0])
+        out = {t: empty for t in tids}
+        for i, j in self._ranges(seg, [(t, t) for t in sorted(set(tids))]):
+            out[int(seg.column("term_id")[i].as_py())] = decode_positions(
+                Chunks(pos.slice(i, j - i)), n[i:j])
+        return out
+
+    def postings(self, part: int, positions: bool = False) -> pa.Table:
+        """The part's postings in ``postings_schema(positions)``, ordered
+        (term, doc): what merge, purge and repartition re-encode."""
+        terms, docs, tfs, dls = self.decode_part(part)
+        cols = [terms, docs, tfs.astype(np.uint32), dls.astype(np.uint32)]
+        if positions:
+            seg = self._batch(part, ["n"])
+            ends, ords = decode_positions(
+                Chunks(self._positions_batch(part, seg)),
+                seg.column("n").to_numpy())
+            cols.append(pa.ListArray.from_arrays(
+                pa.array(np.append(0, ends), pa.int32()),
+                pa.array(ords.astype(np.uint32), pa.uint32())))
+        schema = postings_schema(positions)
+        return pa.table(dict(zip(schema.names, cols)), schema=schema)
 
     def terms_dataset(self, tids: list[int]):
         """Ray Dataset of the chunk rows of ``tids``: one 1-cpu task per

@@ -16,8 +16,9 @@ Two modes, mirroring the reference's two key kinds:
 
 ``postings_from_texts`` is the per-batch kernel used by the build stage:
 it emits one row per distinct (doc, term) with its term frequency, plus the
-document length, i.e. the IR the reference materializes as one write-file
-per (key, record) pair (record.go:194-248).
+document length (and, for a positional index, the posting's token
+ordinals as a list column), i.e. the IR the reference materializes as one
+write-file per (key, record) pair (record.go:194-248).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import pyarrow.compute as pc
 from .hashing import _string_array_buffers, fnv1a64_spans
 
 WORD_SPLIT = "[^a-z0-9]+"
+# the postings' positions column: each posting's token ordinals
+POS_TYPE = pa.list_(pa.uint32())
 
 # byte-level tokenizer tables: lowercase A-Z, then membership in [a-z0-9].
 # Tokens are maximal ASCII-alnum byte runs — identical to the regex
@@ -179,50 +182,34 @@ def _tf_aggregate(parent: np.ndarray, term_ids: np.ndarray
 def _positions_per_posting(parent: np.ndarray, term_ids: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                       pa.Array]:
-    """Like _tf_aggregate, but also emits each posting's token positions
-    as a delta+varint binary (ascending ordinals within the doc).
+    """Like _tf_aggregate, but also emits each posting's token ordinals
+    in its doc, ascending, as a ``list<uint32>`` whose list offsets are
+    the posting boundaries.
 
-    Returns (rows, terms, tf, pos_binary)."""
-    from .codec import varint_encode, _varint_sizes
-
+    Returns (rows, terms, tf, pos)."""
     n = len(parent)
     if n == 0:
         e = np.empty(0, np.int64)
         return (e, np.empty(0, np.uint64), np.empty(0, np.uint64),
-                pa.array([], pa.large_binary()))
+                pa.array([], POS_TYPE))
     idx = np.arange(n, dtype=np.int64)
     # ordinal of each token within its doc (parent ascending by constr.)
-    firsts = np.empty(n, dtype=np.int64)
     new_doc = np.empty(n, dtype=bool)
     new_doc[0] = True
     new_doc[1:] = parent[1:] != parent[:-1]
     doc_start = np.maximum.accumulate(np.where(new_doc, idx, 0))
-    ordinal = (idx - doc_start).astype(np.uint64)
+    ordinal = (idx - doc_start).astype(np.uint32)
     order = np.lexsort((ordinal, term_ids, parent))
     p = parent[order]
     t = term_ids[order]
-    o = ordinal[order]
     new = np.empty(n, dtype=bool)
     new[0] = True
     new[1:] = (p[1:] != p[:-1]) | (t[1:] != t[:-1])
-    starts = np.flatnonzero(new)
-    tf = np.diff(np.append(starts, n)).astype(np.uint64)
-    # delta-encode positions with an absolute restart at each posting
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[0] = o[0]
-    deltas[1:] = o[1:] - o[:-1]
-    deltas[starts] = o[starts]
-    sizes = _varint_sizes(deltas)
-    ends = np.cumsum(sizes)
-    buf = varint_encode(deltas)
-    offs = np.empty(len(starts) + 1, dtype=np.int64)
-    offs[0] = 0
-    offs[1:-1] = ends[starts[1:] - 1]
-    offs[-1] = ends[-1]
-    pos_col = pa.LargeBinaryArray.from_buffers(
-        pa.large_binary(), len(starts),
-        [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(buf)])
-    return p[starts], t[starts], tf, pos_col
+    offs = np.append(np.flatnonzero(new), n)
+    starts = offs[:-1]
+    pos = pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
+                                   pa.array(ordinal[order], pa.uint32()))
+    return p[starts], t[starts], np.diff(offs).astype(np.uint64), pos
 
 
 def postings_from_texts(texts: pa.Array, doc_ids: np.ndarray,
@@ -231,9 +218,9 @@ def postings_from_texts(texts: pa.Array, doc_ids: np.ndarray,
     """Per-batch kernel: text column + doc ids → posting rows.
 
     Output schema: term_id:uint64, doc_id:uint64, tf:uint32, dl:uint32
-    (+ pos:large_binary when ``positions=True`` — delta+varint token
-    ordinals per posting, enabling token-adjacency phrase matching with
-    no corpus access). ``dl`` (doc length in tokens) rides along on every
+    (+ pos:list<uint32> when ``positions=True`` — each posting's
+    ascending token ordinals, enabling token-adjacency phrase matching
+    with no corpus access). ``dl`` (doc length in tokens) rides along on every
     posting so the segment encoder never needs a doc-length broadcast —
     at 10^12 docs a doc→dl lookup table could not be broadcast.
     """

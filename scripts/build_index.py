@@ -30,8 +30,6 @@ def main(argv=None) -> int:
     ap.add_argument("--id-col", default="doc_id")
     ap.add_argument("--url-col", default="url")
     ap.add_argument("--num-parts", type=int, default=64)
-    ap.add_argument("--bucket-shift", type=int, default=64,
-                    help="doc-range chunking for head terms (<64 chunks)")
     ap.add_argument("--waves", type=int, default=1,
                     help="input waves (resume granularity)")
     ap.add_argument("--scratch", default=None,
@@ -48,7 +46,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.config:
         # named index configs, the reference's cmd_config.go TOML story:
-        # any key matching an argument name sets its default
+        # each key names an argument and sets its default; any other key
+        # (a typo, a retired option) is an error, never a silent default
         import tomllib
         with open(args.config, "rb") as f:
             cfg = tomllib.load(f)
@@ -56,9 +55,13 @@ def main(argv=None) -> int:
                   for a in (argv if argv is not None else sys.argv[1:])
                   if a.startswith("--")}
         for k, v in cfg.items():
-            k = k.replace("-", "_")
-            if hasattr(args, k) and k not in passed and k != "config":
-                setattr(args, k, v)
+            name = k.replace("-", "_")
+            if name == "config" or not hasattr(args, name):
+                print(f"unknown key {k!r} in {args.config}",
+                      file=sys.stderr)
+                return 2
+            if name not in passed:
+                setattr(args, name, v)
 
     files = sorted(glob.glob(args.input))
     if not files:
@@ -76,7 +79,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     stats = IndexBuilder(
         args.index, mode=args.mode, num_parts=args.num_parts,
-        bucket_shift=args.bucket_shift, text_col=args.text_col,
+        text_col=args.text_col,
         id_col=args.id_col, url_col=args.url_col,
         scratch_dir=args.scratch, positions=args.positions,
     ).build(files, waves=args.waves)

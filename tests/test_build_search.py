@@ -67,16 +67,6 @@ def test_bm25_maxscore_identical_to_exact(engine, q):
     assert se.tolist() == sm.tolist()
 
 
-def test_bm25_distributed_identical(built_index, engine):
-    from vfs_index_ray.search import bm25_topk_ray
-
-    idx, _ = built_index
-    d_r, s_r = bm25_topk_ray(idx, corpus.PHRASE, 10)
-    d_e, s_e = engine.bm25(corpus.PHRASE, 10)
-    assert d_r.tolist() == d_e.tolist()
-    assert s_r.tolist() == s_e.tolist()
-
-
 def test_fetch_rows_semijoin(engine, pages_file):
     docs = engine.match(corpus.RARE_TERM)
     rows = engine.fetch_rows(docs, columns=["url", "text"])
@@ -162,40 +152,6 @@ def test_wave_spill_files_bounded_by_cpus(ray_session, tmp_path,
         <= tasks_per_cpu * ncpu * 8
 
 
-def test_bucketed_index_same_results(ray_session, pages_file, tmp_path,
-                                     engine, oracle_index):
-    """bucket_shift < 64 (doc-range chunked / salted head terms) must not
-    change any result (SURVEY §7.6 posting order under salting)."""
-    from vfs_index_ray.build import IndexBuilder
-    from vfs_index_ray.search import SearchEngine
-
-    idx = str(tmp_path / "idx_bucketed")
-    IndexBuilder(idx, mode="word", num_parts=4, bucket_shift=61,
-                 id_col=None).build([pages_file])
-    eb = SearchEngine(idx)
-    # chunking actually happened: more chunks than terms
-    import json
-    import os
-    segdir = os.path.join(idx, "segments")
-    nchunks = nterms = npostings = 0
-    for f in os.listdir(segdir):
-        if f.endswith(".json"):
-            with open(os.path.join(segdir, f)) as fh:
-                row = json.load(fh)
-            nchunks += row["n_chunks"]
-            nterms += row["n_terms"]
-            npostings += row["n_postings"]
-    assert nchunks > nterms
-    # a term's df repeats on each of its chunks; postings count once
-    assert eb.index_stats()["n_postings"] == npostings
-    for q in QUERIES:
-        d1, s1 = eb.bm25(q, 10)
-        expected = oracle_index.bm25(q, 10)
-        assert [int(x) for x in d1] == [d for d, _ in expected]
-        assert [float(x) for x in s1] == [s for _, s in expected]
-        assert eb.match(q).tolist() == oracle_index.match(q)
-
-
 def test_phrase_match(engine, pages_file):
     """Index-AND candidates + substring verification (phrase search)."""
     import pyarrow.parquet as pqx
@@ -235,23 +191,6 @@ def test_query_actor_batch(ray_session, built_index, oracle_index):
         expected = oracle_index.bm25(q, 5)
         assert [d for _, d, _ in got] == [d for d, _ in expected], q
         assert [s for _, _, s in got] == [s for _, s in expected], q
-
-
-def test_distributed_on_bucketed_index(ray_session, pages_file, tmp_path,
-                                       oracle_index):
-    """bm25_topk_ray over a doc-range-chunked index: per-bucket scoring
-    must still be exact (all of a doc's postings share its bucket)."""
-    from vfs_index_ray.build import IndexBuilder
-    from vfs_index_ray.search import bm25_topk_ray
-
-    idx = str(tmp_path / "idx_dist_bucketed")
-    IndexBuilder(idx, mode="word", num_parts=4, bucket_shift=61,
-                 id_col=None).build([pages_file])
-    for q in [corpus.PHRASE, "bababa babade"]:
-        docs, scores = bm25_topk_ray(idx, q, 10)
-        expected = oracle_index.bm25(q, 10)
-        assert [int(x) for x in docs] == [d for d, _ in expected], q
-        assert [float(x) for x in scores] == [s for _, s in expected], q
 
 
 def test_bm25_auto_method_identical(engine, oracle_index):

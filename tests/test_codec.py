@@ -32,8 +32,8 @@ def _random_postings(rng, n, dense=False):
 
 
 def _one_term_rows(docs, tfs, dls) -> codec.Chunks:
-    """The one chunk row of a one-term partition, as the engine reads
-    it (column views)."""
+    """The one row of a one-term partition, as the engine reads it
+    (column views)."""
     seg = codec.encode_partition(np.zeros(len(docs), np.uint64), docs, tfs,
                                  dls)
     return codec.Chunks(seg)
@@ -79,8 +79,10 @@ def test_block_metadata_bounds():
         assert row["block_dl_min"][bi] == dls[s:e].min()
 
 
-@pytest.mark.parametrize("shift", [64, 58])
-def test_encode_partition_roundtrip(shift):
+def test_encode_partition_roundtrip():
+    """One row per term, in term order, whose ``n`` is the term's df;
+    each row decodes to the term's postings, and a run of rows to the
+    run's postings in order."""
     rng = np.random.default_rng(3)
     terms_l, docs_l, tfs_l, dls_l = [], [], [], []
     for t in sorted(rng.integers(0, 2**63, 50).astype(np.uint64).tolist()):
@@ -93,30 +95,17 @@ def test_encode_partition_roundtrip(shift):
     docs = np.concatenate(docs_l)
     tfs = np.concatenate(tfs_l)
     dls = np.concatenate(dls_l)
-    seg = codec.encode_partition(terms, docs, tfs, dls, bucket_shift=shift)
-    seg_terms = seg["term_id"].to_numpy()
-    per_term: dict[int, list] = {}
+    seg = codec.encode_partition(terms, docs, tfs, dls)
+    assert seg["term_id"].to_pylist() == sorted(set(terms.tolist()))
     for i, row in enumerate(seg.to_pylist()):
-        per_term.setdefault(row["term_id"], []).append((i, row))
-    assert len(per_term) == 50
-    for t, rows in per_term.items():
-        # the term's rows, one decode each, concatenated in row order
-        d = np.concatenate([codec.decode_blocks(codec.Chunks(
-            seg.slice(i, 1)))[0] for i, _ in rows])
-        tf = np.concatenate([codec.decode_blocks(codec.Chunks(
-            seg.slice(i, 1)))[1] for i, _ in rows])
-        # ... and all of them in one decode
-        first = int(np.searchsorted(seg_terms, np.uint64(t)))
-        whole = codec.decode_blocks(codec.Chunks(seg.slice(first,
-                                                           len(rows))))
-        assert (whole[0] == d).all() and (whole[1] == tf).all()
-        rows = [r for _, r in rows]
-        m = terms == np.uint64(t)
-        assert (d == docs[m]).all()
-        assert (tf == tfs[m]).all()
-        assert rows[0]["df"] == int(m.sum())
-        # chunks doc-range disjoint & ascending (salt invariant, SURVEY §7.6)
-        assert (np.diff(d.astype(np.float64)) > 0).all()
+        d, tf, dl = codec.decode_blocks(codec.Chunks(seg.slice(i, 1)))
+        m = terms == np.uint64(row["term_id"])
+        assert row["n"] == int(m.sum())
+        assert (d == docs[m]).all() and (tf == tfs[m]).all()
+        assert (dl == dls[m]).all()
+    whole = codec.decode_blocks(codec.Chunks(seg.slice(10, 20)))
+    m = np.isin(terms, seg["term_id"].to_numpy()[10:30])
+    assert (whole[0] == docs[m]).all() and (whole[1] == tfs[m]).all()
 
 
 @pytest.mark.parametrize("enc", ["varint", "fixed", "auto"])
@@ -147,7 +136,6 @@ def test_encode_partition_doc_encodings(enc):
         one = codec.Chunks(seg.slice(i, 1))
         d, tf, dl = codec.decode_blocks(one)
         m = terms == np.uint64(r["term_id"])
-        # single-bucket mode: one chunk per term
         assert (d == docs[m]).all() and (tf == tfs[m]).all()
         for bi in range(len(r["skip_doc_last"])):
             bd, bt, _ = codec.decode_blocks(one, [bi])
@@ -203,7 +191,7 @@ def test_stream_width_boundaries(stream, top, width):
 
 
 # ------------------------------------------------------------ block kernel
-def _partition(rng, sizes, dense, shift):
+def _partition(rng, sizes, dense):
     """A partition of one term per entry of ``sizes``, its postings and
     its segment rows."""
     terms, docs, tfs, dls = [], [], [], []
@@ -215,54 +203,64 @@ def _partition(rng, sizes, dense, shift):
         dls.append(dl)
     terms, docs, tfs, dls = (np.concatenate(a) for a in
                              (terms, docs, tfs, dls))
-    return (docs, tfs, dls), codec.encode_partition(terms, docs, tfs, dls,
-                                                    bucket_shift=shift)
+    return (docs, tfs, dls), codec.encode_partition(terms, docs, tfs, dls)
 
 
-def _block_slices(seg) -> list[slice]:
-    """Each skip block as a slice of the partition's postings: the
-    BLOCK-posting runs of every row, rows in order."""
-    out, start = [], 0
-    for n in seg["n"].to_pylist():
-        out += [slice(start + s, start + min(s + codec.BLOCK, n))
-                for s in range(0, n, codec.BLOCK)]
+def _block_slices(n: int) -> list[slice]:
+    """Each skip block of a term of ``n`` postings as a slice of them."""
+    return [slice(s, min(s + codec.BLOCK, n))
+            for s in range(0, n, codec.BLOCK)]
+
+
+def _check_block_subsets(rng, seg, full) -> None:
+    """Every row of ``seg`` decodes any ascending block subset to the
+    matching slices of ``full``, the partition's postings: the first
+    block, middle ones, the last (partial) one, non-contiguous sets and
+    the empty set."""
+    start = 0
+    for i, n in enumerate(seg["n"].to_pylist()):
+        row = codec.Chunks(seg.slice(i, 1))
+        blocks = _block_slices(n)
+        nb = len(blocks)
+        assert nb == len(row.column("skip_doc_last"))
+        subsets = [[], [0], [nb - 1], list(range(nb)),
+                   list(range(1, nb, 2)), [0, nb - 1],
+                   sorted(rng.choice(nb, nb // 3, replace=False).tolist())]
+        for sub in subsets:
+            sub = sorted(set(b for b in sub if 0 <= b < nb))
+            got = codec.decode_blocks(row, np.array(sub, np.int64))
+            for g, f in zip(got, full):
+                f = f[start:start + n]
+                want = (np.concatenate([f[blocks[b]] for b in sub]) if sub
+                        else f[:0])
+                assert g.dtype == np.uint64 and (g == want).all(), (i, sub)
         start += n
-    return out
 
 
-@pytest.mark.parametrize("dense,shift", [(True, 64), (True, 9),
-                                         (False, 64), (False, 58)])
-def test_decode_blocks_subset_is_slice_of_full_decode(dense, shift):
-    """Any ascending block subset decodes to the matching slices of the
-    full decode: the first block, middle ones, the last (partial) one,
-    non-contiguous sets and the empty set; narrow and 8-byte doc
-    streams, one row per term and several."""
+@pytest.mark.parametrize("dense", [True, False])
+def test_decode_blocks_subset_is_slice_of_full_decode(dense):
+    """Any ascending block subset of a term decodes to the matching
+    slices of its full decode, for narrow and 8-byte doc streams; a
+    block subset of several rows is refused (block numbers address one
+    term)."""
     rng = np.random.default_rng(5)
-    postings, seg = _partition(rng, [1000, 129, 300, 1], dense, shift)
+    postings, seg = _partition(rng, [1000, 129, 300, 1], dense)
     rows = codec.Chunks(seg)
+    assert seg.num_rows == 4
     assert set(seg["docs_w"].to_pylist()) == {2 if dense else 8}
-    assert (seg.num_rows > 4) == (shift < 64)
     full = codec.decode_blocks(rows)
     for got, want in zip(full, postings):
         assert got.dtype == np.uint64 and (got == want).all()
-    blocks = _block_slices(seg)
-    nb = len(blocks)
-    assert nb == len(rows.column("skip_doc_last"))
-    subsets = [[], [0], [1, 2], [nb - 2], [nb - 1], [0, 3, nb - 1],
-               list(range(1, nb, 2)), list(range(nb)),
-               sorted(rng.choice(nb, nb // 3, replace=False).tolist())]
-    for sub in subsets:
-        got = codec.decode_blocks(rows, np.array(sub, np.int64))
-        for g, f in zip(got, full):
-            want = (np.concatenate([f[blocks[b]] for b in sub]) if sub
-                    else f[:0])
-            assert g.dtype == np.uint64 and (g == want).all(), sub
+    _check_block_subsets(rng, seg, full)
+    with pytest.raises(ValueError, match="one term's row"):
+        codec.decode_blocks(rows, [0])
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
 def test_decode_blocks_subset_every_width(width):
     """Block subsets decode to slices of the full decode when every
-    stream has ``width`` bytes: several terms, several buckets each."""
+    stream has ``width`` bytes: several terms, each of one to a few
+    blocks."""
     rng = np.random.default_rng(width)
     top = 2**(8 * width) - 1
     sizes = [250, 129, 1, 200]  # at most 256 distinct 1-byte doc ids
@@ -275,24 +273,14 @@ def test_decode_blocks_subset_every_width(width):
     tfs = rng.integers(1, 9, n, dtype=np.uint64)
     dls = rng.integers(0, top, n, dtype=np.uint64, endpoint=True)
     tfs[0], dls[0] = top, top
-    seg = codec.encode_partition(terms, docs, tfs, dls,
-                                 bucket_shift=max(8 * width - 2, 1))
+    seg = codec.encode_partition(terms, docs, tfs, dls)
     for s in ("docs", "tfs", "dls"):
         assert set(seg[s + "_w"].to_pylist()) == {width}
-    assert seg.num_rows > len(sizes)
-    rows = codec.Chunks(seg)
-    full = codec.decode_blocks(rows)
+    assert seg.num_rows == len(sizes)
+    full = codec.decode_blocks(codec.Chunks(seg))
     for got, want in zip(full, (docs, tfs, dls)):
         assert (got == want).all()
-    blocks = _block_slices(seg)
-    nb = len(blocks)
-    for sub in ([], [0], [nb - 1], [1, 2, 3], list(range(0, nb, 3)),
-                sorted(rng.choice(nb, nb // 2, replace=False).tolist())):
-        got = codec.decode_blocks(rows, np.array(sub, np.int64))
-        for g, f in zip(got, full):
-            want = (np.concatenate([f[blocks[b]] for b in sub]) if sub
-                    else f[:0])
-            assert (g == want).all(), sub
+    _check_block_subsets(rng, seg, full)
 
 
 @pytest.mark.parametrize("stream", ["docs", "tfs", "dls"])
@@ -301,7 +289,7 @@ def test_stream_of_wrong_length_raises(stream):
     segment) raises instead of decoding shifted postings: one byte cut
     off the end, or one byte moved from one row to the next."""
     rng = np.random.default_rng(4)
-    _, seg = _partition(rng, [300, 140], True, 64)
+    _, seg = _partition(rng, [300, 140], True)
     col = seg[stream].combine_chunks()
     offs = np.frombuffer(col.buffers()[1], np.int64).copy()
     data = col.buffers()[2]
@@ -310,38 +298,34 @@ def test_stream_of_wrong_length_raises(stream):
         cut = pa.LargeBinaryArray.from_buffers(
             pa.large_binary(), len(col),
             [None, pa.py_buffer(bad.astype(np.int64)), data])
-        rows = codec.Chunks(seg.set_column(
-            seg.schema.get_field_index(stream), stream, cut))
+        bad_seg = seg.set_column(seg.schema.get_field_index(stream),
+                                 stream, cut)
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            codec.decode_blocks(rows)
+            codec.decode_blocks(codec.Chunks(bad_seg))
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            codec.decode_blocks(rows, [0])
+            codec.decode_blocks(codec.Chunks(bad_seg.slice(1, 1)), [0])
 
 
 def test_decode_blocks_rows_of_several_segments():
     """A table gathered from two segments of one set of stream widths
-    decodes whole and by block subset; rows that mix widths are
-    refused."""
+    decodes whole, and each of its rows by block subset; rows that mix
+    widths are refused."""
     rng = np.random.default_rng(8)
-    (d1, t1, l1), s1 = _partition(rng, [300, 140], True, 64)
-    (d2, t2, l2), s2 = _partition(rng, [260], True, 64)
-    rows = codec.Chunks(pa.concat_tables([s1, s2, s1]))
-    full = codec.decode_blocks(rows)
+    (d1, t1, l1), s1 = _partition(rng, [300, 140], True)
+    (d2, t2, l2), s2 = _partition(rng, [260], True)
+    seg = pa.concat_tables([s1, s2, s1])
+    full = codec.decode_blocks(codec.Chunks(seg))
     for got, a, b in zip(full, (d1, t1, l1), (d2, t2, l2)):
         assert (got == np.concatenate([a, b, a])).all()
-    blocks = _block_slices(pa.concat_tables([s1, s2, s1]))
-    sub = [1, 3, 4, 5, 7, len(blocks) - 1]
-    got = codec.decode_blocks(rows, sub)
-    for g, f in zip(got, full):
-        assert (g == np.concatenate([f[blocks[b]] for b in sub])).all()
-    _, wide = _partition(rng, [260], False, 64)
+    _check_block_subsets(rng, seg, full)
+    _, wide = _partition(rng, [260], False)
     with pytest.raises(ValueError, match="mix docs widths"):
         codec.decode_blocks(codec.Chunks(pa.concat_tables([s1, wide])))
 
 
 def test_chunks_rows_are_read_only_views():
     rng = np.random.default_rng(2)
-    _, seg = _partition(rng, [200, 3], True, 64)
+    _, seg = _partition(rng, [200, 3], True)
     rows = list(codec.Chunks(seg))
     assert len(rows) == 2 and list(rows[0]) == codec.SEGMENT_SCHEMA.names
     assert sum(r["docs"].nbytes for r in rows) == \
@@ -396,11 +380,11 @@ def _frontier_postings(n_terms=40, seed=7, heavy_df=400):
 
 
 def test_impact_frontier_dominates_every_posting():
-    """Frontier validity: each posting in a frontier chunk is dominated
+    """Frontier validity: each posting of a frontier term is dominated
     by some bin (bin_tf >= tf and bin_dl <= dl) — so max over bins of a
     tf-monotone/dl-antitone score is a true upper bound."""
     terms, docs, tfs, dls = _frontier_postings()
-    seg = codec.encode_partition(terms, docs, tfs, dls, bucket_shift=64)
+    seg = codec.encode_partition(terms, docs, tfs, dls)
     rows = codec.Chunks(seg)
     saw_frontier = False
     for i, row in enumerate(rows):
@@ -419,13 +403,13 @@ def test_impact_frontier_dominates_every_posting():
         for btf, bdl in zip(itf, idl):
             if btf < codec.IMPACT_CAP:
                 assert ((tf == btf) & (dl == bdl)).any()
-        # frontier docs are real docs of this chunk
+        # frontier docs are real docs of this term
         assert np.isin(np.asarray(row["imp_doc"], np.uint64), d).all()
     assert saw_frontier
 
 
 def test_impact_frontier_ub_exact_below_cap():
-    """For a chunk whose tfs are all below the cap, the frontier ub
+    """For a term whose tfs are all below the cap, the frontier ub
     equals the true max single-posting contribution for ANY (k1,b,avgdl)
     — spot-checked with the engine's scoring shape."""
     rng = np.random.default_rng(3)
@@ -433,8 +417,7 @@ def test_impact_frontier_ub_exact_below_cap():
     d = np.sort(rng.choice(10 ** 6, n, replace=False).astype(np.uint64))
     tf = rng.integers(1, 20, n).astype(np.uint64)
     dl = rng.integers(5, 300, n).astype(np.uint64)
-    seg = codec.encode_partition(np.zeros(n, np.uint64), d, tf, dl,
-                                 bucket_shift=64)
+    seg = codec.encode_partition(np.zeros(n, np.uint64), d, tf, dl)
     (row,) = codec.Chunks(seg)
     itf = np.asarray(row["imp_tf"], np.float64)
     idl = np.asarray(row["imp_dl"], np.float64)
@@ -447,7 +430,7 @@ def test_impact_frontier_ub_exact_below_cap():
 
 
 def test_frontier_absent_rows_still_score(tmp_path):
-    """Chunks below IMPACT_MIN_N postings carry no impact frontier (empty
+    """Terms below IMPACT_MIN_N postings carry no impact frontier (empty
     imp_* lists) and take the block-metadata upper bound."""
     from vfs_index_ray.search import Postings, SearchEngine
     rng = np.random.default_rng(11)
@@ -468,8 +451,9 @@ def test_frontier_absent_rows_still_score(tmp_path):
 
 def test_positions_roundtrip():
     """``encode_positions`` then ``decode_positions`` gives back each
-    posting's ordinals, for the whole part and for any run of rows; a
-    stream cut short raises."""
+    posting's ordinals, for the whole part and for any run of rows, with
+    each posting's end at ``cumsum(tfs)``; tfs that do not add up to a
+    row's ordinal count raise."""
     rng = np.random.Generator(np.random.Philox(key=[53, 0]))
     n = np.array([3, 1, 5, 2], np.int64)          # postings per row
     lens = rng.integers(1, 6, int(n.sum()))       # ordinals per posting
@@ -481,13 +465,20 @@ def test_positions_roundtrip():
     starts = np.cumsum(lens) - lens
     post0 = np.cumsum(n) - n
     for i, j in [(0, 4), (1, 3), (2, 3), (3, 4), (2, 2)]:
-        ends, got = codec.decode_positions(
-            codec.Chunks(tbl.slice(i, j - i)), n[i:j])
         ks = range(post0[i], post0[i] + int(n[i:j].sum()))
+        ends, got = codec.decode_positions(
+            codec.Chunks(tbl.slice(i, j - i)), n[i:j], lens[list(ks)])
         assert len(ends) == len(ks)
         for local, k in enumerate(ks):
             lo = ends[local - 1] if local else 0
             assert got[lo:ends[local]].tolist() == \
                 ords[starts[k]:starts[k] + lens[k]].tolist()
+    for bad in (lens + 1, np.r_[lens[:-1], lens[-1] - 1]):
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            codec.decode_positions(codec.Chunks(tbl), n, bad)
+    # one ordinal moved from the last posting of row 0 to row 1
+    moved = lens.copy()
+    moved[n[0] - 1] -= 1
+    moved[n[0]] += 1
     with pytest.raises(ValueError, match="truncated or corrupt"):
-        codec.decode_positions(codec.Chunks(tbl), n + 1)
+        codec.decode_positions(codec.Chunks(tbl), n, moved)

@@ -1,12 +1,11 @@
-"""Terms split into several chunk rows: the pruned MaxScore path, point
-scoring and the distributed scorer all agree bit for bit with exact
+"""Head terms of many skip blocks: one segment row per term, and the
+pruned MaxScore path and point scoring agree bit for bit with exact
 scoring, for a narrow and for an 8-byte doc stream.
 
 The ``varint`` case (named for the encoding small ids got before
-fixed-width streams) indexes dense int ids ``0..N_PAGES-1`` with
-``bucket_shift=9``, so they span four buckets and a 2-byte doc stream.
-The ``fixed64`` case hashes urls into 64-bit ids (``id_col=None``, an
-8-byte doc stream) with ``bucket_shift=61``."""
+fixed-width streams) indexes dense int ids ``0..N_PAGES-1``, a 2-byte
+doc stream. The ``fixed64`` case hashes urls into 64-bit ids
+(``id_col=None``, an 8-byte doc stream)."""
 
 from collections import Counter
 
@@ -32,40 +31,58 @@ def _queries(pages: pa.Table) -> list[str]:
 
 
 @pytest.fixture(scope="module", params=["varint", "fixed64"])
-def bucketed(request, ray_session, tmp_path_factory):
-    """(index dir, engine factory, queries, docs_w) of one id space."""
+def id_space(request, ray_session, tmp_path_factory):
+    """(index dir, engine factory, queries, docs_w, pages) of one id
+    space."""
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.search import SearchEngine
 
-    d = tmp_path_factory.mktemp(f"bucketed_{request.param}")
+    d = tmp_path_factory.mktemp(f"ids_{request.param}")
     pages = corpus.generate_pages(N_PAGES)
     i = np.arange(N_PAGES, dtype=np.int64)
     if request.param == "varint":
         pages = pages.append_column("doc_id", pa.array(i))
-        id_col, shift, width = "doc_id", 9, 2
+        id_col, width = "doc_id", 2
     else:
-        id_col, shift, width = None, 61, 8
+        id_col, width = None, 8
     src = str(d / "pages.parquet")
     pq.write_table(pages, src)
     idx = str(d / "idx")
-    IndexBuilder(idx, mode="word", num_parts=4, bucket_shift=shift,
-                 id_col=id_col).build([src])
-    return idx, lambda: SearchEngine(idx), _queries(pages), width
+    IndexBuilder(idx, mode="word", num_parts=4, id_col=id_col).build([src])
+    return idx, lambda: SearchEngine(idx), _queries(pages), width, pages
 
 
-def test_terms_span_several_rows(bucketed):
-    idx, engine, queries, width = bucketed
+def test_one_row_per_term(id_space):
+    """Every term is one segment row whose ``n`` is the term's df; the
+    head terms' rows hold many skip blocks."""
+    from vfs_index_ray.segment import SegmentReader
+
+    idx, engine, queries, width, pages = id_space
     eng = engine()
-    tids = sorted({t for q in queries for t in eng.query_term_ids(q)})
+    docs_of: dict[str, set] = {}
+    for i, t in enumerate(pages["text"].to_pylist()):
+        for w in set(t.lower().split()):
+            docs_of.setdefault(w, set()).add(i)
+    words = sorted({w for q in queries for w in q.split()})
+    tids = [eng.query_term_ids(w)[0] for w in words]
     loaded = eng.load_terms(tids)
-    rows = [p.chunks for p in loaded.values() if p.df > 0]
-    assert max(len(c) for c in rows) > 1
-    assert max(np.max(np.diff(c.offsets("skip_doc_last"))) for c in rows) > 1
-    assert {int(w) for c in rows for w in c.column("docs_w")} == {width}
+    for w, t in zip(words, tids):
+        rows = loaded[t].chunks
+        assert len(rows) == 1, w
+        assert int(rows.column("n")[0]) == loaded[t].df == \
+            len(docs_of[w]), w
+        assert int(rows.column("docs_w")[0]) == width
+    assert max(len(loaded[t].chunks.column("skip_doc_last"))
+               for t in tids) > 4
+    reader = SegmentReader(idx, 4)
+    for p in range(4):
+        part = reader.read_range(p, columns=["term_id"])
+        tid = part["term_id"].to_numpy()
+        assert (tid[1:] > tid[:-1]).all()  # no term spans two rows
 
 
-def test_maxscore_matches_exact(bucketed):
-    _, engine, queries, _ = bucketed
+def test_maxscore_matches_exact(id_space):
+    _, engine, queries, _, _ = id_space
     for q in queries:
         de, se = engine().bm25(q, 10, method="exact")
         eng = engine()
@@ -75,8 +92,8 @@ def test_maxscore_matches_exact(bucketed):
         assert sm.tolist() == se.tolist(), q
 
 
-def test_scores_for_matches_exact(bucketed):
-    _, engine, queries, _ = bucketed
+def test_scores_for_matches_exact(id_space):
+    _, engine, queries, _, _ = id_space
     for q in queries:
         de, se = engine().bm25(q, 50, method="exact")
         # the top docs plus docs that hold none of the terms
@@ -89,22 +106,12 @@ def test_scores_for_matches_exact(bucketed):
                    set(de.tolist()))
 
 
-def test_ray_topk_matches_exact(bucketed):
-    from vfs_index_ray.search import bm25_topk_ray
-
-    idx, engine, queries, _ = bucketed
-    for q in queries:
-        de, se = engine().bm25(q, 10, method="exact")
-        dr, sr = bm25_topk_ray(idx, q, 10)
-        assert dr.tolist() == de.tolist(), q
-        assert sr.tolist() == se.tolist(), q
-
-
-def test_blocks_probed_counter(bucketed):
+def test_blocks_probed_counter(id_space):
     """``n_blocks_probed`` is 0 on the exact path and the same positive
-    count on two fresh engines running one MaxScore query."""
-    _, engine, queries, _ = bucketed
-    q = queries[0]
+    count on two fresh engines running one MaxScore query (a head and
+    a mid term: the candidates probe the head term's blocks)."""
+    _, engine, queries, _, _ = id_space
+    q = queries[1]
     eng = engine()
     eng.bm25(q, 10, method="exact")
     assert eng.last_query_stats["n_blocks_probed"] == 0

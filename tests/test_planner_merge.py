@@ -345,8 +345,7 @@ def test_like_reproduces_every_recorded_setting(tmp_path):
 
     from vfs_index_ray.build import IndexBuilder, read_stats
 
-    settings = dict(mode="trigram", num_parts=3, bucket_shift=61,
-                    positions=True)
+    settings = dict(mode="trigram", num_parts=3, positions=True)
     defaults = inspect.signature(IndexBuilder).parameters
     assert all(v != defaults[k].default for k, v in settings.items())
     src, out = str(tmp_path / "src"), str(tmp_path / "out")
@@ -394,7 +393,9 @@ def test_repartition_same_results(ray_session, built_index, tmp_path,
 
 def test_merge_bucketed_indexes(ray_session, split_corpora, tmp_path,
                                 oracle_index):
-    """Merging doc-range-chunked (salted) indexes preserves results."""
+    """Merging indexes of url-hash doc ids (8-byte doc streams; these
+    were doc-range-bucketed builds before 0.8.0) gives one row per term
+    and the oracle's results."""
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.merge import merge_indexes
     from vfs_index_ray.search import SearchEngine
@@ -403,10 +404,14 @@ def test_merge_bucketed_indexes(ray_session, split_corpora, tmp_path,
     ib = str(tmp_path / "bb")
     im = str(tmp_path / "bm")
     for src, out in [(split_corpora["a"], ia), (split_corpora["b"], ib)]:
-        IndexBuilder(out, mode="word", num_parts=8, bucket_shift=61,
+        IndexBuilder(out, mode="word", num_parts=8,
                      id_col=None).build([src])
     merge_indexes([ia, ib], im)
     em = SearchEngine(im)
+    for p in range(8):
+        tids = em.segments.read_range(p, columns=["term_id"])[
+            "term_id"].to_numpy()
+        assert (tids[1:] > tids[:-1]).all()
     for q in [corpus.RARE_TERM, corpus.PHRASE, "bababa babade"]:
         docs, scores = em.bm25(q, 20)
         expected = oracle_index.bm25(q, 20)

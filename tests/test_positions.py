@@ -424,6 +424,116 @@ def test_old_parquet_positions_must_be_rebuilt(pos_index, tmp_path):
         SearchEngine(idx).phrase_match_positional(corpus.PHRASE)
 
 
+def _binary_rows(values: np.ndarray, counts: np.ndarray, width: int
+                 ) -> pa.Array:
+    """``values`` at ``width`` bytes each as a binary column whose row i
+    holds the next ``counts[i]`` of them."""
+    offs = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(counts),
+        [None, pa.py_buffer(offs * width),
+         pa.py_buffer(np.asarray(values).astype(f"<u{width}"))])
+
+
+def _rewrite_positions(idx: str, part: int, fn) -> None:
+    """Replace the part's positions file with ``fn(its table, the
+    index's segment reader, part)`` and record the new byte size in its
+    sidecar, so only the content is wrong."""
+    import json
+    import os
+
+    from vfs_index_ray.segment import (SegmentReader, _write_batch,
+                                       part_path, positions_path,
+                                       segments_dir)
+
+    seg_dir = segments_dir(idx)
+    path = positions_path(seg_dir, part)
+    with open(path, "rb") as f:
+        tbl = pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
+    _write_batch(fn(tbl, SegmentReader(idx, 8), part), path)
+    sidecar = part_path(seg_dir, part, "json")
+    with open(sidecar) as f:
+        row = json.load(f)
+    row["positions_bytes"] = os.path.getsize(path)
+    with open(sidecar, "w") as f:
+        json.dump(row, f)
+
+
+def test_v070_positions_must_be_rebuilt(pos_index, tmp_path):
+    """An index with 0.7.0's positions files (a stored ``ends`` stream
+    beside the ordinals) raises "must be rebuilt" from every positions
+    read: phrase and proximity queries, the postings that merge, purge
+    and repartition re-encode, a merge, and ``verify_index``."""
+    import shutil
+
+    from vfs_index_ray.build import verify_index
+    from vfs_index_ray.merge import merge_indexes
+    from vfs_index_ray.search import SearchEngine
+
+    def v070(tbl, reader, p):
+        n = reader.read_range(p, columns=["n"])["n"].to_numpy()
+        tfs = reader.decode_part(p)[2]
+        return pa.table({
+            "ends_w": pa.array(np.full(len(n), 8, np.uint8)),
+            "pos_w": tbl["pos_w"],
+            "ends": _binary_rows(np.cumsum(tfs), n, 8),
+            "pos": tbl["pos"]})
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(pos_index, idx)
+    for part in range(8):
+        _rewrite_positions(idx, part, v070)
+    rep = verify_index(idx)
+    assert len(rep["errors"]) == 8
+    assert all("must be rebuilt" in e for e in rep["errors"])
+    eng = SearchEngine(idx)
+    for call in (lambda: eng.phrase_match_positional(corpus.PHRASE),
+                 lambda: eng.proximity_match(corpus.PHRASE, 3),
+                 lambda: eng.segments.postings(0, positions=True),
+                 lambda: merge_indexes([idx], str(tmp_path / "m"))):
+        with pytest.raises(RuntimeError, match="must be rebuilt"):
+            call()
+
+
+def test_cut_ordinal_is_caught(pos_index, tmp_path):
+    """A positions file with one ordinal cut from a term's row (its
+    sidecar size updated) holds fewer ordinals than the part's tokens:
+    ``verify_index`` reports that part, and a phrase query over the term
+    raises instead of answering from shifted ordinals."""
+    import shutil
+
+    from vfs_index_ray.build import verify_index
+    from vfs_index_ray.search import SearchEngine
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(pos_index, idx)
+    term = SearchEngine(idx)._phrase_keys(corpus.PHRASE)[0]
+    part = term % 8
+
+    def cut_one(tbl, reader, part):
+        tids = reader.read_range(part, columns=["term_id"])["term_id"]
+        i = int(np.searchsorted(tids.to_numpy(), np.uint64(term)))
+        col = tbl["pos"].combine_chunks()
+        w = tbl["pos_w"][0].as_py()
+        offs = np.frombuffer(col.buffers()[1], np.int64)[:len(col) + 1]
+        data = np.frombuffer(col.buffers()[2], np.uint8)[:offs[-1]]
+        end = offs[i + 1]
+        data = np.concatenate([data[:end - w], data[end:]])
+        counts = np.diff(offs) // w
+        counts[i] -= 1
+        return tbl.set_column(
+            tbl.schema.get_field_index("pos"), "pos",
+            _binary_rows(data.view(f"<u{w}"), counts, w))
+
+    _rewrite_positions(idx, part, cut_one)
+    rep = verify_index(idx)
+    assert len(rep["errors"]) == 1
+    assert rep["errors"][0].startswith(f"part={part}: ")
+    assert "truncated or corrupt" in rep["errors"][0]
+    with pytest.raises(ValueError, match="truncated or corrupt"):
+        SearchEngine(idx).phrase_match_positional(corpus.PHRASE)
+
+
 def test_duplicate_doc_joins_positions(ray_session, tmp_path):
     """A doc id in two waves (a re-crawl) is one posting per term, its
     tfs summed and its ordinals joined ascending, so each version's

@@ -65,7 +65,7 @@ def test_resume_after_partial_segments(ray_session, two_files, tmp_path):
     inter = str(tmp_path / "inter2")
     b1 = IndexBuilder(inter, mode="word", num_parts=8, id_col=None)
     b1.build_postings_wave(0, two_files)
-    w = SegmentWriter(b1.segments_dir, 64)
+    w = SegmentWriter(b1.segments_dir)
     for p in range(3):
         pdir = os.path.join(b1.postings_dir, "wave=0000", f"part={p}")
         t = pq.read_table(pdir, columns=["term_id", "doc_id", "tf", "dl"])
@@ -216,7 +216,9 @@ def test_watch_absorb_once(ray_session, tmp_path):
 
 
 def test_build_index_toml_config(ray_session, tmp_path):
-    """K6 parity: TOML job config sets build options; CLI overrides."""
+    """K6 parity: TOML job config sets build options; a key that names
+    no option (a typo, a retired option) exits 2 naming the key, before
+    any build."""
     import subprocess
     import sys
 
@@ -239,3 +241,13 @@ def test_build_index_toml_config(ray_session, tmp_path):
         capture_output=True, text=True, cwd=REPO, check=True)
     st = read_stats(idx)
     assert st["num_parts"] == 2 and st["mode"] == "word"
+    for key in ("num-part = 4096", "bucket_shift = 61"):
+        cfg.write_text(f'{key}\nmode = "word"\n')
+        bad = str(tmp_path / "idx_bad")
+        out = subprocess.run(
+            [sys.executable, "scripts/build_index.py", "--input", src,
+             "--index", bad, "--config", str(cfg)],
+            capture_output=True, text=True, cwd=REPO)
+        assert out.returncode == 2, (key, out.stderr[-500:])
+        assert repr(key.split(" = ")[0]) in out.stderr
+        assert not os.path.exists(os.path.join(bad, "stats.json"))

@@ -75,7 +75,7 @@ def test_missing_part_file_raises(ray_session, id_corpus, tmp_path):
 def _trunc_calls():
     from vfs_index_ray.merge import (merge_indexes, purge_tombstones,
                                      repartition_index)
-    from vfs_index_ray.search import SearchEngine, bm25_topk_ray
+    from vfs_index_ray.search import SearchEngine
     return {
         "index_stats": lambda idx, out: SearchEngine(idx).index_stats(),
         "term_range_docs": lambda idx, out:
@@ -83,7 +83,6 @@ def _trunc_calls():
         "nearest_term": lambda idx, out:
             SearchEngine(idx).nearest_term(1 << 63),
         "select_keys": lambda idx, out: SearchEngine(idx).select_keys(),
-        "bm25_topk_ray": lambda idx, out: bm25_topk_ray(idx, "bababa"),
         "merge_indexes": lambda idx, out: merge_indexes([idx], out),
         "repartition_index": lambda idx, out:
             repartition_index(idx, out, 2),
@@ -93,8 +92,8 @@ def _trunc_calls():
 
 @pytest.mark.parametrize("call", ["index_stats", "term_range_docs",
                                   "nearest_term", "select_keys",
-                                  "bm25_topk_ray", "merge_indexes",
-                                  "repartition_index", "purge_tombstones"])
+                                  "merge_indexes", "repartition_index",
+                                  "purge_tombstones"])
 def test_missing_part_file_raises_everywhere(id_engine, tmp_path, call):
     """Every build and merge writes every part, so a missing segment
     file is a truncated index for EVERY reader — none may treat it as
@@ -110,7 +109,7 @@ def test_missing_part_file_raises_everywhere(id_engine, tmp_path, call):
 
 
 @pytest.mark.parametrize("call", ["index_stats", "nearest_term",
-                                  "bm25_topk_ray", "merge_indexes"])
+                                  "merge_indexes"])
 def test_old_parquet_segments_raise_rebuild(id_engine, tmp_path, call):
     """An index whose segments are still ``part=N.parquet`` (the old
     format) is refused with a rebuild hint, not reported as truncated."""
@@ -233,7 +232,7 @@ def test_empty_segment_schema_matches_nonempty():
     d = np.array([10, 20, 10], np.uint64)
     tf = np.array([1, 2, 3], np.uint64)
     dl = np.array([5, 6, 5], np.uint64)
-    seg = encode_partition(t, d, tf, dl, 64)
+    seg = encode_partition(t, d, tf, dl)
     empty = SEGMENT_SCHEMA.empty_table()
     assert empty.schema == seg.schema
     assert pa.concat_tables([empty, seg]).num_rows == seg.num_rows

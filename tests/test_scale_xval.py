@@ -1,7 +1,7 @@
 """Scale cross-validation (opt-in: GRAFT_SCALE_TESTS=1, needs the bench
-corpus): at 1.6M docs the exact, MaxScore, salted/bucketed, and
-distributed BM25 paths must agree bit-for-bit, with no oracle —
-mutual-agreement evidence at a scale the Python oracle can't reach."""
+corpus): at 1.6M docs the exact and MaxScore BM25 paths must agree
+bit-for-bit, with no oracle — mutual-agreement evidence at a scale the
+Python oracle can't reach."""
 
 import os
 import shutil
@@ -16,7 +16,7 @@ SRC = "/tmp/vfsray_bench/pages_1600000"
 
 
 @pytest.fixture(scope="module")
-def scale_indexes(ray_session):
+def scale_index(ray_session):
     from vfs_index_ray.build import IndexBuilder
 
     if not os.path.isdir(SRC):
@@ -28,12 +28,7 @@ def scale_indexes(ray_session):
         IndexBuilder(idx, mode="word", num_parts=64, id_col=None,
                      scratch_dir="/dev/shm/xv").build(files)
         shutil.rmtree("/dev/shm/xv", ignore_errors=True)
-    idx_b = "/tmp/xval_idx_bucketed"
-    if not os.path.exists(os.path.join(idx_b, "stats.json")):
-        IndexBuilder(idx_b, mode="word", num_parts=64, bucket_shift=58,
-                     id_col=None, scratch_dir="/dev/shm/xv2").build(files)
-        shutil.rmtree("/dev/shm/xv2", ignore_errors=True)
-    return idx, idx_b
+    return idx
 
 
 QS = ["bababa", "bababa babade xenolithite",
@@ -41,19 +36,15 @@ QS = ["bababa", "bababa babade xenolithite",
 
 
 @pytest.mark.parametrize("q", QS)
-def test_paths_agree_at_scale(scale_indexes, q):
-    from vfs_index_ray.search import SearchEngine, bm25_topk_ray
+def test_paths_agree_at_scale(scale_index, q):
+    from vfs_index_ray.search import SearchEngine
 
-    idx, idx_b = scale_indexes
-    eng, eng_b = SearchEngine(idx), SearchEngine(idx_b)
+    eng = SearchEngine(scale_index)
     de, se = eng.bm25(q, 20, method="exact")
     dm, sm = eng.bm25(q, 20, method="maxscore")
     assert de.tolist() == dm.tolist() and se.tolist() == sm.tolist()
-    db, sb = eng_b.bm25(q, 20)
-    assert de.tolist() == db.tolist() and se.tolist() == sb.tolist()
-    dr, sr = bm25_topk_ray(idx_b, q, 20)
-    assert de.tolist() == dr.tolist() and se.tolist() == sr.tolist()
-    assert eng.match(q).tolist() == eng_b.match(q).tolist()
+    da, sa = SearchEngine(scale_index).bm25(q, 20, method="auto")
+    assert de.tolist() == da.tolist() and se.tolist() == sa.tolist()
 
 
 def test_positional_phrase_xval_1p6m(ray_session):

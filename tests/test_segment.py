@@ -20,13 +20,12 @@ QUERIES = [corpus.RARE_TERM, corpus.PHRASE, "bababa babade",
 
 
 @pytest.fixture(scope="module")
-def bucketed(ray_session, pages_file, tmp_path_factory):
-    """A bucketed index (``bucket_shift=61``): head terms span several
-    chunk rows."""
+def url_index(ray_session, pages_file, tmp_path_factory):
+    """An index of url-hash doc ids (an 8-byte doc stream)."""
     from vfs_index_ray.build import IndexBuilder
 
     idx = str(tmp_path_factory.mktemp("segment") / "idx")
-    IndexBuilder(idx, mode="word", num_parts=PARTS, bucket_shift=61,
+    IndexBuilder(idx, mode="word", num_parts=PARTS,
                  id_col=None).build([pages_file])
     return idx
 
@@ -37,9 +36,9 @@ def _full(reader, part) -> pa.Table:
         return pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
 
 
-def _multi_row_term(full: pa.Table) -> int:
-    tids = full["term_id"].to_numpy()
-    return int(tids[np.flatnonzero(tids[1:] == tids[:-1])[0]])
+def _head_term(full: pa.Table) -> int:
+    """The part's term of the most postings."""
+    return int(full["term_id"][int(np.argmax(full["n"].to_numpy()))].as_py())
 
 
 def _rows(chunks):
@@ -47,16 +46,15 @@ def _rows(chunks):
             for row in chunks]
 
 
-def test_read_shapes_match_brute_force(bucketed):
-    reader = SegmentReader(bucketed, PARTS)
+def test_read_shapes_match_brute_force(url_index):
+    reader = SegmentReader(url_index, PARTS)
     for p in range(PARTS):
         full = _full(reader, p)
-        tids, dfs = full["term_id"].to_numpy(), full["df"].to_numpy()
-        terms = np.unique(tids)
-        assert len(tids) > len(terms)  # head terms span several rows
-        first, last = int(terms[0]), int(terms[-1])
-        multi = _multi_row_term(full)
-        keys = [first - 1, first, multi, last, last + 1]
+        tids, dfs = full["term_id"].to_numpy(), full["n"].to_numpy()
+        assert (tids[1:] > tids[:-1]).all()  # one row per term
+        first, last = int(tids[0]), int(tids[-1])
+        head = _head_term(full)
+        keys = [first - 1, first, head, last, last + 1]
 
         def where(lo, hi):
             keep = np.ones(len(tids), bool)
@@ -67,7 +65,8 @@ def test_read_shapes_match_brute_force(bucketed):
             return full.filter(keep)
 
         got = reader.load_terms(p, keys)
-        assert len(got[multi]) > 1
+        assert len(got[head]) == 1
+        assert len(got[head].column("skip_doc_last")) > 1
         for key in keys:
             assert _rows(got[key]) == _rows(Chunks(where(key, key))), \
                 (p, key)
@@ -78,7 +77,7 @@ def test_read_shapes_match_brute_force(bucketed):
                 want = where(lo, hi)
                 assert reader.read_range(p, lo, hi).equals(want), \
                     (p, lo, hi)
-                cols = ["df", "term_id"]
+                cols = ["n", "term_id"]
                 assert reader.read_range(p, lo, hi, cols).equals(
                     want.select(cols)), (p, lo, hi)
                 rows = Chunks(want)
@@ -97,44 +96,42 @@ def test_read_shapes_match_brute_force(bucketed):
             assert reader.nearest(p, key, False) == above, (p, key)
 
 
-def test_bm25_matches_oracle(bucketed, oracle_index):
-    from vfs_index_ray.search import SearchEngine, bm25_topk_ray
+def test_bm25_matches_oracle(url_index, oracle_index):
+    from vfs_index_ray.search import SearchEngine
 
-    eng = SearchEngine(bucketed)
+    eng = SearchEngine(url_index)
     for q in QUERIES:
         want = oracle_index.bm25(q, 20)
         for method in ("exact", "maxscore"):
             docs, scores = eng.bm25(q, 20, method=method)
             assert list(zip(docs.tolist(), scores.tolist())) == want, \
                 (q, method)
-        docs, scores = bm25_topk_ray(bucketed, q, 20)
-        assert list(zip(docs.tolist(), scores.tolist())) == want, q
 
 
-def test_load_terms_is_zero_copy(bucketed):
-    """A term read allocates no Arrow memory: its rows and the column
-    views over them are the memory-mapped file's pages."""
-    reader = SegmentReader(bucketed, PARTS)
+def test_load_terms_is_zero_copy(url_index):
+    """A term read allocates no Arrow memory: its row and the column
+    views over it are the memory-mapped file's pages."""
+    reader = SegmentReader(url_index, PARTS)
     p = 0
-    term = _multi_row_term(_full(reader, p))
+    term = _head_term(_full(reader, p))
     before = pa.total_allocated_bytes()
     rows = reader.load_terms(p, [term])[term]
     views = [rows.column(c) for c in ("docs", "tfs", "skip_doc_last")]
-    assert len(rows) > 1 and all(len(v) for v in views)
+    assert len(rows) == 1 and all(len(v) for v in views)
     assert pa.total_allocated_bytes() <= before
 
 
-def test_one_term_read_ships_only_its_rows(bucketed):
-    """Ray serializes a one-term ``_read`` (what ``terms_dataset``
-    tasks return) as its own rows, not the whole memory-mapped part."""
+def test_one_term_read_ships_only_its_rows(url_index):
+    """Ray serializes a one-term read (a Ray task returning
+    ``read_range``) as its own row, not the whole memory-mapped part."""
     import ray
 
-    reader = SegmentReader(bucketed, PARTS)
+    reader = SegmentReader(url_index, PARTS)
     p = 0
     full = _full(reader, p)
-    term = _multi_row_term(full)
-    tbl = reader._read(p, [(term, term)])
-    assert tbl.num_rows > 1
+    term = _head_term(full)
+    tbl = reader.read_range(p, term, term)
+    assert tbl.num_rows == 1
     ctx = ray._private.worker.global_worker.get_serialization_context()
     assert ctx.serialize(tbl).total_bytes < 0.05 * full.nbytes
 
@@ -156,19 +153,29 @@ def _v050_columns(tbl: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
+def _v070_columns(tbl: pa.Table) -> pa.Table:
+    """``tbl`` with the columns 0.7.0 wrote: a ``bucket`` (doc range)
+    and a ``df`` column before ``n``, a row per (term, bucket)."""
+    at = tbl.schema.get_field_index("n")
+    tbl = tbl.add_column(at, "df", tbl["n"])
+    return tbl.add_column(at, "bucket", pa.array(
+        np.zeros(tbl.num_rows, np.uint64)))
+
+
 def _rewrite(path: str, layout: str) -> None:
     """Rewrite one segment file as two uncompressed record batches cut
     at a term boundary, as 0.4.0 wrote a small part (one lz4 batch with
-    the first-term directory in the schema metadata), or with 0.5.0's
-    delta-varint columns in one uncompressed batch."""
+    the first-term directory in the schema metadata), with 0.5.0's
+    delta-varint columns in one uncompressed batch, or with 0.7.0's
+    ``bucket`` and ``df`` columns."""
     with open(path, "rb") as f:
         tbl = pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
     tids = tbl["term_id"].to_numpy()
     if layout == "two_batches":
         cut = int(np.searchsorted(tids, tids[len(tids) // 2]))
         batches, options = [tbl.slice(0, cut), tbl.slice(cut)], None
-    elif layout == "v050":
-        tbl = _v050_columns(tbl)
+    elif layout in ("v050", "v070"):
+        tbl = (_v050_columns if layout == "v050" else _v070_columns)(tbl)
         batches, options = [tbl], None
     else:
         tbl = tbl.replace_schema_metadata({
@@ -182,15 +189,15 @@ def _rewrite(path: str, layout: str) -> None:
 
 
 @pytest.mark.parametrize("layout", ["two_batches", "v040_directory",
-                                    "v050"])
+                                    "v050", "v070"])
 @pytest.mark.parametrize("shape", ["load_terms", "read_range", "nearest",
                                    "decode_part"])
-def test_other_layouts_raise_rebuild(bucketed, tmp_path, layout, shape):
+def test_other_layouts_raise_rebuild(url_index, tmp_path, layout, shape):
     idx = str(tmp_path / "old")
-    shutil.copytree(bucketed, idx)
+    shutil.copytree(url_index, idx)
     reader = SegmentReader(idx, PARTS)
     p = 0
-    term = _multi_row_term(_full(reader, p))
+    term = _head_term(_full(reader, p))
     path = part_path(reader.segments_dir, p)
     _rewrite(path, layout)
     assert os.path.getsize(path) > 0
@@ -202,28 +209,35 @@ def test_other_layouts_raise_rebuild(bucketed, tmp_path, layout, shape):
         call()
 
 
-def test_verify_index_flags_old_format(bucketed, tmp_path):
-    """``verify_index`` opens every segment's footer: a part left in
-    0.5.0's layout (its sidecar's byte size updated, so only the format
-    is wrong) is reported as "must be rebuilt", and a part whose bytes
-    are not an Arrow file at all as unreadable."""
+def _rewrite_with_sidecar(reader: SegmentReader, p: int,
+                          layout: str) -> None:
+    """``_rewrite`` part ``p`` and record its new byte size in its
+    sidecar, so only the format is wrong."""
     import json
 
-    from vfs_index_ray.build import verify_index
-
-    assert verify_index(bucketed)["ok"]
-    idx = str(tmp_path / "old")
-    shutil.copytree(bucketed, idx)
-    reader = SegmentReader(idx, PARTS)
-    p = 1
     path = part_path(reader.segments_dir, p)
-    _rewrite(path, "v050")
+    _rewrite(path, layout)
     sidecar = part_path(reader.segments_dir, p, "json")
     with open(sidecar) as f:
         row = json.load(f)
     row["output_bytes"] = os.path.getsize(path)
     with open(sidecar, "w") as f:
         json.dump(row, f)
+
+
+def test_verify_index_flags_old_format(url_index, tmp_path):
+    """``verify_index`` opens every segment's footer: a part left in
+    0.5.0's layout (its sidecar's byte size updated, so only the format
+    is wrong) is reported as "must be rebuilt", and a part whose bytes
+    are not an Arrow file at all as unreadable."""
+    from vfs_index_ray.build import verify_index
+
+    assert verify_index(url_index)["ok"]
+    idx = str(tmp_path / "old")
+    shutil.copytree(url_index, idx)
+    reader = SegmentReader(idx, PARTS)
+    p = 1
+    _rewrite_with_sidecar(reader, p, "v050")
     rep = verify_index(idx)
     assert not rep["ok"]
     assert len(rep["errors"]) == 1
@@ -236,3 +250,22 @@ def test_verify_index_flags_old_format(bucketed, tmp_path):
     rep = verify_index(idx)
     assert len(rep["errors"]) == 2
     assert rep["errors"][1].startswith(f"part={p + 1}: ")
+
+
+def test_verify_index_flags_v070_segment(url_index, tmp_path):
+    """A part left in 0.7.0's layout (``bucket`` and ``df`` columns) is
+    reported as "must be rebuilt" by ``verify_index``, and every query
+    that reads it raises the same."""
+    from vfs_index_ray.build import verify_index
+    from vfs_index_ray.search import SearchEngine
+
+    idx = str(tmp_path / "old")
+    shutil.copytree(url_index, idx)
+    reader = SegmentReader(idx, PARTS)
+    for p in range(PARTS):
+        _rewrite_with_sidecar(reader, p, "v070")
+    rep = verify_index(idx)
+    assert len(rep["errors"]) == PARTS
+    assert all("must be rebuilt" in e for e in rep["errors"])
+    with pytest.raises(RuntimeError, match="must be rebuilt"):
+        SearchEngine(idx).bm25("bababa babade", 10)

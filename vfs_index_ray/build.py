@@ -37,9 +37,10 @@ SURVEY §3.1):
 
 Scale notes (100 TB / 10^12 docs): num_parts sizes the shuffle so one
 partition's postings fit a worker (tens of thousands of parts at full
-scale); bucket_shift chunks head-term posting lists into doc-range-disjoint
-sub-lists (skew handling); the only driver-side materializations are
-per-part manifest rows and scalar aggregates.
+scale); skew is absorbed by encoding the largest parts first and by
+splitting phase-1 tasks at ``WAVE_TASK_BYTES`` (a head term is one
+segment row, encoded by one task); the only driver-side
+materializations are per-part manifest rows and scalar aggregates.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ WAVE_TASK_BYTES = 64 << 20
 
 class IndexBuilder:
     def __init__(self, index_dir: str, *, mode: str = "word",
-                 num_parts: int = 16, bucket_shift: int = 64,
+                 num_parts: int = 16,
                  text_col: str = "text", id_col: str | None = "doc_id",
                  html_col: str | None = None,
                  url_col: str = "url",
@@ -84,7 +85,6 @@ class IndexBuilder:
         self.index_dir = index_dir
         self.mode = mode
         self.num_parts = num_parts
-        self.bucket_shift = bucket_shift
         self.text_col = text_col
         self.id_col = id_col
         # html_col: build straight from crawled pages — a vectorized
@@ -129,7 +129,6 @@ class IndexBuilder:
         upsert) inherits its source's settings."""
         st = read_stats(src_dir)
         settings = dict(mode=st["mode"], num_parts=int(st["num_parts"]),
-                        bucket_shift=st["bucket_shift"],
                         positions=bool(st.get("positions", False)))
         return cls(out_dir, **{**settings, **overrides})
 
@@ -288,8 +287,8 @@ class IndexBuilder:
         # manifest lineage: the postings waves (none for merge and purge)
         lineage = [os.path.basename(w) for w in
                    self._scratch_subdirs(self.postings_dir, "wave=")]
-        writer = SegmentWriter(self.segments_dir, self.bucket_shift,
-                               lineage=lineage, positions=self.positions)
+        writer = SegmentWriter(self.segments_dir, lineage=lineage,
+                               positions=self.positions)
         # plain tasks, not a Ray Data map: nothing waits on a first task's
         # output-size estimate, and submission order is largest first
         from .remote import remote_1cpu
@@ -366,7 +365,7 @@ class IndexBuilder:
         n_tokens = sum(r.get("n_tokens", 0) for r in part_rows)
         stats = {
             "version": __version__, "mode": self.mode,
-            "num_parts": self.num_parts, "bucket_shift": self.bucket_shift,
+            "num_parts": self.num_parts,
             "n_docs": n_docs, "total_tokens": n_tokens,
             "avgdl": (n_tokens / n_docs) if n_docs else 0.0,
             "k1": BM25_K1, "b": BM25_B, "positions": self.positions,

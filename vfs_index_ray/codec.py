@@ -2,30 +2,32 @@
 
 Replaces the reference's per-(key,record) FlatBuffers write-files and merged
 ``KeyRecordList`` (reference: spec/index.fbs:22-60, column.go:418-604) with a
-columnar encoding: one segment row per (term_id, chunk) in
-``SEGMENT_SCHEMA``, holding the chunk's doc ids, tfs and dls as three
-little-endian fixed-width streams, skip entries every ``BLOCK`` postings,
-per-block (tf_max, dl_min) bounds from which a valid BM25 upper bound can
-be derived at query time without knowing avgdl/N at build time, and an
-impact frontier on chunks of at least ``IMPACT_MIN_N`` postings.
+columnar encoding: one segment row per term in ``SEGMENT_SCHEMA`` (the
+reference's one ``KeyRecord`` per key), holding the term's doc ids, tfs
+and dls as three little-endian fixed-width streams, skip entries every
+``BLOCK`` postings, per-block (tf_max, dl_min) bounds from which a valid
+BM25 upper bound can be derived at query time without knowing avgdl/N
+at build time, and an impact frontier on terms of at least
+``IMPACT_MIN_N`` postings. A row's posting count ``n`` is the term's df.
 
 Each stream of a segment uses the narrowest of 1, 2, 4 or 8 bytes that
 holds its largest value in that segment (the ``docs_w``, ``tfs_w`` and
 ``dls_w`` columns, equal on every row of a file). Doc ids are stored
-absolute, so block b of a row starts at posting b·BLOCK of each stream
-and a set of blocks decodes with one ``frombuffer`` view per stream,
-never a pass over its predecessors: the analog of the reference's fixed
-32-byte ``Record`` read in place (spec/index.fbs:54-60) and its
-512B/4096B lazy FlatBuffers paging (index_file.go:664-749), whose page
-sizes are constants too.
+absolute, so block b of a term is postings [b·BLOCK, min((b+1)·BLOCK, n))
+of each stream and a set of blocks decodes with one ``frombuffer`` view
+per stream, never a pass over its predecessors: the analog of the
+reference's fixed 32-byte ``Record`` read in place (spec/index.fbs:54-60)
+and its 512B/4096B lazy FlatBuffers paging (index_file.go:664-749),
+whose page sizes are constants too.
 
 A ``positions=True`` index keeps one more file per segment, in
 ``POSITIONS_SCHEMA``: one row per segment row, in the same order, holding
-the token ordinals of the row's postings as one fixed-width stream and
-each posting's end offset in the part's ordinal stream as another, both
-at the part's narrowest width (``encode_positions``). A posting's
-ordinals are then one slice of a memory-mapped stream, found from its
-index in the term's doc ids (``decode_positions``): no per-record decode.
+the token ordinals of the term's postings as one fixed-width stream at
+the part's narrowest width (``encode_positions``). A posting holds tf
+ordinals, so its ordinals end at ``cumsum(tfs)`` of the term's decoded
+tfs (``decode_positions``): a posting's ordinals are one slice of a
+memory-mapped stream, with no per-record decode and nothing stored
+twice.
 
 All encode/decode paths are vectorized numpy — no per-posting Python loops.
 Reads see rows as ``Chunks``: numpy views into the Arrow columns of a
@@ -42,7 +44,7 @@ import pyarrow as pa
 
 BLOCK = 128  # postings per skip block
 IMPACT_CAP = 64    # frontier bins: exact per-tf below, one overflow above
-# chunks smaller than this carry no impact frontier (they decode in
+# terms with fewer postings carry no impact frontier (they decode in
 # microseconds; the dense scatter buffer would cost 65x their postings)
 IMPACT_MIN_N = 128
 
@@ -50,16 +52,14 @@ _U64 = np.uint64
 # the postings streams; stream s stores its byte width in column s + "_w"
 _STREAMS = ("docs", "tfs", "dls")
 
-# One row per (term_id, doc bucket) chunk; every segment file has exactly
-# this schema (segment.SegmentReader refuses any other).
+# One row per term; every segment file has exactly this schema
+# (segment.SegmentReader refuses any other).
 SEGMENT_SCHEMA = pa.schema([
     ("term_id", pa.uint64()),
     ("docs_w", pa.uint8()),        # bytes per value of each stream
     ("tfs_w", pa.uint8()),
     ("dls_w", pa.uint8()),
-    ("bucket", pa.uint64()),
-    ("df", pa.uint64()),
-    ("n", pa.uint64()),
+    ("n", pa.uint64()),            # the term's postings: its df
     ("docs", pa.large_binary()),
     ("tfs", pa.large_binary()),
     ("dls", pa.large_binary()),
@@ -74,17 +74,14 @@ SEGMENT_SCHEMA = pa.schema([
 # One row per segment row, in the segment file's order; a positions=True
 # index keeps one file of this schema per part (segment.positions_path).
 POSITIONS_SCHEMA = pa.schema([
-    ("ends_w", pa.uint8()),        # bytes per value of each stream
-    ("pos_w", pa.uint8()),
-    # per posting: the end of its ordinals in the part's pos stream
-    ("ends", pa.large_binary()),
-    # per posting: its ascending token ordinals in the doc
+    ("pos_w", pa.uint8()),         # bytes per ordinal
+    # per posting: its tf ascending token ordinals in the doc
     ("pos", pa.large_binary()),
 ])
 
 
 # ---------------------------------------------------------------------------
-# posting-list chunk encode/decode
+# posting-list encode
 # ---------------------------------------------------------------------------
 
 def _width(v: np.ndarray) -> int:
@@ -106,21 +103,15 @@ def _fixed_width(v: np.ndarray, row_offs: np.ndarray
 
 
 def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
-                     dls: np.ndarray, bucket_shift: int = 64) -> pa.Table:
+                     dls: np.ndarray) -> pa.Table:
     """Encode ALL posting lists of one shuffle partition in one vectorized pass.
 
     Inputs are the partition's postings sorted by (term_id, doc_id), doc_ids
-    strictly ascending within each term. Output: one segment row per
-    (term_id, doc_bucket) chunk, where ``doc_bucket = doc_id >> bucket_shift``
-    — the skew/salting mechanism (SURVEY §4): a head term's postings split
-    into doc-range-disjoint chunks that concatenate back in bucket order,
-    and a distributed scorer can process bucket b of every term
-    independently. ``bucket_shift=64`` ⇒ one chunk per term.
-
-    Returns a ``pyarrow.Table`` of ``SEGMENT_SCHEMA``.
+    strictly ascending within each term. Output: a ``pyarrow.Table`` of
+    ``SEGMENT_SCHEMA``, one row per term.
 
     No per-term Python: each stream is the partition's whole column cast
-    once to its width, and the per-chunk binary columns are zero-copy
+    once to its width, and the per-term binary columns are zero-copy
     offsets into that one buffer.
     """
     terms = np.ascontiguousarray(terms, dtype=np.uint64)
@@ -130,26 +121,16 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     n = len(terms)
     if n == 0:
         return SEGMENT_SCHEMA.empty_table()
-    shift = _U64(min(bucket_shift, 63)) if bucket_shift < 64 else None
-    buckets = (docs >> shift) if shift is not None else np.zeros(n, np.uint64)
 
     new_term = np.empty(n, dtype=bool)
     new_term[0] = True
     new_term[1:] = terms[1:] != terms[:-1]
-    new_chunk = new_term.copy()
-    new_chunk[1:] |= buckets[1:] != buckets[:-1]
-    chunk_starts = np.flatnonzero(new_chunk)
-    nchunks = len(chunk_starts)
-    chunk_counts = np.diff(np.append(chunk_starts, n))
-
-    # df per term, repeated onto its chunks
     term_starts = np.flatnonzero(new_term)
+    nterms = len(term_starts)
     term_counts = np.diff(np.append(term_starts, n))
-    term_of_chunk = np.cumsum(new_term)[chunk_starts] - 1
-    df_chunk = term_counts[term_of_chunk]
 
-    # block starts: every B-th posting within a chunk
-    local = np.arange(n, dtype=np.int64) - np.repeat(chunk_starts, chunk_counts)
+    # block starts: every B-th posting within a term
+    local = np.arange(n, dtype=np.int64) - np.repeat(term_starts, term_counts)
     block_starts = np.flatnonzero((local % BLOCK) == 0)
 
     # per-block metadata
@@ -159,36 +140,35 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     blk_dl_min = np.minimum.reduceat(dls, block_starts)
 
     # ---- impact frontier (disk-resident impact ordering) ---------------
-    # Per chunk, one entry per distinct capped tf: the min-dl posting for
+    # Per term, one entry per distinct capped tf: the min-dl posting for
     # that tf (plus one overflow bin for tf >= IMPACT_CAP holding the
-    # chunk's tf_max and the min dl among its members).  Every posting is
+    # term's tf_max and the min dl among its members).  Every posting is
     # dominated by its bin's (tf_ub, dl_min), and BM25 is monotone
     # increasing in tf / decreasing in dl, so
     #   max over bins of score(tf_ub, dl_min)
-    # is a VALID per-chunk upper bound — and for bins below the cap it is
+    # is a VALID per-term upper bound — and for bins below the cap it is
     # EXACT (the bin pair is a real posting).  The stored doc achieving
     # each bin's min dl is a real high-impact posting, which gives the
     # MaxScore θ bootstrap its champion candidates without decoding any
-    # block.  Computed only for chunks with >= IMPACT_MIN_N postings
-    # (small chunks decode in microseconds and would blow the dense
+    # block.  Computed only for terms with >= IMPACT_MIN_N postings
+    # (small terms decode in microseconds and would blow the dense
     # scatter buffer up to 65x the posting count); two O(n) scatter-min
     # passes, no sort.  Replaces the reference's intended
     # selectivity-ordered traversal (search_cond.go:688-698) with
     # impact-ordered metadata the query never has to derive.
-    imp_counts = np.zeros(nchunks, np.int64)
+    imp_counts = np.zeros(nterms, np.int64)
     imp_tf_v = np.empty(0, np.uint64)
     imp_dl_v = np.empty(0, np.uint64)
     imp_doc_v = np.empty(0, np.uint64)
-    big = chunk_counts >= IMPACT_MIN_N
+    big = term_counts >= IMPACT_MIN_N
     nbig = int(big.sum())
     if nbig:
         nbins = IMPACT_CAP + 1
         fidx = np.cumsum(big) - 1            # compact frontier index
-        chunk_of = np.repeat(np.arange(nchunks, dtype=np.int64),
-                             chunk_counts)
-        pbig = big[chunk_of]
+        term_of = np.repeat(np.arange(nterms, dtype=np.int64), term_counts)
+        pbig = big[term_of]
         tfc = np.minimum(tfs[pbig], _U64(IMPACT_CAP)).astype(np.int64)
-        key = fidx[chunk_of[pbig]] * nbins + tfc
+        key = fidx[term_of[pbig]] * nbins + tfc
         SENT = _U64(1) << _U64(63)
         mind = np.full(nbig * nbins, SENT, np.uint64)
         np.minimum.at(mind, key, dls[pbig])
@@ -199,36 +179,34 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
         present = mind != SENT
         binpos = np.arange(nbig * nbins, dtype=np.int64) % nbins
         bin_tf = binpos.astype(np.uint64)
-        ov = binpos == IMPACT_CAP            # overflow bin: chunk tf_max
+        ov = binpos == IMPACT_CAP            # overflow bin: term tf_max
         if ov[present].any():
-            chunk_tf_max = np.maximum.reduceat(tfs, chunk_starts)
-            bin_tf[ov] = chunk_tf_max[big][np.arange(nbig * nbins,
-                                                     dtype=np.int64)
-                                           [ov] // nbins]
+            term_tf_max = np.maximum.reduceat(tfs, term_starts)
+            bin_tf[ov] = term_tf_max[big][np.arange(nbig * nbins,
+                                                    dtype=np.int64)
+                                          [ov] // nbins]
         imp_counts[big] = present.reshape(nbig, nbins).sum(axis=1)
         imp_tf_v = bin_tf[present]
         imp_dl_v = mind[present]
         imp_doc_v = mindoc[present]
 
-    post_offs = np.append(chunk_starts, n)
+    post_offs = np.append(term_starts, n)
     streams, widths = {}, {}
     for name, v in zip(_STREAMS, (docs, tfs, dls)):
         streams[name], widths[name] = _fixed_width(v, post_offs)
 
-    list_offs = np.zeros(nchunks + 1, dtype=np.int32)
-    np.cumsum(-(-chunk_counts // BLOCK), out=list_offs[1:])
+    list_offs = np.zeros(nterms + 1, dtype=np.int32)
+    np.cumsum(-(-term_counts // BLOCK), out=list_offs[1:])
     loffs = pa.array(list_offs, pa.int32())
 
     def _list_col(values: np.ndarray, typ) -> pa.Array:
         return pa.ListArray.from_arrays(loffs, pa.array(values, typ))
 
     return pa.table({
-        "term_id": pa.array(terms[chunk_starts], pa.uint64()),
-        **{s + "_w": pa.array(np.full(nchunks, w, np.uint8), pa.uint8())
+        "term_id": pa.array(terms[term_starts], pa.uint64()),
+        **{s + "_w": pa.array(np.full(nterms, w, np.uint8), pa.uint8())
            for s, w in widths.items()},
-        "bucket": pa.array(buckets[chunk_starts], pa.uint64()),
-        "df": pa.array(df_chunk.astype(np.uint64), pa.uint64()),
-        "n": pa.array(chunk_counts.astype(np.uint64), pa.uint64()),
+        "n": pa.array(term_counts.astype(np.uint64), pa.uint64()),
         **streams,
         "skip_doc_last": _list_col(blk_doc_last, pa.uint64()),
         "block_tf_max": _list_col(blk_tf_max.astype(np.uint32), pa.uint32()),
@@ -245,17 +223,13 @@ def encode_positions(n: np.ndarray, lens: np.ndarray, ords: np.ndarray
                      ) -> pa.Table:
     """The positions rows (``POSITIONS_SCHEMA``) of segment rows holding
     ``n`` postings each: posting k (numbered across the rows, in segment
-    order) has the ``lens[k]`` ordinals that follow its predecessors' in
-    ``ords``. Each stream is cast once to the part's narrowest width."""
-    post_offs = _offsets(n)
-    ends = _offsets(lens)
-    ends_col, ew = _fixed_width(ends[1:], post_offs)
-    pos_col, pw = _fixed_width(ords, ends[post_offs])
-    rows = len(n)
+    order) has the ``lens[k]`` (its tf) ordinals that follow its
+    predecessors' in ``ords``. The stream is cast once to the part's
+    narrowest width."""
+    pos_col, w = _fixed_width(ords, _offsets(lens)[_offsets(n)])
     return pa.table({
-        "ends_w": pa.array(np.full(rows, ew, np.uint8), pa.uint8()),
-        "pos_w": pa.array(np.full(rows, pw, np.uint8), pa.uint8()),
-        "ends": ends_col, "pos": pos_col}, schema=POSITIONS_SCHEMA)
+        "pos_w": pa.array(np.full(len(n), w, np.uint8), pa.uint8()),
+        "pos": pos_col}, schema=POSITIONS_SCHEMA)
 
 
 def _imp_col(counts: np.ndarray, values: np.ndarray, typ):
@@ -266,31 +240,28 @@ def _imp_col(counts: np.ndarray, values: np.ndarray, typ):
 
 
 # ---------------------------------------------------------------------------
-# chunk rows as columns, and the one block-decode kernel
+# segment rows as columns, and the one block-decode kernel
 # ---------------------------------------------------------------------------
 
 _NO_ROWS = SEGMENT_SCHEMA.empty_table()
 
 
 class Chunks:
-    """A run of segment rows (one term's chunks, or a part's) as numpy
+    """A run of segment rows (one term's row, or a part's) as numpy
     views into their Arrow columns, each column read on first use.
 
     A fixed-width column is one array with a value per row
     (``column``). A binary or list column is one flat array spanning the
     rows (``column``) plus row offsets into it (``offsets``): row i's
     docs bytes are ``column("docs")[offsets("docs")[i]:
-    offsets("docs")[i + 1]]``. Skip blocks are numbered across the rows
-    in order, the way the flat ``skip_*`` and ``block_*`` columns list
-    them; ``block_table`` gives each one's postings. Iterating yields
-    one read-only mapping per row (column name → value or view); the
-    query path never builds them.
+    offsets("docs")[i + 1]]``. Iterating yields one read-only mapping
+    per row (column name → value or view); the query path never builds
+    them.
     """
 
     def __init__(self, rows: pa.RecordBatch | pa.Table = _NO_ROWS):
         self._rows = rows
         self._views: dict = {}
-        self._blocks: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self._rows.num_rows
@@ -324,18 +295,6 @@ class Chunks:
     def offsets(self, name: str) -> np.ndarray:
         return self._view(name)[1]
 
-    def block_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first posting, posting count) of every skip block, postings
-        numbered across the rows in order."""
-        if self._blocks is None:
-            n = self.column("n").astype(np.int64)
-            nb = -(-n // BLOCK)
-            row = np.repeat(np.arange(len(n)), nb)
-            local = np.arange(len(row)) - np.repeat(np.cumsum(nb) - nb, nb)
-            counts = np.minimum(n[row] - local * BLOCK, BLOCK)
-            self._blocks = np.cumsum(counts) - counts, counts
-        return self._blocks
-
     def __iter__(self):
         for i in range(len(self)):
             row = {}
@@ -367,20 +326,22 @@ def _gather(vals: np.ndarray, starts: np.ndarray, ends: np.ndarray
 
 def decode_blocks(rows: Chunks, blocks: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(docs, tfs, dls) uint64 arrays of the skip blocks ``blocks``
-    (ascending block numbers, see ``Chunks``) of ``rows``, in block
-    order; None decodes every block. Each stream is one little-endian
-    view of its bytes at the rows' width, gathered to the blocks'
-    posting ranges and widened to uint64: no per-block Python and no
-    pass over postings outside the blocks. The rows must share their
-    widths, as the rows of one segment file do. A stream whose rows do
-    not hold exactly n × width bytes each raises ``ValueError``: a
-    truncated segment never decodes to shifted postings."""
+    """(docs, tfs, dls) uint64 arrays of ``rows``' postings; with
+    ``blocks`` (ascending block numbers of one term's row: block b is
+    postings [b·BLOCK, min((b+1)·BLOCK, n))) only those blocks', in
+    block order. Each stream is one little-endian view of its bytes at
+    the rows' width, gathered to the blocks' posting ranges and widened
+    to uint64: no per-block Python and no pass over postings outside the
+    blocks. The rows must share their widths, as the rows of one segment
+    file do. A stream whose rows do not hold exactly n × width bytes
+    each raises ``ValueError``: a truncated segment never decodes to
+    shifted postings."""
     post_offs = _offsets(rows.column("n"))
     if blocks is not None:
-        first, counts = rows.block_table()
-        b = np.asarray(blocks, np.int64)
-        starts, ends = first[b], first[b] + counts[b]
+        if len(rows) != 1:
+            raise ValueError("block numbers address one term's row")
+        starts = np.asarray(blocks, np.int64) * BLOCK
+        ends = np.minimum(starts + BLOCK, post_offs[1])
     out = []
     for s in _STREAMS:
         vals = _stream(rows, s, post_offs)
@@ -390,20 +351,18 @@ def decode_blocks(rows: Chunks, blocks: np.ndarray | None = None
     return tuple(out)
 
 
-def decode_positions(rows: Chunks, n: np.ndarray
+def decode_positions(rows: Chunks, n: np.ndarray, tfs: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(ends, ords) of a run of positions rows whose segment rows hold
-    ``n`` postings each: ``ords`` the rows' ordinals (a view at the
-    file's width), ``ends`` (int64) the end of each posting's ordinals in
-    ``ords``, postings numbered across the rows. Posting k's ordinals are
-    ``ords[ends[k - 1]:ends[k]]`` (from 0 for k = 0). Streams that do not
-    hold what ``n`` says raise ``ValueError``, as in ``decode_blocks``."""
-    post_offs = _offsets(n)
-    ends = _stream(rows, "ends", post_offs).astype(np.int64)
-    if len(ends):  # stored absolute in the part: rebase to these rows
-        ends -= ends[-1] - (len(rows.column("pos"))
-                            // _width_of_rows(rows, "pos"))
-    return ends, _stream(rows, "pos", np.append(0, ends)[post_offs])
+    ``n`` postings each, with ``tfs`` the rows' decoded tfs: ``ords``
+    the rows' ordinals (a view at the file's width), ``ends`` (int64,
+    ``cumsum(tfs)``) the end of each posting's ordinals in ``ords``,
+    postings numbered across the rows. Posting k's ordinals are
+    ``ords[ends[k - 1]:ends[k]]`` (from 0 for k = 0). A row that does
+    not hold exactly its postings' Σ tf ordinals raises ``ValueError``,
+    as in ``decode_blocks``."""
+    ends = np.cumsum(tfs, dtype=np.int64)
+    return ends, _stream(rows, "pos", np.append(0, ends)[_offsets(n)])
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ a non-nil error return stops the walk early.
 
 Ray-Data-native restatement over the flat columnar key space:
 
-- the directory tree becomes the hash-partitioned segment parquet files,
-  so "walk in key order" = per-part pushdown scans merged by key;
-- the bsearch start becomes ``lo``/``hi`` key bounds pushed down to
-  parquet row groups (the segment is term_id-sorted);
+- the directory tree becomes the hash-partitioned segment files, so
+  "walk in key order" = per-part key-range reads merged by key;
+- the bsearch start becomes ``lo``/``hi`` key bounds, two binary
+  searches of the segment's sorted term_id column;
 - the per-entry condition becomes a VECTORIZED predicate
   ``cond(term_ids, dfs) -> bool mask`` over the candidate arrays
   (CondTrue/CondFalse per key; CondSkip and CondLazy are artifacts of the
@@ -23,9 +23,9 @@ Ray-Data-native restatement over the flat columnar key space:
   already-filtered matches.
 
 Scale shape: one Ray task per part (``SegmentReader.map_parts``); each
-task key-range-reads ONLY the ``(term_id, df)`` columns of the row
-groups overlapping [lo, hi], reduces chunk rows to one row per term
-with boundary diffs (no np.unique), applies ``cond`` vectorized, and —
+task key-range-reads ONLY the ``(term_id, n)`` columns of the rows in
+[lo, hi] (one row per term; its posting count ``n`` is its df),
+applies ``cond`` vectorized, and —
 when ``limit`` is set — returns at most ``limit`` matches (the global
 ordered head is contained in the union of per-part heads). Only
 (term_id, df) pairs cross the wire; the visitor itself never runs inside
@@ -45,20 +45,13 @@ CondFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def _select_part(reader, part: int, lo: int | None, hi: int | None,
                  cond: CondFn | None, asc: bool, limit: int | None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One partition: key-range read of (term_id, df), one row per term,
-    vectorized cond, per-part head/tail cap. Runs as a Ray task."""
-    tbl = reader.read_range(part, lo, hi, columns=["term_id", "df"])
+    """One partition: key-range read of (term_id, df), vectorized cond,
+    per-part head/tail cap. Runs as a Ray task."""
+    tbl = reader.read_range(part, lo, hi, columns=["term_id", "n"])
     tids = tbl["term_id"].to_numpy(zero_copy_only=False)
-    dfs = tbl["df"].to_numpy(zero_copy_only=False)
+    dfs = tbl["n"].to_numpy(zero_copy_only=False)
     if len(tids) == 0:
         return np.empty(0, np.uint64), np.empty(0, np.uint64)
-    # chunk rows repeat (term_id, df); terms are sorted within a part, so
-    # first-of-run selects one row per term (boundary diffs, no np.unique)
-    first = np.empty(len(tids), dtype=bool)
-    first[0] = True
-    first[1:] = tids[1:] != tids[:-1]
-    tids = tids[first]
-    dfs = dfs[first]
     if cond is not None:
         mask = np.asarray(cond(tids, dfs), dtype=bool)
         if mask.shape != tids.shape:

@@ -32,9 +32,8 @@ doc set:
   multi-term queries over big lists, ``exact`` otherwise — informed by
   the BASELINE.md measurements; results are bit-identical either way.
 
-Distributed path: ``bm25_topk_ray`` scores doc-range buckets independently
-(a doc's postings for every term share its bucket), then a tiny global
-sort+limit — scatter/gather with no per-doc exchange.
+Many queries score in parallel through ``QueryActor`` (a Ray Data actor
+pool) or ``service.QueryService`` replicas, one engine each.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import pyarrow.parquet as pq
 
 from . import BM25_B, BM25_K1
 from .build import read_stats
-from .codec import Chunks, _gather, decode_blocks
+from .codec import Chunks, _gather, decode_blocks, decode_positions
 from .segment import SegmentReader
 from .tokenizer import tokenize_query
 
@@ -132,11 +131,10 @@ def bm25_term_weight(tf: np.ndarray, dl: np.ndarray, df: int, ndocs: int,
 def accumulate_scores(terms: list[tuple[np.ndarray, np.ndarray]]
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per-doc BM25 sums. ``terms`` holds one (sorted-unique doc ids,
-    contributions) pair per term — or per doc-disjoint chunk of a term —
-    in ascending term_id order. Returns (sorted union of the doc ids,
-    scores). Each doc's score is built by the same sequential fp64
-    additions as the oracle (np.add.reduceat would sum pairwise — NOT
-    order-exact)."""
+    contributions) pair per term, in ascending term_id order. Returns
+    (sorted union of the doc ids, scores). Each doc's score is built by
+    the same sequential fp64 additions as the oracle (np.add.reduceat
+    would sum pairwise — NOT order-exact)."""
     docs_all = terms[0][0] if len(terms) == 1 else \
         sorted_union([d for d, _ in terms])
     scores = np.zeros(len(docs_all), np.float64)
@@ -167,12 +165,15 @@ def _position_keys(p: "Postings", cands: np.ndarray, ci: np.ndarray
     term ``p``'s occurrences in the docs ``cands[ci]`` (``ci`` ascending
     indexes into the ascending ``cands``). A doc's posting is a binary
     search of the term's doc ids and its ordinals one slice of the
-    memory-mapped ordinal stream (``codec.decode_positions``). Ordinals
-    are token positions (< 2^32 for any real doc), so +1 arithmetic
-    stays inside the doc."""
+    memory-mapped ordinal stream, ending at ``cumsum(tfs)``
+    (``codec.decode_positions``). Ordinals are token positions (< 2^32
+    for any real doc), so +1 arithmetic stays inside the doc."""
     if not len(ci) or not p.df:
         return np.empty(0, np.uint64)
     docs = p.decode().docs
+    if p.positions is None:
+        p.positions = decode_positions(p.pos_rows, p.chunks.column("n"),
+                                       p.tfs)
     ends, ords = p.positions
     want = cands[ci]
     k = np.minimum(np.searchsorted(docs, want), len(docs) - 1)
@@ -195,8 +196,8 @@ def _live_candidates(keys: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Postings:
-    """One term's postings: its segment rows as column views
-    (``chunks``, bucket ascending), decoded on demand."""
+    """One term's postings: its segment row as column views
+    (``chunks``; no rows for an absent term), decoded on demand."""
     term_id: int
     df: int
     chunks: Chunks = field(default_factory=Chunks)
@@ -206,7 +207,9 @@ class Postings:
     scores: np.ndarray | None = None  # cached BM25 contributions (T2/T3)
     ub: float | None = None           # memoized _term_ub (engine-fixed)
     champions: np.ndarray | None = None  # memoized frontier champion docs
-    # (ends, ords) views of a positional index (SearchEngine._positional)
+    # a positional index's positions row (SearchEngine._positional), and
+    # its (ends, ords) once a phrase or proximity query reads them
+    pos_rows: Chunks | None = None
     positions: tuple[np.ndarray, np.ndarray] | None = None
 
     def decode(self) -> "Postings":
@@ -275,7 +278,7 @@ class SearchEngine:
             rows_by_term = self.segments.load_terms(part, tids)
             for tid in tids:
                 rows = rows_by_term[tid]
-                df = int(rows.column("df")[0]) if len(rows) else 0
+                df = int(rows.column("n")[0]) if len(rows) else 0
                 self._cache[tid] = Postings(tid, df, rows)
         return {tid: self._cache[tid] for tid in term_ids}
 
@@ -554,15 +557,13 @@ class SearchEngine:
 
     def index_stats(self) -> dict:
         """Corpus-level statistics from segment METADATA columns alone
-        (no postings decode): distinct indexed terms (term-hash
-        partitioning keeps every term's chunk rows in exactly one
-        part, so per-part distinct counts sum), total postings (sum of
-        per-chunk posting counts ``n`` = distinct (term, doc) pairs;
-        ``df`` repeats the term's whole df on each of its bucket
-        chunks), plus the build's audited n_docs / total_tokens from
-        stats.json.  Reads only the (term_id, n) columns — cost scales
-        with vocabulary size, not
-        corpus size.  Reports STORED statistics: deletes are
+        (no postings decode): distinct indexed terms (one segment row
+        per term, and term-hash partitioning keeps each term in exactly
+        one part, so per-part row counts sum), total postings (sum of
+        per-term posting counts ``n`` = distinct (term, doc) pairs),
+        plus the build's audited n_docs / total_tokens from stats.json.
+        Reads only the ``n`` column — cost scales with vocabulary size,
+        not corpus size.  Reports STORED statistics: deletes are
         stale-stats by design (see delete_docs) until a physical
         purge rewrites the segments.  Reference analog: the countBy
         metadata the Go engine keeps per index file (A2/A3), lifted to
@@ -570,12 +571,8 @@ class SearchEngine:
         n_terms = 0
         n_postings = 0
         for part in range(self.num_parts):
-            t = self.segments.read_range(part, columns=["term_id", "n"])
-            tid = t["term_id"].to_numpy(zero_copy_only=False)
-            if len(tid):
-                # segment rows are lexsorted by term_id (commit
-                # invariant): boundary diff, never np.unique
-                n_terms += int(1 + np.count_nonzero(tid[1:] != tid[:-1]))
+            t = self.segments.read_range(part, columns=["n"])
+            n_terms += t.num_rows
             n_postings += int(t["n"].to_numpy(
                 zero_copy_only=False).astype(np.int64).sum())
         return {"n_docs": self.ndocs, "n_terms": n_terms,
@@ -598,41 +595,30 @@ class SearchEngine:
 
     # --- MaxScore candidate generation + exact rescore -----------------
     def _term_ub(self, p: Postings) -> float:
-        """Upper bound of this term's contribution. Chunks carrying an
+        """Upper bound of this term's contribution. A term carrying an
         impact frontier (codec.py imp_tf/imp_dl: per-distinct-tf min dl)
-        get the EXACT max single-posting contribution below the tf cap —
+        gets the EXACT max single-posting contribution below the tf cap —
         strictly tighter than the global (tf_max, dl_min) pairing, which
         combines a max tf and a min dl that usually belong to different
-        docs. Frontier-less (small) chunks fall back to block
-        metadata. Memoized on the Postings object (avgdl/df are fixed
-        per engine, and the cache is per engine)."""
-        if p.ub is not None:
-            return p.ub
-        c = p.chunks
-        ub = 0.0
-        itf = c.column("imp_tf")
-        if len(itf):
-            idl = np.maximum(c.column("imp_dl").astype(np.uint64), 1)
-            ub = float(self._term_score(itf.astype(np.uint64), idl,
-                                        p.df).max())
-        plain = np.diff(c.offsets("imp_tf")) == 0  # rows with no frontier
-        if plain.any():
-            first = c.offsets("block_tf_max")[:-1]
-            tf_max = np.maximum.reduceat(c.column("block_tf_max"), first)
-            dl_min = np.minimum.reduceat(c.column("block_dl_min"), first)
-            ub = max(ub, float(self._term_score(
-                tf_max[plain].astype(np.uint64),
-                np.maximum(dl_min[plain].astype(np.uint64), 1),
-                p.df).max()))
-        p.ub = ub
-        return ub
+        docs. A frontier-less (small) term falls back to that pairing
+        from its block metadata. Memoized on the Postings object
+        (avgdl/df are fixed per engine, and the cache is per engine)."""
+        if p.ub is None:
+            c = p.chunks
+            tf, dl = c.column("imp_tf"), c.column("imp_dl")
+            if not len(tf):
+                tf = c.column("block_tf_max").max(keepdims=True)
+                dl = c.column("block_dl_min").min(keepdims=True)
+            p.ub = float(self._term_score(
+                tf.astype(np.uint64),
+                np.maximum(dl.astype(np.uint64), 1), p.df).max())
+        return p.ub
 
     def _probe_blocks(self, p: Postings, targets: np.ndarray):
         """tf/dl for ``targets`` (sorted doc ids) in term ``p``, decoding
-        only the skip blocks that can contain them, all in one kernel
-        call (J2/J4 point-probe). The rows are doc-disjoint and
-        ascending, so their flat ``skip_doc_last`` is one ascending
-        list."""
+        only the skip blocks that can contain them (the first whose last
+        doc is >= the target), all in one kernel call (J2/J4
+        point-probe)."""
         tf_out = np.zeros(len(targets), np.uint64)
         dl_out = np.ones(len(targets), np.uint64)
         lasts = p.chunks.column("skip_doc_last")
@@ -676,33 +662,25 @@ class SearchEngine:
                 cands.append(p.champions)
                 continue
             c = p.chunks
-            imp, blk = c.offsets("imp_doc"), c.offsets("block_tf_max")
-            champ = []
-            for r in range(len(c)):
-                if imp[r + 1] > imp[r]:
-                    # impact frontier: the chunk's top-contribution docs
-                    # are stored — no block decode at all (frontier bins
-                    # below the cap ARE real postings, so these are the
-                    # chunk's true champions for the query-time avgdl)
-                    sl = slice(imp[r], imp[r + 1])
-                    itf = c.column("imp_tf")[sl].astype(np.uint64)
-                    idl = np.maximum(
-                        c.column("imp_dl")[sl].astype(np.uint64), 1)
-                    contrib = self._term_score(itf, idl, p.df)
-                    top = (np.argsort(-contrib)[:4] if len(contrib) > 4
-                           else slice(None))
-                    champ.append(c.column("imp_doc")[sl][top])
-                    continue
-                sl = slice(blk[r], blk[r + 1])
-                tf_max = c.column("block_tf_max")[sl].astype(np.uint64)
-                dl_min = np.maximum(
-                    c.column("block_dl_min")[sl].astype(np.uint64), 1)
-                ub = self._term_score(tf_max, dl_min, p.df)
-                for bi in np.argsort(-ub)[:2]:
-                    blocks.append((float(ub[bi]), p, int(blk[r] + bi)))
-            if champ:
-                p.champions = np.concatenate(champ)
+            if len(c.column("imp_doc")):
+                # impact frontier: the term's top-contribution docs are
+                # stored — no block decode at all (frontier bins below
+                # the cap ARE real postings, so these are the term's
+                # true champions for the query-time avgdl)
+                itf = c.column("imp_tf").astype(np.uint64)
+                idl = np.maximum(c.column("imp_dl").astype(np.uint64), 1)
+                contrib = self._term_score(itf, idl, p.df)
+                top = (np.argsort(-contrib)[:4] if len(contrib) > 4
+                       else slice(None))
+                p.champions = c.column("imp_doc")[top]
                 cands.append(p.champions)
+                continue
+            tf_max = c.column("block_tf_max").astype(np.uint64)
+            dl_min = np.maximum(c.column("block_dl_min").astype(np.uint64),
+                                1)
+            ub = self._term_score(tf_max, dl_min, p.df)
+            for bi in np.argsort(-ub)[:2]:
+                blocks.append((float(ub[bi]), p, int(bi)))
         blocks.sort(key=lambda x: -x[0])
         picked: dict[int, list[int]] = {}
         for _, p, bi in blocks[:max_blocks]:
@@ -812,18 +790,18 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     def _positional(self, tids: list[int]) -> dict[int, Postings]:
-        """``load_terms(tids)`` with each term's positions read too
+        """``load_terms(tids)`` with each term's positions row read too
         (memoized per term, like its postings views)."""
         if not self.stats.get("positions"):
             raise ValueError("index was built without positions=True")
         loaded = self.load_terms(tids)
         by_part: dict[int, list[int]] = {}
         for t in tids:
-            if loaded[t].positions is None:
+            if loaded[t].pos_rows is None:
                 by_part.setdefault(t % self.num_parts, []).append(t)
         for part, ts in by_part.items():
             for t, got in self.segments.load_positions(part, ts).items():
-                loaded[t].positions = got
+                loaded[t].pos_rows = got
         return loaded
 
     def _phrase_keys(self, phrase: str) -> list[int]:
@@ -1255,43 +1233,3 @@ def fielded_bm25(fields: list[tuple["SearchEngine", float]], q: str,
             break
         K *= 2
     return cand[order], comb[order]
-
-
-def bm25_topk_ray(index_dir: str, q: str, k: int = 10):
-    """Distributed exact top-k: score doc-range buckets independently.
-
-    Every chunk of a doc's postings shares ``bucket = doc_id >> S``, so a
-    per-bucket task sees all of its docs' query-term postings: exact
-    scores, no cross-task exchange; global merge is a tiny sort+limit.
-    """
-    engine = SearchEngine(index_dir)
-    tids = sorted(set(engine.query_term_ids(q)))
-    if not tids:
-        return np.empty(0, np.uint64), np.empty(0, np.float64)
-    ds = engine.segments.terms_dataset(tids)
-    ndocs, avgdl = engine.stats["n_docs"], engine.stats["avgdl"]
-
-    def score_bucket(group: pa.Table) -> pa.Table:
-        group = group.sort_by([("term_id", "ascending"),
-                               ("bucket", "ascending")])
-        decoded = []
-        # ascending term_id (+ bucket); row by row, as the rows come
-        # from several segment files that may use different stream widths
-        for i in range(group.num_rows):
-            row = Chunks(group.slice(i, 1))
-            d, tf, dl = decode_blocks(row)
-            decoded.append((d, bm25_term_weight(
-                tf, dl, int(row.column("df")[0]), ndocs, avgdl)))
-        docs_all, scores = accumulate_scores(decoded)
-        dd, ss = SearchEngine._topk(docs_all, scores, k)
-        return pa.table({"doc_id": pa.array(dd, pa.uint64()),
-                         "score": pa.array(ss, pa.float64())})
-
-    out = ds.groupby("bucket").map_groups(score_bucket,
-                                          batch_format="pyarrow")
-    rows = out.take_all()  # ≤ k per bucket
-    if not rows:
-        return np.empty(0, np.uint64), np.empty(0, np.float64)
-    docs = np.array([r["doc_id"] for r in rows], np.uint64)
-    scores = np.array([r["score"] for r in rows], np.float64)
-    return SearchEngine._topk(docs, scores, k)

@@ -4,10 +4,10 @@ An index keeps one segment per hash partition (``part = term_id % P``)
 under ``segments/``:
 
 - ``part=NNNNN.arrow`` — an Arrow IPC file of one uncompressed record
-  batch: one row per (term_id, doc bucket) chunk in
-  ``codec.SEGMENT_SCHEMA``, lexsorted by term_id. A read memory-maps
-  the file, binary-searches the term_id column and slices the rows it
-  wants: zero-copy views of the file's pages, never a decompress;
+  batch: one row per term in ``codec.SEGMENT_SCHEMA``, sorted by
+  term_id. A read memory-maps the file, binary-searches the term_id
+  column and slices the rows it wants: zero-copy views of the file's
+  pages, never a decompress;
 - ``part=NNNNN.bloom`` — a bloom filter over the part's term ids;
 - ``part=NNNNN.json`` — the part's manifest row; it marks the part
   committed.
@@ -22,12 +22,12 @@ positional index, all P positions files), empty ones included, so a
 missing file always means a truncated index.
 ``SegmentWriter`` is the one writer; ``SegmentReader`` serves every
 read (term point reads, key-range scans, nearest-key probes, whole-part
-decodes, the Ray Data read of ``bm25_topk_ray``) and the per-part
-fan-out over them. A segment file of any other schema or layout (one
-written by an older version) is refused with a "must be rebuilt"
-error. The reference reads its index files through one abstraction
-the same way: it pages them in and binary-searches a sorted key list
-(index_file.go:664-749, 974-1003).
+decodes, positions reads) and the per-part fan-out over them. A segment
+or positions file of any other schema or layout (one written by an
+older version) is refused with a "must be rebuilt" error. The reference
+reads its index files through one abstraction the same way: it pages
+them in and binary-searches a sorted key list (index_file.go:664-749,
+974-1003).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _atomic_write_json(path: str, obj: dict) -> None:
 
 
 _MANIFEST_SCHEMA = pa.schema([
-    ("part", pa.int32()), ("n_chunks", pa.int64()), ("n_terms", pa.int64()),
+    ("part", pa.int32()), ("n_terms", pa.int64()),
     ("n_postings", pa.int64()), ("n_tokens", pa.int64()),
     ("term_min", pa.uint64()), ("term_max", pa.uint64()),
     ("file", pa.string()), ("status", pa.string()),
@@ -162,10 +162,9 @@ class SegmentWriter:
     Runs inside the per-part tasks of ``IndexBuilder._encode_parts``.
     """
 
-    def __init__(self, segments_dir: str, bucket_shift: int,
-                 lineage: list[str] | None = None, positions: bool = False):
+    def __init__(self, segments_dir: str, lineage: list[str] | None = None,
+                 positions: bool = False):
         self.segments_dir = segments_dir
-        self.bucket_shift = bucket_shift
         self.lineage = lineage or []
         self.positions = positions
 
@@ -193,7 +192,7 @@ class SegmentWriter:
             ords = _gather(ords, ends[order] - lens, ends[order])
         terms, docs, tfs, dls, lens, ords = _dedup_sorted_postings(
             terms, docs, tfs, dls, lens, ords)
-        seg = encode_partition(terms, docs, tfs, dls, self.bucket_shift)
+        seg = encode_partition(terms, docs, tfs, dls)
 
         final = part_path(self.segments_dir, part)
         tmp = _tmp_path(final)
@@ -222,12 +221,7 @@ class SegmentWriter:
         os.replace(tmp, final)
         row = {
             "part": part,
-            "n_chunks": seg.num_rows,
-            # terms are sorted here: distinct count = boundary count
-            # (np.unique would re-sort 10^6 values per part, which the
-            # 32-way-concurrent encode amplifies via memory bandwidth)
-            "n_terms": int(1 + np.count_nonzero(terms[1:] != terms[:-1])
-                           if len(terms) else 0),
+            "n_terms": seg.num_rows,
             "n_postings": int(len(terms)),
             "n_tokens": int(tfs.sum()),
             "term_min": int(terms.min()) if len(terms) else 0,
@@ -296,9 +290,18 @@ class SegmentReader:
 
     def check_positions(self, part: int) -> None:
         """Raise unless the part's positions file exists in the current
-        format with a row per segment row; maps both files and reads
-        only their IPC metadata."""
-        self._positions_batch(part, self._batch(part, ["n"]))
+        format with a row per segment row and holds exactly the part's
+        ``n_tokens`` ordinals (Σ tf, from its sidecar); maps both files
+        and reads their IPC metadata and the ordinal stream's offsets."""
+        pos = Chunks(self._positions_batch(part, self._batch(part, [])))
+        want = read_part_row(self.segments_dir, part)["n_tokens"]
+        w = int(pos.column("pos_w")[0]) if len(pos) else 1
+        got = int(pos.offsets("pos")[-1]) // w
+        if got != want:
+            raise RuntimeError(
+                f"{positions_path(self.segments_dir, part)} holds {got} "
+                f"ordinals for the part's {want} tokens: the index is "
+                "truncated or corrupt")
 
     def bloom(self, part: int) -> bytes | None:
         """The part's term bloom filter, loaded once (None if absent —
@@ -401,9 +404,9 @@ class SegmentReader:
 
     # ----- the read shapes ----------------------------------------------
     def load_terms(self, part: int, tids: list[int]) -> dict[int, Chunks]:
-        """Term point read: the chunk rows of each of ``tids`` (all in
-        ``part``) as column views into the memory-mapped file, bucket
-        ascending; an absent term gets no rows."""
+        """Term point read: the row of each of ``tids`` (all in
+        ``part``) as column views into the memory-mapped file; an absent
+        term gets no rows."""
         out = {t: Chunks() for t in tids}
         batch = self._batch(part, None)
         for rows in self._slices(batch,
@@ -414,46 +417,43 @@ class SegmentReader:
     def read_range(self, part: int, lo: int | None = None,
                    hi: int | None = None, columns: list[str] | None = None
                    ) -> pa.Table:
-        """Key-range read: the part's chunk rows with
-        ``lo <= term_id <= hi`` (None = open bound)."""
+        """Key-range read: the part's rows with ``lo <= term_id <= hi``
+        (None = open bound)."""
         return self._read(part, [(lo, hi)], columns)
 
     def nearest(self, part: int, key: int, less: bool
                 ) -> tuple[int, int] | None:
         """Nearest-key probe: (term_id, df) of the part's largest term
         <= key (``less``) or smallest >= key."""
-        batch = self._batch(part, ["term_id", "df"])
+        batch = self._batch(part, ["term_id", "n"])
         tids = batch.column("term_id").to_numpy()
         key = np.uint64(key)
         i = (int(np.searchsorted(tids, key, "right")) - 1 if less
              else int(np.searchsorted(tids, key)))
         if not 0 <= i < len(tids):
             return None
-        return int(tids[i]), int(batch.column("df")[i].as_py())
+        return int(tids[i]), int(batch.column("n")[i].as_py())
 
     def decode_part(self, part: int, lo: int | None = None,
                     hi: int | None = None):
         """Whole-part decode (or of the terms in [lo, hi]): flat postings
-        (terms, docs, tfs, dls), ordered (term asc, bucket asc → doc
-        asc)."""
+        (terms, docs, tfs, dls), ordered (term, doc)."""
         rows = Chunks(self.read_range(part, lo, hi))
         terms = np.repeat(rows.column("term_id"),
                           rows.column("n").astype(np.int64))
         return (terms.astype(np.uint64), *decode_blocks(rows))
 
     def load_positions(self, part: int, tids: list[int]
-                       ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Positions point read: ``codec.decode_positions``' (ends, ords)
-        of each of ``tids`` (all in ``part``), views into the
-        memory-mapped positions file; an absent term gets empty ones."""
-        seg = self._batch(part, ["n"])
+                       ) -> dict[int, Chunks]:
+        """Positions point read: the positions row of each of ``tids``
+        (all in ``part``) as column views into the memory-mapped file,
+        for ``codec.decode_positions``; an absent term gets no rows."""
+        seg = self._batch(part, [])
         pos = self._positions_batch(part, seg)
-        n = seg.column("n").to_numpy()
-        empty = decode_positions(Chunks(pos.slice(0, 0)), n[:0])
-        out = {t: empty for t in tids}
+        out = {t: Chunks(pos.slice(0, 0)) for t in tids}
         for i, j in self._ranges(seg, [(t, t) for t in sorted(set(tids))]):
-            out[int(seg.column("term_id")[i].as_py())] = decode_positions(
-                Chunks(pos.slice(i, j - i)), n[i:j])
+            out[int(seg.column("term_id")[i].as_py())] = Chunks(
+                pos.slice(i, j - i))
         return out
 
     def postings(self, part: int, positions: bool = False) -> pa.Table:
@@ -465,27 +465,12 @@ class SegmentReader:
             seg = self._batch(part, ["n"])
             ends, ords = decode_positions(
                 Chunks(self._positions_batch(part, seg)),
-                seg.column("n").to_numpy())
+                seg.column("n").to_numpy(), tfs)
             cols.append(pa.ListArray.from_arrays(
                 pa.array(np.append(0, ends), pa.int32()),
                 pa.array(ords.astype(np.uint32), pa.uint32())))
         schema = postings_schema(positions)
         return pa.table(dict(zip(schema.names, cols)), schema=schema)
-
-    def terms_dataset(self, tids: list[int]):
-        """Ray Dataset of the chunk rows of ``tids``: one 1-cpu task per
-        part that holds them."""
-        import ray.data
-
-        from .remote import remote_1cpu
-        by_part: dict[int, list[tuple[int, int]]] = {}
-        for t in sorted(set(tids)):
-            by_part.setdefault(t % self.num_parts, []).append((t, t))
-        for p in by_part:
-            self.path(p)
-        task = remote_1cpu(SegmentReader._read)
-        return ray.data.from_arrow_refs(
-            [task.remote(self, p, bounds) for p, bounds in by_part.items()])
 
     # ----- fan-out --------------------------------------------------------
     def map_parts(self, fn, *args) -> list:

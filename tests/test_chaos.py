@@ -57,10 +57,24 @@ def _segment_hashes(idx):
     return out
 
 
+# The child runs in its own session (so a test can SIGKILL its whole
+# group mid-write), where nothing else ends it if the test run stops
+# first: it watches its parent and SIGKILLs its own group, Ray's daemons
+# included, once the parent (this process) is gone.
+_WATCH_PARENT = (
+    "import os, signal, threading, time\n"
+    "def _die_with_parent():\n"
+    "    while os.getppid() == {ppid}:\n"
+    "        time.sleep(0.2)\n"
+    "    os.killpg(0, signal.SIGKILL)\n"
+    "threading.Thread(target=_die_with_parent, daemon=True).start()\n")
+
+
 def _spawn(body: str, tmp_path, name: str) -> subprocess.Popen:
     script = tmp_path / f"{name}.py"
     script.write_text(
-        "import ray\n"
+        _WATCH_PARENT.format(ppid=os.getpid())
+        + "import ray\n"
         "ray.init(address='local', num_cpus=4, include_dashboard=False,"
         " logging_level='ERROR')\n"
         "from ray.data import DataContext\n"

@@ -336,17 +336,6 @@ def test_chunks_rows_are_read_only_views():
     assert all(len(a) == 0 for a in codec.decode_blocks(codec.Chunks()))
 
 
-def test_bloom_sorted_matches_unsorted():
-    import numpy as np
-
-    from vfs_index_ray.codec import bloom_build
-    rng = np.random.Generator(np.random.Philox(key=[9, 0]))
-    terms = rng.integers(0, 1 << 63, 5000, dtype=np.uint64)
-    terms = np.repeat(terms, 3)  # duplicates, like real postings
-    assert bloom_build(np.sort(terms), assume_sorted=True) == \
-        bloom_build(terms)
-
-
 def test_sorted_intersect_edges():
     import numpy as np
 

@@ -374,7 +374,7 @@ def test_repartition_same_results(ray_session, built_index, tmp_path,
         assert [int(x) for x in docs] == [d for d, _ in expected]
         assert [float(x) for x in scores] == [s for _, s in expected]
     # the repartitioned index IS a fresh 4-part build: same segment
-    # and bloom bytes, same stats
+    # bytes, same stats
     from vfs_index_ray.build import IndexBuilder, read_stats
 
     fresh = str(tmp_path / "fresh4")
@@ -384,10 +384,9 @@ def test_repartition_same_results(ray_session, built_index, tmp_path,
     from vfs_index_ray.segment import part_path, segments_dir
 
     for p in range(4):
-        for ext in ("arrow", "bloom"):
-            with open(part_path(segments_dir(out), p, ext), "rb") as a, \
-                    open(part_path(segments_dir(fresh), p, ext), "rb") as b:
-                assert a.read() == b.read(), (p, ext)
+        with open(part_path(segments_dir(out), p), "rb") as a, \
+                open(part_path(segments_dir(fresh), p), "rb") as b:
+            assert a.read() == b.read(), p
     assert read_stats(out) == read_stats(fresh)
 
 

@@ -122,10 +122,9 @@ def test_encode_parts_failure_waits_then_resumes(ray_session, two_files,
     assert (open(os.path.join(clean, "stats.json"), "rb").read()
             == open(os.path.join(inter, "stats.json"), "rb").read())
     seg = os.path.join(clean, "segments")
-    names = [n for n in sorted(os.listdir(seg))
-             if n.endswith((".arrow", ".bloom"))]
+    names = [n for n in sorted(os.listdir(seg)) if n.endswith(".arrow")]
     assert names == [n for n in sorted(os.listdir(b1.segments_dir))
-                     if n.endswith((".arrow", ".bloom"))]
+                     if n.endswith(".arrow")]
     for n in names:
         assert (open(os.path.join(seg, n), "rb").read()
                 == open(os.path.join(b1.segments_dir, n), "rb").read()), n

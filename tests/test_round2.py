@@ -266,27 +266,54 @@ def test_query_service_matches_engine(id_engine, ray_session, id_corpus,
         svc.shutdown()
 
 
-def test_bloom_negative_lookup_skips_parquet(id_engine):
-    """Absent terms are answered df=0 from the per-part bloom filter
-    without opening the segment parquet; present terms are unaffected."""
-    from vfs_index_ray.codec import bloom_build, bloom_test
-
+def test_absent_terms_read_the_segment(id_engine):
+    """A term lookup is the segment's binary search: an absent term is
+    an empty result (df 0) of the part's one read, present terms are
+    unaffected, and a build writes no per-part filter beside its
+    segments."""
     id_engine._cache.clear()
     dfs = id_engine.df("zzqqxyzzy bababa")
     assert dfs["zzqqxyzzy"] == 0 and dfs["bababa"] > 0
-    st = id_engine.last_load_stats
-    assert st["bloom_skips"] >= 1
-    # all-absent query reads no parquet at all
+    # an all-absent query still reads each of its terms' parts once
     id_engine._cache.clear()
-    assert id_engine.match("zzqqxyzzy qqqzzz9x") .tolist() == []
-    assert id_engine.last_load_stats["parts_read"] == 0
-    # bloom primitives: no false negatives ever
-    terms = np.arange(1000, dtype=np.uint64) * np.uint64(2654435761)
-    b = bloom_build(terms)
-    assert bloom_test(b, terms).all()
-    probe = np.arange(50000, 60000, dtype=np.uint64)
-    fp = bloom_test(b, probe).mean()
-    assert fp < 0.05  # ~0.6% expected at 16 bits/term
+    q = "zzqqxyzzy qqqzzz9x"
+    assert id_engine.match(q).tolist() == []
+    parts = {t % id_engine.num_parts for t in id_engine.query_term_ids(q)}
+    assert id_engine.last_load_stats == {"parts_read": len(parts)}
+    seg = segments_dir(id_engine.index_dir)
+    assert not [n for n in os.listdir(seg) if n.endswith(".bloom")]
+
+
+def test_reader_trusts_no_bloom_file(id_engine, tmp_path):
+    """A ``part=NNNNN.bloom`` left beside the segments (older builds
+    wrote one per part) is never read: with every one cut to half its
+    size, df and bm25 equal those of the untouched index."""
+    import shutil
+
+    from vfs_index_ray.search import SearchEngine
+
+    idx = str(tmp_path / "cut")
+    shutil.copytree(id_engine.index_dir, idx)
+    seg = segments_dir(idx)
+    for p in range(id_engine.num_parts):
+        path = part_path(seg, p, "bloom")
+        if os.path.exists(path):
+            with open(path, "rb") as f:
+                data = f.read()
+            data = data[:len(data) // 2]
+        else:
+            data = bytes(64)  # half the smallest filter, every bit clear
+        with open(path, "wb") as f:
+            f.write(data)
+    cut = SearchEngine(idx)
+    words = " ".join(corpus.vocab()[:200] + [corpus.RARE_TERM])
+    want = id_engine.df(words)
+    assert sum(df > 0 for df in want.values()) > 100
+    assert cut.df(words) == want
+    for q in (corpus.RARE_TERM, corpus.PHRASE, "bababa babade", words):
+        d1, s1 = cut.bm25(q, 20)
+        d2, s2 = id_engine.bm25(q, 20)
+        assert d1.tolist() == d2.tolist() and s1.tolist() == s2.tolist()
 
 
 def test_key_range_and_nearest_fuzz(id_engine, id_corpus):

@@ -391,71 +391,3 @@ def _stream(rows: Chunks, s: str, offs: np.ndarray) -> np.ndarray:
                          f"at {w} bytes each: the file is truncated or "
                          "corrupt")
     return rows.column(s).view(f"<u{w}")
-
-
-# ---------------------------------------------------------------------------
-# per-partition term bloom filter (negative-lookup fast path)
-# ---------------------------------------------------------------------------
-
-_BLOOM_K = 7  # hash functions; with m = 16 bits/term → fp rate ~0.6%
-# the k seeds, a column each row of terms broadcasts against
-_BLOOM_SEEDS = (np.arange(1, _BLOOM_K + 1, dtype=np.uint64)
-                * _U64(0x9E3779B97F4A7C15))[:, None]
-
-
-def _bloom_hashes(terms: np.ndarray, m: int) -> np.ndarray:
-    """(k, n) bit indices for each term — splitmix64 finalizer over
-    term + seed_i, one in-place broadcast pass over all k seeds. ``m``
-    must be a power of two."""
-    t = np.ascontiguousarray(terms, np.uint64)
-    with np.errstate(over="ignore"):
-        z = t + _BLOOM_SEEDS
-        z ^= z >> _U64(30)
-        z *= _U64(0xBF58476D1CE4E5B9)
-        z ^= z >> _U64(27)
-        z *= _U64(0x94D049BB133111EB)
-        z ^= z >> _U64(31)
-    z &= _U64(m - 1)
-    return z.view(np.int64)  # < m <= 2**63: the same values
-
-
-def bloom_build(terms: np.ndarray, bits_per_term: int = 16,
-                assume_sorted: bool = False) -> bytes:
-    """Bloom filter over a partition's distinct term_ids, as packed
-    bytes. Sized to the next power of two of n·bits_per_term (min 1024
-    bits) → ~0.6% false positives at 16 bits/term with k=7.
-
-    ``assume_sorted`` skips the sort inside unique (the encode path's
-    terms are already lexsorted; under 32-way concurrency an extra
-    full-array sort is bandwidth-amplified on this host)."""
-    t = np.ascontiguousarray(terms, np.uint64)
-    if assume_sorted:
-        if len(t):
-            keep = np.empty(len(t), bool)
-            keep[0] = True
-            keep[1:] = t[1:] != t[:-1]
-            t = t[keep]
-    else:
-        t = np.unique(t)
-    m = 1024
-    while m < len(t) * bits_per_term:
-        m <<= 1
-    bits = np.zeros(m, bool)
-    if len(t):
-        idx = _bloom_hashes(t, m)
-        bits[idx.ravel()] = True
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def bloom_test(bloom: bytes, terms: np.ndarray) -> np.ndarray:
-    """Vectorized membership test: True = possibly present, False =
-    definitely absent."""
-    t = np.ascontiguousarray(terms, np.uint64)
-    if len(t) == 0:
-        return np.zeros(0, bool)
-    packed = np.frombuffer(bloom, np.uint8)
-    idx = _bloom_hashes(t, len(packed) * 8)
-    # bit i is bit i % 8 of byte i // 8 (little bit order): test the
-    # packed bytes, never unpack the whole filter
-    bits = (packed[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
-    return bits.all(axis=0)

@@ -248,32 +248,13 @@ class SearchEngine:
     def load_terms(self, term_ids: list[int]) -> dict[int, Postings]:
         """Fetch the given terms' segment rows as column views
         (part-pruned + binary-searched segment read, decoded on demand),
-        with per-engine caching. Terms the
-        part's bloom filter rules out short-circuit to df=0 without
-        touching the segment file (negative-lookup fast path)."""
-        from .codec import bloom_test
+        with per-engine caching: each part holding an uncached term is
+        read once. An absent term is an empty binary search (df 0)."""
         missing: dict[int, list[int]] = {}
-        bloom_skips = 0
         for tid in term_ids:
             if tid not in self._cache:
                 missing.setdefault(tid % self.num_parts, []).append(tid)
-        for part in list(missing):
-            bloom = self.segments.bloom(part)
-            if bloom is None:
-                continue
-            tids = missing[part]
-            maybe = bloom_test(bloom, np.array(tids, np.uint64))
-            for tid, ok in zip(tids, maybe):
-                if not ok:  # definitely absent: no parquet read
-                    self._cache[tid] = Postings(tid, 0)
-                    bloom_skips += 1
-            kept = [t for t, ok in zip(tids, maybe) if ok]
-            if kept:
-                missing[part] = kept
-            else:
-                del missing[part]
-        self.last_load_stats = {"parts_read": len(missing),
-                                "bloom_skips": bloom_skips}
+        self.last_load_stats = {"parts_read": len(missing)}
         for part, tids in missing.items():
             rows_by_term = self.segments.load_terms(part, tids)
             for tid in tids:
@@ -367,16 +348,9 @@ class SearchEngine:
         for tid in order[1:]:
             if len(out) == 0:
                 break
-            big = loaded[tid].decode().docs
-            # galloping membership: O(|out| log |big|) — with
-            # df-ascending order |out| only shrinks, so a rare∧head AND
-            # never sorts or scans the head list (intersect1d would)
-            pos = np.searchsorted(big, out)
-            ok = pos < len(big)
-            pos = np.minimum(pos, max(len(big) - 1, 0))
-            if len(big):
-                ok &= big[pos] == out
-            out = out[ok]
+            # with df-ascending order |out| only shrinks, so a rare∧head
+            # AND never sorts or scans the head list
+            out = sorted_intersect(out, loaded[tid].decode().docs)
         return self._live(out)
 
     def count(self, q: str) -> int:
@@ -491,7 +465,7 @@ class SearchEngine:
         """Run the query and return its execution profile (reference
         EnableStats/OptQueryStat parity, search_cond.go:57-80): resolved
         method, per-term dfs, postings decoded, skip blocks probed
-        (``n_blocks_probed``), parts read vs bloom-skipped, wall time."""
+        (``n_blocks_probed``), parts read, wall time."""
         self.bm25(q, k, method)
         out = dict(self.last_query_stats)
         out.update({f"load_{k_}": v
@@ -969,12 +943,9 @@ class SearchEngine:
         total_df = float(sum(loaded[t].df for t in tids))
         if len(self.tombstones):
             loaded = {t: self._live_postings(loaded[t]) for t in tids}
-        ps = [loaded[t].decode() for t in tids]
-        docs_all = ps[0].docs if len(ps) == 1 else \
-            sorted_union([p.docs for p in ps])
-        score = np.zeros(len(docs_all), np.float64)
-        for p in ps:
-            score[np.searchsorted(docs_all, p.docs)] += p.df / total_df
+        docs_all, score = accumulate_scores(
+            [(p.docs, np.full(len(p.docs), p.df / total_df))
+             for p in (loaded[t].decode() for t in tids)])
         dist = np.ceil((1.0 - score) * 1e5) / 1e5
         order = np.lexsort((docs_all, dist))
         if k is not None:

@@ -7,8 +7,7 @@ under ``segments/``:
   batch: one row per term in ``codec.SEGMENT_SCHEMA``, sorted by
   term_id. A read memory-maps the file, binary-searches the term_id
   column and slices the rows it wants: zero-copy views of the file's
-  pages, never a decompress;
-- ``part=NNNNN.bloom`` — a bloom filter over the part's term ids;
+  pages, never a decompress. An absent term is an empty binary search;
 - ``part=NNNNN.json`` — the part's manifest row; it marks the part
   committed.
 
@@ -53,8 +52,7 @@ def segments_dir(index_dir: str) -> str:
 
 
 def part_path(seg_dir: str, part: int, ext: str = "arrow") -> str:
-    """The part's segment (``arrow``), bloom or manifest (``json``)
-    file."""
+    """The part's segment (``arrow``) or manifest (``json``) file."""
     return os.path.join(seg_dir, f"part={part:05d}.{ext}")
 
 
@@ -199,25 +197,13 @@ class SegmentWriter:
         _write_batch(seg, tmp)
         extra = {}
         if self.positions:
-            # published before the segment and its sidecar, like the
-            # bloom below
+            # published before the segment and its sidecar
             pos_path = positions_path(self.segments_dir, part)
             os.makedirs(os.path.dirname(pos_path), exist_ok=True)
             _write_batch(encode_positions(seg["n"].to_numpy(), lens, ords),
                          _tmp_path(pos_path))
             os.replace(_tmp_path(pos_path), pos_path)
             extra["positions_bytes"] = os.path.getsize(pos_path)
-        # term bloom filter beside the segment: absent-term lookups skip
-        # the segment read entirely (segment-level negative cache).
-        # Published BEFORE the segment: a concurrent reader pairing the
-        # new bloom with the old segment only over-approximates (extra
-        # segment read); the reverse order could pair a stale bloom with
-        # the new segment and silently answer df=0 for a present term.
-        from .codec import bloom_build
-        bloom = part_path(self.segments_dir, part, "bloom")
-        with open(_tmp_path(bloom), "wb") as f:
-            f.write(bloom_build(terms, assume_sorted=True))
-        os.replace(_tmp_path(bloom), bloom)
         os.replace(tmp, final)
         row = {
             "part": part,
@@ -238,24 +224,38 @@ class SegmentWriter:
         return _manifest_table([row])
 
 
+def _existing(path: str, what: str, claim: str) -> str:
+    """``path``, which must exist. A missing ``.arrow`` file beside a
+    ``.parquet`` one (an older version's ``what`` file) raises "must be
+    rebuilt"; otherwise it means the index is truncated, whatever
+    stats.json ``claim``s."""
+    if os.path.exists(path):
+        return path
+    old = os.path.splitext(path)[0] + ".parquet"
+    if os.path.exists(old):
+        raise RuntimeError(
+            f"{path} not found, but {os.path.basename(old)} is: the index "
+            f"uses the old Parquet {what} format and must be rebuilt")
+    raise RuntimeError(
+        f"index partition file missing: {path} (stats.json claims "
+        f"{claim}); the index is truncated or mid-rebuild")
+
+
 class SegmentReader:
     """Every read of one index's segment files.
 
-    Picklable (the bloom cache stays behind), so Ray tasks receive it;
-    ``map_parts`` runs ``fn(reader, part, ...)`` over all parts, as one
-    Ray task per part or as a local loop. Every read returns views into
-    the memory-mapped file, which stays mapped while any view is alive;
-    so segment files are only ever replaced (tmp + rename), never
-    rewritten in place, which would fault a reader's views.
+    Picklable (it holds only the directory and the part count), so Ray
+    tasks receive it; ``map_parts`` runs ``fn(reader, part, ...)`` over
+    all parts, as one Ray task per part or as a local loop. Every read
+    returns views into the memory-mapped file, which stays mapped while
+    any view is alive; so segment files are only ever replaced (tmp +
+    rename), never rewritten in place, which would fault a reader's
+    views.
     """
 
     def __init__(self, index_dir: str, num_parts: int):
         self.segments_dir = segments_dir(index_dir)
         self.num_parts = int(num_parts)
-        self._blooms: dict[int, bytes | None] = {}
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_blooms": {}}
 
     def path(self, part: int) -> str:
         """The part's segment file. 'Term absent' is an empty read of an
@@ -263,19 +263,8 @@ class SegmentReader:
         partial copy, an interrupted absorb) — answering as if the part
         were empty would return wrong results from an index whose
         stats.json claims coverage."""
-        path = part_path(self.segments_dir, part)
-        if not os.path.exists(path):
-            if os.path.exists(part_path(self.segments_dir, part,
-                                        "parquet")):
-                raise RuntimeError(
-                    f"{path} not found, but a Parquet segment is: the "
-                    "index uses the old Parquet segment format and must "
-                    "be rebuilt")
-            raise RuntimeError(
-                f"index partition file missing: {path} (stats.json "
-                f"claims num_parts={self.num_parts}); the index is "
-                "truncated or mid-rebuild")
-        return path
+        return _existing(part_path(self.segments_dir, part), "segment",
+                         f"num_parts={self.num_parts}")
 
     def check(self) -> None:
         """Raise unless every part's segment file exists."""
@@ -302,18 +291,6 @@ class SegmentReader:
                 f"{positions_path(self.segments_dir, part)} holds {got} "
                 f"ordinals for the part's {want} tokens: the index is "
                 "truncated or corrupt")
-
-    def bloom(self, part: int) -> bytes | None:
-        """The part's term bloom filter, loaded once (None if absent —
-        older indexes have no bloom files)."""
-        if part not in self._blooms:
-            try:
-                with open(part_path(self.segments_dir, part, "bloom"),
-                          "rb") as f:
-                    self._blooms[part] = f.read()
-            except OSError:
-                self._blooms[part] = None
-        return self._blooms[part]
 
     # ----- the one read path ----------------------------------------------
     @staticmethod
@@ -352,18 +329,9 @@ class SegmentReader:
                          ) -> pa.RecordBatch:
         """The part's positions batch, whose rows must align with the
         segment batch ``seg``. A missing file of a positional index
-        means the index is truncated (``path``)."""
-        path = positions_path(self.segments_dir, part)
-        if not os.path.exists(path):
-            if os.path.exists(positions_path(self.segments_dir, part,
-                                             "parquet")):
-                raise RuntimeError(
-                    f"{path} not found, but a Parquet positions file is: "
-                    "the index uses the old positions format and must be "
-                    "rebuilt")
-            raise RuntimeError(
-                f"index partition file missing: {path} (stats.json "
-                "claims positions); the index is truncated or mid-rebuild")
+        means the index is truncated (``_existing``)."""
+        path = _existing(positions_path(self.segments_dir, part),
+                         "positions", "positions")
         batch = self._open(path, POSITIONS_SCHEMA)
         if batch.num_rows != seg.num_rows:
             raise RuntimeError(

@@ -5,12 +5,12 @@ resident query actors that keep their decoded-postings caches warm
 across calls).
 
 ``QueryService`` holds N replica actors, each owning a full
-``SearchEngine`` (segment reads are part-pruned pushdowns, so replicas
-share nothing). Queries route to replicas by a deterministic hash of the
-query string: the same query always lands on the same actor, so its
-postings/contribution caches hit (query→cache affinity). Batches are
-grouped per replica — one RPC per replica per call, results reassembled
-in input order.
+``SearchEngine`` (each maps the segment files it reads on its own, so
+replicas share nothing). Queries route to replicas by a deterministic
+hash of the query string: the same query always lands on the same
+actor, so its postings/contribution caches hit (query→cache affinity).
+Batches are grouped per replica — one RPC per replica per call, results
+reassembled in input order.
 
 Scale shape: replicas are stateless-restartable (the index is on shared
 storage); routing is client-side and O(1); adding replicas is linear QPS

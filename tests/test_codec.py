@@ -1,4 +1,4 @@
-"""Codec unit tests: stream widths, skip blocks, partition encode, the
+"""Codec unit tests: stream widths, partition encode, point probes, the
 positions streams.
 
 Mirrors the reference's operator-level tests (trigram roundtrip
@@ -48,35 +48,8 @@ def test_chunk_roundtrip(n):
         (row,) = rows
         assert row["docs_w"] == (_width_of(docs) if dense else 8)
         assert (row["tfs_w"], row["dls_w"]) == (1, _width_of(dls))
-        d, t, l = codec.decode_blocks(rows)
+        d, t, l = codec.decode_postings(rows)
         assert (d == docs).all() and (t == tfs).all() and (l == dls).all()
-
-
-def test_block_decode_matches_slices():
-    rng = np.random.default_rng(7)
-    for dense in (False, True):
-        docs, tfs, dls = _random_postings(rng, 1000, dense)
-        rows = _one_term_rows(docs, tfs, dls)
-        (row,) = rows
-        nblocks = len(row["skip_doc_last"])
-        assert nblocks == -(-len(docs) // codec.BLOCK)
-        for bi in range(nblocks):
-            bd, bt, bl = codec.decode_blocks(rows, [bi])
-            s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, len(docs))
-            assert (bd == docs[s:e]).all()
-            assert (bt == tfs[s:e]).all()
-            assert (bl == dls[s:e]).all()
-
-
-def test_block_metadata_bounds():
-    rng = np.random.default_rng(11)
-    docs, tfs, dls = _random_postings(rng, 700)
-    (row,) = _one_term_rows(docs, tfs, dls)
-    for bi in range(len(row["skip_doc_last"])):
-        s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, len(docs))
-        assert row["skip_doc_last"][bi] == docs[e - 1]
-        assert row["block_tf_max"][bi] == tfs[s:e].max()
-        assert row["block_dl_min"][bi] == dls[s:e].min()
 
 
 def test_encode_partition_roundtrip():
@@ -98,12 +71,12 @@ def test_encode_partition_roundtrip():
     seg = codec.encode_partition(terms, docs, tfs, dls)
     assert seg["term_id"].to_pylist() == sorted(set(terms.tolist()))
     for i, row in enumerate(seg.to_pylist()):
-        d, tf, dl = codec.decode_blocks(codec.Chunks(seg.slice(i, 1)))
+        d, tf, dl = codec.decode_postings(codec.Chunks(seg.slice(i, 1)))
         m = terms == np.uint64(row["term_id"])
         assert row["n"] == int(m.sum())
         assert (d == docs[m]).all() and (tf == tfs[m]).all()
         assert (dl == dls[m]).all()
-    whole = codec.decode_blocks(codec.Chunks(seg.slice(10, 20)))
+    whole = codec.decode_postings(codec.Chunks(seg.slice(10, 20)))
     m = np.isin(terms, seg["term_id"].to_numpy()[10:30])
     assert (whole[0] == docs[m]).all() and (whole[1] == tfs[m]).all()
 
@@ -114,8 +87,7 @@ def test_encode_partition_doc_encodings(enc):
     dense ids ("varint", the encoding they got before fixed-width
     streams) → a narrow width; hash-like ids ("fixed") → 8 bytes; a
     mostly-dense partition with one hash-id term ("auto") → 8 bytes for
-    every term, the dense ones included. Each decodes whole and per
-    block."""
+    every term, the dense ones included. Each decodes whole."""
     rng = np.random.default_rng(9)
     terms_l, docs_l = [], []
     for i, t in enumerate(sorted(
@@ -134,13 +106,9 @@ def test_encode_partition_doc_encodings(enc):
     assert (_width_of(docs) == 8) == (enc != "varint")
     for i, r in enumerate(rows):
         one = codec.Chunks(seg.slice(i, 1))
-        d, tf, dl = codec.decode_blocks(one)
+        d, tf, dl = codec.decode_postings(one)
         m = terms == np.uint64(r["term_id"])
         assert (d == docs[m]).all() and (tf == tfs[m]).all()
-        for bi in range(len(r["skip_doc_last"])):
-            bd, bt, _ = codec.decode_blocks(one, [bi])
-            s, e = bi * codec.BLOCK, min((bi + 1) * codec.BLOCK, int(m.sum()))
-            assert (bd == docs[m][s:e]).all()
 
 
 def test_dense_ids_get_narrow_doc_width():
@@ -153,7 +121,7 @@ def test_dense_ids_get_narrow_doc_width():
     row = seg.to_pylist()[0]
     assert (row["docs_w"], row["tfs_w"], row["dls_w"]) == (2, 1, 1)
     assert len(row["docs"]) == 2 * len(docs)
-    d, _, _ = codec.decode_blocks(codec.Chunks(seg))
+    d, _, _ = codec.decode_postings(codec.Chunks(seg))
     assert (d == docs).all()
 
 
@@ -163,7 +131,7 @@ def test_dense_ids_get_narrow_doc_width():
 @pytest.mark.parametrize("stream", ["docs", "tfs", "dls"])
 def test_stream_width_boundaries(stream, top, width):
     """A stream whose largest value is ``top`` is stored at ``width``
-    bytes per value and round-trips exactly, whole and by block."""
+    bytes per value and round-trips exactly, whole and by probe."""
     rng = np.random.default_rng(top % 1000)
     n = 300
     cols = {"docs": np.arange(n, dtype=np.uint64),
@@ -182,15 +150,15 @@ def test_stream_width_boundaries(stream, top, width):
     assert seg[stream + "_w"].to_pylist() == [width]
     assert len(seg[stream][0].as_py()) == n * width
     rows = codec.Chunks(seg)
-    full = codec.decode_blocks(rows)
+    full = codec.decode_postings(rows)
     for got, want in zip(full, (cols["docs"], cols["tfs"], cols["dls"])):
         assert got.dtype == np.uint64 and (got == want).all()
-    last = codec.decode_blocks(rows, [n // codec.BLOCK])
-    for got, want in zip(last, full):
-        assert (got == want[n // codec.BLOCK * codec.BLOCK:]).all()
+    tf, dl, hit = codec.probe(rows, cols["docs"])
+    assert hit.all() and (tf == cols["tfs"]).all()
+    assert (dl == cols["dls"]).all()
 
 
-# ------------------------------------------------------------ block kernel
+# ------------------------------------------------------------ probe kernel
 def _partition(rng, sizes, dense):
     """A partition of one term per entry of ``sizes``, its postings and
     its segment rows."""
@@ -206,69 +174,34 @@ def _partition(rng, sizes, dense):
     return (docs, tfs, dls), codec.encode_partition(terms, docs, tfs, dls)
 
 
-def _block_slices(n: int) -> list[slice]:
-    """Each skip block of a term of ``n`` postings as a slice of them."""
-    return [slice(s, min(s + codec.BLOCK, n))
-            for s in range(0, n, codec.BLOCK)]
-
-
-def _check_block_subsets(rng, seg, full) -> None:
-    """Every row of ``seg`` decodes any ascending block subset to the
-    matching slices of ``full``, the partition's postings: the first
-    block, middle ones, the last (partial) one, non-contiguous sets and
-    the empty set."""
-    start = 0
-    for i, n in enumerate(seg["n"].to_pylist()):
-        row = codec.Chunks(seg.slice(i, 1))
-        blocks = _block_slices(n)
-        nb = len(blocks)
-        assert nb == len(row.column("skip_doc_last"))
-        subsets = [[], [0], [nb - 1], list(range(nb)),
-                   list(range(1, nb, 2)), [0, nb - 1],
-                   sorted(rng.choice(nb, nb // 3, replace=False).tolist())]
-        for sub in subsets:
-            sub = sorted(set(b for b in sub if 0 <= b < nb))
-            got = codec.decode_blocks(row, np.array(sub, np.int64))
-            for g, f in zip(got, full):
-                f = f[start:start + n]
-                want = (np.concatenate([f[blocks[b]] for b in sub]) if sub
-                        else f[:0])
-                assert g.dtype == np.uint64 and (g == want).all(), (i, sub)
-        start += n
-
-
-@pytest.mark.parametrize("dense", [True, False])
-def test_decode_blocks_subset_is_slice_of_full_decode(dense):
-    """Any ascending block subset of a term decodes to the matching
-    slices of its full decode, for narrow and 8-byte doc streams; a
-    block subset of several rows is refused (block numbers address one
-    term)."""
-    rng = np.random.default_rng(5)
-    postings, seg = _partition(rng, [1000, 129, 300, 1], dense)
-    rows = codec.Chunks(seg)
-    assert seg.num_rows == 4
-    assert set(seg["docs_w"].to_pylist()) == {2 if dense else 8}
-    full = codec.decode_blocks(rows)
-    for got, want in zip(full, postings):
-        assert got.dtype == np.uint64 and (got == want).all()
-    _check_block_subsets(rng, seg, full)
-    with pytest.raises(ValueError, match="one term's row"):
-        codec.decode_blocks(rows, [0])
+def _lookup(full, targets):
+    """(tfs, dls, hit) of ``targets`` in one term's full decode
+    ``full``, by a uint64 binary search; 0 where a target misses."""
+    d, tf, dl = full
+    pos = np.minimum(np.searchsorted(d, targets), max(len(d) - 1, 0))
+    hit = (d[pos] == targets) if len(d) else np.zeros(len(targets), bool)
+    return (np.where(hit, tf[pos] if len(d) else 0, 0),
+            np.where(hit, dl[pos] if len(d) else 0, 0), hit)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
-def test_decode_blocks_subset_every_width(width):
-    """Block subsets decode to slices of the full decode when every
-    stream has ``width`` bytes: several terms, each of one to a few
-    blocks."""
+def test_probe_matches_full_decode(width):
+    """``probe`` of any targets in a term's row gives the (tf, dl, hit)
+    of a lookup in the row's full decode, when every stream has
+    ``width`` bytes: present and absent targets, ones below the first
+    doc and above the last, ones above the width's maximum (clipped to
+    it, where the first term holds a doc), and an empty term, each probe
+    made after a decode of the same ``Chunks`` (so it reads the streams
+    that decode checked and kept). A truncated stream raises as in
+    ``decode_postings``, on every call."""
     rng = np.random.default_rng(width)
     top = 2**(8 * width) - 1
     sizes = [250, 129, 1, 200]  # at most 256 distinct 1-byte doc ids
     n = sum(sizes)
     terms = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)
     docs = np.concatenate([np.sort(rng.choice(
-        min(top, 2**62), s, replace=False).astype(np.uint64))
-        for s in sizes])
+        min(top, 2**62) - 1, s, replace=False).astype(np.uint64) + 1)
+        for s in sizes])  # no doc 0: a target below every first doc
     docs[sizes[0] - 1] = top  # the first term's last doc
     tfs = rng.integers(1, 9, n, dtype=np.uint64)
     dls = rng.integers(0, top, n, dtype=np.uint64, endpoint=True)
@@ -276,11 +209,37 @@ def test_decode_blocks_subset_every_width(width):
     seg = codec.encode_partition(terms, docs, tfs, dls)
     for s in ("docs", "tfs", "dls"):
         assert set(seg[s + "_w"].to_pylist()) == {width}
-    assert seg.num_rows == len(sizes)
-    full = codec.decode_blocks(codec.Chunks(seg))
-    for got, want in zip(full, (docs, tfs, dls)):
-        assert (got == want).all()
-    _check_block_subsets(rng, seg, full)
+    over = [t for t in (top + 1, 2**40 + 3, 2**63 + 5) if top < t < 2**64]
+    for i in range(seg.num_rows):
+        row = codec.Chunks(seg.slice(i, 1))
+        full = codec.decode_postings(row)
+        d = full[0]
+        targets = np.concatenate([
+            d, rng.choice(d, min(len(d), 7)), d[d < top] + 1, d - 1,
+            np.array([0, 1, top] + over, np.uint64)]).astype(np.uint64)
+        rng.shuffle(targets)
+        got = codec.probe(row, targets)
+        for g, w in zip(got, _lookup(full, targets)):
+            assert g.dtype == w.dtype and (g == w).all(), (width, i)
+        assert got[2][np.isin(targets, d)].all() and got[2].sum() >= len(d)
+        assert not got[2][np.isin(targets, np.array(over, np.uint64))].any()
+    for empty in (codec.Chunks(), codec.Chunks(seg.slice(0, 0))):
+        tf, dl, hit = codec.probe(empty, np.array([0, 1, top], np.uint64))
+        assert not hit.any() and not tf.any() and not dl.any()
+    with pytest.raises(ValueError, match="one term's row"):
+        codec.probe(codec.Chunks(seg), docs[:1])
+    col = seg["docs"].combine_chunks()
+    offs = np.frombuffer(col.buffers()[1], np.int64).copy()
+    offs[1] += 1  # one byte moved from the second row to the first
+    cut = pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(col),
+        [None, pa.py_buffer(offs), col.buffers()[2]])
+    bad = seg.set_column(seg.schema.get_field_index("docs"), "docs", cut)
+    for i in (0, 1):
+        bad_row = codec.Chunks(bad.slice(i, 1))
+        for _ in range(2):  # a failed check is not kept: it fails again
+            with pytest.raises(ValueError, match="truncated or corrupt"):
+                codec.probe(bad_row, docs[:3])
 
 
 @pytest.mark.parametrize("stream", ["docs", "tfs", "dls"])
@@ -301,26 +260,25 @@ def test_stream_of_wrong_length_raises(stream):
         bad_seg = seg.set_column(seg.schema.get_field_index(stream),
                                  stream, cut)
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            codec.decode_blocks(codec.Chunks(bad_seg))
+            codec.decode_postings(codec.Chunks(bad_seg))
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            codec.decode_blocks(codec.Chunks(bad_seg.slice(1, 1)), [0])
+            codec.probe(codec.Chunks(bad_seg.slice(1, 1)),
+                        np.arange(3, dtype=np.uint64))
 
 
-def test_decode_blocks_rows_of_several_segments():
+def test_decode_postings_rows_of_several_segments():
     """A table gathered from two segments of one set of stream widths
-    decodes whole, and each of its rows by block subset; rows that mix
-    widths are refused."""
+    decodes whole; rows that mix widths are refused."""
     rng = np.random.default_rng(8)
     (d1, t1, l1), s1 = _partition(rng, [300, 140], True)
     (d2, t2, l2), s2 = _partition(rng, [260], True)
     seg = pa.concat_tables([s1, s2, s1])
-    full = codec.decode_blocks(codec.Chunks(seg))
+    full = codec.decode_postings(codec.Chunks(seg))
     for got, a, b in zip(full, (d1, t1, l1), (d2, t2, l2)):
         assert (got == np.concatenate([a, b, a])).all()
-    _check_block_subsets(rng, seg, full)
     _, wide = _partition(rng, [260], False)
     with pytest.raises(ValueError, match="mix docs widths"):
-        codec.decode_blocks(codec.Chunks(pa.concat_tables([s1, wide])))
+        codec.decode_postings(codec.Chunks(pa.concat_tables([s1, wide])))
 
 
 def test_chunks_rows_are_read_only_views():
@@ -333,7 +291,7 @@ def test_chunks_rows_are_read_only_views():
     with pytest.raises(TypeError):
         rows[0]["n"] = 1
     assert len(codec.Chunks()) == 0
-    assert all(len(a) == 0 for a in codec.decode_blocks(codec.Chunks()))
+    assert all(len(a) == 0 for a in codec.decode_postings(codec.Chunks()))
 
 
 def test_sorted_intersect_edges():
@@ -379,7 +337,7 @@ def test_impact_frontier_dominates_every_posting():
     for i, row in enumerate(rows):
         itf = np.asarray(row["imp_tf"], np.uint64)
         idl = np.asarray(row["imp_dl"], np.uint64)
-        d, tf, dl = codec.decode_blocks(codec.Chunks(seg.slice(i, 1)))
+        d, tf, dl = codec.decode_postings(codec.Chunks(seg.slice(i, 1)))
         if int(row["n"]) < codec.IMPACT_MIN_N:
             assert len(itf) == 0
             continue
@@ -420,7 +378,9 @@ def test_impact_frontier_ub_exact_below_cap():
 
 def test_frontier_absent_rows_still_score(tmp_path):
     """Terms below IMPACT_MIN_N postings carry no impact frontier (empty
-    imp_* lists) and take the block-metadata upper bound."""
+    imp_* lists) and take the (tf_max, dl_min) pairing of their decoded
+    postings as their upper bound: exactly that pairing's score, and at
+    least every posting's."""
     from vfs_index_ray.search import Postings, SearchEngine
     rng = np.random.default_rng(11)
     n = codec.IMPACT_MIN_N - 1
@@ -434,8 +394,10 @@ def test_frontier_absent_rows_still_score(tmp_path):
     p = Postings(0, n, rows)
     ub = eng._term_ub(p)
     p.decode()
-    true_max = eng._term_score(p.tfs, p.dls, p.df).max()
-    assert ub >= true_max - 1e-12
+    pair = eng._term_score(p.tfs.max(keepdims=True),
+                           p.dls.min(keepdims=True), p.df)[0]
+    assert ub == pair
+    assert ub >= eng._term_score(p.tfs, p.dls, p.df).max()
 
 
 def test_positions_roundtrip():

@@ -1,4 +1,4 @@
-"""Head terms of many skip blocks: one segment row per term, and the
+"""Head terms of many postings: one segment row per term, and the
 pruned MaxScore path and point scoring agree bit for bit with exact
 scoring, for a narrow and for an 8-byte doc stream.
 
@@ -54,7 +54,7 @@ def id_space(request, ray_session, tmp_path_factory):
 
 def test_one_row_per_term(id_space):
     """Every term is one segment row whose ``n`` is the term's df; the
-    head terms' rows hold many skip blocks."""
+    head terms' docs streams hold many postings."""
     from vfs_index_ray.segment import SegmentReader
 
     idx, engine, queries, width, pages = id_space
@@ -72,8 +72,8 @@ def test_one_row_per_term(id_space):
         assert int(rows.column("n")[0]) == loaded[t].df == \
             len(docs_of[w]), w
         assert int(rows.column("docs_w")[0]) == width
-    assert max(len(loaded[t].chunks.column("skip_doc_last"))
-               for t in tids) > 4
+    assert max(len(loaded[t].chunks.column("docs"))
+               for t in tids) > 4 * 128 * width
     reader = SegmentReader(idx, 4)
     for p in range(4):
         part = reader.read_range(p, columns=["term_id"])
@@ -106,18 +106,18 @@ def test_scores_for_matches_exact(id_space):
                    set(de.tolist()))
 
 
-def test_blocks_probed_counter(id_space):
-    """``n_blocks_probed`` is 0 on the exact path and the same positive
-    count on two fresh engines running one MaxScore query (a head and
-    a mid term: the candidates probe the head term's blocks)."""
+def test_probe_counter(id_space):
+    """``n_probes`` is 0 on the exact path and the same positive count
+    on two fresh engines running one MaxScore query (a head and a mid
+    term: the candidates are looked up in both terms' docs streams)."""
     _, engine, queries, _, _ = id_space
     q = queries[1]
     eng = engine()
     eng.bm25(q, 10, method="exact")
-    assert eng.last_query_stats["n_blocks_probed"] == 0
+    assert eng.last_query_stats["n_probes"] == 0
     counts = []
     for _ in range(2):
         out = engine().explain(q, 10, method="maxscore")
         assert out["method"] == "maxscore"
-        counts.append(out["n_blocks_probed"])
+        counts.append(out["n_probes"])
     assert counts[0] == counts[1] > 0

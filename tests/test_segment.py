@@ -11,7 +11,7 @@ import pyarrow as pa
 import pytest
 
 from vfs_index_ray import corpus
-from vfs_index_ray.codec import Chunks, decode_blocks
+from vfs_index_ray.codec import Chunks, decode_postings
 from vfs_index_ray.segment import SegmentReader, part_path
 
 PARTS = 4
@@ -66,7 +66,9 @@ def test_read_shapes_match_brute_force(url_index):
 
         got = reader.load_terms(p, keys)
         assert len(got[head]) == 1
-        assert len(got[head].column("skip_doc_last")) > 1
+        # the head term's docs stream holds more than 128 postings
+        assert len(got[head].column("docs")) > \
+            128 * int(got[head].column("docs_w")[0])
         for key in keys:
             assert _rows(got[key]) == _rows(Chunks(where(key, key))), \
                 (p, key)
@@ -83,7 +85,7 @@ def test_read_shapes_match_brute_force(url_index):
                 rows = Chunks(want)
                 expect = (np.repeat(rows.column("term_id"),
                                     rows.column("n").astype(np.int64)),
-                          *decode_blocks(rows))
+                          *decode_postings(rows))
                 for a, b in zip(reader.decode_part(p, lo, hi), expect):
                     assert np.array_equal(a, b), (p, lo, hi)
         for key in keys + [0, (1 << 64) - 1]:
@@ -116,7 +118,7 @@ def test_load_terms_is_zero_copy(url_index):
     term = _head_term(_full(reader, p))
     before = pa.total_allocated_bytes()
     rows = reader.load_terms(p, [term])[term]
-    views = [rows.column(c) for c in ("docs", "tfs", "skip_doc_last")]
+    views = [rows.column(c) for c in ("docs", "tfs", "dls", "imp_doc")]
     assert len(rows) == 1 and all(len(v) for v in views)
     assert pa.total_allocated_bytes() <= before
 
@@ -133,16 +135,39 @@ def test_one_term_read_ships_only_its_rows(url_index):
     tbl = reader.read_range(p, term, term)
     assert tbl.num_rows == 1
     ctx = ray._private.worker.global_worker.get_serialization_context()
-    assert ctx.serialize(tbl).total_bytes < 0.05 * full.nbytes
+    # 6%, not 5%: the part has no per-block lists since 0.9.0, but the
+    # read still carries about 2.4 KB of schema framing (8.3 KB in all
+    # for this head row), a whole-part read ships about 160 KB
+    assert ctx.serialize(tbl).total_bytes < 0.06 * full.nbytes
+
+
+def _per_block(tbl: pa.Table, typ) -> pa.ListArray:
+    """A list column of zeros with one entry per 128-posting block of
+    each row, as 0.8.0 and older wrote per-block metadata."""
+    n = tbl["n"].to_numpy().astype(np.int64)
+    offs = np.r_[0, np.cumsum(-(-n // 128))]
+    return pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
+                                    pa.array(np.zeros(offs[-1]), typ))
+
+
+def _v080_columns(tbl: pa.Table) -> pa.Table:
+    """``tbl`` with the columns 0.8.0 wrote: per-block ``skip_doc_last``,
+    ``block_tf_max`` and ``block_dl_min`` lists after the ``dls``
+    stream."""
+    at = tbl.schema.get_field_index("dls") + 1
+    for name, typ in (("block_dl_min", pa.uint32()),
+                      ("block_tf_max", pa.uint32()),
+                      ("skip_doc_last", pa.uint64())):
+        tbl = tbl.add_column(at, name, _per_block(tbl, typ))
+    return tbl
 
 
 def _v050_columns(tbl: pa.Table) -> pa.Table:
-    """``tbl`` with the columns 0.5.0 wrote: a ``denc`` doc-encoding
-    flag where the stream widths are now, and a ``skip_off_*`` byte
-    offset list per stream after ``skip_doc_last``."""
-    skips = tbl["skip_doc_last"].combine_chunks()
-    offsets = pa.ListArray.from_arrays(
-        skips.offsets, pa.array(np.zeros(len(skips.values), np.uint32)))
+    """``tbl`` with the columns 0.5.0 wrote: 0.8.0's block lists, a
+    ``denc`` doc-encoding flag where the stream widths are now, and a
+    ``skip_off_*`` byte offset list per stream after ``skip_doc_last``."""
+    offsets = _per_block(tbl, pa.uint32())
+    tbl = _v080_columns(tbl)
     cols = {"term_id": tbl["term_id"],
             "denc": pa.array(np.zeros(tbl.num_rows, np.uint8))}
     for name in tbl.schema.names[4:]:
@@ -162,20 +187,24 @@ def _v070_columns(tbl: pa.Table) -> pa.Table:
         np.zeros(tbl.num_rows, np.uint64)))
 
 
+_OLD_COLUMNS = {"v050": _v050_columns, "v070": _v070_columns,
+                "v080": _v080_columns}
+
+
 def _rewrite(path: str, layout: str) -> None:
     """Rewrite one segment file as two uncompressed record batches cut
     at a term boundary, as 0.4.0 wrote a small part (one lz4 batch with
     the first-term directory in the schema metadata), with 0.5.0's
-    delta-varint columns in one uncompressed batch, or with 0.7.0's
-    ``bucket`` and ``df`` columns."""
+    delta-varint columns in one uncompressed batch, with 0.7.0's
+    ``bucket`` and ``df`` columns, or with 0.8.0's per-block lists."""
     with open(path, "rb") as f:
         tbl = pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
     tids = tbl["term_id"].to_numpy()
     if layout == "two_batches":
         cut = int(np.searchsorted(tids, tids[len(tids) // 2]))
         batches, options = [tbl.slice(0, cut), tbl.slice(cut)], None
-    elif layout in ("v050", "v070"):
-        tbl = (_v050_columns if layout == "v050" else _v070_columns)(tbl)
+    elif layout in _OLD_COLUMNS:
+        tbl = _OLD_COLUMNS[layout](tbl)
         batches, options = [tbl], None
     else:
         tbl = tbl.replace_schema_metadata({
@@ -189,7 +218,7 @@ def _rewrite(path: str, layout: str) -> None:
 
 
 @pytest.mark.parametrize("layout", ["two_batches", "v040_directory",
-                                    "v050", "v070"])
+                                    "v050", "v070", "v080"])
 @pytest.mark.parametrize("shape", ["load_terms", "read_range", "nearest",
                                    "decode_part"])
 def test_other_layouts_raise_rebuild(url_index, tmp_path, layout, shape):
@@ -252,10 +281,10 @@ def test_verify_index_flags_old_format(url_index, tmp_path):
     assert rep["errors"][1].startswith(f"part={p + 1}: ")
 
 
-def test_verify_index_flags_v070_segment(url_index, tmp_path):
-    """A part left in 0.7.0's layout (``bucket`` and ``df`` columns) is
-    reported as "must be rebuilt" by ``verify_index``, and every query
-    that reads it raises the same."""
+def _flag_every_part(url_index, tmp_path, layout: str) -> None:
+    """Every part rewritten in ``layout`` is reported as "must be
+    rebuilt" by ``verify_index``, and a query that reads it raises the
+    same."""
     from vfs_index_ray.build import verify_index
     from vfs_index_ray.search import SearchEngine
 
@@ -263,9 +292,22 @@ def test_verify_index_flags_v070_segment(url_index, tmp_path):
     shutil.copytree(url_index, idx)
     reader = SegmentReader(idx, PARTS)
     for p in range(PARTS):
-        _rewrite_with_sidecar(reader, p, "v070")
+        _rewrite_with_sidecar(reader, p, layout)
     rep = verify_index(idx)
     assert len(rep["errors"]) == PARTS
     assert all("must be rebuilt" in e for e in rep["errors"])
     with pytest.raises(RuntimeError, match="must be rebuilt"):
         SearchEngine(idx).bm25("bababa babade", 10)
+
+
+def test_verify_index_flags_v070_segment(url_index, tmp_path):
+    """A part left in 0.7.0's layout (``bucket`` and ``df`` columns) is
+    flagged, and queries that read it raise."""
+    _flag_every_part(url_index, tmp_path, "v070")
+
+
+def test_verify_index_flags_v080_segment(url_index, tmp_path):
+    """A part left in 0.8.0's layout (the ``skip_doc_last``,
+    ``block_tf_max`` and ``block_dl_min`` lists) is flagged, and queries
+    that read it raise."""
+    _flag_every_part(url_index, tmp_path, "v080")

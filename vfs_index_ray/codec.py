@@ -1,24 +1,23 @@
-"""Posting-list codec: fixed-width postings streams, skip blocks, metadata.
+"""Posting-list codec: fixed-width postings streams, metadata.
 
 Replaces the reference's per-(key,record) FlatBuffers write-files and merged
 ``KeyRecordList`` (reference: spec/index.fbs:22-60, column.go:418-604) with a
 columnar encoding: one segment row per term in ``SEGMENT_SCHEMA`` (the
 reference's one ``KeyRecord`` per key), holding the term's doc ids, tfs
-and dls as three little-endian fixed-width streams, skip entries every
-``BLOCK`` postings, per-block (tf_max, dl_min) bounds from which a valid
-BM25 upper bound can be derived at query time without knowing avgdl/N
-at build time, and an impact frontier on terms of at least
-``IMPACT_MIN_N`` postings. A row's posting count ``n`` is the term's df.
+and dls as three little-endian fixed-width streams, and an impact
+frontier on terms of at least ``IMPACT_MIN_N`` postings, from which a
+valid BM25 upper bound can be derived at query time without knowing
+avgdl/N at build time. A row's posting count ``n`` is the term's df.
 
 Each stream of a segment uses the narrowest of 1, 2, 4 or 8 bytes that
 holds its largest value in that segment (the ``docs_w``, ``tfs_w`` and
 ``dls_w`` columns, equal on every row of a file). Doc ids are stored
-absolute, so block b of a term is postings [b·BLOCK, min((b+1)·BLOCK, n))
-of each stream and a set of blocks decodes with one ``frombuffer`` view
-per stream, never a pass over its predecessors: the analog of the
-reference's fixed 32-byte ``Record`` read in place (spec/index.fbs:54-60)
-and its 512B/4096B lazy FlatBuffers paging (index_file.go:664-749),
-whose page sizes are constants too.
+absolute and ascending, so the docs stream is its own skip list: a
+point lookup (``probe``) is one binary search of it at its width and
+one gather from each of the other two streams, and a whole decode
+(``decode_postings``) is one ``frombuffer`` view per stream. This is
+the reference's fixed 32-byte ``Record`` read in place and
+binary-searched (spec/index.fbs:54-60, index_file.go:1424-1459).
 
 A ``positions=True`` index keeps one more file per segment, in
 ``POSITIONS_SCHEMA``: one row per segment row, in the same order, holding
@@ -31,8 +30,7 @@ twice.
 
 All encode/decode paths are vectorized numpy — no per-posting Python loops.
 Reads see rows as ``Chunks``: numpy views into the Arrow columns of a
-run of rows, with no per-row objects. ``decode_blocks`` is the one
-postings decode.
+run of rows, with no per-row objects.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from types import MappingProxyType
 import numpy as np
 import pyarrow as pa
 
-BLOCK = 128  # postings per skip block
 IMPACT_CAP = 64    # frontier bins: exact per-tf below, one overflow above
 # terms with fewer postings carry no impact frontier (they decode in
 # microseconds; the dense scatter buffer would cost 65x their postings)
@@ -63,9 +60,6 @@ SEGMENT_SCHEMA = pa.schema([
     ("docs", pa.large_binary()),
     ("tfs", pa.large_binary()),
     ("dls", pa.large_binary()),
-    ("skip_doc_last", pa.list_(pa.uint64())),
-    ("block_tf_max", pa.list_(pa.uint32())),
-    ("block_dl_min", pa.list_(pa.uint32())),
     ("imp_tf", pa.list_(pa.uint32())),
     ("imp_dl", pa.list_(pa.uint32())),
     ("imp_doc", pa.list_(pa.uint64())),
@@ -129,16 +123,6 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     nterms = len(term_starts)
     term_counts = np.diff(np.append(term_starts, n))
 
-    # block starts: every B-th posting within a term
-    local = np.arange(n, dtype=np.int64) - np.repeat(term_starts, term_counts)
-    block_starts = np.flatnonzero((local % BLOCK) == 0)
-
-    # per-block metadata
-    block_ends = np.append(block_starts[1:], n) - 1  # last posting idx of block
-    blk_doc_last = docs[block_ends]
-    blk_tf_max = np.maximum.reduceat(tfs, block_starts)
-    blk_dl_min = np.minimum.reduceat(dls, block_starts)
-
     # ---- impact frontier (disk-resident impact ordering) ---------------
     # Per term, one entry per distinct capped tf: the min-dl posting for
     # that tf (plus one overflow bin for tf >= IMPACT_CAP holding the
@@ -149,8 +133,8 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     # is a VALID per-term upper bound — and for bins below the cap it is
     # EXACT (the bin pair is a real posting).  The stored doc achieving
     # each bin's min dl is a real high-impact posting, which gives the
-    # MaxScore θ bootstrap its champion candidates without decoding any
-    # block.  Computed only for terms with >= IMPACT_MIN_N postings
+    # MaxScore θ bootstrap its champion candidates without decoding the
+    # term.  Computed only for terms with >= IMPACT_MIN_N postings
     # (small terms decode in microseconds and would blow the dense
     # scatter buffer up to 65x the posting count); two O(n) scatter-min
     # passes, no sort.  Replaces the reference's intended
@@ -195,22 +179,12 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     for name, v in zip(_STREAMS, (docs, tfs, dls)):
         streams[name], widths[name] = _fixed_width(v, post_offs)
 
-    list_offs = np.zeros(nterms + 1, dtype=np.int32)
-    np.cumsum(-(-term_counts // BLOCK), out=list_offs[1:])
-    loffs = pa.array(list_offs, pa.int32())
-
-    def _list_col(values: np.ndarray, typ) -> pa.Array:
-        return pa.ListArray.from_arrays(loffs, pa.array(values, typ))
-
     return pa.table({
         "term_id": pa.array(terms[term_starts], pa.uint64()),
         **{s + "_w": pa.array(np.full(nterms, w, np.uint8), pa.uint8())
            for s, w in widths.items()},
         "n": pa.array(term_counts.astype(np.uint64), pa.uint64()),
         **streams,
-        "skip_doc_last": _list_col(blk_doc_last, pa.uint64()),
-        "block_tf_max": _list_col(blk_tf_max.astype(np.uint32), pa.uint32()),
-        "block_dl_min": _list_col(blk_dl_min.astype(np.uint32), pa.uint32()),
         "imp_tf": _imp_col(imp_counts, imp_tf_v.astype(np.uint32),
                            pa.uint32()),
         "imp_dl": _imp_col(imp_counts, imp_dl_v.astype(np.uint32),
@@ -240,7 +214,7 @@ def _imp_col(counts: np.ndarray, values: np.ndarray, typ):
 
 
 # ---------------------------------------------------------------------------
-# segment rows as columns, and the one block-decode kernel
+# segment rows as columns, and the postings decode and probe kernels
 # ---------------------------------------------------------------------------
 
 _NO_ROWS = SEGMENT_SCHEMA.empty_table()
@@ -254,9 +228,10 @@ class Chunks:
     (``column``). A binary or list column is one flat array spanning the
     rows (``column``) plus row offsets into it (``offsets``): row i's
     docs bytes are ``column("docs")[offsets("docs")[i]:
-    offsets("docs")[i + 1]]``. Iterating yields one read-only mapping
-    per row (column name → value or view); the query path never builds
-    them.
+    offsets("docs")[i + 1]]``. ``streams`` gives the three postings
+    streams at their widths, checked once. Iterating yields one
+    read-only mapping per row (column name → value or view); the query
+    path never builds them.
     """
 
     def __init__(self, rows: pa.RecordBatch | pa.Table = _NO_ROWS):
@@ -295,6 +270,17 @@ class Chunks:
     def offsets(self, name: str) -> np.ndarray:
         return self._view(name)[1]
 
+    def streams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The docs, tfs and dls streams, each one little-endian view at
+        its width, checked (``_stream``) on first use and kept, so a
+        probe or decode of rows already read checks nothing again."""
+        got = self._views.get(_STREAMS)
+        if got is None:
+            offs = _offsets(self.column("n"))
+            got = tuple(_stream(self, s, offs) for s in _STREAMS)
+            self._views[_STREAMS] = got
+        return got
+
     def __iter__(self):
         for i in range(len(self)):
             row = {}
@@ -324,31 +310,43 @@ def _gather(vals: np.ndarray, starts: np.ndarray, ends: np.ndarray
     return vals[np.repeat(s - firsts, lens) + np.arange(int(lens.sum()))]
 
 
-def decode_blocks(rows: Chunks, blocks: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(docs, tfs, dls) uint64 arrays of ``rows``' postings; with
-    ``blocks`` (ascending block numbers of one term's row: block b is
-    postings [b·BLOCK, min((b+1)·BLOCK, n))) only those blocks', in
-    block order. Each stream is one little-endian view of its bytes at
-    the rows' width, gathered to the blocks' posting ranges and widened
-    to uint64: no per-block Python and no pass over postings outside the
-    blocks. The rows must share their widths, as the rows of one segment
-    file do. A stream whose rows do not hold exactly n × width bytes
-    each raises ``ValueError``: a truncated segment never decodes to
-    shifted postings."""
-    post_offs = _offsets(rows.column("n"))
-    if blocks is not None:
-        if len(rows) != 1:
-            raise ValueError("block numbers address one term's row")
-        starts = np.asarray(blocks, np.int64) * BLOCK
-        ends = np.minimum(starts + BLOCK, post_offs[1])
-    out = []
-    for s in _STREAMS:
-        vals = _stream(rows, s, post_offs)
-        if blocks is not None:
-            vals = _gather(vals, starts, ends)
-        out.append(vals.astype(np.uint64))
-    return tuple(out)
+def decode_postings(rows: Chunks
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(docs, tfs, dls) uint64 arrays of ``rows``' postings. Each stream
+    is one little-endian view of its bytes at the rows' width, widened
+    to uint64. The rows must share their widths, as the rows of one
+    segment file do. A stream whose rows do not hold exactly n × width
+    bytes each raises ``ValueError``: a truncated segment never decodes
+    to shifted postings."""
+    return tuple(v.astype(np.uint64) for v in rows.streams())
+
+
+def probe(rows: Chunks, targets: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tfs, dls, hit) of the doc ids ``targets`` (any order) in one
+    term's row (``rows``; no rows for an absent term): ``hit`` marks
+    the targets among the term's docs, and ``tfs``/``dls`` (uint64,
+    0 where a target misses) are their postings' values. One binary
+    search of the docs stream at its width, then one gather from each
+    of ``tfs`` and ``dls``: nothing is widened but the hits. Targets
+    above the width's maximum are misses (they are clipped before the
+    search, so the stream is never widened to uint64). A truncated
+    stream raises as in ``decode_postings``."""
+    if len(rows) > 1:
+        raise ValueError("probe reads one term's row")
+    docs, tfs, dls = rows.streams()
+    targets = np.asarray(targets, np.uint64)
+    tf = np.zeros(len(targets), np.uint64)
+    dl = np.zeros(len(targets), np.uint64)
+    if not len(docs):
+        return tf, dl, np.zeros(len(targets), bool)
+    top = np.iinfo(docs.dtype).max
+    want = np.minimum(targets, top).astype(docs.dtype)
+    pos = np.minimum(np.searchsorted(docs, want), len(docs) - 1)
+    hit = (docs[pos] == want) & (targets <= top)
+    tf[hit] = tfs[pos[hit]]
+    dl[hit] = dls[pos[hit]]
+    return tf, dl, hit
 
 
 def decode_positions(rows: Chunks, n: np.ndarray, tfs: np.ndarray
@@ -360,7 +358,7 @@ def decode_positions(rows: Chunks, n: np.ndarray, tfs: np.ndarray
     postings numbered across the rows. Posting k's ordinals are
     ``ords[ends[k - 1]:ends[k]]`` (from 0 for k = 0). A row that does
     not hold exactly its postings' Σ tf ordinals raises ``ValueError``,
-    as in ``decode_blocks``."""
+    as in ``decode_postings``."""
     ends = np.cumsum(tfs, dtype=np.int64)
     return ends, _stream(rows, "pos", np.append(0, ends)[_offsets(n)])
 

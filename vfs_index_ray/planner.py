@@ -370,7 +370,8 @@ class QueryExecutor:
         reference's Select + Nears composition, with BM25 per
         north_rule). Global corpus statistics (N, avgdl, df) — the
         filter narrows candidates, not the model. Exact scores via the
-        engine's block-probe path; ties (score desc, doc_id asc).
+        engine's point probes (``codec.probe``, a binary search of each
+        term's docs stream); ties (score desc, doc_id asc).
         Returns (doc_ids, scores)."""
         import numpy as np
 

@@ -6,7 +6,8 @@ Maps the reference's query machinery onto the segment layout:
   ``part = term_id % P`` pruning + a binary search of the segment's
   memory-mapped, sorted ``term_id`` column (segment.py);
 - posting-list AND intersection on record identity
-  (search_finder.go:108-193) → sorted-uint64 ``np.intersect1d`` in
+  (search_finder.go:108-193) → the rarest term's doc ids, filtered by
+  a point probe (``codec.probe``) of each larger term's docs stream in
   df-ascending order (the reference's intended selectivity ordering,
   search_cond.go:688-698);
 - ``Nears`` tf-share ranking (search_cond.go:297-381) → BM25 top-k, exact
@@ -23,11 +24,11 @@ doc set:
 - ``exact``: decode every query term's postings, one vectorized pass;
   per-term contribution arrays are cached (query-independent), so warm
   queries only pay the accumulate + top-k.
-- ``maxscore``: candidate generation via term-level upper bounds derived
-  from the per-block (tf_max, dl_min) metadata, then exact rescore of
-  candidates probing only the skip blocks that contain them (one
-  ``codec.decode_blocks`` call per term) — frequent terms' posting lists
-  are mostly never decoded. Best p99.
+- ``maxscore``: candidate generation via term-level upper bounds from
+  each term's impact frontier (or, for a small frontier-less term, its
+  decoded postings), then exact rescore of the candidates with one
+  ``codec.probe`` per term: a binary search of the term's docs stream
+  — frequent terms' posting lists are mostly never decoded. Best p99.
 - ``auto`` (default for the actor/service paths): ``maxscore`` for
   multi-term queries over big lists, ``exact`` otherwise — informed by
   the BASELINE.md measurements; results are bit-identical either way.
@@ -49,7 +50,7 @@ import pyarrow.parquet as pq
 
 from . import BM25_B, BM25_K1
 from .build import read_stats
-from .codec import Chunks, _gather, decode_blocks, decode_positions
+from .codec import Chunks, _gather, decode_positions, decode_postings, probe
 from .segment import SegmentReader
 from .tokenizer import tokenize_query
 
@@ -214,7 +215,7 @@ class Postings:
 
     def decode(self) -> "Postings":
         if self.docs is None:
-            self.docs, self.tfs, self.dls = decode_blocks(self.chunks)
+            self.docs, self.tfs, self.dls = decode_postings(self.chunks)
         return self
 
 
@@ -235,7 +236,7 @@ class SearchEngine:
         # search_cond.go:57-80): last_query_stats after each bm25/match
         self.last_query_stats: dict = {}
         self.last_fetch_stats: dict = {}
-        self._blocks_probed = 0  # skip blocks decoded by point probes
+        self._probes = 0  # point lookups made by codec.probe
         self.segments = SegmentReader(index_dir, self.num_parts)
         self.last_load_stats: dict = {}
         # doc-level tombstones (delete_docs): result-set APIs filter
@@ -349,8 +350,8 @@ class SearchEngine:
             if len(out) == 0:
                 break
             # with df-ascending order |out| only shrinks, so a rare∧head
-            # AND never sorts or scans the head list
-            out = sorted_intersect(out, loaded[tid].decode().docs)
+            # AND probes the head list's docs stream and never decodes it
+            out = out[probe(loaded[tid].chunks, out)[2]]
         return self._live(out)
 
     def count(self, q: str) -> int:
@@ -419,7 +420,7 @@ class SearchEngine:
         single deep top-k). ``method`` must be one of ``BM25_METHODS``."""
         import time
         t0 = time.perf_counter()
-        self._blocks_probed = 0
+        self._probes = 0
         if method not in BM25_METHODS:
             raise ValueError(f"unknown BM25 method {method!r}; expected "
                              f"one of {', '.join(BM25_METHODS)}")
@@ -456,7 +457,7 @@ class SearchEngine:
             "n_decoded": int(sum(len(loaded[t].docs)
                                  for t in tids
                                  if loaded[t].docs is not None)),
-            "n_blocks_probed": self._blocks_probed,
+            "n_probes": self._probes,
             "ms": round((time.perf_counter() - t0) * 1e3, 3),
         }
         return out
@@ -464,8 +465,8 @@ class SearchEngine:
     def explain(self, q: str, k: int = 10, method: str = "auto") -> dict:
         """Run the query and return its execution profile (reference
         EnableStats/OptQueryStat parity, search_cond.go:57-80): resolved
-        method, per-term dfs, postings decoded, skip blocks probed
-        (``n_blocks_probed``), parts read, wall time."""
+        method, per-term dfs, postings decoded, point lookups made
+        (``n_probes``), parts read, wall time."""
         self.bm25(q, k, method)
         out = dict(self.last_query_stats)
         out.update({f"load_{k_}": v
@@ -479,11 +480,11 @@ class SearchEngine:
                                                         np.ndarray]:
         """Exact BM25 scores of SPECIFIC documents — the random-access
         scoring primitive rank fusion needs (fielded_bm25's threshold
-        algorithm).  Reads targets from already-decoded lists and
-        otherwise decodes only the skip blocks that can contain them
-        (the J2/J4 point-probe path, never the full lists), and
-        accumulates per term in ascending term_id order with the same
-        sequential fp64 additions as the full scorer, so a doc's score
+        algorithm).  Looks each target up with one binary search of
+        each term's docs stream (``codec.probe``, the J2/J4 point-probe
+        path, never a full decode), and accumulates per term in
+        ascending term_id order with the same sequential fp64
+        additions as the full scorer, so a doc's score
         here is bit-identical to its score in ``bm25``.  Tombstoned
         docs score 0.  Returns (sorted-unique doc_ids, scores)."""
         targets = np.unique(np.asarray(doc_ids, np.uint64))
@@ -574,94 +575,57 @@ class SearchEngine:
         gets the EXACT max single-posting contribution below the tf cap —
         strictly tighter than the global (tf_max, dl_min) pairing, which
         combines a max tf and a min dl that usually belong to different
-        docs. A frontier-less (small) term falls back to that pairing
-        from its block metadata. Memoized on the Postings object
-        (avgdl/df are fixed per engine, and the cache is per engine)."""
+        docs. A frontier-less term (under ``IMPACT_MIN_N`` postings) takes
+        that pairing from its decoded postings. Memoized on the Postings
+        object (avgdl/df are fixed per engine, and the cache is per
+        engine)."""
         if p.ub is None:
             c = p.chunks
             tf, dl = c.column("imp_tf"), c.column("imp_dl")
             if not len(tf):
-                tf = c.column("block_tf_max").max(keepdims=True)
-                dl = c.column("block_dl_min").min(keepdims=True)
+                p.decode()
+                tf, dl = p.tfs.max(keepdims=True), p.dls.min(keepdims=True)
             p.ub = float(self._term_score(
                 tf.astype(np.uint64),
                 np.maximum(dl.astype(np.uint64), 1), p.df).max())
         return p.ub
 
-    def _probe_blocks(self, p: Postings, targets: np.ndarray):
-        """tf/dl for ``targets`` (sorted doc ids) in term ``p``, decoding
-        only the skip blocks that can contain them (the first whose last
-        doc is >= the target), all in one kernel call (J2/J4
-        point-probe)."""
-        tf_out = np.zeros(len(targets), np.uint64)
-        dl_out = np.ones(len(targets), np.uint64)
-        lasts = p.chunks.column("skip_doc_last")
-        blk = np.searchsorted(lasts, targets)  # candidate block per target
-        blocks = np.unique(blk[blk < len(lasts)])
-        if len(blocks) == 0:
-            return tf_out, dl_out, np.zeros(len(targets), bool)
-        self._blocks_probed += len(blocks)
-        bd, bt, bl = decode_blocks(p.chunks, blocks)
-        pos = np.minimum(np.searchsorted(bd, targets), len(bd) - 1)
-        hit = bd[pos] == targets
-        tf_out[hit] = bt[pos[hit]]
-        dl_out[hit] = bl[pos[hit]]
-        return tf_out, dl_out, hit
-
-    def _bootstrap_theta(self, tids, loaded, k, max_blocks: int = 4):
-        """Champion-block θ bootstrap (the impact-ordering payoff without
-        an index-format change): exact-score a tiny set of docs drawn
-        from each term's highest-upper-bound skip blocks (and the top
-        cached contributions of already-decoded terms). The kth best of
-        these EXACT scores is a valid lower bound on the final kth-best
-        score, so MaxScore phase 1 starts with a tight θ and can stop
-        decoding head terms early. Returns (boot_docs, theta) or
-        (None, -inf) when there aren't k docs to bound with — any real
-        docs give a valid bound, so correctness never depends on which
-        blocks are picked."""
+    def _bootstrap_theta(self, tids, loaded, k):
+        """Champion θ bootstrap (the impact-ordering payoff): exact-score
+        a tiny set of docs, each term's stored frontier champions (the
+        docs of its highest impact bins) or, for a decoded or
+        frontier-less term, its top cached contributions. The kth best
+        of these EXACT scores is a valid lower bound on the final
+        kth-best score, so MaxScore phase 1 starts with a tight θ and
+        can stop decoding head terms early. Returns (boot_docs, theta)
+        or (None, -inf) when there aren't k docs to bound with — any
+        real docs give a valid bound, so correctness never depends on
+        which docs are picked."""
         cands = []
-        blocks: list[tuple[float, Postings, int]] = []
         for t in tids:
             p = loaded[t]
-            if p.docs is not None:
-                if len(p.docs) == 0:
-                    continue
-                if p.scores is None:
-                    p.scores = self._term_score(p.tfs, p.dls, p.df)
-                m = min(32, len(p.scores))
-                idx = np.argpartition(-p.scores, m - 1)[:m]
-                cands.append(p.docs[idx])
-                continue
-            if p.champions is not None:
-                cands.append(p.champions)
-                continue
             c = p.chunks
-            if len(c.column("imp_doc")):
-                # impact frontier: the term's top-contribution docs are
-                # stored — no block decode at all (frontier bins below
-                # the cap ARE real postings, so these are the term's
-                # true champions for the query-time avgdl)
-                itf = c.column("imp_tf").astype(np.uint64)
-                idl = np.maximum(c.column("imp_dl").astype(np.uint64), 1)
-                contrib = self._term_score(itf, idl, p.df)
-                top = (np.argsort(-contrib)[:4] if len(contrib) > 4
-                       else slice(None))
-                p.champions = c.column("imp_doc")[top]
+            if p.docs is None and len(c.column("imp_doc")):
+                if p.champions is None:
+                    # frontier bins below the cap ARE real postings, so
+                    # these are the term's true champions for the
+                    # query-time avgdl — no decode at all
+                    itf = c.column("imp_tf").astype(np.uint64)
+                    idl = np.maximum(c.column("imp_dl").astype(np.uint64),
+                                     1)
+                    contrib = self._term_score(itf, idl, p.df)
+                    top = (np.argsort(-contrib)[:4] if len(contrib) > 4
+                           else slice(None))
+                    p.champions = c.column("imp_doc")[top]
                 cands.append(p.champions)
                 continue
-            tf_max = c.column("block_tf_max").astype(np.uint64)
-            dl_min = np.maximum(c.column("block_dl_min").astype(np.uint64),
-                                1)
-            ub = self._term_score(tf_max, dl_min, p.df)
-            for bi in np.argsort(-ub)[:2]:
-                blocks.append((float(ub[bi]), p, int(bi)))
-        blocks.sort(key=lambda x: -x[0])
-        picked: dict[int, list[int]] = {}
-        for _, p, bi in blocks[:max_blocks]:
-            picked.setdefault(p.term_id, []).append(bi)
-        for t, bis in picked.items():  # one kernel call per term
-            self._blocks_probed += len(bis)
-            cands.append(decode_blocks(loaded[t].chunks, np.sort(bis))[0])
+            p.decode()
+            if len(p.docs) == 0:
+                continue
+            if p.scores is None:
+                p.scores = self._term_score(p.tfs, p.dls, p.df)
+            m = min(32, len(p.scores))
+            cands.append(p.docs[np.argpartition(-p.scores, m - 1)[:m]])
         if not cands:
             return None, -np.inf
         boot = sorted_union(cands)
@@ -678,34 +642,26 @@ class SearchEngine:
         boot_docs, theta = self._bootstrap_theta(tids, loaded, k)
         # phase 1: accumulate partial scores term-by-term (ub desc) until
         # the remaining suffix bound can't reach the current kth best
-        # (θ starts at the champion-block bootstrap, so head terms after
-        # the first are often never decoded at all)
+        # (θ starts at the champion bootstrap, so head terms after the
+        # first are often never decoded at all)
         cand_docs = np.empty(0, np.uint64)
         cand_part = np.empty(0, np.float64)
         decoded: set[int] = set()
-        eps = 1e-9  # partial sums are pairwise-accumulated; guard ulp noise
+        eps = 1e-9  # partial sums add in ub order, not term order: ulp noise
         for i, tid in enumerate(by_ub):
             if i > 0 and suffix[i] < theta - eps and \
                     (len(cand_docs) >= k or boot_docs is not None):
                 break
             p = loaded[tid].decode()
             decoded.add(tid)
-            s = self._term_score(p.tfs, p.dls, p.df)
-            docs = np.concatenate([cand_docs, p.docs])
-            part = np.concatenate([cand_part, s])
-            order = np.argsort(docs, kind="stable")
-            d, v = docs[order], part[order]
-            new = np.empty(len(d), bool)
-            new[0] = True
-            new[1:] = d[1:] != d[:-1]
-            st = np.flatnonzero(new)
-            cand_docs = d[st]
-            cand_part = np.add.reduceat(v, st)
+            cand_docs, cand_part = accumulate_scores(
+                [(cand_docs, cand_part),
+                 (p.docs, self._term_score(p.tfs, p.dls, p.df))])
             if len(cand_docs) >= k:
                 theta = max(theta, float(np.partition(
                     cand_part, len(cand_part) - k)[-k]))
-        # phase 2: exact rescore of candidates — probe undecoded terms'
-        # blocks; then recompute every candidate's score from scratch in
+        # phase 2: exact rescore of candidates — probe every term's docs
+        # stream and recompute each candidate's score from scratch in
         # ascending-term order (bit-identical to the exact path)
         # prune candidates that cannot reach theta even with all skipped ubs
         skipped = [t for t in tids if t not in decoded]
@@ -717,14 +673,6 @@ class SearchEngine:
             # the θ witnesses must stay candidates (they may BE the top-k)
             cand_docs = np.union1d(cand_docs, boot_docs)
         targets = np.sort(cand_docs)
-        for tid in tids:
-            p = loaded[tid]
-            # probe-vs-decode cost rule: block probes pay off only when
-            # the candidate set is much smaller than the posting list
-            # (flat score distributions leave pruning ineffective — then
-            # a full vectorized decode beats per-block probing)
-            if p.docs is None and len(targets) * 4 >= p.df:
-                p.decode()
         scores = self._score_targets(tids, loaded, targets)
         return self._topk(targets, scores, k)
 
@@ -955,24 +903,16 @@ class SearchEngine:
     def _score_targets(self, tids, loaded, targets: np.ndarray) -> np.ndarray:
         """Exact scores for sorted target docs — ascending-term sequential
         accumulation (the same fp64 additions as ``accumulate_scores``),
-        looking targets up in decoded lists and probing only the skip
-        blocks of undecoded ones."""
+        each term's targets looked up by one ``codec.probe``."""
         scores = np.zeros(len(targets), np.float64)
         for t in tids:  # ascending term_id
             p = loaded[t]
-            if p.docs is not None:
-                pos = np.searchsorted(p.docs, targets)
-                ok = pos < len(p.docs)
-                pos2 = np.minimum(pos, max(len(p.docs) - 1, 0))
-                if len(p.docs):
-                    ok &= p.docs[pos2] == targets
-                tf = np.where(ok, p.tfs[pos2] if len(p.docs) else 0, 0)
-                dl = np.where(ok, p.dls[pos2] if len(p.docs) else 1, 1)
-            else:
-                tf, dl, ok = self._probe_blocks(p, targets)
-            nz = ok & (tf > 0)
-            if nz.any():
-                scores[nz] += self._term_score(tf[nz], dl[nz], p.df)
+            if not p.df:
+                continue
+            self._probes += len(targets)
+            tf, dl, hit = probe(p.chunks, targets)
+            if hit.any():
+                scores[hit] += self._term_score(tf[hit], dl[hit], p.df)
         return scores
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 
 from .codec import (POSITIONS_SCHEMA, SEGMENT_SCHEMA, Chunks, _gather,
-                    decode_blocks, decode_positions, encode_partition,
+                    decode_positions, decode_postings, encode_partition,
                     encode_positions)
 from .tokenizer import POS_TYPE
 
@@ -294,13 +294,13 @@ class SegmentReader:
 
     # ----- the one read path ----------------------------------------------
     @staticmethod
-    def _open(path: str, want: pa.Schema, options=None) -> pa.RecordBatch:
+    def _open(path: str, want: pa.Schema) -> pa.RecordBatch:
         """The one record batch of the IPC file at ``path``, its columns
         zero-copy views of the memory-mapped file. A file of another
         schema, of several batches or with schema metadata (one an older
         version wrote) raises the "must be rebuilt" error."""
         with pa.memory_map(path) as source:
-            reader = pa.ipc.open_file(source, options=options)
+            reader = pa.ipc.open_file(source)
             if (not reader.schema.equals(want) or reader.schema.metadata
                     or reader.num_record_batches != 1):
                 raise RuntimeError(
@@ -310,20 +310,18 @@ class SegmentReader:
 
     def _batch(self, part: int, columns: list[str] | None
                ) -> pa.RecordBatch:
-        """The part's segment batch; only ``columns`` (plus term_id) are
-        read. The columns are projected by their index in
-        ``SEGMENT_SCHEMA``, so a file of another schema (0.5.0's
-        delta-varint ``denc`` and ``skip_off_*`` columns) is refused, not
-        read shifted; so is a file of several batches or with schema
-        metadata (0.4.0 wrote lz4 batches cut every ~1 MB and a
-        first-term directory)."""
-        fields = None if columns is None else [
-            i for i, name in enumerate(_FIELDS)
-            if name == "term_id" or name in columns]
-        want = SEGMENT_SCHEMA if fields is None else pa.schema(
-            [SEGMENT_SCHEMA.field(i) for i in fields])
-        return self._open(self.path(part), want,
-                          pa.ipc.IpcReadOptions(included_fields=fields))
+        """The part's segment batch, with only ``columns`` (plus
+        term_id) kept. The whole file's schema is checked first, so a
+        file of another schema (0.8.0's per-block lists, 0.5.0's
+        delta-varint ``denc`` and ``skip_off_*`` columns) is refused
+        whichever columns are asked for; so is a file of several
+        batches or with schema metadata (0.4.0 wrote lz4 batches cut
+        every ~1 MB and a first-term directory)."""
+        batch = self._open(self.path(part), SEGMENT_SCHEMA)
+        if columns is None:
+            return batch
+        return batch.select([name for name in _FIELDS
+                             if name == "term_id" or name in columns])
 
     def _positions_batch(self, part: int, seg: pa.RecordBatch
                          ) -> pa.RecordBatch:
@@ -409,7 +407,7 @@ class SegmentReader:
         rows = Chunks(self.read_range(part, lo, hi))
         terms = np.repeat(rows.column("term_id"),
                           rows.column("n").astype(np.int64))
-        return (terms.astype(np.uint64), *decode_blocks(rows))
+        return (terms.astype(np.uint64), *decode_postings(rows))
 
     def load_positions(self, part: int, tids: list[int]
                        ) -> dict[int, Chunks]:

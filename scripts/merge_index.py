@@ -51,7 +51,6 @@ def main(argv=None) -> int:
     else:
         stats = merge_indexes(
             args.src, args.out,
-            assume_doc_disjoint=args.n_docs is None,
             n_docs_override=args.n_docs, max_parts=args.max_parts,
             clean_after_merge=args.clean_after_merge)
     stats.pop("merge_report", None)

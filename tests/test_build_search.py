@@ -104,7 +104,7 @@ def test_build_deterministic_across_parallelism(ray_session, pages_file,
         assert s1.tolist() == s2.tolist()
     # segment files logically identical
     from vfs_index_ray.segment import SegmentReader
-    r1, r2 = SegmentReader(idx1, 8), SegmentReader(idx2, 8)
+    r1, r2 = SegmentReader(idx1), SegmentReader(idx2)
     for p in range(8):
         assert r1.read_range(p).equals(r2.read_range(p)), p
 

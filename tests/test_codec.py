@@ -403,33 +403,38 @@ def test_frontier_absent_rows_still_score(tmp_path):
 def test_positions_roundtrip():
     """``encode_positions`` then ``decode_positions`` gives back each
     posting's ordinals, for the whole part and for any run of rows, with
-    each posting's end at ``cumsum(tfs)``; tfs that do not add up to a
-    row's ordinal count raise."""
+    each posting's end at ``cumsum`` of the rows' tfs; tfs that do not
+    add up to a row's ordinal count raise."""
     rng = np.random.Generator(np.random.Philox(key=[53, 0]))
     n = np.array([3, 1, 5, 2], np.int64)          # postings per row
     lens = rng.integers(1, 6, int(n.sum()))       # ordinals per posting
     ords = np.concatenate([np.sort(rng.choice(70000, k, replace=False))
                            for k in lens]).astype(np.uint32)
-    tbl = codec.encode_positions(n, lens, ords)
-    assert tbl.schema.equals(codec.POSITIONS_SCHEMA)
-    assert tbl["pos_w"][0].as_py() == 4 if ords.max() > 65535 else 2
+    terms = np.repeat(np.arange(len(n)), n).astype(np.uint64)
+    docs = np.concatenate([np.arange(k) for k in n]).astype(np.uint64)
+    dls = np.full(len(terms), 9, np.uint64)
+
+    def encode(tfs):
+        return codec.encode_positions(
+            codec.encode_partition(terms, docs, tfs, dls), lens, ords)
+
+    tbl = encode(lens)
+    assert tbl.schema.equals(codec.POSITIONAL_SCHEMA)
+    assert tbl["pos_w"][0].as_py() == (4 if ords.max() > 65535 else 2)
     starts = np.cumsum(lens) - lens
     post0 = np.cumsum(n) - n
     for i, j in [(0, 4), (1, 3), (2, 3), (3, 4), (2, 2)]:
         ks = range(post0[i], post0[i] + int(n[i:j].sum()))
-        ends, got = codec.decode_positions(
-            codec.Chunks(tbl.slice(i, j - i)), n[i:j], lens[list(ks)])
+        ends, got = codec.decode_positions(codec.Chunks(tbl.slice(i, j - i)))
         assert len(ends) == len(ks)
         for local, k in enumerate(ks):
             lo = ends[local - 1] if local else 0
             assert got[lo:ends[local]].tolist() == \
                 ords[starts[k]:starts[k] + lens[k]].tolist()
-    for bad in (lens + 1, np.r_[lens[:-1], lens[-1] - 1]):
-        with pytest.raises(ValueError, match="truncated or corrupt"):
-            codec.decode_positions(codec.Chunks(tbl), n, bad)
     # one ordinal moved from the last posting of row 0 to row 1
     moved = lens.copy()
     moved[n[0] - 1] -= 1
     moved[n[0]] += 1
-    with pytest.raises(ValueError, match="truncated or corrupt"):
-        codec.decode_positions(codec.Chunks(tbl), n, moved)
+    for bad in (lens + 1, np.r_[lens[:-1], lens[-1] - 1], moved):
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            codec.decode_positions(codec.Chunks(encode(bad)))

@@ -74,7 +74,7 @@ def test_one_row_per_term(id_space):
         assert int(rows.column("docs_w")[0]) == width
     assert max(len(loaded[t].chunks.column("docs"))
                for t in tids) > 4 * 128 * width
-    reader = SegmentReader(idx, 4)
+    reader = SegmentReader(idx)
     for p in range(4):
         part = reader.read_range(p, columns=["term_id"])
         tid = part["term_id"].to_numpy()

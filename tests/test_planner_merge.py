@@ -233,7 +233,7 @@ def test_merge_disjoint_equals_full_build(ray_session, split_corpora,
         assert s1.tolist() == s2.tolist()
     # segment files logically identical to the full build's
     from vfs_index_ray.segment import SegmentReader
-    r1, r2 = SegmentReader(full_idx, 8), SegmentReader(im, 8)
+    r1, r2 = SegmentReader(full_idx), SegmentReader(im)
     for p in range(8):
         assert r1.read_range(p).equals(r2.read_range(p)), p
 
@@ -315,8 +315,7 @@ def test_merge_overlap_invariant(ray_session, split_corpora, tmp_path,
     im = str(tmp_path / "ovm")
     _build(ray_session, split_corpora["ov_a"], ia)
     _build(ray_session, split_corpora["ov_b"], ib)
-    stats = merge_indexes([ia, ib], im, assume_doc_disjoint=False,
-                          n_docs_override=500)
+    stats = merge_indexes([ia, ib], im, n_docs_override=500)
     rep = stats["merge_report"]
     n_a = sum(r["n_sources"][0] for r in rep)
     n_b = sum(r["n_sources"][1] for r in rep)

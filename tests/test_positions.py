@@ -246,12 +246,12 @@ def test_absorb_rewrites_positions(ray_session, tmp_path, pages_file):
 
 def test_merge_carries_positions(ray_session, tmp_path, pages_file):
     """Merging two positional halves answers positional phrases like the
-    full positional build and writes the same positions files; sources
+    full positional build and writes the same segment files; sources
     that disagree on positions raise."""
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.merge import merge_indexes
     from vfs_index_ray.search import SearchEngine
-    from vfs_index_ray.segment import positions_path, segments_dir
+    from vfs_index_ray.segment import part_path, segments_dir
 
     pages = pq.read_table(pages_file)
     a = str(tmp_path / "a.parquet")
@@ -270,9 +270,9 @@ def test_merge_carries_positions(ray_session, tmp_path, pages_file):
     assert got.tolist() == want.tolist()
     assert len(got) == 3
     for p in range(4):
-        with open(positions_path(segments_dir(merged), p), "rb") as fm, \
-                open(positions_path(segments_dir(full), p), "rb") as ff:
-            assert fm.read() == ff.read(), f"positions part {p} differs"
+        with open(part_path(segments_dir(merged), p), "rb") as fm, \
+                open(part_path(segments_dir(full), p), "rb") as ff:
+            assert fm.read() == ff.read(), f"segment part {p} differs"
 
     IndexBuilder(plain, **kw).build([b])
     with pytest.raises(ValueError, match="positions"):
@@ -353,21 +353,20 @@ def test_repartition_carries_positions(ray_session, tmp_path, pos_index,
                                       pages_file):
     """Repartitioning a positional index answers phrase and proximity
     queries like a fresh build at the new part count and writes the
-    same positions files, byte for byte."""
+    same segment files, byte for byte."""
     from vfs_index_ray.build import IndexBuilder
     from vfs_index_ray.merge import repartition_index
     from vfs_index_ray.search import SearchEngine
-    from vfs_index_ray.segment import part_path, positions_path, segments_dir
+    from vfs_index_ray.segment import part_path, segments_dir
 
     rep, fresh = str(tmp_path / "rep"), str(tmp_path / "fresh")
     repartition_index(pos_index, rep, 3)
     IndexBuilder(fresh, mode="word", num_parts=3, id_col=None,
                  positions=True).build([pages_file])
     for p in range(3):
-        for path in (part_path, positions_path):
-            with open(path(segments_dir(rep), p), "rb") as fr, \
-                    open(path(segments_dir(fresh), p), "rb") as ff:
-                assert fr.read() == ff.read(), (path.__name__, p)
+        with open(part_path(segments_dir(rep), p), "rb") as fr, \
+                open(part_path(segments_dir(fresh), p), "rb") as ff:
+            assert fr.read() == ff.read(), f"segment part {p} differs"
     er, ef = SearchEngine(rep), SearchEngine(fresh)
     for q in (corpus.PHRASE, "bababa babade", "babade bababa"):
         assert er.phrase_match_positional(q).tolist() == \
@@ -375,53 +374,6 @@ def test_repartition_carries_positions(ray_session, tmp_path, pos_index,
         assert er.proximity_match(q, 4).tolist() == \
             ef.proximity_match(q, 4).tolist(), q
     assert len(er.phrase_match_positional(corpus.PHRASE)) == 3
-
-
-def test_missing_positions_file_raises(pos_index, tmp_path):
-    """A positional index with one positions file gone is truncated:
-    ``verify_index`` reports it and a query over that part raises
-    instead of answering with no matches."""
-    import os
-    import shutil
-
-    from vfs_index_ray.build import verify_index
-    from vfs_index_ray.search import SearchEngine
-    from vfs_index_ray.segment import positions_path, segments_dir
-
-    idx = str(tmp_path / "idx")
-    shutil.copytree(pos_index, idx)
-    assert verify_index(idx)["ok"]
-    terms = SearchEngine(idx)._phrase_keys(corpus.PHRASE)
-    os.remove(positions_path(segments_dir(idx), terms[0] % 8))
-    rep = verify_index(idx)
-    assert not rep["ok"]
-    assert any("partition file missing" in e for e in rep["errors"])
-    with pytest.raises(RuntimeError, match="partition file missing"):
-        SearchEngine(idx).phrase_match_positional(corpus.PHRASE)
-
-
-def test_old_parquet_positions_must_be_rebuilt(pos_index, tmp_path):
-    """An index with 0.6.0's Parquet positions files raises "must be
-    rebuilt" on a positional query and in ``verify_index``."""
-    import os
-    import shutil
-
-    from vfs_index_ray.build import verify_index
-    from vfs_index_ray.search import SearchEngine
-    from vfs_index_ray.segment import positions_path, segments_dir
-
-    idx = str(tmp_path / "idx")
-    shutil.copytree(pos_index, idx)
-    for p in range(8):
-        path = positions_path(segments_dir(idx), p)
-        pq.write_table(pa.table({"term_id": pa.array([], pa.uint64())}),
-                       positions_path(segments_dir(idx), p, "parquet"))
-        os.remove(path)
-    rep = verify_index(idx)
-    assert not rep["ok"]
-    assert all("must be rebuilt" in e for e in rep["errors"])
-    with pytest.raises(RuntimeError, match="must be rebuilt"):
-        SearchEngine(idx).phrase_match_positional(corpus.PHRASE)
 
 
 def _binary_rows(values: np.ndarray, counts: np.ndarray, width: int
@@ -435,68 +387,96 @@ def _binary_rows(values: np.ndarray, counts: np.ndarray, width: int
          pa.py_buffer(np.asarray(values).astype(f"<u{width}"))])
 
 
-def _rewrite_positions(idx: str, part: int, fn) -> None:
-    """Replace the part's positions file with ``fn(its table, the
-    index's segment reader, part)`` and record the new byte size in its
-    sidecar, so only the content is wrong."""
+def _rewrite_segment(idx: str, part: int, fn) -> None:
+    """Replace the part's segment file with ``fn(its table)`` and record
+    the new byte size in its sidecar, so only the content is wrong."""
     import json
     import os
 
-    from vfs_index_ray.segment import (SegmentReader, _write_batch,
-                                       part_path, positions_path,
-                                       segments_dir)
+    from vfs_index_ray.segment import _write_batch, part_path, segments_dir
 
     seg_dir = segments_dir(idx)
-    path = positions_path(seg_dir, part)
+    path = part_path(seg_dir, part)
     with open(path, "rb") as f:
         tbl = pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
-    _write_batch(fn(tbl, SegmentReader(idx, 8), part), path)
+    _write_batch(fn(tbl), path)
     sidecar = part_path(seg_dir, part, "json")
     with open(sidecar) as f:
         row = json.load(f)
-    row["positions_bytes"] = os.path.getsize(path)
+    row["output_bytes"] = os.path.getsize(path)
     with open(sidecar, "w") as f:
         json.dump(row, f)
 
 
-def test_v070_positions_must_be_rebuilt(pos_index, tmp_path):
-    """An index with 0.7.0's positions files (a stored ``ends`` stream
-    beside the ordinals) raises "must be rebuilt" from every positions
-    read: phrase and proximity queries, the postings that merge, purge
-    and repartition re-encode, a merge, and ``verify_index``."""
+def test_v090_positional_layout_must_be_rebuilt(pos_index, tmp_path):
+    """An index in 0.9.0's positional layout (an 11-column segment per
+    part, its ordinals in ``positions/part=N.arrow``) raises "must be
+    rebuilt" from every read: BM25, phrase and proximity queries, the
+    postings that merge, purge and repartition re-encode, each of those,
+    and ``verify_index`` for every part."""
+    import os
     import shutil
 
     from vfs_index_ray.build import verify_index
-    from vfs_index_ray.merge import merge_indexes
+    from vfs_index_ray.codec import SEGMENT_SCHEMA
+    from vfs_index_ray.merge import (merge_indexes, purge_tombstones,
+                                     repartition_index)
     from vfs_index_ray.search import SearchEngine
-
-    def v070(tbl, reader, p):
-        n = reader.read_range(p, columns=["n"])["n"].to_numpy()
-        tfs = reader.decode_part(p)[2]
-        return pa.table({
-            "ends_w": pa.array(np.full(len(n), 8, np.uint8)),
-            "pos_w": tbl["pos_w"],
-            "ends": _binary_rows(np.cumsum(tfs), n, 8),
-            "pos": tbl["pos"]})
+    from vfs_index_ray.segment import _write_batch, part_path, segments_dir
 
     idx = str(tmp_path / "idx")
     shutil.copytree(pos_index, idx)
+    os.makedirs(os.path.join(idx, "positions"))
     for part in range(8):
-        _rewrite_positions(idx, part, v070)
+        with open(part_path(segments_dir(idx), part), "rb") as f:
+            tbl = pa.ipc.open_file(pa.py_buffer(f.read())).read_all()
+        _write_batch(tbl.select(["pos_w", "pos"]),
+                     os.path.join(idx, "positions", f"part={part:05d}.arrow"))
+        _rewrite_segment(idx, part, lambda t: t.select(SEGMENT_SCHEMA.names))
     rep = verify_index(idx)
     assert len(rep["errors"]) == 8
     assert all("must be rebuilt" in e for e in rep["errors"])
     eng = SearchEngine(idx)
-    for call in (lambda: eng.phrase_match_positional(corpus.PHRASE),
+    for call in (lambda: eng.bm25("bababa babade", 10),
+                 lambda: eng.phrase_match_positional(corpus.PHRASE),
                  lambda: eng.proximity_match(corpus.PHRASE, 3),
-                 lambda: eng.segments.postings(0, positions=True),
-                 lambda: merge_indexes([idx], str(tmp_path / "m"))):
+                 lambda: eng.segments.postings(0),
+                 lambda: merge_indexes([idx], str(tmp_path / "m")),
+                 lambda: purge_tombstones(idx, str(tmp_path / "pu"))):
         with pytest.raises(RuntimeError, match="must be rebuilt"):
             call()
+    # Ray Data wraps the read's error in its own task error
+    with pytest.raises(Exception, match="must be rebuilt"):
+        repartition_index(idx, str(tmp_path / "re"), 3)
+
+
+@pytest.mark.parametrize("positions", [False, True])
+def test_segments_must_match_stats_positions(built_index, pos_index,
+                                             tmp_path, positions):
+    """A positional segment in an index whose stats.json says
+    ``positions=False``, or the reverse, raises "must be rebuilt"."""
+    import json
+    import shutil
+
+    from vfs_index_ray.build import verify_index
+    from vfs_index_ray.search import SearchEngine
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(pos_index if positions else built_index[0], idx)
+    with open(f"{idx}/stats.json") as f:
+        stats = json.load(f)
+    stats["positions"] = not positions
+    with open(f"{idx}/stats.json", "w") as f:
+        json.dump(stats, f)
+    rep = verify_index(idx)
+    assert len(rep["errors"]) == 8
+    assert all("must be rebuilt" in e for e in rep["errors"])
+    with pytest.raises(RuntimeError, match="must be rebuilt"):
+        SearchEngine(idx).bm25("bababa babade", 10)
 
 
 def test_cut_ordinal_is_caught(pos_index, tmp_path):
-    """A positions file with one ordinal cut from a term's row (its
+    """A segment with one ordinal cut from a term's ``pos`` stream (its
     sidecar size updated) holds fewer ordinals than the part's tokens:
     ``verify_index`` reports that part, and a phrase query over the term
     raises instead of answering from shifted ordinals."""
@@ -510,9 +490,8 @@ def test_cut_ordinal_is_caught(pos_index, tmp_path):
     term = SearchEngine(idx)._phrase_keys(corpus.PHRASE)[0]
     part = term % 8
 
-    def cut_one(tbl, reader, part):
-        tids = reader.read_range(part, columns=["term_id"])["term_id"]
-        i = int(np.searchsorted(tids.to_numpy(), np.uint64(term)))
+    def cut_one(tbl):
+        i = int(np.searchsorted(tbl["term_id"].to_numpy(), np.uint64(term)))
         col = tbl["pos"].combine_chunks()
         w = tbl["pos_w"][0].as_py()
         offs = np.frombuffer(col.buffers()[1], np.int64)[:len(col) + 1]
@@ -525,7 +504,7 @@ def test_cut_ordinal_is_caught(pos_index, tmp_path):
             tbl.schema.get_field_index("pos"), "pos",
             _binary_rows(data.view(f"<u{w}"), counts, w))
 
-    _rewrite_positions(idx, part, cut_one)
+    _rewrite_segment(idx, part, cut_one)
     rep = verify_index(idx)
     assert len(rep["errors"]) == 1
     assert rep["errors"][0].startswith(f"part={part}: ")

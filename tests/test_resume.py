@@ -76,7 +76,7 @@ def test_resume_after_partial_segments(ray_session, two_files, tmp_path):
     assert _bm25_fingerprint(clean) == _bm25_fingerprint(inter)
     # committed partitions were not rebuilt with different content
     from vfs_index_ray.segment import SegmentReader
-    r1, r2 = SegmentReader(clean, 8), SegmentReader(inter, 8)
+    r1, r2 = SegmentReader(clean), SegmentReader(inter)
     for p in range(8):
         assert r1.read_range(p).equals(r2.read_range(p)), p
 
@@ -166,7 +166,7 @@ def test_absorb_incremental_equals_full(ray_session, two_files, tmp_path):
     stats = b.absorb([two_files[1]])
     assert stats["n_docs"] == 400
     assert _bm25_fingerprint(full) == _bm25_fingerprint(inc)
-    r1, r2 = SegmentReader(full, 8), SegmentReader(inc, 8)
+    r1, r2 = SegmentReader(full), SegmentReader(inc)
     for p in range(8):
         assert r1.read_range(p).equals(r2.read_range(p)), p
 

@@ -119,7 +119,7 @@ def test_old_parquet_segments_raise_rebuild(id_engine, tmp_path, call):
 
     idx = str(tmp_path / "old")
     shutil.copytree(id_engine.index_dir, idx)
-    reader = SegmentReader(idx, 4)
+    reader = SegmentReader(idx)
     for p in range(4):
         pq.write_table(reader.read_range(p),
                        part_path(reader.segments_dir, p, "parquet"))
@@ -164,7 +164,7 @@ def test_v030_segment_schema_raises_rebuild(id_engine, tmp_path, shape):
     shutil.copytree(id_engine.index_dir, idx)
     tid = id_engine.query_term_ids("bababa")[0]
     part = tid % 4
-    reader = SegmentReader(idx, 4)
+    reader = SegmentReader(idx)
     _rewrite_with_v030_columns(part_path(reader.segments_dir, part))
     call = {"load_terms": lambda: reader.load_terms(part, [tid]),
             "read_range": lambda: reader.read_range(part),

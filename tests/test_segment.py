@@ -47,7 +47,7 @@ def _rows(chunks):
 
 
 def test_read_shapes_match_brute_force(url_index):
-    reader = SegmentReader(url_index, PARTS)
+    reader = SegmentReader(url_index)
     for p in range(PARTS):
         full = _full(reader, p)
         tids, dfs = full["term_id"].to_numpy(), full["n"].to_numpy()
@@ -113,7 +113,7 @@ def test_bm25_matches_oracle(url_index, oracle_index):
 def test_load_terms_is_zero_copy(url_index):
     """A term read allocates no Arrow memory: its row and the column
     views over it are the memory-mapped file's pages."""
-    reader = SegmentReader(url_index, PARTS)
+    reader = SegmentReader(url_index)
     p = 0
     term = _head_term(_full(reader, p))
     before = pa.total_allocated_bytes()
@@ -128,7 +128,7 @@ def test_one_term_read_ships_only_its_rows(url_index):
     ``read_range``) as its own row, not the whole memory-mapped part."""
     import ray
 
-    reader = SegmentReader(url_index, PARTS)
+    reader = SegmentReader(url_index)
     p = 0
     full = _full(reader, p)
     term = _head_term(full)
@@ -224,7 +224,7 @@ def _rewrite(path: str, layout: str) -> None:
 def test_other_layouts_raise_rebuild(url_index, tmp_path, layout, shape):
     idx = str(tmp_path / "old")
     shutil.copytree(url_index, idx)
-    reader = SegmentReader(idx, PARTS)
+    reader = SegmentReader(idx)
     p = 0
     term = _head_term(_full(reader, p))
     path = part_path(reader.segments_dir, p)
@@ -264,7 +264,7 @@ def test_verify_index_flags_old_format(url_index, tmp_path):
     assert verify_index(url_index)["ok"]
     idx = str(tmp_path / "old")
     shutil.copytree(url_index, idx)
-    reader = SegmentReader(idx, PARTS)
+    reader = SegmentReader(idx)
     p = 1
     _rewrite_with_sidecar(reader, p, "v050")
     rep = verify_index(idx)
@@ -290,7 +290,7 @@ def _flag_every_part(url_index, tmp_path, layout: str) -> None:
 
     idx = str(tmp_path / "old")
     shutil.copytree(url_index, idx)
-    reader = SegmentReader(idx, PARTS)
+    reader = SegmentReader(idx)
     for p in range(PARTS):
         _rewrite_with_sidecar(reader, p, layout)
     rep = verify_index(idx)

@@ -12,7 +12,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from vfs_index_ray import corpus
-from vfs_index_ray.segment import part_path, positions_path, segments_dir
+from vfs_index_ray.segment import part_path, segments_dir
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +88,9 @@ def test_delete_filters_all_result_apis(tomb_setup, pages_file):
 
 def test_purge_matches_fresh_build(tomb_setup, pages_file,
                                    tmp_path_factory):
-    """purge_tombstones(src) produces byte-identical segments and
-    positions files (and equal stats) to building the surviving corpus
-    from scratch — df/avgdl/n_docs all physically correct again."""
+    """purge_tombstones(src) produces byte-identical segments, their
+    positions included (and equal stats), to building the surviving
+    corpus from scratch — df/avgdl/n_docs all physically correct again."""
     import ray
 
     from vfs_index_ray.build import IndexBuilder
@@ -124,10 +124,6 @@ def test_purge_matches_fresh_build(tomb_setup, pages_file,
         b = part_path(segments_dir(ref), p)
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read(), f"segment part {p} differs"
-        a = positions_path(segments_dir(purged), p)
-        b = positions_path(segments_dir(ref), p)
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            assert fa.read() == fb.read(), f"positions part {p} differs"
 
     # the purged index carries no tombstones and answers like the
     # tombstoned engine (doc sets; scores now use live stats)

@@ -81,8 +81,8 @@ def test_upsert_stats_match_fresh_build(upsert_env):
 
 def test_upsert_postings_identical_to_fresh(upsert_env):
     from vfs_index_ray.segment import SegmentReader
-    out = SegmentReader(upsert_env["out"], 8)
-    fresh = SegmentReader(upsert_env["fresh"], 8)
+    out = SegmentReader(upsert_env["out"])
+    fresh = SegmentReader(upsert_env["fresh"])
     for p in range(8):
         ta, da, fa, la = out.decode_part(p)
         tb, db, fb, lb = fresh.decode_part(p)

@@ -8,9 +8,9 @@ corpus under /tmp/vfsray_bench (64 parts, keyed on the package version
 so an index another version wrote is never read), then times
 ``SearchEngine.phrase_match_positional`` warm on each phrase: the best
 of ``--rounds`` runs after one warm-up. Prints one JSON line for the
-index (its positions bytes, and those per token) and one per phrase
-(candidates from ``match``, matching docs, best ms). ``--cpus``
-defaults to this process's CPU affinity.
+index (its segment bytes, the bytes of their ``pos`` columns and those
+per token) and one per phrase (candidates from ``match``, matching
+docs, best ms). ``--cpus`` defaults to this process's CPU affinity.
 """
 
 from __future__ import annotations
@@ -35,6 +35,19 @@ DEFAULT_PHRASES = [
 def _dir_bytes(path: str) -> int:
     return sum(os.path.getsize(os.path.join(path, f))
                for f in os.listdir(path))
+
+
+def _pos_bytes(seg_dir: str) -> int:
+    """The summed buffers of the segments' ``pos`` columns."""
+    import pyarrow as pa
+
+    total = 0
+    for f in os.listdir(seg_dir):
+        if f.endswith(".arrow"):
+            with pa.memory_map(os.path.join(seg_dir, f)) as src:
+                batch = pa.ipc.open_file(src).get_batch(0)
+                total += batch.column("pos").nbytes
+    return total
 
 
 def main(argv=None) -> int:
@@ -65,7 +78,7 @@ def main(argv=None) -> int:
     idx = f"/tmp/vfsray_bench/idx_pos_{args.docs}_v{__version__}"
     stats = IndexBuilder(idx, mode="word", num_parts=64, id_col=None,
                          positions=True).build(files)  # resume-aware
-    pos_bytes = _dir_bytes(os.path.join(idx, "positions"))
+    pos_bytes = _pos_bytes(os.path.join(idx, "segments"))
     print(json.dumps({
         "index": idx, "corpus_docs": args.docs,
         "tokens": stats["total_tokens"],

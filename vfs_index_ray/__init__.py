@@ -19,7 +19,7 @@ Everything here derives from public knowledge only: the Ray Data and
 pyarrow APIs, and the reference repo's observable behavior.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 BM25_K1 = 1.2
 BM25_B = 0.75

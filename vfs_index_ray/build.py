@@ -56,8 +56,8 @@ import ray.data
 
 from . import BM25_B, BM25_K1, __version__
 from .segment import (SegmentReader, SegmentWriter, _atomic_write_json,
-                      _manifest_table, part_path, positions_path,
-                      postings_schema, read_part_row, segments_dir)
+                      _manifest_table, part_path, postings_schema,
+                      read_part_row, read_stats, segments_dir)
 from .stages.tokenize import AddPartColumn, tokenize_postings
 
 # block cap of a wave's dataset (its own DataContext, never the global
@@ -94,9 +94,9 @@ class IndexBuilder:
         self.html_col = html_col
         self.url_col = url_col
         # positions=True: each posting's token ordinals ride through the
-        # shuffle as one more postings column (a list) and land in a
-        # positions file per part whose rows align with the segment's —
-        # token-adjacency phrase queries then need no corpus access
+        # shuffle as one more postings column (a list) and land in two
+        # more columns of the term's segment row — token-adjacency
+        # phrase queries then need no corpus access
         self.positions = positions
         # Shuffle spill (postings) is the build's scratch — the
         # Spark-local-dirs analog. Single node: a local path (default
@@ -456,25 +456,20 @@ def _encode_part(writer: SegmentWriter, postings_of, part: int) -> None:
     writer.encode_part(part, postings_of(part))
 
 
-def read_stats(index_dir: str) -> dict:
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        return json.load(f)
-
-
 def verify_index(index_dir: str) -> dict:
     """Integrity audit for a committed index (the ops tool a 100 TB
     deployment runs after copy/restore): every partition's segment file
-    (and a positional index's positions file) must exist with the byte
-    size its sidecar recorded and the current format (its footer is
-    opened, so an index an older version wrote reports "must be
-    rebuilt" here, not at its first query), every
+    must exist with the byte size its sidecar recorded and the current
+    format (its footer is opened, so an index an older version wrote
+    reports "must be rebuilt" here, not at its first query; a
+    positional segment must hold its part's ``n_tokens`` ordinals),
+    every
     part in [0, num_parts) must be committed, wave sidecars must sum to
     stats.n_docs, and part sidecars to stats.total_tokens. Returns
     {"ok": bool, "errors": [...], "parts": N, "n_docs": N}."""
     errors: list[str] = []
-    stats = read_stats(index_dir)
-    seg_dir = segments_dir(index_dir)
-    reader = SegmentReader(index_dir, stats["num_parts"])
+    reader = SegmentReader(index_dir)
+    stats, seg_dir = reader.stats, reader.segments_dir
     tok = 0
     for part in range(stats["num_parts"]):
         if not os.path.exists(part_path(seg_dir, part, "json")):
@@ -482,22 +477,17 @@ def verify_index(index_dir: str) -> dict:
             continue
         row = read_part_row(seg_dir, part)
         tok += row.get("n_tokens", 0)
-        files = [("segment", part_path(seg_dir, part), "output_bytes",
-                  reader.check_format)]
-        if stats.get("positions"):
-            files.append(("positions", positions_path(seg_dir, part),
-                          "positions_bytes", reader.check_positions))
-        for kind, f_path, size_key, check in files:
-            if (os.path.exists(f_path)
-                    and os.path.getsize(f_path) != row.get(size_key)):
-                errors.append(
-                    f"{kind} size mismatch part={part}: "
-                    f"{os.path.getsize(f_path)} != {row.get(size_key)}")
-                continue
-            try:  # a missing file raises too: truncated, or older format
-                check(part)
-            except (RuntimeError, pa.ArrowInvalid) as e:
-                errors.append(f"part={part}: {e}")
+        f_path = part_path(seg_dir, part)
+        if (os.path.exists(f_path)
+                and os.path.getsize(f_path) != row.get("output_bytes")):
+            errors.append(
+                f"segment size mismatch part={part}: "
+                f"{os.path.getsize(f_path)} != {row.get('output_bytes')}")
+            continue
+        try:  # a missing file raises too: truncated, or older format
+            reader.check_format(part)
+        except (RuntimeError, pa.ArrowInvalid) as e:
+            errors.append(f"part={part}: {e}")
     waves_dir = os.path.join(index_dir, "waves")
     n_docs = 0
     if os.path.isdir(waves_dir):

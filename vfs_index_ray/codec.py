@@ -19,14 +19,13 @@ one gather from each of the other two streams, and a whole decode
 the reference's fixed 32-byte ``Record`` read in place and
 binary-searched (spec/index.fbs:54-60, index_file.go:1424-1459).
 
-A ``positions=True`` index keeps one more file per segment, in
-``POSITIONS_SCHEMA``: one row per segment row, in the same order, holding
-the token ordinals of the term's postings as one fixed-width stream at
-the part's narrowest width (``encode_positions``). A posting holds tf
-ordinals, so its ordinals end at ``cumsum(tfs)`` of the term's decoded
-tfs (``decode_positions``): a posting's ordinals are one slice of a
-memory-mapped stream, with no per-record decode and nothing stored
-twice.
+A ``positions=True`` index's segments are in ``POSITIONAL_SCHEMA``:
+two more columns on the same term row (``encode_positions``) hold the
+token ordinals of the term's postings as one fixed-width stream at the
+part's narrowest width. A posting holds tf ordinals, so its ordinals
+end at ``cumsum(tfs)`` of the row's tfs stream (``decode_positions``):
+a posting's ordinals are one slice of a memory-mapped stream, with no
+per-record decode and nothing stored twice.
 
 All encode/decode paths are vectorized numpy — no per-posting Python loops.
 Reads see rows as ``Chunks``: numpy views into the Arrow columns of a
@@ -65,9 +64,9 @@ SEGMENT_SCHEMA = pa.schema([
     ("imp_doc", pa.list_(pa.uint64())),
 ])
 
-# One row per segment row, in the segment file's order; a positions=True
-# index keeps one file of this schema per part (segment.positions_path).
-POSITIONS_SCHEMA = pa.schema([
+# The segment schema of a positions=True index: the same rows, plus the
+# ordinals of each term's postings.
+POSITIONAL_SCHEMA = pa.schema(list(SEGMENT_SCHEMA) + [
     ("pos_w", pa.uint8()),         # bytes per ordinal
     # per posting: its tf ascending token ordinals in the doc
     ("pos", pa.large_binary()),
@@ -193,17 +192,18 @@ def encode_partition(terms: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
     }, schema=SEGMENT_SCHEMA)
 
 
-def encode_positions(n: np.ndarray, lens: np.ndarray, ords: np.ndarray
+def encode_positions(seg: pa.Table, lens: np.ndarray, ords: np.ndarray
                      ) -> pa.Table:
-    """The positions rows (``POSITIONS_SCHEMA``) of segment rows holding
-    ``n`` postings each: posting k (numbered across the rows, in segment
-    order) has the ``lens[k]`` (its tf) ordinals that follow its
-    predecessors' in ``ords``. The stream is cast once to the part's
-    narrowest width."""
+    """The segment rows ``seg`` (``encode_partition``'s output) in
+    ``POSITIONAL_SCHEMA``: posting k (numbered across the rows, in
+    segment order) gets the ``lens[k]`` (its tf) ordinals that follow
+    its predecessors' in ``ords``. The stream is cast once to the
+    part's narrowest width."""
+    n = seg["n"].to_numpy()
     pos_col, w = _fixed_width(ords, _offsets(lens)[_offsets(n)])
-    return pa.table({
-        "pos_w": pa.array(np.full(len(n), w, np.uint8), pa.uint8()),
-        "pos": pos_col}, schema=POSITIONS_SCHEMA)
+    return pa.table(
+        seg.columns + [pa.array(np.full(len(n), w, np.uint8), pa.uint8()),
+                       pos_col], schema=POSITIONAL_SCHEMA)
 
 
 def _imp_col(counts: np.ndarray, values: np.ndarray, typ):
@@ -349,18 +349,17 @@ def probe(rows: Chunks, targets: np.ndarray
     return tf, dl, hit
 
 
-def decode_positions(rows: Chunks, n: np.ndarray, tfs: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(ends, ords) of a run of positions rows whose segment rows hold
-    ``n`` postings each, with ``tfs`` the rows' decoded tfs: ``ords``
-    the rows' ordinals (a view at the file's width), ``ends`` (int64,
-    ``cumsum(tfs)``) the end of each posting's ordinals in ``ords``,
-    postings numbered across the rows. Posting k's ordinals are
-    ``ords[ends[k - 1]:ends[k]]`` (from 0 for k = 0). A row that does
-    not hold exactly its postings' Σ tf ordinals raises ``ValueError``,
-    as in ``decode_postings``."""
-    ends = np.cumsum(tfs, dtype=np.int64)
-    return ends, _stream(rows, "pos", np.append(0, ends)[_offsets(n)])
+def decode_positions(rows: Chunks) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, ords) of a run of positional segment rows: ``ords`` the
+    rows' ordinals (a view at the file's width), ``ends`` (int64,
+    ``cumsum`` of the rows' tfs) the end of each posting's ordinals in
+    ``ords``, postings numbered across the rows. Posting k's ordinals
+    are ``ords[ends[k - 1]:ends[k]]`` (from 0 for k = 0). A row that
+    does not hold exactly its postings' Σ tf ordinals raises
+    ``ValueError``, as in ``decode_postings``."""
+    ends = np.cumsum(rows.streams()[1], dtype=np.int64)
+    return ends, _stream(rows, "pos",
+                         np.append(0, ends)[_offsets(rows.column("n"))])
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

@@ -75,8 +75,8 @@ def merged_sources(out_dir: str) -> list[str]:
     return srcs
 
 
-def clean_merged_sources(out_dir: str, src_dirs: list[str] | None = None,
-                         force: bool = False) -> dict:
+def clean_merged_sources(out_dir: str, src_dirs: list[str] | None = None
+                         ) -> dict:
     """Space reclamation after compaction (reference column.go:586-602
     deleteMergedFiles/cleanDirs, ``EnableCleanAfterMerge`` config.go, CLI
     ``clean`` cmd/vfs-index/main.go:145): delete the constituent source
@@ -96,12 +96,11 @@ def clean_merged_sources(out_dir: str, src_dirs: list[str] | None = None,
 
     srcs = list(src_dirs) if src_dirs is not None \
         else merged_sources(out_dir)
-    if not force:
-        rep = verify_index(out_dir)
-        if not rep["ok"]:
-            raise ValueError("refusing to clean: merged index at "
-                             f"{out_dir} is not fully committed: "
-                             f"{rep['errors'][:3]}")
+    rep = verify_index(out_dir)
+    if not rep["ok"]:
+        raise ValueError("refusing to clean: merged index at "
+                         f"{out_dir} is not fully committed: "
+                         f"{rep['errors'][:3]}")
     removed, missing = [], []
     out_real = os.path.realpath(out_dir)
     for s in srcs:
@@ -116,7 +115,6 @@ def clean_merged_sources(out_dir: str, src_dirs: list[str] | None = None,
 
 
 def merge_indexes(src_dirs: list[str], out_dir: str,
-                  assume_doc_disjoint: bool = True,
                   n_docs_override: int | None = None,
                   max_parts: int | None = None,
                   clean_after_merge: bool = False) -> dict:
@@ -132,24 +130,27 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
     partial round returns ``{"status": "partial", ...}`` without
     finalizing.
 
+    The merged ``n_docs`` is ``n_docs_override`` when given (sources
+    that share docs), else the sum of the sources' (the disjointness
+    contract).
+
     ``clean_after_merge`` (reference ``EnableCleanAfterMerge``): delete
     the source indexes once the merged index is fully committed and
     verified — see ``clean_merged_sources`` for the crash protocol. Only
     applies on the finalizing round, never on a partial one."""
-    stats = [read_stats(s) for s in src_dirs]
+    sources = [SegmentReader(s) for s in src_dirs]
+    stats = [r.stats for r in sources]
     if len({(s["num_parts"], s["mode"], bool(s.get("positions", False)))
             for s in stats}) > 1:
         raise ValueError("sources must share num_parts, mode and "
                          "positions; use repartition_index to change "
                          "num_parts")
     out = IndexBuilder.like(src_dirs[0], out_dir)
-    sources = [SegmentReader(s, out.num_parts) for s in src_dirs]
     for r in sources:
         r.check()
-    with_pos = out.positions
 
     def merge_part(p: int):
-        return _keep_last([r.postings(p, with_pos) for r in sources])
+        return _keep_last([r.postings(p) for r in sources])
 
     deferred = out._encode_parts(
         merge_part, lambda p: sum(os.path.getsize(r.path(p))
@@ -168,12 +169,8 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
         return {"status": "partial", "parts_done": len(reports),
                 "parts_remaining": len(deferred), "merge_report": reports}
     # stats: docs per the disjointness contract; tokens from part sidecars
-    if n_docs_override is not None:
-        n_docs = n_docs_override
-    elif assume_doc_disjoint:
-        n_docs = sum(s["n_docs"] for s in stats)
-    else:
-        raise ValueError("need n_docs_override when inputs share docs")
+    n_docs = (n_docs_override if n_docs_override is not None
+              else sum(s["n_docs"] for s in stats))
     # synthesize a wave sidecar so finalize() has the doc count + lineage
     _atomic_write_json(os.path.join(out.waves_dir, "wave=0000.json"),
                        {"wave": 0, "files": [f"merge:{s}" for s in src_dirs],
@@ -193,13 +190,12 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     """Physically rewrite an index WITHOUT its tombstoned docs (the
     compaction half of the delete story — see SearchEngine.delete_docs
     for the query-time half). Per hash partition, one task of the
-    build's segment driver decodes the segment (and its positions),
-    masks the deleted docs and re-encodes. df,
-    n_docs, total_tokens and avgdl all come out exactly as a fresh
-    build of the surviving corpus would produce them (deterministic
-    content → byte-identical segments and positions files, pinned by
-    test), so after a purge the pruned BM25 paths are valid again and
-    the purged index carries no tombstones.
+    build's segment driver decodes the segment (with its positions),
+    masks the deleted docs and re-encodes. df, n_docs, total_tokens and
+    avgdl all come out exactly as a fresh build of the surviving corpus
+    would produce them (deterministic content → byte-identical
+    segments, pinned by test), so after a purge the pruned BM25 paths
+    are valid again and the purged index carries no tombstones.
 
     Resumable: each partition writes a ``purge/part=N.json`` sidecar
     recording the deleted doc ids it actually dropped (needed to fix
@@ -208,17 +204,15 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     tmp+rename idempotent."""
     from .search import load_tombstones
 
-    st = read_stats(src_dir)
     tomb = load_tombstones(src_dir)
     out = IndexBuilder.like(src_dir, out_dir)
-    src = SegmentReader(src_dir, out.num_parts)
+    src = SegmentReader(src_dir)
     src.check()
     purge_dir = os.path.join(out_dir, "purge")
     os.makedirs(purge_dir, exist_ok=True)
-    with_pos = out.positions
 
     def purge_part(p: int):
-        postings = src.postings(p, with_pos)
+        postings = src.postings(p)
         d = postings["doc_id"].to_numpy()
         dead = np.isin(d, tomb)
         _atomic_write_json(os.path.join(purge_dir, f"part={p:05d}.json"),
@@ -231,7 +225,7 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     for p in range(out.num_parts):
         with open(os.path.join(purge_dir, f"part={p:05d}.json")) as fh:
             deleted.update(json.load(fh)["deleted_docs"])
-    n_docs = int(st["n_docs"]) - len(deleted)
+    n_docs = int(src.stats["n_docs"]) - len(deleted)
     _atomic_write_json(os.path.join(out.waves_dir, "wave=0000.json"),
                        {"wave": 0, "files": [f"purge:{src_dir}"],
                         "n_docs": n_docs})
@@ -467,23 +461,20 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
     part is decoded once, keyed by its new part and written as the
     output builder's committed wave 0; the output's ``build_segments``
     and ``finalize`` then encode every new part exactly as a fresh
-    build with the source's settings would (same segment and positions
-    bytes). Resumable like a build: a committed wave and committed parts
-    are reused."""
+    build with the source's settings would (same segment bytes).
+    Resumable like a build: a committed wave and committed parts are
+    reused."""
     from .stages.tokenize import AddPartColumn
 
-    st = read_stats(src_dir)
     out = IndexBuilder.like(src_dir, out_dir, num_parts=new_num_parts)
     if len(out._done_parts()) == new_num_parts:
         return out.finalize()  # fully committed; scratch may be gone
     if not out._wave_done(0):
-        src = SegmentReader(src_dir, st["num_parts"])
+        src = SegmentReader(src_dir)
         src.check()
 
-        with_pos = out.positions
-
         def decode_part(batch: pa.Table) -> pa.Table:
-            return src.postings(int(batch["p"][0].as_py()), with_pos)
+            return src.postings(int(batch["p"][0].as_py()))
 
         post = (ray.data.from_items([{"p": p} for p in range(src.num_parts)],
                                     override_num_blocks=src.num_parts)
@@ -493,7 +484,7 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
                              batch_format="pyarrow", zero_copy_batch=True))
         out._commit_wave(0, post, {
             "wave": 0, "files": [f"repartition:{src_dir}"],
-            "n_docs": int(st["n_docs"])})
+            "n_docs": int(src.stats["n_docs"])})
     out.build_segments()
     return out.finalize()
 
@@ -535,7 +526,7 @@ def upsert_docs(index_dir: str, new_files: list[str], out_dir: str, *,
     """
     import shutil
 
-    from .search import SearchEngine
+    from .search import SearchEngine, _in_sorted
 
     if os.path.exists(os.path.join(out_dir, "stats.json")):
         return read_stats(out_dir)
@@ -560,11 +551,7 @@ def upsert_docs(index_dir: str, new_files: list[str], out_dir: str, *,
                  for f in old_files]
         old_ids = np.unique(pa.concat_tables(old_t)[id_col].to_numpy(
             zero_copy_only=False).astype(np.uint64))
-        uniq_new = np.unique(ids)
-        pos = np.searchsorted(old_ids, uniq_new)
-        pos = np.minimum(pos, max(len(old_ids) - 1, 0))
-        n_exist = int((old_ids[pos] == uniq_new).sum()) if len(old_ids) \
-            else 0
+        n_exist = int(_in_sorted(old_ids, np.unique(ids)).sum())
         n_new_rows = sum(len(t) for t in ids_t)
         n_override = int(st["n_docs"]) - n_exist + n_new_rows
     merged = merge_indexes([purged, newidx], out_dir,

@@ -49,7 +49,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import BM25_B, BM25_K1
-from .build import read_stats
 from .codec import Chunks, _gather, decode_positions, decode_postings, probe
 from .segment import SegmentReader
 from .tokenizer import tokenize_query
@@ -101,13 +100,7 @@ def sorted_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     O(min log max), never sorts (np.intersect1d concat-sorts both)."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 0 or len(b) == 0:
-        return np.empty(0, a.dtype)
-    pos = np.searchsorted(b, a)
-    ok = pos < len(b)
-    pos = np.minimum(pos, len(b) - 1)
-    ok &= b[pos] == a
-    return a[ok]
+    return a[_in_sorted(b, a)]
 
 
 # accepted ``method`` values of SearchEngine.bm25 / explain
@@ -146,7 +139,7 @@ def accumulate_scores(terms: list[tuple[np.ndarray, np.ndarray]]
 
 def _in_sorted(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Membership mask of ``x`` (any order) in the ascending unique
-    ``ids`` (the tombstone set), by binary search."""
+    ``ids``, by binary search."""
     if not len(ids):
         return np.zeros(len(x), bool)
     pos = np.minimum(np.searchsorted(ids, x), len(ids) - 1)
@@ -166,15 +159,14 @@ def _position_keys(p: "Postings", cands: np.ndarray, ci: np.ndarray
     term ``p``'s occurrences in the docs ``cands[ci]`` (``ci`` ascending
     indexes into the ascending ``cands``). A doc's posting is a binary
     search of the term's doc ids and its ordinals one slice of the
-    memory-mapped ordinal stream, ending at ``cumsum(tfs)``
+    row's memory-mapped ordinal stream, ending at ``cumsum(tfs)``
     (``codec.decode_positions``). Ordinals are token positions (< 2^32
     for any real doc), so +1 arithmetic stays inside the doc."""
     if not len(ci) or not p.df:
         return np.empty(0, np.uint64)
     docs = p.decode().docs
     if p.positions is None:
-        p.positions = decode_positions(p.pos_rows, p.chunks.column("n"),
-                                       p.tfs)
+        p.positions = decode_positions(p.chunks)
     ends, ords = p.positions
     want = cands[ci]
     k = np.minimum(np.searchsorted(docs, want), len(docs) - 1)
@@ -208,9 +200,8 @@ class Postings:
     scores: np.ndarray | None = None  # cached BM25 contributions (T2/T3)
     ub: float | None = None           # memoized _term_ub (engine-fixed)
     champions: np.ndarray | None = None  # memoized frontier champion docs
-    # a positional index's positions row (SearchEngine._positional), and
-    # its (ends, ords) once a phrase or proximity query reads them
-    pos_rows: Chunks | None = None
+    # a positional index's (ends, ords), once a phrase or proximity
+    # query reads them
     positions: tuple[np.ndarray, np.ndarray] | None = None
 
     def decode(self) -> "Postings":
@@ -223,7 +214,9 @@ class SearchEngine:
     def __init__(self, index_dir: str, corpus_files=None,
                  id_col: str = "doc_id", url_col: str = "url"):
         self.index_dir = index_dir
-        self.stats = read_stats(index_dir)
+        # the one read of stats.json
+        self.segments = SegmentReader(index_dir)
+        self.stats = self.segments.stats
         self.mode = self.stats["mode"]
         self.num_parts = self.stats["num_parts"]
         self.avgdl = float(self.stats["avgdl"]) or 1.0
@@ -237,7 +230,6 @@ class SearchEngine:
         self.last_query_stats: dict = {}
         self.last_fetch_stats: dict = {}
         self._probes = 0  # point lookups made by codec.probe
-        self.segments = SegmentReader(index_dir, self.num_parts)
         self.last_load_stats: dict = {}
         # doc-level tombstones (delete_docs): result-set APIs filter
         # against this sorted set; merge.purge_tombstones rewrites the
@@ -712,19 +704,11 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     def _positional(self, tids: list[int]) -> dict[int, Postings]:
-        """``load_terms(tids)`` with each term's positions row read too
-        (memoized per term, like its postings views)."""
-        if not self.stats.get("positions"):
+        """``load_terms(tids)``, whose rows hold the terms' positions;
+        raises unless the index was built with them."""
+        if not self.segments.positions:
             raise ValueError("index was built without positions=True")
-        loaded = self.load_terms(tids)
-        by_part: dict[int, list[int]] = {}
-        for t in tids:
-            if loaded[t].pos_rows is None:
-                by_part.setdefault(t % self.num_parts, []).append(t)
-        for part, ts in by_part.items():
-            for t, got in self.segments.load_positions(part, ts).items():
-                loaded[t].pos_rows = got
-        return loaded
+        return self.load_terms(tids)
 
     def _phrase_keys(self, phrase: str) -> list[int]:
         """The phrase's key sequence WITH duplicates, in order (dedup
@@ -1022,8 +1006,7 @@ class SearchEngine:
                                          use_threads=False)
                 ids = tbl[key].to_numpy(zero_copy_only=False
                                         ).astype(np.uint64)
-                pos = np.minimum(np.searchsorted(want, ids), len(want) - 1)
-                parts.append(tbl.filter(pa.array(want[pos] == ids)))
+                parts.append(tbl.filter(pa.array(_in_sorted(want, ids))))
             self.last_fetch_stats = {"row_groups_total": total,
                                      "row_groups_read": read}
             out = (pa.concat_tables(parts) if parts
@@ -1054,8 +1037,7 @@ class SearchEngine:
             if isinstance(col, pa.ChunkedArray):
                 col = col.combine_chunks()
             ids = doc_ids_from_urls(col)
-            pos = np.minimum(np.searchsorted(w, ids), len(w) - 1)
-            return batch.filter(pa.array(w[pos] == ids))
+            return batch.filter(pa.array(_in_sorted(w, ids)))
 
         ds = ray.data.read_parquet(files, columns=read_cols)
         batches = list(ds.map_batches(keep, batch_format="pyarrow",

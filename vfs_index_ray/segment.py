@@ -4,26 +4,22 @@ An index keeps one segment per hash partition (``part = term_id % P``)
 under ``segments/``:
 
 - ``part=NNNNN.arrow`` — an Arrow IPC file of one uncompressed record
-  batch: one row per term in ``codec.SEGMENT_SCHEMA``, sorted by
-  term_id. A read memory-maps the file, binary-searches the term_id
-  column and slices the rows it wants: zero-copy views of the file's
-  pages, never a decompress. An absent term is an empty binary search;
+  batch: one row per term in ``codec.SEGMENT_SCHEMA`` (in
+  ``codec.POSITIONAL_SCHEMA``, the same rows plus the ordinals of each
+  term's postings, for a ``positions=True`` index), sorted by term_id.
+  A read memory-maps the file, binary-searches the term_id column and
+  slices the rows it wants: zero-copy views of the file's pages, never
+  a decompress. An absent term is an empty binary search;
 - ``part=NNNNN.json`` — the part's manifest row; it marks the part
   committed.
 
-A ``positions=True`` index also keeps ``positions/part=NNNNN.arrow``
-beside ``segments/``: one uncompressed record batch in
-``codec.POSITIONS_SCHEMA`` whose rows align 1:1 with the segment's, read
-the same zero-copy way.
-
-Every build, merge, purge and repartition writes all P parts (and, for a
-positional index, all P positions files), empty ones included, so a
-missing file always means a truncated index.
+Every build, merge, purge and repartition writes all P parts, empty
+ones included, so a missing file always means a truncated index.
 ``SegmentWriter`` is the one writer; ``SegmentReader`` serves every
 read (term point reads, key-range scans, nearest-key probes, whole-part
-decodes, positions reads) and the per-part fan-out over them. A segment
-or positions file of any other schema or layout (one written by an
-older version) is refused with a "must be rebuilt" error. The reference
+decodes) and the per-part fan-out over them. A segment of any other
+schema or layout than the index's stats.json calls for (one an older
+version wrote) is refused with a "must be rebuilt" error. The reference
 reads its index files through one abstraction the same way: it pages
 them in and binary-searches a sorted key list (index_file.go:664-749,
 974-1003).
@@ -38,12 +34,11 @@ import tempfile
 import numpy as np
 import pyarrow as pa
 
-from .codec import (POSITIONS_SCHEMA, SEGMENT_SCHEMA, Chunks, _gather,
+from .codec import (POSITIONAL_SCHEMA, SEGMENT_SCHEMA, Chunks, _gather,
                     decode_positions, decode_postings, encode_partition,
                     encode_positions)
 from .tokenizer import POS_TYPE
 
-_FIELDS = SEGMENT_SCHEMA.names
 _U64_MAX = (1 << 64) - 1
 
 
@@ -62,10 +57,10 @@ def read_part_row(seg_dir: str, part: int) -> dict:
         return json.load(f)
 
 
-def positions_path(seg_dir: str, part: int, ext: str = "arrow") -> str:
-    """The part's positions file, beside the segments directory."""
-    return os.path.join(os.path.dirname(seg_dir), "positions",
-                        f"part={part:05d}.{ext}")
+def read_stats(index_dir: str) -> dict:
+    """The index's stats.json: its settings and corpus statistics."""
+    with open(os.path.join(index_dir, "stats.json")) as f:
+        return json.load(f)
 
 
 def postings_schema(positions: bool) -> pa.Schema:
@@ -167,9 +162,9 @@ class SegmentWriter:
         self.positions = positions
 
     def encode_part(self, part: int, postings: pa.Table) -> pa.Table:
-        """Encode and publish the part's segment (and, for a positional
-        index, its positions file from the ``pos`` column), then commit
-        the part."""
+        """Encode and publish the part's segment (with, for a positional
+        index, the ordinals of its ``pos`` column), then commit the
+        part."""
         import time
         t_start = time.perf_counter()
         terms = postings["term_id"].to_numpy(zero_copy_only=False
@@ -191,19 +186,12 @@ class SegmentWriter:
         terms, docs, tfs, dls, lens, ords = _dedup_sorted_postings(
             terms, docs, tfs, dls, lens, ords)
         seg = encode_partition(terms, docs, tfs, dls)
+        if self.positions:
+            seg = encode_positions(seg, lens, ords)
 
         final = part_path(self.segments_dir, part)
         tmp = _tmp_path(final)
         _write_batch(seg, tmp)
-        extra = {}
-        if self.positions:
-            # published before the segment and its sidecar
-            pos_path = positions_path(self.segments_dir, part)
-            os.makedirs(os.path.dirname(pos_path), exist_ok=True)
-            _write_batch(encode_positions(seg["n"].to_numpy(), lens, ords),
-                         _tmp_path(pos_path))
-            os.replace(_tmp_path(pos_path), pos_path)
-            extra["positions_bytes"] = os.path.getsize(pos_path)
         os.replace(tmp, final)
         row = {
             "part": part,
@@ -218,53 +206,50 @@ class SegmentWriter:
             "inputs": list(self.lineage),
             "encode_seconds": round(time.perf_counter() - t_start, 4),
             "output_bytes": os.path.getsize(final),
-            **extra,
         }
         _atomic_write_json(part_path(self.segments_dir, part, "json"), row)
         return _manifest_table([row])
 
 
-def _existing(path: str, what: str, claim: str) -> str:
-    """``path``, which must exist. A missing ``.arrow`` file beside a
-    ``.parquet`` one (an older version's ``what`` file) raises "must be
-    rebuilt"; otherwise it means the index is truncated, whatever
-    stats.json ``claim``s."""
-    if os.path.exists(path):
-        return path
-    old = os.path.splitext(path)[0] + ".parquet"
-    if os.path.exists(old):
-        raise RuntimeError(
-            f"{path} not found, but {os.path.basename(old)} is: the index "
-            f"uses the old Parquet {what} format and must be rebuilt")
-    raise RuntimeError(
-        f"index partition file missing: {path} (stats.json claims "
-        f"{claim}); the index is truncated or mid-rebuild")
-
-
 class SegmentReader:
     """Every read of one index's segment files.
 
-    Picklable (it holds only the directory and the part count), so Ray
-    tasks receive it; ``map_parts`` runs ``fn(reader, part, ...)`` over
-    all parts, as one Ray task per part or as a local loop. Every read
-    returns views into the memory-mapped file, which stays mapped while
-    any view is alive; so segment files are only ever replaced (tmp +
-    rename), never rewritten in place, which would fault a reader's
-    views.
+    Picklable (it holds only the directory and the index's stats.json,
+    read once), so Ray tasks receive it; ``map_parts`` runs
+    ``fn(reader, part, ...)`` over all parts, as one Ray task per part
+    or as a local loop. Every read returns views into the memory-mapped
+    file, which stays mapped while any view is alive; so segment files
+    are only ever replaced (tmp + rename), never rewritten in place,
+    which would fault a reader's views.
     """
 
-    def __init__(self, index_dir: str, num_parts: int):
+    def __init__(self, index_dir: str):
         self.segments_dir = segments_dir(index_dir)
-        self.num_parts = int(num_parts)
+        self.stats = read_stats(index_dir)
+        self.num_parts = int(self.stats["num_parts"])
+        self.positions = bool(self.stats.get("positions", False))
+        self.schema = POSITIONAL_SCHEMA if self.positions else SEGMENT_SCHEMA
 
     def path(self, part: int) -> str:
         """The part's segment file. 'Term absent' is an empty read of an
         existing file; a MISSING file means the index is truncated (a
         partial copy, an interrupted absorb) — answering as if the part
         were empty would return wrong results from an index whose
-        stats.json claims coverage."""
-        return _existing(part_path(self.segments_dir, part), "segment",
-                         f"num_parts={self.num_parts}")
+        stats.json claims coverage. A ``.parquet`` file in its place is
+        an older version's segment: "must be rebuilt"."""
+        path = part_path(self.segments_dir, part)
+        if os.path.exists(path):
+            return path
+        old = part_path(self.segments_dir, part, "parquet")
+        if os.path.exists(old):
+            raise RuntimeError(
+                f"{path} not found, but {os.path.basename(old)} is: the "
+                "index uses the old Parquet segment format and must be "
+                "rebuilt")
+        raise RuntimeError(
+            f"index partition file missing: {path} (stats.json claims "
+            f"num_parts={self.num_parts}); the index is truncated or "
+            "mid-rebuild")
 
     def check(self) -> None:
         """Raise unless every part's segment file exists."""
@@ -274,68 +259,48 @@ class SegmentReader:
     def check_format(self, part: int) -> None:
         """Raise the "must be rebuilt" error unless the part's segment
         file has the current schema and layout; maps the file and reads
-        only its IPC metadata."""
-        self._batch(part, None)
-
-    def check_positions(self, part: int) -> None:
-        """Raise unless the part's positions file exists in the current
-        format with a row per segment row and holds exactly the part's
-        ``n_tokens`` ordinals (Σ tf, from its sidecar); maps both files
-        and reads their IPC metadata and the ordinal stream's offsets."""
-        pos = Chunks(self._positions_batch(part, self._batch(part, [])))
+        only its IPC metadata. A positional segment must also hold
+        exactly the part's ``n_tokens`` ordinals (Σ tf, from its
+        sidecar), read from the ordinal stream's offsets."""
+        rows = Chunks(self._batch(part, None))
+        if not self.positions:
+            return
         want = read_part_row(self.segments_dir, part)["n_tokens"]
-        w = int(pos.column("pos_w")[0]) if len(pos) else 1
-        got = int(pos.offsets("pos")[-1]) // w
+        w = int(rows.column("pos_w")[0]) if len(rows) else 1
+        got = int(rows.offsets("pos")[-1]) // w
         if got != want:
             raise RuntimeError(
-                f"{positions_path(self.segments_dir, part)} holds {got} "
-                f"ordinals for the part's {want} tokens: the index is "
-                "truncated or corrupt")
+                f"{self.path(part)} holds {got} ordinals for the part's "
+                f"{want} tokens: the index is truncated or corrupt")
 
     # ----- the one read path ----------------------------------------------
-    @staticmethod
-    def _open(path: str, want: pa.Schema) -> pa.RecordBatch:
-        """The one record batch of the IPC file at ``path``, its columns
-        zero-copy views of the memory-mapped file. A file of another
-        schema, of several batches or with schema metadata (one an older
-        version wrote) raises the "must be rebuilt" error."""
-        with pa.memory_map(path) as source:
-            reader = pa.ipc.open_file(source)
-            if (not reader.schema.equals(want) or reader.schema.metadata
-                    or reader.num_record_batches != 1):
-                raise RuntimeError(
-                    f"{path} has an old schema or layout: the index was "
-                    "written by an older version and must be rebuilt")
-            return reader.get_batch(0)
-
     def _batch(self, part: int, columns: list[str] | None
                ) -> pa.RecordBatch:
         """The part's segment batch, with only ``columns`` (plus
-        term_id) kept. The whole file's schema is checked first, so a
-        file of another schema (0.8.0's per-block lists, 0.5.0's
-        delta-varint ``denc`` and ``skip_off_*`` columns) is refused
-        whichever columns are asked for; so is a file of several
-        batches or with schema metadata (0.4.0 wrote lz4 batches cut
-        every ~1 MB and a first-term directory)."""
-        batch = self._open(self.path(part), SEGMENT_SCHEMA)
+        term_id) kept; its columns are zero-copy views of the
+        memory-mapped file. The whole file's schema is checked first
+        against the one the index's settings call for, so a file of
+        another schema (0.9.0's positional index, whose ordinals sat in
+        a second file; 0.8.0's per-block lists; 0.5.0's delta-varint
+        ``denc`` and ``skip_off_*`` columns) is refused with the "must
+        be rebuilt" error whichever columns are asked for; so is a file
+        of several batches or with schema metadata (0.4.0 wrote lz4
+        batches cut every ~1 MB and a first-term directory)."""
+        path = self.path(part)
+        with pa.memory_map(path) as source:
+            reader = pa.ipc.open_file(source)
+            if (not reader.schema.equals(self.schema)
+                    or reader.schema.metadata
+                    or reader.num_record_batches != 1):
+                raise RuntimeError(
+                    f"{path} does not have the schema or layout this "
+                    "version writes for the index's settings: the index "
+                    "must be rebuilt")
+            batch = reader.get_batch(0)
         if columns is None:
             return batch
-        return batch.select([name for name in _FIELDS
+        return batch.select([name for name in self.schema.names
                              if name == "term_id" or name in columns])
-
-    def _positions_batch(self, part: int, seg: pa.RecordBatch
-                         ) -> pa.RecordBatch:
-        """The part's positions batch, whose rows must align with the
-        segment batch ``seg``. A missing file of a positional index
-        means the index is truncated (``_existing``)."""
-        path = _existing(positions_path(self.segments_dir, part),
-                         "positions", "positions")
-        batch = self._open(path, POSITIONS_SCHEMA)
-        if batch.num_rows != seg.num_rows:
-            raise RuntimeError(
-                f"{path} has {batch.num_rows} rows for the segment's "
-                f"{seg.num_rows}: the index is truncated or corrupt")
-        return batch
 
     @staticmethod
     def _ranges(batch: pa.RecordBatch, bounds) -> list[tuple[int, int]]:
@@ -371,8 +336,9 @@ class SegmentReader:
     # ----- the read shapes ----------------------------------------------
     def load_terms(self, part: int, tids: list[int]) -> dict[int, Chunks]:
         """Term point read: the row of each of ``tids`` (all in
-        ``part``) as column views into the memory-mapped file; an absent
-        term gets no rows."""
+        ``part``), its positions included in a positional index, as
+        column views into the memory-mapped file; an absent term gets
+        no rows."""
         out = {t: Chunks() for t in tids}
         batch = self._batch(part, None)
         for rows in self._slices(batch,
@@ -409,33 +375,18 @@ class SegmentReader:
                           rows.column("n").astype(np.int64))
         return (terms.astype(np.uint64), *decode_postings(rows))
 
-    def load_positions(self, part: int, tids: list[int]
-                       ) -> dict[int, Chunks]:
-        """Positions point read: the positions row of each of ``tids``
-        (all in ``part``) as column views into the memory-mapped file,
-        for ``codec.decode_positions``; an absent term gets no rows."""
-        seg = self._batch(part, [])
-        pos = self._positions_batch(part, seg)
-        out = {t: Chunks(pos.slice(0, 0)) for t in tids}
-        for i, j in self._ranges(seg, [(t, t) for t in sorted(set(tids))]):
-            out[int(seg.column("term_id")[i].as_py())] = Chunks(
-                pos.slice(i, j - i))
-        return out
-
-    def postings(self, part: int, positions: bool = False) -> pa.Table:
-        """The part's postings in ``postings_schema(positions)``, ordered
-        (term, doc): what merge, purge and repartition re-encode."""
+    def postings(self, part: int) -> pa.Table:
+        """The part's postings in ``postings_schema(self.positions)``,
+        ordered (term, doc): what merge, purge and repartition
+        re-encode."""
         terms, docs, tfs, dls = self.decode_part(part)
         cols = [terms, docs, tfs.astype(np.uint32), dls.astype(np.uint32)]
-        if positions:
-            seg = self._batch(part, ["n"])
-            ends, ords = decode_positions(
-                Chunks(self._positions_batch(part, seg)),
-                seg.column("n").to_numpy(), tfs)
+        if self.positions:
+            ends, ords = decode_positions(Chunks(self._batch(part, None)))
             cols.append(pa.ListArray.from_arrays(
                 pa.array(np.append(0, ends), pa.int32()),
                 pa.array(ords.astype(np.uint32), pa.uint32())))
-        schema = postings_schema(positions)
+        schema = postings_schema(self.positions)
         return pa.table(dict(zip(schema.names, cols)), schema=schema)
 
     # ----- fan-out --------------------------------------------------------

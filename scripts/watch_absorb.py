@@ -27,15 +27,8 @@ sys.path.insert(0, _REPO)
 
 
 def _ingested_files(index_dir: str) -> set[str]:
-    waves_dir = os.path.join(index_dir, "waves")
-    out: set[str] = set()
-    if not os.path.isdir(waves_dir):
-        return out
-    for name in os.listdir(waves_dir):
-        if name.startswith("wave=") and name.endswith(".json"):
-            with open(os.path.join(waves_dir, name)) as f:
-                out.update(json.load(f).get("files", []))
-    return out
+    from vfs_index_ray.segment import read_waves
+    return {f for w in read_waves(index_dir) for f in w.get("files", [])}
 
 
 def main(argv=None) -> int:

@@ -130,6 +130,32 @@ def test_encode_parts_failure_waits_then_resumes(ray_session, two_files,
                 == open(os.path.join(b1.segments_dir, n), "rb").read()), n
 
 
+def test_resume_after_spill_commit_without_sidecar(ray_session, two_files,
+                                                   tmp_path):
+    """Killed between the spill wave's rename and its sidecar: the
+    rerun clears the uncommitted ``wave=0000`` postings, tokenizes again
+    and builds segments byte-identical to a clean build."""
+    from vfs_index_ray.build import IndexBuilder, verify_index
+    from vfs_index_ray.segment import part_path, segments_dir
+
+    clean = str(tmp_path / "clean4")
+    IndexBuilder(clean, mode="word", num_parts=8, id_col=None
+                 ).build(two_files)
+
+    inter = str(tmp_path / "inter4")
+    IndexBuilder(inter, mode="word", num_parts=8, id_col=None
+                 ).build_postings_wave(0, two_files)
+    # "crash" between the postings rename and the sidecar
+    os.remove(os.path.join(inter, "waves", "wave=0000.json"))
+    IndexBuilder(inter, mode="word", num_parts=8, id_col=None
+                 ).build(two_files)
+    assert verify_index(inter)["ok"]
+    for p in range(8):
+        with open(part_path(segments_dir(clean), p), "rb") as a, \
+                open(part_path(segments_dir(inter), p), "rb") as b:
+            assert a.read() == b.read(), p
+
+
 def test_wave_sidecar_requires_postings(ray_session, two_files, tmp_path):
     """Scratch loss before segments are built → wave recomputed, not
     trusted from the orphaned sidecar."""

@@ -311,3 +311,85 @@ def test_verify_index_flags_v080_segment(url_index, tmp_path):
     ``block_tf_max`` and ``block_dl_min`` lists) is flagged, and queries
     that read it raise."""
     _flag_every_part(url_index, tmp_path, "v080")
+
+
+def test_publish_clears_stale_tmp_and_commits(tmp_path):
+    """``publish`` clears the ``.tmp.`` file or directory a killed
+    writer left, hands ``write`` a fresh tmp, and leaves no ``.tmp.``
+    name once it has renamed it over the target."""
+    from vfs_index_ray.segment import publish
+
+    stale_dir = tmp_path / ".tmp.wave=0000" / "part=0"
+    stale_dir.mkdir(parents=True)
+    (stale_dir / "torn.parquet").write_bytes(b"PAR1")
+    (tmp_path / ".tmp.part=00000.json").write_text('{"part": ')
+
+    def write_file(tmp):
+        assert not os.path.exists(tmp)
+        with open(tmp, "w") as f:
+            f.write("{}")
+
+    def write_dir(tmp):
+        assert not os.path.exists(tmp)
+        os.makedirs(os.path.join(tmp, "part=1"))
+
+    publish(str(tmp_path / "part=00000.json"), write_file)
+    publish(str(tmp_path / "wave=0000"), write_dir)
+    assert sorted(os.listdir(tmp_path)) == ["part=00000.json", "wave=0000"]
+    assert (tmp_path / "part=00000.json").read_text() == "{}"
+    assert os.listdir(tmp_path / "wave=0000") == ["part=1"]
+
+
+def test_publish_failed_write_leaves_target(tmp_path):
+    """A ``write`` that raises leaves the published file as it was."""
+    from vfs_index_ray.segment import publish
+
+    path = tmp_path / "stats.json"
+    path.write_text("old")
+
+    def write(tmp):
+        with open(tmp, "w") as f:
+            f.write("new, torn")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        publish(str(path), write)
+    assert path.read_text() == "old"
+
+
+def test_read_waves_skips_uncommitted_in_order(tmp_path):
+    """``read_waves`` returns the committed wave sidecars in wave order
+    and ignores a ``.tmp.`` one."""
+    from vfs_index_ray.segment import publish_json, read_waves, wave_path
+
+    idx = str(tmp_path)
+    assert read_waves(idx) == []
+    for w in (2, 0, 1):
+        publish_json(wave_path(idx, w), {"wave": w, "files": [],
+                                         "n_docs": w})
+    waves = os.path.dirname(wave_path(idx, 0))
+    with open(os.path.join(waves, ".tmp.wave=0003.json"), "w") as f:
+        f.write('{"wave": 3, "files": [], "n_docs": 3}')
+    assert [w["wave"] for w in read_waves(idx)] == [0, 1, 2]
+
+
+def test_finalize_publishes_stats_last(url_index, tmp_path, monkeypatch):
+    """``finalize`` publishes ``manifest.parquet`` before ``stats.json``,
+    so stats.json is the index's commit, and rewrites the same stats."""
+    from vfs_index_ray import build, segment
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(url_index, idx)
+    order = []
+
+    def recording(path, write, publish=segment.publish):
+        order.append(os.path.basename(path))
+        publish(path, write)
+
+    monkeypatch.setattr(segment, "publish", recording)
+    monkeypatch.setattr(build, "publish", recording)
+    before = segment.read_stats(idx)
+    build.IndexBuilder(idx, mode="word", num_parts=PARTS,
+                       id_col=None).finalize()
+    assert order == ["manifest.parquet", "stats.json"]
+    assert segment.read_stats(idx) == before

@@ -7,7 +7,11 @@ purge_tombstones rewrites the segments, after which the index is
 byte-identical to a fresh build of the surviving corpus.
 """
 
+import os
+import shutil
+
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -144,3 +148,25 @@ def test_range_scan_filters_tombstones(tomb_setup, pages_file):
     eng.delete_docs(victims)
     docs = eng.term_range_docs(None, None)  # every indexed doc
     assert not np.isin(victims, docs).any()
+
+
+def test_uncommitted_tombstone_files_are_ignored(tomb_setup, pages_file,
+                                                 tmp_path):
+    """Only committed ``del-*.parquet`` files are read: a tmp file a
+    killed ``delete_docs`` left, torn or complete, neither breaks an
+    engine open nor applies its uncommitted deletes."""
+    from vfs_index_ray.search import load_tombstones
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(tomb_setup[0], idx, ignore=shutil.ignore_patterns(
+        "tombstones"))
+    d = os.path.join(idx, "tombstones")
+    os.makedirs(d)
+    pq.write_table(pa.table({"doc_id": pa.array([5, 9], pa.uint64())}),
+                   os.path.join(d, "del-000000000001.parquet"))
+    pq.write_table(pa.table({"doc_id": pa.array([7], pa.uint64())}),
+                   os.path.join(d, ".tmp.del-000000000002.parquet"))
+    with open(os.path.join(d, ".tmp.del-000000000003.parquet"), "wb") as f:
+        f.write(b"PAR1\x00\x00")  # killed mid-write
+    assert load_tombstones(idx).tolist() == [5, 9]
+    assert _fresh(idx, pages_file).tombstones.tolist() == [5, 9]

@@ -32,8 +32,9 @@ SURVEY §3.1):
       record.go:46-82). Every task is waited for before the first error
       is raised.
 
-  finalize: stats.json (N, total tokens, avgdl) + manifest.parquet
-        (per-partition lineage + metrics) assembled from sidecars.
+  finalize: manifest.parquet (per-partition lineage + metrics), then
+        stats.json (N, total tokens, avgdl), the index's commit, last;
+        both from the sidecars, each published by ``segment.publish``.
 
 Scale notes (100 TB / 10^12 docs): num_parts sizes the shuffle so one
 partition's postings fit a worker (tens of thousands of parts at full
@@ -55,9 +56,10 @@ import pyarrow.parquet as pq
 import ray.data
 
 from . import BM25_B, BM25_K1, __version__
-from .segment import (SegmentReader, SegmentWriter, _atomic_write_json,
-                      _manifest_table, part_path, postings_schema,
-                      read_part_row, read_stats, segments_dir)
+from .segment import (SegmentReader, SegmentWriter, _manifest_table,
+                      manifest_path, part_path, postings_schema, publish,
+                      publish_json, read_part_row, read_stats, read_waves,
+                      segments_dir, stats_path, wave_path)
 from .stages.tokenize import AddPartColumn, tokenize_postings
 
 # block cap of a wave's dataset (its own DataContext, never the global
@@ -116,10 +118,8 @@ class IndexBuilder:
                                         pafs.LocalFileSystem)
         self.postings_dir = scratch_root.rstrip("/") + "/postings"
         self.segments_dir = segments_dir(index_dir)
-        self.waves_dir = os.path.join(index_dir, "waves")
         self.scratch_fs.create_dir(self.postings_dir, recursive=True)
-        for d in (self.segments_dir, self.waves_dir):
-            os.makedirs(d, exist_ok=True)
+        os.makedirs(self.segments_dir, exist_ok=True)
 
     @classmethod
     def like(cls, src_dir: str, out_dir: str, **overrides) -> IndexBuilder:
@@ -149,14 +149,13 @@ class IndexBuilder:
     def _wave_done(self, wave: int) -> bool:
         # committed = sidecar exists AND the postings it points at survive
         # (scratch may be ephemeral)
-        return (os.path.exists(os.path.join(self.waves_dir,
-                                            f"wave={wave:04d}.json"))
+        return (os.path.exists(wave_path(self.index_dir, wave))
                 and self._scratch_isdir(
                     f"{self.postings_dir}/wave={wave:04d}"))
 
     def build_postings_wave(self, wave: int, files: list[str]) -> dict:
         if self._wave_done(wave):
-            with open(os.path.join(self.waves_dir, f"wave={wave:04d}.json")) as f:
+            with open(wave_path(self.index_dir, wave)) as f:
                 return json.load(f)
         is_parquet = all(f.endswith(".parquet") for f in files)
         if is_parquet:
@@ -235,29 +234,23 @@ class IndexBuilder:
         shuffle itself restartable — it lives on disk, per wave.)"""
         post.context.target_max_block_size = WAVE_BLOCK_BYTES
         final = f"{self.postings_dir}/wave={wave:04d}"
-        if self.scratch_local:
-            # local fs: tmp + atomic rename
-            tmp = f"{self.postings_dir}/.tmp.wave={wave:04d}"
-            if os.path.exists(tmp):
-                import shutil
-                shutil.rmtree(tmp)
-            os.makedirs(tmp, exist_ok=True)  # empty input: no files
-            post.write_parquet(tmp, partition_cols=["part"])
-            os.replace(tmp, final)
-        else:
-            # object stores have no atomic dir rename: the wave sidecar
-            # (written below, after the data) is the commit marker —
-            # _wave_done requires BOTH — so clear any uncommitted
-            # leftover and write to the final path directly
+
+        def write(path: str) -> None:
+            # the wave sidecar (published below, after the data) is the
+            # commit marker — _wave_done requires BOTH — so a postings
+            # dir without one is an uncommitted leftover: clear it
             try:
                 self.scratch_fs.delete_dir(final)
             except (FileNotFoundError, OSError):
                 pass
-            self.scratch_fs.create_dir(final, recursive=True)
-            post.write_parquet(final, filesystem=self.scratch_fs,
+            self.scratch_fs.create_dir(path, recursive=True)  # even if empty
+            post.write_parquet(path, filesystem=self.scratch_fs,
                                partition_cols=["part"])
-        _atomic_write_json(os.path.join(self.waves_dir, f"wave={wave:04d}.json"),
-                           meta)
+        if self.scratch_local:
+            publish(final, write)
+        else:  # object stores have no atomic dir rename
+            write(final)
+        publish_json(wave_path(self.index_dir, wave), meta)
         return meta
 
     # ----- phase 2: shuffle → segments (per part, resumable) -------------
@@ -304,10 +297,8 @@ class IndexBuilder:
         # every committed wave sidecar must still have its postings on
         # scratch — otherwise the segments would silently drop those
         # waves' docs while finalize() still counts their sidecars
-        missing = [name for name in sorted(os.listdir(self.waves_dir))
-                   if name.startswith("wave=") and name.endswith(".json")
-                   and not self._wave_done(
-                       int(name[len("wave="):-len(".json")]))]
+        missing = [w["wave"] for w in read_waves(self.index_dir)
+                   if not self._wave_done(w["wave"])]
         if missing:
             raise RuntimeError(
                 f"wave postings lost from scratch for {missing}; re-run "
@@ -350,16 +341,10 @@ class IndexBuilder:
         return [read_part_row(self.segments_dir, p)
                 for p in range(self.num_parts)]
 
-    # ----- finalize: stats + manifest ------------------------------------
+    # ----- finalize: manifest, then stats.json (the commit) -------------
     def finalize(self) -> dict:
-        n_docs = n_tokens = 0
-        waves = []
-        for name in sorted(os.listdir(self.waves_dir)):
-            if name.endswith(".json"):
-                with open(os.path.join(self.waves_dir, name)) as f:
-                    w = json.load(f)
-                waves.append(w)
-                n_docs += w["n_docs"]
+        waves = read_waves(self.index_dir)
+        n_docs = sum(w["n_docs"] for w in waves)
         part_rows = [read_part_row(self.segments_dir, p)
                      for p in sorted(self._done_parts())]
         n_tokens = sum(r.get("n_tokens", 0) for r in part_rows)
@@ -371,12 +356,10 @@ class IndexBuilder:
             "k1": BM25_K1, "b": BM25_B, "positions": self.positions,
             "waves": [w["wave"] for w in waves],
         }
-        _atomic_write_json(os.path.join(self.index_dir, "stats.json"), stats)
-        rows = part_rows
-        if rows:
-            manifest = _manifest_table(rows)
-            pq.write_table(manifest,
-                           os.path.join(self.index_dir, "manifest.parquet"))
+        if part_rows:
+            publish(manifest_path(self.index_dir), lambda tmp: pq.write_table(
+                _manifest_table(part_rows), tmp))
+        publish_json(stats_path(self.index_dir), stats)
         return stats
 
     # ----- incremental absorb --------------------------------------------
@@ -395,18 +378,13 @@ class IndexBuilder:
         # avgdl and every BM25 score)
         next_wave = 0
         done_files: set[str] = set()
-        for name in sorted(os.listdir(self.waves_dir)):
-            if name.startswith("wave=") and name.endswith(".json"):
-                w = int(name[len("wave="):-len(".json")])
-                next_wave = max(next_wave, w + 1)
-                with open(os.path.join(self.waves_dir, name)) as f:
-                    meta = json.load(f)
-                if self._wave_done(w):
-                    done_files.update(meta["files"])
-                else:
-                    os.remove(os.path.join(self.waves_dir, name))
-                    self.build_postings_wave(w, meta["files"])
-                    done_files.update(meta["files"])
+        for meta in read_waves(self.index_dir):
+            w = meta["wave"]
+            next_wave = max(next_wave, w + 1)
+            if not self._wave_done(w):
+                os.remove(wave_path(self.index_dir, w))
+                self.build_postings_wave(w, meta["files"])
+            done_files.update(meta["files"])
         # crash-idempotence (file-level dirty filter, the reference's
         # Regist-skips-known-files behavior): a file whose wave sidecar
         # already committed must NOT be re-ingested when an interrupted
@@ -488,13 +466,7 @@ def verify_index(index_dir: str) -> dict:
             reader.check_format(part)
         except (RuntimeError, pa.ArrowInvalid) as e:
             errors.append(f"part={part}: {e}")
-    waves_dir = os.path.join(index_dir, "waves")
-    n_docs = 0
-    if os.path.isdir(waves_dir):
-        for n in sorted(os.listdir(waves_dir)):
-            if n.endswith(".json"):
-                with open(os.path.join(waves_dir, n)) as f:
-                    n_docs += json.load(f)["n_docs"]
+    n_docs = sum(w["n_docs"] for w in read_waves(index_dir))
     if n_docs != stats["n_docs"]:
         errors.append(f"wave n_docs {n_docs} != stats {stats['n_docs']}")
     if tok != stats["total_tokens"]:

@@ -40,7 +40,8 @@ import pyarrow.parquet as pq
 import ray.data
 
 from .build import IndexBuilder, read_stats
-from .segment import SegmentReader, _atomic_write_json, read_part_row
+from .segment import (SegmentReader, is_committed, publish_json, purge_path,
+                      read_part_row, read_waves, wave_path)
 
 
 def _keep_last(tables: list[pa.Table]) -> pa.Table:
@@ -61,18 +62,9 @@ def _keep_last(tables: list[pa.Table]) -> pa.Table:
 def merged_sources(out_dir: str) -> list[str]:
     """Constituent source index dirs recorded in the merged index's wave
     lineage (the ``merge:<dir>`` entries merge_indexes writes)."""
-    srcs: list[str] = []
-    waves_dir = os.path.join(out_dir, "waves")
-    if not os.path.isdir(waves_dir):
-        return srcs
-    for name in sorted(os.listdir(waves_dir)):
-        if name.endswith(".json"):
-            with open(os.path.join(waves_dir, name)) as f:
-                w = json.load(f)
-            for e in w.get("files", []):
-                if isinstance(e, str) and e.startswith("merge:"):
-                    srcs.append(e[len("merge:"):])
-    return srcs
+    return [e[len("merge:"):] for w in read_waves(out_dir)
+            for e in w.get("files", [])
+            if isinstance(e, str) and e.startswith("merge:")]
 
 
 def clean_merged_sources(out_dir: str, src_dirs: list[str] | None = None
@@ -172,9 +164,9 @@ def merge_indexes(src_dirs: list[str], out_dir: str,
     n_docs = (n_docs_override if n_docs_override is not None
               else sum(s["n_docs"] for s in stats))
     # synthesize a wave sidecar so finalize() has the doc count + lineage
-    _atomic_write_json(os.path.join(out.waves_dir, "wave=0000.json"),
-                       {"wave": 0, "files": [f"merge:{s}" for s in src_dirs],
-                        "n_docs": int(n_docs)})
+    publish_json(wave_path(out_dir, 0),
+                 {"wave": 0, "files": [f"merge:{s}" for s in src_dirs],
+                  "n_docs": int(n_docs)})
     merged_stats = out.finalize()
     merged_stats["merge_report"] = reports
     if clean_after_merge:
@@ -208,27 +200,23 @@ def purge_tombstones(src_dir: str, out_dir: str) -> dict:
     out = IndexBuilder.like(src_dir, out_dir)
     src = SegmentReader(src_dir)
     src.check()
-    purge_dir = os.path.join(out_dir, "purge")
-    os.makedirs(purge_dir, exist_ok=True)
 
     def purge_part(p: int):
         postings = src.postings(p)
         d = postings["doc_id"].to_numpy()
         dead = np.isin(d, tomb)
-        _atomic_write_json(os.path.join(purge_dir, f"part={p:05d}.json"),
-                           {"part": p,
-                            "deleted_docs": np.unique(d[dead]).tolist()})
+        publish_json(purge_path(out_dir, p),
+                     {"part": p, "deleted_docs": np.unique(d[dead]).tolist()})
         return postings.filter(pa.array(~dead))
 
     out._encode_parts(purge_part, lambda p: os.path.getsize(src.path(p)))
     deleted: set[int] = set()
     for p in range(out.num_parts):
-        with open(os.path.join(purge_dir, f"part={p:05d}.json")) as fh:
+        with open(purge_path(out_dir, p)) as fh:
             deleted.update(json.load(fh)["deleted_docs"])
     n_docs = int(src.stats["n_docs"]) - len(deleted)
-    _atomic_write_json(os.path.join(out.waves_dir, "wave=0000.json"),
-                       {"wave": 0, "files": [f"purge:{src_dir}"],
-                        "n_docs": n_docs})
+    publish_json(wave_path(out_dir, 0),
+                 {"wave": 0, "files": [f"purge:{src_dir}"], "n_docs": n_docs})
     stats = out.finalize()
     stats["purged_docs"] = len(deleted)
     stats["tombstones_requested"] = int(len(tomb))
@@ -471,7 +459,10 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
         return out.finalize()  # fully committed; scratch may be gone
     if not out._wave_done(0):
         src = SegmentReader(src_dir)
-        src.check()
+        # on the driver: an old format raises the RuntimeError merge
+        # and purge raise, not Ray Data's wrapped task error
+        for p in range(src.num_parts):
+            src.check_format(p)
 
         def decode_part(batch: pa.Table) -> pa.Table:
             return src.postings(int(batch["p"][0].as_py()))
@@ -528,7 +519,7 @@ def upsert_docs(index_dir: str, new_files: list[str], out_dir: str, *,
 
     from .search import SearchEngine, _in_sorted
 
-    if os.path.exists(os.path.join(out_dir, "stats.json")):
+    if is_committed(out_dir):
         return read_stats(out_dir)
     st = read_stats(index_dir)
     ids_t = [pq.read_table(f, columns=[id_col], use_threads=False)
@@ -540,9 +531,9 @@ def upsert_docs(index_dir: str, new_files: list[str], out_dir: str, *,
     work = work_dir or (out_dir.rstrip("/") + "-work")
     purged = os.path.join(work, "purged")
     newidx = os.path.join(work, "new")
-    if not os.path.exists(os.path.join(purged, "stats.json")):
+    if not is_committed(purged):
         purge_tombstones(index_dir, purged)
-    if not os.path.exists(os.path.join(newidx, "stats.json")):
+    if not is_committed(newidx):
         IndexBuilder.like(index_dir, newidx, id_col=id_col,
                           **builder_kw).build(new_files)
     n_override = None

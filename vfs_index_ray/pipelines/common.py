@@ -25,6 +25,7 @@ import pyarrow.parquet as pq
 from ..build import IndexBuilder
 from ..functions import collect_arrow
 from ..search import SearchEngine
+from ..segment import is_committed
 
 # one shared DuckDB token-list expression — the tokenizer contract
 TOKS = "list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '')"
@@ -91,7 +92,7 @@ def build_once(idx: str, files: list[str], **builder_kw) -> str:
     """Build the index at ``idx`` from ``files`` unless its
     ``stats.json`` exists (a build resumes, so an interrupted one
     completes); returns ``idx``."""
-    if not os.path.exists(os.path.join(idx, "stats.json")):
+    if not is_committed(idx):
         IndexBuilder(idx, **builder_kw).build(files)
     return idx
 

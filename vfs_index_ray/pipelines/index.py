@@ -13,6 +13,7 @@ import pyarrow.compute as pc
 
 from ..functions import collect_arrow
 from ..search import SearchEngine
+from ..segment import is_committed, publish
 from .common import (TOKS, _conc, _doc_file, _docs_ds, build_once,
                      cache_dir, fixed_point, get_engine, query,
                      read_table)
@@ -714,9 +715,8 @@ def get_federated_engine(sf_dir: str):
             if not os.path.exists(half_src):
                 tbl = read_table(sf_dir, "documents")
                 ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-                tmp = half_src + ".tmp"
-                pqq.write_table(tbl.filter(pa.array(ids % 2 == half)), tmp)
-                os.replace(tmp, half_src)
+                publish(half_src, lambda tmp: pqq.write_table(
+                    tbl.filter(pa.array(ids % 2 == half)), tmp))
             idx_dirs.append(build_once(
                 os.path.join(base, f"idx{half}"), [half_src],
                 mode="word", num_parts=4, id_col="doc_id"))
@@ -1147,7 +1147,7 @@ def q_purge_search(sf_dir: str) -> pa.Table:
     of the delete story against SQL."""
     eng, idx = _tomb_engine(sf_dir)
     purged = idx + "-purged"
-    if not os.path.exists(os.path.join(purged, "stats.json")):
+    if not is_committed(purged):
         from ..merge import purge_tombstones
         purge_tombstones(idx, purged)
     peng = SearchEngine(purged, corpus_files=[_doc_file(sf_dir)],
@@ -1428,10 +1428,8 @@ def q_recrawl_upsert(sf_dir: str) -> pa.Table:
         txt = pc.replace_substring(t["text"], "spark", "glint")
         txt = pc.binary_join_element_wise(
             pa.array(["refreshed revision"] * t.num_rows), txt, " ")
-        tmp = v2 + ".tmp"
-        pq.write_table(pa.table({"doc_id": t["doc_id"], "text": txt}),
-                       tmp)
-        os.replace(tmp, v2)
+        publish(v2, lambda tmp: pq.write_table(
+            pa.table({"doc_id": t["doc_id"], "text": txt}), tmp))
     latest = os.path.join(root, "latest")
     upsert_docs(base, [v2], latest, id_col="doc_id", old_files=[src])
     eng = SearchEngine(latest, corpus_files=[src], id_col="doc_id")

@@ -50,7 +50,7 @@ import pyarrow.parquet as pq
 
 from . import BM25_B, BM25_K1
 from .codec import Chunks, _gather, decode_positions, decode_postings, probe
-from .segment import SegmentReader
+from .segment import SegmentReader, publish, tombstones_dir
 from .tokenizer import tokenize_query
 
 _ORD_MASK = np.uint64(0xFFFFFFFF)  # the ordinal half of a position key
@@ -58,15 +58,16 @@ _ORD_MASK = np.uint64(0xFFFFFFFF)  # the ordinal half of a position key
 
 def load_tombstones(index_dir: str) -> np.ndarray:
     """Union of all committed tombstone files (sorted-unique uint64 doc
-    ids). Each file is a one-column parquet under ``tombstones/``,
-    content-addressed and published tmp+rename — files are immutable
-    and mergeable, so concurrent deleters and readers never conflict
-    (same protocol as segment sidecars). Missing dir = no deletes."""
-    d = os.path.join(index_dir, "tombstones")
+    ids). Each file is a one-column parquet ``tombstones/del-<sha1>``,
+    content-addressed and published tmp+rename (``segment.publish``; a
+    ``.tmp.`` file is never read) — files are immutable and mergeable,
+    so concurrent deleters and readers never conflict. Missing dir = no
+    deletes."""
+    d = tombstones_dir(index_dir)
     arrs = []
     if os.path.isdir(d):
         for name in sorted(os.listdir(d)):
-            if name.endswith(".parquet"):
+            if name.startswith("del-") and name.endswith(".parquet"):
                 arrs.append(pq.read_table(
                     os.path.join(d, name), use_threads=False
                 )["doc_id"].to_numpy(zero_copy_only=False
@@ -284,15 +285,12 @@ class SearchEngine:
         new = ids[~_in_sorted(self.tombstones, ids)]
         if len(new) == 0:
             return 0
-        d = os.path.join(self.index_dir, "tombstones")
-        os.makedirs(d, exist_ok=True)
         tag = hashlib.sha1(ids.tobytes()).hexdigest()[:12]
-        final = os.path.join(d, f"del-{tag}.parquet")
+        final = os.path.join(tombstones_dir(self.index_dir),
+                             f"del-{tag}.parquet")
         if not os.path.exists(final):
-            tmp = os.path.join(d, f".tmp.del-{tag}.parquet")
-            pq.write_table(pa.table({"doc_id": pa.array(ids, pa.uint64())}),
-                           tmp)
-            os.replace(tmp, final)
+            publish(final, lambda tmp: pq.write_table(
+                pa.table({"doc_id": pa.array(ids, pa.uint64())}), tmp))
         self.tombstones = np.union1d(self.tombstones, new)
         self._tomb_filtered.clear()
         return int(len(new))

@@ -1,17 +1,25 @@
-"""Segment files: the one module that names, writes and reads them.
+"""The index's files: the one module that names, publishes and reads them.
 
-An index keeps one segment per hash partition (``part = term_id % P``)
-under ``segments/``:
+An index directory holds (every name is built in the layout section
+below, and every file is committed by its ``publish``):
 
-- ``part=NNNNN.arrow`` — an Arrow IPC file of one uncompressed record
-  batch: one row per term in ``codec.SEGMENT_SCHEMA`` (in
+- ``segments/part=NNNNN.arrow`` — one segment per hash partition
+  (``part = term_id % P``), an Arrow IPC file of one uncompressed
+  record batch: one row per term in ``codec.SEGMENT_SCHEMA`` (in
   ``codec.POSITIONAL_SCHEMA``, the same rows plus the ordinals of each
   term's postings, for a ``positions=True`` index), sorted by term_id.
   A read memory-maps the file, binary-searches the term_id column and
   slices the rows it wants: zero-copy views of the file's pages, never
   a decompress. An absent term is an empty binary search;
-- ``part=NNNNN.json`` — the part's manifest row; it marks the part
-  committed.
+- ``segments/part=NNNNN.json`` — the part's manifest row; it marks the
+  part committed;
+- ``waves/wave=NNNN.json`` — one build wave's input files and doc
+  count (merge, purge and repartition write a synthetic wave 0);
+- ``manifest.parquet`` — the part rows as one table, then
+  ``stats.json`` — the index's settings and corpus statistics,
+  published last: an index is committed once it exists;
+- ``tombstones/del-<sha1>.parquet`` — one ``delete_docs`` call's ids;
+- ``purge/part=NNNNN.json`` — the ids a purge dropped from one part.
 
 Every build, merge, purge and repartition writes all P parts, empty
 ones included, so a missing file always means a truncated index.
@@ -22,14 +30,15 @@ schema or layout than the index's stats.json calls for (one an older
 version wrote) is refused with a "must be rebuilt" error. The reference
 reads its index files through one abstraction the same way: it pages
 them in and binary-searches a sorted key list (index_file.go:664-749,
-974-1003).
+974-1003), and keeps its state in file names and atomic renames.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -42,6 +51,7 @@ from .tokenizer import POS_TYPE
 _U64_MAX = (1 << 64) - 1
 
 
+# ----- the layout: every file of an index is named and published here --
 def segments_dir(index_dir: str) -> str:
     return os.path.join(index_dir, "segments")
 
@@ -57,10 +67,78 @@ def read_part_row(seg_dir: str, part: int) -> dict:
         return json.load(f)
 
 
+def stats_path(index_dir: str) -> str:
+    return os.path.join(index_dir, "stats.json")
+
+
+def is_committed(index_dir: str) -> bool:
+    """Whether the index's last file, stats.json, is published."""
+    return os.path.exists(stats_path(index_dir))
+
+
 def read_stats(index_dir: str) -> dict:
     """The index's stats.json: its settings and corpus statistics."""
-    with open(os.path.join(index_dir, "stats.json")) as f:
+    with open(stats_path(index_dir)) as f:
         return json.load(f)
+
+
+def manifest_path(index_dir: str) -> str:
+    return os.path.join(index_dir, "manifest.parquet")
+
+
+def wave_path(index_dir: str, wave: int) -> str:
+    return os.path.join(index_dir, "waves", f"wave={wave:04d}.json")
+
+
+def read_waves(index_dir: str) -> list[dict]:
+    """The committed wave sidecars, in wave order."""
+    d = os.path.dirname(wave_path(index_dir, 0))
+    names = sorted(os.listdir(d)) if os.path.isdir(d) else []
+    return [json.loads(Path(d, name).read_text()) for name in names
+            if name.startswith("wave=")]
+
+
+def tombstones_dir(index_dir: str) -> str:
+    return os.path.join(index_dir, "tombstones")
+
+
+def purge_path(index_dir: str, part: int) -> str:
+    return part_path(os.path.join(index_dir, "purge"), part, "json")
+
+
+def publish(path: str, write) -> None:
+    """Commit ``path``: ``write(tmp)`` fills ``.tmp.<name>`` in the same
+    directory (a file, or a directory for the build's local spill wave),
+    after a stale tmp a killed writer left is cleared; then the tmp file
+    is fsynced, renamed over ``path`` and the directory fsynced. A crash
+    leaves the old ``path`` or the new one, never a torn one, and a
+    ``write`` that raises leaves ``path`` as it was. The fsyncs cost
+    ~14 ms per 16 parts of 842 KB and their sidecars on a virtio disk
+    (3 → 17 ms), against a ~0.8 s build. The spill's Parquet files,
+    which Ray writes, are not fsynced one by one: losing scratch costs a
+    re-tokenize, and a torn spill file fails phase 2's read, not
+    silently."""
+    d, name = os.path.split(path)
+    tmp = os.path.join(d, ".tmp." + name)
+    if os.path.isdir(tmp):
+        shutil.rmtree(tmp)
+    elif os.path.lexists(tmp):
+        os.remove(tmp)
+    os.makedirs(d, exist_ok=True)
+    write(tmp)
+    if os.path.isfile(tmp):
+        with open(tmp, "rb") as f:
+            os.fsync(f.fileno())
+    os.replace(tmp, path)
+    fd = os.open(d, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def publish_json(path: str, obj: dict) -> None:
+    publish(path, lambda tmp: Path(tmp).write_text(json.dumps(obj)))
 
 
 def postings_schema(positions: bool) -> pa.Schema:
@@ -70,13 +148,6 @@ def postings_schema(positions: bool) -> pa.Schema:
     return pa.schema([("term_id", pa.uint64()), ("doc_id", pa.uint64()),
                       ("tf", pa.uint32()), ("dl", pa.uint32())]
                      + ([("pos", POS_TYPE)] if positions else []))
-
-
-def _atomic_write_json(path: str, obj: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump(obj, f)
-    os.replace(tmp, path)
 
 
 _MANIFEST_SCHEMA = pa.schema([
@@ -129,12 +200,6 @@ def _pos_lists(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
         lens.append(np.diff(np.asarray(chunk.offsets, np.int64)))
         ords.append(chunk.flatten().to_numpy(zero_copy_only=False))
     return np.concatenate(lens), np.concatenate(ords)
-
-
-def _tmp_path(path: str) -> str:
-    """Where ``path`` is written before its atomic rename."""
-    return os.path.join(os.path.dirname(path),
-                        ".tmp." + os.path.basename(path))
 
 
 def _write_batch(tbl: pa.Table, path: str) -> None:
@@ -190,9 +255,7 @@ class SegmentWriter:
             seg = encode_positions(seg, lens, ords)
 
         final = part_path(self.segments_dir, part)
-        tmp = _tmp_path(final)
-        _write_batch(seg, tmp)
-        os.replace(tmp, final)
+        publish(final, lambda tmp: _write_batch(seg, tmp))
         row = {
             "part": part,
             "n_terms": seg.num_rows,
@@ -207,7 +270,7 @@ class SegmentWriter:
             "encode_seconds": round(time.perf_counter() - t_start, 4),
             "output_bytes": os.path.getsize(final),
         }
-        _atomic_write_json(part_path(self.segments_dir, part, "json"), row)
+        publish_json(part_path(self.segments_dir, part, "json"), row)
         return _manifest_table([row])
 
 

@@ -149,6 +149,38 @@ def test_wave_spill_files_bounded_by_cpus(ray_session, tmp_path,
         <= tasks_per_cpu * ncpu * 8
 
 
+@pytest.mark.parametrize("positions", [False, True])
+@pytest.mark.parametrize("id_col", ["doc_id", None])
+def test_spill_files_are_sorted_runs(ray_session, pages_file, tmp_path,
+                                     positions, id_col):
+    """Phase 1's spill contract: every spill file of a small build (one
+    block per task) holds postings in ``postings_schema(positions)``,
+    sorted by (term_id, doc_id), all of its part — with dense ids and
+    with url-hash ids, which the tokenizer puts in order first."""
+    import os
+
+    from vfs_index_ray.build import IndexBuilder
+    from vfs_index_ray.segment import postings_schema
+
+    b = IndexBuilder(str(tmp_path / "idx"), mode="word", num_parts=8,
+                     id_col=id_col, positions=positions)
+    b.build_postings_wave(0, [pages_file])
+    n = 0
+    for root, _, names in os.walk(f"{b.postings_dir}/wave=0000"):
+        for name in names:
+            t = pq.ParquetFile(os.path.join(root, name)).read()
+            assert t.schema.equals(postings_schema(positions))
+            terms = t["term_id"].to_numpy()
+            docs = t["doc_id"].to_numpy()
+            assert ((terms[1:] > terms[:-1])
+                    | ((terms[1:] == terms[:-1])
+                       & (docs[1:] > docs[:-1]))).all()
+            part = int(os.path.basename(root).removeprefix("part="))
+            assert (terms % 8 == part).all()
+            n += t.num_rows
+    assert n > 0
+
+
 def test_phrase_match(engine, pages_file):
     """Index-AND candidates + substring verification (phrase search)."""
     import pyarrow.parquet as pqx

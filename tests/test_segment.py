@@ -393,3 +393,92 @@ def test_finalize_publishes_stats_last(url_index, tmp_path, monkeypatch):
                        id_col=None).finalize()
     assert order == ["manifest.parquet", "stats.json"]
     assert segment.read_stats(idx) == before
+
+
+def _edge_postings(positions: bool) -> pa.Table:
+    """Postings whose term and doc ids sit at the byte boundaries of a
+    uint64 (0, 255, 256, 2**32, 2**63 + 5, 2**64 - 1) and at random
+    values, each (term, doc) once, sorted by (term, doc); tf >= 2 is
+    the posting's ordinal count."""
+    from vfs_index_ray.segment import postings_schema
+
+    rng = np.random.default_rng(17)
+    edge = np.array([0, 255, 256, 1 << 32, (1 << 63) + 5, (1 << 64) - 1],
+                    np.uint64)
+    rand = rng.integers(0, 1 << 64, 150, np.uint64, endpoint=False)
+    terms = np.concatenate([np.repeat(edge, len(edge)),
+                            rng.choice(edge, 150), rand])
+    docs = np.concatenate([np.tile(edge, len(edge)), rand[::-1],
+                           rng.choice(edge, 150)])
+    pairs = sorted(set(zip(terms.tolist(), docs.tolist())))
+    tfs = rng.integers(2, 6, len(pairs))
+    cols = [[t for t, _ in pairs], [d for _, d in pairs], tfs,
+            rng.integers(1, 1000, len(pairs))]
+    if positions:
+        cols.append([sorted(rng.choice(50, tf, replace=False).tolist())
+                     for tf in tfs])
+    schema = postings_schema(positions)
+    return pa.table([pa.array(c, f.type) for c, f in zip(cols, schema)],
+                    schema=schema)
+
+
+def _with_ordinals(t: pa.Table, keep) -> pa.Table:
+    """``t`` with each row's ordinals cut to ``keep(ords)`` (its tf
+    follows; every row keeps its tf column when ``t`` has no ``pos``)."""
+    if "pos" not in t.column_names:
+        tf = [len(keep(list(range(n)))) for n in t["tf"].to_pylist()]
+        return t.set_column(2, "tf", pa.array(tf, pa.uint32()))
+    pos = [keep(p) for p in t["pos"].to_pylist()]
+    t = t.set_column(2, "tf", pa.array([len(p) for p in pos], pa.uint32()))
+    return t.set_column(4, "pos", pa.array(pos, t["pos"].type))
+
+
+@pytest.mark.parametrize("positions", [False, True])
+def test_encode_part_input_order_independent(tmp_path, positions):
+    """``encode_part`` writes the same segment bytes for the same
+    postings given sorted, as k (term, doc)-sorted runs, or shuffled,
+    with 20 (term, doc) rows split over two runs (dedup sums their tf,
+    maxes their dl and joins their ordinals), and ids at the byte
+    boundaries of a uint64: a key of any other byte order than unsigned
+    big-endian (term, doc) fails here. The decoded segment is the
+    postings in (term, doc) order."""
+    from vfs_index_ray.codec import decode_positions
+    from vfs_index_ray.segment import SegmentWriter
+
+    full = _edge_postings(positions)
+    rng = np.random.default_rng(3)
+    dup = rng.choice(full.num_rows, 20, replace=False)
+    single = np.setdiff1d(np.arange(full.num_rows), dup)
+    run_of = rng.integers(0, 3, len(single))
+    head = _with_ordinals(full.take(dup), lambda p: p[:len(p) // 2])
+    tail = _with_ordinals(full.take(dup), lambda p: p[len(p) // 2:])
+    runs = [full.take(single[run_of == r]) for r in range(3)]
+    runs[0] = pa.concat_tables([runs[0], head])
+    runs[2] = pa.concat_tables([runs[2], tail])
+    runs = [t.take(np.lexsort((t["doc_id"].to_numpy(),
+                               t["term_id"].to_numpy()))) for t in runs]
+    as_runs = pa.concat_tables(runs)
+    shapes = {
+        "sorted": as_runs.take(np.lexsort((as_runs["doc_id"].to_numpy(),
+                                           as_runs["term_id"].to_numpy()))),
+        "runs": as_runs,
+        "shuffled": as_runs.take(rng.permutation(as_runs.num_rows))}
+    files = {}
+    for name, postings in shapes.items():
+        seg = str(tmp_path / name)
+        os.makedirs(seg)
+        SegmentWriter(seg, positions=positions).encode_part(0, postings)
+        with open(part_path(seg, 0), "rb") as f:
+            files[name] = f.read()
+    assert files["runs"] == files["sorted"]
+    assert files["shuffled"] == files["sorted"]
+    rows = Chunks(pa.ipc.open_file(pa.py_buffer(files["sorted"])).read_all())
+    docs, tfs, _ = decode_postings(rows)
+    terms = np.repeat(rows.column("term_id"), rows.column("n").astype(int))
+    assert terms.tolist() == full["term_id"].to_pylist()
+    assert docs.tolist() == full["doc_id"].to_pylist()
+    assert tfs.tolist() == full["tf"].to_pylist()
+    if positions:
+        ends, ords = decode_positions(rows)
+        assert [o.tolist() for o in np.split(ords, ends[:-1])] \
+            == full["pos"].to_pylist()

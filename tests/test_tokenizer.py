@@ -4,6 +4,7 @@ import collections
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from vfs_index_ray import corpus
 from vfs_index_ray.hashing import MAX_TOKEN_BYTES, fnv1a64, fnv1a64_tokens
@@ -122,3 +123,42 @@ def test_pages_determinism_per_row():
     c = corpus.generate_pages(120)
     assert a["text"].to_pylist()[:120] == c["text"].to_pylist()
     assert a["url"].to_pylist()[:120] == c["url"].to_pylist()
+
+
+def _assert_term_doc_sorted(t):
+    """``t``'s rows strictly ascend by (term_id, doc_id)."""
+    terms = t["term_id"].to_numpy()
+    docs = t["doc_id"].to_numpy()
+    assert ((terms[1:] > terms[:-1])
+            | ((terms[1:] == terms[:-1]) & (docs[1:] > docs[:-1]))).all()
+
+
+@pytest.mark.parametrize("mode,positions,ids", [
+    ("word", False, "ascending"), ("trigram", False, "ascending"),
+    ("word", True, "ascending"), ("trigram", True, "ascending"),
+    ("word", False, "descending"), ("word", True, "shuffled"),
+    ("trigram", False, "descending")])
+def test_tokenize_postings_is_one_sorted_run(mode, positions, ids):
+    """Phase 1's output contract: a batch's postings are ordered
+    (term_id, doc_id) whatever the order of its ids, each posting's
+    ordinals ascend (one per tf), and the postings are the oracle's."""
+    from vfs_index_ray.stages.tokenize import tokenize_postings
+
+    texts = corpus.generate_pages(120)["text"].to_pylist()
+    texts += ["北朝鮮による日本人拉致問題", "", "活動内容の活動内容"]
+    doc_ids = np.arange(len(texts), dtype=np.uint64) * 7 + 3
+    if ids == "descending":
+        doc_ids = doc_ids[::-1].copy()
+    elif ids == "shuffled":
+        doc_ids = np.random.default_rng(5).permutation(doc_ids)
+    batch = pa.table({"doc_id": doc_ids, "text": texts})
+    t = tokenize_postings(batch, mode=mode, positions=positions)
+    _assert_term_doc_sorted(t)
+    got = sorted(zip(t["doc_id"].to_pylist(),
+                     [int(x) for x in t["term_id"].to_pylist()],
+                     t["tf"].to_pylist()))
+    assert got == sorted((int(doc_ids[i]), k, v) for i, k, v
+                         in _postings_via_oracle(texts, mode))
+    if positions:
+        for ords, tf in zip(t["pos"].to_pylist(), t["tf"].to_pylist()):
+            assert len(ords) == tf and ords == sorted(set(ords))

@@ -5,32 +5,35 @@ Ray-Data-native re-expression of the reference's build lifecycle
 SURVEY §3.1):
 
   phase 1 (postings): read_parquet(pages, columns pruned — html never
-      read) → map_batches(tokenize_postings, whole blocks) → part column
-      → write postings parquet per *wave* of input files, one task per
-      cluster CPU (more for a wave over ``WAVE_TASK_BYTES`` per CPU).
-      With at least one file per task the read fuses into that task; a
-      wave of fewer files is re-split into equal blocks first, since
-      Ray Data reads a file in one task. Blocks are capped at
-      ``WAVE_BLOCK_BYTES`` so the executor admits every CPU from the
-      first task. The wave is
-      committed atomically (tmp dir + rename + sidecar JSON) — the
-      analog of the reference's per-record write-files with atomic
-      SafeRename publish (record.go:194-248, filelist.go:224-231), at a
-      sane granularity.
+      read) → map_batches(tokenize_postings, whole blocks) → the spill
+      sink, per *wave* of input files, one task per cluster CPU (more
+      for a wave over ``WAVE_TASK_BYTES`` per CPU). Each task's
+      postings come out of the tokenizer sorted by (term_id, doc_id);
+      the sink splits them by part = term_id % P with one stable sort
+      and writes one Parquet file per part, so a spill file holds
+      sorted runs, one per tokenized block. With at least one file per
+      task the read fuses into that task; a wave of fewer files is
+      re-split into equal blocks first, since Ray Data reads a file in
+      one task. Blocks are capped at ``WAVE_BLOCK_BYTES`` so the
+      executor admits every CPU from the first task. The wave is committed atomically (tmp dir + rename +
+      sidecar JSON) — the analog of the reference's per-record
+      write-files with atomic SafeRename publish (record.go:194-248,
+      filelist.go:224-231), at a sane granularity.
 
   phase 2 (segments, ``build_segments``): phase 1 already wrote the
-      postings hive-partitioned by part = term_id % P (THE build shuffle,
-      on disk — the analog of the in-RAM merge groupby,
-      column.go:449-545). ``build_segments`` hands a per-part gather of
-      that part's files from every wave to ``_encode_parts``, the
-      segment rewrite driver merge and purge share (as the reference
-      shares baseMergeIndex): one plain 1-cpu Ray task per uncommitted
-      part, submitted largest part first, encodes it
-      (segment.SegmentWriter.encode_part), publishes its files
-      atomically and commits a sidecar manifest row, so a rerun skips
-      committed partitions (resume — the reference's IsExist anti-join,
-      record.go:46-82). Every task is waited for before the first error
-      is raised.
+      postings split by part (THE build shuffle, on disk — the analog
+      of the in-RAM merge groupby, column.go:449-545). ``build_segments``
+      hands a per-part gather of that part's runs from every wave to
+      ``_encode_parts``, the segment rewrite driver merge and purge
+      share (as the reference shares baseMergeIndex): one plain 1-cpu
+      Ray task per uncommitted part, submitted largest part first,
+      merges the runs with one stable sort and encodes them
+      (segment.SegmentWriter.encode_part — the reference's k-way merge
+      of sorted record lists, merged_index_file.go:272-456), publishes
+      its files atomically and commits a sidecar manifest row, so a
+      rerun skips committed partitions (resume — the reference's
+      IsExist anti-join, record.go:46-82). Every task is waited for
+      before the first error is raised.
 
   finalize: manifest.parquet (per-partition lineage + metrics), then
         stats.json (N, total tokens, avgdl), the index's commit, last;
@@ -60,7 +63,7 @@ from .segment import (SegmentReader, SegmentWriter, _manifest_table,
                       manifest_path, part_path, postings_schema, publish,
                       publish_json, read_part_row, read_stats, read_waves,
                       segments_dir, stats_path, wave_path)
-from .stages.tokenize import AddPartColumn, tokenize_postings
+from .stages.tokenize import tokenize_postings
 
 # block cap of a wave's dataset (its own DataContext, never the global
 # one). Until a task has finished, Ray Data sizes each task's output at
@@ -69,8 +72,8 @@ from .stages.tokenize import AddPartColumn, tokenize_postings
 # 16 MB admits every CPU at once and bounds each tokenize batch.
 WAVE_BLOCK_BYTES = 16 << 20
 # input bytes (uncompressed, read columns) one phase-1 task may take on.
-# A task's spill write holds ALL its output at once (Ray's parquet sink
-# lists its blocks before the partitioned write), which turns
+# A task's spill write holds ALL its output at once (``_SpillSink``
+# concatenates its blocks before splitting them by part), which turns
 # superlinear: on one CPU, 1.2M pages as one 720 MB task took 268 s in
 # phase 1, as 8, 12 or 16 tasks of 90-45 MB 46-48 s.
 WAVE_TASK_BYTES = 64 << 20
@@ -214,24 +217,22 @@ class IndexBuilder:
                               batch_format="pyarrow", batch_size=None,
                               fn_kwargs=fn_kwargs,
                               zero_copy_batch=True)
-        post = post.map_batches(AddPartColumn(self.num_parts),
-                                batch_format="pyarrow", batch_size=None,
-                                zero_copy_batch=True)
         # n_tokens is NOT computed here: the segment phase sums each
         # part's tfs as it encodes (part sidecars → finalize)
         return self._commit_wave(wave, post, {
             "wave": wave, "files": list(files), "n_docs": int(n_docs)})
 
     def _commit_wave(self, wave: int, post, meta: dict) -> dict:
-        """Write ``post`` (postings with a ``part`` column) as wave
-        ``wave``'s postings and commit it with the ``meta`` sidecar.
+        """Write ``post`` (postings, each task's output sorted by
+        (term_id, doc_id)) as wave ``wave``'s postings through the spill
+        sink and commit it with the ``meta`` sidecar.
 
-        THE shuffle, as a hive-partitioned write: each write task splits
-        its blocks by part (hash of term), so phase 2 reads each part's
-        postings directly — no sort-based all-to-all exchange. (Measured:
-        Ray's groupby sort+map_groups on the same data ran the per-group
-        encode with almost no parallelism; this layout also makes the
-        shuffle itself restartable — it lives on disk, per wave.)"""
+        THE shuffle, on disk: each write task splits its postings by
+        part (hash of term), so phase 2 reads each part's runs directly
+        — no sort-based all-to-all exchange. (Measured: Ray's groupby
+        sort+map_groups on the same data ran the per-group encode with
+        almost no parallelism; this layout also makes the shuffle
+        itself restartable — it lives on disk, per wave.)"""
         post.context.target_max_block_size = WAVE_BLOCK_BYTES
         final = f"{self.postings_dir}/wave={wave:04d}"
 
@@ -244,8 +245,8 @@ class IndexBuilder:
             except (FileNotFoundError, OSError):
                 pass
             self.scratch_fs.create_dir(path, recursive=True)  # even if empty
-            post.write_parquet(path, filesystem=self.scratch_fs,
-                               partition_cols=["part"])
+            post.write_datasink(_SpillSink(self.scratch_fs, path,
+                                           self.num_parts))
         if self.scratch_local:
             publish(final, write)
         else:  # object stores have no atomic dir rename
@@ -427,6 +428,43 @@ def _column_bytes(meta: pq.FileMetaData, cols: list[str]) -> int:
                      for i in range(rg.num_columns)
                      if rg.column(i).path_in_schema in cols)
     return total
+
+
+class _SpillSink(ray.data.Datasink):
+    """The build's spill: a write task's postings, one Parquet file per
+    part = term_id % ``num_parts`` at ``path/part=P/``, named by the
+    task (a retried task rewrites its own files). ``write`` gets all of
+    a task's blocks in one call and splits them with one stable sort of
+    the part numbers, so a file keeps its rows' input order: each
+    block's (term_id, doc_id)-sorted run in turn, one run when the task
+    had one block. Not fsynced (see ``segment.publish``)."""
+
+    def __init__(self, fs, path: str, num_parts: int):
+        self.fs, self.path, self.num_parts = fs, path, num_parts
+
+    def write(self, blocks, ctx) -> None:
+        from ray.data.block import BlockAccessor
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return
+        tbl = pa.concat_tables(tables)
+        # the narrowest dtype makes the stable sort a radix sort
+        part = (tbl["term_id"].to_numpy() % np.uint64(self.num_parts)
+                ).astype(np.min_scalar_type(self.num_parts - 1))
+        order = np.argsort(part, kind="stable")
+        tbl = tbl.take(order)
+        bounds = np.searchsorted(part[order], np.arange(self.num_parts + 1))
+        for p in range(self.num_parts):
+            lo, hi = int(bounds[p]), int(bounds[p + 1])
+            if lo == hi:
+                continue
+            pdir = f"{self.path}/part={p}"
+            self.fs.create_dir(pdir, recursive=True)
+            pq.write_table(tbl.slice(lo, hi - lo),
+                           f"{pdir}/{ctx.task_idx:06d}.parquet",
+                           filesystem=self.fs, use_dictionary=False,
+                           write_statistics=False)
 
 
 def _encode_part(writer: SegmentWriter, postings_of, part: int) -> None:

@@ -446,14 +446,13 @@ class FederatedEngine:
 def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
     """Split/Merge analog: rewrite an index with a different partition
     count (term_id % new_P) through the build's own shuffle.  Each old
-    part is decoded once, keyed by its new part and written as the
-    output builder's committed wave 0; the output's ``build_segments``
+    part is decoded once, a (term, doc)-sorted run, and split by its
+    new part through the build's spill sink as the output builder's
+    committed wave 0; the output's ``build_segments``
     and ``finalize`` then encode every new part exactly as a fresh
     build with the source's settings would (same segment bytes).
     Resumable like a build: a committed wave and committed parts are
     reused."""
-    from .stages.tokenize import AddPartColumn
-
     out = IndexBuilder.like(src_dir, out_dir, num_parts=new_num_parts)
     if len(out._done_parts()) == new_num_parts:
         return out.finalize()  # fully committed; scratch may be gone
@@ -470,9 +469,7 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
         post = (ray.data.from_items([{"p": p} for p in range(src.num_parts)],
                                     override_num_blocks=src.num_parts)
                 .map_batches(decode_part, batch_format="pyarrow",
-                             batch_size=1)
-                .map_batches(AddPartColumn(new_num_parts),
-                             batch_format="pyarrow", zero_copy_batch=True))
+                             batch_size=1))
         out._commit_wave(0, post, {
             "wave": 0, "files": [f"repartition:{src_dir}"],
             "n_docs": int(src.stats["n_docs"])})

@@ -115,7 +115,8 @@ def publish(path: str, write) -> None:
     ``write`` that raises leaves ``path`` as it was. The fsyncs cost
     ~14 ms per 16 parts of 842 KB and their sidecars on a virtio disk
     (3 → 17 ms), against a ~0.8 s build. The spill's Parquet files,
-    which Ray writes, are not fsynced one by one: losing scratch costs a
+    which the build's spill sink writes inside the published wave
+    directory, are not fsynced one by one: losing scratch costs a
     re-tokenize, and a torn spill file fails phase 2's read, not
     silently."""
     d, name = os.path.split(path)
@@ -192,6 +193,18 @@ def _dedup_sorted_postings(terms, docs, tfs, dls, lens, ords):
     return terms[starts], docs[starts], tfs2, dls2, lens, ords
 
 
+def _merge_order(terms: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """The stable order of the rows by (term, doc): one sort of a
+    16-byte big-endian key, whose byte order is the unsigned (term,
+    doc) order. Timsort merges the sorted runs its input is made of
+    (each spill file of a build, each decoded part of a merge), and
+    equal keys keep their input order, as ``np.lexsort`` does."""
+    key = np.empty((len(terms), 2), ">u8")
+    key[:, 0] = terms
+    key[:, 1] = docs
+    return np.argsort(key.view("S16").ravel(), kind="stable")
+
+
 def _pos_lists(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     """A ``pos`` column as (each row's ordinal count, the rows' ordinals
     in row order)."""
@@ -215,8 +228,9 @@ def _write_batch(tbl: pa.Table, path: str) -> None:
 class SegmentWriter:
     """Encodes one hash partition of postings → one segment file.
 
-    Idempotent: deterministic content (lexsort + dedup), atomic publish
-    (tmp + rename), sidecar JSON row marks the partition committed.
+    Idempotent: deterministic content (one merging sort + dedup), atomic
+    publish (tmp + rename), sidecar JSON row marks the partition
+    committed.
     Runs inside the per-part tasks of ``IndexBuilder._encode_parts``.
     """
 
@@ -238,7 +252,7 @@ class SegmentWriter:
                                            ).astype(np.uint64)
         tfs = postings["tf"].to_numpy(zero_copy_only=False).astype(np.uint64)
         dls = postings["dl"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.lexsort((docs, terms))
+        order = _merge_order(terms, docs)
         terms, docs, tfs, dls = (terms[order], docs[order],
                                  tfs[order], dls[order])
         lens = ords = None

@@ -23,8 +23,10 @@ def tokenize_postings(batch: pa.Table, *, mode: str = "word",
                       url_col: str = "url",
                       positions: bool = False) -> pa.Table:
     """pages (url|doc_id, text) → postings (term_id, doc_id, tf, dl[,
-    pos]); doc ids come from ``id_col`` when the batch has it, else from
-    hashing ``url_col``."""
+    pos]), ordered (term_id, doc_id): the sorted run the spill writes
+    and phase 2 merges. Doc ids come from ``id_col`` when the batch has
+    it, else from hashing ``url_col``; a batch whose ids do not ascend
+    is put in id order first."""
     if id_col and id_col in batch.column_names:
         col = batch[id_col]
         if isinstance(col, pa.ChunkedArray):
@@ -38,16 +40,8 @@ def tokenize_postings(batch: pa.Table, *, mode: str = "word",
     texts = batch[text_col]
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
+    if (ids[1:] < ids[:-1]).any():
+        order = np.argsort(ids, kind="stable")
+        ids, texts = ids[order], texts.take(order)
     return postings_from_texts(texts, ids, mode, positions=positions)
 
-
-class AddPartColumn:
-    """Stateless: append part = term_id % num_parts (the shuffle key)."""
-
-    def __init__(self, num_parts: int):
-        self.num_parts = num_parts
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        t = batch["term_id"].to_numpy(zero_copy_only=False)
-        part = (t % np.uint64(self.num_parts)).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))

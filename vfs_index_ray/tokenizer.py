@@ -164,11 +164,13 @@ def pack_trigram(s: str) -> list[int]:
 
 def _tf_aggregate(parent: np.ndarray, term_ids: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse (row, term) occurrences into (row, term, tf) via one lexsort."""
+    """Collapse (row, term) occurrences into (row, term, tf), ordered
+    (term, row). Tokens arrive in row order, so one stable sort of the
+    term ids keeps each term's rows ascending."""
     if len(parent) == 0:
         e = np.empty(0, np.int64)
         return e, np.empty(0, np.uint64), np.empty(0, np.uint64)
-    order = np.lexsort((term_ids, parent))
+    order = np.argsort(term_ids, kind="stable")
     p = parent[order]
     t = term_ids[order]
     new = np.empty(len(p), dtype=bool)
@@ -199,7 +201,8 @@ def _positions_per_posting(parent: np.ndarray, term_ids: np.ndarray
     new_doc[1:] = parent[1:] != parent[:-1]
     doc_start = np.maximum.accumulate(np.where(new_doc, idx, 0))
     ordinal = (idx - doc_start).astype(np.uint32)
-    order = np.lexsort((ordinal, term_ids, parent))
+    # stable: within a term, rows and then ordinals stay ascending
+    order = np.argsort(term_ids, kind="stable")
     p = parent[order]
     t = term_ids[order]
     new = np.empty(n, dtype=bool)
@@ -215,7 +218,8 @@ def _positions_per_posting(parent: np.ndarray, term_ids: np.ndarray
 def postings_from_texts(texts: pa.Array, doc_ids: np.ndarray,
                         mode: str = "word",
                         positions: bool = False) -> pa.Table:
-    """Per-batch kernel: text column + doc ids → posting rows.
+    """Per-batch kernel: text column + doc ids → posting rows, ordered
+    (term_id, row): (term_id, doc_id) when ``doc_ids`` ascend.
 
     Output schema: term_id:uint64, doc_id:uint64, tf:uint32, dl:uint32
     (+ pos:list<uint32> when ``positions=True`` — each posting's

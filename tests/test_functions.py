@@ -474,36 +474,6 @@ def test_quantize_int8_roundtrip(ray_session):
         assert np.abs(q / scale - v).max() <= 0.5 / scale + 1e-12
 
 
-def test_cluster_pairs_distributed_matches_union_find(ray_session):
-    """Min-label propagation == driver union-find on random graphs,
-    including long chains (diameter > 1 round) and singleton-free sets."""
-    import ray.data
-
-    from vfs_index_ray.functions.dedup import (cluster_pairs,
-                                               cluster_pairs_distributed)
-    rng = np.random.Generator(np.random.Philox(key=[41, 0]))
-    # random graph + a deliberate 12-node chain (worst-case diameter)
-    edges = set()
-    while len(edges) < 60:
-        a, b = sorted(rng.integers(0, 80, 2).tolist())
-        if a != b:
-            edges.add((a, b))
-    chain = [(1000 + i, 1001 + i) for i in range(12)]
-    pairs = sorted(edges) + chain
-    tbl = pa.table({"doc_a": pa.array([p[0] for p in pairs], pa.int64()),
-                    "doc_b": pa.array([p[1] for p in pairs], pa.int64())})
-    want = cluster_pairs(tbl)          # driver union-find
-    got_rows = cluster_pairs_distributed(
-        ray.data.from_arrow(tbl), num_partitions=4).take_all()
-    got = {r["node"]: r["rep"] for r in got_rows}
-    # every node of every pair must agree with union-find's rep
-    nodes = {x for p in pairs for x in p}
-    for n in nodes:
-        assert got[n] == want.get(n, n), n
-    # the chain collapsed to one representative
-    assert len({got[1000 + i] for i in range(13)}) == 1
-
-
 def test_top_terms_exact_and_sketch(docs_ds, docs_tbl):
     """Exact top-k == brute force; the Misra-Gries sketch recovers the
     head terms with counts within n_tokens/capacity."""

@@ -81,34 +81,3 @@ def test_positional_phrase_xval_1p6m(ray_session):
     prox = eng.proximity_match("babade babadi", 1)
     adj = eng.phrase_match_positional("babade babadi")
     assert np.isin(adj, prox).all()
-
-
-def test_cluster_pairs_distributed_chain_graph_at_scale(ray_session):
-    """5M-edge diameter-~25 chain graph (the adversarial shape for
-    min-label propagation): output must equal the planted components
-    and complete in bounded rounds. The Ray-Data-join formulation
-    exceeded 10 minutes here; the partitioned message-passing design
-    runs it in ~26 s at 32 cpus (BASELINE.md round-4 late)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    from vfs_index_ray.functions.dedup import cluster_pairs_distributed
-
-    rng = np.random.Generator(np.random.Philox(key=[99, 0]))
-    n_nodes = 5_000_000
-    comp = rng.integers(0, 200_000, n_nodes)
-    order = np.argsort(comp, kind="stable")
-    same = comp[order][1:] == comp[order][:-1]
-    a = order[:-1][same].astype(np.int64)
-    b = order[1:][same].astype(np.int64)
-    pairs = pa.table({"doc_a": pa.array(np.minimum(a, b)),
-                      "doc_b": pa.array(np.maximum(a, b))})
-    out = cluster_pairs_distributed(ray.data.from_arrow(pairs))
-    tbl = pa.concat_tables(ray.get(out.to_arrow_refs()))
-    node = tbl["node"].to_numpy(zero_copy_only=False)
-    rep = tbl["rep"].to_numpy(zero_copy_only=False)
-    minn = np.full(200_000, 2 ** 62)
-    np.minimum.at(minn, comp[node], node)
-    assert (rep == minn[comp[node]]).all()

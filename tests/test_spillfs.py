@@ -69,13 +69,90 @@ def test_spill_list_and_read(tmp_path, ray_session):
     sp = open_spill(str(tmp_path))
     t = pa.table({"k": pa.array([0, 0, 1, 1, 2], pa.int64()),
                   "v": pa.array([1, 2, 3, 4, 5], pa.int64())})
-    sp.write_parquet(ray.data.from_arrow(t), "d", partition_cols=["k"])
+    sp.write_parts(ray.data.from_arrow(t), "k", "d")
     parts = sp.list_parts("k", "d")
     assert sorted(parts) == ["0", "1", "2"]
     got = sp.read_table(parts["1"], columns=["v"])
     assert sorted(got["v"].to_pylist()) == [3, 4]
     assert sp.schema_of(parts) is not None
     assert sp.dir_bytes(parts["0"]) > 0
+    sp.cleanup()
+
+
+@pytest.mark.parametrize("fsspec", [False, True])
+def test_write_parts_sink(tmp_path, fsspec):
+    """One write task of ``Spill.write_parts``: its blocks unify to one
+    schema (a ``pa.null()`` column next to an int64 one reads int64),
+    each part's rows keep their order across blocks, the part column is
+    gone, and each task writes one file per non-empty part, without
+    dictionaries or statistics."""
+    import types
+
+    import pyarrow.parquet as pq
+
+    from vfs_index_ray.spillfs import _PartSink, open_spill
+
+    root = str(tmp_path / "spill")
+    os.makedirs(root)
+    sp = open_spill((_fsspec_fs(), root) if fsspec else root)
+    k = np.r_[2, 0, 2, np.random.default_rng(3).choice([0, 2], 2000)]
+    a = pa.table({"k": pa.array(k[:3], pa.int32()), "v": pa.nulls(3),
+                  "i": pa.array(np.arange(3))})
+    b = pa.table({"k": pa.array(k[3:], pa.int32()),
+                  "v": pa.array(np.arange(2000)),
+                  "i": pa.array(np.arange(3, len(k)))})
+    sink = _PartSink(sp.fs, sp.join("d"), "k")
+    for task in (0, 7):
+        sink.write([a, a.slice(0, 0), b], types.SimpleNamespace(task_idx=task))
+    sink.write([a.slice(0, 0)], types.SimpleNamespace(task_idx=9))
+    parts = sp.list_parts("k", "d")
+    assert sorted(parts) == ["0", "2"]
+    for key in ("0", "2"):
+        rows = np.flatnonzero(k == int(key)).tolist()
+        files = sp.list_files(parts[key])
+        assert [f.rsplit("/", 1)[1] for f in files] == [
+            "000000.parquet", "000007.parquet"]
+        for f in files:
+            t = pq.read_table(f, filesystem=sp.fs)
+            assert t.column_names == ["v", "i"]
+            assert t.schema.field("v").type == pa.int64()
+            assert t["i"].to_pylist() == rows
+            with sp.fs.open_input_file(f) as fh:
+                meta = pq.ParquetFile(fh).metadata
+            for j in range(meta.num_columns):
+                col = meta.row_group(0).column(j)
+                assert not col.has_dictionary_page
+                assert col.statistics is None
+    sp.cleanup()
+
+
+@pytest.mark.parametrize("fsspec", [False, True])
+def test_write_parts_dataset(ray_session, tmp_path, fsspec):
+    """``Spill.write_parts`` over a Dataset: one file per (write task,
+    non-empty part), each holding that task's rows of the part in
+    input order; an all-empty Dataset writes no file."""
+    import ray.data
+
+    from vfs_index_ray.spillfs import open_spill
+
+    root = str(tmp_path / "spill")
+    os.makedirs(root)
+    sp = open_spill((_fsspec_fs(), root) if fsspec else root)
+    blocks = [pa.table({"k": pa.array(k, pa.int64()),
+                        "i": pa.array(range(lo, lo + len(k)), pa.int64())})
+              for k, lo in (([1, 0, 1], 0), ([1, 1], 3), ([0, 1, 0], 5))]
+    sp.write_parts(ray.data.from_arrow(blocks), "k", "d")
+    parts = sp.list_parts("k", "d")
+    assert sorted(parts) == ["0", "1"]
+    runs = {key: [sp.read_table(f)["i"].to_pylist()
+                  for f in sp.list_files(d)] for key, d in parts.items()}
+    assert sorted(runs["0"]) == [[1], [5, 7]]
+    assert sorted(runs["1"]) == [[0, 2], [3, 4], [6]]
+    assert sp.read_table(parts["1"]).column_names == ["i"]
+
+    sp.write_parts(ray.data.from_arrow(blocks[0].slice(0, 0)), "k", "e")
+    assert sp.list_parts("k", "e") == {}
+    assert sp.dir_bytes(sp.join("e")) == 0
     sp.cleanup()
 
 

@@ -5,13 +5,14 @@ Ray-Data-native re-expression of the reference's build lifecycle
 SURVEY §3.1):
 
   phase 1 (postings): read_parquet(pages, columns pruned — html never
-      read) → map_batches(tokenize_postings, whole blocks) → the spill
-      sink, per *wave* of input files, one task per cluster CPU (more
-      for a wave over ``WAVE_TASK_BYTES`` per CPU). Each task's
-      postings come out of the tokenizer sorted by (term_id, doc_id);
-      the sink splits them by part = term_id % P with one stable sort
-      and writes one Parquet file per part, so a spill file holds
-      sorted runs, one per tokenized block. With at least one file per
+      read) → map_batches(tokenize_postings, whole blocks) → the
+      engine's keyed spill writer (``spillfs.Spill.write_parts``), per
+      *wave* of input files, one task per cluster CPU (more for a wave
+      over ``WAVE_TASK_BYTES`` per CPU). Each task's postings come out
+      of the tokenizer sorted by (term_id, doc_id); the writer splits
+      them by part = term_id % P with one stable sort and writes one
+      Parquet file per part, so a spill file holds sorted runs, one
+      per tokenized block. With at least one file per
       task the read fuses into that task; a wave of fewer files is
       re-split into equal blocks first, since Ray Data reads a file in
       one task. Blocks are capped at ``WAVE_BLOCK_BYTES`` so the
@@ -54,7 +55,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
-
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 import ray.data
 
@@ -63,6 +64,7 @@ from .segment import (SegmentReader, SegmentWriter, _manifest_table,
                       manifest_path, part_path, postings_schema, publish,
                       publish_json, read_part_row, read_stats, read_waves,
                       segments_dir, stats_path, wave_path)
+from .spillfs import Spill, resolve_location
 from .stages.tokenize import tokenize_postings
 
 # block cap of a wave's dataset (its own DataContext, never the global
@@ -72,7 +74,7 @@ from .stages.tokenize import tokenize_postings
 # 16 MB admits every CPU at once and bounds each tokenize batch.
 WAVE_BLOCK_BYTES = 16 << 20
 # input bytes (uncompressed, read columns) one phase-1 task may take on.
-# A task's spill write holds ALL its output at once (``_SpillSink``
+# A task's spill write holds ALL its output at once (``Spill.write_parts``
 # concatenates its blocks before splitting them by part), which turns
 # superlinear: on one CPU, 1.2M pages as one 720 MB task took 268 s in
 # phase 1, as 8, 12 or 16 tasks of 90-45 MB 46-48 s.
@@ -113,15 +115,14 @@ class IndexBuilder:
         # runs, commit is the wave sidecar). Losing scratch only costs
         # recomputing uncommitted waves (sidecars are validated
         # against the postings dir).
-        from .spillfs import resolve_location
-        import pyarrow.fs as pafs
-        self.scratch_fs, scratch_root = resolve_location(
-            scratch_dir, default_path=index_dir)
-        self.scratch_local = isinstance(self.scratch_fs,
-                                        pafs.LocalFileSystem)
-        self.postings_dir = scratch_root.rstrip("/") + "/postings"
+        fs, scratch_root = resolve_location(scratch_dir,
+                                            default_path=index_dir)
+        self.scratch_local = isinstance(fs, pafs.LocalFileSystem)
+        self.scratch = Spill(fs, scratch_root.rstrip("/") + "/postings",
+                             local=self.scratch_local)
+        self.postings_dir = self.scratch.path
         self.segments_dir = segments_dir(index_dir)
-        self.scratch_fs.create_dir(self.postings_dir, recursive=True)
+        fs.create_dir(self.postings_dir, recursive=True)
         os.makedirs(self.segments_dir, exist_ok=True)
 
     @classmethod
@@ -135,26 +136,13 @@ class IndexBuilder:
                         positions=bool(st.get("positions", False)))
         return cls(out_dir, **{**settings, **overrides})
 
-    # ----- scratch-fs helpers (postings may live on any pyarrow fs) ----
-    def _scratch_isdir(self, path: str) -> bool:
-        import pyarrow.fs as pafs
-        return self.scratch_fs.get_file_info(path).type == \
-            pafs.FileType.Directory
-
-    def _scratch_subdirs(self, path: str, prefix: str) -> list[str]:
-        import pyarrow.fs as pafs
-        sel = pafs.FileSelector(path, allow_not_found=True)
-        return sorted(fi.path for fi in self.scratch_fs.get_file_info(sel)
-                      if fi.type == pafs.FileType.Directory
-                      and fi.base_name.startswith(prefix))
-
     # ----- phase 1: tokenize → postings (per wave, resumable) ------------
     def _wave_done(self, wave: int) -> bool:
         # committed = sidecar exists AND the postings it points at survive
         # (scratch may be ephemeral)
         return (os.path.exists(wave_path(self.index_dir, wave))
-                and self._scratch_isdir(
-                    f"{self.postings_dir}/wave={wave:04d}"))
+                and self.scratch.exists_dir(
+                    self.scratch.join(f"wave={wave:04d}")))
 
     def build_postings_wave(self, wave: int, files: list[str]) -> dict:
         if self._wave_done(wave):
@@ -224,8 +212,9 @@ class IndexBuilder:
 
     def _commit_wave(self, wave: int, post, meta: dict) -> dict:
         """Write ``post`` (postings, each task's output sorted by
-        (term_id, doc_id)) as wave ``wave``'s postings through the spill
-        sink and commit it with the ``meta`` sidecar.
+        (term_id, doc_id)) as wave ``wave``'s postings through
+        ``Spill.write_parts``, split by ``part`` = term_id % num_parts,
+        and commit it with the ``meta`` sidecar.
 
         THE shuffle, on disk: each write task splits its postings by
         part (hash of term), so phase 2 reads each part's runs directly
@@ -233,20 +222,29 @@ class IndexBuilder:
         sort+map_groups on the same data ran the per-group encode with
         almost no parallelism; this layout also makes the shuffle
         itself restartable — it lives on disk, per wave.)"""
+        num_parts = self.num_parts
+
+        def add_part(t: pa.Table) -> pa.Table:
+            part = t["term_id"].to_numpy() % np.uint64(num_parts)
+            return t.append_column("part", pa.array(
+                part.astype(np.min_scalar_type(num_parts - 1))))
+
+        post = post.map_batches(add_part, batch_format="pyarrow",
+                                batch_size=None, zero_copy_batch=True)
         post.context.target_max_block_size = WAVE_BLOCK_BYTES
-        final = f"{self.postings_dir}/wave={wave:04d}"
+        final = self.scratch.join(f"wave={wave:04d}")
 
         def write(path: str) -> None:
             # the wave sidecar (published below, after the data) is the
             # commit marker — _wave_done requires BOTH — so a postings
             # dir without one is an uncommitted leftover: clear it
             try:
-                self.scratch_fs.delete_dir(final)
+                self.scratch.fs.delete_dir(final)
             except (FileNotFoundError, OSError):
                 pass
-            self.scratch_fs.create_dir(path, recursive=True)  # even if empty
-            post.write_datasink(_SpillSink(self.scratch_fs, path,
-                                           self.num_parts))
+            # sub() makes the wave dir, also for a wave without postings
+            wave_sp = self.scratch.sub(os.path.basename(path))
+            wave_sp.write_parts(post, "part")
         if self.scratch_local:
             publish(final, write)
         else:  # object stores have no atomic dir rename
@@ -279,8 +277,7 @@ class IndexBuilder:
         if not todo:
             return deferred
         # manifest lineage: the postings waves (none for merge and purge)
-        lineage = [os.path.basename(w) for w in
-                   self._scratch_subdirs(self.postings_dir, "wave=")]
+        lineage = [f"wave={w}" for w in self.scratch.list_parts("wave")]
         writer = SegmentWriter(self.segments_dir, lineage=lineage,
                                positions=self.positions)
         # plain tasks, not a Ray Data map: nothing waits on a first task's
@@ -305,38 +302,26 @@ class IndexBuilder:
                 f"wave postings lost from scratch for {missing}; re-run "
                 "build()/absorb() (they re-tokenize lost waves) or point "
                 "scratch_dir at durable storage")
-        wave_dirs = self._scratch_subdirs(self.postings_dir, "wave=")
+        wave_dirs = list(self.scratch.list_parts("wave").values())
         if not wave_dirs:
             raise RuntimeError("no committed postings waves")
-        sfs = self.scratch_fs  # picklable: captured by the encode tasks
+        sp = self.scratch  # picklable: captured by the encode tasks
         schema = postings_schema(self.positions)
 
         def gather(p: int):
             # this part's postings from every wave (hive layout
-            # wave=*/part=p/). use_threads=False: each task owns ONE
-            # cpu — 64 concurrent tasks each spinning up Arrow's full
-            # thread pool thrash the node (threads = tasks × cores)
-            import pyarrow.fs as pafs
-            tables = []
-            for wd in wave_dirs:
-                pdir = f"{wd}/part={p}"
-                if sfs.get_file_info(pdir).type == pafs.FileType.Directory:
-                    tables.append(pq.read_table(
-                        pdir, columns=schema.names, filesystem=sfs,
-                        use_threads=False))
+            # wave=*/part=p/). Spill.read_table reads with
+            # use_threads=False: each task owns ONE cpu — 64 concurrent
+            # tasks each spinning up Arrow's full thread pool thrash the
+            # node (threads = tasks × cores)
+            tables = [sp.read_table(f"{wd}/part={p}", columns=schema.names)
+                      for wd in wave_dirs
+                      if sp.exists_dir(f"{wd}/part={p}")]
             return pa.concat_tables(tables) if tables \
                 else schema.empty_table()
 
         def spill_bytes(p: int) -> int:
-            import pyarrow.fs as pafs
-            total = 0
-            for wd in wave_dirs:
-                sel = pafs.FileSelector(f"{wd}/part={p}",
-                                        allow_not_found=True)
-                total += sum(fi.size or 0
-                             for fi in sfs.get_file_info(sel)
-                             if fi.type == pafs.FileType.File)
-            return total
+            return sum(sp.dir_bytes(f"{wd}/part={p}") for wd in wave_dirs)
 
         self._encode_parts(gather, spill_bytes)
         return [read_part_row(self.segments_dir, p)
@@ -428,43 +413,6 @@ def _column_bytes(meta: pq.FileMetaData, cols: list[str]) -> int:
                      for i in range(rg.num_columns)
                      if rg.column(i).path_in_schema in cols)
     return total
-
-
-class _SpillSink(ray.data.Datasink):
-    """The build's spill: a write task's postings, one Parquet file per
-    part = term_id % ``num_parts`` at ``path/part=P/``, named by the
-    task (a retried task rewrites its own files). ``write`` gets all of
-    a task's blocks in one call and splits them with one stable sort of
-    the part numbers, so a file keeps its rows' input order: each
-    block's (term_id, doc_id)-sorted run in turn, one run when the task
-    had one block. Not fsynced (see ``segment.publish``)."""
-
-    def __init__(self, fs, path: str, num_parts: int):
-        self.fs, self.path, self.num_parts = fs, path, num_parts
-
-    def write(self, blocks, ctx) -> None:
-        from ray.data.block import BlockAccessor
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            return
-        tbl = pa.concat_tables(tables)
-        # the narrowest dtype makes the stable sort a radix sort
-        part = (tbl["term_id"].to_numpy() % np.uint64(self.num_parts)
-                ).astype(np.min_scalar_type(self.num_parts - 1))
-        order = np.argsort(part, kind="stable")
-        tbl = tbl.take(order)
-        bounds = np.searchsorted(part[order], np.arange(self.num_parts + 1))
-        for p in range(self.num_parts):
-            lo, hi = int(bounds[p]), int(bounds[p + 1])
-            if lo == hi:
-                continue
-            pdir = f"{self.path}/part={p}"
-            self.fs.create_dir(pdir, recursive=True)
-            pq.write_table(tbl.slice(lo, hi - lo),
-                           f"{pdir}/{ctx.task_idx:06d}.parquet",
-                           filesystem=self.fs, use_dictionary=False,
-                           write_statistics=False)
 
 
 def _encode_part(writer: SegmentWriter, postings_of, part: int) -> None:

@@ -442,189 +442,6 @@ def drop_near_dups(ds, pairs: pa.Table, id_col: str = "doc_id"):
     return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def cluster_pairs_distributed(pairs_ds, *, num_partitions: int | None = None,
-                              max_iters: int = 200,
-                              spill_dir: str | None = None):
-    """doc → representative (connected-component min) via partitioned
-    min-label message passing — the scale path for when the near-dup
-    PAIR set itself exceeds the driver (``cluster_pairs`` is the driver
-    union-find for provably small pair sets).
-
-    Design: edges are emitted BOTH directions and hive-spilled once,
-    partitioned by ``src % P``; P loader tasks pin each part's
-    (src-sorted) adjacency and its node/label arrays in the object
-    store. Each round runs P sender tasks (label lookup by
-    ``searchsorted``, messages bucketed by ``dst % P`` with
-    ``num_returns=P`` so each receiver fetches only its own bucket) and
-    P combiner tasks (``np.minimum.at`` fold + changed flag), then a
-    pointer-jump phase (``l(v) <- min(l(v), l(l(v)))`` via a
-    request/respond exchange routed by ``label % P``) that compresses
-    label chains exponentially — rounds are O(log diameter), not
-    O(diameter). The loop stops when neither phase changed any part:
-    labels are monotone non-increasing and never cross components, so
-    an unchanged round IS the fixpoint. The previous Ray-Data-join
-    formulation spent ~30 s/round at 5M edges (>10 min on a
-    diameter-25 chain graph); this design runs the same graph in
-    seconds total with no per-round shuffle.
-    Returns a Dataset of (node, rep)."""
-    import ray
-    import ray.data
-
-    from ..spillfs import open_spill
-
-    P = num_partitions or min(
-        32, max(8, int(ray.cluster_resources().get("CPU", 8))))
-
-    def emit(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        return pa.table({
-            "src": pa.array(src, pa.int64()),
-            "dst": pa.array(dst, pa.int64()),
-            "part": pa.array((src % P).astype(np.int32), pa.int32()),
-        })
-
-    sp = open_spill(spill_dir, prefix="ccpairs_")
-    try:
-        sp.write_parquet(
-            pairs_ds.map_batches(emit, batch_format="pyarrow"),
-            partition_cols=["part"])
-        part_dirs = {int(v): d
-                     for v, d in sp.list_parts("part").items()}
-        if not part_dirs:
-            return ray.data.from_arrow(pa.table({
-                "node": pa.array([], pa.int64()),
-                "rep": pa.array([], pa.int64())}))
-
-        fs = sp.fs
-
-        @ray.remote(num_cpus=1)
-        def load_part(pdir: str | None):
-            import pyarrow.parquet as pq
-            if pdir is None:  # partition with no edges
-                e = np.empty(0, np.int64)
-                return e, e.copy(), e.copy()
-            t = pq.read_table(pdir, columns=["src", "dst"],
-                              filesystem=fs, use_threads=False)
-            src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-            dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.argsort(src, kind="stable")
-            src, dst = src[order], dst[order]
-            nodes = np.unique(src)
-            return src, dst, nodes
-
-        def _bucket(dst, payload):
-            """Bucket (dst, payload) arrays by dst % P, dense over P."""
-            part = (dst % P).astype(np.int32)
-            order = np.argsort(part, kind="stable")
-            d, y, ps = dst[order], payload[order], part[order]
-            bounds = np.searchsorted(ps, np.arange(P + 1))
-            out = [(d[s:e], y[s:e])
-                   for s, e in zip(bounds[:-1], bounds[1:])]
-            return out if P > 1 else out[0]
-
-        @ray.remote(num_cpus=1, num_returns=P)
-        def send(edge, labels):
-            src, dst, nodes = edge
-            lab = labels[np.searchsorted(nodes, src)] if len(src) else \
-                np.empty(0, np.int64)
-            return _bucket(dst, lab)
-
-        @ray.remote(num_cpus=1, num_returns=2)
-        def combine(edge, labels, *msgs):
-            # num_returns=2: the labels stay in the object store between
-            # rounds — the driver fetches only the 1-byte changed flag
-            _, _, nodes = edge
-            new = labels.copy()
-            for d, m in msgs:
-                if len(d):
-                    np.minimum.at(new, np.searchsorted(nodes, d), m)
-            return new, bool((new != labels).any())
-
-        # pointer jumping (l(v) <- min(l(v), l(l(v)))) compresses label
-        # chains exponentially: rounds drop from O(diameter) to
-        # O(log diameter) on deep components. A label is always a node
-        # id of the same component, so its home part (label % P) can
-        # answer the lookup.
-        @ray.remote(num_cpus=1, num_returns=P)
-        def jump_request(edge, labels):
-            _, _, nodes = edge
-            need = np.flatnonzero(labels != nodes)
-            return _bucket(labels[need], need)
-
-        @ray.remote(num_cpus=1, num_returns=P)
-        def jump_respond(edge, labels, *reqs):
-            _, _, nodes = edge
-            out = []
-            for tgt, pos in reqs:
-                if len(tgt):
-                    out.append((pos,
-                                labels[np.searchsorted(nodes, tgt)]))
-                else:
-                    out.append((pos, tgt))
-            return out if P > 1 else out[0]
-
-        @ray.remote(num_cpus=1, num_returns=2)
-        def jump_apply(labels, *resps):
-            new = labels.copy()
-            for pos, lab in resps:
-                if len(pos):
-                    np.minimum.at(new, pos, lab)
-            return new, bool((new != labels).any())
-
-        @ray.remote(num_cpus=1)
-        def finalize(edge, labels) -> pa.Table:
-            _, _, nodes = edge
-            return pa.table({"node": pa.array(nodes, pa.int64()),
-                             "rep": pa.array(labels, pa.int64())})
-
-        parts = list(range(P))  # dense: bucket index == partition id
-        edge_refs = {p: load_part.remote(part_dirs.get(p)) for p in parts}
-        # initial labels = self
-        @ray.remote(num_cpus=1)
-        def init_labels(edge):
-            return edge[2].copy()
-        label_refs = {p: init_labels.remote(edge_refs[p]) for p in parts}
-
-        def _gather(sent, p):
-            if P == 1:
-                return [sent[p]]
-            return [sent[q][p] for q in parts]
-
-        for _ in range(max_iters):
-            # phase 1: edge relaxation
-            sent = {p: send.remote(edge_refs[p], label_refs[p])
-                    for p in parts}
-            results = {p: combine.remote(edge_refs[p], label_refs[p],
-                                         *_gather(sent, p))
-                       for p in parts}
-            flags = ray.get([results[p][1] for p in parts])
-            for p in parts:
-                label_refs[p] = results[p][0]
-            # phase 2: pointer jump
-            reqs = {p: jump_request.remote(edge_refs[p], label_refs[p])
-                    for p in parts}
-            resps = {q: jump_respond.remote(edge_refs[q], label_refs[q],
-                                            *_gather(reqs, q))
-                     for q in parts}
-            jres = {p: jump_apply.remote(label_refs[p],
-                                         *_gather(resps, p))
-                    for p in parts}
-            jflags = ray.get([jres[p][1] for p in parts])
-            for p in parts:
-                label_refs[p] = jres[p][0]
-            if not any(flags) and not any(jflags):
-                break
-        refs = [finalize.remote(edge_refs[p], label_refs[p])
-                for p in parts]
-        ray.wait(refs, num_returns=len(refs))
-        return ray.data.from_arrow_refs(refs)
-    finally:
-        sp.cleanup()
-
-
 # ---------------------------------------------------------------------------
 # SimHash
 # ---------------------------------------------------------------------------

@@ -258,9 +258,9 @@ def co_partition_apply(left_ds, right_ds, *, left_on, right_on=None,
                        salt: int = 1, salt_keys=None,
                        spill_dir: str | None = None,
                        part_target_bytes: int = PART_TARGET_BYTES):
-    """Co-partition two Datasets by ``hash(key) % P`` via the
-    hive-partitioned parquet spill (partition column consumed by the
-    layout), then run ``kernel(left_part, right_part) -> Table`` once
+    """Co-partition two Datasets by ``hash(key) % P`` via the keyed
+    spill writer (``spillfs.Spill.write_parts``, which consumes the
+    partition column), then run ``kernel(left_part, right_part) -> Table`` once
     per partition as independent Ray tasks; results come back as
     object-store Arrow refs (``ray.data.from_arrow_refs``) and never
     pass through the driver.  A partition missing on the right side
@@ -365,16 +365,14 @@ def co_partition_apply(left_ds, right_ds, *, left_on, right_on=None,
 
     sp = open_spill(spill_dir, prefix="join_")
     try:
-        sp.write_parquet(
+        sp.write_parts(
             left_ds.map_batches(add_part(lcols, "left"),
                                 batch_format="pyarrow",
-                                zero_copy_batch=True),
-            "L", partition_cols=["_jp"])
-        sp.write_parquet(
+                                zero_copy_batch=True), "_jp", "L")
+        sp.write_parts(
             right_ds.map_batches(add_part(rcols, "right"),
                                  batch_format="pyarrow",
-                                 zero_copy_batch=True),
-            "R", partition_cols=["_jp"])
+                                 zero_copy_batch=True), "_jp", "R")
 
         lparts = sp.list_parts("_jp", "L")
         rparts = sp.list_parts("_jp", "R")

@@ -7,12 +7,13 @@ every byte; the scalable idiom is hash-order shuffling:
 - each record's shuffle priority is ``mix32(id XOR seed)`` — a pure
   function, so the permutation is deterministic, reproducible across
   runs/cluster sizes, and re-seedable per epoch with zero state;
-- ``shard = prio % num_shards`` hive-partitions the corpus to disk
-  (the build.py postings-shuffle substrate — sequential parquet, no
-  pull-based sort exchange, restartable spill);
-- each shard then sorts LOCALLY by ``(prio, id)`` in one Ray task and
-  is written atomically (tmp + rename) as one ordered parquet file —
-  resumable output: a rerun skips shards whose file already exists.
+- ``shard = prio % num_shards`` is the part column of one
+  ``spillfs.partition_apply`` disk shuffle (the keyed spill every wide
+  op shares — no pull-based sort exchange);
+- each shard then sorts LOCALLY by ``(prio, id)`` in its part task and
+  is published atomically (``segment.publish``) as one ordered parquet
+  file — resumable output: a rerun skips shards whose file already
+  exists.
 
 A shard is the unit a trainer streams sequentially; global order is
 "shard 0's rows, then shard 1's, …", which equals ordering the whole
@@ -29,8 +30,6 @@ large-scale training-data pipeline needs).
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -51,60 +50,45 @@ def write_shuffled_shards(ds, out_dir: str, *, num_shards: int,
     import pyarrow.parquet as pq
     import ray
 
-    from ..spillfs import open_spill
+    from ..segment import publish
+    from ..spillfs import partition_apply
+
+    def shard_path(k: int) -> str:
+        return os.path.join(out_dir, f"shard_{k:05d}.parquet")
+
+    def write_shard(k: int, t: pa.Table) -> None:
+        publish(shard_path(k), lambda tmp: pq.write_table(t, tmp))
+
+    def assign(t: pa.Table) -> pa.Table:
+        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        prio = mix32(ids ^ np.int64(seed))
+        return t.append_column(
+            "prio", pa.array(prio, pa.int64())).append_column(
+            "shard", pa.array(prio % num_shards, pa.int32()))
+
+    def per_part(t: pa.Table) -> None:
+        prio = t["prio"].to_numpy(zero_copy_only=False)
+        k = int(prio[0] % num_shards)
+        if os.path.exists(shard_path(k)):
+            return
+        order = np.lexsort((t[id_col].to_numpy(zero_copy_only=False), prio))
+        write_shard(k, t.take(pa.array(order)).append_column(
+            "pos", pa.array(np.arange(len(order), dtype=np.int64))))
 
     os.makedirs(out_dir, exist_ok=True)
-    todo = [k for k in range(num_shards) if not os.path.exists(
-        os.path.join(out_dir, f"shard_{k:05d}.parquet"))]
-    if todo:
-        sp = open_spill(spill_dir, prefix="shards_")
-        try:
-            def assign(t: pa.Table) -> pa.Table:
-                ids = t[id_col].to_numpy(zero_copy_only=False).astype(
-                    np.int64)
-                prio = mix32(ids ^ np.int64(seed))
-                return t.append_column(
-                    "prio", pa.array(prio, pa.int64())).append_column(
-                    "shard", pa.array(prio % num_shards, pa.int32()))
+    if not all(os.path.exists(shard_path(k)) for k in range(num_shards)):
+        ray.get(partition_apply(
+            ds.map_batches(assign, batch_format="pyarrow"), "shard",
+            per_part, spill_dir=spill_dir, prefix="shards_"))
+        empty = pa.table({id_col: pa.array([], pa.int64()),
+                          "prio": pa.array([], pa.int64()),
+                          "pos": pa.array([], pa.int64())})
+        for k in range(num_shards):  # a shard can legitimately be empty
+            if not os.path.exists(shard_path(k)):
+                write_shard(k, empty)
 
-            sp.write_parquet(
-                ds.map_batches(assign, batch_format="pyarrow"),
-                partition_cols=["shard"])
-            shard_dirs = sp.list_parts("shard")
-            fs = sp.fs
-
-            @ray.remote(num_cpus=1)
-            def one_shard(k: int) -> None:
-                pdir = shard_dirs.get(str(k))
-                final = os.path.join(out_dir, f"shard_{k:05d}.parquet")
-                if pdir is not None:
-                    t = pq.read_table(pdir, filesystem=fs,
-                                      use_threads=False)
-                else:  # a shard can legitimately be empty
-                    t = None
-                if t is not None and t.num_rows:
-                    ids = t[id_col].to_numpy(zero_copy_only=False)
-                    prio = t["prio"].to_numpy(zero_copy_only=False)
-                    order = np.lexsort((ids, prio))
-                    t = t.take(pa.array(order)).append_column(
-                        "pos", pa.array(np.arange(len(order), dtype=np.int64),
-                                        pa.int64()))
-                else:
-                    t = pa.table({id_col: pa.array([], pa.int64()),
-                                  "prio": pa.array([], pa.int64()),
-                                  "pos": pa.array([], pa.int64())})
-                tmp = final + ".tmp"
-                pq.write_table(t, tmp)
-                os.replace(tmp, final)   # atomic commit per shard
-
-            ray.get([one_shard.remote(k) for k in todo])
-        finally:
-            sp.cleanup()
-
-    per = []
-    for k in range(num_shards):
-        f = os.path.join(out_dir, f"shard_{k:05d}.parquet")
-        per.append(pq.ParquetFile(f).metadata.num_rows)
+    per = [pq.ParquetFile(shard_path(k)).metadata.num_rows
+           for k in range(num_shards)]
     return {"rows": int(sum(per)), "shards": num_shards, "per_shard": per}
 
 

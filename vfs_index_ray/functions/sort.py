@@ -20,8 +20,9 @@ own disk-shuffle substrate instead:
    quantiles.  P is size-based (``target_bytes`` per partition), so a
    100× input yields ~100× partitions at fixed per-task memory.
 3. **Range spill** — each row routes to ``searchsorted(splits, u,
-   side="right")`` and lands in a hive ``part=<i>`` directory on the
-   pluggable spill filesystem (local tmp, NFS, S3 — ``spillfs``).
+   side="right")`` and lands in its part's directory of the keyed
+   spill (``spillfs.Spill.write_parts``) on the pluggable spill
+   filesystem (local tmp, NFS, S3).
    Because routing compares the EXACT sampled values, all rows with an
    equal routing prefix co-partition, which is what makes an 8-byte
    string prefix a *correct* router: rows the prefix cannot
@@ -324,10 +325,8 @@ def order_by(ds, keys, *, row_number_col: str | None = None,
 
     sp = open_spill(spill_dir, prefix="gsort_")
     try:
-        sp.write_parquet(
-            ds.map_batches(add_part, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            partition_cols=["__sort_part"])
+        sp.write_parts(ds.map_batches(add_part, batch_format="pyarrow",
+                                      zero_copy_batch=True), "__sort_part")
         parts = sp.list_parts("__sort_part")
         # hive labels are strings; global order needs numeric order
         pdirs = [parts[k] for k in sorted(parts, key=int)]

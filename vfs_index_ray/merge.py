@@ -447,7 +447,7 @@ def repartition_index(src_dir: str, out_dir: str, new_num_parts: int) -> dict:
     """Split/Merge analog: rewrite an index with a different partition
     count (term_id % new_P) through the build's own shuffle.  Each old
     part is decoded once, a (term, doc)-sorted run, and split by its
-    new part through the build's spill sink as the output builder's
+    new part through the build's keyed spill as the output builder's
     committed wave 0; the output's ``build_segments``
     and ``finalize`` then encode every new part exactly as a fresh
     build with the source's settings would (same segment bytes).

@@ -178,7 +178,7 @@ def q_near_dedup_keep(sf_dir: str) -> pa.Table:
     verified pair (a, b), a < b, with jaccard ≥ 0.8, drop doc b (the
     keep-smaller-id pairwise policy — each duplicated pair keeps
     exactly one side; transitive-closure canonicalization is the
-    clustering family, functions/dedup.py cluster_pairs*).  Returns
+    clustering family, functions/dedup.py cluster_pairs).  Returns
     the surviving doc ids.
 
     Probabilistic-recall note (same assumption as minhash_near_dup):

@@ -115,8 +115,8 @@ def publish(path: str, write) -> None:
     ``write`` that raises leaves ``path`` as it was. The fsyncs cost
     ~14 ms per 16 parts of 842 KB and their sidecars on a virtio disk
     (3 → 17 ms), against a ~0.8 s build. The spill's Parquet files,
-    which the build's spill sink writes inside the published wave
-    directory, are not fsynced one by one: losing scratch costs a
+    which ``spillfs.Spill.write_parts`` writes inside the published
+    wave directory, are not fsynced one by one: losing scratch costs a
     re-tokenize, and a torn spill file fails phase 2's read, not
     silently."""
     d, name = os.path.split(path)

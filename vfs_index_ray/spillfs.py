@@ -1,25 +1,29 @@
-"""Pluggable spill filesystem for the disk-shuffle substrate.
+"""Pluggable spill filesystem and the one keyed spill writer of the
+disk-shuffle substrate.
 
 Every wide operation in this engine (postings build waves, the
 co-partitioned joins, keyed window kernels, LSH band buckets, span/line
-dedup, hash aggregates, shard writes) shuffles through a
-hive-partitioned parquet spill instead of Ray Data's pull-based sort
-exchange (measured in-repo to anti-scale at high core counts).  On one
-node the spill lives under /tmp; on a multi-node cluster it must live
-on storage EVERY node can read — NFS, S3, GCS — which pyarrow exposes
-behind one ``FileSystem`` interface.
+dedup, hash aggregates, global sort, shard writes) shuffles through
+:meth:`Spill.write_parts`, a hive-laid-out parquet spill split by an
+integer part column, instead of Ray Data's pull-based sort exchange
+(measured in-repo to anti-scale at high core counts).  On one node the
+spill lives under /tmp; on a multi-node cluster it must live on storage
+EVERY node can read — NFS, S3, GCS — which pyarrow exposes behind one
+``FileSystem`` interface.
 
 ``open_spill`` resolves a caller's spill spec into a run-scoped
 :class:`Spill` handle that the substrate sites share.  Keyed one-sided
 shuffles go through :func:`partition_apply` (spill by a part column,
 then one task per part); the two-sided join shape is
-``functions.joins.co_partition_apply``.  A spec is any of
+``functions.joins.co_partition_apply``; the index build's resumable
+postings scratch is a :class:`Spill` from :func:`resolve_location`.
+A spec is any of
 
 - ``None`` — fresh private tmpdir under /tmp (single-node default),
 - a local path — a **unique run-scoped subdirectory** is created
   inside it (a reused root can therefore never mix a prior run's
-  stale ``part=*`` files into this run's results — write_parquet
-  appends, it does not replace),
+  stale ``part=*`` files into this run's results — a write adds
+  files, it does not replace the directory),
 - a URI (``file://…``, ``s3://bucket/prefix``, ``gs://…``, ``hdfs://…``)
   — resolved via ``pyarrow.fs.FileSystem.from_uri``, unique subdir
   created on that filesystem,
@@ -43,9 +47,11 @@ from __future__ import annotations
 import os
 import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
+import ray.data
 
 
 def _join(*parts: str) -> str:
@@ -78,12 +84,25 @@ class Spill:
         return Spill(self.fs, p, local=self.local)
 
     # -- write ---------------------------------------------------------
-    def write_parquet(self, ds, subdir: str | None = None, *,
-                      partition_cols=None) -> str:
-        """``Dataset.write_parquet`` onto this spill; returns the path."""
+    def write_parquet(self, ds, subdir: str | None = None) -> str:
+        """``Dataset.write_parquet`` onto this spill, unpartitioned (its
+        files keep row-group statistics for a filtered read); returns
+        the path."""
         path = self.join(subdir) if subdir else self.path
-        ds.write_parquet(path, filesystem=self.fs,
-                         partition_cols=partition_cols)
+        ds.write_parquet(path, filesystem=self.fs)
+        return path
+
+    def write_parts(self, ds, part_col: str,
+                    subdir: str | None = None) -> str:
+        """THE keyed spill write: each write task's rows of ``ds`` split
+        by the integer ``part_col`` into one Parquet file per non-empty
+        part, ``{part_col}={p}/{task_idx:06d}.parquet`` (the hive layout
+        ``list_parts`` reads), without ``part_col``. A part's rows keep
+        the task's input order; the files have no dictionaries and no
+        statistics. Writes nothing for an empty ``ds``; returns the
+        path."""
+        path = self.join(subdir) if subdir else self.path
+        ds.write_datasink(_PartSink(self.fs, path, part_col))
         return path
 
     # -- list ----------------------------------------------------------
@@ -142,6 +161,43 @@ class Spill:
             pass
 
 
+class _PartSink(ray.data.Datasink):
+    """``Spill.write_parts``' sink. ``write`` gets all of a task's
+    blocks in one call: they are unified to one schema (as Ray's own
+    Parquet writer does) and split with ONE stable sort of the part
+    numbers, so a part's file holds its rows in block order. A file is
+    named by its task, so a retried task rewrites its own files. Not
+    fsynced (see ``segment.publish``)."""
+
+    def __init__(self, fs: pafs.FileSystem, path: str, part_col: str):
+        self.fs, self.path, self.part_col = fs, path, part_col
+
+    def write(self, blocks, ctx) -> None:
+        from ray.data.block import BlockAccessor
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return
+        schema = pa.unify_schemas([t.schema for t in tables])
+        tbl = pa.concat_tables([t if t.schema.equals(schema)
+                                else t.cast(schema) for t in tables])
+        part = tbl[self.part_col].to_numpy()
+        # the narrowest dtype makes the stable sort a radix sort
+        part = part.astype(np.result_type(np.min_scalar_type(part.min()),
+                                          np.min_scalar_type(part.max())))
+        order = np.argsort(part, kind="stable")
+        part = part[order]
+        tbl = tbl.drop_columns([self.part_col]).take(order)
+        starts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
+        for lo, hi in zip(starts, np.r_[starts[1:], len(part)]):
+            pdir = f"{self.path}/{self.part_col}={part[lo]}"
+            self.fs.create_dir(pdir, recursive=True)
+            pq.write_table(tbl.slice(lo, hi - lo),
+                           f"{pdir}/{ctx.task_idx:06d}.parquet",
+                           filesystem=self.fs, use_dictionary=False,
+                           write_statistics=False)
+
+
 def resolve_location(spec, *, default_path: str | None = None
                      ) -> tuple[pafs.FileSystem, str]:
     """(filesystem, path) from a spec WITHOUT creating a unique
@@ -196,12 +252,13 @@ def open_spill(spill_dir=None, *, prefix: str = "spill_") -> Spill:
 def partition_apply(ds, part_col: str, per_part, *, columns=None,
                     spill_dir=None, prefix: str = "part_") -> list:
     """The one-sided keyed disk shuffle: write ``ds`` (which already
-    carries ``part_col``, mapped on by the caller) as a hive-partitioned
-    parquet spill, then run ``per_part(table)`` once per partition dir,
-    in ``list_parts`` order, as independent ``num_cpus=1`` Ray tasks —
+    carries ``part_col``, mapped on by the caller) through
+    :meth:`Spill.write_parts`, then run ``per_part(table)`` once per
+    partition dir, in ``list_parts`` order, as independent
+    ``num_cpus=1`` Ray tasks —
     never Ray Data's pull-based sort exchange (measured in-repo to
     anti-scale at high core counts).  The partition column is consumed
-    by the hive layout, so ``per_part`` sees the part's rows (only
+    by the spill, so ``per_part`` sees the part's rows (only
     ``columns``, if given) WITHOUT it.
 
     Returns the per-part result refs, all finished, or ``[]`` when the
@@ -213,7 +270,7 @@ def partition_apply(ds, part_col: str, per_part, *, columns=None,
 
     sp = open_spill(spill_dir, prefix=prefix)
     try:
-        sp.write_parquet(ds, partition_cols=[part_col])
+        sp.write_parts(ds, part_col)
 
         @ray.remote(num_cpus=1)
         def one_part(pdir: str):
